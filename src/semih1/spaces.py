@@ -6,6 +6,17 @@ row-major, coordinate ``p * target_dim + q``.  This module owns that
 convention; every verifier imports its index helpers instead of re-deriving
 them.
 
+It also owns the one vocabulary for linear constraints on such maps.  A
+:class:`RowGroup` is a named bilinear identity in basis pairs ``(x, y)``;
+each of its rows, one per ``(x, y, k)``, is a signed sum of terms of three
+shapes, ``D(xy)``, ``(Dx)y`` and ``x(Dy)``, where the product is a structure
+tensor (``B[x][y]`` holds the coordinates of the product of basis vectors x
+and y) and ``D`` is one block of the unknown map, placed at an offset of the
+flattened coordinates.  :func:`solve` is the one place where groups become a
+canonical kernel; :func:`first_failure` evaluates a group on one flattened
+map and returns its first failing basis pair, the witness a per-matrix check
+reports.
+
 Computed spaces:
 
 * ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b,
@@ -38,6 +49,121 @@ from .linalg import (
 def map_index(p, q, target_dim):
     """Flat coordinate of the (source p, target q) matrix entry."""
     return p * target_dim + q
+
+
+# term shapes of a row group: D applied to a product, or a product with D
+# applied to its left or right factor
+OUT, LEFT, RIGHT = "D(xy)", "(Dx)y", "x(Dy)"
+
+
+class RowGroup:
+    """A named bilinear identity, one linear row per (x, y, k).
+
+    ``dims`` is ``(dx, dy, dk)``: basis pairs (x, y) and output coordinates
+    k.  ``terms`` lists ``(sign, shape, tensor, place)``.  With ``place =
+    (row_offset, col_offset, width)`` the block D has entry ``D[r][s]`` at
+    flat coordinate ``(row_offset + r) * width + col_offset + s``, and row
+    (x, y, k) gets ``sign`` times coordinate k of
+
+    * ``D(xy)``: ``sum_l tensor[x][y][l] D[l]``,
+    * ``(Dx)y``: ``sum_l D[x][l] tensor[l][y]``,
+    * ``x(Dy)``: ``sum_l tensor[x][l] D[y][l]``.
+
+    Pairs are scanned x-major, or y-major when ``y_major`` is set; the
+    first pair with a nonzero row is the group's witness.
+    """
+
+    __slots__ = ("name", "dims", "terms", "y_major")
+
+    def __init__(self, name, dims, terms, y_major=False):
+        self.name = name
+        self.dims = dims
+        self.terms = terms
+        self.y_major = y_major
+
+    def pairs(self):
+        dx, dy, _ = self.dims
+        if self.y_major:
+            return [(x, y) for y in range(dy) for x in range(dx)]
+        return [(x, y) for x in range(dx) for y in range(dy)]
+
+    def row(self, x, y, k):
+        """The nonzero (flat coordinate, coefficient) entries of row (x, y, k)."""
+        out = []
+        for sign, shape, tensor, (r0, c0, width) in self.terms:
+            if shape == OUT:
+                for l, c in enumerate(tensor[x][y]):
+                    if c:
+                        out.append(((r0 + l) * width + c0 + k, c if sign > 0 else -c))
+            elif shape == LEFT:
+                base = (r0 + x) * width + c0
+                for l, slab in enumerate(tensor):
+                    c = slab[y][k]
+                    if c:
+                        out.append((base + l, c if sign > 0 else -c))
+            else:
+                base = (r0 + y) * width + c0
+                for l, vec in enumerate(tensor[x]):
+                    c = vec[k]
+                    if c:
+                        out.append((base + l, c if sign > 0 else -c))
+        return out
+
+
+def solve(amb, *groups) -> Subspace:
+    """The canonical kernel, inside Q^amb, of every row of the given groups."""
+    rows = []
+    for g in groups:
+        for x, y in g.pairs():
+            for k in range(g.dims[2]):
+                entries = g.row(x, y, k)
+                if entries:
+                    rows.append(entries)
+    if not rows:
+        return Subspace.full(amb)
+    system = Matrix.zeros(len(rows), amb)
+    for dense, entries in zip(system.data, rows):
+        for i, c in entries:
+            dense[i] += c
+    return kernel(system)
+
+
+def first_failure(group: RowGroup, flat):
+    """The first basis pair whose rows do not vanish on a flattened map, else None."""
+    for x, y in group.pairs():
+        for k in range(group.dims[2]):
+            if sum(c * flat[i] for i, c in group.row(x, y, k)):
+                return (x, y)
+    return None
+
+
+def leibniz(name, a: Algebra, act, place) -> RowGroup:
+    """D(xy) = x.D(y) + D(x).y for D: A -> M placed at ``place``."""
+    return RowGroup(name, (a.dim, a.dim, act.module_dim),
+                    [(1, OUT, a.mult, place), (-1, RIGHT, act.left, place),
+                     (-1, LEFT, act.right, place)])
+
+
+def bimodule_hom(a_dim, u, v, place):
+    """f(a.x) = a.f(x) and f(x.a) = f(x).a for f: U -> V placed at ``place``."""
+    mu, mv = u.module_dim, v.module_dim
+    return (RowGroup("hom-left", (a_dim, mu, mv),
+                     [(1, OUT, u.left, place), (-1, RIGHT, v.left, place)]),
+            RowGroup("hom-right", (mu, a_dim, mv),
+                     [(1, OUT, u.right, place), (-1, LEFT, v.right, place)]))
+
+
+def kills(name, tensor, place, dk) -> RowGroup:
+    """D(xy) = 0 for every basis product of ``tensor``; D has ``dk`` columns."""
+    return RowGroup(name, (len(tensor), len(tensor[0]) if tensor else 0, dk),
+                    [(1, OUT, tensor, place)])
+
+
+def lands_in(name, target: Subspace, place, dx) -> RowGroup:
+    """D(e_x) lies in ``target`` for x < dx: its residual mod ``target`` vanishes."""
+    d = target.ambient
+    residual = [[target.reduce([F1 if j == l else F0 for j in range(d)])] for l in range(d)]
+    return RowGroup(name, (dx, 1, d), [(1, LEFT, residual, place)])
 
 
 class LinearMapSpace:
@@ -84,28 +210,7 @@ def derivation_space(a: Algebra, m) -> LinearMapSpace:
     if act.algebra_dim != a.dim:
         raise ShapeMismatch("module is not over the given algebra")
     n, md = a.dim, act.module_dim
-    amb = n * md
-    L, R = act.left, act.right
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = a.mult[i][j]
-            for q in range(md):
-                row = [F0] * amb
-                for k, c in enumerate(cij):
-                    if c:
-                        row[map_index(k, q, md)] += c
-                for p in range(md):
-                    c = L[i][p][q]
-                    if c:
-                        row[map_index(j, p, md)] -= c
-                    c = R[p][j][q]
-                    if c:
-                        row[map_index(i, p, md)] -= c
-                rows.append(row)
-    if not rows:
-        return LinearMapSpace(n, md, Subspace.full(amb))
-    return LinearMapSpace(n, md, kernel(Matrix.from_rows(rows, cols=amb)))
+    return LinearMapSpace(n, md, solve(n * md, leibniz("leibniz", a, act, (0, 0, md))))
 
 
 def leibniz_defect(d: Matrix, a: Algebra, m):
@@ -113,18 +218,7 @@ def leibniz_defect(d: Matrix, a: Algebra, m):
     act = _action_of(m)
     if (d.rows, d.cols) != (a.dim, act.module_dim):
         raise ShapeMismatch("candidate map has the wrong shape")
-    n = a.dim
-    for i in range(n):
-        ei = [F1 if k == i else F0 for k in range(n)]
-        for j in range(n):
-            ej = [F1 if k == j else F0 for k in range(n)]
-            lhs = d.apply(a.mult[i][j])
-            rhs = act.act_left(ei, d.data[j])
-            for q, c in enumerate(act.act_right(d.data[i], ej)):
-                rhs[q] += c
-            if lhs != rhs:
-                return (i, j)
-    return None
+    return first_failure(leibniz("leibniz", a, act, (0, 0, d.cols)), d.flatten())
 
 
 def _inner_generators(a: Algebra, m) -> Matrix:
@@ -180,34 +274,7 @@ def hom_space(a: Algebra, u, v) -> LinearMapSpace:
     if ua.algebra_dim != a.dim or va.algebra_dim != a.dim:
         raise ShapeMismatch("both modules must be over the given algebra")
     mu, mv = ua.module_dim, va.module_dim
-    amb = mu * mv
-    rows = []
-    for i in range(a.dim):
-        for p in range(mu):
-            for q in range(mv):
-                row = [F0] * amb
-                for r in range(mu):
-                    c = ua.left[i][p][r]
-                    if c:
-                        row[map_index(r, q, mv)] += c
-                for r in range(mv):
-                    c = va.left[i][r][q]
-                    if c:
-                        row[map_index(p, r, mv)] -= c
-                rows.append(row)
-                row = [F0] * amb
-                for r in range(mu):
-                    c = ua.right[p][i][r]
-                    if c:
-                        row[map_index(r, q, mv)] += c
-                for r in range(mv):
-                    c = va.right[r][i][q]
-                    if c:
-                        row[map_index(p, r, mv)] -= c
-                rows.append(row)
-    if not rows:
-        return LinearMapSpace(mu, mv, Subspace.full(amb))
-    return LinearMapSpace(mu, mv, kernel(Matrix.from_rows(rows, cols=amb)))
+    return LinearMapSpace(mu, mv, solve(mu * mv, *bimodule_hom(a.dim, ua, va, (0, 0, mv))))
 
 
 def r_map(a_elt, u: ModuleAlgebra) -> Matrix:

@@ -14,6 +14,13 @@ compares them exactly:
 * ``ttd/cte/embed``      -- module extensions T(A,U).
 * ``lau-der/a1/prop10``  -- scaled-action (character) products.
 
+Every linear system here is a list of row groups from :mod:`.spaces`, solved
+by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
+identity built from the factors' structure tensors, 5.1 solves its own
+reduced groups, and ttd and lau-der compare Z1 with the memoised 3.1 kernel
+(their reduced rows are the 3.1 rows with vanishing terms dropped).  The
+per-matrix witnesses of ``split_blocks`` evaluate the same groups.
+
 Verdicts are ``verified``, ``hypotheses-not-met``, or ``MISMATCH``; a
 MISMATCH on a validated instance falsifies the implementation and is never
 an expected outcome.
@@ -45,24 +52,32 @@ from .linalg import (
 )
 from .products import SemidirectAlgebra, alpha_iso, direct_product
 from .spaces import (
+    LEFT,
+    OUT,
+    RIGHT,
     LinearMapSpace,
+    RowGroup,
+    bimodule_hom,
+    c_space,
+    commutant_in_module,
     derivation_space,
+    first_failure,
     hom_space,
+    i_space,
     inner_map,
     inner_space,
     inner_witness,
+    kills,
+    lands_in,
+    leibniz,
     leibniz_defect,
-    map_index,
     r_map,
-    u_inner_map,
-    c_space,
-    commutant_in_module,
-    i_space,
     r_space,
+    solve,
+    u_inner_map,
 )
 
 THEOREM_IDS = ("4.1", "4.2", "4.3", "4.4")
-SPECIAL_IDS = ("3.1", "5.1", "5.3", "5.4", "ttd", "cte", "lau-der", "a1", "prop10", "embed")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +161,7 @@ def h1_total(p):
 
 
 # ---------------------------------------------------------------------------
-# block decomposition and the per-matrix condition checks
+# block decomposition and the 3.1 conditions as row groups
 
 class BlockDecomposition:
     """The four corner maps of a linear map on A x| U, with condition status.
@@ -210,25 +225,54 @@ def _basis(n, i):
     return [F1 if k == i else F0 for k in range(n)]
 
 
-def _tau1_hom_defect(tau1, p):
-    """Witnesses for tau1 failing to be an A-module homomorphism U -> A."""
-    a, act = p.part_a, p.part_u.action
-    n, m = p.n, p.m
-    left = right = None
-    for i in range(n):
-        ei = _basis(n, i)
-        for q in range(m):
-            if left is None and not vectors_equal(
-                    tau1.apply(act.left[i][q]), a.product(ei, tau1.data[q])):
-                left = (i, q)
-            if right is None and not vectors_equal(
-                    tau1.apply(act.right[q][i]), a.product(tau1.data[q], ei)):
-                right = (q, i)
-    return left, right
+# The eight block conditions of 3.1 are the (source pair, target) blocks of
+# the Leibniz identity on A x| U, in the order they are reported.  Only the
+# tau1-hom-right pairs (x, a) are scanned a-major.
+_CONDITIONS_3_1 = (
+    ("delta1-derivation", "AAA", False),
+    ("delta2-derivation", "AAU", False),
+    ("tau1-hom-left", "AUA", False),
+    ("tau1-hom-right", "UAA", True),
+    ("tau1-kills-products", "UUA", False),
+    ("tau2-left-twist", "AUU", False),
+    ("tau2-right-twist", "UAU", False),
+    ("tau2-product-twist", "UUU", False),
+)
 
 
-def check_block_conditions(delta1, delta2, tau1, tau2, p: SemidirectAlgebra):
-    """Evaluate the four block conditions, returning witness-or-None each.
+def _condition_groups(p: SemidirectAlgebra):
+    """The eight 3.1 conditions as row groups on the t*t coordinates of a map.
+
+    For parts x, y, k in {A, U}, block (x, y) -> k of the Leibniz identity
+    D(vw) = D(v)w + vD(w) sums over the middle part z: D_(z->k) applied to
+    the (x, y) -> z product, the (z, y) -> k product of D_(x->z)(v) with w,
+    and the (x, z) -> k product of v with D_(y->z)(w).  The products are the
+    four nonzero blocks of (a, x)(b, y) = (ab, a.y + x.b + xy), taken from
+    the factors and never from the total algebra, so this kernel is solved
+    independently of Z1(A x| U).
+    """
+    u = p.part_u
+    t = p.dim
+    dims = {"A": p.n, "U": p.m}
+    offset = {"A": 0, "U": p.n}
+    mult = {"AAA": p.part_a.mult, "AUU": u.action.left, "UAU": u.action.right,
+            "UUU": u.algebra.mult}
+    groups = []
+    for name, (x, y, k), y_major in _CONDITIONS_3_1:
+        terms = []
+        for z in "AU":
+            if x + y + z in mult:
+                terms.append((1, OUT, mult[x + y + z], (offset[z], offset[k], t)))
+            if z + y + k in mult:
+                terms.append((-1, LEFT, mult[z + y + k], (offset[x], offset[z], t)))
+            if x + z + k in mult:
+                terms.append((-1, RIGHT, mult[x + z + k], (offset[y], offset[z], t)))
+        groups.append(RowGroup(name, (dims[x], dims[y], dims[k]), terms, y_major))
+    return groups
+
+
+def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
+    """Cut a map on A x| U into its four blocks and grade each condition.
 
     The conditions characterize derivations of A x| U:
       (a) delta1 is a derivation of A;
@@ -236,89 +280,9 @@ def check_block_conditions(delta1, delta2, tau1, tau2, p: SemidirectAlgebra):
       (c) tau1 is an A-module homomorphism U -> A killing U-products;
       (d) tau2 twists by delta1/delta2 on actions and by tau1 on U-products.
     """
-    a = p.part_a
-    u = p.part_u
-    act = u.action
-    n, m = p.n, p.m
-    umult = u.algebra.mult
-    cond = {}
-    cond["delta1-derivation"] = leibniz_defect(delta1, a, regular_action(a))
-    cond["delta2-derivation"] = leibniz_defect(delta2, a, act)
-    hl, hr = _tau1_hom_defect(tau1, p)
-    cond["tau1-hom-left"] = hl
-    cond["tau1-hom-right"] = hr
-    w = None
-    for pp in range(m):
-        for q in range(m):
-            if any(tau1.apply(umult[pp][q])):
-                w = (pp, q)
-                break
-        if w:
-            break
-    cond["tau1-kills-products"] = w
-
-    w = None
-    for i in range(n):
-        ei = _basis(n, i)
-        for pp in range(m):
-            up = _basis(m, pp)
-            lhs = tau2.apply(act.left[i][pp])
-            rhs = act.act_left(ei, tau2.data[pp])
-            for q, c in enumerate(act.act_left(delta1.data[i], up)):
-                rhs[q] += c
-            for q, c in enumerate(u.algebra.product(delta2.data[i], up)):
-                rhs[q] += c
-            if lhs != rhs:
-                w = (i, pp)
-                break
-        if w:
-            break
-    cond["tau2-left-twist"] = w
-
-    w = None
-    for pp in range(m):
-        up = _basis(m, pp)
-        for i in range(n):
-            ei = _basis(n, i)
-            lhs = tau2.apply(act.right[pp][i])
-            rhs = act.act_right(tau2.data[pp], ei)
-            for q, c in enumerate(act.act_right(up, delta1.data[i])):
-                rhs[q] += c
-            for q, c in enumerate(u.algebra.product(up, delta2.data[i])):
-                rhs[q] += c
-            if lhs != rhs:
-                w = (pp, i)
-                break
-        if w:
-            break
-    cond["tau2-right-twist"] = w
-
-    w = None
-    for pp in range(m):
-        up = _basis(m, pp)
-        for q in range(m):
-            uq = _basis(m, q)
-            lhs = tau2.apply(umult[pp][q])
-            rhs = act.act_right(up, tau1.data[q])
-            for s, c in enumerate(act.act_left(tau1.data[pp], uq)):
-                rhs[s] += c
-            for s, c in enumerate(u.algebra.product(up, tau2.data[q])):
-                rhs[s] += c
-            for s, c in enumerate(u.algebra.product(tau2.data[pp], uq)):
-                rhs[s] += c
-            if lhs != rhs:
-                w = (pp, q)
-                break
-        if w:
-            break
-    cond["tau2-product-twist"] = w
-    return cond
-
-
-def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
-    """Cut a map on A x| U into its four blocks and grade each condition."""
     delta1, delta2, tau1, tau2 = split_matrix(d, p)
-    cond = check_block_conditions(delta1, delta2, tau1, tau2, p)
+    flat = d.flatten()
+    cond = {g.name: first_failure(g, flat) for g in _condition_groups(p)}
     return BlockDecomposition(delta1, delta2, tau1, tau2, cond)
 
 
@@ -326,168 +290,8 @@ def is_derivation_via_3_1(d: Matrix, p: SemidirectAlgebra) -> bool:
     return split_blocks(d, p).ok
 
 
-# ---------------------------------------------------------------------------
-# the block conditions as one linear system on the whole map space
-
-def _condition_rows_3_1(p: SemidirectAlgebra):
-    """Linear equations over the t^2 unknowns of a map on A x| U.
-
-    Solutions are exactly the maps whose blocks pass conditions (a)-(d);
-    the equivalence rule compares this kernel with the Leibniz kernel.
-    """
-    a, u = p.part_a, p.part_u
-    act = u.action
-    n, m = p.n, p.m
-    t = n + m
-    amb = t * t
-    ca = a.mult
-    L, R = act.left, act.right
-    d = u.algebra.mult
-
-    def idx(r, s):
-        return r * t + s
-
-    rows = []
-    # (a) delta1 is a derivation of A
-    for i in range(n):
-        for j in range(n):
-            cij = ca[i][j]
-            for k in range(n):
-                row = [F0] * amb
-                for l in range(n):
-                    c = cij[l]
-                    if c:
-                        row[idx(l, k)] += c
-                    c = ca[i][l][k]
-                    if c:
-                        row[idx(j, l)] -= c
-                    c = ca[l][j][k]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-    # (b) delta2 is a derivation into the bimodule
-    for i in range(n):
-        for j in range(n):
-            cij = ca[i][j]
-            for q in range(m):
-                row = [F0] * amb
-                for l in range(n):
-                    c = cij[l]
-                    if c:
-                        row[idx(l, n + q)] += c
-                for r in range(m):
-                    c = L[i][r][q]
-                    if c:
-                        row[idx(j, n + r)] -= c
-                    c = R[r][j][q]
-                    if c:
-                        row[idx(i, n + r)] -= c
-                rows.append(row)
-    # (c) tau1 is a module homomorphism killing U-products
-    for i in range(n):
-        for pp in range(m):
-            for k in range(n):
-                row = [F0] * amb
-                for r in range(m):
-                    c = L[i][pp][r]
-                    if c:
-                        row[idx(n + r, k)] += c
-                for l in range(n):
-                    c = ca[i][l][k]
-                    if c:
-                        row[idx(n + pp, l)] -= c
-                rows.append(row)
-                row = [F0] * amb
-                for r in range(m):
-                    c = R[pp][i][r]
-                    if c:
-                        row[idx(n + r, k)] += c
-                for l in range(n):
-                    c = ca[l][i][k]
-                    if c:
-                        row[idx(n + pp, l)] -= c
-                rows.append(row)
-    for pp in range(m):
-        for q in range(m):
-            dpq = d[pp][q]
-            if not any(dpq):
-                continue
-            for k in range(n):
-                row = [F0] * amb
-                for r in range(m):
-                    c = dpq[r]
-                    if c:
-                        row[idx(n + r, k)] += c
-                rows.append(row)
-    # (d) the three tau2 twists
-    for i in range(n):
-        for pp in range(m):
-            for q in range(m):
-                row = [F0] * amb
-                for r in range(m):
-                    c = L[i][pp][r]
-                    if c:
-                        row[idx(n + r, n + q)] += c
-                    c = L[i][r][q]
-                    if c:
-                        row[idx(n + pp, n + r)] -= c
-                    c = d[r][pp][q]
-                    if c:
-                        row[idx(i, n + r)] -= c
-                for l in range(n):
-                    c = L[l][pp][q]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-                row = [F0] * amb
-                for r in range(m):
-                    c = R[pp][i][r]
-                    if c:
-                        row[idx(n + r, n + q)] += c
-                    c = R[r][i][q]
-                    if c:
-                        row[idx(n + pp, n + r)] -= c
-                    c = d[pp][r][q]
-                    if c:
-                        row[idx(i, n + r)] -= c
-                for l in range(n):
-                    c = R[pp][l][q]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-    for pp in range(m):
-        for q in range(m):
-            dpq = d[pp][q]
-            for s in range(m):
-                row = [F0] * amb
-                for r in range(m):
-                    c = dpq[r]
-                    if c:
-                        row[idx(n + r, n + s)] += c
-                    c = d[pp][r][s]
-                    if c:
-                        row[idx(n + q, n + r)] -= c
-                    c = d[r][q][s]
-                    if c:
-                        row[idx(n + pp, n + r)] -= c
-                for l in range(n):
-                    c = R[pp][l][s]
-                    if c:
-                        row[idx(n + q, l)] -= c
-                    c = L[l][q][s]
-                    if c:
-                        row[idx(n + pp, l)] -= c
-                rows.append(row)
-    return rows, amb
-
-
 def conditions_subspace(p: SemidirectAlgebra) -> Subspace:
-    def build():
-        rows, amb = _condition_rows_3_1(p)
-        if not rows:
-            return Subspace.full(amb)
-        return kernel(Matrix.from_rows(rows, cols=amb))
-    return _memo(p, "cond31", build)
+    return _memo(p, "cond31", lambda: solve(p.dim * p.dim, *_condition_groups(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -633,19 +437,10 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     if kind == "tau1-only":
         if (block.rows, block.cols) != (m, n):
             raise ShapeMismatch("tau1 block must be dim(U) x dim(A)")
-        hl, hr = _tau1_hom_defect(block, p)
-        if hl is not None or hr is not None:
-            return False
-        for pp in range(m):
-            for q in range(m):
-                if any(block.apply(u.algebra.mult[pp][q])):
-                    return False
-                pair = act.act_right(_basis(m, pp), block.data[q])
-                for s, c in enumerate(act.act_left(block.data[pp], _basis(m, q))):
-                    pair[s] += c
-                if any(pair):
-                    return False
-        return True
+        groups = (*_pairing_groups(p),
+                  kills("tau1-kills-products", u.algebra.mult, (0, 0, n), n))
+        flat = block.flatten()
+        return all(first_failure(g, flat) is None for g in groups)
     if kind == "tau2-only":
         if (block.rows, block.cols) != (m, m):
             raise ShapeMismatch("tau2 block must be dim(U) square")
@@ -669,19 +464,6 @@ def tau1_vanishes(p: SemidirectAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # hypotheses
 
-HYPOTHESIS_NAMES = (
-    "tau1-vanishes",
-    "Z1(A) image in ann_A(U)",
-    "Z1(A,U) image in ann_U(U)",
-    "H1(A)=0",
-    "H1(A,U)=0",
-    "Hom(U) cap Z1(U) inside R(U)+N1(U)",
-    "no nonzero pairing hom U->A",
-    "ann_U(U)=0 or span(A^2)=A",
-    "ann_A(A)=0 or span(U^2)=U",
-)
-
-
 def _image_in(space: LinearMapSpace, target: Subspace):
     """Witness basis map whose image rows leave ``target``, else None."""
     td = space.target_dim
@@ -692,27 +474,19 @@ def _image_in(space: LinearMapSpace, target: Subspace):
     return None
 
 
-def pairing_hom_space(p: SemidirectAlgebra) -> Subspace:
-    """Module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y."""
+def _pairing_groups(p: SemidirectAlgebra):
+    """T: U -> A a module homomorphism with T(x)y + xT(y) = 0, on T's coordinates."""
     act = p.part_u.action
     n, m = p.n, p.m
-    amb = m * n
-    rows = []
-    for pp in range(m):
-        for q in range(m):
-            for s in range(m):
-                row = [F0] * amb
-                for l in range(n):
-                    c = act.right[pp][l][s]
-                    if c:
-                        row[map_index(q, l, n)] += c
-                    c = act.left[l][q][s]
-                    if c:
-                        row[map_index(pp, l, n)] += c
-                rows.append(row)
-    pair = kernel(Matrix.from_rows(rows, cols=amb)) if rows else Subspace.full(amb)
-    hom = hom_space(p.part_a, p.part_u.action, regular_action(p.part_a))
-    return intersect(hom.space, pair)
+    place = (0, 0, n)
+    pairing = RowGroup("pairing", (m, m, m),
+                       [(1, RIGHT, act.right, place), (1, LEFT, act.left, place)])
+    return (*bimodule_hom(n, act, regular_action(p.part_a), place), pairing)
+
+
+def pairing_hom_space(p: SemidirectAlgebra) -> Subspace:
+    """Module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y."""
+    return solve(p.m * p.n, *_pairing_groups(p))
 
 
 def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
@@ -863,33 +637,6 @@ def _require(cond, message):
         raise WrongConstructionKind(message)
 
 
-def _reduction_rows(target: Subspace):
-    """Rows of the linear residual map v -> v mod target, per coordinate."""
-    n = target.ambient
-    basis = [[F1 if k == i else F0 for k in range(n)] for i in range(n)]
-    return [target.reduce(e) for e in basis]
-
-
-def _membership_rows(rows, amb, coeff_fn, target: Subspace, coords):
-    """Constrain the vector built by coeff_fn to lie in ``target``.
-
-    ``coeff_fn(k)`` lists (flat_unknown_index, coefficient) pairs expressing
-    coordinate k of the vector in terms of the map unknowns.
-    """
-    red = _reduction_rows(target)
-    for c in range(target.ambient):
-        row = [F0] * amb
-        touched = False
-        for k in coords:
-            rk = red[k][c]
-            if rk:
-                for pos, coef in coeff_fn(k):
-                    row[pos] += rk * coef
-                    touched = True
-        if touched:
-            rows.append(row)
-
-
 def _z1_block_zero(p, row, block):
     """True when the given flattened map has a zero delta2 or tau1 block."""
     n, m, t = p.n, p.m, p.dim
@@ -900,97 +647,29 @@ def _z1_block_zero(p, row, block):
     raise ValueError(block)
 
 
-def _direct_product_rows(p):
-    """The direct-product block conditions as one linear system.
+def _verify_direct_blocks(p):
+    """Rule 5.1: the direct-product block conditions as one reduced system.
 
     A derivation of A x U (trivial actions) is exactly: delta1 and tau2 are
     derivations, tau1 lands in ann_A(A) and kills U-products, delta2 lands
     in ann_U(U) and kills A-products.
     """
-    a, u = p.part_a, p.part_u
-    n, m = p.n, p.m
-    t = n + m
-    amb = t * t
-    ca = a.mult
-    d = u.algebra.mult
-
-    def idx(r, s):
-        return r * t + s
-
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = ca[i][j]
-            for k in range(n):
-                row = [F0] * amb
-                for l in range(n):
-                    c = cij[l]
-                    if c:
-                        row[idx(l, k)] += c
-                    c = ca[i][l][k]
-                    if c:
-                        row[idx(j, l)] -= c
-                    c = ca[l][j][k]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-    for pp in range(m):
-        for q in range(m):
-            dpq = d[pp][q]
-            for s in range(m):
-                row = [F0] * amb
-                for r in range(m):
-                    c = dpq[r]
-                    if c:
-                        row[idx(n + r, n + s)] += c
-                    c = d[pp][r][s]
-                    if c:
-                        row[idx(n + q, n + r)] -= c
-                    c = d[r][q][s]
-                    if c:
-                        row[idx(n + pp, n + r)] -= c
-                rows.append(row)
-    ann_aa = annihilator_in_algebra(a, regular_action(a))
-    for pp in range(m):
-        _membership_rows(rows, amb, lambda k, pp=pp: [(idx(n + pp, k), F1)], ann_aa, range(n))
-    ann = ann_u_u(p)
-    for i in range(n):
-        _membership_rows(rows, amb, lambda q, i=i: [(idx(i, n + q), F1)], ann, range(m))
-    for pp in range(m):
-        for q in range(m):
-            dpq = d[pp][q]
-            if not any(dpq):
-                continue
-            for k in range(n):
-                row = [F0] * amb
-                for r in range(m):
-                    if dpq[r]:
-                        row[idx(n + r, k)] += dpq[r]
-                rows.append(row)
-    for i in range(n):
-        for j in range(n):
-            cij = ca[i][j]
-            if not any(cij):
-                continue
-            for q in range(m):
-                row = [F0] * amb
-                for l in range(n):
-                    if cij[l]:
-                        row[idx(l, n + q)] += cij[l]
-                rows.append(row)
-    return rows, amb
-
-
-def _verify_direct_blocks(p):
     _require(p.action_is_trivial(), "rule 5.1 needs a direct product (trivial actions)")
-    rows, amb = _direct_product_rows(p)
-    cond = kernel(Matrix.from_rows(rows, cols=amb)) if rows else Subspace.full(amb)
+    a, u = p.part_a, p.part_u
+    n, m, t = p.n, p.m, p.dim
+    ann_aa = annihilator_in_algebra(a, regular_action(a))
+    tau1, delta2 = (n, 0, t), (0, n, t)
+    cond = solve(t * t,
+                 leibniz("delta1", a, regular_action(a), (0, 0, t)),
+                 leibniz("tau2", u.algebra, regular_action(u.algebra), (n, n, t)),
+                 lands_in("tau1-in-ann", ann_aa, tau1, m),
+                 kills("tau1-kills", u.algebra.mult, tau1, n),
+                 lands_in("delta2-in-ann", ann_u_u(p), delta2, n),
+                 kills("delta2-kills", a.mult, delta2, m))
     leib = z1_total(p).space
     details = {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}
     verdict = "verified" if leib == cond else "MISMATCH"
     # vanishing consequences under the stated non-degeneracy conditions
-    a, u = p.part_a, p.part_u
-    ann_aa = annihilator_in_algebra(a, regular_action(a))
     force_delta2 = ann_u_u(p).dim == 0 or span_of_products(a).dim == p.n
     force_tau1 = ann_aa.dim == 0 or span_of_products(u.algebra).dim == p.m
     details["forces_delta2_zero"] = force_delta2
@@ -1046,130 +725,15 @@ def _verify_alpha_transport(p):
     return RuleReport("5.4", p.name, [], None, None, verdict, details)
 
 
-def _extension_rows(p):
-    """Block conditions for module extensions T(A,U), in reduced form.
-
-    With U-products zero the conditions collapse to: delta1, delta2
-    derivations; tau1 a module homomorphism with x tau1(y) + tau1(x) y = 0;
-    tau2 twisted by delta1 alone on both actions.
-    """
-    a = p.part_a
-    act = p.part_u.action
-    n, m = p.n, p.m
-    t = n + m
-    amb = t * t
-    ca = a.mult
-    L, R = act.left, act.right
-
-    def idx(r, s):
-        return r * t + s
-
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = ca[i][j]
-            for k in range(n):
-                row = [F0] * amb
-                for l in range(n):
-                    c = cij[l]
-                    if c:
-                        row[idx(l, k)] += c
-                    c = ca[i][l][k]
-                    if c:
-                        row[idx(j, l)] -= c
-                    c = ca[l][j][k]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-            for q in range(m):
-                row = [F0] * amb
-                for l in range(n):
-                    c = cij[l]
-                    if c:
-                        row[idx(l, n + q)] += c
-                for r in range(m):
-                    c = L[i][r][q]
-                    if c:
-                        row[idx(j, n + r)] -= c
-                    c = R[r][j][q]
-                    if c:
-                        row[idx(i, n + r)] -= c
-                rows.append(row)
-    for i in range(n):
-        for pp in range(m):
-            for k in range(n):
-                row = [F0] * amb
-                for r in range(m):
-                    c = L[i][pp][r]
-                    if c:
-                        row[idx(n + r, k)] += c
-                for l in range(n):
-                    c = ca[i][l][k]
-                    if c:
-                        row[idx(n + pp, l)] -= c
-                rows.append(row)
-                row = [F0] * amb
-                for r in range(m):
-                    c = R[pp][i][r]
-                    if c:
-                        row[idx(n + r, k)] += c
-                for l in range(n):
-                    c = ca[l][i][k]
-                    if c:
-                        row[idx(n + pp, l)] -= c
-                rows.append(row)
-    for pp in range(m):
-        for q in range(m):
-            for s in range(m):
-                row = [F0] * amb
-                touched = False
-                for l in range(n):
-                    c = R[pp][l][s]
-                    if c:
-                        row[idx(n + q, l)] += c
-                        touched = True
-                    c = L[l][q][s]
-                    if c:
-                        row[idx(n + pp, l)] += c
-                        touched = True
-                if touched:
-                    rows.append(row)
-    for i in range(n):
-        for pp in range(m):
-            for q in range(m):
-                row = [F0] * amb
-                for r in range(m):
-                    c = L[i][pp][r]
-                    if c:
-                        row[idx(n + r, n + q)] += c
-                    c = L[i][r][q]
-                    if c:
-                        row[idx(n + pp, n + r)] -= c
-                for l in range(n):
-                    c = L[l][pp][q]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-                row = [F0] * amb
-                for r in range(m):
-                    c = R[pp][i][r]
-                    if c:
-                        row[idx(n + r, n + q)] += c
-                    c = R[r][i][q]
-                    if c:
-                        row[idx(n + pp, n + r)] -= c
-                for l in range(n):
-                    c = R[pp][l][q]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-    return rows, amb
-
-
 def _verify_extension_blocks(p):
+    """Rule ttd: Z1 of a module extension T(A,U) against the 3.1 kernel.
+
+    With U^2 = 0 every U-product term of the 3.1 rows vanishes: delta1 and
+    delta2 are derivations, tau1 is a module homomorphism with
+    x tau1(y) + tau1(x) y = 0, and tau2 is twisted by delta1 alone.
+    """
     _require(p.u_square_is_zero(), "rule ttd needs a module extension (U^2 = 0)")
-    rows, amb = _extension_rows(p)
-    cond = kernel(Matrix.from_rows(rows, cols=amb)) if rows else Subspace.full(amb)
+    cond = conditions_subspace(p)
     leib = z1_total(p).space
     details = {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}
     verdict = "verified" if leib == cond else "MISMATCH"
@@ -1236,172 +800,30 @@ def _require_scaled(p, rule_id):
                         f"rule {rule_id}: action is not a.x = x.a = t(a) x")
 
 
-def _scaled_rows(p):
-    """Block conditions for character-scaled products, in the reduced form.
+def _verify_scaled_blocks(p):
+    """Rule lau-der: Z1 of a character-scaled product against the 3.1 kernel.
 
-    delta1, delta2 are derivations coupled by t(delta1(a))x + delta2(a)x = 0
-    (and its right twin); tau1 is a module homomorphism killing U-products;
+    With a.x = x.a = t(a)x the two action terms of each tau2 twist cancel:
+    delta1 and delta2 are derivations coupled by t(delta1(a))x + delta2(a)x = 0
+    and its right twin, tau1 is a module homomorphism killing U-products, and
     tau2 twists on U-products by t o tau1.
     """
-    a, u = p.part_a, p.part_u
-    theta = p.character.values
-    act = u.action
-    n, m = p.n, p.m
-    t = n + m
-    amb = t * t
-    ca = a.mult
-    L, R = act.left, act.right
-    d = u.algebra.mult
-
-    def idx(r, s):
-        return r * t + s
-
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = ca[i][j]
-            for k in range(n):
-                row = [F0] * amb
-                for l in range(n):
-                    c = cij[l]
-                    if c:
-                        row[idx(l, k)] += c
-                    c = ca[i][l][k]
-                    if c:
-                        row[idx(j, l)] -= c
-                    c = ca[l][j][k]
-                    if c:
-                        row[idx(i, l)] -= c
-                rows.append(row)
-            for q in range(m):
-                row = [F0] * amb
-                for l in range(n):
-                    c = cij[l]
-                    if c:
-                        row[idx(l, n + q)] += c
-                for r in range(m):
-                    c = L[i][r][q]
-                    if c:
-                        row[idx(j, n + r)] -= c
-                    c = R[r][j][q]
-                    if c:
-                        row[idx(i, n + r)] -= c
-                rows.append(row)
-    # coupling: t(delta1(e_i)) u_p + delta2(e_i) u_p = 0, and the right twin
-    for i in range(n):
-        for pp in range(m):
-            for q in range(m):
-                row = [F0] * amb
-                if q == pp:
-                    for l in range(n):
-                        if theta[l]:
-                            row[idx(i, l)] += theta[l]
-                for r in range(m):
-                    c = d[r][pp][q]
-                    if c:
-                        row[idx(i, n + r)] += c
-                rows.append(row)
-                row = [F0] * amb
-                if q == pp:
-                    for l in range(n):
-                        if theta[l]:
-                            row[idx(i, l)] += theta[l]
-                for r in range(m):
-                    c = d[pp][r][q]
-                    if c:
-                        row[idx(i, n + r)] += c
-                rows.append(row)
-    for i in range(n):
-        for pp in range(m):
-            for k in range(n):
-                row = [F0] * amb
-                for r in range(m):
-                    c = L[i][pp][r]
-                    if c:
-                        row[idx(n + r, k)] += c
-                for l in range(n):
-                    c = ca[i][l][k]
-                    if c:
-                        row[idx(n + pp, l)] -= c
-                rows.append(row)
-                row = [F0] * amb
-                for r in range(m):
-                    c = R[pp][i][r]
-                    if c:
-                        row[idx(n + r, k)] += c
-                for l in range(n):
-                    c = ca[l][i][k]
-                    if c:
-                        row[idx(n + pp, l)] -= c
-                rows.append(row)
-    for pp in range(m):
-        for q in range(m):
-            dpq = d[pp][q]
-            if any(dpq):
-                for k in range(n):
-                    row = [F0] * amb
-                    for r in range(m):
-                        if dpq[r]:
-                            row[idx(n + r, k)] += dpq[r]
-                    rows.append(row)
-    # tau2(xy) = t(tau1(y)) x + t(tau1(x)) y + x tau2(y) + tau2(x) y
-    for pp in range(m):
-        for q in range(m):
-            dpq = d[pp][q]
-            for s in range(m):
-                row = [F0] * amb
-                for r in range(m):
-                    c = dpq[r]
-                    if c:
-                        row[idx(n + r, n + s)] += c
-                    c = d[pp][r][s]
-                    if c:
-                        row[idx(n + q, n + r)] -= c
-                    c = d[r][q][s]
-                    if c:
-                        row[idx(n + pp, n + r)] -= c
-                if s == pp:
-                    for l in range(n):
-                        if theta[l]:
-                            row[idx(n + q, l)] -= theta[l]
-                if s == q:
-                    for l in range(n):
-                        if theta[l]:
-                            row[idx(n + pp, l)] -= theta[l]
-                rows.append(row)
-    return rows, amb
-
-
-def _verify_scaled_blocks(p):
     _require_scaled(p, "lau-der")
-    rows, amb = _scaled_rows(p)
-    cond = kernel(Matrix.from_rows(rows, cols=amb)) if rows else Subspace.full(amb)
+    cond = conditions_subspace(p)
     leib = z1_total(p).space
     details = {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}
     verdict = "verified" if leib == cond else "MISMATCH"
     if verdict == "verified":
         # report the two coupling identities separately for each derivation
-        theta = p.character.values
+        act, umult = p.part_u.action, p.part_u.algebra.mult
         n, m, t = p.n, p.m, p.dim
-        umult = p.part_u.algebra.mult
-        left_ok = right_ok = True
-        for row in leib.basis.data:
-            mat = Matrix.from_rows([list(row[i * t:(i + 1) * t]) for i in range(t)], cols=t)
-            d1m, d2m, _, _ = split_matrix(mat, p)
-            for i in range(n):
-                scale = sum((theta[l] * d1m.data[i][l] for l in range(n)), F0)
-                for pp in range(m):
-                    up = _basis(m, pp)
-                    lvec = [scale * c for c in up]
-                    for s, c in enumerate(p.part_u.algebra.product(d2m.data[i], up)):
-                        lvec[s] += c
-                    if any(lvec):
-                        left_ok = False
-                    rvec = [scale * c for c in up]
-                    for s, c in enumerate(p.part_u.algebra.product(up, d2m.data[i])):
-                        rvec[s] += c
-                    if any(rvec):
-                        right_ok = False
+        delta1, delta2 = (0, 0, t), (0, n, t)
+        left = RowGroup("coupling-left", (n, m, m),
+                        [(1, LEFT, act.left, delta1), (1, LEFT, umult, delta2)])
+        right = RowGroup("coupling-right", (m, n, m),
+                         [(1, RIGHT, act.right, delta1), (1, RIGHT, umult, delta2)])
+        left_ok = all(first_failure(left, row) is None for row in leib.basis.data)
+        right_ok = all(first_failure(right, row) is None for row in leib.basis.data)
         details["coupling_left_ok"] = left_ok
         details["coupling_right_ok"] = right_ok
         inner_ok = all(

@@ -19,19 +19,27 @@ from semih1.catalog import (
 )
 from semih1.errors import NotADerivation
 from semih1.families import random_algebra_sample, random_module_sample
-from semih1.linalg import Matrix
+from semih1.linalg import Matrix, Subspace, frac
 from semih1.products import theta_lau
 from semih1.spaces import (
+    LEFT,
+    OUT,
+    RIGHT,
+    RowGroup,
     c_space,
     derivation_space,
+    first_failure,
     h1_dim,
     hom_space,
     i_space,
     inner_map,
     inner_space,
     inner_witness,
+    kills,
+    lands_in,
     r_map,
     r_space,
+    solve,
 )
 
 from _oracle import brute_h1_dim, brute_n1_dim, brute_z1_dim
@@ -206,3 +214,37 @@ def test_n1_contained_in_z1_fuzz():
         z = derivation_space(sample.algebra, mod.action)
         nn = inner_space(sample.algebra, mod.action)
         assert z.space.contains_subspace(nn.space)
+
+
+def test_row_group_terms_are_the_products_they_name():
+    # a block D: T2 -> T2 placed at an offset inside a wider flattened map
+    rng = random.Random(4)
+    a = upper_triangular_2()
+    n, width = a.dim, a.dim + 2
+    grid = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(n + 1)]
+    d = Matrix([row[2:2 + n] for row in grid[1:]])
+    flat = [frac(x) for row in grid for x in row]
+    e = Matrix.identity(n).data
+    direct = {OUT: lambda x, y: d.apply(a.mult[x][y]),
+              LEFT: lambda x, y: a.product(d.data[x], e[y]),
+              RIGHT: lambda x, y: a.product(e[x], d.data[y])}
+    for shape, product in direct.items():
+        group = RowGroup(shape, (n, n, n), [(1, shape, a.mult, (1, 2, width))])
+        for x, y in group.pairs():
+            rows = [sum(c * flat[i] for i, c in group.row(x, y, k)) for k in range(n)]
+            assert rows == product(x, y)
+
+
+def test_lands_in_kills_and_first_failure():
+    a = upper_triangular_2()
+    place = (0, 0, 3)
+    target = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    inside = solve(9, lands_in("in", target, place, 3))
+    assert inside.dim == 6
+    assert all(row[2] == row[5] == row[8] == 0 for row in inside.basis.data)
+    # a unital algebra spans itself by products, so only D = 0 kills them all
+    assert solve(9, kills("kills", a.mult, place, 3)).dim == 0
+    d = Matrix([[1, 0, 0], [0, 0, 0], [0, 1, 1]])
+    assert first_failure(lands_in("in", target, place, 3), d.flatten()) == (2, 0)
+    assert first_failure(kills("kills", a.mult, place, 3), d.flatten()) == (0, 0)
+    assert first_failure(kills("kills", a.mult, place, 3), Matrix.zeros(3, 3).flatten()) is None
