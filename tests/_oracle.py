@@ -142,3 +142,32 @@ def upper_triangular_mult():
     mult[1][2][1] = f(1)
     mult[2][2][2] = f(1)
     return mult
+
+
+def brute_assoc_failures(mult):
+    """Every basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
+
+    Both sides are expanded straight from the structure constants
+    ``mult[i][j][k]``; the triples come in lexicographic order.
+    """
+    n = len(mult)
+
+    def times(u, v):
+        out = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(n):
+                if u[i] and v[j]:
+                    for k in range(n):
+                        out[k] += Fraction(u[i]) * v[j] * mult[i][j][k]
+        return out
+
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    failures = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = times(times(basis[i], basis[j]), basis[k])
+                rhs = times(basis[i], times(basis[j], basis[k]))
+                if lhs != rhs:
+                    failures.append((i, j, k))
+    return failures

@@ -1,0 +1,126 @@
+"""A x| U is an algebra exactly when its factors pass validation.
+
+The total tensor of (a, x)(b, y) = (ab, a.y + x.b + xy) is assembled here
+from the factor tensors, without the package's product constructions, and
+checked for associativity by the brute-force oracle.  Each basis triple of
+the total lies in one block of parts, so its failing triples must be exactly
+the failures of ``validate_algebra`` on both factors and of
+``validate_module`` (or ``validate_corner`` for a triangular algebra),
+moved into total coordinates.
+"""
+
+import random
+
+import pytest
+
+from semih1.algebra import (
+    Algebra,
+    BimoduleAction,
+    CornerModule,
+    ModuleAlgebra,
+    validate_algebra,
+    validate_corner,
+    validate_module,
+)
+from semih1.catalog import dual_numbers, matrix_algebra, upper_triangular_2
+from semih1.families import random_product
+
+from _oracle import brute_assoc_failures
+
+# the parts (x, y, z) of the witness (i, j, k) each law reports
+MODULE_LAWS = {"(ab)x=a(bx)": "AAU", "x(ab)=(xa)b": "UAA", "(ax)b=a(xb)": "AUA",
+               "(a.x)y=a.(xy)": "AUU", "(xy).a=x(y.a)": "UUA", "(x.a)y=x(a.y)": "UAU"}
+CORNER_LAWS = {"(aa')m=a(a'm)": "AAM", "m(bb')=(mb)b'": "MBB", "(am)b=a(mb)": "AMB"}
+
+
+def sparse(rng, d0, d1, d2):
+    return [[[rng.choice((0, 0, 0, 0, 0, 1, -1)) for _ in range(d2)] for _ in range(d1)]
+            for _ in range(d0)]
+
+
+def assemble(dims, blocks):
+    """The total tensor on the concatenated parts; blocks[xyz][i][j] lies in part z."""
+    offset, t = {}, 0
+    for part, d in dims.items():
+        offset[part] = t
+        t += d
+    mult = [[[0] * t for _ in range(t)] for _ in range(t)]
+    for (x, y, z), block in blocks.items():
+        for i, row in enumerate(block):
+            for j, vec in enumerate(row):
+                for k, c in enumerate(vec):
+                    mult[offset[x] + i][offset[y] + j][offset[z] + k] = c
+    return mult, offset
+
+
+ASSOC = "(ab)c=a(bc)"
+
+
+def moved(report, offset, laws):
+    return [tuple(offset[part] + w for part, w in zip(laws[f["axiom"]], f["witness"]))
+            for f in report.failures]
+
+
+def check_semidirect(a, u):
+    """Compare the oracle on A x| U with the validators; return the failing laws."""
+    mult, offset = assemble({"A": a.dim, "U": u.dim},
+                            {"AAA": a.mult, "AUU": u.action.left, "UAU": u.action.right,
+                             "UUU": u.algebra.mult})
+    module = validate_module(u, a)
+    expected = (moved(validate_algebra(a), offset, {ASSOC: "AAA"})
+                + moved(module, offset, MODULE_LAWS)
+                + moved(validate_algebra(u.algebra), offset, {ASSOC: "UUU"}))
+    assert len(set(expected)) == len(expected)
+    assert sorted(expected) == brute_assoc_failures(mult)
+    return {f["axiom"] for f in module.failures}
+
+
+def check_triangular(a, b, m):
+    """Compare the oracle on the triangular algebra with the validators."""
+    mult, offset = assemble({"A": a.dim, "B": b.dim, "M": m.dim},
+                            {"AAA": a.mult, "BBB": b.mult, "AMM": m.left, "MBM": m.right})
+    corner = validate_corner(m, a, b)
+    expected = (moved(validate_algebra(a), offset, {ASSOC: "AAA"})
+                + moved(validate_algebra(b), offset, {ASSOC: "BBB"})
+                + moved(corner, offset, CORNER_LAWS))
+    assert len(set(expected)) == len(expected)
+    assert sorted(expected) == brute_assoc_failures(mult)
+    return {f["axiom"] for f in corner.failures}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_valid_factors_give_an_associative_total(seed):
+    p, _ = random_product(random.Random(seed), 3)
+    assert check_semidirect(p.part_a, p.part_u) == set()
+
+
+def test_invalid_factors_fail_exactly_where_the_total_does():
+    failing = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        a = Algebra("A", n, sparse(rng, n, n, n))
+        u = ModuleAlgebra(Algebra("U", m, sparse(rng, m, m, m)),
+                          BimoduleAction(n, m, sparse(rng, n, m, m), sparse(rng, m, n, m)))
+        failing |= check_semidirect(a, u)
+    assert failing == set(MODULE_LAWS)
+
+
+@pytest.mark.parametrize("a", [dual_numbers(), upper_triangular_2(), matrix_algebra(2)],
+                         ids=lambda a: a.name)
+def test_regular_corner_gives_an_associative_triangular_algebra(a):
+    corner = CornerModule(a.dim, a.dim, a.dim, [row[:] for row in a.mult],
+                          [[a.mult[p][j] for j in range(a.dim)] for p in range(a.dim)])
+    assert check_triangular(a, a, corner) == set()
+
+
+def test_invalid_corner_fails_exactly_where_the_triangular_algebra_does():
+    failing = set()
+    for seed in range(8):
+        rng = random.Random(seed)
+        n, nb, d = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+        a = Algebra("A", n, sparse(rng, n, n, n))
+        b = Algebra("B", nb, sparse(rng, nb, nb, nb))
+        corner = CornerModule(n, nb, d, sparse(rng, n, d, d), sparse(rng, d, nb, d))
+        failing |= check_triangular(a, b, corner)
+    assert failing == set(CORNER_LAWS)
