@@ -3,10 +3,18 @@
 An :class:`Algebra` of dimension n is the tensor ``mult[i][j]`` giving the
 coordinates of ``e_i * e_j``.  A :class:`BimoduleAction` adds left/right
 action tensors of an algebra on a module, and a :class:`ModuleAlgebra`
-couples a module's own multiplication with such an action.  Validation
-checks every axiom exactly and reports the basis triple that breaks a
-failing one, so downstream solvers may assume the axioms hold.
+couples a module's own multiplication with such an action.
+
+Every axiom validated here is one block of associativity
+(e_x e_y) e_z = e_x (e_y e_z) on basis vectors of the parts of a product:
+the algebra axiom on A alone, the six module laws as the mixed blocks of
+A x| U, and the three corner laws as blocks of the triangular algebra on
+(A, M, B).  One checker runs a table of such blocks, exactly, and reports
+every basis triple that breaks one, so downstream solvers may assume the
+axioms hold.
 """
+
+import itertools
 
 from .errors import (
     NotSubmodule,
@@ -28,6 +36,20 @@ def add_into(acc, vec, scale=F1):
 
 def vectors_equal(a, b):
     return all(x == y for x, y in zip(a, b))
+
+
+def block_tensor(shape, blocks):
+    """A zero tensor of the given shape with each (offsets, block) copied in.
+
+    Entry [i][j][k] of a block lands at [o0 + i][o1 + j][o2 + k].
+    """
+    d0, d1, d2 = shape
+    out = [[zero_vector(d2) for _ in range(d1)] for _ in range(d0)]
+    for (o0, o1, o2), block in blocks:
+        for i, slab in enumerate(block):
+            for j, vec in enumerate(slab):
+                out[o0 + i][o1 + j][o2:o2 + len(vec)] = vec
+    return out
 
 
 def _coerce_tensor(tensor, d0, d1, d2, what):
@@ -53,7 +75,7 @@ class ValidationReport:
         self.subject = subject
         self.failures = []
 
-    def add(self, axiom, witness, lhs=None, rhs=None):
+    def add(self, axiom, witness, lhs, rhs):
         self.failures.append({"axiom": axiom, "witness": witness, "lhs": lhs, "rhs": rhs})
 
     @property
@@ -214,16 +236,25 @@ class Character:
         return sum((v * x for v, x in zip(self.values, vec)), F0)
 
 
-def validate_character(t: Character) -> bool:
-    """True iff t is nonzero and multiplicative on all basis products."""
-    if not any(t.values):
-        return False
-    a = t.base
+def hom_failure(f: Matrix, a: Algebra, b: Algebra):
+    """The first basis pair (i, j) of A with f(e_i e_j) != f(e_i) f(e_j), or None.
+
+    Row i of ``f`` is the image of e_i in B; pairs are scanned i-major.
+    """
     for i in range(a.dim):
         for j in range(a.dim):
-            if t(a.mult[i][j]) != t.values[i] * t.values[j]:
-                return False
-    return True
+            if f.apply(a.mult[i][j]) != b.product(f.data[i], f.data[j]):
+                return i, j
+    return None
+
+
+_SCALARS = Algebra("Q", 1, [[[F1]]])
+
+
+def validate_character(t: Character) -> bool:
+    """True iff t is nonzero and multiplicative on all basis products."""
+    image = Matrix.from_rows([[v] for v in t.values], cols=1)
+    return any(t.values) and hom_failure(image, t.base, _SCALARS) is None
 
 
 class CornerModule:
@@ -243,158 +274,95 @@ class CornerModule:
         self.right = _coerce_tensor(right, dim, b_dim, dim, "corner right action")
 
 
+# Every axiom is one block (x, y, z) of associativity (e_x e_y) e_z = e_x (e_y e_z)
+# on basis vectors of the parts x, y, z.  A table is a tuple of loop nests;
+# the rows of one nest share a loop and are checked, and reported, triple by
+# triple.  A row is (axiom, parts xyz, scan): scan names the witness slot each
+# loop variable runs over, outermost first.
+_ALGEBRA_LAWS = ((("(ab)c=a(bc)", "AAA", "xyz"),),)
+_MODULE_LAWS = (
+    (("(ab)x=a(bx)", "AAU", "xyz"), ("x(ab)=(xa)b", "UAA", "yzx")),
+    (("(ax)b=a(xb)", "AUA", "xyz"),),
+    (("(a.x)y=a.(xy)", "AUU", "xyz"), ("(xy).a=x(y.a)", "UUA", "zxy"),
+     ("(x.a)y=x(a.y)", "UAU", "yxz")),
+)
+_CORNER_LAWS = (
+    (("(aa')m=a(a'm)", "AAM", "xyz"),),
+    (("m(bb')=(mb)b'", "MBB", "xyz"),),
+    (("(am)b=a(mb)", "AMB", "xyz"),),
+)
+
+
+def _associativity(subject, blocks, dims, laws) -> ValidationReport:
+    """Report every basis triple (i, j, k) where a law of the table fails.
+
+    ``blocks[xyz][i][j]`` is the part-z vector of the product of basis vector
+    i of part x with basis vector j of part y, and ``dims`` the dimension of
+    each part; each pair of parts has at most one block.  A failure carries
+    lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k).
+    """
+    report = ValidationReport(subject)
+    block_of = {key[:2]: key for key in blocks}
+    for nest in laws:
+        checks = []
+        for axiom, (x, y, z), scan in nest:
+            xy, yz = block_of[x + y], block_of[y + z]
+            xy_z, x_yz = block_of[xy[2] + z], block_of[x + yz[2]]
+            slots = tuple(scan.index(s) for s in "xyz")
+            checks.append((axiom, blocks[xy], blocks[xy_z], blocks[yz], blocks[x_yz],
+                           dims[xy_z[2]], slots))
+        _, parts, scan = nest[0]
+        loops = [range(dims[parts["xyz".index(s)]]) for s in scan]
+        for loop in itertools.product(*loops):
+            for axiom, xy, xy_z, yz, x_yz, d, slots in checks:
+                i, j, k = (loop[s] for s in slots)
+                lhs = zero_vector(d)
+                for c, coef in enumerate(xy[i][j]):
+                    if coef:
+                        add_into(lhs, xy_z[c][k], coef)
+                rhs = zero_vector(d)
+                for c, coef in enumerate(yz[j][k]):
+                    if coef:
+                        add_into(rhs, x_yz[i][c], coef)
+                if lhs != rhs:
+                    report.add(axiom, (i, j, k), lhs, rhs)
+    return report
+
+
 def validate_corner(m: CornerModule, a: Algebra, b: Algebra) -> ValidationReport:
-    report = ValidationReport(f"corner module over ({a.name}, {b.name})")
     if m.a_dim != a.dim or m.b_dim != b.dim:
         raise ShapeMismatch("corner module dimensions do not match the algebras")
-    d = m.dim
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for p in range(d):
-                lhs = zero_vector(d)
-                for k, c in enumerate(a.mult[i][j]):
-                    if c:
-                        add_into(lhs, m.left[k][p], c)
-                rhs = zero_vector(d)
-                for q, c in enumerate(m.left[j][p]):
-                    if c:
-                        add_into(rhs, m.left[i][q], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("(aa')m=a(a'm)", (i, j, p))
-    for p in range(d):
-        for i in range(b.dim):
-            for j in range(b.dim):
-                lhs = zero_vector(d)
-                for k, c in enumerate(b.mult[i][j]):
-                    if c:
-                        add_into(lhs, m.right[p][k], c)
-                rhs = zero_vector(d)
-                for q, c in enumerate(m.right[p][i]):
-                    if c:
-                        add_into(rhs, m.right[q][j], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("m(bb')=(mb)b'", (p, i, j))
-    for i in range(a.dim):
-        for p in range(d):
-            for j in range(b.dim):
-                lhs = zero_vector(d)
-                for q, c in enumerate(m.left[i][p]):
-                    if c:
-                        add_into(lhs, m.right[q][j], c)
-                rhs = zero_vector(d)
-                for q, c in enumerate(m.right[p][j]):
-                    if c:
-                        add_into(rhs, m.left[i][q], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("(am)b=a(mb)", (i, p, j))
-    return report
+    return _associativity(f"corner module over ({a.name}, {b.name})",
+                          {"AAA": a.mult, "BBB": b.mult, "AMM": m.left, "MBM": m.right},
+                          {"A": a.dim, "B": b.dim, "M": m.dim}, _CORNER_LAWS)
 
 
 def validate_algebra(a: Algebra) -> ValidationReport:
     """List every basis triple (i,j,k) where associativity fails."""
-    report = ValidationReport(f"algebra {a.name}")
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            cij = a.mult[i][j]
-            for k in range(n):
-                lhs = a.product(cij, _basis(n, k))
-                rhs = a.product(_basis(n, i), a.mult[j][k])
-                if not vectors_equal(lhs, rhs):
-                    report.add("(ab)c=a(bc)", (i, j, k), lhs, rhs)
-    return report
+    return _associativity(f"algebra {a.name}", {"AAA": a.mult}, {"A": a.dim}, _ALGEBRA_LAWS)
 
 
-def _basis(n, i):
-    v = zero_vector(n)
-    v[i] = F1
-    return v
+def semidirect_blocks(a: Algebra, u: ModuleAlgebra):
+    """The four blocks of (a, x)(b, y) = (ab, a.y + x.b + xy) on A x| U.
+
+    Keyed by parts xyz: the product of a basis vector of part x with one of
+    part y lies in part z.
+    """
+    return {"AAA": a.mult, "AUU": u.action.left, "UAU": u.action.right,
+            "UUU": u.algebra.mult}
 
 
 def validate_module(u: ModuleAlgebra, a: Algebra) -> ValidationReport:
     """Check the three bimodule axioms and the three compatibility laws.
 
     Compatibility ties the action to U's own multiplication:
-    (a.x)y = a.(xy), (xy).a = x(y.a), and (x.a)y = x(a.y).
+    (a.x)y = a.(xy), (xy).a = x(y.a), and (x.a)y = x(a.y).  The six laws are
+    the mixed blocks of associativity of A x| U.
     """
-    act = u.action
-    if act.algebra_dim != a.dim:
+    if u.action.algebra_dim != a.dim:
         raise ShapeMismatch("action algebra dimension differs from base algebra")
-    report = ValidationReport(f"module {u.name} over {a.name}")
-    n, m = a.dim, u.dim
-    d = u.algebra.mult
-    L, R = act.left, act.right
-    for i in range(n):
-        for j in range(n):
-            cij = a.mult[i][j]
-            for p in range(m):
-                lhs = zero_vector(m)
-                for k, c in enumerate(cij):
-                    if c:
-                        add_into(lhs, L[k][p], c)
-                rhs = zero_vector(m)
-                for q, c in enumerate(L[j][p]):
-                    if c:
-                        add_into(rhs, L[i][q], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("(ab)x=a(bx)", (i, j, p))
-                lhs = zero_vector(m)
-                for k, c in enumerate(cij):
-                    if c:
-                        add_into(lhs, R[p][k], c)
-                rhs = zero_vector(m)
-                for q, c in enumerate(R[p][i]):
-                    if c:
-                        add_into(rhs, R[q][j], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("x(ab)=(xa)b", (p, i, j))
-    for i in range(n):
-        for p in range(m):
-            for j in range(n):
-                lhs = zero_vector(m)
-                for q, c in enumerate(L[i][p]):
-                    if c:
-                        add_into(lhs, R[q][j], c)
-                rhs = zero_vector(m)
-                for q, c in enumerate(R[p][j]):
-                    if c:
-                        add_into(rhs, L[i][q], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("(ax)b=a(xb)", (i, p, j))
-    for i in range(n):
-        for p in range(m):
-            for r in range(m):
-                lhs = zero_vector(m)
-                for q, c in enumerate(L[i][p]):
-                    if c:
-                        add_into(lhs, d[q][r], c)
-                rhs = zero_vector(m)
-                for s, c in enumerate(d[p][r]):
-                    if c:
-                        add_into(rhs, L[i][s], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("(a.x)y=a.(xy)", (i, p, r))
-                lhs = zero_vector(m)
-                for s, c in enumerate(d[p][r]):
-                    if c:
-                        add_into(lhs, R[s][i], c)
-                rhs = zero_vector(m)
-                for q, c in enumerate(R[r][i]):
-                    if c:
-                        add_into(rhs, d[p][q], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("(xy).a=x(y.a)", (p, r, i))
-                lhs = zero_vector(m)
-                for q, c in enumerate(R[p][i]):
-                    if c:
-                        add_into(lhs, d[q][r], c)
-                rhs = zero_vector(m)
-                for q, c in enumerate(L[i][r]):
-                    if c:
-                        add_into(rhs, d[p][q], c)
-                if not vectors_equal(lhs, rhs):
-                    report.add("(x.a)y=x(a.y)", (p, i, r))
-    return report
+    return _associativity(f"module {u.name} over {a.name}", semidirect_blocks(a, u),
+                          {"A": a.dim, "U": u.dim}, _MODULE_LAWS)
 
 
 def annihilator_in_algebra(a: Algebra, u) -> Subspace:

@@ -7,7 +7,7 @@ the change-of-basis maps that make all of them look non-obvious in
 coordinates while staying exactly isomorphic.
 """
 
-from .algebra import Algebra, BimoduleAction, Character, ModuleAlgebra, zero_vector
+from .algebra import Algebra, BimoduleAction, Character, ModuleAlgebra, block_tensor, zero_vector
 from .errors import ShapeMismatch
 from .linalg import F0, F1, Matrix, frac
 
@@ -66,15 +66,7 @@ def direct_sum_algebra(a: Algebra, b: Algebra, name=None) -> Algebra:
     """Componentwise product A (+) B as a single structure tensor."""
     n, m = a.dim, b.dim
     t = n + m
-    mult = [[zero_vector(t) for _ in range(t)] for _ in range(t)]
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(a.mult[i][j]):
-                mult[i][j][k] = c
-    for i in range(m):
-        for j in range(m):
-            for k, c in enumerate(b.mult[i][j]):
-                mult[n + i][n + j][n + k] = c
+    mult = block_tensor((t, t, t), [((0, 0, 0), a.mult), ((n, n, n), b.mult)])
     return Algebra(name or f"{a.name}+{b.name}", t, mult)
 
 

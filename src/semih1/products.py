@@ -17,7 +17,10 @@ from .algebra import (
     CornerModule,
     ModuleAlgebra,
     add_into,
+    block_tensor,
+    hom_failure,
     regular_action,
+    semidirect_blocks,
     validate_character,
     validate_corner,
     validate_module,
@@ -84,40 +87,20 @@ class SemidirectAlgebra:
 
 
 def semidirect(a: Algebra, u: ModuleAlgebra, name=None, kind="semidirect",
-               character=None, alpha=None, validate=True) -> SemidirectAlgebra:
-    """Build A x| U from a validated module-algebra U over A.
+               character=None, alpha=None) -> SemidirectAlgebra:
+    """Build A x| U from a module-algebra U over A.
 
-    The result's A-block is closed under multiplication and the U-block is
-    a two-sided ideal; associativity of the total follows from the factor
-    axioms and is re-asserted by the test suite rather than recomputed here.
+    U is validated first (``validate_module``, raising ``ValidationFailed``):
+    its six laws are the mixed blocks of associativity of A x| U, so the
+    total is associative exactly when A and U also are.  The total tensor is
+    filled block by block from :func:`semidirect_blocks`, with A on
+    coordinates 0..n-1 and U on n..n+m-1.
     """
-    if validate:
-        validate_module(u, a).raise_if_failed()
-    n, m = a.dim, u.dim
-    t = n + m
-    act = u.action
-    d = u.algebra.mult
-    mult = [[zero_vector(t) for _ in range(t)] for _ in range(t)]
-    for i in range(n):
-        for j in range(n):
-            row = mult[i][j]
-            for k, c in enumerate(a.mult[i][j]):
-                row[k] = c
-    for i in range(n):
-        for q in range(m):
-            row = mult[i][n + q]
-            for k, c in enumerate(act.left[i][q]):
-                row[n + k] = c
-    for p in range(m):
-        for j in range(n):
-            row = mult[n + p][j]
-            for k, c in enumerate(act.right[p][j]):
-                row[n + k] = c
-    for p in range(m):
-        for q in range(m):
-            row = mult[n + p][n + q]
-            for k, c in enumerate(d[p][q]):
-                row[n + k] = c
+    validate_module(u, a).raise_if_failed()
+    n, t = a.dim, a.dim + u.dim
+    offset = {"A": 0, "U": n}
+    mult = block_tensor((t, t, t), [((offset[x], offset[y], offset[z]), block)
+                                    for (x, y, z), block in semidirect_blocks(a, u).items()])
     if name is None:
         name = f"sd({a.name},{u.name})"
     total = Algebra(name, t, mult)
@@ -152,14 +135,8 @@ def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> Semid
         raise NotBimodule(report.describe())
     base = direct_product(a, b).total
     n, nb, md = a.dim, b.dim, corner.dim
-    left = [[zero_vector(md) for _ in range(md)] for _ in range(n + nb)]
-    right = [[zero_vector(md) for _ in range(n + nb)] for _ in range(md)]
-    for i in range(n):
-        for p in range(md):
-            left[i][p] = list(corner.left[i][p])
-    for p in range(md):
-        for j in range(nb):
-            right[p][n + j] = list(corner.right[p][j])
+    left = block_tensor((n + nb, md, md), [((0, 0, 0), corner.left)])
+    right = block_tensor((md, n + nb, md), [((0, n, 0), corner.right)])
     action = BimoduleAction(n + nb, md, left, right)
     return module_extension(base, action, u_name="M",
                             name=name or f"tri({a.name},{b.name})", kind="triangular")
@@ -193,12 +170,10 @@ def unitization(u: Algebra, name=None) -> SemidirectAlgebra:
 def _check_algebra_hom(a: Algebra, u: Algebra, alpha: Matrix):
     if (alpha.rows, alpha.cols) != (a.dim, u.dim):
         raise ShapeMismatch("homomorphism matrix must be dim(A) x dim(U)")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = alpha.apply(a.mult[i][j])
-            rhs = u.product(alpha.data[i], alpha.data[j])
-            if not vectors_equal(lhs, rhs):
-                raise NotHomomorphism(f"alpha(e{i}*e{j}) != alpha(e{i})alpha(e{j})")
+    pair = hom_failure(alpha, a, u)
+    if pair is not None:
+        i, j = pair
+        raise NotHomomorphism(f"alpha(e{i}*e{j}) != alpha(e{i})alpha(e{j})")
 
 
 def alpha_product(a: Algebra, u: Algebra, alpha: Matrix, name=None) -> SemidirectAlgebra:
@@ -243,22 +218,10 @@ def fixture_nonzero_tau1(b: Algebra):
     n = b.dim
     base = module_extension(b, regular_action(b), u_name=b.name, name=f"T({b.name},{b.name})")
     ta = base.total  # dim 2n; first copy is the subalgebra, second the ideal
-    left = [[zero_vector(n) for _ in range(n)] for _ in range(2 * n)]
-    right = [[zero_vector(n) for _ in range(2 * n)] for _ in range(n)]
-    for i in range(n):
-        for p in range(n):
-            left[i][p] = list(b.mult[i][p])
-    for p in range(n):
-        for i in range(n):
-            right[p][i] = list(b.mult[p][i])
+    left = block_tensor((2 * n, n, n), [((0, 0, 0), b.mult)])
+    right = block_tensor((n, 2 * n, n), [((0, 0, 0), b.mult)])
     action = BimoduleAction(2 * n, n, left, right)
-    prod = semidirect(
-        a=ta,
-        u=ModuleAlgebra(Algebra(b.name, n, [[zero_vector(n) for _ in range(n)] for _ in range(n)]),
-                        action),
-        name=f"T(T({b.name},{b.name}),{b.name})",
-        kind="module-extension",
-    )
+    prod = module_extension(ta, action, u_name=b.name, name=f"T(T({b.name},{b.name}),{b.name})")
     t = prod.dim
     d = Matrix.zeros(t, t)
     for p in range(n):
@@ -300,29 +263,9 @@ def fixture_paired_tau_blocks(a: Algebra, c_action: BimoduleAction, gamma: Matri
                     f"c.gamma(c') + gamma(c).c' != 0 at (c,c')=({p},{q})", witness=(p, q))
     mu = n + nc
     # U = A x C with multiplication (x,y)(x',y') = (xx', 0)
-    umult = [[zero_vector(mu) for _ in range(mu)] for _ in range(mu)]
-    for p in range(n):
-        for q in range(n):
-            for k, c in enumerate(a.mult[p][q]):
-                umult[p][q][k] = c
-    ualg = Algebra(f"{a.name}xC", mu, umult)
-    left = [[zero_vector(mu) for _ in range(mu)] for _ in range(n)]
-    for i in range(n):
-        for p in range(n):
-            for k, c in enumerate(a.mult[i][p]):
-                left[i][p][k] = c
-        for s in range(nc):
-            for k, c in enumerate(c_action.left[i][s]):
-                left[i][n + s][n + k] = c
-    right = [[zero_vector(mu) for _ in range(n)] for _ in range(mu)]
-    for p in range(n):
-        for i in range(n):
-            for k, c in enumerate(a.mult[p][i]):
-                right[p][i][k] = c
-    for s in range(nc):
-        for i in range(n):
-            for k, c in enumerate(c_action.right[s][i]):
-                right[n + s][i][n + k] = c
+    ualg = Algebra(f"{a.name}xC", mu, block_tensor((mu, mu, mu), [((0, 0, 0), a.mult)]))
+    left = block_tensor((n, mu, mu), [((0, 0, 0), a.mult), ((0, n, n), c_action.left)])
+    right = block_tensor((mu, n, mu), [((0, 0, 0), a.mult), ((n, 0, n), c_action.right)])
     mod = ModuleAlgebra(ualg, BimoduleAction(n, mu, left, right))
     prod = semidirect(a, mod, name=f"sd({a.name},{ualg.name})", kind="semidirect")
     t = prod.dim

@@ -30,9 +30,10 @@ from .algebra import (
     annihilator_in_algebra,
     annihilator_in_module,
     center,
+    hom_failure,
     regular_action,
+    semidirect_blocks,
     span_of_products,
-    vectors_equal,
 )
 from .errors import (
     InternalInvariantViolation,
@@ -247,16 +248,14 @@ def _condition_groups(p: SemidirectAlgebra):
     D(vw) = D(v)w + vD(w) sums over the middle part z: D_(z->k) applied to
     the (x, y) -> z product, the (z, y) -> k product of D_(x->z)(v) with w,
     and the (x, z) -> k product of v with D_(y->z)(w).  The products are the
-    four nonzero blocks of (a, x)(b, y) = (ab, a.y + x.b + xy), taken from
-    the factors and never from the total algebra, so this kernel is solved
-    independently of Z1(A x| U).
+    four blocks of ``semidirect_blocks``, taken from the factors and never
+    from the total algebra, so this kernel is solved independently of
+    Z1(A x| U).
     """
-    u = p.part_u
     t = p.dim
     dims = {"A": p.n, "U": p.m}
     offset = {"A": 0, "U": p.n}
-    mult = {"AAA": p.part_a.mult, "AUU": u.action.left, "UAU": u.action.right,
-            "UUU": u.algebra.mult}
+    mult = semidirect_blocks(p.part_a, p.part_u)
     groups = []
     for name, (x, y, k), y_major in _CONDITIONS_3_1:
         terms = []
@@ -711,17 +710,10 @@ def _verify_alpha_transport(p):
     dp = direct_product(a, u)
     t = p.dim
     details = {"pairs_checked": t * t, "iso_invertible": iso.rank() == t}
-    verdict = "verified" if details["iso_invertible"] else "MISMATCH"
-    for i in range(t):
-        if verdict == "MISMATCH":
-            break
-        for j in range(t):
-            lhs = iso.apply(dp.total.mult[i][j])
-            rhs = p.total.product(iso.data[i], iso.data[j])
-            if not vectors_equal(lhs, rhs):
-                verdict = "MISMATCH"
-                details["failing_pair"] = (i, j)
-                break
+    pair = hom_failure(iso, dp.total, p.total) if details["iso_invertible"] else None
+    if pair is not None:
+        details["failing_pair"] = pair
+    verdict = "verified" if details["iso_invertible"] and pair is None else "MISMATCH"
     return RuleReport("5.4", p.name, [], None, None, verdict, details)
 
 

@@ -5,7 +5,8 @@ introduced against.  A validator reports every failing basis triple, law by
 law in a fixed scan order, and laws checked in the same loop are
 interleaved triple by triple.  These tests fix that order, each witness,
 the ``lhs``/``rhs`` values of the algebra axiom, the text of ``describe()``
-(which reaches the CLI) and the stderr of ``semih1 validate``.
+(which reaches the CLI) and the stderr of ``semih1 validate``; and the first
+non-multiplicative pair reported by ``alpha_product`` and by rule 5.4.
 """
 
 import json
@@ -24,6 +25,10 @@ from semih1.algebra import (
 )
 from semih1.catalog import dual_numbers, field_q, upper_triangular_2
 from semih1.cli import main
+from semih1.errors import NotHomomorphism
+from semih1.linalg import Matrix
+from semih1.products import alpha_product
+from semih1.verify import verify_special_case
 
 
 def sparse(rng, d0, d1, d2):
@@ -108,6 +113,7 @@ MODULE_FAILURES = {
         ("(x.a)y=x(a.y)", (0, 0, 0)), ("(x.a)y=x(a.y)", (0, 0, 1)),
         ("(x.a)y=x(a.y)", (1, 0, 0)), ("(x.a)y=x(a.y)", (0, 1, 0)),
     ],
+    # U5 breaks all six laws, and the laws checked in one loop alternate
     "U5": [
         ("x(ab)=(xa)b", (0, 0, 1)), ("(ab)x=a(bx)", (0, 2, 0)),
         ("(ab)x=a(bx)", (0, 2, 1)), ("x(ab)=(xa)b", (0, 1, 2)),
@@ -217,15 +223,6 @@ def test_module_failures(key):
     assert report.describe() == expected_description(key, MODULE_FAILURES[key])
 
 
-def test_module_pins_interleave_laws_of_one_loop():
-    # in U5 the two laws scanned over (a, b, x) and the three scanned over
-    # (a, x, y) alternate, so the pins fix the interleaving, not only the order
-    axioms = [axiom for axiom, _ in MODULE_FAILURES["U5"]]
-    assert len(set(axioms)) == 6
-    runs = sum(1 for x, y in zip(axioms, axioms[1:]) if x != y) + 1
-    assert runs > 6
-
-
 @pytest.mark.parametrize("seed", sorted(CORNER_FAILURES))
 def test_corner_failures(seed):
     report = reports()[seed]
@@ -256,3 +253,31 @@ def test_validate_stderr_on_bad_module(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == VALIDATE_STDERR
+
+
+# rule 5.4's failing_pair on an alpha product built with the identity whose
+# recorded alpha is then swapped for zero, and the other way round; and a
+# map that is no homomorphism, with the NotHomomorphism message it raises
+ALPHA_PINS = {
+    "D": ((0, 2), (0, 0), [[1, 1], [0, 0]], "alpha(e0*e0) != alpha(e0)alpha(e0)"),
+    "T2": ((0, 3), (0, 0), [[1, 1, 0], [0, 0, 0], [0, 0, 1]],
+           "alpha(e0*e2) != alpha(e0)alpha(e2)"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ALPHA_PINS))
+def test_first_non_multiplicative_pair(key):
+    a = {"D": dual_numbers(), "T2": upper_triangular_2()}[key]
+    u = Algebra(a.name + "'", a.dim, a.mult)
+    one, zero = Matrix.identity(a.dim), Matrix.zeros(a.dim, a.dim)
+    one_pair, zero_pair, bad, message = ALPHA_PINS[key]
+    for built, swapped, pair in ((one, zero, one_pair), (zero, one, zero_pair)):
+        p = alpha_product(a, u, built)
+        p.alpha = swapped
+        report = verify_special_case("5.4", p)
+        assert report.verdict == "MISMATCH"
+        assert report.details == {"pairs_checked": p.dim ** 2, "iso_invertible": True,
+                                  "failing_pair": pair}
+    with pytest.raises(NotHomomorphism) as exc:
+        alpha_product(a, u, Matrix(bad))
+    assert str(exc.value) == message
