@@ -27,6 +27,13 @@ def zero_vector(n):
     return [F0] * n
 
 
+def unit_vector(n, i):
+    """The i-th standard basis vector of Q^n."""
+    v = [F0] * n
+    v[i] = F1
+    return v
+
+
 def add_into(acc, vec, scale=F1):
     for i, x in enumerate(vec):
         if x:
@@ -397,7 +404,7 @@ def is_sub_bimodule(n_space: Subspace, act: BimoduleAction) -> bool:
     """True when the subspace is closed under both actions of every basis element."""
     for row in n_space.basis.data:
         for i in range(act.algebra_dim):
-            ai = [F1 if k == i else F0 for k in range(act.algebra_dim)]
+            ai = unit_vector(act.algebra_dim, i)
             if not n_space.contains(act.act_left(ai, row)):
                 return False
             if not n_space.contains(act.act_right(row, ai)):

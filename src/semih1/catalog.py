@@ -7,9 +7,17 @@ the change-of-basis maps that make all of them look non-obvious in
 coordinates while staying exactly isomorphic.
 """
 
-from .algebra import Algebra, BimoduleAction, Character, ModuleAlgebra, block_tensor, zero_vector
+from .algebra import (
+    Algebra,
+    BimoduleAction,
+    Character,
+    ModuleAlgebra,
+    block_tensor,
+    unit_vector,
+    zero_vector,
+)
 from .errors import ShapeMismatch
-from .linalg import F0, F1, Matrix, frac
+from .linalg import F0, F1, Matrix, frac, rref
 
 
 def field_q(name="Q") -> Algebra:
@@ -93,7 +101,7 @@ def standard_idempotents(a: Algebra, family: str):
     if family == "dual":
         return [[F1, F0]]
     if family == "cyclic":
-        return [[F1 if i == 0 else F0 for i in range(a.dim)]]
+        return [unit_vector(a.dim, 0)]
     if family == "triangular":
         return [[F1, F0, F0], [F0, F0, F1], [F1, F0, F1]]
     if family == "matrix":
@@ -110,27 +118,12 @@ def invert(p: Matrix) -> Matrix:
     n = p.rows
     if p.cols != n:
         raise ShapeMismatch("only square matrices can be inverted")
-    aug = [row[:] + [F1 if j == i else F0 for j in range(n)] for i, row in enumerate(p.data)]
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            raise ShapeMismatch("matrix is singular")
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        if pv != 1:
-            inv = F1 / pv
-            aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return Matrix.from_rows([row[n:] for row in aug], cols=n)
+    # rref [P | I] = [I | P^-1] exactly when P is invertible
+    reduced = rref(Matrix.from_rows([row + unit_vector(n, i) for i, row in enumerate(p.data)],
+                                    cols=2 * n))
+    if [row[:n] for row in reduced.data] != Matrix.identity(n).data:
+        raise ShapeMismatch("matrix is singular")
+    return Matrix.from_rows([row[n:] for row in reduced.data], cols=n)
 
 
 def change_basis_algebra(a: Algebra, p: Matrix, name=None) -> Algebra:

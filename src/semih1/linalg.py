@@ -1,15 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse elimination engine.
 
 Everything downstream reduces to the calculus in this module: reduced row
 echelon forms, kernels, images, and the sum/intersection/quotient arithmetic
 of subspaces of Q^d.  All scalars are :class:`fractions.Fraction`, so every
 equality test is exact and every subspace has one canonical basis.
 
+Every elimination goes through ``_rref_rows``, which takes rows as sparse
+lists of ``(column, value)`` pairs and reduces them one at a time against
+the pivot rows found so far (see its docstring).  Dense callers hand it the
+nonzero entries of their rows; constraint systems built sparse, such as
+those of :mod:`semih1.spaces`, go straight to :func:`kernel_of_rows`.
+
 Conventions
 -----------
 * A :class:`Matrix` is a dense row-major grid of Fractions.
 * ``kernel(m)`` is the solution space of ``m @ v = 0`` (one constraint per
-  row, ambient dimension ``m.cols``).
+  row, ambient dimension ``m.cols``); ``kernel_of_rows`` is the same for
+  sparse rows.
 * A :class:`Subspace` stores the unique reduced-row-echelon basis of a
   subspace; two subspaces are equal iff their bases are bit-equal.
 """
@@ -37,57 +44,68 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _rref_rows(rows, cols):
-    """In-place reduced row echelon form of a list of row lists.
+def _pairs(row):
+    """The nonzero entries of a dense row as ``(column, value)`` pairs."""
+    return [(j, x) for j, x in enumerate(row) if x]
 
-    Returns ``(reduced_rows, pivot_columns)`` with zero rows dropped.
-    Rows are eliminated above and below each pivot in a single sweep; the
-    inner loop only touches the pivot row's nonzero columns.
+
+def _subtract(row, f, prow):
+    """``row -= f * prow`` on sparse rows, dropping entries that cancel."""
+    for j, v in prow.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -f * v
+        else:
+            x -= f * v
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _rref_rows(rows, cols):
+    """Reduced row echelon form of sparse rows, by incremental elimination.
+
+    Each row is a list of ``(column, value)`` pairs with distinct columns
+    and nonzero values.  Rows are taken one at a time and reduced against
+    the pivot rows kept so far; a row that reduces to zero is dropped.
+    Otherwise its lowest nonzero column becomes a new pivot: the row is
+    scaled so the pivot is 1, and that column is eliminated from the earlier
+    pivot rows.  The pivot rows thus stay fully reduced, each led by its own
+    pivot, so they are the unique rref of the span whatever the row order.
+    Once every column is a pivot the remaining rows are skipped.
+
+    Returns ``(reduced_rows, pivot_columns)``: the pivot rows as dense rows
+    of length ``cols`` in increasing pivot order, and those pivots.
     """
-    rows = [row for row in rows if any(row)]
-    # Duplicate rows are common in axiom systems; drop them cheaply.
-    if len(rows) > 1:
-        seen = set()
-        unique = []
-        for row in rows:
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        rows = unique
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+    pivot_rows = {}
+    for entries in rows:
+        row = dict(entries)
+        for c in [c for c in row if c in pivot_rows]:
+            # pivot rows hold no other pivot column, so row[c] is still current
+            _subtract(row, row[c], pivot_rows[c])
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
+        p = min(row)
+        pv = row[p]
         if pv != 1:
             inv = F1 / pv
-            for j in range(c, cols):
-                if prow[j]:
-                    prow[j] *= inv
-        nz = [(j, prow[j]) for j in range(c, cols) if prow[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
+            row = {j: x * inv for j, x in row.items()}
+        for prow in pivot_rows.values():
+            f = prow.get(p)
             if f:
-                for j, v in nz:
-                    row[j] -= f * v
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+                _subtract(prow, f, row)
+        pivot_rows[p] = row
+        if len(pivot_rows) == cols:
             break
-    return rows[:r], pivots
+    pivots = sorted(pivot_rows)
+    reduced = []
+    for p in pivots:
+        dense = [F0] * cols
+        for j, x in pivot_rows[p].items():
+            dense[j] = x
+        reduced.append(dense)
+    return reduced, pivots
 
 
 class Matrix:
@@ -210,7 +228,7 @@ class Matrix:
         return out
 
     def rank(self):
-        _, pivots = _rref_rows(self.copy_data(), self.cols)
+        _, pivots = _rref_rows([_pairs(row) for row in self.data], self.cols)
         return len(pivots)
 
 
@@ -229,7 +247,7 @@ def rref(m: Matrix) -> Matrix:
     >>> rref(Matrix([[1, 2], [3, 4]])) == Matrix.identity(2)
     True
     """
-    rows, _ = _rref_rows(m.copy_data(), m.cols)
+    rows, _ = _rref_rows([_pairs(row) for row in m.data], m.cols)
     return Matrix.from_rows(rows, cols=m.cols)
 
 
@@ -247,17 +265,18 @@ class Subspace:
     True
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_sparse")
 
     def __init__(self, ambient, basis: Matrix):
         if basis.cols != ambient:
             raise DimensionMismatch("basis width differs from ambient dimension")
         self.ambient = ambient
         self.basis = basis
+        self._sparse = None
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
-        rows, _ = _rref_rows([list(map(frac, v)) for v in vectors], ambient)
+        rows, _ = _rref_rows([_pairs(map(frac, v)) for v in vectors], ambient)
         return cls(ambient, Matrix.from_rows(rows, cols=ambient))
 
     @classmethod
@@ -275,14 +294,17 @@ class Subspace:
     def basis_rows(self):
         return self.basis.copy_data()
 
+    def _sparse_rows(self):
+        """Each basis row as (pivot column, its nonzero pairs), worked out once."""
+        if self._sparse is None:
+            self._sparse = []
+            for row in self.basis.data:
+                nz = _pairs(row)
+                self._sparse.append((nz[0][0], nz))
+        return self._sparse
+
     def pivot_columns(self):
-        cols = []
-        for row in self.basis.data:
-            for j, x in enumerate(row):
-                if x:
-                    cols.append(j)
-                    break
-        return cols
+        return [piv for piv, _ in self._sparse_rows()]
 
     def reduce(self, vec):
         """Residual of ``vec`` after elimination by the basis.
@@ -293,12 +315,11 @@ class Subspace:
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length differs from ambient dimension")
         v = list(map(frac, vec))
-        for row, piv in zip(self.basis.data, self.pivot_columns()):
+        for piv, nz in self._sparse_rows():
             f = v[piv]
             if f:
-                for j in range(piv, self.ambient):
-                    if row[j]:
-                        v[j] -= f * row[j]
+                for j, x in nz:
+                    v[j] -= f * x
         return v
 
     def contains(self, vec) -> bool:
@@ -326,8 +347,20 @@ def kernel(m: Matrix) -> Subspace:
     >>> kernel(Matrix.identity(4)).dim
     0
     """
-    cols = m.cols
-    rows, pivots = _rref_rows(m.copy_data(), cols)
+    return kernel_of_rows([_pairs(row) for row in m.data], m.cols)
+
+
+def kernel_of_rows(rows, cols) -> Subspace:
+    """Solution space in Q^cols of sparse rows of ``(column, value)`` pairs.
+
+    Each row is one constraint ``sum value * v[column] = 0``; its columns
+    are distinct and its values nonzero Fractions.
+
+    >>> k = kernel_of_rows([[(0, F1), (2, -F1)], []], 3)
+    >>> k.dim, k.contains([1, 5, 1])
+    (2, True)
+    """
+    rows, pivots = _rref_rows(rows, cols)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     vectors = []
@@ -374,16 +407,17 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     ka, kb = a.dim, b.dim
     if ka == 0 or kb == 0:
         return Subspace.zero(a.ambient)
-    stacked = Matrix.zeros(a.ambient, ka + kb)
+    # one row per ambient coordinate j: sum_i c_i a_i[j] - sum_i d_i b_i[j] = 0
+    stacked = [[] for _ in range(a.ambient)]
     for i, row in enumerate(a.basis.data):
         for j, x in enumerate(row):
             if x:
-                stacked.data[j][i] = x
+                stacked[j].append((i, x))
     for i, row in enumerate(b.basis.data):
         for j, x in enumerate(row):
             if x:
-                stacked.data[j][ka + i] = -x
-    coeffs = kernel(stacked)
+                stacked[j].append((ka + i, -x))
+    coeffs = kernel_of_rows(stacked, ka + kb)
     vectors = []
     for crow in coeffs.basis.data:
         v = [F0] * a.ambient
@@ -423,7 +457,7 @@ def solve_right(m: Matrix, rhs) -> "list[Fraction] | None":
     """One solution x of ``m @ x = rhs``, or None if inconsistent."""
     if len(rhs) != m.rows:
         raise ShapeMismatch("right-hand side length differs from row count")
-    aug = [row[:] + [frac(b)] for row, b in zip(m.data, rhs)]
+    aug = [_pairs(row + [frac(b)]) for row, b in zip(m.data, rhs)]
     rows, pivots = _rref_rows(aug, m.cols + 1)
     if m.cols in pivots:
         return None

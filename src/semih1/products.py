@@ -21,12 +21,13 @@ from .algebra import (
     hom_failure,
     regular_action,
     semidirect_blocks,
+    unit_vector,
     validate_character,
     validate_corner,
     validate_module,
     vectors_equal,
-    zero_vector,
 )
+from .catalog import null_algebra
 from .errors import (
     GammaIdentityFailed,
     InvalidCharacter,
@@ -118,9 +119,7 @@ def module_extension(a: Algebra, action: BimoduleAction, u_name=None, name=None,
     """T(A,U): the semidirect product with the U-multiplication forced to zero."""
     if action.algebra_dim != a.dim:
         raise ShapeMismatch("action is not over the given algebra")
-    m = action.module_dim
-    null_u = Algebra(u_name or "U0", m,
-                     [[zero_vector(m) for _ in range(m)] for _ in range(m)])
+    null_u = null_algebra(action.module_dim, name=u_name or "U0")
     mod = ModuleAlgebra(null_u, action)
     return semidirect(a, mod, name=name or f"T({a.name},{null_u.name})", kind=kind)
 
@@ -180,7 +179,7 @@ def alpha_product(a: Algebra, u: Algebra, alpha: Matrix, name=None) -> Semidirec
     """A x|_alpha U: the action a.x = alpha(a)x, x.a = x alpha(a) in U."""
     _check_algebra_hom(a, u, alpha)
     m = u.dim
-    basis = [[F1 if r == p else F0 for r in range(m)] for p in range(m)]
+    basis = [unit_vector(m, p) for p in range(m)]
     left = [[u.product(alpha.data[i], basis[p]) for p in range(m)] for i in range(a.dim)]
     right = [[u.product(basis[p], alpha.data[i]) for i in range(a.dim)] for p in range(m)]
     mod = ModuleAlgebra(u, BimoduleAction(a.dim, m, left, right))
@@ -246,9 +245,9 @@ def fixture_paired_tau_blocks(a: Algebra, c_action: BimoduleAction, gamma: Matri
         raise ShapeMismatch("C must be a bimodule over the given algebra")
     if (gamma.rows, gamma.cols) != (nc, n):
         raise ShapeMismatch("gamma must be a dim(C) x dim(A) matrix")
-    basis_c = [[F1 if r == p else F0 for r in range(nc)] for p in range(nc)]
+    basis_c = [unit_vector(nc, p) for p in range(nc)]
     for i in range(n):
-        ei = [F1 if k == i else F0 for k in range(n)]
+        ei = unit_vector(n, i)
         for p in range(nc):
             if not vectors_equal(gamma.apply(c_action.left[i][p]), a.product(ei, gamma.data[p])):
                 raise NotHomomorphism(f"gamma(a.c) != a gamma(c) at (a,c)=({i},{p})")

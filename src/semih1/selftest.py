@@ -19,11 +19,11 @@ from .algebra import (
     regular_action,
     span_left_action,
     span_right_action,
+    unit_vector,
     validate_algebra,
 )
 from .families import random_matrix, random_product
 from .linalg import (
-    F0,
     F1,
     Matrix,
     Subspace,
@@ -72,12 +72,6 @@ class CaseFailure(Exception):
 
 def _fail(check, detail=""):
     raise CaseFailure(check, detail)
-
-
-def _basis(n, i):
-    v = [F0] * n
-    v[i] = F1
-    return v
 
 
 def _check_structure(p):
@@ -144,43 +138,42 @@ def _check_twisting_identities(p):
     a, u = p.part_a, p.part_u
     act = u.action
     n, m = p.n, p.m
-    umult = u.algebra.mult
-    for i in range(n):
-        ei = _basis(n, i)
+    ea = [unit_vector(n, i) for i in range(n)]
+    eu = [unit_vector(m, pp) for pp in range(m)]
+    for i, ei in enumerate(ea):
         ra = r_map(ei, u)
         if leibniz_defect(ra, u.algebra, regular_action(u.algebra)) is not None:
             _fail("r_a-derivation", i)
         ida = inner_map(ei, a, regular_action(a))
         for j in range(n):
             for pp in range(m):
-                up = _basis(m, pp)
+                up = eu[pp]
                 lhs = ra.apply(act.left[j][pp])
-                rhs = act.act_left(_basis(n, j), ra.data[pp])
+                rhs = act.act_left(ea[j], ra.data[pp])
                 for q, cc in enumerate(act.act_left(ida.data[j], up)):
                     rhs[q] += cc
                 if lhs != rhs:
                     _fail("r_a(bx)-identity", (i, j, pp))
                 lhs = ra.apply(act.right[pp][j])
-                rhs = act.act_right(ra.data[pp], _basis(n, j))
+                rhs = act.act_right(ra.data[pp], ea[j])
                 for q, cc in enumerate(act.act_right(up, ida.data[j])):
                     rhs[q] += cc
                 if lhs != rhs:
                     _fail("r_a(xb)-identity", (i, j, pp))
-    for p0 in range(m):
-        x0 = _basis(m, p0)
+    for p0, x0 in enumerate(eu):
         idu = u_inner_map(x0, u.algebra)
         ida = inner_map(x0, a, act)
         for i in range(n):
             for pp in range(m):
-                up = _basis(m, pp)
+                up = eu[pp]
                 lhs = idu.apply(act.left[i][pp])
-                rhs = act.act_left(_basis(n, i), idu.data[pp])
+                rhs = act.act_left(ea[i], idu.data[pp])
                 for q, cc in enumerate(u.algebra.product(ida.data[i], up)):
                     rhs[q] += cc
                 if lhs != rhs:
                     _fail("id_Ux(ax)-identity", (p0, i, pp))
                 lhs = idu.apply(act.right[pp][i])
-                rhs = act.act_right(idu.data[pp], _basis(n, i))
+                rhs = act.act_right(idu.data[pp], ea[i])
                 for q, cc in enumerate(u.algebra.product(up, ida.data[i])):
                     rhs[q] += cc
                 if lhs != rhs:
@@ -195,7 +188,7 @@ def _check_converse_laws(p):
     if annihilator_in_algebra(a, u).dim == 0 and m > 0 and n > 0:
         rflat = Matrix.zeros(n, m * m)
         for i in range(n):
-            rflat.data[i] = r_map(_basis(n, i), u).flatten()
+            rflat.data[i] = r_map(unit_vector(n, i), u).flatten()
         red = [hom.reduce(row) for row in rflat.data]
         inside = kernel(Matrix.from_rows(red, cols=m * m).transpose())
         for avec in inside.basis.data:
@@ -204,7 +197,7 @@ def _check_converse_laws(p):
     if annihilator_in_module(u).dim == 0 and m > 0:
         iflat = Matrix.zeros(m, m * m)
         for pp in range(m):
-            iflat.data[pp] = u_inner_map(_basis(m, pp), u.algebra).flatten()
+            iflat.data[pp] = u_inner_map(unit_vector(m, pp), u.algebra).flatten()
         red = [hom.reduce(row) for row in iflat.data]
         inside = kernel(Matrix.from_rows(red, cols=m * m).transpose())
         for xvec in inside.basis.data:

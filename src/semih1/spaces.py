@@ -32,14 +32,15 @@ from .algebra import (
     ModuleAlgebra,
     center,
     regular_action,
+    unit_vector,
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
 from .linalg import (
     F0,
-    F1,
     Matrix,
     Subspace,
     kernel,
+    kernel_of_rows,
     row_space,
     solve_right,
     unflatten,
@@ -111,21 +112,24 @@ class RowGroup:
 
 
 def solve(amb, *groups) -> Subspace:
-    """The canonical kernel, inside Q^amb, of every row of the given groups."""
+    """The canonical kernel, inside Q^amb, of every row of the given groups.
+
+    Terms of a row that land on one coordinate are added up and the sums
+    that cancel dropped, so each row reaches the engine as sparse pairs.
+    """
     rows = []
     for g in groups:
         for x, y in g.pairs():
             for k in range(g.dims[2]):
                 entries = g.row(x, y, k)
                 if entries:
-                    rows.append(entries)
+                    merged = {}
+                    for i, c in entries:
+                        merged[i] = merged.get(i, F0) + c
+                    rows.append([(i, c) for i, c in merged.items() if c])
     if not rows:
         return Subspace.full(amb)
-    system = Matrix.zeros(len(rows), amb)
-    for dense, entries in zip(system.data, rows):
-        for i, c in entries:
-            dense[i] += c
-    return kernel(system)
+    return kernel_of_rows(rows, amb)
 
 
 def first_failure(group: RowGroup, flat):
@@ -162,7 +166,7 @@ def kills(name, tensor, place, dk) -> RowGroup:
 def lands_in(name, target: Subspace, place, dx) -> RowGroup:
     """D(e_x) lies in ``target`` for x < dx: its residual mod ``target`` vanishes."""
     d = target.ambient
-    residual = [[target.reduce([F1 if j == l else F0 for j in range(d)])] for l in range(d)]
+    residual = [[target.reduce(unit_vector(d, l))] for l in range(d)]
     return RowGroup(name, (dx, 1, d), [(1, LEFT, residual, place)])
 
 
@@ -244,7 +248,7 @@ def inner_map(x, a: Algebra, m) -> Matrix:
         raise ShapeMismatch("module element has the wrong length")
     out = Matrix.zeros(n, md)
     for i in range(n):
-        ei = [F1 if k == i else F0 for k in range(n)]
+        ei = unit_vector(n, i)
         left = act.act_left(ei, x)
         right = act.act_right(x, ei)
         out.data[i] = [lv - rv for lv, rv in zip(left, right)]
@@ -285,7 +289,7 @@ def r_map(a_elt, u: ModuleAlgebra) -> Matrix:
     md = act.module_dim
     out = Matrix.zeros(md, md)
     for p in range(md):
-        xp = [F1 if k == p else F0 for k in range(md)]
+        xp = unit_vector(md, p)
         right = act.act_right(xp, a_elt)
         left = act.act_left(a_elt, xp)
         out.data[p] = [rv - lv for rv, lv in zip(right, left)]
@@ -297,7 +301,7 @@ def r_space(a: Algebra, u: ModuleAlgebra) -> LinearMapSpace:
     md = u.dim
     rows = []
     for i in range(a.dim):
-        ei = [F1 if k == i else F0 for k in range(a.dim)]
+        ei = unit_vector(a.dim, i)
         rows.append(r_map(ei, u).flatten())
     return LinearMapSpace(md, md, Subspace.from_vectors(md * md, rows))
 

@@ -34,6 +34,7 @@ from .algebra import (
     regular_action,
     semidirect_blocks,
     span_of_products,
+    unit_vector,
 )
 from .errors import (
     InternalInvariantViolation,
@@ -220,10 +221,6 @@ def embed_blocks(p: SemidirectAlgebra, delta1=None, delta2=None, tau1=None, tau2
             for q in range(m):
                 d.data[n + pp][n + q] = tau2.data[pp][q]
     return d
-
-
-def _basis(n, i):
-    return [F1 if k == i else F0 for k in range(n)]
 
 
 # The eight block conditions of 3.1 are the (source pair, target) blocks of
@@ -537,7 +534,7 @@ def build_E(p: SemidirectAlgebra) -> Subspace:
     reg = regular_action(a)
     vectors = []
     for i in range(n):
-        ei = _basis(n, i)
+        ei = unit_vector(n, i)
         vectors.append(inner_map(ei, a, reg).flatten() + r_map(ei, u).flatten())
     for x in commutant_in_module(a, u).basis.data:
         vectors.append([F0] * (n * n) + u_inner_map(x, u.algebra).flatten())
@@ -556,7 +553,7 @@ def build_F(p: SemidirectAlgebra) -> Subspace:
     for z in center(a).basis.data:
         vectors.append([F0] * (n * m) + r_map(z, u).flatten())
     for pp in range(m):
-        xp = _basis(m, pp)
+        xp = unit_vector(m, pp)
         vectors.append(inner_map(xp, a, act).flatten() + u_inner_map(xp, u.algebra).flatten())
     return Subspace.from_vectors(n * m + m * m, vectors)
 
@@ -572,9 +569,9 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
     reg = regular_action(a)
     joint = Matrix.zeros(n + m, m * m)
     for i in range(n):
-        joint.data[i] = r_map(_basis(n, i), u).flatten()
+        joint.data[i] = r_map(unit_vector(n, i), u).flatten()
     for pp in range(m):
-        joint.data[n + pp] = u_inner_map(_basis(m, pp), u.algebra).flatten()
+        joint.data[n + pp] = u_inner_map(unit_vector(m, pp), u.algebra).flatten()
     params = kernel(joint.transpose())
     vectors = []
     for w in params.basis.data:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch against the defining
 equations, sharing no code with the package: a plain forward-elimination
-rank routine and direct enumeration of the derivation / inner-derivation
-linear systems.  Expected values asserted in the tests were computed by
-these routines and then frozen.
+rank routine, a textbook Gauss-Jordan rref and kernel, and direct
+enumeration of the derivation / inner-derivation linear systems.  Expected
+values asserted in the tests were computed by these routines and then
+frozen.
 """
 
 from fractions import Fraction
@@ -35,6 +36,45 @@ def brute_rank(rows):
         rank += 1
         col += 1
     return rank
+
+
+def brute_rref(rows, ncols):
+    """Textbook Gauss-Jordan: the reduced row echelon form, zero rows dropped.
+
+    Scans the columns left to right; in each, swaps up the first row at or
+    below the current one with a nonzero entry, divides it by that entry
+    and clears the column in every other row.  Returns ``(rows, pivots)``.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return work[:r], pivots
+
+
+def brute_kernel(rows, ncols):
+    """The rref basis of the solutions of ``rows @ v = 0``, from brute_rref alone."""
+    reduced, pivots = brute_rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[free]
+        basis.append(v)
+    return brute_rref(basis, ncols)[0]
 
 
 def brute_solution_dim(rows, unknowns):

@@ -1,0 +1,199 @@
+"""The sparse elimination engine against a textbook Gauss-Jordan oracle.
+
+``_rref_rows`` is the one elimination routine of the package; ``rref``,
+``kernel``, ``kernel_of_rows``, ``solve_right``, ``Subspace.reduce``,
+``catalog.invert`` and ``spaces.solve`` sit on it.  Each is checked here,
+bit for bit, against ``brute_rref`` / ``brute_kernel`` / ``brute_rank`` of
+``tests/_oracle.py`` on small integer and rational systems with duplicate
+rows, zero rows and rows that cancel, plus two metamorphic invariants:
+permuting the rows or scaling them by nonzero factors leaves the rref as
+it is.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semih1.catalog import invert
+from semih1.errors import ShapeMismatch
+from semih1.linalg import (
+    Matrix,
+    Subspace,
+    _rref_rows,
+    kernel,
+    kernel_of_rows,
+    rref,
+    solve_right,
+)
+from semih1.spaces import OUT, RowGroup, solve
+
+from _oracle import brute_kernel, brute_rank, brute_rref
+
+ENGINE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+INTEGERS = st.integers(-3, 3).map(Fraction)
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+def sparse(rows):
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
+@st.composite
+def systems(draw, max_rows=6, max_cols=6):
+    """(cols, rows): small dense rows plus duplicates, zero rows and combinations."""
+    entries = draw(st.sampled_from((INTEGERS, RATIONALS)))
+    cols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=max_rows))
+    for kind in draw(st.lists(st.sampled_from(("duplicate", "zero", "combination")),
+                              max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * cols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            # a combination of earlier rows reduces to zero entry by entry
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f = draw(entries)
+            rows.append([x + f * y for x, y in zip(a, b)])
+    return cols, draw(st.permutations(rows))
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@ENGINE
+@given(systems())
+def test_rref_rows_is_gauss_jordan(system):
+    cols, rows = system
+    reduced, pivots = _rref_rows(sparse(rows), cols)
+    assert (reduced, pivots) == brute_rref(rows, cols)
+    assert len(pivots) == brute_rank(rows)
+    assert all_fractions(reduced)
+
+
+@ENGINE
+@given(systems())
+def test_rref_kernel_and_rank_match_the_oracle(system):
+    cols, rows = system
+    m = Matrix.from_rows(rows, cols=cols)
+    assert rref(m).data == brute_rref(rows, cols)[0]
+    assert m.rank() == brute_rank(rows)
+    k = kernel(m)
+    assert k.basis.data == brute_kernel(rows, cols)
+    assert all_fractions(k.basis.data)
+    assert kernel_of_rows(sparse(rows), cols) == k
+
+
+@ENGINE
+@given(systems(), st.data())
+def test_rref_ignores_row_order_and_row_scale(system, data):
+    cols, rows = system
+    factors = data.draw(st.lists(RATIONALS.filter(bool), min_size=len(rows),
+                                 max_size=len(rows)))
+    scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
+    shuffled = data.draw(st.permutations(scaled))
+    assert rref(Matrix.from_rows(shuffled, cols=cols)) == rref(Matrix.from_rows(rows, cols=cols))
+
+
+def test_empty_pair_lists_and_zero_columns():
+    assert _rref_rows([], 3) == ([], [])
+    assert _rref_rows([[], []], 3) == ([], [])
+    assert _rref_rows([[], []], 0) == ([], [])
+    assert kernel_of_rows([[], []], 2) == Subspace.full(2)
+    assert kernel_of_rows([[]], 0).dim == 0
+    assert kernel(Matrix.from_rows([[], []], cols=0)).dim == 0
+    assert rref(Matrix.from_rows([[0, 0], [0, 0]])).rows == 0
+
+
+def test_full_rank_reads_no_further_rows():
+    dense = [[2, 1, 0], [0, 0, 0], [0, 3, 0], [1, 0, 0], [0, 0, 5], [1, 1, 1]]
+    read = []
+
+    def rows():
+        for i, entries in enumerate(sparse([[Fraction(x) for x in row] for row in dense])):
+            read.append(i)
+            yield entries
+
+    assert _rref_rows(rows(), 3) == brute_rref(dense, 3)
+    assert read == [0, 1, 2, 3, 4]
+
+
+def test_entries_that_cancel_during_elimination():
+    # the third row is the sum of the first two, the fourth their difference
+    # doubled: both reduce to nothing, entry by entry
+    rows = [[1, 2, 0, 3], [0, -2, 1, 1], [1, 0, 1, 4], [2, 8, -2, 4]]
+    assert _rref_rows(sparse([[Fraction(x) for x in r] for r in rows]), 4) == \
+        brute_rref(rows, 4)
+    assert _rref_rows(sparse([[Fraction(x) for x in r] for r in rows]), 4)[1] == [0, 1]
+
+
+@ENGINE
+@given(st.data())
+def test_solve_merges_terms_that_share_a_coordinate(data):
+    # two D(xy) terms on one block: wherever the tensors agree the terms
+    # cancel, so rows come out shorter or empty
+    d = data.draw(st.integers(1, 3))
+    cell = st.lists(INTEGERS, min_size=d, max_size=d)
+    first = data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=d, max_size=d))
+    second = [[[x if data.draw(st.booleans()) else data.draw(INTEGERS) for x in vec]
+               for vec in row] for row in first]
+    place = (0, 0, d)
+    group = RowGroup("twice", (d, d, d), [(1, OUT, first, place), (-1, OUT, second, place)])
+    dense = []
+    for x in range(d):
+        for y in range(d):
+            for k in range(d):
+                row = [Fraction(0)] * (d * d)
+                for l in range(d):
+                    row[l * d + k] += first[x][y][l] - second[x][y][l]
+                dense.append(row)
+    assert solve(d * d, group).basis.data == brute_kernel(dense, d * d)
+
+
+@ENGINE
+@given(systems(), st.data())
+def test_reduce_leaves_a_residual_off_the_pivots(system, data):
+    cols, rows = system
+    space = Subspace.from_vectors(cols, rows)
+    pivots = brute_rref(rows, cols)[1]
+    assert space.pivot_columns() == pivots
+    vec = data.draw(st.lists(RATIONALS, min_size=cols, max_size=cols))
+    residual = space.reduce(vec)
+    assert all(residual[p] == 0 for p in pivots)
+    # vec - residual lies in the span, and vec does iff the residual is zero
+    basis = space.basis.data
+    assert brute_rank(basis + [[v - r for v, r in zip(vec, residual)]]) == space.dim
+    assert (brute_rank(basis + [vec]) == space.dim) == (not any(residual))
+    assert space.reduce(vec) == residual
+
+
+@ENGINE
+@given(systems(), st.data())
+def test_solve_right_solves_or_detects_inconsistency(system, data):
+    cols, rows = system
+    rhs = data.draw(st.lists(INTEGERS, min_size=len(rows), max_size=len(rows)))
+    m = Matrix.from_rows(rows, cols=cols)
+    x = solve_right(m, rhs)
+    augmented = [row + [b] for row, b in zip(rows, rhs)]
+    if x is None:
+        assert brute_rank(augmented) > brute_rank(rows)
+    else:
+        assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs
+
+
+@ENGINE
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(INTEGERS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_invert_matches_rank(rows):
+    n = len(rows)
+    p = Matrix.from_rows(rows)
+    if brute_rank(rows) < n:
+        with pytest.raises(ShapeMismatch):
+            invert(p)
+    else:
+        inv = invert(p)
+        assert p @ inv == Matrix.identity(n) and inv @ p == Matrix.identity(n)
