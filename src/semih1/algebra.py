@@ -381,23 +381,12 @@ def annihilator_in_algebra(a: Algebra, u) -> Subspace:
         for q in range(m):
             rows.append([act.left[i][p][q] for i in range(n)])
             rows.append([act.right[p][i][q] for i in range(n)])
-    if not rows:
-        return Subspace.full(n)
     return kernel(Matrix.from_rows(rows, cols=n))
 
 
 def annihilator_in_module(u: ModuleAlgebra) -> Subspace:
     """ann_U U = {x in U : xU = Ux = 0} for U's own multiplication."""
-    m = u.dim
-    d = u.algebra.mult
-    rows = []
-    for p in range(m):
-        for q in range(m):
-            rows.append([d[r][p][q] for r in range(m)])
-            rows.append([d[p][r][q] for r in range(m)])
-    if not rows:
-        return Subspace.full(m)
-    return kernel(Matrix.from_rows(rows, cols=m))
+    return annihilator_in_algebra(u.algebra, regular_action(u.algebra))
 
 
 def is_sub_bimodule(n_space: Subspace, act: BimoduleAction) -> bool:
@@ -431,8 +420,6 @@ def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
         for q in range(m):
             rows.append([left_res[i][q] for i in range(n)])
             rows.append([right_res[i][q] for i in range(n)])
-    if not rows:
-        return Subspace.full(n)
     return kernel(Matrix.from_rows(rows, cols=n))
 
 
@@ -443,8 +430,6 @@ def center(a: Algebra) -> Subspace:
     for i in range(n):
         for k in range(n):
             rows.append([a.mult[j][i][k] - a.mult[i][j][k] for j in range(n)])
-    if not rows:
-        return Subspace.full(n)
     return kernel(Matrix.from_rows(rows, cols=n))
 
 

@@ -168,7 +168,7 @@ def change_basis_character(t: Character, new_base: Algebra, p: Matrix) -> Charac
 
 
 def elementary_matrices(rng, n, steps=4):
-    """A random product of small elementary row operations and its inverse.
+    """A random product of small elementary row operations.
 
     Entries stay in a small integer/half-integer range so downstream exact
     arithmetic stays fast.

@@ -15,12 +15,12 @@ from .algebra import (
     Character,
     CornerModule,
     ModuleAlgebra,
+    regular_action,
 )
-from .algebra import regular_action
 from .catalog import (
-    change_basis_action,
     change_basis_algebra,
     change_basis_character,
+    change_basis_module,
     cyclic_group_algebra,
     dual_numbers,
     direct_sum_algebra,
@@ -173,9 +173,7 @@ def random_module_sample(rng, a_sample: AlgebraSample, max_dim) -> ModuleAlgebra
         u = ModuleAlgebra(null_algebra(md, "U"), scaled_action(a, t1, t2, md))
     if u.dim > 0 and rng.random() < 0.35:
         pu = elementary_matrices(rng, u.dim, steps=rng.randint(1, 3))
-        u = ModuleAlgebra(
-            change_basis_algebra(u.algebra, pu, name=u.algebra.name),
-            change_basis_action(u.action, Matrix.identity(a.dim), pu))
+        u = change_basis_module(u, Matrix.identity(a.dim), pu, name=u.algebra.name)
     return u
 
 

@@ -50,7 +50,7 @@ from .spaces import (
     inner_witness,
     r_space,
 )
-from .verify import hom_cap_z1u, split_blocks, verify_any
+from .verify import RULES, hom_cap_z1u, split_blocks, verify_any
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -58,8 +58,7 @@ BUILD_KINDS = ("semidirect", "direct", "module-extension", "triangular",
                "theta-lau", "unitization", "alpha")
 JOB_CMDS = ("validate", "build", "z1", "n1", "h1", "hom", "spaces",
             "decompose", "inner-witness", "verify")
-VERIFY_IDS = ("3.1", "4.1", "4.2", "4.3", "4.4", "5.1", "5.3", "5.4",
-              "ttd", "cte", "lau-der", "a1", "prop10", "embed")
+VERIFY_IDS = tuple(RULES)
 
 
 class InstanceFile:

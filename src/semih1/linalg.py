@@ -158,9 +158,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.data!r})"
 
-    def copy_data(self):
-        return [row[:] for row in self.data]
-
     def transpose(self):
         t = Matrix.zeros(self.cols, self.rows)
         for i, row in enumerate(self.data):
@@ -176,18 +173,6 @@ class Matrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
             cols=self.cols,
         )
-
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix subtraction needs equal shapes")
-        return Matrix.from_rows(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def scale(self, s):
-        s = frac(s)
-        return Matrix.from_rows([[s * x for x in row] for row in self.data], cols=self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -290,9 +275,6 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.rows
-
-    def basis_rows(self):
-        return self.basis.copy_data()
 
     def _sparse_rows(self):
         """Each basis row as (pivot column, its nonzero pairs), worked out once."""

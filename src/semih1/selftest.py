@@ -43,7 +43,8 @@ from .spaces import (
     u_inner_map,
 )
 from .verify import (
-    THEOREM_IDS,
+    RULES,
+    applies,
     hom_cap_z1u,
     h1_total,
     inner_characterization,
@@ -54,8 +55,7 @@ from .verify import (
     n1_u,
     hom_u,
     theorem_3_1_equivalence,
-    verify_special_case,
-    verify_theorem,
+    verify_any,
     z1_a,
     z1_au,
     z1_total,
@@ -235,22 +235,8 @@ def _check_inner_round_trip(p, rng):
 
 def _check_rules(p):
     reports = {}
-    for rid in THEOREM_IDS:
-        rep = verify_theorem(rid, p)
-        reports[rid] = rep
-        if rep.verdict == "MISMATCH":
-            _fail(f"rule-{rid}", rep.as_dict())
-    by_kind = []
-    if p.action_is_trivial():
-        by_kind += ["5.1", "5.3"]
-    if p.u_square_is_zero():
-        by_kind += ["ttd", "cte", "embed"]
-    if p.character is not None:
-        by_kind += ["lau-der", "a1", "prop10"]
-    if p.kind == "alpha":
-        by_kind.append("5.4")
-    for rid in by_kind:
-        rep = verify_special_case(rid, p)
+    for rid in [rid for rid in RULES if rid != "3.1" and applies(rid, p)]:
+        rep = verify_any(rid, p)
         reports[rid] = rep
         if rep.verdict == "MISMATCH":
             _fail(f"rule-{rid}", rep.as_dict())

@@ -9,10 +9,19 @@ compares them exactly:
 * ``4.1-4.4``  -- hypothesis-gated linear isomorphisms computing H1(A x| U)
                   as a quotient by the subspaces E, F, K, or C+I.
 * ``5.1/5.3``  -- direct products: block structure and H1 additivity.
-* ``5.4``      -- the twist (a,x) -> (a, x - alpha(a)) carries the direct
-                  product onto the alpha-product, entrywise.
 * ``ttd/cte/embed``      -- module extensions T(A,U).
 * ``lau-der/a1/prop10``  -- scaled-action (character) products.
+* ``5.4``      -- the twist (a,x) -> (a, x - alpha(a)) carries the direct
+                  product onto the alpha-product, entrywise.
+
+The catalog is one table, ``RULES``: each rule id maps to the construction
+it needs (None, ``direct``, ``extension``, ``scaled`` or ``alpha``), the
+names of its gates (see ``hypothesis_check``) and its check, which returns
+``(lhs_dim, rhs_dim, verdict, details)``.  ``applies(rule_id, p)`` is the one
+test that p is the construction a rule needs; ``verify_any`` rejects an
+unknown id or a wrong construction, evaluates every gate, and runs the
+check only when all of them hold.  ``verify_theorem`` (4.1-4.4) and
+``verify_special_case`` (the rest) are id-range checks in front of it.
 
 Every linear system here is a list of row groups from :mod:`.spaces`, solved
 by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
@@ -51,6 +60,7 @@ from .linalg import (
     kernel,
     product_subspace,
     subspace_sum,
+    unflatten,
 )
 from .products import SemidirectAlgebra, alpha_iso, direct_product
 from .spaces import (
@@ -152,6 +162,11 @@ def ann_u_u(p):
     return _memo(p, "ann_u_u", lambda: annihilator_in_module(p.part_u))
 
 
+def ann_a_a(p):
+    return _memo(p, "ann_a_a",
+                 lambda: annihilator_in_algebra(p.part_a, regular_action(p.part_a)))
+
+
 def _h1_of(z, nn, what):
     if not z.space.contains_subspace(nn.space):
         raise InternalInvariantViolation(f"inner maps escaped the derivation space of {what}")
@@ -160,6 +175,18 @@ def _h1_of(z, nn, what):
 
 def h1_total(p):
     return _h1_of(z1_total(p), n1_total(p), "the product")
+
+
+def h1_a(p):
+    return _h1_of(z1_a(p), n1_a(p), "A")
+
+
+def h1_au(p):
+    return _h1_of(z1_au(p), n1_au(p), "(A,U)")
+
+
+def h1_u(p):
+    return _h1_of(z1_u(p), n1_u(p), "U")
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +367,23 @@ class RuleReport:
                 f"lhs={self.lhs_dim}, rhs={self.rhs_dim})")
 
 
+def _verdict(ok):
+    return "verified" if ok else "MISMATCH"
+
+
 # ---------------------------------------------------------------------------
 # rule 3.1: subspace-level equivalence, witnesses, and single-block criteria
 
-def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleReport:
-    """Compare the Leibniz kernel of A x| U with the block-condition kernel.
-
-    Both sides are solution sets of linear systems, so equality of the two
-    canonical bases is the equivalence in full strength.  With ``samples``
-    set, random maps are additionally spot-checked for agreement between
-    the per-matrix block conditions and subspace membership.
-    """
+def _kernels_agree(p: SemidirectAlgebra, cond: Subspace):
+    """Z1(A x| U) against a kernel of block conditions: (Z1, details, verdict)."""
     leib = z1_total(p).space
+    return leib, {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}, _verdict(leib == cond)
+
+
+def _equivalence(p: SemidirectAlgebra, samples=0, rng=None):
+    """Rule 3.1 as (lhs_dim, rhs_dim, verdict, details); see theorem_3_1_equivalence."""
     cond = conditions_subspace(p)
-    details = {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}
-    verdict = "verified" if leib == cond else "MISMATCH"
+    leib, details, verdict = _kernels_agree(p, cond)
     if samples and rng is not None and verdict == "verified":
         t = p.dim
         agree = 0
@@ -369,15 +398,24 @@ def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleRe
                 break
             agree += 1
         for row in leib.basis.data[: max(0, samples - 1)]:
-            mat = Matrix.from_rows(
-                [list(row[i * t:(i + 1) * t]) for i in range(t)], cols=t)
-            if not is_derivation_via_3_1(mat, p):
+            if not is_derivation_via_3_1(unflatten(row, t, t), p):
                 verdict = "MISMATCH"
                 details["basis_disagreement"] = True
                 break
             agree += 1
         details["samples_checked"] = agree
-    return RuleReport("3.1", p.name, [], leib.dim, cond.dim, verdict, details)
+    return leib.dim, cond.dim, verdict, details
+
+
+def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleReport:
+    """Compare the Leibniz kernel of A x| U with the block-condition kernel.
+
+    Both sides are solution sets of linear systems, so equality of the two
+    canonical bases is the equivalence in full strength.  With ``samples``
+    set, random maps are additionally spot-checked for agreement between
+    the per-matrix block conditions and subspace membership.
+    """
+    return RuleReport("3.1", p.name, [], *_equivalence(p, samples, rng))
 
 
 def inner_characterization(d: Matrix, p: SemidirectAlgebra):
@@ -446,15 +484,19 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
 
 
+def _z1_block_zero(p, row, block):
+    """True when the given flattened map has a zero delta2 or tau1 block."""
+    n, m, t = p.n, p.m, p.dim
+    if block == "tau1":
+        return all(not row[(n + pp) * t + k] for pp in range(m) for k in range(n))
+    if block == "delta2":
+        return all(not row[i * t + n + q] for i in range(n) for q in range(m))
+    raise ValueError(block)
+
+
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
-    n, m, t = p.n, p.m, p.dim
-    for row in z1_total(p).space.basis.data:
-        for pp in range(m):
-            base = (n + pp) * t
-            if any(row[base:base + n]):
-                return False
-    return True
+    return all(_z1_block_zero(p, row, "tau1") for row in z1_total(p).space.basis.data)
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +539,10 @@ def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
         w = _image_in(z1_au(p), ann_u_u(p))
         return HypothesisResult(name, w is None, w)
     if name == "H1(A)=0":
-        d = _h1_of(z1_a(p), n1_a(p), "A")
+        d = h1_a(p)
         return HypothesisResult(name, d == 0, None if d == 0 else {"h1": d})
     if name == "H1(A,U)=0":
-        d = _h1_of(z1_au(p), n1_au(p), "(A,U)")
+        d = h1_au(p)
         return HypothesisResult(name, d == 0, None if d == 0 else {"h1": d})
     if name == "Hom(U) cap Z1(U) inside R(U)+N1(U)":
         rn = subspace_sum(r_space(p.part_a, p.part_u).space, n1_u(p).space)
@@ -515,14 +557,13 @@ def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
         holds = ann_u_u(p).dim == 0 or span_of_products(p.part_a).dim == p.n
         return HypothesisResult(name, holds)
     if name == "ann_A(A)=0 or span(U^2)=U":
-        ann_aa = annihilator_in_algebra(p.part_a, regular_action(p.part_a))
-        holds = ann_aa.dim == 0 or span_of_products(p.part_u.algebra).dim == p.m
+        holds = ann_a_a(p).dim == 0 or span_of_products(p.part_u.algebra).dim == p.m
         return HypothesisResult(name, holds)
     raise UnknownHypothesis(f"unknown hypothesis {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# the subspaces E, F, K and the H1 quotient rules
+# the subspaces E, F, K of the quotient rules
 
 def build_E(p: SemidirectAlgebra) -> Subspace:
     """E = {(ad a, r_a + ad_U x) : a in A, x with ad_(A,U) x = 0}.
@@ -580,94 +621,47 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
     return Subspace.from_vectors(n * n + n * m, vectors)
 
 
-_THEOREM_GATES = {
-    "4.1": ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
-    "4.2": ("tau1-vanishes", "Z1(A,U) image in ann_U(U)", "H1(A)=0"),
-    "4.3": ("tau1-vanishes", "Z1(A) image in ann_A(U)", "Z1(A,U) image in ann_U(U)",
-            "Hom(U) cap Z1(U) inside R(U)+N1(U)"),
-    "4.4": ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
-}
+# ---------------------------------------------------------------------------
+# the checks; each returns (lhs_dim, rhs_dim, verdict, details)
 
-
-def verify_theorem(rule_id, p: SemidirectAlgebra) -> RuleReport:
-    """Hypothesis-gated check of one H1 quotient rule.
-
-    When every gate holds, the left side h1(A x| U) and the right side
-    dim(numerator) - dim(denominator) are computed independently and must
-    agree exactly; a gate failure yields ``hypotheses-not-met`` and no
-    claim is tested.
-    """
-    if rule_id not in _THEOREM_GATES:
-        raise UnknownHypothesis(f"unknown rule {rule_id!r}")
-    hyps = [hypothesis_check(name, p) for name in _THEOREM_GATES[rule_id]]
-    if not all(h.holds for h in hyps):
-        return RuleReport(rule_id, p.name, hyps, None, None, "hypotheses-not-met")
+def _quotient(p, numerator, denominator):
+    """Rules 4.1-4.4: h1(A x| U) against dim(numerator) - dim(denominator)."""
     lhs = h1_total(p)
-    if rule_id == "4.1":
-        numerator = product_subspace(z1_a(p).space, hom_cap_z1u(p).space)
-        denominator = build_E(p)
-    elif rule_id == "4.2":
-        numerator = product_subspace(z1_au(p).space, hom_cap_z1u(p).space)
-        denominator = build_F(p)
-    elif rule_id == "4.3":
-        numerator = product_subspace(z1_a(p).space, z1_au(p).space)
-        denominator = build_K(p)
-    else:
-        numerator = hom_cap_z1u(p).space
-        denominator = subspace_sum(c_space(p.part_a, p.part_u).space,
-                                   i_space(p.part_a, p.part_u).space)
     details = {"numerator_dim": numerator.dim, "denominator_dim": denominator.dim}
     if not numerator.contains_subspace(denominator):
-        return RuleReport(rule_id, p.name, hyps, lhs, None, "MISMATCH",
-                          dict(details, reason="denominator not inside numerator"))
+        return lhs, None, "MISMATCH", dict(details, reason="denominator not inside numerator")
     rhs = numerator.dim - denominator.dim
-    verdict = "verified" if lhs == rhs else "MISMATCH"
-    return RuleReport(rule_id, p.name, hyps, lhs, rhs, verdict, details)
+    return lhs, rhs, _verdict(lhs == rhs), details
 
 
-# ---------------------------------------------------------------------------
-# specialized rules for the named constructions
-
-def _require(cond, message):
-    if not cond:
-        raise WrongConstructionKind(message)
-
-
-def _z1_block_zero(p, row, block):
-    """True when the given flattened map has a zero delta2 or tau1 block."""
-    n, m, t = p.n, p.m, p.dim
-    if block == "tau1":
-        return all(not row[(n + pp) * t + k] for pp in range(m) for k in range(n))
-    if block == "delta2":
-        return all(not row[i * t + n + q] for i in range(n) for q in range(m))
-    raise ValueError(block)
+def _h1_sum(p, *parts):
+    """h1(A x| U) against the sum of the h1s of the given parts."""
+    lhs = h1_total(p)
+    rhs = sum(h1(p) for h1 in parts)
+    return lhs, rhs, _verdict(lhs == rhs), None
 
 
-def _verify_direct_blocks(p):
+def _direct_blocks(p):
     """Rule 5.1: the direct-product block conditions as one reduced system.
 
     A derivation of A x U (trivial actions) is exactly: delta1 and tau2 are
     derivations, tau1 lands in ann_A(A) and kills U-products, delta2 lands
     in ann_U(U) and kills A-products.
     """
-    _require(p.action_is_trivial(), "rule 5.1 needs a direct product (trivial actions)")
     a, u = p.part_a, p.part_u
     n, m, t = p.n, p.m, p.dim
-    ann_aa = annihilator_in_algebra(a, regular_action(a))
     tau1, delta2 = (n, 0, t), (0, n, t)
     cond = solve(t * t,
                  leibniz("delta1", a, regular_action(a), (0, 0, t)),
                  leibniz("tau2", u.algebra, regular_action(u.algebra), (n, n, t)),
-                 lands_in("tau1-in-ann", ann_aa, tau1, m),
+                 lands_in("tau1-in-ann", ann_a_a(p), tau1, m),
                  kills("tau1-kills", u.algebra.mult, tau1, n),
                  lands_in("delta2-in-ann", ann_u_u(p), delta2, n),
                  kills("delta2-kills", a.mult, delta2, m))
-    leib = z1_total(p).space
-    details = {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}
-    verdict = "verified" if leib == cond else "MISMATCH"
+    leib, details, verdict = _kernels_agree(p, cond)
     # vanishing consequences under the stated non-degeneracy conditions
-    force_delta2 = ann_u_u(p).dim == 0 or span_of_products(a).dim == p.n
-    force_tau1 = ann_aa.dim == 0 or span_of_products(u.algebra).dim == p.m
+    force_delta2 = hypothesis_check("ann_U(U)=0 or span(A^2)=A", p).holds
+    force_tau1 = hypothesis_check("ann_A(A)=0 or span(U^2)=U", p).holds
     details["forces_delta2_zero"] = force_delta2
     details["forces_tau1_zero"] = force_tau1
     if verdict == "verified":
@@ -680,28 +674,21 @@ def _verify_direct_blocks(p):
                 verdict = "MISMATCH"
                 details["reason"] = "tau1 should vanish but does not"
                 break
-    return RuleReport("5.1", p.name, [], leib.dim, cond.dim, verdict, details)
+    return leib.dim, cond.dim, verdict, details
 
 
-def _verify_direct_h1_split(p):
-    _require(p.action_is_trivial(), "rule 5.3 needs a direct product (trivial actions)")
-    hyps = [hypothesis_check("ann_U(U)=0 or span(A^2)=A", p),
-            hypothesis_check("ann_A(A)=0 or span(U^2)=U", p)]
-    if not all(h.holds for h in hyps):
-        return RuleReport("5.3", p.name, hyps, None, None, "hypotheses-not-met")
-    lhs = h1_total(p)
-    rhs = _h1_of(z1_a(p), n1_a(p), "A") + _h1_of(z1_u(p), n1_u(p), "U")
+def _direct_h1_split(p):
+    """Rule 5.3: H1, Z1 and N1 of A x U split over the two factors."""
+    lhs, rhs = h1_total(p), h1_a(p) + h1_u(p)
     details = {
         "z1_split": z1_total(p).dim == z1_a(p).dim + z1_u(p).dim,
         "n1_split": n1_total(p).dim == n1_a(p).dim + n1_u(p).dim,
     }
-    verdict = "verified" if lhs == rhs and all(details.values()) else "MISMATCH"
-    return RuleReport("5.3", p.name, hyps, lhs, rhs, verdict, details)
+    return lhs, rhs, _verdict(lhs == rhs and all(details.values())), details
 
 
-def _verify_alpha_transport(p):
-    _require(p.kind == "alpha" and p.alpha is not None,
-             "rule 5.4 needs an alpha-product carrying its homomorphism")
+def _alpha_transport(p):
+    """Rule 5.4: the twist is an isomorphism of A x U onto the alpha-product."""
     a, u = p.part_a, p.part_u.algebra
     iso = alpha_iso(a, u, p.alpha)
     dp = direct_product(a, u)
@@ -710,30 +697,24 @@ def _verify_alpha_transport(p):
     pair = hom_failure(iso, dp.total, p.total) if details["iso_invertible"] else None
     if pair is not None:
         details["failing_pair"] = pair
-    verdict = "verified" if details["iso_invertible"] and pair is None else "MISMATCH"
-    return RuleReport("5.4", p.name, [], None, None, verdict, details)
+    return None, None, _verdict(details["iso_invertible"] and pair is None), details
 
 
-def _verify_extension_blocks(p):
+def _extension_blocks(p):
     """Rule ttd: Z1 of a module extension T(A,U) against the 3.1 kernel.
 
     With U^2 = 0 every U-product term of the 3.1 rows vanishes: delta1 and
     delta2 are derivations, tau1 is a module homomorphism with
     x tau1(y) + tau1(x) y = 0, and tau2 is twisted by delta1 alone.
     """
-    _require(p.u_square_is_zero(), "rule ttd needs a module extension (U^2 = 0)")
     cond = conditions_subspace(p)
-    leib = z1_total(p).space
-    details = {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}
-    verdict = "verified" if leib == cond else "MISMATCH"
-    t = p.dim
+    leib, details, verdict = _kernels_agree(p, cond)
     if verdict == "verified":
         # D = D1 + D2 with D1 = (delta1 + tau1, tau2) and D2 = (0, delta2),
         # both of which must themselves be derivations
         split_ok = True
         for row in leib.basis.data:
-            mat = Matrix.from_rows([list(row[i * t:(i + 1) * t]) for i in range(t)], cols=t)
-            d1m, d2m, t1m, t2m = split_matrix(mat, p)
+            d1m, d2m, t1m, t2m = split_matrix(unflatten(row, p.dim, p.dim), p)
             part1 = embed_blocks(p, delta1=d1m, tau1=t1m, tau2=t2m)
             part2 = embed_blocks(p, delta2=d2m)
             if not (leib.contains(part1.flatten()) and leib.contains(part2.flatten())):
@@ -743,53 +724,29 @@ def _verify_extension_blocks(p):
         inner_tau1_zero = all(_z1_block_zero(p, row, "tau1")
                               for row in n1_total(p).space.basis.data)
         details["inner_tau1_zero"] = inner_tau1_zero
-        if not (split_ok and inner_tau1_zero):
-            verdict = "MISMATCH"
-    return RuleReport("ttd", p.name, [], leib.dim, cond.dim, verdict, details)
+        verdict = _verdict(split_ok and inner_tau1_zero)
+    return leib.dim, cond.dim, verdict, details
 
 
-def _verify_extension_h1(p):
-    _require(p.u_square_is_zero(), "rule cte needs a module extension (U^2 = 0)")
-    hyps = [hypothesis_check("no nonzero pairing hom U->A", p),
-            hypothesis_check("H1(A)=0", p)]
-    if not all(h.holds for h in hyps):
-        return RuleReport("cte", p.name, hyps, None, None, "hypotheses-not-met")
+def _extension_h1(p):
+    """Rule cte: H1(T(A,U)) = H1(A,U) + dim Hom_A(U) cap Z1(U) - dim C_A(U)."""
     lhs = h1_total(p)
     homz1 = hom_cap_z1u(p).space
     cs = c_space(p.part_a, p.part_u).space
     details = {"hom_dim": homz1.dim, "c_dim": cs.dim}
     if not homz1.contains_subspace(cs):
-        return RuleReport("cte", p.name, hyps, lhs, None, "MISMATCH",
-                          dict(details, reason="C_A(U) escapes Hom cap Z1"))
-    rhs = _h1_of(z1_au(p), n1_au(p), "(A,U)") + homz1.dim - cs.dim
-    verdict = "verified" if lhs == rhs else "MISMATCH"
-    return RuleReport("cte", p.name, hyps, lhs, rhs, verdict, details)
+        return lhs, None, "MISMATCH", dict(details, reason="C_A(U) escapes Hom cap Z1")
+    rhs = h1_au(p) + homz1.dim - cs.dim
+    return lhs, rhs, _verdict(lhs == rhs), details
 
 
-def _verify_extension_embedding(p):
-    _require(p.u_square_is_zero(), "rule embed needs a module extension (U^2 = 0)")
-    lhs = _h1_of(z1_au(p), n1_au(p), "(A,U)")
-    rhs = h1_total(p)
-    verdict = "verified" if lhs <= rhs else "MISMATCH"
-    return RuleReport("embed", p.name, [], lhs, rhs, verdict,
-                      {"claim": "h1(A,U) embeds, so lhs <= rhs"})
+def _extension_embedding(p):
+    """Rule embed: H1(A,U) embeds in H1(T(A,U))."""
+    lhs, rhs = h1_au(p), h1_total(p)
+    return lhs, rhs, _verdict(lhs <= rhs), {"claim": "h1(A,U) embeds, so lhs <= rhs"}
 
 
-def _require_scaled(p, rule_id):
-    _require(p.character is not None,
-             f"rule {rule_id} needs a character-scaled product")
-    theta = p.character.values
-    act = p.part_u.action
-    for i in range(p.n):
-        for pp in range(p.m):
-            for q in range(p.m):
-                want = theta[i] if q == pp else F0
-                if act.left[i][pp][q] != want or act.right[pp][i][q] != want:
-                    raise WrongConstructionKind(
-                        f"rule {rule_id}: action is not a.x = x.a = t(a) x")
-
-
-def _verify_scaled_blocks(p):
+def _scaled_blocks(p):
     """Rule lau-der: Z1 of a character-scaled product against the 3.1 kernel.
 
     With a.x = x.a = t(a)x the two action terms of each tau2 twist cancel:
@@ -797,11 +754,8 @@ def _verify_scaled_blocks(p):
     and its right twin, tau1 is a module homomorphism killing U-products, and
     tau2 twists on U-products by t o tau1.
     """
-    _require_scaled(p, "lau-der")
     cond = conditions_subspace(p)
-    leib = z1_total(p).space
-    details = {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}
-    verdict = "verified" if leib == cond else "MISMATCH"
+    leib, details, verdict = _kernels_agree(p, cond)
     if verdict == "verified":
         # report the two coupling identities separately for each derivation
         act, umult = p.part_u.action, p.part_u.algebra.mult
@@ -819,62 +773,95 @@ def _verify_scaled_blocks(p):
             _z1_block_zero(p, row, "tau1") and _z1_block_zero(p, row, "delta2")
             for row in n1_total(p).space.basis.data)
         details["inner_shape_ok"] = inner_ok
-        if not (left_ok and right_ok and inner_ok):
-            verdict = "MISMATCH"
-    return RuleReport("lau-der", p.name, [], leib.dim, cond.dim, verdict, details)
+        verdict = _verdict(left_ok and right_ok and inner_ok)
+    return leib.dim, cond.dim, verdict, details
 
 
-def _verify_scaled_h1_split(p):
-    _require_scaled(p, "a1")
-    hyps = [hypothesis_check("tau1-vanishes", p),
-            hypothesis_check("Z1(A) image in ann_A(U)", p),
-            hypothesis_check("H1(A,U)=0", p)]
-    if not all(h.holds for h in hyps):
-        return RuleReport("a1", p.name, hyps, None, None, "hypotheses-not-met")
-    lhs = h1_total(p)
-    rhs = _h1_of(z1_a(p), n1_a(p), "A") + _h1_of(z1_u(p), n1_u(p), "U")
-    verdict = "verified" if lhs == rhs else "MISMATCH"
-    return RuleReport("a1", p.name, hyps, lhs, rhs, verdict)
+# ---------------------------------------------------------------------------
+# the rule table and its one runner
+
+def _is_scaled(p):
+    """True when p carries a character t and acts by a.x = x.a = t(a) x."""
+    if p.character is None:
+        return False
+    theta, act = p.character.values, p.part_u.action
+    return all(act.left[i][pp][q] == act.right[pp][i][q] == (theta[i] if q == pp else F0)
+               for i in range(p.n) for pp in range(p.m) for q in range(p.m))
 
 
-def _verify_scaled_h1_module(p):
-    _require_scaled(p, "prop10")
-    hyps = [hypothesis_check("tau1-vanishes", p),
-            hypothesis_check("H1(A)=0", p),
-            hypothesis_check("H1(A,U)=0", p)]
-    if not all(h.holds for h in hyps):
-        return RuleReport("prop10", p.name, hyps, None, None, "hypotheses-not-met")
-    lhs = h1_total(p)
-    rhs = _h1_of(z1_u(p), n1_u(p), "U")
-    verdict = "verified" if lhs == rhs else "MISMATCH"
-    return RuleReport("prop10", p.name, hyps, lhs, rhs, verdict)
+# construction -> (what a rule on it needs, the test that a product is one)
+_CONSTRUCTIONS = {
+    "direct": ("a direct product (trivial actions)", SemidirectAlgebra.action_is_trivial),
+    "extension": ("a module extension (U^2 = 0)", SemidirectAlgebra.u_square_is_zero),
+    "scaled": ("a character-scaled product", _is_scaled),
+    "alpha": ("an alpha-product carrying its homomorphism",
+              lambda p: p.kind == "alpha" and p.alpha is not None),
+}
 
-
-_SPECIAL_DISPATCH = {
-    "5.1": _verify_direct_blocks,
-    "5.3": _verify_direct_h1_split,
-    "5.4": _verify_alpha_transport,
-    "ttd": _verify_extension_blocks,
-    "cte": _verify_extension_h1,
-    "embed": _verify_extension_embedding,
-    "lau-der": _verify_scaled_blocks,
-    "a1": _verify_scaled_h1_split,
-    "prop10": _verify_scaled_h1_module,
+# rule id -> (construction it needs or None, gates, check)
+RULES = {
+    "3.1": (None, (), _equivalence),
+    "4.1": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
+            lambda p: _quotient(p, product_subspace(z1_a(p).space, hom_cap_z1u(p).space),
+                                build_E(p))),
+    "4.2": (None, ("tau1-vanishes", "Z1(A,U) image in ann_U(U)", "H1(A)=0"),
+            lambda p: _quotient(p, product_subspace(z1_au(p).space, hom_cap_z1u(p).space),
+                                build_F(p))),
+    "4.3": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "Z1(A,U) image in ann_U(U)",
+                   "Hom(U) cap Z1(U) inside R(U)+N1(U)"),
+            lambda p: _quotient(p, product_subspace(z1_a(p).space, z1_au(p).space),
+                                build_K(p))),
+    "4.4": (None, ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
+            lambda p: _quotient(p, hom_cap_z1u(p).space,
+                                subspace_sum(c_space(p.part_a, p.part_u).space,
+                                             i_space(p.part_a, p.part_u).space))),
+    "5.1": ("direct", (), _direct_blocks),
+    "5.3": ("direct", ("ann_U(U)=0 or span(A^2)=A", "ann_A(A)=0 or span(U^2)=U"),
+            _direct_h1_split),
+    "ttd": ("extension", (), _extension_blocks),
+    "cte": ("extension", ("no nonzero pairing hom U->A", "H1(A)=0"), _extension_h1),
+    "embed": ("extension", (), _extension_embedding),
+    "lau-der": ("scaled", (), _scaled_blocks),
+    "a1": ("scaled", ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
+           lambda p: _h1_sum(p, h1_a, h1_u)),
+    "prop10": ("scaled", ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
+               lambda p: _h1_sum(p, h1_u)),
+    "5.4": ("alpha", (), _alpha_transport),
 }
 
 
-def verify_special_case(rule_id, p: SemidirectAlgebra) -> RuleReport:
-    """Run one construction-specific rule; see the module docstring."""
-    if rule_id == "3.1":
-        return theorem_3_1_equivalence(p)
-    fn = _SPECIAL_DISPATCH.get(rule_id)
-    if fn is None:
-        raise UnknownHypothesis(f"unknown rule {rule_id!r}")
-    return fn(p)
+def applies(rule_id, p: SemidirectAlgebra) -> bool:
+    """True when p is the construction that rule ``rule_id`` needs."""
+    construction = RULES[rule_id][0]
+    return construction is None or _CONSTRUCTIONS[construction][1](p)
 
 
 def verify_any(rule_id, p: SemidirectAlgebra) -> RuleReport:
-    """Dispatch a rule id from the full catalog."""
-    if rule_id in _THEOREM_GATES:
-        return verify_theorem(rule_id, p)
-    return verify_special_case(rule_id, p)
+    """Run one rule of ``RULES``: construction, then every gate, then the check.
+
+    A gate failure yields ``hypotheses-not-met`` and no claim is tested;
+    otherwise both sides are computed independently and must agree.
+    """
+    if rule_id not in RULES:
+        raise UnknownHypothesis(f"unknown rule {rule_id!r}")
+    construction, gates, check = RULES[rule_id]
+    if not applies(rule_id, p):
+        raise WrongConstructionKind(f"rule {rule_id} needs {_CONSTRUCTIONS[construction][0]}")
+    hyps = [hypothesis_check(name, p) for name in gates]
+    if not all(h.holds for h in hyps):
+        return RuleReport(rule_id, p.name, hyps, None, None, "hypotheses-not-met")
+    return RuleReport(rule_id, p.name, hyps, *check(p))
+
+
+def verify_theorem(rule_id, p: SemidirectAlgebra) -> RuleReport:
+    """Run one of the H1 quotient rules 4.1-4.4."""
+    if rule_id not in THEOREM_IDS:
+        raise UnknownHypothesis(f"unknown rule {rule_id!r}")
+    return verify_any(rule_id, p)
+
+
+def verify_special_case(rule_id, p: SemidirectAlgebra) -> RuleReport:
+    """Run any rule but 4.1-4.4: 3.1 or a construction-specific rule."""
+    if rule_id in THEOREM_IDS:
+        raise UnknownHypothesis(f"unknown rule {rule_id!r}")
+    return verify_any(rule_id, p)

@@ -240,8 +240,19 @@ def test_malformed_map_shape_is_a_job_error():
 
 
 def test_verify_id_catalog_matches_dispatch():
-    from semih1.instancefile import VERIFY_IDS
-    from semih1.verify import _SPECIAL_DISPATCH, _THEOREM_GATES
+    import re
+    from pathlib import Path
 
-    dispatchable = {"3.1"} | set(_THEOREM_GATES) | set(_SPECIAL_DISPATCH)
-    assert set(VERIFY_IDS) == dispatchable
+    from semih1.instancefile import VERIFY_IDS
+    from semih1.verify import RULES
+
+    needs = {"3.1": None, "4.1": None, "4.2": None, "4.3": None, "4.4": None,
+             "5.1": "direct", "5.3": "direct",
+             "ttd": "extension", "cte": "extension", "embed": "extension",
+             "lau-der": "scaled", "a1": "scaled", "prop10": "scaled",
+             "5.4": "alpha"}
+    assert {rid: rule[0] for rid, rule in RULES.items()} == needs
+    assert VERIFY_IDS == tuple(RULES)
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Verification rules", 1)[1].split("\n## ", 1)[0]
+    assert tuple(re.findall(r"^\| `([^`]+)` \|", section, re.M)) == tuple(RULES)

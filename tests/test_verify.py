@@ -5,6 +5,7 @@ import pytest
 from semih1.algebra import (
     BimoduleAction,
     Character,
+    ModuleAlgebra,
     regular_action,
 )
 from semih1.catalog import (
@@ -26,11 +27,13 @@ from semih1.products import (
     direct_product,
     fixture_nonzero_tau1,
     module_extension,
+    semidirect,
     theta_lau,
     unitization,
 )
 from semih1.spaces import inner_map, r_map
 from semih1.verify import (
+    applies,
     build_E,
     build_F,
     build_K,
@@ -44,6 +47,7 @@ from semih1.verify import (
     split_blocks,
     tau1_vanishes,
     theorem_3_1_equivalence,
+    verify_any,
     verify_special_case,
     verify_theorem,
     z1_total,
@@ -329,3 +333,15 @@ def test_special_case_prop10_values():
     assert rep.lhs_dim == rep.rhs_dim == 1
     with pytest.raises(UnknownHypothesis):
         verify_special_case("nope", lau_dual())
+
+
+def test_scaled_rules_need_the_scaled_action_not_just_a_character():
+    # a character attached to a product whose action is not a.x = x.a = t(a) x
+    d = dual_numbers()
+    p = semidirect(d, ModuleAlgebra(dual_numbers("D'"), regular_action(d)),
+                   character=Character(d, [1, 0]))
+    assert not applies("lau-der", p)
+    for rid in ("lau-der", "a1", "prop10"):
+        with pytest.raises(WrongConstructionKind, match="needs a character-scaled product"):
+            verify_any(rid, p)
+    assert applies("lau-der", lau_dual())
