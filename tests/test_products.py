@@ -21,6 +21,7 @@ from semih1.catalog import (
 from semih1.errors import (
     GammaIdentityFailed,
     InvalidCharacter,
+    NotBimodule,
     NotHomomorphism,
     ValidationFailed,
 )
@@ -83,6 +84,32 @@ def test_semidirect_rejects_invalid_module():
     bad = ModuleAlgebra(Algebra("D'", 2, d.mult), BimoduleAction(2, 2, left, right))
     with pytest.raises(ValidationFailed):
         semidirect(d, bad)
+
+
+def test_module_extension_rejects_a_broken_bimodule_law():
+    # e.u = 2u over Q: (ee).u = 2u but e.(e.u) = 4u
+    action = BimoduleAction(1, 1, [[[2]]], [[[0]]])
+    with pytest.raises(ValidationFailed) as err:
+        module_extension(field_q(), action)
+    assert "(ab)x=a(bx)" in str(err.value)
+
+
+def test_triangular_rejects_a_bad_corner():
+    # the left action e.m = 2m breaks (aa')m = a(a'm)
+    corner = CornerModule(1, 1, 1, [[[2]]], [[[1]]])
+    with pytest.raises(NotBimodule) as err:
+        triangular(field_q("A"), field_q("B"), corner)
+    assert "(aa')m=a(a'm)" in str(err.value)
+
+
+def test_alpha_product_rejects_a_non_associative_target():
+    # U = span(x, y) with xx = x, yy = x and xy = yx = 0: (xy)y = 0 but
+    # x(yy) = x, so alpha(e) = x is multiplicative but (a.x)y = a.(xy) fails
+    u = Algebra("U", 2, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+    assert not validate_algebra(u).ok
+    with pytest.raises(ValidationFailed) as err:
+        alpha_product(field_q(), u, Matrix([[1, 0]]))
+    assert "(a.x)y=a.(xy)" in str(err.value)
 
 
 def test_direct_product_componentwise():
