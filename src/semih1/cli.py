@@ -61,15 +61,22 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def cmd_validate(args):
+def _load(path):
+    """(instance, None) for a valid file, else (None, exit code) after a message."""
     try:
-        inst = parse_instance(args.file)
+        return parse_instance(path), None
     except (ParseError, UnresolvedReference) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return None, EXIT_USAGE
     except ValidationFailed as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return None, EXIT_VALIDATION
+
+
+def cmd_validate(args):
+    inst, code = _load(args.file)
+    if inst is None:
+        return code
     print(f"{args.file}: {len(inst.algebras)} algebra(s), {len(inst.modules)} module(s), "
           f"{len(inst.corners)} corner(s), {len(inst.characters)} character(s), "
           f"{len(inst.jobs)} job(s) - all valid")
@@ -77,19 +84,12 @@ def cmd_validate(args):
 
 
 def cmd_run(args):
-    try:
-        inst = parse_instance(args.file)
-    except (ParseError, UnresolvedReference) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationFailed as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    inst, code = _load(args.file)
+    if inst is None:
+        return code
     doc, code = run_jobs(inst)
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=False) + "\n", args.out)
-    else:
-        _emit(render_text(doc), args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=False) + "\n" if args.format == "json"
+          else render_text(doc), args.out)
     return code
 
 

@@ -3,9 +3,12 @@
 The format is sparse and exact: structure constants are lists of
 ``{"i", "j", "k", "c"}`` entries with 0-based indices and string rationals
 matching ``-?[0-9]+(/[1-9][0-9]*)?`` (bare JSON integers are also
-accepted).  Everything is validated before any job runs; jobs then execute
+accepted).  Every definition is validated once, at parse; jobs then execute
 in order against a registry seeded with the definitions and extended by
-``build`` jobs.
+``build`` jobs.  Each command is one row of ``JOBS`` and each build kind one
+of ``BUILDS``: argument signatures and a handler.  A job that fits no
+signature is a ``ParseError`` job error.  Builds call the ``products``
+constructors, which skip the checks that a valid definition implies.
 """
 
 import json
@@ -54,10 +57,6 @@ from .verify import RULES, hom_cap_z1u, split_blocks, verify_any
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
 
-BUILD_KINDS = ("semidirect", "direct", "module-extension", "triangular",
-               "theta-lau", "unitization", "alpha")
-JOB_CMDS = ("validate", "build", "z1", "n1", "h1", "hom", "spaces",
-            "decompose", "inner-witness", "verify")
 VERIFY_IDS = tuple(RULES)
 
 
@@ -66,9 +65,9 @@ class InstanceFile:
 
     def __init__(self, algebras, modules, corners, characters, jobs):
         self.algebras = algebras
-        self.modules = modules      # name -> (ModuleAlgebra, over-name)
-        self.corners = corners      # name -> (CornerModule, over-a, over-b)
-        self.characters = characters  # name -> (Character, over-name)
+        self.modules = modules      # name -> (ModuleAlgebra, (over,))
+        self.corners = corners      # name -> (CornerModule, (over-a, over-b))
+        self.characters = characters  # name -> (Character, (over,))
         self.jobs = jobs
 
 
@@ -178,7 +177,7 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
             raise ValidationFailed(f"character {name!r} is not a nonzero multiplicative functional")
         if name in characters:
             raise ParseError(f"duplicate character {name!r}", here)
-        characters[name] = (char, over)
+        characters[name] = (char, (over,))
 
     modules = {}
     corners = {}
@@ -213,7 +212,7 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
             report = validate_corner(corner, a, b)
             if not report.ok:
                 raise ValidationFailed(f"module {name!r}: " + report.describe(), report)
-            corners[name] = (corner, over, right_over)
+            corners[name] = (corner, (over, right_over))
             continue
         mult = _sparse_tensor(spec.get("mult", []), (dim, dim, dim),
                               ("i", "j", "k"), f"{here}.mult")
@@ -229,7 +228,7 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
         report = validate_module(mod, a)
         if not report.ok:
             raise ValidationFailed(f"module {name!r}: " + report.describe(), report)
-        modules[name] = (mod, over)
+        modules[name] = (mod, (over,))
 
     jobs = []
     known = set(algebras) | set(modules) | set(corners) | set(characters)
@@ -283,226 +282,166 @@ def parse_instance(path) -> InstanceFile:
 # ---------------------------------------------------------------------------
 # job execution
 
-def _subspace_rows(space):
-    return [[str(x) for x in row] for row in space.basis.data]
-
-
 def _matrix_rows(m):
     return [[str(x) for x in row] for row in m.data]
 
 
+_MISSING = {"corner": "no corner module named", "product": "no built product named",
+            "name": "unknown name"}
+
+
 class _Registry:
+    """Definitions and built products by kind, as name -> (value, over-names)."""
+
     def __init__(self, inst: InstanceFile):
-        self.inst = inst
-        self.products = {}
+        self.tables = {"product": {}, "algebra": {n: (a, ()) for n, a in inst.algebras.items()},
+                       "module": inst.modules, "corner": inst.corners,
+                       "character": inst.characters}
 
-    def algebra(self, name):
-        if name in self.inst.algebras:
-            return self.inst.algebras[name]
-        if name in self.products:
-            return self.products[name].total
-        raise UnresolvedReference(f"no algebra named {name!r}")
+    def lookup(self, name, kind):
+        """(kind found, value, over-names) of ``name`` in a ``kind`` slot.
 
-    def module(self, name):
-        if name in self.inst.modules:
-            return self.inst.modules[name]
-        raise UnresolvedReference(f"no module named {name!r}")
-
-    def corner(self, name):
-        if name in self.inst.corners:
-            return self.inst.corners[name]
-        raise UnresolvedReference(f"no corner module named {name!r}")
-
-    def character(self, name):
-        if name in self.inst.characters:
-            return self.inst.characters[name]
-        raise UnresolvedReference(f"no character named {name!r}")
-
-    def product(self, name):
-        if name in self.products:
-            return self.products[name]
-        raise UnresolvedReference(f"no built product named {name!r}")
-
-    def kind_of(self, name):
-        if name in self.products:
-            return "product"
-        if name in self.inst.algebras:
-            return "algebra"
-        if name in self.inst.modules:
-            return "module"
-        if name in self.inst.corners:
-            return "corner"
-        if name in self.inst.characters:
-            return "character"
-        raise UnresolvedReference(f"unknown name {name!r}")
+        A ``name`` slot takes any kind; an ``algebra`` slot also a product's total.
+        """
+        for found in {"name": self.tables, "algebra": ("algebra", "product")}.get(kind, (kind,)):
+            if name in self.tables[found]:
+                value, overs = self.tables[found][name]
+                total = (kind, found) == ("algebra", "product")
+                return found, value.total if total else value, overs
+        raise UnresolvedReference(f"{_MISSING.get(kind, f'no {kind} named')} {name!r}")
 
 
-def _pair_spaces(reg, args, where):
-    """Resolve (algebra, action) for z1/n1/h1 style jobs."""
-    if len(args) == 1:
-        name = args[0]
-        if reg.kind_of(name) == "product":
-            total = reg.product(name).total
-            return total, regular_action(total)
-        alg = reg.algebra(name)
-        return alg, regular_action(alg)
-    if len(args) == 2:
-        alg = reg.algebra(args[0])
-        mod, over = reg.module(args[1])
-        if over != args[0]:
-            raise UnresolvedReference(f"{where}: module {args[1]!r} is over {over!r}")
-        return alg, mod.action
-    raise ParseError("expected [name] or [algebra, module]", where)
+def _resolve(reg, cmd, signatures, args):
+    """The values of ``args`` under the signature that fits them, else a ParseError.
+
+    A module or character must be over the first algebra argument, a corner the first two.
+    """
+    sig = next((s for s in signatures if len(s) == len(args)), None)
+    if sig is None or any((slot == "matrix") != isinstance(arg, list)
+                          for slot, arg in zip(sig, args)):
+        raise ParseError("expected " + " or ".join(f"[{', '.join(s)}]" for s in signatures),
+                         cmd)
+    values, algebras = [], []
+    for slot, arg in zip(sig, args):
+        if slot == "matrix":
+            values.append(_matrix_arg(arg, cmd))
+            continue
+        found, value, overs = reg.lookup(arg, slot)
+        want = tuple(algebras[:len(overs)])
+        if slot == "name":
+            value = found, value
+        elif overs != want:
+            raise UnresolvedReference(f"{found} {arg!r} is over {' and '.join(map(repr, overs))},"
+                                      f" not {' and '.join(map(repr, want))}")
+        elif slot == "algebra":
+            algebras.append(arg)
+        values.append(value)
+    return values
 
 
-def _run_build(reg, job):
-    kind = job["kind"]
-    args = job["args"]
-    name = job["name"]
-
-    def module_over(alg_name, mod_name):
-        mod, over = reg.module(mod_name)
-        if over != alg_name:
-            raise UnresolvedReference(f"module {mod_name!r} is over {over!r}, not {alg_name!r}")
-        return mod
-
-    if kind == "semidirect":
-        a = reg.algebra(args[0])
-        prod = semidirect(a, module_over(args[0], args[1]), name=name)
-    elif kind == "direct":
-        prod = direct_product(reg.algebra(args[0]), reg.algebra(args[1]), name=name)
-    elif kind == "module-extension":
-        a = reg.algebra(args[0])
-        prod = module_extension(a, module_over(args[0], args[1]).action,
-                                u_name=args[1], name=name)
-    elif kind == "triangular":
-        corner, over_a, over_b = reg.corner(args[2])
-        if (over_a, over_b) != (args[0], args[1]):
-            raise UnresolvedReference(
-                f"corner {args[2]!r} is over ({over_a!r}, {over_b!r})")
-        prod = triangular(reg.algebra(args[0]), reg.algebra(args[1]), corner, name=name)
-    elif kind == "theta-lau":
-        char, over = reg.character(args[2])
-        if over != args[0]:
-            raise UnresolvedReference(f"character {args[2]!r} is over {over!r}")
-        prod = theta_lau(reg.algebra(args[0]), reg.algebra(args[1]), char, name=name)
-    elif kind == "unitization":
-        prod = unitization(reg.algebra(args[0]), name=name)
-    else:
-        alpha = _matrix_arg(args[2], "alpha")
-        prod = alpha_product(reg.algebra(args[0]), reg.algebra(args[1]), alpha, name=name)
-    reg.products[name] = prod
-    return {"name": name, "kind": kind, "dim": prod.dim, "n": prod.n, "m": prod.m}
-
-
-def _job_map(job, expected_shape=None):
+def _job_map(job, expected_shape):
     if job.get("map") is None:
-        raise ParseError("this job needs a 'map' matrix", job.get("cmd", "?"))
+        raise ParseError("this job needs a 'map' matrix", job["cmd"])
     m = _matrix_arg(job["map"], "map")
-    if expected_shape is not None and (m.rows, m.cols) != expected_shape:
+    if (m.rows, m.cols) != expected_shape:
         raise ParseError(f"map must be {expected_shape[0]}x{expected_shape[1]}", "map")
     return m
 
 
+def _action(a, u):
+    return regular_action(a) if u is None else u.action
+
+
+def _space(space):
+    return {"dim": space.dim, "source_dim": space.source_dim,
+            "target_dim": space.target_dim, "basis": _matrix_rows(space.space.basis)}
+
+
+def _validate(job, named):
+    kind, value = named
+    dim = value.base.dim if kind == "character" else value.dim
+    return {"name": job["args"][0], "kind": kind, "valid": True, "dim": dim}
+
+
+def _h1(job, a, u=None):
+    act = _action(a, u)
+    z, nn = derivation_space(a, act), inner_space(a, act)
+    return {"h1_dim": z.dim - nn.dim, "z1_dim": z.dim, "n1_dim": nn.dim}
+
+
+def _spaces(job, a, u=None):
+    prod = a if u is None else semidirect(a, u)
+    a, u = prod.part_a, prod.part_u
+    return {
+        "r_dim": r_space(a, u).dim,
+        "c_dim": c_space(a, u).dim,
+        "i_dim": i_space(a, u).dim,
+        "hom_dim": hom_space(a, u.action, u.action).dim,
+        "hom_cap_z1_dim": hom_cap_z1u(prod).dim,
+    }
+
+
+def _decompose(job, prod):
+    bd = split_blocks(_job_map(job, (prod.dim, prod.dim)), prod)
+    return {
+        "is_derivation": bd.ok,
+        "conditions": {k: (list(w) if isinstance(w, tuple) else w)
+                       for k, w in bd.conditions.items()},
+        "blocks": {k: _matrix_rows(getattr(bd, k)) for k in ("delta1", "delta2", "tau1", "tau2")},
+    }
+
+
+def _inner_witness(job, a, u=None):
+    a = a.total if u is None else a
+    act = _action(a, u)
+    witness = inner_witness(_job_map(job, (a.dim, act.module_dim)), a, act)
+    return {"inner": witness is not None,
+            "witness": None if witness is None else [str(x) for x in witness]}
+
+
+# Rows are (argument signatures, handler).  A command's handler takes the job
+# and the resolved arguments, a build's the resolved arguments and the result
+# name.  Rows reach the layer functions through this module's globals.
+_PAIR = (("algebra",), ("algebra", "module"))
+JOBS = {
+    "validate": ((("name",),), _validate),
+    "z1": (_PAIR, lambda job, a, u=None: _space(derivation_space(a, _action(a, u)))),
+    "n1": (_PAIR, lambda job, a, u=None: _space(inner_space(a, _action(a, u)))),
+    "h1": (_PAIR, _h1),
+    "hom": ((("algebra", "module"), ("algebra", "module", "module")),
+            lambda job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action))),
+    "spaces": ((("product",), ("algebra", "module")), _spaces),
+    "decompose": ((("product",),), _decompose),
+    "inner-witness": ((("product",), ("algebra", "module")), _inner_witness),
+    "verify": ((("product",),), lambda job, prod: verify_any(job["id"], prod).as_dict()),
+}
+BUILDS = {
+    "semidirect": ((("algebra", "module"),), lambda *v, name: semidirect(*v, name=name)),
+    "direct": ((("algebra", "algebra"),), lambda *v, name: direct_product(*v, name=name)),
+    "module-extension": ((("algebra", "module"),),
+                         lambda a, u, name: module_extension(a, u.action, u.name, name)),
+    "triangular": ((("algebra", "algebra", "corner"),),
+                   lambda *v, name: triangular(*v, name=name)),
+    "theta-lau": ((("algebra", "algebra", "character"),),
+                  lambda *v, name: theta_lau(*v, name=name)),
+    "unitization": ((("algebra",),), lambda *v, name: unitization(*v, name=name)),
+    "alpha": ((("algebra", "algebra", "matrix"),), lambda *v, name: alpha_product(*v, name=name)),
+}
+JOB_CMDS = ("build", *JOBS)
+BUILD_KINDS = tuple(BUILDS)
+
+
 def run_job(reg: _Registry, job):
-    cmd = job["cmd"]
-    args = job.get("args", [])
-    if cmd == "validate":
-        name = args[0]
-        kind = reg.kind_of(name)
-        dims = {"algebra": lambda: reg.algebra(name).dim,
-                "module": lambda: reg.module(name)[0].dim,
-                "corner": lambda: reg.corner(name)[0].dim,
-                "character": lambda: reg.character(name)[0].base.dim,
-                "product": lambda: reg.product(name).dim}[kind]()
-        return {"name": name, "kind": kind, "valid": True, "dim": dims}
-    if cmd == "build":
-        return _run_build(reg, job)
-    if cmd == "z1":
-        alg, act = _pair_spaces(reg, args, "z1")
-        space = derivation_space(alg, act)
-        return {"dim": space.dim, "source_dim": space.source_dim,
-                "target_dim": space.target_dim, "basis": _subspace_rows(space.space)}
-    if cmd == "n1":
-        alg, act = _pair_spaces(reg, args, "n1")
-        space = inner_space(alg, act)
-        return {"dim": space.dim, "source_dim": space.source_dim,
-                "target_dim": space.target_dim, "basis": _subspace_rows(space.space)}
-    if cmd == "h1":
-        alg, act = _pair_spaces(reg, args, "h1")
-        z = derivation_space(alg, act)
-        nn = inner_space(alg, act)
-        return {"h1_dim": z.dim - nn.dim, "z1_dim": z.dim, "n1_dim": nn.dim}
-    if cmd == "hom":
-        alg = reg.algebra(args[0])
-        mod_u, over_u = reg.module(args[1])
-        if over_u != args[0]:
-            raise UnresolvedReference(f"module {args[1]!r} is over {over_u!r}")
-        if len(args) == 3:
-            mod_v, over_v = reg.module(args[2])
-            if over_v != args[0]:
-                raise UnresolvedReference(f"module {args[2]!r} is over {over_v!r}")
-            space = hom_space(alg, mod_u.action, mod_v.action)
-        else:
-            space = hom_space(alg, mod_u.action, mod_u.action)
-        return {"dim": space.dim, "source_dim": space.source_dim,
-                "target_dim": space.target_dim, "basis": _subspace_rows(space.space)}
-    if cmd == "spaces":
-        name = args[0]
-        if reg.kind_of(name) == "product":
-            prod = reg.product(name)
-            a, u = prod.part_a, prod.part_u
-            homz1 = hom_cap_z1u(prod)
-        else:
-            a = reg.algebra(args[0])
-            mod, over = reg.module(args[1])
-            if over != args[0]:
-                raise UnresolvedReference(f"module {args[1]!r} is over {over!r}")
-            u = mod
-            prod = semidirect(a, u)
-            homz1 = hom_cap_z1u(prod)
-        return {
-            "r_dim": r_space(a, u).dim,
-            "c_dim": c_space(a, u).dim,
-            "i_dim": i_space(a, u).dim,
-            "hom_dim": hom_space(a, u.action, u.action).dim,
-            "hom_cap_z1_dim": homz1.dim,
-        }
-    if cmd == "decompose":
-        prod = reg.product(args[0])
-        d = _job_map(job, (prod.dim, prod.dim))
-        bd = split_blocks(d, prod)
-        return {
-            "is_derivation": bd.ok,
-            "conditions": {k: (list(w) if isinstance(w, tuple) else w)
-                           for k, w in bd.conditions.items()},
-            "blocks": {
-                "delta1": _matrix_rows(bd.delta1),
-                "delta2": _matrix_rows(bd.delta2),
-                "tau1": _matrix_rows(bd.tau1),
-                "tau2": _matrix_rows(bd.tau2),
-            },
-        }
-    if cmd == "inner-witness":
-        if len(args) == 1 or (len(args) == 2 and not isinstance(args[1], str)):
-            prod = reg.product(args[0])
-            alg, act = prod.total, regular_action(prod.total)
-            d = _job_map(job, (prod.dim, prod.dim))
-        else:
-            alg = reg.algebra(args[0])
-            mod, over = reg.module(args[1])
-            if over != args[0]:
-                raise UnresolvedReference(f"module {args[1]!r} is over {over!r}")
-            act = mod.action
-            d = _job_map(job, (alg.dim, act.module_dim))
-        witness = inner_witness(d, alg, act)
-        return {"inner": witness is not None,
-                "witness": None if witness is None else [str(x) for x in witness]}
-    if cmd == "verify":
-        prod = reg.product(args[0])
-        report = verify_any(job["id"], prod)
-        return report.as_dict()
-    raise ParseError(f"unknown cmd {cmd!r}", "jobs")
+    """Run one job: its table row's handler on its resolved arguments."""
+    cmd, args = job["cmd"], job.get("args", [])
+    if cmd != "build":
+        signatures, handler = JOBS[cmd]
+        return handler(job, *_resolve(reg, cmd, signatures, args))
+    kind, name = job["kind"], job["name"]
+    signatures, make = BUILDS[kind]
+    prod = make(*_resolve(reg, f"build {kind}", signatures, args), name=name)
+    reg.tables["product"][name] = (prod, ())
+    return {"name": name, "kind": kind, "dim": prod.dim, "n": prod.n, "m": prod.m}
 
 
 def run_jobs(inst: InstanceFile):

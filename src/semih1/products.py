@@ -8,6 +8,10 @@ on A x U with multiplication
 together with the factors it was built from.  The basis convention is fixed
 globally: A occupies coordinates 0..n-1 and U occupies n..n+m-1; block
 extraction everywhere downstream relies on it.
+
+``semidirect``, ``module_extension`` and ``alpha_product`` validate the
+module they are handed.  The others skip ``validate_module``: their module
+laws hold by construction once the character or corner they check is valid.
 """
 
 from .algebra import (
@@ -87,47 +91,52 @@ class SemidirectAlgebra:
         return f"SemidirectAlgebra({self.name!r}, n={self.n}, m={self.m}, kind={self.kind!r})"
 
 
-def semidirect(a: Algebra, u: ModuleAlgebra, name=None, kind="semidirect",
-               character=None, alpha=None) -> SemidirectAlgebra:
-    """Build A x| U from a module-algebra U over A.
-
-    U is validated first (``validate_module``, raising ``ValidationFailed``):
-    its six laws are the mixed blocks of associativity of A x| U, so the
-    total is associative exactly when A and U also are.  The total tensor is
-    filled block by block from :func:`semidirect_blocks`, with A on
-    coordinates 0..n-1 and U on n..n+m-1.
-    """
-    validate_module(u, a).raise_if_failed()
+def _assemble(a: Algebra, u: ModuleAlgebra, name, kind, character=None, alpha=None):
+    """A x| U filled from :func:`semidirect_blocks`; callers vouch for the module laws."""
     n, t = a.dim, a.dim + u.dim
     offset = {"A": 0, "U": n}
     mult = block_tensor((t, t, t), [((offset[x], offset[y], offset[z]), block)
                                     for (x, y, z), block in semidirect_blocks(a, u).items()])
-    if name is None:
-        name = f"sd({a.name},{u.name})"
-    total = Algebra(name, t, mult)
-    return SemidirectAlgebra(total, a, u, kind, character=character, alpha=alpha)
+    return SemidirectAlgebra(Algebra(name, t, mult), a, u, kind,
+                             character=character, alpha=alpha)
+
+
+def semidirect(a: Algebra, u: ModuleAlgebra, name=None, character=None) -> SemidirectAlgebra:
+    """Build A x| U from a module-algebra U over A.
+
+    U is validated first (``validate_module``, raising ``ValidationFailed``):
+    its six laws are the mixed blocks of associativity of A x| U, so the
+    total is associative exactly when A and U also are.
+    """
+    validate_module(u, a).raise_if_failed()
+    return _assemble(a, u, name or f"sd({a.name},{u.name})", "semidirect", character=character)
 
 
 def direct_product(a: Algebra, u: Algebra, name=None) -> SemidirectAlgebra:
-    """A x U with trivial actions: multiplication is componentwise."""
+    """A x U with trivial actions: multiplication is componentwise.
+
+    Every module law has an action on both sides, so all of them read 0 = 0.
+    """
     mod = ModuleAlgebra(u, BimoduleAction.trivial(a.dim, u.dim))
-    return semidirect(a, mod, name=name or f"dp({a.name},{u.name})", kind="direct")
+    return _assemble(a, mod, name or f"dp({a.name},{u.name})", "direct")
 
 
-def module_extension(a: Algebra, action: BimoduleAction, u_name=None, name=None,
-                     kind="module-extension") -> SemidirectAlgebra:
+def module_extension(a: Algebra, action: BimoduleAction, u_name=None,
+                     name=None) -> SemidirectAlgebra:
     """T(A,U): the semidirect product with the U-multiplication forced to zero."""
     if action.algebra_dim != a.dim:
         raise ShapeMismatch("action is not over the given algebra")
     null_u = null_algebra(action.module_dim, name=u_name or "U0")
     mod = ModuleAlgebra(null_u, action)
-    return semidirect(a, mod, name=name or f"T({a.name},{null_u.name})", kind=kind)
+    validate_module(mod, a).raise_if_failed()
+    return _assemble(a, mod, name or f"T({a.name},{null_u.name})", "module-extension")
 
 
 def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> SemidirectAlgebra:
     """The block upper-triangular algebra on (A, M, B), as T(AxB, M).
 
-    M becomes an (AxB)-bimodule via (a,b).m = a.m and m.(a,b) = m.b.
+    M becomes an (AxB)-bimodule via (a,b).m = a.m and m.(a,b) = m.b; its
+    module laws are the corner laws, or read 0 = 0.
     """
     report = validate_corner(corner, a, b)
     if not report.ok:
@@ -136,27 +145,28 @@ def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> Semid
     n, nb, md = a.dim, b.dim, corner.dim
     left = block_tensor((n + nb, md, md), [((0, 0, 0), corner.left)])
     right = block_tensor((md, n + nb, md), [((0, n, 0), corner.right)])
-    action = BimoduleAction(n + nb, md, left, right)
-    return module_extension(base, action, u_name="M",
-                            name=name or f"tri({a.name},{b.name})", kind="triangular")
+    mod = ModuleAlgebra(null_algebra(md, name="M"), BimoduleAction(n + nb, md, left, right))
+    return _assemble(base, mod, name or f"tri({a.name},{b.name})", "triangular")
 
 
 def theta_lau(a: Algebra, u: Algebra, t: Character, name=None,
               kind="theta-lau") -> SemidirectAlgebra:
-    """The scaled-action product: a.x = x.a = t(a) x for a character t."""
+    """The scaled-action product: a.x = x.a = t(a) x for a character t.
+
+    The module laws of a scaled action hold exactly when t is multiplicative.
+    """
     if t.base is not a and t.base.dim != a.dim:
         raise ShapeMismatch("character is defined over a different algebra")
-    if not validate_character(Character(a, t.values)):
-        raise InvalidCharacter("character must be nonzero and multiplicative")
     char = Character(a, t.values)
+    if not validate_character(char):
+        raise InvalidCharacter("character must be nonzero and multiplicative")
     m = u.dim
     left = [[[char.values[i] if q == p else F0 for q in range(m)] for p in range(m)]
             for i in range(a.dim)]
     right = [[[char.values[i] if q == p else F0 for q in range(m)] for i in range(a.dim)]
              for p in range(m)]
     mod = ModuleAlgebra(u, BimoduleAction(a.dim, m, left, right))
-    return semidirect(a, mod, name=name or f"lau({a.name},{u.name})",
-                      kind=kind, character=char)
+    return _assemble(a, mod, name or f"lau({a.name},{u.name})", kind, character=char)
 
 
 def unitization(u: Algebra, name=None) -> SemidirectAlgebra:
@@ -183,8 +193,9 @@ def alpha_product(a: Algebra, u: Algebra, alpha: Matrix, name=None) -> Semidirec
     left = [[u.product(alpha.data[i], basis[p]) for p in range(m)] for i in range(a.dim)]
     right = [[u.product(basis[p], alpha.data[i]) for i in range(a.dim)] for p in range(m)]
     mod = ModuleAlgebra(u, BimoduleAction(a.dim, m, left, right))
-    return semidirect(a, mod, name=name or f"ad({a.name},{u.name})",
-                      kind="alpha", alpha=alpha)
+    # the compatibility laws are instances of U's own associativity
+    validate_module(mod, a).raise_if_failed()
+    return _assemble(a, mod, name or f"ad({a.name},{u.name})", "alpha", alpha=alpha)
 
 
 def alpha_iso(a: Algebra, u: Algebra, alpha: Matrix) -> Matrix:
@@ -266,7 +277,7 @@ def fixture_paired_tau_blocks(a: Algebra, c_action: BimoduleAction, gamma: Matri
     left = block_tensor((n, mu, mu), [((0, 0, 0), a.mult), ((0, n, n), c_action.left)])
     right = block_tensor((mu, n, mu), [((0, 0, 0), a.mult), ((n, 0, n), c_action.right)])
     mod = ModuleAlgebra(ualg, BimoduleAction(n, mu, left, right))
-    prod = semidirect(a, mod, name=f"sd({a.name},{ualg.name})", kind="semidirect")
+    prod = semidirect(a, mod, name=f"sd({a.name},{ualg.name})")
     t = prod.dim
     d = Matrix.zeros(t, t)
     for s in range(nc):

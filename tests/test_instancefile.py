@@ -1,9 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semih1.errors import ParseError, UnresolvedReference, ValidationFailed
+from semih1.errors import ParseError, Semih1Error, UnresolvedReference, ValidationFailed
 from semih1.instancefile import (
+    BUILD_KINDS,
+    BUILDS,
+    JOB_CMDS,
+    JOBS,
+    VERIFY_IDS,
     parse_instance,
     parse_instance_text,
     render_text,
@@ -256,3 +263,143 @@ def test_verify_id_catalog_matches_dispatch():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Verification rules", 1)[1].split("\n## ", 1)[0]
     assert tuple(re.findall(r"^\| `([^`]+)` \|", section, re.M)) == tuple(RULES)
+
+
+def test_job_signature_table_matches_readme():
+    import re
+    from pathlib import Path
+
+    assert JOB_CMDS == ("build", *JOBS) and BUILD_KINDS == tuple(BUILDS)
+    rows = {cmd: sigs for cmd, (sigs, _) in JOBS.items()}
+    rows.update({f"build {kind}": sigs for kind, (sigs, _) in BUILDS.items()})
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Instance file format", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `([^`]+)` \| (.+) \|$", section, re.M)
+    assert [cmd for cmd, _ in table] == list(rows)
+    for cmd, cell in table:
+        assert cell == " or ".join(f"`[{', '.join(sig)}]`" for sig in rows[cmd])
+
+
+# A definition of every kind, one product, and for each command and build
+# kind its shortest and its longest arguments that fit.
+SHAPES_DOC = {
+    "algebras": [{"name": "Q", "dim": 1, "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]},
+                 {"name": "N", "dim": 1}],
+    "modules": [{"name": "R", "over": "Q", "dim": 1,
+                 "left": [{"i": 0, "p": 0, "q": 0, "c": "1"}],
+                 "right": [{"p": 0, "i": 0, "q": 0, "c": "1"}]},
+                {"name": "C", "over": "Q", "right_over": "N", "dim": 1}],
+    "characters": [{"name": "one", "over": "Q", "values": ["1"]}],
+}
+PRODUCT = {"cmd": "build", "kind": "direct", "args": ["Q", "N"], "name": "P"}
+FITTING_ARGS = {
+    "validate": (["Q"], ["Q"]),
+    "z1": (["Q"], ["Q", "R"]),
+    "n1": (["Q"], ["Q", "R"]),
+    "h1": (["Q"], ["Q", "R"]),
+    "hom": (["Q", "R"], ["Q", "R", "R"]),
+    "spaces": (["P"], ["Q", "R"]),
+    "decompose": (["P"], ["P"]),
+    "inner-witness": (["P"], ["Q", "R"]),
+    "verify": (["P"], ["P"]),
+    "semidirect": (["Q", "R"],) * 2,
+    "direct": (["Q", "N"],) * 2,
+    "module-extension": (["Q", "R"],) * 2,
+    "triangular": (["Q", "N", "C"],) * 2,
+    "theta-lau": (["Q", "N", "one"],) * 2,
+    "unitization": (["N"],) * 2,
+    "alpha": (["Q", "N", [["0"]]],) * 2,
+}
+
+
+def shaped_job(head, args, name="Z"):
+    if head in BUILD_KINDS:
+        return {"cmd": "build", "kind": head, "args": args, "name": name}
+    job = {"cmd": head, "args": args}
+    if head in ("decompose", "inner-witness"):
+        job["map"] = [["0"]] if args == ["Q", "R"] else [["0", "0"], ["0", "1"]]
+    if head == "verify":
+        job["id"] = "3.1"
+    return job
+
+
+def misfits(head):
+    """Too few arguments, one surplus argument, a matrix in a name slot."""
+    shortest, longest = FITTING_ARGS[head]
+    yield "too-few", shortest[:-1]
+    yield "surplus", longest + [longest[-1]]
+    yield "matrix-for-name", [[["1"]]] + shortest[1:]
+
+
+MISFITS = [(head, case, args) for head in FITTING_ARGS for case, args in misfits(head)]
+MISFITS.append(("alpha", "name-for-matrix", ["Q", "N", "Q"]))
+
+
+def test_every_fitting_shape_runs():
+    shapes = [(head, args) for head, pair in FITTING_ARGS.items() for args in pair]
+    jobs = [PRODUCT] + [shaped_job(head, args, name=f"Z{i}")
+                        for i, (head, args) in enumerate(shapes)]
+    out, code = run_jobs(parse_instance_text(doc_text(dict(SHAPES_DOC, jobs=jobs))))
+    assert code == 0, [e["error"] for e in out["jobs"] if e["status"] == "error"]
+
+
+@pytest.mark.parametrize("head,case,args", MISFITS, ids=[f"{h}-{c}" for h, c, _ in MISFITS])
+def test_a_job_that_fits_no_signature_is_a_job_error(head, case, args):
+    doc = dict(SHAPES_DOC, jobs=[PRODUCT, shaped_job(head, args)])
+    out, code = run_jobs(parse_instance_text(doc_text(doc)))
+    assert code == 2
+    error = out["jobs"][1]["error"]
+    where = head if head in JOBS else f"build {head}"
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{where}: expected [")
+
+
+def test_run_exits_2_without_a_traceback_on_misfit_jobs(tmp_path):
+    import subprocess
+    import sys
+
+    doc = dict(SHAPES_DOC, jobs=[PRODUCT] + [shaped_job(head, args, name=f"Z{i}")
+                                             for i, (head, _, args) in enumerate(MISFITS)])
+    path = tmp_path / "misfits.json"
+    path.write_text(doc_text(doc))
+    proc = subprocess.run([sys.executable, "-m", "semih1", "run", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"errors={len(MISFITS)} " in proc.stdout
+
+
+# defined names, names built by earlier jobs, and one undefined name
+FUZZ_NAMES = ("Q", "N", "R", "C", "one", "P", "L", "Z0", "nope")
+FUZZ_MATRICES = ([["1"]], [["0", "1"]], [["1", "0"], ["0", "1"]], [[]])
+FUZZ_ARG = st.sampled_from(FUZZ_NAMES) | st.sampled_from(FUZZ_MATRICES)
+
+
+@st.composite
+def fuzz_jobs(draw):
+    jobs = [PRODUCT, {"cmd": "build", "kind": "theta-lau", "args": ["Q", "N", "one"],
+                      "name": "L"}]
+    for i in range(draw(st.integers(1, 4))):
+        job = {"cmd": draw(st.sampled_from(JOB_CMDS + ("nope",))),
+               "args": draw(st.lists(FUZZ_ARG, max_size=4))}
+        if job["cmd"] == "build":
+            job["kind"] = draw(st.sampled_from(BUILD_KINDS + ("nope",)))
+            job["name"] = f"Z{i}"
+        if job["cmd"] == "verify":
+            job["id"] = draw(st.sampled_from(VERIFY_IDS + ("nope",)))
+        if draw(st.booleans()):
+            job["map"] = draw(st.sampled_from(FUZZ_MATRICES))
+        jobs.append(job)
+    return jobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_jobs())
+def test_the_front_door_raises_only_its_own_errors(jobs):
+    try:
+        inst = parse_instance_text(doc_text(dict(SHAPES_DOC, jobs=jobs)))
+    except Semih1Error:
+        return
+    doc, code = run_jobs(inst)
+    assert code in (0, 2, 3)
+    assert render_text(doc).endswith("\n")
