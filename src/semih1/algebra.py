@@ -1,9 +1,11 @@
 """Structure-constant algebras, bimodules, and characters.
 
-An :class:`Algebra` of dimension n is the tensor ``mult[i][j]`` giving the
-coordinates of ``e_i * e_j``.  A :class:`BimoduleAction` adds left/right
-action tensors of an algebra on a module, and a :class:`ModuleAlgebra`
-couples a module's own multiplication with such an action.
+An :class:`Algebra` of dimension n keeps only its nonzero structure
+constants: ``mult[i][j]``, the slice of ``e_i * e_j``, is a tuple of
+``(k, c)`` pairs, k increasing and c a nonzero Fraction.  A
+:class:`BimoduleAction` adds left/right action grids of the same form, and a
+:class:`ModuleAlgebra` couples a module's own multiplication with such an
+action.  Public constructors take dense nested lists; nothing is kept dense.
 
 Every axiom validated here is one block of associativity
 (e_x e_y) e_z = e_x (e_y e_z) on basis vectors of the parts of a product:
@@ -14,17 +16,12 @@ every basis triple that breaks one, so downstream solvers may assume the
 axioms hold.
 """
 
-import itertools
-
 from .errors import (
     NotSubmodule,
     ShapeMismatch,
     ValidationFailed,
 )
-from .linalg import F0, F1, Matrix, Subspace, frac, kernel
-
-def zero_vector(n):
-    return [F0] * n
+from .linalg import F0, F1, Subspace, _pairs, frac, kernel_of_rows
 
 
 def unit_vector(n, i):
@@ -34,32 +31,61 @@ def unit_vector(n, i):
     return v
 
 
-def add_into(acc, vec, scale=F1):
-    for i, x in enumerate(vec):
+def _vector(sl, d):
+    """The dense vector of length d of a slice."""
+    v = [F0] * d
+    for k, c in sl:
+        v[k] = c
+    return v
+
+
+def _from_slices(cls, *fields):
+    """``cls(*fields)`` for an Algebra, BimoduleAction or CornerModule, tensors as slices."""
+    obj = object.__new__(cls)
+    for slot, value in zip(cls.__slots__, fields):
+        setattr(obj, slot, value)
+    return obj
+
+
+def _bilinear(tensor, u, v, d):
+    """sum u_i v_j (e_i e_j) over a grid of slices, as a dense vector of length d."""
+    out = [F0] * d
+    for i, x in enumerate(u):
         if x:
-            acc[i] += scale * x
-    return acc
-
-
-def vectors_equal(a, b):
-    return all(x == y for x, y in zip(a, b))
-
-
-def block_tensor(shape, blocks):
-    """A zero tensor of the given shape with each (offsets, block) copied in.
-
-    Entry [i][j][k] of a block lands at [o0 + i][o1 + j][o2 + k].
-    """
-    d0, d1, d2 = shape
-    out = [[zero_vector(d2) for _ in range(d1)] for _ in range(d0)]
-    for (o0, o1, o2), block in blocks:
-        for i, slab in enumerate(block):
-            for j, vec in enumerate(slab):
-                out[o0 + i][o1 + j][o2:o2 + len(vec)] = vec
+            ti = tensor[i]
+            for j, y in enumerate(v):
+                if y:
+                    xy = x * y
+                    for k, c in ti[j]:
+                        out[k] += xy * c
     return out
 
 
-def _coerce_tensor(tensor, d0, d1, d2, what):
+def _scaled(left, right, m):
+    """The grids of the action a.x = t1(a) x, x.a = t2(a) x on Q^m.
+
+    ``left`` and ``right`` are the values of t1 and t2 on the basis.
+    """
+    return ([[((p, v),) if v else () for p in range(m)] for v in left],
+            [[((p, v),) if v else () for v in right] for p in range(m)])
+
+
+def block_tensor(shape, blocks):
+    """A d0 x d1 grid of slices, ``shape = (d0, d1)``, with each (offsets, block) copied in.
+
+    Entry (k, c) of block slice [i][j] lands as (o2 + k, c) in slice
+    [o0 + i][o1 + j]; the blocks cover disjoint cells.
+    """
+    d0, d1 = shape
+    out = [[()] * d1 for _ in range(d0)]
+    for (o0, o1, o2), block in blocks:
+        for i, slab in enumerate(block):
+            out[o0 + i][o1:o1 + len(slab)] = [tuple((o2 + k, c) for k, c in sl) for sl in slab]
+    return out
+
+
+def _slices(tensor, d0, d1, d2, what):
+    """The d0 x d1 grid of slices of a dense d0 x d1 x d2 tensor, shape-checked."""
     if len(tensor) != d0:
         raise ShapeMismatch(f"{what}: expected {d0} slices, got {len(tensor)}")
     out = []
@@ -70,7 +96,7 @@ def _coerce_tensor(tensor, d0, d1, d2, what):
         for j, row in enumerate(slab):
             if len(row) != d2:
                 raise ShapeMismatch(f"{what}[{i}][{j}]: expected {d2} entries")
-            rows.append([frac(x) for x in row])
+            rows.append(_pairs([frac(x) for x in row]))
         out.append(rows)
     return out
 
@@ -105,9 +131,10 @@ class ValidationReport:
 class Algebra:
     """A finite-dimensional algebra given by structure constants.
 
-    ``mult[i][j]`` is the coordinate vector of ``e_i * e_j``; associativity
-    is an invariant checked by :func:`validate_algebra`, not assumed at
-    construction time.
+    The constructor takes ``mult`` dense, ``mult[i][j]`` the coordinate
+    vector of ``e_i * e_j``, and keeps the slice of each product.
+    Associativity is an invariant checked by :func:`validate_algebra`, not
+    assumed at construction time.
     """
 
     __slots__ = ("name", "dim", "mult")
@@ -115,26 +142,15 @@ class Algebra:
     def __init__(self, name, dim, mult):
         self.name = name
         self.dim = dim
-        self.mult = _coerce_tensor(mult, dim, dim, dim, f"mult tensor of {name}")
+        self.mult = _slices(mult, dim, dim, dim, f"mult tensor of {name}")
 
     def product(self, u, v):
         """Bilinear extension of the basis products to coordinate vectors."""
-        out = zero_vector(self.dim)
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            mi = self.mult[i]
-            for j, y in enumerate(v):
-                if y:
-                    add_into(out, mi[j], x * y)
-        return out
+        return _bilinear(self.mult, u, v, self.dim)
 
     def is_commutative(self):
-        return all(
-            vectors_equal(self.mult[i][j], self.mult[j][i])
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        return all(self.mult[i][j] == self.mult[j][i]
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
 
     def __repr__(self):
         return f"Algebra({self.name!r}, dim={self.dim})"
@@ -143,9 +159,9 @@ class Algebra:
 class BimoduleAction:
     """Left/right action tensors of an algebra A on a module U.
 
-    ``left[i][p]`` is the vector of ``e_i . u_p`` and ``right[p][i]`` the
-    vector of ``u_p . e_i``; the three bimodule axioms are checked by
-    :func:`validate_module`.
+    ``left[i][p]`` is the slice of ``e_i . u_p`` and ``right[p][i]`` that
+    of ``u_p . e_i``; the constructor takes them dense.  The three bimodule
+    axioms are checked by :func:`validate_module`.
     """
 
     __slots__ = ("algebra_dim", "module_dim", "left", "right")
@@ -153,51 +169,30 @@ class BimoduleAction:
     def __init__(self, algebra_dim, module_dim, left, right):
         self.algebra_dim = algebra_dim
         self.module_dim = module_dim
-        self.left = _coerce_tensor(left, algebra_dim, module_dim, module_dim, "left action")
-        self.right = _coerce_tensor(right, module_dim, algebra_dim, module_dim, "right action")
+        self.left = _slices(left, algebra_dim, module_dim, module_dim, "left action")
+        self.right = _slices(right, module_dim, algebra_dim, module_dim, "right action")
 
     @classmethod
     def trivial(cls, algebra_dim, module_dim):
-        zl = [[zero_vector(module_dim) for _ in range(module_dim)] for _ in range(algebra_dim)]
-        zr = [[zero_vector(module_dim) for _ in range(algebra_dim)] for _ in range(module_dim)]
-        return cls(algebra_dim, module_dim, zl, zr)
+        return _from_slices(cls, algebra_dim, module_dim,
+                            [[()] * module_dim for _ in range(algebra_dim)],
+                            [[()] * algebra_dim for _ in range(module_dim)])
 
     def act_left(self, avec, xvec):
-        out = zero_vector(self.module_dim)
-        for i, a in enumerate(avec):
-            if not a:
-                continue
-            li = self.left[i]
-            for p, x in enumerate(xvec):
-                if x:
-                    add_into(out, li[p], a * x)
-        return out
+        return _bilinear(self.left, avec, xvec, self.module_dim)
 
     def act_right(self, xvec, avec):
-        out = zero_vector(self.module_dim)
-        for p, x in enumerate(xvec):
-            if not x:
-                continue
-            rp = self.right[p]
-            for i, a in enumerate(avec):
-                if a:
-                    add_into(out, rp[i], x * a)
-        return out
+        return _bilinear(self.right, xvec, avec, self.module_dim)
 
     def is_symmetric(self):
         """True when a.x = x.a on every basis pair (a commutative bimodule)."""
-        return all(
-            vectors_equal(self.left[i][p], self.right[p][i])
-            for i in range(self.algebra_dim)
-            for p in range(self.module_dim)
-        )
+        return all(self.left[i][p] == self.right[p][i]
+                   for i in range(self.algebra_dim) for p in range(self.module_dim))
 
 
 def regular_action(a: Algebra) -> BimoduleAction:
     """A acting on itself by multiplication on both sides."""
-    left = [[a.mult[i][p] for p in range(a.dim)] for i in range(a.dim)]
-    right = [[a.mult[p][i] for i in range(a.dim)] for p in range(a.dim)]
-    return BimoduleAction(a.dim, a.dim, left, right)
+    return _from_slices(BimoduleAction, a.dim, a.dim, a.mult, a.mult)
 
 
 class ModuleAlgebra:
@@ -243,32 +238,32 @@ class Character:
         return sum((v * x for v, x in zip(self.values, vec)), F0)
 
 
-def hom_failure(f: Matrix, a: Algebra, b: Algebra):
+def hom_failure(f, a: Algebra, b: Algebra):
     """The first basis pair (i, j) of A with f(e_i e_j) != f(e_i) f(e_j), or None.
 
-    Row i of ``f`` is the image of e_i in B; pairs are scanned i-major.
+    ``f`` is a Matrix whose row i is the image of e_i in B; pairs are
+    scanned i-major.
     """
     for i in range(a.dim):
         for j in range(a.dim):
-            if f.apply(a.mult[i][j]) != b.product(f.data[i], f.data[j]):
+            if f.apply(_vector(a.mult[i][j], a.dim)) != b.product(f.data[i], f.data[j]):
                 return i, j
     return None
 
 
-_SCALARS = Algebra("Q", 1, [[[F1]]])
-
-
 def validate_character(t: Character) -> bool:
     """True iff t is nonzero and multiplicative on all basis products."""
-    image = Matrix.from_rows([[v] for v in t.values], cols=1)
-    return any(t.values) and hom_failure(image, t.base, _SCALARS) is None
+    v, mult = t.values, t.base.mult
+    return any(v) and all(sum((c * v[k] for k, c in mult[i][j]), F0) == v[i] * v[j]
+                          for i in range(len(v)) for j in range(len(v)))
 
 
 class CornerModule:
     """An (A,B)-bimodule: A acts on the left, B on the right.
 
-    This is the corner block of a block upper-triangular algebra; validation
-    checks (aa')m = a(a'm), m(bb') = (mb)b', and (am)b = a(mb).
+    This is the corner block of a block upper-triangular algebra; the
+    constructor takes the action tensors dense and keeps their slices.
+    Validation checks (aa')m = a(a'm), m(bb') = (mb)b', and (am)b = a(mb).
     """
 
     __slots__ = ("a_dim", "b_dim", "dim", "left", "right")
@@ -277,15 +272,15 @@ class CornerModule:
         self.a_dim = a_dim
         self.b_dim = b_dim
         self.dim = dim
-        self.left = _coerce_tensor(left, a_dim, dim, dim, "corner left action")
-        self.right = _coerce_tensor(right, dim, b_dim, dim, "corner right action")
+        self.left = _slices(left, a_dim, dim, dim, "corner left action")
+        self.right = _slices(right, dim, b_dim, dim, "corner right action")
 
 
 # Every axiom is one block (x, y, z) of associativity (e_x e_y) e_z = e_x (e_y e_z)
 # on basis vectors of the parts x, y, z.  A table is a tuple of loop nests;
-# the rows of one nest share a loop and are checked, and reported, triple by
-# triple.  A row is (axiom, parts xyz, scan): scan names the witness slot each
-# loop variable runs over, outermost first.
+# the rows of one nest share a loop and are reported triple by triple in it.
+# A row is (axiom, parts xyz, scan): scan names the witness slot each loop
+# variable runs over, outermost first.
 _ALGEBRA_LAWS = ((("(ab)c=a(bc)", "AAA", "xyz"),),)
 _MODULE_LAWS = (
     (("(ab)x=a(bx)", "AAU", "xyz"), ("x(ab)=(xa)b", "UAA", "yzx")),
@@ -303,34 +298,42 @@ _CORNER_LAWS = (
 def _associativity(subject, blocks, dims, laws) -> ValidationReport:
     """Report every basis triple (i, j, k) where a law of the table fails.
 
-    ``blocks[xyz][i][j]`` is the part-z vector of the product of basis vector
-    i of part x with basis vector j of part y, and ``dims`` the dimension of
-    each part; each pair of parts has at most one block.  A failure carries
-    lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k).
+    ``blocks[xyz][i][j]`` is the slice, in part z, of the product of basis
+    vector i of part x with basis vector j of part y, and ``dims`` the
+    dimension of each part; each pair of parts has at most one block.  A
+    failure carries lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k), dense.  A
+    nest visits, in its loop order, only the triples where e_i e_j or
+    e_j e_k is nonzero for one of its rows: elsewhere both sides are zero.
     """
     report = ValidationReport(subject)
     block_of = {key[:2]: key for key in blocks}
     for nest in laws:
-        checks = []
+        checks, loops = [], set()
         for axiom, (x, y, z), scan in nest:
             xy, yz = block_of[x + y], block_of[y + z]
             xy_z, x_yz = block_of[xy[2] + z], block_of[x + yz[2]]
-            slots = tuple(scan.index(s) for s in "xyz")
+            where = ["xyz".index(s) for s in scan]
+            for i, slab in enumerate(blocks[xy]):
+                for j, sl in enumerate(slab):
+                    if sl:
+                        loops.update(tuple((i, j, k)[w] for w in where) for k in range(dims[z]))
+            for j, slab in enumerate(blocks[yz]):
+                for k, sl in enumerate(slab):
+                    if sl:
+                        loops.update(tuple((i, j, k)[w] for w in where) for i in range(dims[x]))
             checks.append((axiom, blocks[xy], blocks[xy_z], blocks[yz], blocks[x_yz],
-                           dims[xy_z[2]], slots))
-        _, parts, scan = nest[0]
-        loops = [range(dims[parts["xyz".index(s)]]) for s in scan]
-        for loop in itertools.product(*loops):
+                           dims[xy_z[2]], [scan.index(s) for s in "xyz"]))
+        for loop in sorted(loops):
             for axiom, xy, xy_z, yz, x_yz, d, slots in checks:
                 i, j, k = (loop[s] for s in slots)
-                lhs = zero_vector(d)
-                for c, coef in enumerate(xy[i][j]):
-                    if coef:
-                        add_into(lhs, xy_z[c][k], coef)
-                rhs = zero_vector(d)
-                for c, coef in enumerate(yz[j][k]):
-                    if coef:
-                        add_into(rhs, x_yz[i][c], coef)
+                lhs = [F0] * d
+                for c, coef in xy[i][j]:
+                    for l, v in xy_z[c][k]:
+                        lhs[l] += coef * v
+                rhs = [F0] * d
+                for c, coef in yz[j][k]:
+                    for l, v in x_yz[i][c]:
+                        rhs[l] += coef * v
                 if lhs != rhs:
                     report.add(axiom, (i, j, k), lhs, rhs)
     return report
@@ -372,16 +375,20 @@ def validate_module(u: ModuleAlgebra, a: Algebra) -> ValidationReport:
                           {"A": a.dim, "U": u.dim}, _MODULE_LAWS)
 
 
+def _kernel_of_images(images, n) -> Subspace:
+    """{a in Q^n : sum_i a_i images[i] = 0}; images[i] lists (coordinate, value)."""
+    rows = {}
+    for i, image in enumerate(images):
+        for key, c in image:
+            row = rows.setdefault(key, {})
+            row[i] = row.get(i, F0) + c
+    return kernel_of_rows([[(i, c) for i, c in row.items() if c] for row in rows.values()], n)
+
+
 def annihilator_in_algebra(a: Algebra, u) -> Subspace:
     """ann_A U = {a in A : a.U = U.a = 0}, computed as a kernel."""
     act = u.action if isinstance(u, ModuleAlgebra) else u
-    n, m = act.algebra_dim, act.module_dim
-    rows = []
-    for p in range(m):
-        for q in range(m):
-            rows.append([act.left[i][p][q] for i in range(n)])
-            rows.append([act.right[p][i][q] for i in range(n)])
-    return kernel(Matrix.from_rows(rows, cols=n))
+    return relative_annihilator(Subspace.zero(act.module_dim), a, act)
 
 
 def annihilator_in_module(u: ModuleAlgebra) -> Subspace:
@@ -411,44 +418,40 @@ def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
         raise ShapeMismatch("submodule lives in the wrong ambient dimension")
     if not is_sub_bimodule(n_space, act):
         raise NotSubmodule("the given subspace is not closed under the actions")
-    n, m = act.algebra_dim, act.module_dim
-    rows = []
-    for p in range(m):
-        # residual of e_i.u_p (resp. u_p.e_i) modulo N, linear in the algebra slot
-        left_res = [n_space.reduce(act.left[i][p]) for i in range(n)]
-        right_res = [n_space.reduce(act.right[p][i]) for i in range(n)]
-        for q in range(m):
-            rows.append([left_res[i][q] for i in range(n)])
-            rows.append([right_res[i][q] for i in range(n)])
-    return kernel(Matrix.from_rows(rows, cols=n))
+    m = act.module_dim
+
+    def residual(sl):
+        # e_i.u_p (resp. u_p.e_i) modulo N, linear in the algebra slot
+        return _pairs(n_space.reduce(_vector(sl, m)))
+
+    return _kernel_of_images(
+        [[((p, 0, q), c) for p in range(m) for q, c in residual(act.left[i][p])]
+         + [((p, 1, q), c) for p in range(m) for q, c in residual(act.right[p][i])]
+         for i in range(act.algebra_dim)], act.algebra_dim)
 
 
 def center(a: Algebra) -> Subspace:
     """Z(A) = {z : z e_i = e_i z for every basis element}."""
     n = a.dim
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            rows.append([a.mult[j][i][k] - a.mult[i][j][k] for j in range(n)])
-    return kernel(Matrix.from_rows(rows, cols=n))
+    return _kernel_of_images(
+        [[((i, k), c) for i in range(n) for k, c in a.mult[j][i]]
+         + [((i, k), -c) for i in range(n) for k, c in a.mult[i][j]] for j in range(n)], n)
+
+
+def _span(grid, d) -> Subspace:
+    return Subspace.from_vectors(d, [_vector(sl, d) for slab in grid for sl in slab])
 
 
 def span_of_products(a: Algebra) -> Subspace:
     """The linear span of all basis products e_i e_j (the span of A^2)."""
-    return Subspace.from_vectors(a.dim, [a.mult[i][j] for i in range(a.dim) for j in range(a.dim)])
+    return _span(a.mult, a.dim)
 
 
 def span_left_action(act: BimoduleAction) -> Subspace:
     """Span of A.U inside U."""
-    return Subspace.from_vectors(
-        act.module_dim,
-        [act.left[i][p] for i in range(act.algebra_dim) for p in range(act.module_dim)],
-    )
+    return _span(act.left, act.module_dim)
 
 
 def span_right_action(act: BimoduleAction) -> Subspace:
     """Span of U.A inside U."""
-    return Subspace.from_vectors(
-        act.module_dim,
-        [act.right[p][i] for i in range(act.algebra_dim) for p in range(act.module_dim)],
-    )
+    return _span(act.right, act.module_dim)

@@ -12,70 +12,59 @@ from .algebra import (
     BimoduleAction,
     Character,
     ModuleAlgebra,
+    _from_slices,
     block_tensor,
     unit_vector,
-    zero_vector,
 )
 from .errors import ShapeMismatch
-from .linalg import F0, F1, Matrix, frac, rref
+from .linalg import F0, F1, Matrix, _pairs, frac, rref
 
 
 def field_q(name="Q") -> Algebra:
-    return Algebra(name, 1, [[[F1]]])
+    """The scalars: Q with e_0 e_0 = e_0."""
+    return _from_slices(Algebra, name, 1, [[((0, F1),)]])
 
 
 def matrix_algebra(k, name=None) -> Algebra:
     """M_k over the rationals; basis E_ij at index i*k + j."""
     n = k * k
-    mult = [[zero_vector(n) for _ in range(n)] for _ in range(n)]
+    mult = [[()] * n for _ in range(n)]
     for i in range(k):
         for j in range(k):
-            for l in range(k):
-                for t in range(k):
-                    if j == l:
-                        mult[i * k + j][l * k + t][i * k + t] = F1
-    return Algebra(name or f"M{k}", n, mult)
+            for t in range(k):
+                mult[i * k + j][j * k + t] = ((i * k + t, F1),)
+    return _from_slices(Algebra, name or f"M{k}", n, mult)
 
 
 def dual_numbers(name="D") -> Algebra:
     """Q[t]/(t^2): basis (1, t)."""
-    return Algebra(name, 2, [
-        [[F1, F0], [F0, F1]],
-        [[F0, F1], [F0, F0]],
-    ])
+    return _from_slices(Algebra, name, 2, [[((0, F1),), ((1, F1),)], [((1, F1),), ()]])
 
 
 def null_algebra(m, name=None) -> Algebra:
     """An m-dimensional algebra with all products zero."""
-    return Algebra(name or f"N{m}", m,
-                   [[zero_vector(m) for _ in range(m)] for _ in range(m)])
+    return _from_slices(Algebra, name or f"N{m}", m, [[()] * m for _ in range(m)])
 
 
 def cyclic_group_algebra(k, name=None) -> Algebra:
     """The group algebra of Z/k: e_i e_j = e_(i+j mod k)."""
-    mult = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            mult[i][j][(i + j) % k] = F1
-    return Algebra(name or f"C{k}", k, mult)
+    mult = [[(((i + j) % k, F1),) for j in range(k)] for i in range(k)]
+    return _from_slices(Algebra, name or f"C{k}", k, mult)
 
 
 def upper_triangular_2(name="T2") -> Algebra:
     """Upper-triangular 2x2 matrices; basis (E11, E12, E22)."""
-    mult = [[zero_vector(3) for _ in range(3)] for _ in range(3)]
-    mult[0][0][0] = F1  # E11 E11 = E11
-    mult[0][1][1] = F1  # E11 E12 = E12
-    mult[1][2][1] = F1  # E12 E22 = E12
-    mult[2][2][2] = F1  # E22 E22 = E22
-    return Algebra(name, 3, mult)
+    mult = [[((0, F1),), ((1, F1),), ()],   # E11 E11 = E11, E11 E12 = E12
+            [(), (), ((1, F1),)],           # E12 E22 = E12
+            [(), (), ((2, F1),)]]           # E22 E22 = E22
+    return _from_slices(Algebra, name, 3, mult)
 
 
 def direct_sum_algebra(a: Algebra, b: Algebra, name=None) -> Algebra:
     """Componentwise product A (+) B as a single structure tensor."""
-    n, m = a.dim, b.dim
-    t = n + m
-    mult = block_tensor((t, t, t), [((0, 0, 0), a.mult), ((n, n, n), b.mult)])
-    return Algebra(name or f"{a.name}+{b.name}", t, mult)
+    n, t = a.dim, a.dim + b.dim
+    mult = block_tensor((t, t), [((0, 0, 0), a.mult), ((n, n, n), b.mult)])
+    return _from_slices(Algebra, name or f"{a.name}+{b.name}", t, mult)
 
 
 def standard_characters(a: Algebra, family: str):
@@ -106,7 +95,7 @@ def standard_idempotents(a: Algebra, family: str):
         return [[F1, F0, F0], [F0, F0, F1], [F1, F0, F1]]
     if family == "matrix":
         k = int(round(a.dim ** 0.5))
-        unit = zero_vector(a.dim)
+        unit = [F0] * a.dim
         for i in range(k):
             unit[i * k + i] = F1
         return [unit]
@@ -132,14 +121,9 @@ def change_basis_algebra(a: Algebra, p: Matrix, name=None) -> Algebra:
         raise ShapeMismatch("basis change must be square of the algebra dimension")
     pinv = invert(p)
     n = a.dim
-    mult = []
-    for i in range(n):
-        slab = []
-        for j in range(n):
-            prod = a.product(p.data[i], p.data[j])
-            slab.append(pinv.apply(prod))
-        mult.append(slab)
-    return Algebra(name or f"{a.name}~", n, mult)
+    mult = [[_pairs(pinv.apply(a.product(p.data[i], p.data[j]))) for j in range(n)]
+            for i in range(n)]
+    return _from_slices(Algebra, name or f"{a.name}~", n, mult)
 
 
 def change_basis_action(act: BimoduleAction, pa: Matrix, pu: Matrix) -> BimoduleAction:
@@ -150,11 +134,11 @@ def change_basis_action(act: BimoduleAction, pa: Matrix, pu: Matrix) -> Bimodule
         raise ShapeMismatch("module basis change has the wrong shape")
     pu_inv = invert(pu)
     n, m = act.algebra_dim, act.module_dim
-    left = [[pu_inv.apply(act.act_left(pa.data[i], pu.data[p])) for p in range(m)]
+    left = [[_pairs(pu_inv.apply(act.act_left(pa.data[i], pu.data[p]))) for p in range(m)]
             for i in range(n)]
-    right = [[pu_inv.apply(act.act_right(pu.data[p], pa.data[i])) for i in range(n)]
+    right = [[_pairs(pu_inv.apply(act.act_right(pu.data[p], pa.data[i]))) for i in range(n)]
              for p in range(m)]
-    return BimoduleAction(n, m, left, right)
+    return _from_slices(BimoduleAction, n, m, left, right)
 
 
 def change_basis_module(u: ModuleAlgebra, pa: Matrix, pu: Matrix, name=None) -> ModuleAlgebra:

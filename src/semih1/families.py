@@ -15,6 +15,8 @@ from .algebra import (
     Character,
     CornerModule,
     ModuleAlgebra,
+    _from_slices,
+    _scaled,
     regular_action,
 )
 from .catalog import (
@@ -140,11 +142,8 @@ def random_algebra_sample(rng, max_dim, name="A", change_basis=None) -> AlgebraS
 def scaled_action(a: Algebra, left_char: Character, right_char: Character,
                   module_dim) -> BimoduleAction:
     """a.x = t1(a) x and x.a = t2(a) x; a bimodule for any characters."""
-    left = [[[left_char.values[i] if q == p else F0 for q in range(module_dim)]
-             for p in range(module_dim)] for i in range(a.dim)]
-    right = [[[right_char.values[i] if q == p else F0 for q in range(module_dim)]
-              for i in range(a.dim)] for p in range(module_dim)]
-    return BimoduleAction(a.dim, module_dim, left, right)
+    return _from_slices(BimoduleAction, a.dim, module_dim,
+                        *_scaled(left_char.values, right_char.values, module_dim))
 
 
 def random_module_sample(rng, a_sample: AlgebraSample, max_dim) -> ModuleAlgebra:
@@ -158,7 +157,7 @@ def random_module_sample(rng, a_sample: AlgebraSample, max_dim) -> ModuleAlgebra
         kinds.append("two-scaled-null")
     kind = rng.choice(kinds)
     if kind == "regular":
-        u = ModuleAlgebra(Algebra(a.name + "'", a.dim, a.mult), regular_action(a))
+        u = ModuleAlgebra(_from_slices(Algebra, a.name + "'", a.dim, a.mult), regular_action(a))
     elif kind == "trivial":
         ualg = random_algebra_sample(rng, max_dim, name="U").algebra
         u = ModuleAlgebra(ualg, BimoduleAction.trivial(a.dim, ualg.dim))
@@ -201,14 +200,16 @@ def random_product(rng, max_dim, allow_kinds=None):
         ualg = random_algebra_sample(rng, max_dim, name="U").algebra
         return theta_lau(a_sample.algebra, ualg, t), a_sample
     if kind == "unitization":
-        scalars = AlgebraSample(field_q(), standard_characters(field_q(), "field"),
-                                standard_idempotents(field_q(), "field"), "field")
+        q = field_q()
+        scalars = AlgebraSample(q, standard_characters(q, "field"),
+                                standard_idempotents(q, "field"), "field")
         prod = unitization(a_sample.algebra)
         return prod, scalars
     if kind == "alpha":
         # U = a fresh copy of A, so both the zero and the identity map are
         # algebra homomorphisms A -> U
-        ualg = Algebra(a_sample.algebra.name + "'", a_sample.dim, a_sample.algebra.mult)
+        ualg = _from_slices(Algebra, a_sample.algebra.name + "'", a_sample.dim,
+                            a_sample.algebra.mult)
         alpha = rng.choice([Matrix.zeros(a_sample.dim, a_sample.dim),
                             Matrix.identity(a_sample.dim),
                             Matrix.identity(a_sample.dim)])
@@ -226,12 +227,8 @@ def random_product(rng, max_dim, allow_kinds=None):
     ta = rng.choice(a_sample.characters)
     tb = rng.choice(b_sample.characters)
     md = rng.randint(1, max_dim)
-    corner = CornerModule(
-        a_sample.dim, b_sample.dim, md,
-        [[[ta.values[i] if q == p else F0 for q in range(md)] for p in range(md)]
-         for i in range(a_sample.dim)],
-        [[[tb.values[j] if q == p else F0 for q in range(md)] for j in range(b_sample.dim)]
-         for p in range(md)])
+    corner = _from_slices(CornerModule, a_sample.dim, b_sample.dim, md,
+                          *_scaled(ta.values, tb.values, md))
     return triangular(a_sample.algebra, b_sample.algebra, corner), a_sample
 
 

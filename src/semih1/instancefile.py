@@ -3,12 +3,15 @@
 The format is sparse and exact: structure constants are lists of
 ``{"i", "j", "k", "c"}`` entries with 0-based indices and string rationals
 matching ``-?[0-9]+(/[1-9][0-9]*)?`` (bare JSON integers are also
-accepted).  Every definition is validated once, at parse; jobs then execute
-in order against a registry seeded with the definitions and extended by
-``build`` jobs.  Each command is one row of ``JOBS`` and each build kind one
-of ``BUILDS``: argument signatures and a handler.  A job that fits no
-signature is a ``ParseError`` job error.  Builds call the ``products``
-constructors, which skip the checks that a valid definition implies.
+accepted).  Entries on one index triple add up, a sum of zero being no
+entry, and parse straight into the slices of :mod:`.algebra`: one cell per
+index pair, never one per triple.  Every definition is validated once, at
+parse; jobs then execute in order against a registry seeded with the
+definitions and extended by ``build`` jobs.  Each command is one row of
+``JOBS`` and each build kind one of ``BUILDS``: argument signatures and a
+handler.  A job that fits no signature is a ``ParseError`` job error.
+Builds call the ``products`` constructors, which skip the checks that a
+valid definition implies.
 """
 
 import json
@@ -21,12 +24,12 @@ from .algebra import (
     Character,
     CornerModule,
     ModuleAlgebra,
+    _from_slices,
     regular_action,
     validate_algebra,
     validate_character,
     validate_corner,
     validate_module,
-    zero_vector,
 )
 from .errors import (
     ParseError,
@@ -34,7 +37,7 @@ from .errors import (
     UnresolvedReference,
     ValidationFailed,
 )
-from .linalg import Matrix, frac
+from .linalg import F0, Matrix, frac
 from .products import (
     alpha_product,
     direct_product,
@@ -72,7 +75,7 @@ class InstanceFile:
 
 
 def _rat(value, where):
-    if isinstance(value, int):
+    if type(value) is int:  # a JSON true or false is no number
         return frac(value)
     if isinstance(value, str):
         if not RATIONAL_RE.match(value):
@@ -94,8 +97,9 @@ def _named_list(doc, key):
 
 
 def _sparse_tensor(entries, shape, keys, where):
+    """The d0 x d1 grid of slices of a list of sparse entries."""
     d0, d1, d2 = shape
-    tensor = [[zero_vector(d2) for _ in range(d1)] for _ in range(d0)]
+    cells = {}
     _expect(entries, list, where)
     for pos, entry in enumerate(entries):
         _expect(entry, dict, f"{where}[{pos}]")
@@ -109,10 +113,14 @@ def _sparse_tensor(entries, shape, keys, where):
         except KeyError as missing:
             raise ParseError(f"missing key {missing}", here)
         for idx, bound, label in ((a, d0, keys[0]), (b, d1, keys[1]), (c, d2, keys[2])):
-            if not isinstance(idx, int) or not (0 <= idx < bound):
+            if type(idx) is not int or not (0 <= idx < bound):
                 raise ParseError(f"index {label}={idx!r} out of range [0,{bound})", here)
-        tensor[a][b][c] += _rat(val, here)
-    return tensor
+        cell = cells.setdefault((a, b), {})
+        cell[c] = cell.get(c, F0) + _rat(val, here)
+    grid = [[()] * d1 for _ in range(d0)]
+    for (a, b), cell in cells.items():
+        grid[a][b] = tuple(sorted((k, x) for k, x in cell.items() if x))
+    return grid
 
 
 def _matrix_arg(value, where) -> Matrix:
@@ -150,11 +158,11 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
         if name in algebras:
             raise ParseError(f"duplicate algebra {name!r}", here)
         dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise ParseError("dim must be a nonnegative integer", f"{here}.dim")
         mult = _sparse_tensor(spec.get("mult", []), (dim, dim, dim),
                               ("i", "j", "k"), f"{here}.mult")
-        alg = Algebra(name, dim, mult)
+        alg = _from_slices(Algebra, name, dim, mult)
         report = validate_algebra(alg)
         if not report.ok:
             raise ValidationFailed(f"algebra {name!r}: " + report.describe(), report)
@@ -165,6 +173,8 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
         here = f"characters[{pos}]"
         _expect(spec, dict, here)
         name = _expect(spec.get("name"), str, f"{here}.name")
+        if name in algebras:
+            raise ParseError(f"duplicate name {name!r}", here)
         over = _expect(spec.get("over"), str, f"{here}.over")
         if over not in algebras:
             raise UnresolvedReference(f"{here}: unknown algebra {over!r}")
@@ -185,13 +195,13 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
         here = f"modules[{pos}]"
         _expect(spec, dict, here)
         name = _expect(spec.get("name"), str, f"{here}.name")
-        if name in modules or name in corners or name in algebras:
+        if any(name in table for table in (modules, corners, algebras, characters)):
             raise ParseError(f"duplicate name {name!r}", here)
         over = _expect(spec.get("over"), str, f"{here}.over")
         if over not in algebras:
             raise UnresolvedReference(f"{here}: unknown algebra {over!r}")
         dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise ParseError("dim must be a nonnegative integer", f"{here}.dim")
         a = algebras[over]
         right_over = spec.get("right_over")
@@ -208,7 +218,7 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
                                   ("i", "p", "q"), f"{here}.left")
             right = _sparse_tensor(spec.get("right", []), (dim, b.dim, dim),
                                    ("p", "i", "q"), f"{here}.right")
-            corner = CornerModule(a.dim, b.dim, dim, left, right)
+            corner = _from_slices(CornerModule, a.dim, b.dim, dim, left, right)
             report = validate_corner(corner, a, b)
             if not report.ok:
                 raise ValidationFailed(f"module {name!r}: " + report.describe(), report)
@@ -220,11 +230,11 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
                               ("i", "p", "q"), f"{here}.left")
         right = _sparse_tensor(spec.get("right", []), (dim, a.dim, dim),
                                ("p", "i", "q"), f"{here}.right")
-        ualg = Algebra(name, dim, mult)
+        ualg = _from_slices(Algebra, name, dim, mult)
         report = validate_algebra(ualg)
         if not report.ok:
             raise ValidationFailed(f"module {name!r}: " + report.describe(), report)
-        mod = ModuleAlgebra(ualg, BimoduleAction(a.dim, dim, left, right))
+        mod = ModuleAlgebra(ualg, _from_slices(BimoduleAction, a.dim, dim, left, right))
         report = validate_module(mod, a)
         if not report.ok:
             raise ValidationFailed(f"module {name!r}: " + report.describe(), report)

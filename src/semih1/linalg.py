@@ -45,8 +45,11 @@ def frac(x) -> Fraction:
 
 
 def _pairs(row):
-    """The nonzero entries of a dense row as ``(column, value)`` pairs."""
-    return [(j, x) for j, x in enumerate(row) if x]
+    """The nonzero entries of a dense row as a tuple of ``(column, value)`` pairs.
+
+    This is also the slice of a vector in the structure tensors of :mod:`.algebra`.
+    """
+    return tuple([(j, x) for j, x in enumerate(row) if x])
 
 
 def _subtract(row, f, prow):

@@ -20,7 +20,9 @@ from .algebra import (
     Character,
     CornerModule,
     ModuleAlgebra,
-    add_into,
+    _from_slices,
+    _scaled,
+    _vector,
     block_tensor,
     hom_failure,
     regular_action,
@@ -29,9 +31,8 @@ from .algebra import (
     validate_character,
     validate_corner,
     validate_module,
-    vectors_equal,
 )
-from .catalog import null_algebra
+from .catalog import field_q, null_algebra
 from .errors import (
     GammaIdentityFailed,
     InvalidCharacter,
@@ -39,7 +40,7 @@ from .errors import (
     NotHomomorphism,
     ShapeMismatch,
 )
-from .linalg import F0, F1, Matrix
+from .linalg import F1, Matrix, _pairs
 
 
 class SemidirectAlgebra:
@@ -80,12 +81,10 @@ class SemidirectAlgebra:
 
     def action_is_trivial(self):
         act = self.part_u.action
-        return all(
-            not c for block in (act.left, act.right) for slab in block for row in slab for c in row
-        )
+        return not any(sl for block in (act.left, act.right) for slab in block for sl in slab)
 
     def u_square_is_zero(self):
-        return all(not c for slab in self.part_u.algebra.mult for row in slab for c in row)
+        return not any(sl for slab in self.part_u.algebra.mult for sl in slab)
 
     def __repr__(self):
         return f"SemidirectAlgebra({self.name!r}, n={self.n}, m={self.m}, kind={self.kind!r})"
@@ -95,9 +94,9 @@ def _assemble(a: Algebra, u: ModuleAlgebra, name, kind, character=None, alpha=No
     """A x| U filled from :func:`semidirect_blocks`; callers vouch for the module laws."""
     n, t = a.dim, a.dim + u.dim
     offset = {"A": 0, "U": n}
-    mult = block_tensor((t, t, t), [((offset[x], offset[y], offset[z]), block)
-                                    for (x, y, z), block in semidirect_blocks(a, u).items()])
-    return SemidirectAlgebra(Algebra(name, t, mult), a, u, kind,
+    mult = block_tensor((t, t), [((offset[x], offset[y], offset[z]), block)
+                                 for (x, y, z), block in semidirect_blocks(a, u).items()])
+    return SemidirectAlgebra(_from_slices(Algebra, name, t, mult), a, u, kind,
                              character=character, alpha=alpha)
 
 
@@ -143,9 +142,10 @@ def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> Semid
         raise NotBimodule(report.describe())
     base = direct_product(a, b).total
     n, nb, md = a.dim, b.dim, corner.dim
-    left = block_tensor((n + nb, md, md), [((0, 0, 0), corner.left)])
-    right = block_tensor((md, n + nb, md), [((0, n, 0), corner.right)])
-    mod = ModuleAlgebra(null_algebra(md, name="M"), BimoduleAction(n + nb, md, left, right))
+    left = block_tensor((n + nb, md), [((0, 0, 0), corner.left)])
+    right = block_tensor((md, n + nb), [((0, n, 0), corner.right)])
+    mod = ModuleAlgebra(null_algebra(md, name="M"),
+                        _from_slices(BimoduleAction, n + nb, md, left, right))
     return _assemble(base, mod, name or f"tri({a.name},{b.name})", "triangular")
 
 
@@ -160,18 +160,15 @@ def theta_lau(a: Algebra, u: Algebra, t: Character, name=None,
     char = Character(a, t.values)
     if not validate_character(char):
         raise InvalidCharacter("character must be nonzero and multiplicative")
-    m = u.dim
-    left = [[[char.values[i] if q == p else F0 for q in range(m)] for p in range(m)]
-            for i in range(a.dim)]
-    right = [[[char.values[i] if q == p else F0 for q in range(m)] for i in range(a.dim)]
-             for p in range(m)]
-    mod = ModuleAlgebra(u, BimoduleAction(a.dim, m, left, right))
+    values = char.values
+    mod = ModuleAlgebra(u, _from_slices(BimoduleAction, a.dim, u.dim,
+                                        *_scaled(values, values, u.dim)))
     return _assemble(a, mod, name or f"lau({a.name},{u.name})", kind, character=char)
 
 
 def unitization(u: Algebra, name=None) -> SemidirectAlgebra:
     """Adjoin a unit: the scaled-action product of the scalars with U."""
-    scalars = Algebra("Q", 1, [[[F1]]])
+    scalars = field_q()
     return theta_lau(scalars, u, Character(scalars, [F1]),
                      name=name or f"unit({u.name})", kind="unitization")
 
@@ -190,9 +187,9 @@ def alpha_product(a: Algebra, u: Algebra, alpha: Matrix, name=None) -> Semidirec
     _check_algebra_hom(a, u, alpha)
     m = u.dim
     basis = [unit_vector(m, p) for p in range(m)]
-    left = [[u.product(alpha.data[i], basis[p]) for p in range(m)] for i in range(a.dim)]
-    right = [[u.product(basis[p], alpha.data[i]) for i in range(a.dim)] for p in range(m)]
-    mod = ModuleAlgebra(u, BimoduleAction(a.dim, m, left, right))
+    left = [[_pairs(u.product(alpha.data[i], basis[p])) for p in range(m)] for i in range(a.dim)]
+    right = [[_pairs(u.product(basis[p], alpha.data[i])) for i in range(a.dim)] for p in range(m)]
+    mod = ModuleAlgebra(u, _from_slices(BimoduleAction, a.dim, m, left, right))
     # the compatibility laws are instances of U's own associativity
     validate_module(mod, a).raise_if_failed()
     return _assemble(a, mod, name or f"ad({a.name},{u.name})", "alpha", alpha=alpha)
@@ -228,9 +225,9 @@ def fixture_nonzero_tau1(b: Algebra):
     n = b.dim
     base = module_extension(b, regular_action(b), u_name=b.name, name=f"T({b.name},{b.name})")
     ta = base.total  # dim 2n; first copy is the subalgebra, second the ideal
-    left = block_tensor((2 * n, n, n), [((0, 0, 0), b.mult)])
-    right = block_tensor((n, 2 * n, n), [((0, 0, 0), b.mult)])
-    action = BimoduleAction(2 * n, n, left, right)
+    left = block_tensor((2 * n, n), [((0, 0, 0), b.mult)])
+    right = block_tensor((n, 2 * n), [((0, 0, 0), b.mult)])
+    action = _from_slices(BimoduleAction, 2 * n, n, left, right)
     prod = module_extension(ta, action, u_name=b.name, name=f"T(T({b.name},{b.name}),{b.name})")
     t = prod.dim
     d = Matrix.zeros(t, t)
@@ -260,23 +257,23 @@ def fixture_paired_tau_blocks(a: Algebra, c_action: BimoduleAction, gamma: Matri
     for i in range(n):
         ei = unit_vector(n, i)
         for p in range(nc):
-            if not vectors_equal(gamma.apply(c_action.left[i][p]), a.product(ei, gamma.data[p])):
+            if gamma.apply(_vector(c_action.left[i][p], nc)) != a.product(ei, gamma.data[p]):
                 raise NotHomomorphism(f"gamma(a.c) != a gamma(c) at (a,c)=({i},{p})")
-            if not vectors_equal(gamma.apply(c_action.right[p][i]), a.product(gamma.data[p], ei)):
+            if gamma.apply(_vector(c_action.right[p][i], nc)) != a.product(gamma.data[p], ei):
                 raise NotHomomorphism(f"gamma(c.a) != gamma(c) a at (c,a)=({p},{i})")
     for p in range(nc):
         for q in range(nc):
-            pair = c_action.act_right(basis_c[p], gamma.data[q])
-            add_into(pair, c_action.act_left(gamma.data[p], basis_c[q]))
-            if any(pair):
+            pair = zip(c_action.act_right(basis_c[p], gamma.data[q]),
+                       c_action.act_left(gamma.data[p], basis_c[q]))
+            if any(x + y for x, y in pair):
                 raise GammaIdentityFailed(
                     f"c.gamma(c') + gamma(c).c' != 0 at (c,c')=({p},{q})", witness=(p, q))
     mu = n + nc
     # U = A x C with multiplication (x,y)(x',y') = (xx', 0)
-    ualg = Algebra(f"{a.name}xC", mu, block_tensor((mu, mu, mu), [((0, 0, 0), a.mult)]))
-    left = block_tensor((n, mu, mu), [((0, 0, 0), a.mult), ((0, n, n), c_action.left)])
-    right = block_tensor((mu, n, mu), [((0, 0, 0), a.mult), ((n, 0, n), c_action.right)])
-    mod = ModuleAlgebra(ualg, BimoduleAction(n, mu, left, right))
+    ualg = _from_slices(Algebra, f"{a.name}xC", mu, block_tensor((mu, mu), [((0, 0, 0), a.mult)]))
+    left = block_tensor((n, mu), [((0, 0, 0), a.mult), ((0, n, n), c_action.left)])
+    right = block_tensor((mu, n), [((0, 0, 0), a.mult), ((n, 0, n), c_action.right)])
+    mod = ModuleAlgebra(ualg, _from_slices(BimoduleAction, n, mu, left, right))
     prod = semidirect(a, mod, name=f"sd({a.name},{ualg.name})")
     t = prod.dim
     d = Matrix.zeros(t, t)

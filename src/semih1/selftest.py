@@ -14,6 +14,7 @@ import random
 from importlib import resources
 
 from .algebra import (
+    _vector,
     regular_action,
     span_left_action,
     span_right_action,
@@ -77,18 +78,18 @@ def _fail(check, detail=""):
 def _check_structure(p):
     if not validate_algebra(p.total).ok:
         _fail("total-associative", p.name)
-    n, m, t = p.n, p.m, p.dim
+    n, t = p.n, p.dim
     mult = p.total.mult
     for i in range(n):
         for j in range(n):
-            if any(mult[i][j][n:]):
+            if any(k >= n for k, _ in mult[i][j]):
                 _fail("a-block-closed", (i, j))
-            if mult[i][j][:n] != p.part_a.mult[i][j]:
+            if tuple(e for e in mult[i][j] if e[0] < n) != p.part_a.mult[i][j]:
                 _fail("quotient-reproduces-a", (i, j))
     for r in range(t):
         for s in range(t):
             if r >= n or s >= n:
-                if any(mult[r][s][:n]):
+                if any(k < n for k, _ in mult[r][s]):
                     _fail("u-block-ideal", (r, s))
     comm_expected = (p.part_a.is_commutative() and p.part_u.algebra.is_commutative()
                      and p.part_u.action.is_symmetric())
@@ -148,13 +149,13 @@ def _check_twisting_identities(p):
         for j in range(n):
             for pp in range(m):
                 up = eu[pp]
-                lhs = ra.apply(act.left[j][pp])
+                lhs = ra.apply(_vector(act.left[j][pp], m))
                 rhs = act.act_left(ea[j], ra.data[pp])
                 for q, cc in enumerate(act.act_left(ida.data[j], up)):
                     rhs[q] += cc
                 if lhs != rhs:
                     _fail("r_a(bx)-identity", (i, j, pp))
-                lhs = ra.apply(act.right[pp][j])
+                lhs = ra.apply(_vector(act.right[pp][j], m))
                 rhs = act.act_right(ra.data[pp], ea[j])
                 for q, cc in enumerate(act.act_right(up, ida.data[j])):
                     rhs[q] += cc
@@ -166,13 +167,13 @@ def _check_twisting_identities(p):
         for i in range(n):
             for pp in range(m):
                 up = eu[pp]
-                lhs = idu.apply(act.left[i][pp])
+                lhs = idu.apply(_vector(act.left[i][pp], m))
                 rhs = act.act_left(ea[i], idu.data[pp])
                 for q, cc in enumerate(u.algebra.product(ida.data[i], up)):
                     rhs[q] += cc
                 if lhs != rhs:
                     _fail("id_Ux(ax)-identity", (p0, i, pp))
-                lhs = idu.apply(act.right[pp][i])
+                lhs = idu.apply(_vector(act.right[pp][i], m))
                 rhs = act.act_right(idu.data[pp], ea[i])
                 for q, cc in enumerate(u.algebra.product(up, ida.data[i])):
                     rhs[q] += cc
@@ -212,10 +213,8 @@ def _check_ideal_split_law(p, a_sample):
     d1, _ = a_sample.split
     act = p.part_u.action
     n, m = p.n, p.m
-    i2_kills = all(not c for i in range(d1, n) for pp in range(m)
-                   for c in act.left[i][pp])
-    u_kills_i1 = all(not c for pp in range(m) for i in range(d1)
-                     for c in act.right[pp][i])
+    i2_kills = not any(act.left[i][pp] for i in range(d1, n) for pp in range(m))
+    u_kills_i1 = not any(act.right[pp][i] for pp in range(m) for i in range(d1))
     if not (i2_kills and u_kills_i1):
         return
     full_span = (span_left_action(act).dim == m) or (span_right_action(act).dim == m)

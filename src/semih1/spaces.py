@@ -9,13 +9,13 @@ them.
 It also owns the one vocabulary for linear constraints on such maps.  A
 :class:`RowGroup` is a named bilinear identity in basis pairs ``(x, y)``;
 each of its rows, one per ``(x, y, k)``, is a signed sum of terms of three
-shapes, ``D(xy)``, ``(Dx)y`` and ``x(Dy)``, where the product is a structure
-tensor (``B[x][y]`` holds the coordinates of the product of basis vectors x
-and y) and ``D`` is one block of the unknown map, placed at an offset of the
-flattened coordinates.  :func:`solve` is the one place where groups become a
-canonical kernel; :func:`first_failure` evaluates a group on one flattened
-map and returns its first failing basis pair, the witness a per-matrix check
-reports.
+shapes, ``D(xy)``, ``(Dx)y`` and ``x(Dy)``, where the product is a grid of
+slices (``B[x][y]`` holds the nonzero ``(k, c)`` coordinates of the product
+of basis vectors x and y, as in :mod:`.algebra`) and ``D`` is one block of
+the unknown map, placed at an offset of the flattened coordinates.
+:func:`solve` is the one place where groups become a canonical kernel;
+:func:`first_failure` evaluates a group on one flattened map and returns
+its first failing basis pair, the witness a per-matrix check reports.
 
 Computed spaces:
 
@@ -38,6 +38,7 @@ from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
 from .linalg import (
     F0,
     Matrix,
+    _pairs,
     Subspace,
     kernel,
     kernel_of_rows,
@@ -61,26 +62,38 @@ class RowGroup:
     """A named bilinear identity, one linear row per (x, y, k).
 
     ``dims`` is ``(dx, dy, dk)``: basis pairs (x, y) and output coordinates
-    k.  ``terms`` lists ``(sign, shape, tensor, place)``.  With ``place =
-    (row_offset, col_offset, width)`` the block D has entry ``D[r][s]`` at
-    flat coordinate ``(row_offset + r) * width + col_offset + s``, and row
-    (x, y, k) gets ``sign`` times coordinate k of
+    k.  ``terms`` lists ``(sign, shape, tensor, place)``, each tensor a grid
+    of slices.  With ``place = (row_offset, col_offset, width)`` the block D
+    has entry ``D[r][s]`` at flat coordinate ``(row_offset + r) * width +
+    col_offset + s``, and row (x, y, k) gets ``sign`` times coordinate k of
 
     * ``D(xy)``: ``sum_l tensor[x][y][l] D[l]``,
     * ``(Dx)y``: ``sum_l D[x][l] tensor[l][y]``,
     * ``x(Dy)``: ``sum_l tensor[x][l] D[y][l]``.
 
-    Pairs are scanned x-major, or y-major when ``y_major`` is set; the
-    first pair with a nonzero row is the group's witness.
+    Each term is indexed once, at construction, by the slot pair a row
+    looks it up with: ``(x, y)``, ``(y, k)`` and ``(x, k)`` respectively,
+    each giving the signed ``(l, c)`` pairs of the sum.  Pairs are scanned
+    x-major, or y-major when ``y_major`` is set; the first pair with a
+    nonzero row is the group's witness.
     """
 
-    __slots__ = ("name", "dims", "terms", "y_major")
+    __slots__ = ("name", "dims", "terms", "y_major", "_index")
 
     def __init__(self, name, dims, terms, y_major=False):
         self.name = name
         self.dims = dims
         self.terms = terms
         self.y_major = y_major
+        self._index = []
+        for sign, shape, tensor, (r0, c0, width) in terms:
+            by = {}
+            for a, slab in enumerate(tensor):
+                for b, sl in enumerate(slab):
+                    for k, c in sl:
+                        key, l = {OUT: ((a, b), k), LEFT: ((b, k), a), RIGHT: ((a, k), b)}[shape]
+                        by.setdefault(key, []).append((l, c if sign > 0 else -c))
+            self._index.append((shape, r0, c0, width, by))
 
     def pairs(self):
         dx, dy, _ = self.dims
@@ -91,23 +104,15 @@ class RowGroup:
     def row(self, x, y, k):
         """The nonzero (flat coordinate, coefficient) entries of row (x, y, k)."""
         out = []
-        for sign, shape, tensor, (r0, c0, width) in self.terms:
+        for shape, r0, c0, width, by in self._index:
             if shape == OUT:
-                for l, c in enumerate(tensor[x][y]):
-                    if c:
-                        out.append(((r0 + l) * width + c0 + k, c if sign > 0 else -c))
+                out += [((r0 + l) * width + c0 + k, c) for l, c in by.get((x, y), ())]
             elif shape == LEFT:
                 base = (r0 + x) * width + c0
-                for l, slab in enumerate(tensor):
-                    c = slab[y][k]
-                    if c:
-                        out.append((base + l, c if sign > 0 else -c))
+                out += [(base + l, c) for l, c in by.get((y, k), ())]
             else:
                 base = (r0 + y) * width + c0
-                for l, vec in enumerate(tensor[x]):
-                    c = vec[k]
-                    if c:
-                        out.append((base + l, c if sign > 0 else -c))
+                out += [(base + l, c) for l, c in by.get((x, k), ())]
         return out
 
 
@@ -166,7 +171,7 @@ def kills(name, tensor, place, dk) -> RowGroup:
 def lands_in(name, target: Subspace, place, dx) -> RowGroup:
     """D(e_x) lies in ``target`` for x < dx: its residual mod ``target`` vanishes."""
     d = target.ambient
-    residual = [[target.reduce(unit_vector(d, l))] for l in range(d)]
+    residual = [[_pairs(target.reduce(unit_vector(d, l)))] for l in range(d)]
     return RowGroup(name, (dx, 1, d), [(1, LEFT, residual, place)])
 
 
@@ -233,10 +238,10 @@ def _inner_generators(a: Algebra, m) -> Matrix:
     for p in range(md):
         row = gen.data[p]
         for i in range(n):
-            for q in range(md):
-                c = act.left[i][p][q] - act.right[p][i][q]
-                if c:
-                    row[map_index(i, q, md)] = c
+            for q, c in act.left[i][p]:
+                row[map_index(i, q, md)] += c
+            for q, c in act.right[p][i]:
+                row[map_index(i, q, md)] -= c
     return gen
 
 

@@ -36,6 +36,7 @@ an expected outcome.
 """
 
 from .algebra import (
+    _scaled,
     annihilator_in_algebra,
     annihilator_in_module,
     center,
@@ -784,9 +785,8 @@ def _is_scaled(p):
     """True when p carries a character t and acts by a.x = x.a = t(a) x."""
     if p.character is None:
         return False
-    theta, act = p.character.values, p.part_u.action
-    return all(act.left[i][pp][q] == act.right[pp][i][q] == (theta[i] if q == pp else F0)
-               for i in range(p.n) for pp in range(p.m) for q in range(p.m))
+    act, theta = p.part_u.action, p.character.values
+    return (act.left, act.right) == _scaled(theta, theta, p.m)
 
 
 # construction -> (what a rule on it needs, the test that a product is one)

@@ -211,3 +211,21 @@ def brute_assoc_failures(mult):
                 if lhs != rhs:
                     failures.append((i, j, k))
     return failures
+
+
+def dense(tensor, width):
+    """The dense ``[i][j][k]`` lists of a grid of slices.
+
+    Slice ``tensor[i][j]`` lists the nonzero ``(k, c)`` coordinates of one
+    product; ``width`` is the range of k.
+    """
+    out = []
+    for slab in tensor:
+        rows = []
+        for entries in slab:
+            vec = [Fraction(0)] * width
+            for k, c in entries:
+                vec[k] = c
+            rows.append(vec)
+        out.append(rows)
+    return out

@@ -25,7 +25,7 @@ from semih1.algebra import (
 from semih1.catalog import dual_numbers, matrix_algebra, upper_triangular_2
 from semih1.families import random_product
 
-from _oracle import brute_assoc_failures
+from _oracle import brute_assoc_failures, dense
 
 # the parts (x, y, z) of the witness (i, j, k) each law reports
 MODULE_LAWS = {"(ab)x=a(bx)": "AAU", "x(ab)=(xa)b": "UAA", "(ax)b=a(xb)": "AUA",
@@ -46,7 +46,7 @@ def assemble(dims, blocks):
         t += d
     mult = [[[0] * t for _ in range(t)] for _ in range(t)]
     for (x, y, z), block in blocks.items():
-        for i, row in enumerate(block):
+        for i, row in enumerate(dense(block, dims[z])):
             for j, vec in enumerate(row):
                 for k, c in enumerate(vec):
                     mult[offset[x] + i][offset[y] + j][offset[z] + k] = c
@@ -109,8 +109,7 @@ def test_invalid_factors_fail_exactly_where_the_total_does():
 @pytest.mark.parametrize("a", [dual_numbers(), upper_triangular_2(), matrix_algebra(2)],
                          ids=lambda a: a.name)
 def test_regular_corner_gives_an_associative_triangular_algebra(a):
-    corner = CornerModule(a.dim, a.dim, a.dim, [row[:] for row in a.mult],
-                          [[a.mult[p][j] for j in range(a.dim)] for p in range(a.dim)])
+    corner = CornerModule(a.dim, a.dim, a.dim, dense(a.mult, a.dim), dense(a.mult, a.dim))
     assert check_triangular(a, a, corner) == set()
 
 

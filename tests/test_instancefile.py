@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from semih1.instancefile import (
     render_text,
     run_jobs,
 )
+
+from _oracle import dense
 
 
 def doc_text(doc):
@@ -61,7 +64,7 @@ def test_rational_strings_are_exact():
         "jobs": [{"cmd": "z1", "args": ["S"]}],
     }
     inst = parse_instance_text(doc_text(doc))
-    assert inst.algebras["S"].mult[0][0][0] == 1  # 1/3 + 2/3 accumulates exactly
+    assert dense(inst.algebras["S"].mult, 1)[0][0][0] == 1  # 1/3 + 2/3 accumulates exactly
 
 
 def test_bad_rational_rejected():
@@ -80,6 +83,42 @@ def test_out_of_range_index_rejected():
     with pytest.raises(ParseError) as err:
         parse_instance_text(doc_text(doc))
     assert "k=1" in str(err.value)
+
+
+def test_index_and_rational_that_are_booleans_rejected():
+    for entry in ({"i": True, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 0, "k": 0, "c": True}):
+        with pytest.raises(ParseError):
+            parse_instance_text(doc_text({"algebras": [{"name": "S", "dim": 2, "mult": [entry]}]}))
+
+
+def test_a_large_sparse_algebra_parses_without_dense_cells():
+    # one nonzero entry in dimension 80: parsing must not allocate the
+    # 512000 cells of a dense tensor (about 9 MB of Fractions and lists)
+    text = doc_text({"algebras": [{"name": "E", "dim": 80,
+                                   "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}]})
+    tracemalloc.start()
+    try:
+        inst = parse_instance_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.algebras["E"].dim == 80
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("defs", [
+    {"characters": [{"name": "Q", "over": "Q", "values": ["1"]}]},
+    {"characters": [{"name": "one", "over": "Q", "values": ["1"]}],
+     "modules": [{"name": "one", "over": "Q", "dim": 0}]},
+    {"algebras": [{"name": "B", "dim": 1, "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}],
+     "characters": [{"name": "one", "over": "Q", "values": ["1"]}],
+     "modules": [{"name": "one", "over": "Q", "right_over": "B", "dim": 0}]},
+], ids=["character-algebra", "module-character", "corner-character"])
+def test_a_name_shared_across_kinds_is_rejected(defs):
+    doc = dict(defs, algebras=MINIMAL["algebras"] + defs.get("algebras", []))
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(doc_text(doc))
+    assert "duplicate name" in str(err.value)
 
 
 def test_unresolved_references_rejected():
@@ -403,3 +442,87 @@ def test_the_front_door_raises_only_its_own_errors(jobs):
     doc, code = run_jobs(inst)
     assert code in (0, 2, 3)
     assert render_text(doc).endswith("\n")
+
+
+# Sparse structure constants at dim <= 3: entries that are malformed, and
+# entries that cancel.  Each valid base lists the entries of an associative
+# algebra.
+VALID_BASES = {
+    "Q": (1, [(0, 0, 0, "1")]),
+    "D": (2, [(0, 0, 0, "1"), (0, 1, 1, "1"), (1, 0, 1, "1")]),
+    "T2": (3, [(0, 0, 0, "1"), (0, 1, 1, "1"), (1, 2, 1, "1"), (2, 2, 2, "1")]),
+    "N3": (3, []),
+}
+RATIONAL = st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.integers(1, 3))
+
+
+def entry(i, j, k, c):
+    return {"i": i, "j": j, "k": k, "c": c}
+
+
+@st.composite
+def malformed_entries(draw):
+    """(dim, entries, malformed): entries over keys i, j, k, c, some malformed."""
+    dim = draw(st.integers(1, 3))
+    index = st.integers(0, dim - 1)
+    entries, malformed = [], False
+    for _ in range(draw(st.integers(1, 4))):
+        e = entry(draw(index), draw(index), draw(index), draw(RATIONAL))
+        defect = draw(st.sampled_from(("none", "none", "range", "type", "key", "missing",
+                                       "rational")))
+        key = draw(st.sampled_from("ijk"))
+        if defect == "range":
+            e[key] = draw(st.integers(-2, -1) | st.integers(dim, dim + 2))
+        elif defect == "type":
+            e[key] = draw(st.sampled_from((None, "0", 0.5, True, [0])))
+        elif defect == "key":
+            e[draw(st.sampled_from(("p", "q", "x", "value")))] = 0
+        elif defect == "missing":
+            del e[draw(st.sampled_from("ijkc"))]
+        elif defect == "rational":
+            e["c"] = draw(st.sampled_from(("1.5", "1/0", "x", "", "+1", "1/-2", "0x1", 1.5,
+                                           None, False, ["1"])))
+        malformed = malformed or defect != "none"
+        entries.append(e)
+    return dim, entries, malformed
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_entries())
+def test_malformed_sparse_entries_are_parse_errors(case):
+    dim, entries, malformed = case
+    text = doc_text({"algebras": [{"name": "A", "dim": dim, "mult": entries}]})
+    if malformed:
+        with pytest.raises(ParseError):
+            parse_instance_text(text)
+        return
+    try:
+        inst = parse_instance_text(text)
+    except ValidationFailed:
+        return
+    assert inst.algebras["A"].dim == dim
+
+
+@st.composite
+def cancelling_entries(draw):
+    """(dim, base entries, base with entries that sum to zero inserted)."""
+    dim, base = VALID_BASES[draw(st.sampled_from(sorted(VALID_BASES)))]
+    base = [entry(*e) for e in base]
+    noisy = list(base)
+    index = st.integers(0, dim - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, k, c = draw(index), draw(index), draw(index), draw(RATIONAL)
+        for e in (entry(i, j, k, c), entry(i, j, k, "-" + c if c[0] != "-" else c[1:])):
+            noisy.insert(draw(st.integers(0, len(noisy))), e)
+    return dim, base, noisy
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_entries())
+def test_entries_that_cancel_parse_to_the_algebra_without_them(case):
+    dim, base, noisy = case
+    algebra = [parse_instance_text(doc_text({"algebras": [{"name": "A", "dim": dim,
+                                                            "mult": entries}]})).algebras["A"]
+               for entries in (base, noisy)]
+    assert algebra[0].mult == algebra[1].mult
+    assert dense(algebra[0].mult, dim) == dense(algebra[1].mult, dim)

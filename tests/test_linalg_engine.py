@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semih1.algebra import Algebra
 from semih1.catalog import invert
 from semih1.errors import ShapeMismatch
 from semih1.linalg import (
@@ -142,7 +143,9 @@ def test_solve_merges_terms_that_share_a_coordinate(data):
     second = [[[x if data.draw(st.booleans()) else data.draw(INTEGERS) for x in vec]
                for vec in row] for row in first]
     place = (0, 0, d)
-    group = RowGroup("twice", (d, d, d), [(1, OUT, first, place), (-1, OUT, second, place)])
+    terms = [(sign, OUT, Algebra(name, d, tensor).mult, place)
+             for sign, name, tensor in ((1, "first", first), (-1, "second", second))]
+    group = RowGroup("twice", (d, d, d), terms)
     dense = []
     for x in range(d):
         for y in range(d):

@@ -39,15 +39,18 @@ from semih1.products import (
     unitization,
 )
 
+from _oracle import dense
+
 
 def algebras_equal(a, b):
-    return a.dim == b.dim and a.mult == b.mult
+    return a.dim == b.dim and dense(a.mult, a.dim) == dense(b.mult, b.dim)
 
 
 def strict_corner_action(t2):
     """span{E12} of the upper-triangular algebra as a bimodule over it."""
-    left = [[[t2.mult[i][1][1]]] for i in range(3)]
-    right = [[[t2.mult[1][i][1]] for i in range(3)]]
+    mult = dense(t2.mult, 3)
+    left = [[[mult[i][1][1]]] for i in range(3)]
+    right = [[[mult[1][i][1]] for i in range(3)]]
     return BimoduleAction(3, 1, left, right)
 
 
@@ -56,10 +59,11 @@ def test_semidirect_trivial_everything():
     u = ModuleAlgebra(null_algebra(1), BimoduleAction.trivial(1, 1))
     p = semidirect(q, u)
     # (a,x)(b,y) = (ab, 0)
-    assert p.total.mult[0][0] == [1, 0]
-    assert p.total.mult[0][1] == [0, 0]
-    assert p.total.mult[1][0] == [0, 0]
-    assert p.total.mult[1][1] == [0, 0]
+    mult = dense(p.total.mult, p.dim)
+    assert mult[0][0] == [1, 0]
+    assert mult[0][1] == [0, 0]
+    assert mult[1][0] == [0, 0]
+    assert mult[1][1] == [0, 0]
 
 
 def test_unitization_of_null_line_is_dual_numbers():
@@ -71,17 +75,18 @@ def test_semidirect_regular_action_equals_alpha_identity():
     q = field_q()
     ap = alpha_product(q, field_q("Q'"), Matrix([[1]]))
     # (a,x)(b,y) = (ab, ay + xb + xy)
-    assert ap.total.mult[0][0] == [1, 0]
-    assert ap.total.mult[0][1] == [0, 1]
-    assert ap.total.mult[1][0] == [0, 1]
-    assert ap.total.mult[1][1] == [0, 1]
+    mult = dense(ap.total.mult, ap.dim)
+    assert mult[0][0] == [1, 0]
+    assert mult[0][1] == [0, 1]
+    assert mult[1][0] == [0, 1]
+    assert mult[1][1] == [0, 1]
 
 
 def test_semidirect_rejects_invalid_module():
     d = dual_numbers()
-    left = [[d.mult[i][p] for p in range(2)] for i in range(2)]
+    left = dense(d.mult, 2)
     right = [[[0, 0] for _ in range(2)] for _ in range(2)]
-    bad = ModuleAlgebra(Algebra("D'", 2, d.mult), BimoduleAction(2, 2, left, right))
+    bad = ModuleAlgebra(Algebra("D'", 2, dense(d.mult, 2)), BimoduleAction(2, 2, left, right))
     with pytest.raises(ValidationFailed):
         semidirect(d, bad)
 
@@ -114,10 +119,11 @@ def test_alpha_product_rejects_a_non_associative_target():
 
 def test_direct_product_componentwise():
     p = direct_product(field_q(), field_q("Q'"))
-    assert p.total.mult[0][0] == [1, 0]
-    assert p.total.mult[1][1] == [0, 1]
-    assert p.total.mult[0][1] == [0, 0]
-    assert p.total.mult[1][0] == [0, 0]
+    mult = dense(p.total.mult, p.dim)
+    assert mult[0][0] == [1, 0]
+    assert mult[1][1] == [0, 1]
+    assert mult[0][1] == [0, 0]
+    assert mult[1][0] == [0, 0]
     assert p.action_is_trivial()
 
 
@@ -151,10 +157,11 @@ def test_triangular_scalar_corner_is_upper_triangular():
     # basis order: (A, B, M); the upper-triangular algebra lists (E11, E12, E22)
     t2 = upper_triangular_2()
     perm = [0, 2, 1]  # E11 -> A, E12 -> M, E22 -> B
+    t2_mult, mult = dense(t2.mult, 3), dense(p.total.mult, 3)
     for i in range(3):
         for j in range(3):
-            expected = t2.mult[i][j]
-            got = p.total.mult[perm[i]][perm[j]]
+            expected = t2_mult[i][j]
+            got = mult[perm[i]][perm[j]]
             assert [got[perm[k]] for k in range(3)] == expected
 
 
@@ -186,9 +193,10 @@ def test_theta_lau_multiplication_shape():
     p = theta_lau(qq, null_algebra(1), Character(qq, [1, 0]))
     assert p.dim == 3
     # (a,x)(b,y) = (ab, t(a)y + t(b)x)
-    assert p.total.mult[0][2] == [0, 0, 1]
-    assert p.total.mult[2][0] == [0, 0, 1]
-    assert p.total.mult[1][2] == [0, 0, 0]
+    mult = dense(p.total.mult, p.dim)
+    assert mult[0][2] == [0, 0, 1]
+    assert mult[2][0] == [0, 0, 1]
+    assert mult[1][2] == [0, 0, 0]
     ann = annihilator_in_algebra(qq, p.part_u)
     assert ann.dim == 1 and ann.contains([0, 1])
 
@@ -227,9 +235,10 @@ def test_alpha_iso_transports_multiplication():
         iso = alpha_iso(a, u, alpha)
         t = ap.dim
         assert iso.rank() == t
+        dp_mult = dense(dp.total.mult, t)
         for i in range(t):
             for j in range(t):
-                lhs = iso.apply(dp.total.mult[i][j])
+                lhs = iso.apply(dp_mult[i][j])
                 rhs = ap.total.product(iso.data[i], iso.data[j])
                 assert lhs == rhs
 
@@ -248,11 +257,12 @@ def test_block_laws_on_all_constructions():
     for p in samples:
         assert validate_algebra(p.total).ok
         n, t = p.n, p.dim
+        mult, a_mult = dense(p.total.mult, t), dense(p.part_a.mult, n)
         for i in range(t):
             for j in range(t):
-                row = p.total.mult[i][j]
+                row = mult[i][j]
                 if i < n and j < n:
-                    assert row[:n] == p.part_a.mult[i][j]
+                    assert row[:n] == a_mult[i][j]
                     assert not any(row[n:])
                 else:
                     assert not any(row[:n])

@@ -30,6 +30,8 @@ from semih1.linalg import Matrix
 from semih1.products import alpha_product
 from semih1.verify import verify_special_case
 
+from _oracle import dense
+
 
 def sparse(rng, d0, d1, d2):
     return [[[rng.choice((0, 0, 0, 0, 0, 0, 1, -1)) for _ in range(d2)] for _ in range(d1)]
@@ -56,9 +58,9 @@ def random_corner(seed):
 def one_sided_module():
     """The dual numbers acting on themselves on the left and by zero on the right."""
     d = dual_numbers()
-    left = [[d.mult[i][p] for p in range(2)] for i in range(2)]
+    left = dense(d.mult, 2)
     right = [[[0, 0] for _ in range(2)] for _ in range(2)]
-    return ModuleAlgebra(Algebra("D'", 2, d.mult), BimoduleAction(2, 2, left, right))
+    return ModuleAlgebra(Algebra("D'", 2, dense(d.mult, 2)), BimoduleAction(2, 2, left, right))
 
 
 def nonassociative():
@@ -232,9 +234,9 @@ def test_corner_failures(seed):
     assert report.describe() == expected_description(seed, CORNER_FAILURES[seed])
 
 
-def _entries(tensor, names):
+def _entries(tensor, width, names):
     return [dict(zip(names, (i, j, k)), c=str(c))
-            for i, slab in enumerate(tensor) for j, row in enumerate(slab)
+            for i, slab in enumerate(dense(tensor, width)) for j, row in enumerate(slab)
             for k, c in enumerate(row) if c]
 
 
@@ -242,10 +244,10 @@ def test_validate_stderr_on_bad_module(tmp_path, capsys):
     u = random_module(5)
     t2 = upper_triangular_2()
     doc = {
-        "algebras": [{"name": "T2", "dim": 3, "mult": _entries(t2.mult, "ijk")}],
+        "algebras": [{"name": "T2", "dim": 3, "mult": _entries(t2.mult, 3, "ijk")}],
         "modules": [{"name": "M", "over": "T2", "dim": 2,
-                     "left": _entries(u.action.left, "ipq"),
-                     "right": _entries(u.action.right, "piq")}],
+                     "left": _entries(u.action.left, 2, "ipq"),
+                     "right": _entries(u.action.right, 2, "piq")}],
     }
     path = tmp_path / "bad_module.json"
     path.write_text(json.dumps(doc))
@@ -268,7 +270,7 @@ ALPHA_PINS = {
 @pytest.mark.parametrize("key", sorted(ALPHA_PINS))
 def test_first_non_multiplicative_pair(key):
     a = {"D": dual_numbers(), "T2": upper_triangular_2()}[key]
-    u = Algebra(a.name + "'", a.dim, a.mult)
+    u = Algebra(a.name + "'", a.dim, dense(a.mult, a.dim))
     one, zero = Matrix.identity(a.dim), Matrix.zeros(a.dim, a.dim)
     one_pair, zero_pair, bad, message = ALPHA_PINS[key]
     for built, swapped, pair in ((one, zero, one_pair), (zero, one, zero_pair)):
