@@ -38,8 +38,8 @@ from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
 from .linalg import (
     F0,
     Matrix,
-    _pairs,
     Subspace,
+    _pairs,
     kernel,
     kernel_of_rows,
     row_space,
@@ -78,12 +78,11 @@ class RowGroup:
     nonzero row is the group's witness.
     """
 
-    __slots__ = ("name", "dims", "terms", "y_major", "_index")
+    __slots__ = ("name", "dims", "y_major", "_index")
 
     def __init__(self, name, dims, terms, y_major=False):
         self.name = name
         self.dims = dims
-        self.terms = terms
         self.y_major = y_major
         self._index = []
         for sign, shape, tensor, (r0, c0, width) in terms:
