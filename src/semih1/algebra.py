@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
     ValidationFailed,
 )
-from .linalg import F0, F1, Subspace, _pairs, frac, kernel_of_rows
+from .linalg import F0, F1, Subspace, _kernel_of_images, _pairs, frac
 
 
 def unit_vector(n, i):
@@ -375,14 +375,36 @@ def validate_module(u: ModuleAlgebra, a: Algebra) -> ValidationReport:
                           {"A": a.dim, "U": u.dim}, _MODULE_LAWS)
 
 
-def _kernel_of_images(images, n) -> Subspace:
-    """{a in Q^n : sum_i a_i images[i] = 0}; images[i] lists (coordinate, value)."""
-    rows = {}
-    for i, image in enumerate(images):
-        for key, c in image:
-            row = rows.setdefault(key, {})
-            row[i] = row.get(i, F0) + c
-    return kernel_of_rows([[(i, c) for i, c in row.items() if c] for row in rows.values()], n)
+def _commutators(act):
+    """Row p of x -> (a -> a.x - x.a): the nonzero (i * m + q, c) of e_i.u_p - u_p.e_i.
+
+    Keys increase; m is the module dimension.  On a regular action these are
+    the rows of ad_A; read transposed by :func:`_twists`, the maps r_a.
+    """
+    m = act.module_dim
+    rows = []
+    for p in range(m):
+        row = {}
+        for i in range(act.algebra_dim):
+            for q, c in act.left[i][p]:
+                row[i * m + q] = c
+            for q, c in act.right[p][i]:
+                row[i * m + q] = row.get(i * m + q, F0) - c
+        rows.append([(j, c) for j, c in sorted(row.items()) if c])
+    return rows
+
+
+def _twists(rows, n, m):
+    """Row i of a -> r_a, r_a(x) = x.a - a.x: the commutator rows transposed and negated.
+
+    Row i lists (p * m + q, c) for u_q in r_(e_i)(u_p), keys increasing.
+    """
+    out = [[] for _ in range(n)]
+    for p, row in enumerate(rows):
+        for j, c in row:
+            i, q = divmod(j, m)
+            out[i].append((p * m + q, -c))
+    return out
 
 
 def annihilator_in_algebra(a: Algebra, u) -> Subspace:
@@ -432,10 +454,7 @@ def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
 
 def center(a: Algebra) -> Subspace:
     """Z(A) = {z : z e_i = e_i z for every basis element}."""
-    n = a.dim
-    return _kernel_of_images(
-        [[((i, k), c) for i in range(n) for k, c in a.mult[j][i]]
-         + [((i, k), -c) for i in range(n) for k, c in a.mult[i][j]] for j in range(n)], n)
+    return _kernel_of_images(_commutators(regular_action(a)), a.dim)
 
 
 def _span(grid, d) -> Subspace:

@@ -119,7 +119,11 @@ def change_basis_algebra(a: Algebra, p: Matrix, name=None) -> Algebra:
     """Structure constants of A in the basis f_i = sum_j P[i][j] e_j."""
     if (p.rows, p.cols) != (a.dim, a.dim):
         raise ShapeMismatch("basis change must be square of the algebra dimension")
-    pinv = invert(p)
+    return _change_basis_algebra(a, p, invert(p), name)
+
+
+def _change_basis_algebra(a: Algebra, p: Matrix, pinv: Matrix, name) -> Algebra:
+    """:func:`change_basis_algebra` with ``pinv``, the inverse of p, already at hand."""
     n = a.dim
     mult = [[_pairs(pinv.apply(a.product(p.data[i], p.data[j]))) for j in range(n)]
             for i in range(n)]
@@ -132,7 +136,11 @@ def change_basis_action(act: BimoduleAction, pa: Matrix, pu: Matrix) -> Bimodule
         raise ShapeMismatch("algebra basis change has the wrong shape")
     if (pu.rows, pu.cols) != (act.module_dim, act.module_dim):
         raise ShapeMismatch("module basis change has the wrong shape")
-    pu_inv = invert(pu)
+    return _change_basis_action(act, pa, pu, invert(pu))
+
+
+def _change_basis_action(act, pa, pu, pu_inv) -> BimoduleAction:
+    """:func:`change_basis_action` with ``pu_inv``, the inverse of pu, already at hand."""
     n, m = act.algebra_dim, act.module_dim
     left = [[_pairs(pu_inv.apply(act.act_left(pa.data[i], pu.data[p]))) for p in range(m)]
             for i in range(n)]
@@ -142,8 +150,13 @@ def change_basis_action(act: BimoduleAction, pa: Matrix, pu: Matrix) -> Bimodule
 
 
 def change_basis_module(u: ModuleAlgebra, pa: Matrix, pu: Matrix, name=None) -> ModuleAlgebra:
-    return ModuleAlgebra(change_basis_algebra(u.algebra, pu, name=name),
-                         change_basis_action(u.action, pa, pu))
+    if (pu.rows, pu.cols) != (u.dim, u.dim):
+        raise ShapeMismatch("basis change must be square of the algebra dimension")
+    if (pa.rows, pa.cols) != (u.action.algebra_dim, u.action.algebra_dim):
+        raise ShapeMismatch("algebra basis change has the wrong shape")
+    pu_inv = invert(pu)
+    return ModuleAlgebra(_change_basis_algebra(u.algebra, pu, pu_inv, name),
+                         _change_basis_action(u.action, pa, pu, pu_inv))
 
 
 def change_basis_character(t: Character, new_base: Algebra, p: Matrix) -> Character:

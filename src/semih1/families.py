@@ -20,7 +20,7 @@ from .algebra import (
     regular_action,
 )
 from .catalog import (
-    change_basis_algebra,
+    _change_basis_algebra,
     change_basis_character,
     change_basis_module,
     cyclic_group_algebra,
@@ -120,7 +120,7 @@ def _apply_basis_change(sample: AlgebraSample, rng) -> AlgebraSample:
         return sample
     p = elementary_matrices(rng, n, steps=rng.randint(1, 4))
     pinv = invert(p)
-    alg = change_basis_algebra(sample.algebra, p, name=sample.algebra.name)
+    alg = _change_basis_algebra(sample.algebra, p, pinv, sample.algebra.name)
     chars = [change_basis_character(t, alg, p) for t in sample.characters]
     idems = [pinv.apply(w) for w in sample.idempotents]
     # a basis change scrambles the ideal-split coordinates, so drop it

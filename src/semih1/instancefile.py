@@ -11,7 +11,9 @@ definitions and extended by ``build`` jobs.  Each command is one row of
 ``JOBS`` and each build kind one of ``BUILDS``: argument signatures and a
 handler.  A job that fits no signature is a ``ParseError`` job error.
 Builds call the ``products`` constructors, which skip the checks that a
-valid definition implies.
+valid definition implies; a ``semidirect`` or ``module-extension`` build,
+and a ``spaces`` job on an (algebra, module) pair, assemble the product
+from a module that parsing validated, without validating it again.
 """
 
 import json
@@ -31,6 +33,7 @@ from .algebra import (
     validate_corner,
     validate_module,
 )
+from .catalog import null_algebra
 from .errors import (
     ParseError,
     Semih1Error,
@@ -39,10 +42,9 @@ from .errors import (
 )
 from .linalg import F0, Matrix, frac
 from .products import (
+    _assemble,
     alpha_product,
     direct_product,
-    module_extension,
-    semidirect,
     theta_lau,
     triangular,
     unitization,
@@ -380,7 +382,7 @@ def _h1(job, a, u=None):
 
 
 def _spaces(job, a, u=None):
-    prod = a if u is None else semidirect(a, u)
+    prod = a if u is None else _assemble(a, u, f"sd({a.name},{u.name})", "semidirect")
     a, u = prod.part_a, prod.part_u
     return {
         "r_dim": r_space(a, u).dim,
@@ -426,10 +428,13 @@ JOBS = {
     "verify": ((("product",),), lambda job, prod: verify_any(job["id"], prod).as_dict()),
 }
 BUILDS = {
-    "semidirect": ((("algebra", "module"),), lambda *v, name: semidirect(*v, name=name)),
+    "semidirect": ((("algebra", "module"),),
+                   lambda a, u, name: _assemble(a, u, name, "semidirect")),
     "direct": ((("algebra", "algebra"),), lambda *v, name: direct_product(*v, name=name)),
     "module-extension": ((("algebra", "module"),),
-                         lambda a, u, name: module_extension(a, u.action, u.name, name)),
+                         lambda a, u, name: _assemble(
+                             a, ModuleAlgebra(null_algebra(u.dim, u.name), u.action), name,
+                             "module-extension")),
     "triangular": ((("algebra", "algebra", "corner"),),
                    lambda *v, name: triangular(*v, name=name)),
     "theta-lau": ((("algebra", "algebra", "character"),),

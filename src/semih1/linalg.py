@@ -111,6 +111,16 @@ def _rref_rows(rows, cols):
     return reduced, pivots
 
 
+def _combine(rows, coeffs):
+    """``sum_k coeffs[k] rows[k]`` of sparse ``(key, value)`` rows, as sparse pairs."""
+    out = {}
+    for x, row in zip(coeffs, rows):
+        if x:
+            for key, c in row:
+                out[key] = out.get(key, F0) + x * c
+    return [(key, c) for key, c in out.items() if c]
+
+
 class Matrix:
     """A dense rows x cols grid of Fractions.
 
@@ -264,8 +274,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
-        rows, _ = _rref_rows([_pairs(map(frac, v)) for v in vectors], ambient)
-        return cls(ambient, Matrix.from_rows(rows, cols=ambient))
+        return _span_of_rows([_pairs(map(frac, v)) for v in vectors], ambient)
 
     @classmethod
     def zero(cls, ambient):
@@ -324,6 +333,12 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def _span_of_rows(rows, ambient) -> Subspace:
+    """The span of sparse ``(column, value)`` rows inside Q^ambient."""
+    reduced, _ = _rref_rows(rows, ambient)
+    return Subspace(ambient, Matrix.from_rows(reduced, cols=ambient))
+
+
 def kernel(m: Matrix) -> Subspace:
     """Solution space of ``m @ v = 0`` in ambient dimension ``m.cols``.
 
@@ -347,26 +362,31 @@ def kernel_of_rows(rows, cols) -> Subspace:
     """
     rows, pivots = _rref_rows(rows, cols)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    vectors = []
-    for fc in free:
-        v = [F0] * cols
-        v[fc] = F1
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = -row[fc]
-        vectors.append(v)
-    return Subspace.from_vectors(cols, vectors)
+    # one solution per free column fc: 1 there and -row[fc] at each pivot
+    return _span_of_rows([[(fc, F1)] + [(pc, -row[fc]) for row, pc in zip(rows, pivots) if row[fc]]
+                          for fc in range(cols) if fc not in pivot_set], cols)
+
+
+def _by_coordinate(images):
+    """Sparse images transposed: coordinate -> the (i, value) pairs of images[i] there."""
+    rows = {}
+    for i, image in enumerate(images):
+        for key, c in image:
+            rows.setdefault(key, []).append((i, c))
+    return rows
+
+
+def _kernel_of_images(images, n) -> Subspace:
+    """{a in Q^n : sum_i a_i images[i] = 0}; images[i] lists (coordinate, nonzero value).
+
+    Coordinates are any hashable keys, distinct within one image.
+    """
+    return kernel_of_rows(list(_by_coordinate(images).values()), n)
 
 
 def image(m: Matrix) -> Subspace:
     """Column space of ``m``: the image of v -> m @ v, ambient ``m.rows``."""
     return Subspace.from_vectors(m.rows, m.transpose().data)
-
-
-def row_space(m: Matrix) -> Subspace:
-    """Span of the rows of ``m``; the image of a rows-as-images map."""
-    return Subspace.from_vectors(m.cols, m.data)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -389,32 +409,13 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """
     if a.ambient != b.ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    ka, kb = a.dim, b.dim
-    if ka == 0 or kb == 0:
+    if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient)
-    # one row per ambient coordinate j: sum_i c_i a_i[j] - sum_i d_i b_i[j] = 0
-    stacked = [[] for _ in range(a.ambient)]
-    for i, row in enumerate(a.basis.data):
-        for j, x in enumerate(row):
-            if x:
-                stacked[j].append((i, x))
-    for i, row in enumerate(b.basis.data):
-        for j, x in enumerate(row):
-            if x:
-                stacked[j].append((ka + i, -x))
-    coeffs = kernel_of_rows(stacked, ka + kb)
-    vectors = []
-    for crow in coeffs.basis.data:
-        v = [F0] * a.ambient
-        for i in range(ka):
-            c = crow[i]
-            if c:
-                arow = a.basis.data[i]
-                for j, x in enumerate(arow):
-                    if x:
-                        v[j] += c * x
-        vectors.append(v)
-    return Subspace.from_vectors(a.ambient, vectors)
+    # the coefficients (c, d) with sum_i c_i a_i - sum_i d_i b_i = 0
+    a_rows = [nz for _, nz in a._sparse_rows()]
+    b_rows = [[(j, -x) for j, x in nz] for _, nz in b._sparse_rows()]
+    coeffs = _kernel_of_images(a_rows + b_rows, a.dim + b.dim)
+    return _span_of_rows([_combine(a_rows, c) for c in coeffs.basis.data], a.ambient)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
@@ -442,11 +443,15 @@ def solve_right(m: Matrix, rhs) -> "list[Fraction] | None":
     """One solution x of ``m @ x = rhs``, or None if inconsistent."""
     if len(rhs) != m.rows:
         raise ShapeMismatch("right-hand side length differs from row count")
-    aug = [_pairs(row + [frac(b)]) for row, b in zip(m.data, rhs)]
-    rows, pivots = _rref_rows(aug, m.cols + 1)
-    if m.cols in pivots:
+    return _solve_rows([_pairs(row + [frac(b)]) for row, b in zip(m.data, rhs)], m.cols)
+
+
+def _solve_rows(rows, cols):
+    """:func:`solve_right` on sparse rows whose column ``cols`` holds the right-hand side."""
+    reduced, pivots = _rref_rows(rows, cols + 1)
+    if cols in pivots:
         return None
-    x = [F0] * m.cols
-    for row, pc in zip(rows, pivots):
-        x[pc] = row[m.cols]
+    x = [F0] * cols
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row[cols]
     return x

@@ -24,8 +24,10 @@ from .algebra import (
 from .families import random_matrix, random_product
 from .linalg import (
     F1,
-    Matrix,
     Subspace,
+    _combine,
+    _kernel_of_images,
+    _pairs,
     image,
     intersect,
     kernel,
@@ -34,15 +36,16 @@ from .linalg import (
 )
 from .spaces import (
     c_space,
+    first_failure,
     i_space,
     inner_map,
-    leibniz_defect,
-    r_map,
     r_space,
-    u_inner_map,
 )
 from .verify import (
     RULES,
+    _condition_groups,
+    _phi,
+    _phi_flat,
     ann_a_u,
     ann_u_u,
     applies,
@@ -135,75 +138,42 @@ def _check_space_containments(p):
 
 
 def _check_twisting_identities(p):
-    """The pointwise laws for r_a and the two inner-map families."""
-    a, u = p.part_a, p.part_u
-    act = u.action
-    n, m = p.n, p.m
-    ea = [unit_vector(n, i) for i in range(n)]
-    eu = [unit_vector(m, pp) for pp in range(m)]
-    for i, ei in enumerate(ea):
-        ra = r_map(ei, u)
-        if leibniz_defect(ra, u.algebra, regular_action(u.algebra)) is not None:
-            _fail("r_a-derivation", i)
-        ida = inner_map(ei, a, regular_action(a))
-        for j in range(n):
-            for pp in range(m):
-                up = eu[pp]
-                lhs = ra.apply(_vector(act.left[j][pp], m))
-                rhs = act.act_left(ea[j], ra.data[pp])
-                for q, cc in enumerate(act.act_left(ida.data[j], up)):
-                    rhs[q] += cc
-                if lhs != rhs:
-                    _fail("r_a(bx)-identity", (i, j, pp))
-                lhs = ra.apply(_vector(act.right[pp][j], m))
-                rhs = act.act_right(ra.data[pp], ea[j])
-                for q, cc in enumerate(act.act_right(up, ida.data[j])):
-                    rhs[q] += cc
-                if lhs != rhs:
-                    _fail("r_a(xb)-identity", (i, j, pp))
-    for p0, x0 in enumerate(eu):
-        idu = u_inner_map(x0, u.algebra)
-        ida = inner_map(x0, a, act)
-        for i in range(n):
-            for pp in range(m):
-                up = eu[pp]
-                lhs = idu.apply(_vector(act.left[i][pp], m))
-                rhs = act.act_left(ea[i], idu.data[pp])
-                for q, cc in enumerate(u.algebra.product(ida.data[i], up)):
-                    rhs[q] += cc
-                if lhs != rhs:
-                    _fail("id_Ux(ax)-identity", (p0, i, pp))
-                lhs = idu.apply(_vector(act.right[pp][i], m))
-                rhs = act.act_right(idu.data[pp], ea[i])
-                for q, cc in enumerate(u.algebra.product(up, ida.data[i])):
-                    rhs[q] += cc
-                if lhs != rhs:
-                    _fail("id_Ux(xa)-identity", (p0, i, pp))
+    """Each basis inner map, built from the factors by ``_phi``, passes the 3.1 tau2 laws.
+
+    Parameter e_k of A gives (ad e_k, 0, 0, r_(e_k)) and u_q of U gives
+    (0, ad u_q, 0, ad_U u_q).  Their tau2 conditions are the twisting laws
+    r_a(bx) = b r_a(x) + (ad a)(b) x, its mirror, the same for ad_U x with
+    ad x, and the Leibniz law of r_a and ad_U x on U.
+    """
+    groups = [g for g in _condition_groups(p) if g.name.startswith("tau2")]
+    for k in range(p.dim):
+        flat = _phi_flat(p, unit_vector(p.dim, k))
+        for g in groups:
+            pair = first_failure(g, flat)
+            if pair is not None:
+                _fail(f"inner-basis-{g.name}", (k, pair))
 
 
 def _check_converse_laws(p):
-    """Hom membership forces the commutator to vanish, given faithfulness."""
-    a, u = p.part_a, p.part_u
+    """Hom membership forces the commutator to vanish, given faithfulness.
+
+    Read from the rows of ``_phi``: r_a in Hom_A(U) forces ad a = 0 when
+    ann_A(U) = 0, and ad_U x in Hom_A(U) forces ad x = 0 on (A, U) when
+    ann_U(U) = 0.
+    """
     n, m = p.n, p.m
-    hom = hom_u(p).space
-    if ann_a_u(p).dim == 0 and m > 0 and n > 0:
-        rflat = Matrix.zeros(n, m * m)
-        for i in range(n):
-            rflat.data[i] = r_map(unit_vector(n, i), u).flatten()
-        red = [hom.reduce(row) for row in rflat.data]
-        inside = kernel(Matrix.from_rows(red, cols=m * m).transpose())
-        for avec in inside.basis.data:
-            if not inner_map(avec, a, regular_action(a)).is_zero():
-                _fail("r_a-hom-forces-central", [str(x) for x in avec])
-    if ann_u_u(p).dim == 0 and m > 0:
-        iflat = Matrix.zeros(m, m * m)
-        for pp in range(m):
-            iflat.data[pp] = u_inner_map(unit_vector(m, pp), u.algebra).flatten()
-        red = [hom.reduce(row) for row in iflat.data]
-        inside = kernel(Matrix.from_rows(red, cols=m * m).transpose())
-        for xvec in inside.basis.data:
-            if not inner_map(xvec, a, u.action).is_zero():
-                _fail("id_Ux-hom-forces-quiet", [str(x) for x in xvec])
+    hom, phi = hom_u(p).space, _phi(p)
+    for params, block, check, faithful in (
+            (range(n), "delta1", "r_a-hom-forces-central",
+             ann_a_u(p).dim == 0 and m > 0 and n > 0),
+            (range(n, n + m), "delta2", "id_Ux-hom-forces-quiet", ann_u_u(p).dim == 0 and m > 0)):
+        if not faithful:
+            continue
+        residuals = [_pairs(hom.reduce(_vector(phi["tau2"][k], m * m))) for k in params]
+        rows = [phi[block][k] for k in params]
+        for w in _kernel_of_images(residuals, len(params)).basis.data:
+            if _combine(rows, w):
+                _fail(check, [str(x) for x in w])
 
 
 def _check_ideal_split_law(p, a_sample):

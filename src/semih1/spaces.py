@@ -3,8 +3,7 @@
 All spaces live inside the coordinate space of linear maps from a source to
 a target: a map ``f`` with ``f(e_p) = sum_q F[p][q] u_q`` is flattened
 row-major, coordinate ``p * target_dim + q``.  This module owns that
-convention; every verifier imports its index helpers instead of re-deriving
-them.
+convention.
 
 It also owns the one vocabulary for linear constraints on such maps.  A
 :class:`RowGroup` is a named bilinear identity in basis pairs ``(x, y)``;
@@ -15,13 +14,16 @@ of basis vectors x and y, as in :mod:`.algebra`) and ``D`` is one block of
 the unknown map, placed at an offset of the flattened coordinates.
 :func:`solve` is the one place where groups become a canonical kernel;
 :func:`first_failure` evaluates a group on one flattened map and returns
-its first failing basis pair, the witness a per-matrix check reports.
+its first failing basis pair, the witness a per-matrix check reports.  Both
+visit only the rows some term reaches.
 
-Computed spaces:
+Computed spaces, the last four read from the commutator rows of
+``algebra._commutators`` (row p: the map a -> a u_p - u_p a) and their
+transpose, the rows of a -> r_a:
 
 * ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b,
-* ``inner_space``       -- the image of x -> (a -> ax - xa),
 * ``hom_space``         -- two-sided module homomorphisms,
+* ``inner_space``       -- the span of the commutator rows,
 * ``r/c/i_space``       -- the twisting maps r_a(x) = xa - ax, their central
                            slice, and the inner maps of U with vanishing
                            A-commutator.
@@ -30,27 +32,28 @@ Computed spaces:
 from .algebra import (
     Algebra,
     ModuleAlgebra,
+    _commutators,
+    _twists,
+    _vector,
     center,
     regular_action,
     unit_vector,
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
-from .linalg import (
+from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
     F0,
     Matrix,
     Subspace,
+    _by_coordinate,
+    _combine,
+    _kernel_of_images,
     _pairs,
+    _solve_rows,
+    _span_of_rows,
     kernel,
     kernel_of_rows,
-    row_space,
-    solve_right,
     unflatten,
 )
-
-
-def map_index(p, q, target_dim):
-    """Flat coordinate of the (source p, target q) matrix entry."""
-    return p * target_dim + q
 
 
 # term shapes of a row group: D applied to a product, or a product with D
@@ -71,11 +74,13 @@ class RowGroup:
     * ``(Dx)y``: ``sum_l D[x][l] tensor[l][y]``,
     * ``x(Dy)``: ``sum_l tensor[x][l] D[y][l]``.
 
-    Each term is indexed once, at construction, by the slot pair a row
-    looks it up with: ``(x, y)``, ``(y, k)`` and ``(x, k)`` respectively,
-    each giving the signed ``(l, c)`` pairs of the sum.  Pairs are scanned
-    x-major, or y-major when ``y_major`` is set; the first pair with a
-    nonzero row is the group's witness.
+    Each term is indexed once, at construction, by the slot a pair (x, y)
+    looks it up with: ``(x, y)``, ``y`` and ``x`` respectively, giving the
+    signed ``(l, c)`` pairs of the sum, with k for the last two.  A pair's
+    rows are thus built together, and only those some term reaches: every k
+    when ``D(xy)`` has an entry, else the k of its other terms.  Pairs are
+    scanned x-major, or y-major when ``y_major`` is set; the first pair with
+    a nonzero row is the group's witness.
     """
 
     __slots__ = ("name", "dims", "y_major", "_index")
@@ -90,8 +95,9 @@ class RowGroup:
             for a, slab in enumerate(tensor):
                 for b, sl in enumerate(slab):
                     for k, c in sl:
-                        key, l = {OUT: ((a, b), k), LEFT: ((b, k), a), RIGHT: ((a, k), b)}[shape]
-                        by.setdefault(key, []).append((l, c if sign > 0 else -c))
+                        key, entry = {OUT: ((a, b), (k,)), LEFT: (b, (k, a)),
+                                      RIGHT: (a, (k, b))}[shape]
+                        by.setdefault(key, []).append((*entry, c if sign > 0 else -c))
             self._index.append((shape, r0, c0, width, by))
 
     def pairs(self):
@@ -100,19 +106,30 @@ class RowGroup:
             return [(x, y) for y in range(dy) for x in range(dx)]
         return [(x, y) for x in range(dx) for y in range(dy)]
 
-    def row(self, x, y, k):
-        """The nonzero (flat coordinate, coefficient) entries of row (x, y, k)."""
-        out = []
+    def _pair_rows(self, x, y):
+        """k -> the (flat coordinate, coefficient) entries of row (x, y, k), for each k reached."""
+        rows = {}
         for shape, r0, c0, width, by in self._index:
             if shape == OUT:
-                out += [((r0 + l) * width + c0 + k, c) for l, c in by.get((x, y), ())]
-            elif shape == LEFT:
-                base = (r0 + x) * width + c0
-                out += [(base + l, c) for l, c in by.get((y, k), ())]
+                terms = by.get((x, y), ())
+                for k in range(self.dims[2]) if terms else ():
+                    rows.setdefault(k, []).extend(((r0 + l) * width + c0 + k, c) for l, c in terms)
             else:
-                base = (r0 + y) * width + c0
-                out += [(base + l, c) for l, c in by.get((x, k), ())]
-        return out
+                base = (r0 + (x if shape == LEFT else y)) * width + c0
+                for k, l, c in by.get(y if shape == LEFT else x, ()):
+                    rows.setdefault(k, []).append((base + l, c))
+        return rows
+
+    def _rows(self):
+        """((x, y), row (x, y, k)) for every row some term reaches, in scan order."""
+        for x, y in self.pairs():
+            rows = self._pair_rows(x, y)
+            for k in sorted(rows):
+                yield (x, y), rows[k]
+
+    def row(self, x, y, k):
+        """The nonzero (flat coordinate, coefficient) entries of row (x, y, k)."""
+        return self._pair_rows(x, y).get(k, [])
 
 
 def solve(amb, *groups) -> Subspace:
@@ -123,14 +140,11 @@ def solve(amb, *groups) -> Subspace:
     """
     rows = []
     for g in groups:
-        for x, y in g.pairs():
-            for k in range(g.dims[2]):
-                entries = g.row(x, y, k)
-                if entries:
-                    merged = {}
-                    for i, c in entries:
-                        merged[i] = merged.get(i, F0) + c
-                    rows.append([(i, c) for i, c in merged.items() if c])
+        for _, entries in g._rows():
+            merged = {}
+            for i, c in entries:
+                merged[i] = merged.get(i, F0) + c
+            rows.append([(i, c) for i, c in merged.items() if c])
     if not rows:
         return Subspace.full(amb)
     return kernel_of_rows(rows, amb)
@@ -138,10 +152,9 @@ def solve(amb, *groups) -> Subspace:
 
 def first_failure(group: RowGroup, flat):
     """The first basis pair whose rows do not vanish on a flattened map, else None."""
-    for x, y in group.pairs():
-        for k in range(group.dims[2]):
-            if sum(c * flat[i] for i, c in group.row(x, y, k)):
-                return (x, y)
+    for pair, entries in group._rows():
+        if sum(c * flat[i] for i, c in entries if flat[i]):
+            return pair
     return None
 
 
@@ -229,40 +242,36 @@ def leibniz_defect(d: Matrix, a: Algebra, m):
     return first_failure(leibniz("leibniz", a, act, (0, 0, d.cols)), d.flatten())
 
 
-def _inner_generators(a: Algebra, m) -> Matrix:
-    """Rows-as-images matrix of x -> (a -> ax - xa) from M into map space."""
-    act = _action_of(m)
-    n, md = a.dim, act.module_dim
-    gen = Matrix.zeros(md, n * md)
-    for p in range(md):
-        row = gen.data[p]
-        for i in range(n):
-            for q, c in act.left[i][p]:
-                row[map_index(i, q, md)] += c
-            for q, c in act.right[p][i]:
-                row[map_index(i, q, md)] -= c
-    return gen
+def _map(rows, coeffs, source_dim, target_dim) -> Matrix:
+    """``sum_k coeffs[k] rows[k]`` of rows in flat map coordinates, as a matrix."""
+    return unflatten(_vector(_combine(rows, coeffs), source_dim * target_dim),
+                     source_dim, target_dim)
+
+
+def _span(rows, source_dim, target_dim) -> LinearMapSpace:
+    """The span of rows in flat map coordinates, as a space of maps."""
+    return LinearMapSpace(source_dim, target_dim,
+                          _span_of_rows(rows, source_dim * target_dim))
+
+
+def _r(u: ModuleAlgebra):
+    """The flat rows of a -> r_a, one per basis vector of the algebra."""
+    act = u.action
+    return _twists(_commutators(act), act.algebra_dim, act.module_dim)
 
 
 def inner_map(x, a: Algebra, m) -> Matrix:
     """The matrix of a -> ax - xa for a module element x."""
     act = _action_of(m)
-    n, md = a.dim, act.module_dim
-    if len(x) != md:
+    if len(x) != act.module_dim:
         raise ShapeMismatch("module element has the wrong length")
-    out = Matrix.zeros(n, md)
-    for i in range(n):
-        ei = unit_vector(n, i)
-        left = act.act_left(ei, x)
-        right = act.act_right(x, ei)
-        out.data[i] = [lv - rv for lv, rv in zip(left, right)]
-    return out
+    return _map(_commutators(act), x, a.dim, act.module_dim)
 
 
 def inner_space(a: Algebra, m) -> LinearMapSpace:
     """N1(A, M): the span of the inner maps, as an image."""
     act = _action_of(m)
-    return LinearMapSpace(a.dim, act.module_dim, row_space(_inner_generators(a, m)))
+    return _span(_commutators(act), a.dim, act.module_dim)
 
 
 def h1_dim(a: Algebra, m=None) -> int:
@@ -287,34 +296,20 @@ def hom_space(a: Algebra, u, v) -> LinearMapSpace:
 
 def r_map(a_elt, u: ModuleAlgebra) -> Matrix:
     """The matrix of x -> x.a - a.x on U for an algebra element a."""
-    act = u.action
-    if len(a_elt) != act.algebra_dim:
+    if len(a_elt) != u.action.algebra_dim:
         raise ShapeMismatch("algebra element has the wrong length")
-    md = act.module_dim
-    out = Matrix.zeros(md, md)
-    for p in range(md):
-        xp = unit_vector(md, p)
-        right = act.act_right(xp, a_elt)
-        left = act.act_left(a_elt, xp)
-        out.data[p] = [rv - lv for rv, lv in zip(right, left)]
-    return out
+    return _map(_r(u), a_elt, u.dim, u.dim)
 
 
 def r_space(a: Algebra, u: ModuleAlgebra) -> LinearMapSpace:
     """R_A(U): the span of the maps r_a over a in A."""
-    md = u.dim
-    rows = []
-    for i in range(a.dim):
-        ei = unit_vector(a.dim, i)
-        rows.append(r_map(ei, u).flatten())
-    return LinearMapSpace(md, md, Subspace.from_vectors(md * md, rows))
+    return _span(_r(u), u.dim, u.dim)
 
 
 def c_space(a: Algebra, u: ModuleAlgebra) -> LinearMapSpace:
     """C_A(U): the maps r_a with a central in A."""
-    md = u.dim
-    rows = [r_map(z, u).flatten() for z in center(a).basis.data]
-    return LinearMapSpace(md, md, Subspace.from_vectors(md * md, rows))
+    rows = _r(u)
+    return _span([_combine(rows, z) for z in center(a).basis.data], u.dim, u.dim)
 
 
 def u_inner_map(x, u_alg: Algebra) -> Matrix:
@@ -324,15 +319,15 @@ def u_inner_map(x, u_alg: Algebra) -> Matrix:
 
 def i_space(a: Algebra, u: ModuleAlgebra) -> LinearMapSpace:
     """I(U): inner maps of U induced by x whose A-commutator map vanishes."""
-    md = u.dim
-    quiet = kernel(_inner_generators(a, u.action).transpose())
-    rows = [u_inner_map(x, u.algebra).flatten() for x in quiet.basis.data]
-    return LinearMapSpace(md, md, Subspace.from_vectors(md * md, rows))
+    rows = _commutators(regular_action(u.algebra))
+    return _span([_combine(rows, x) for x in commutant_in_module(a, u).basis.data],
+                 u.dim, u.dim)
 
 
 def commutant_in_module(a: Algebra, u) -> Subspace:
     """{x in U : a.x = x.a for all a}: the parameter space behind I(U)."""
-    return kernel(_inner_generators(a, _action_of(u)).transpose())
+    act = _action_of(u)
+    return _kernel_of_images(_commutators(act), act.module_dim)
 
 
 def inner_witness(d: Matrix, a: Algebra, m):
@@ -344,5 +339,7 @@ def inner_witness(d: Matrix, a: Algebra, m):
     defect = leibniz_defect(d, a, m)
     if defect is not None:
         raise NotADerivation(f"map violates the derivation law at basis pair {defect}")
-    gen = _inner_generators(a, m)
-    return solve_right(gen.transpose(), d.flatten())
+    act = _action_of(m)
+    # one row per map coordinate: sum_p x_p ad(u_p) = d, with d as column md
+    images = [*_commutators(act), _pairs(d.flatten())]
+    return _solve_rows(list(_by_coordinate(images).values()), act.module_dim)

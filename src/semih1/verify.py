@@ -28,7 +28,13 @@ by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
 identity built from the factors' structure tensors, 5.1 solves its own
 reduced groups, and ttd and lau-der compare Z1 with the memoised 3.1 kernel
 (their reduced rows are the 3.1 rows with vanishing terms dropped).  The
-per-matrix witnesses of ``split_blocks`` evaluate the same groups.
+per-matrix witnesses of ``split_blocks`` evaluate the same groups.  ``_BLOCKS``
+names each block's source and target part, the one statement of where a
+block sits in a map on A x| U.
+
+The inner derivation v -> vz - zv of z = (a0, x0) is ``_phi``, built from
+the factors: its blocks are (ad a0, ad x0, 0, r_a0 + ad_U x0).  E, F and K
+are images of it: the kept blocks over the kernel of one killed block.
 
 Verdicts are ``verified``, ``hypotheses-not-met``, or ``MISMATCH``; a
 MISMATCH on a validated instance falsifies the implementation and is never
@@ -36,15 +42,15 @@ an expected outcome.
 """
 
 from .algebra import (
+    _commutators,
     _scaled,
+    _twists,
     annihilator_in_algebra,
     annihilator_in_module,
-    center,
     hom_failure,
     regular_action,
     semidirect_blocks,
     span_of_products,
-    unit_vector,
 )
 from .errors import (
     InternalInvariantViolation,
@@ -57,8 +63,10 @@ from .linalg import (
     F1,
     Matrix,
     Subspace,
+    _combine,
+    _kernel_of_images,
+    _span_of_rows,
     intersect,
-    kernel,
     product_subspace,
     subspace_sum,
     unflatten,
@@ -72,22 +80,18 @@ from .spaces import (
     RowGroup,
     bimodule_hom,
     c_space,
-    commutant_in_module,
     derivation_space,
     first_failure,
     hom_space,
     i_space,
-    inner_map,
     inner_space,
     inner_witness,
     kills,
     lands_in,
     leibniz,
     leibniz_defect,
-    r_map,
     r_space,
     solve,
-    u_inner_map,
 )
 
 THEOREM_IDS = ("4.1", "4.2", "4.3", "4.4")
@@ -217,37 +221,31 @@ class BlockDecomposition:
         return {k: w for k, w in self.conditions.items() if w is not None}
 
 
+# block -> (source part, target part) of a map on A x| U, in positional order
+_BLOCKS = {"delta1": "AA", "delta2": "AU", "tau1": "UA", "tau2": "UU"}
+
+
+def _block_ranges(p: SemidirectAlgebra):
+    """block -> (row range, column range) of that block in a map on A x| U."""
+    part = {"A": range(p.n), "U": range(p.n, p.dim)}
+    return {block: (part[s], part[t]) for block, (s, t) in _BLOCKS.items()}
+
+
 def split_matrix(d: Matrix, p: SemidirectAlgebra):
-    n, m = p.n, p.m
-    if (d.rows, d.cols) != (n + m, n + m):
+    if (d.rows, d.cols) != (p.dim, p.dim):
         raise ShapeMismatch("map must be square of the product dimension")
-    delta1 = Matrix.from_rows([row[:n] for row in d.data[:n]], cols=n)
-    delta2 = Matrix.from_rows([row[n:] for row in d.data[:n]], cols=m)
-    tau1 = Matrix.from_rows([row[:n] for row in d.data[n:]], cols=n)
-    tau2 = Matrix.from_rows([row[n:] for row in d.data[n:]], cols=m)
-    return delta1, delta2, tau1, tau2
+    return tuple(Matrix.from_rows([d.data[r][cols.start:cols.stop] for r in rows], cols=len(cols))
+                 for rows, cols in _block_ranges(p).values())
 
 
 def embed_blocks(p: SemidirectAlgebra, delta1=None, delta2=None, tau1=None, tau2=None) -> Matrix:
     """Assemble a map on A x| U from (some of) its four blocks."""
-    n, m = p.n, p.m
-    d = Matrix.zeros(n + m, n + m)
-    if delta1 is not None:
-        for i in range(n):
-            for j in range(n):
-                d.data[i][j] = delta1.data[i][j]
-    if delta2 is not None:
-        for i in range(n):
-            for q in range(m):
-                d.data[i][n + q] = delta2.data[i][q]
-    if tau1 is not None:
-        for pp in range(m):
-            for j in range(n):
-                d.data[n + pp][j] = tau1.data[pp][j]
-    if tau2 is not None:
-        for pp in range(m):
-            for q in range(m):
-                d.data[n + pp][n + q] = tau2.data[pp][q]
+    d = Matrix.zeros(p.dim, p.dim)
+    for block, (rows, cols) in zip((delta1, delta2, tau1, tau2), _block_ranges(p).values()):
+        if block is not None:
+            for r, brow in zip(rows, block.data):
+                for c, x in zip(cols, brow):
+                    d.data[r][c] = x
     return d
 
 
@@ -423,26 +421,20 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     """Solve D = (v -> v z - z v) on A x| U; on success return z = (a0, x0).
 
     When a witness exists its blocks must take the inner shape
-    (delta1, delta2, tau1, tau2) = (ad a0, ad x0, 0, ad_U x0 + r_a0);
-    that is asserted, not assumed.
+    (delta1, delta2, tau1, tau2) = (ad a0, ad x0, 0, ad_U x0 + r_a0), the
+    image of z under the factor-built map ``_phi``; that is asserted block
+    by block, not assumed.
     """
     total_reg = regular_action(p.total)
     witness = inner_witness(d, p.total, total_reg)
     if witness is None:
         return None
-    n = p.n
-    a0, x0 = witness[:n], witness[n:]
-    delta1, delta2, tau1, tau2 = split_matrix(d, p)
-    if delta1 != inner_map(a0, p.part_a, regular_action(p.part_a)):
-        raise InternalInvariantViolation("delta1 block of an inner map is not ad a0")
-    if delta2 != inner_map(x0, p.part_a, p.part_u.action):
-        raise InternalInvariantViolation("delta2 block of an inner map is not ad x0")
-    if not tau1.is_zero():
-        raise InternalInvariantViolation("tau1 block of an inner map is nonzero")
-    expected = u_inner_map(x0, p.part_u.algebra) + r_map(a0, p.part_u)
-    if tau2 != expected:
-        raise InternalInvariantViolation("tau2 block of an inner map has the wrong shape")
-    return a0, x0
+    diff = [x - y for x, y in zip(d.flatten(), _phi_flat(p, witness))]
+    for block in _BLOCKS:
+        if any(_block_part(p, diff, block)):
+            raise InternalInvariantViolation(
+                f"{block} block of an inner map is not the image of its witness")
+    return witness[:p.n], witness[p.n:]
 
 
 def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
@@ -454,50 +446,43 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     """
     a, u = p.part_a, p.part_u
     act = u.action
-    n, m = p.n, p.m
+    name = kind.removesuffix("-only")
+    if name in _BLOCKS:
+        (rs, cs), (s, t) = _block_ranges(p)[name], _BLOCKS[name]
+        if (block.rows, block.cols) != (len(rs), len(cs)):
+            shape = f"dim({s}) square" if s == t else f"dim({s}) x dim({t})"
+            raise ShapeMismatch(f"{name} block must be {shape}")
     if kind == "delta1-only":
-        if (block.rows, block.cols) != (n, n):
-            raise ShapeMismatch("delta1 block must be dim(A) square")
         if leibniz_defect(block, a, regular_action(a)) is not None:
             return False
         ann = ann_a_u(p)
         return all(ann.contains(row) for row in block.data)
     if kind == "delta2-only":
-        if (block.rows, block.cols) != (n, m):
-            raise ShapeMismatch("delta2 block must be dim(A) x dim(U)")
         if leibniz_defect(block, a, act) is not None:
             return False
         ann = ann_u_u(p)
         return all(ann.contains(row) for row in block.data)
     if kind == "tau1-only":
-        if (block.rows, block.cols) != (m, n):
-            raise ShapeMismatch("tau1 block must be dim(U) x dim(A)")
         groups = (*_pairing_groups(p),
-                  kills("tau1-kills-products", u.algebra.mult, (0, 0, n), n))
+                  kills("tau1-kills-products", u.algebra.mult, (0, 0, p.n), p.n))
         flat = block.flatten()
         return all(first_failure(g, flat) is None for g in groups)
     if kind == "tau2-only":
-        if (block.rows, block.cols) != (m, m):
-            raise ShapeMismatch("tau2 block must be dim(U) square")
         if leibniz_defect(block, u.algebra, regular_action(u.algebra)) is not None:
             return False
         return hom_u(p).contains_map(block)
     raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
 
 
-def _z1_block_zero(p, row, block):
-    """True when the given flattened map has a zero delta2 or tau1 block."""
-    n, m, t = p.n, p.m, p.dim
-    if block == "tau1":
-        return all(not row[(n + pp) * t + k] for pp in range(m) for k in range(n))
-    if block == "delta2":
-        return all(not row[i * t + n + q] for i in range(n) for q in range(m))
-    raise ValueError(block)
+def _block_part(p, row, block):
+    """The given flattened map on A x| U with every entry outside the named block zeroed."""
+    rows, cols = _block_ranges(p)[block]
+    return [x if j // p.dim in rows and j % p.dim in cols else F0 for j, x in enumerate(row)]
 
 
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
-    return all(_z1_block_zero(p, row, "tau1") for row in z1_total(p).space.basis.data)
+    return all(not any(_block_part(p, row, "tau1")) for row in z1_total(p).space.basis.data)
 
 
 # ---------------------------------------------------------------------------
@@ -564,23 +549,51 @@ def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
 
 
 # ---------------------------------------------------------------------------
-# the subspaces E, F, K of the quotient rules
+# the inner-derivation map and the subspaces E, F, K of the quotient rules
+
+def _phi(p: SemidirectAlgebra):
+    """The blocks of v -> v z - z v on A x| U as linear maps of z = (a0, x0).
+
+    Maps each of delta1, delta2 and tau2 to n + m flat rows, the images of
+    the parameter basis (A's, then U's): delta1 = ad a0, delta2 = ad x0 on
+    (A, U) and tau2 = r_a0 + ad_U x0; tau1 is always zero.  Built from the
+    factors' structure tensors, never from the total algebra.
+    """
+    def build():
+        a, u = p.part_a, p.part_u
+        ad_au = _commutators(u.action)
+        return {"delta1": _commutators(regular_action(a)) + [()] * p.m,
+                "delta2": [()] * p.n + ad_au,
+                "tau2": _twists(ad_au, p.n, p.m) + _commutators(regular_action(u.algebra))}
+    return _memo(p, "phi", build)
+
+
+def _phi_flat(p: SemidirectAlgebra, w):
+    """Φ(w), the inner derivation of z = w on A x| U, as a flattened map."""
+    flat, t, ranges = [F0] * (p.dim * p.dim), p.dim, _block_ranges(p)
+    for block, rows in _phi(p).items():
+        rs, cs = ranges[block]
+        for j, c in _combine(rows, w):
+            s, q = divmod(j, len(cs))
+            flat[(rs.start + s) * t + cs.start + q] = c
+    return flat
+
+
+def _image_over_kernel(p: SemidirectAlgebra, keep, kill) -> Subspace:
+    """The two ``keep`` blocks of Φ, side by side, over the kernel of its ``kill`` block."""
+    phi, ranges = _phi(p), _block_ranges(p)
+    first, second = (len(rs) * len(cs) for rs, cs in (ranges[block] for block in keep))
+    rows = [_combine(phi[keep[0]], w) + [(first + j, c) for j, c in _combine(phi[keep[1]], w)]
+            for w in _kernel_of_images(phi[kill], p.n + p.m).basis.data]
+    return _span_of_rows(rows, first + second)
+
 
 def build_E(p: SemidirectAlgebra) -> Subspace:
     """E = {(ad a, r_a + ad_U x) : a in A, x with ad_(A,U) x = 0}.
 
     Lives in maps(A,A) (+) maps(U,U); the denominator of the 4.1 quotient.
     """
-    n = p.n
-    a, u = p.part_a, p.part_u
-    reg = regular_action(a)
-    vectors = []
-    for i in range(n):
-        ei = unit_vector(n, i)
-        vectors.append(inner_map(ei, a, reg).flatten() + r_map(ei, u).flatten())
-    for x in commutant_in_module(a, u).basis.data:
-        vectors.append([F0] * (n * n) + u_inner_map(x, u.algebra).flatten())
-    return Subspace.from_vectors(n * n + p.m * p.m, vectors)
+    return _image_over_kernel(p, ("delta1", "tau2"), kill="delta2")
 
 
 def build_F(p: SemidirectAlgebra) -> Subspace:
@@ -588,16 +601,7 @@ def build_F(p: SemidirectAlgebra) -> Subspace:
 
     Lives in maps(A,U) (+) maps(U,U); the denominator of the 4.2 quotient.
     """
-    n, m = p.n, p.m
-    a, u = p.part_a, p.part_u
-    act = u.action
-    vectors = []
-    for z in center(a).basis.data:
-        vectors.append([F0] * (n * m) + r_map(z, u).flatten())
-    for pp in range(m):
-        xp = unit_vector(m, pp)
-        vectors.append(inner_map(xp, a, act).flatten() + u_inner_map(xp, u.algebra).flatten())
-    return Subspace.from_vectors(n * m + m * m, vectors)
+    return _image_over_kernel(p, ("delta2", "tau2"), kill="delta1")
 
 
 def build_K(p: SemidirectAlgebra) -> Subspace:
@@ -605,21 +609,7 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
 
     Lives in maps(A,A) (+) maps(A,U); the denominator of the 4.3 quotient.
     """
-    n, m = p.n, p.m
-    a, u = p.part_a, p.part_u
-    act = u.action
-    reg = regular_action(a)
-    joint = Matrix.zeros(n + m, m * m)
-    for i in range(n):
-        joint.data[i] = r_map(unit_vector(n, i), u).flatten()
-    for pp in range(m):
-        joint.data[n + pp] = u_inner_map(unit_vector(m, pp), u.algebra).flatten()
-    params = kernel(joint.transpose())
-    vectors = []
-    for w in params.basis.data:
-        a0, x0 = w[:n], w[n:]
-        vectors.append(inner_map(a0, a, reg).flatten() + inner_map(x0, a, act).flatten())
-    return Subspace.from_vectors(n * n + n * m, vectors)
+    return _image_over_kernel(p, ("delta1", "delta2"), kill="tau2")
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +657,11 @@ def _direct_blocks(p):
     details["forces_tau1_zero"] = force_tau1
     if verdict == "verified":
         for row in leib.basis.data:
-            if force_delta2 and not _z1_block_zero(p, row, "delta2"):
+            if force_delta2 and any(_block_part(p, row, "delta2")):
                 verdict = "MISMATCH"
                 details["reason"] = "delta2 should vanish but does not"
                 break
-            if force_tau1 and not _z1_block_zero(p, row, "tau1"):
+            if force_tau1 and any(_block_part(p, row, "tau1")):
                 verdict = "MISMATCH"
                 details["reason"] = "tau1 should vanish but does not"
                 break
@@ -712,17 +702,11 @@ def _extension_blocks(p):
     leib, details, verdict = _kernels_agree(p, cond)
     if verdict == "verified":
         # D = D1 + D2 with D1 = (delta1 + tau1, tau2) and D2 = (0, delta2),
-        # both of which must themselves be derivations
-        split_ok = True
-        for row in leib.basis.data:
-            d1m, d2m, t1m, t2m = split_matrix(unflatten(row, p.dim, p.dim), p)
-            part1 = embed_blocks(p, delta1=d1m, tau1=t1m, tau2=t2m)
-            part2 = embed_blocks(p, delta2=d2m)
-            if not (leib.contains(part1.flatten()) and leib.contains(part2.flatten())):
-                split_ok = False
-                break
+        # both of which must themselves be derivations; as D is one, D1 is
+        # one exactly when D2 is
+        split_ok = all(leib.contains(_block_part(p, row, "delta2")) for row in leib.basis.data)
         details["decomposition_ok"] = split_ok
-        inner_tau1_zero = all(_z1_block_zero(p, row, "tau1")
+        inner_tau1_zero = all(not any(_block_part(p, row, "tau1"))
                               for row in n1_total(p).space.basis.data)
         details["inner_tau1_zero"] = inner_tau1_zero
         verdict = _verdict(split_ok and inner_tau1_zero)
@@ -771,7 +755,7 @@ def _scaled_blocks(p):
         details["coupling_left_ok"] = left_ok
         details["coupling_right_ok"] = right_ok
         inner_ok = all(
-            _z1_block_zero(p, row, "tau1") and _z1_block_zero(p, row, "delta2")
+            not any(_block_part(p, row, "tau1")) and not any(_block_part(p, row, "delta2"))
             for row in n1_total(p).space.basis.data)
         details["inner_shape_ok"] = inner_ok
         verdict = _verdict(left_ok and right_ok and inner_ok)

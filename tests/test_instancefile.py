@@ -1,10 +1,14 @@
 import json
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semih1.algebra
+import semih1.instancefile
+import semih1.products
 from semih1.errors import ParseError, Semih1Error, UnresolvedReference, ValidationFailed
 from semih1.instancefile import (
     BUILD_KINDS,
@@ -526,3 +530,23 @@ def test_entries_that_cancel_parse_to_the_algebra_without_them(case):
                for entries in (base, noisy)]
     assert algebra[0].mult == algebra[1].mult
     assert dense(algebra[0].mult, dim) == dense(algebra[1].mult, dim)
+
+
+@pytest.mark.parametrize("fixture", ["extension_qq.json", "paired_tau.json", "tau1_witness.json"])
+def test_each_module_is_validated_once(fixture, monkeypatch):
+    # parsing validates every module; builds and spaces jobs on a parsed
+    # module reuse that verdict instead of running validate_module again
+    calls = []
+
+    def counted(u, a):
+        calls.append(u.name)
+        return semih1.algebra.validate_module(u, a)
+
+    for mod in (semih1.instancefile, semih1.products):
+        monkeypatch.setattr(mod, "validate_module", counted)
+    text = (resources.files("semih1") / "fixtures" / fixture).read_text(encoding="utf-8")
+    inst = parse_instance_text(text)
+    assert sorted(calls) == sorted(inst.modules)
+    doc, code = run_jobs(inst)
+    assert code == 0
+    assert sorted(calls) == sorted(inst.modules)
