@@ -127,14 +127,12 @@ def _apply_basis_change(sample: AlgebraSample, rng) -> AlgebraSample:
     return AlgebraSample(alg, chars, idems, sample.family + "~", split=None)
 
 
-def random_algebra_sample(rng, max_dim, name="A", change_basis=None) -> AlgebraSample:
+def random_algebra_sample(rng, max_dim, name="A") -> AlgebraSample:
     if max_dim >= 2 and rng.random() < 0.25:
         sample = _direct_sum_sample(rng, max_dim, name)
     else:
         sample = _base_sample(rng, max_dim, name)
-    if change_basis is None:
-        change_basis = rng.random() < 0.4
-    if change_basis:
+    if rng.random() < 0.4:
         sample = _apply_basis_change(sample, rng)
     return sample
 
@@ -232,12 +230,12 @@ def random_product(rng, max_dim, allow_kinds=None):
     return triangular(a_sample.algebra, b_sample.algebra, corner), a_sample
 
 
-def random_matrix(rng, rows, cols, lo=-3, hi=3) -> Matrix:
+def random_matrix(rng, rows, cols) -> Matrix:
     m = Matrix.zeros(rows, cols)
     for i in range(rows):
         for j in range(cols):
             if rng.random() < 0.6:
-                x = rng.randint(lo, hi)
+                x = rng.randint(-3, 3)
                 if x and rng.random() < 0.2:
                     m.data[i][j] = frac(x) / rng.randint(1, 3)
                 else:

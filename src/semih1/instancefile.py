@@ -11,9 +11,10 @@ definitions and extended by ``build`` jobs.  Each command is one row of
 ``JOBS`` and each build kind one of ``BUILDS``: argument signatures and a
 handler.  A job that fits no signature is a ``ParseError`` job error.
 Builds call the ``products`` constructors, which skip the checks that a
-valid definition implies; a ``semidirect`` or ``module-extension`` build,
-and a ``spaces`` job on an (algebra, module) pair, assemble the product
-from a module that parsing validated, without validating it again.
+valid definition implies; a ``semidirect``, ``module-extension`` or
+``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
+assemble the product from a module or corner that parsing validated,
+without validating it again.
 """
 
 import json
@@ -43,22 +44,14 @@ from .errors import (
 from .linalg import F0, Matrix, frac
 from .products import (
     _assemble,
+    _triangular,
     alpha_product,
     direct_product,
     theta_lau,
-    triangular,
     unitization,
 )
-from .spaces import (
-    c_space,
-    derivation_space,
-    hom_space,
-    i_space,
-    inner_space,
-    inner_witness,
-    r_space,
-)
-from .verify import RULES, hom_cap_z1u, split_blocks, verify_any
+from .spaces import _h1_of, derivation_space, hom_space, inner_space, inner_witness
+from .verify import RULES, space, split_blocks, verify_any
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -378,19 +371,14 @@ def _validate(job, named):
 def _h1(job, a, u=None):
     act = _action(a, u)
     z, nn = derivation_space(a, act), inner_space(a, act)
-    return {"h1_dim": z.dim - nn.dim, "z1_dim": z.dim, "n1_dim": nn.dim}
+    return {"h1_dim": _h1_of(z, nn), "z1_dim": z.dim, "n1_dim": nn.dim}
 
 
 def _spaces(job, a, u=None):
     prod = a if u is None else _assemble(a, u, f"sd({a.name},{u.name})", "semidirect")
-    a, u = prod.part_a, prod.part_u
-    return {
-        "r_dim": r_space(a, u).dim,
-        "c_dim": c_space(a, u).dim,
-        "i_dim": i_space(a, u).dim,
-        "hom_dim": hom_space(a, u.action, u.action).dim,
-        "hom_cap_z1_dim": hom_cap_z1u(prod).dim,
-    }
+    return {"r_dim": space(prod, "r").dim, "c_dim": space(prod, "c").dim,
+            "i_dim": space(prod, "i").dim, "hom_dim": space(prod, "hom_u").dim,
+            "hom_cap_z1_dim": space(prod, "hom_cap_z1u").dim}
 
 
 def _decompose(job, prod):
@@ -436,7 +424,7 @@ BUILDS = {
                              a, ModuleAlgebra(null_algebra(u.dim, u.name), u.action), name,
                              "module-extension")),
     "triangular": ((("algebra", "algebra", "corner"),),
-                   lambda *v, name: triangular(*v, name=name)),
+                   lambda *v, name: _triangular(*v, name=name)),
     "theta-lau": ((("algebra", "algebra", "character"),),
                   lambda *v, name: theta_lau(*v, name=name)),
     "unitization": ((("algebra",),), lambda *v, name: unitization(*v, name=name)),

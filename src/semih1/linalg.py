@@ -179,14 +179,6 @@ class Matrix:
                     t.data[j][i] = x
         return t
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("matrix addition needs equal shapes")
-        return Matrix.from_rows(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeMismatch("inner dimensions differ")

@@ -140,6 +140,11 @@ def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> Semid
     report = validate_corner(corner, a, b)
     if not report.ok:
         raise NotBimodule(report.describe())
+    return _triangular(a, b, corner, name)
+
+
+def _triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> SemidirectAlgebra:
+    """The triangular algebra of a corner that the caller has validated."""
     base = direct_product(a, b).total
     n, nb, md = a.dim, b.dim, corner.dim
     left = block_tensor((n + nb, md), [((0, 0, 0), corner.left)])

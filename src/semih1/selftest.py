@@ -34,36 +34,17 @@ from .linalg import (
     rref,
     subspace_sum,
 )
-from .spaces import (
-    c_space,
-    first_failure,
-    i_space,
-    inner_map,
-    r_space,
-)
+from .spaces import first_failure, inner_map
 from .verify import (
     RULES,
-    _condition_groups,
-    _phi,
     _phi_flat,
-    ann_a_u,
-    ann_u_u,
     applies,
-    hom_cap_z1u,
-    h1_total,
+    h1,
     inner_characterization,
     is_derivation_via_3_1,
-    n1_a,
-    n1_au,
-    n1_total,
-    n1_u,
-    hom_u,
+    space,
     theorem_3_1_equivalence,
     verify_any,
-    z1_a,
-    z1_au,
-    z1_total,
-    z1_u,
 )
 
 
@@ -101,22 +82,14 @@ def _check_structure(p):
 
 
 def _check_space_containments(p):
-    for label, z, nn in (("total", z1_total(p), n1_total(p)),
-                        ("A", z1_a(p), n1_a(p)),
-                        ("A,U", z1_au(p), n1_au(p)),
-                        ("U", z1_u(p), n1_u(p))):
-        if not z.space.contains_subspace(nn.space):
+    for label, part in (("total", "total"), ("A", "a"), ("A,U", "au"), ("U", "u")):
+        if not space(p, f"z1_{part}").space.contains_subspace(space(p, f"n1_{part}").space):
             _fail("n1-in-z1", label)
     a, u = p.part_a, p.part_u
-    homz1 = hom_cap_z1u(p).space
-    r = r_space(a, u).space
-    c = c_space(a, u).space
-    ii = i_space(a, u).space
-    n1u = n1_u(p).space
-    z1u = z1_u(p).space
+    homz1, hom, r, c, ii, n1u, z1u = (space(p, name).space for name in (
+        "hom_cap_z1u", "hom_u", "r", "c", "i", "n1_u", "z1_u"))
     if not z1u.contains_subspace(r):
         _fail("r-in-z1u")
-    hom = hom_u(p).space
     if not intersect(hom, r).contains_subspace(c):
         _fail("c-in-hom-cap-r")
     if not intersect(hom, n1u).contains_subspace(ii):
@@ -138,14 +111,14 @@ def _check_space_containments(p):
 
 
 def _check_twisting_identities(p):
-    """Each basis inner map, built from the factors by ``_phi``, passes the 3.1 tau2 laws.
+    """Each basis inner map, built from the factors as the ``phi`` row, passes the 3.1 tau2 laws.
 
     Parameter e_k of A gives (ad e_k, 0, 0, r_(e_k)) and u_q of U gives
     (0, ad u_q, 0, ad_U u_q).  Their tau2 conditions are the twisting laws
     r_a(bx) = b r_a(x) + (ad a)(b) x, its mirror, the same for ad_U x with
     ad x, and the Leibniz law of r_a and ad_U x on U.
     """
-    groups = [g for g in _condition_groups(p) if g.name.startswith("tau2")]
+    groups = [g for g in space(p, "groups31") if g.name.startswith("tau2")]
     for k in range(p.dim):
         flat = _phi_flat(p, unit_vector(p.dim, k))
         for g in groups:
@@ -157,16 +130,17 @@ def _check_twisting_identities(p):
 def _check_converse_laws(p):
     """Hom membership forces the commutator to vanish, given faithfulness.
 
-    Read from the rows of ``_phi``: r_a in Hom_A(U) forces ad a = 0 when
+    Read from the ``phi`` row: r_a in Hom_A(U) forces ad a = 0 when
     ann_A(U) = 0, and ad_U x in Hom_A(U) forces ad x = 0 on (A, U) when
     ann_U(U) = 0.
     """
     n, m = p.n, p.m
-    hom, phi = hom_u(p).space, _phi(p)
+    hom, phi = space(p, "hom_u").space, space(p, "phi")
     for params, block, check, faithful in (
             (range(n), "delta1", "r_a-hom-forces-central",
-             ann_a_u(p).dim == 0 and m > 0 and n > 0),
-            (range(n, n + m), "delta2", "id_Ux-hom-forces-quiet", ann_u_u(p).dim == 0 and m > 0)):
+             space(p, "ann_a_u").dim == 0 and m > 0 and n > 0),
+            (range(n, n + m), "delta2", "id_Ux-hom-forces-quiet",
+             space(p, "ann_u_u").dim == 0 and m > 0)):
         if not faithful:
             continue
         residuals = [_pairs(hom.reduce(_vector(phi["tau2"][k], m * m))) for k in params]
@@ -210,18 +184,18 @@ def _check_rules(p):
         if rep.verdict == "MISMATCH":
             _fail(f"rule-{rid}", rep.as_dict())
     # consequences of a trivial H1 under a verified quotient rule
-    if h1_total(p) == 0:
-        homz1 = hom_cap_z1u(p).space
-        ci = subspace_sum(c_space(p.part_a, p.part_u).space,
-                          i_space(p.part_a, p.part_u).space)
+    if h1(p, "total") == 0:
+        homz1 = space(p, "hom_cap_z1u").space
+        ci = subspace_sum(space(p, "c").space, space(p, "i").space)
+        h1_a, h1_au = h1(p, "a"), h1(p, "au")
         if reports["4.1"].verdict == "verified":
-            if z1_a(p).dim != n1_a(p).dim or homz1 != ci:
+            if h1_a or homz1 != ci:
                 _fail("corollary-4.1", p.name)
         if reports["4.2"].verdict == "verified":
-            if z1_au(p).dim != n1_au(p).dim or homz1 != ci:
+            if h1_au or homz1 != ci:
                 _fail("corollary-4.2", p.name)
         if reports["4.3"].verdict == "verified":
-            if z1_a(p).dim != n1_a(p).dim or z1_au(p).dim != n1_au(p).dim:
+            if h1_a or h1_au:
                 _fail("corollary-4.3", p.name)
         if reports["4.4"].verdict == "verified" and homz1 != ci:
             _fail("corollary-4.4", p.name)

@@ -274,15 +274,19 @@ def inner_space(a: Algebra, m) -> LinearMapSpace:
     return _span(_commutators(act), a.dim, act.module_dim)
 
 
+def _h1_of(z: LinearMapSpace, inner: LinearMapSpace, what=None) -> int:
+    """dim Z1 - dim N1, once N1 is checked to lie inside Z1."""
+    if not z.space.contains_subspace(inner.space):
+        raise InternalInvariantViolation("inner maps escaped the derivation space"
+                                         + ("" if what is None else f" of {what}"))
+    return z.dim - inner.dim
+
+
 def h1_dim(a: Algebra, m=None) -> int:
     """dim Z1(A,M) - dim N1(A,M); with m omitted, coefficients in A itself."""
     if m is None:
         m = regular_action(a)
-    z = derivation_space(a, m)
-    inner = inner_space(a, m)
-    if not z.space.contains_subspace(inner.space):
-        raise InternalInvariantViolation("inner maps escaped the derivation space")
-    return z.dim - inner.dim
+    return _h1_of(derivation_space(a, m), inner_space(a, m))
 
 
 def hom_space(a: Algebra, u, v) -> LinearMapSpace:

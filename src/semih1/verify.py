@@ -16,24 +16,33 @@ compares them exactly:
 
 The catalog is one table, ``RULES``: each rule id maps to the construction
 it needs (None, ``direct``, ``extension``, ``scaled`` or ``alpha``), the
-names of its gates (see ``hypothesis_check``) and its check, which returns
+names of its gates and its check, which returns
 ``(lhs_dim, rhs_dim, verdict, details)``.  ``applies(rule_id, p)`` is the one
 test that p is the construction a rule needs; ``verify_any`` rejects an
 unknown id or a wrong construction, evaluates every gate, and runs the
 check only when all of them hold.  ``verify_theorem`` (4.1-4.4) and
 ``verify_special_case`` (the rest) are id-range checks in front of it.
 
+What the rules read is two more tables, each row computed at most once per
+product and kept in it.  ``_SPACES`` names every space a product carries
+(Z1 and N1 of A x| U, A, (A, U) and U; Hom_A(U) and its meet with Z1(U);
+the annihilators; R, C and I; the pairing homomorphisms; the 3.1 row groups
+and their kernel; the map Phi below) with how the product builds it from
+its factors, read through ``space(p, name)``; ``h1(p, part)`` is the
+checked difference of one part's Z1 and N1.  ``GATES`` maps each gate name
+to ``p -> (holds, witness)``, read through ``hypothesis_check``.
+
 Every linear system here is a list of row groups from :mod:`.spaces`, solved
 by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
 identity built from the factors' structure tensors, 5.1 solves its own
-reduced groups, and ttd and lau-der compare Z1 with the memoised 3.1 kernel
+reduced groups, and ttd and lau-der compare Z1 with the 3.1 kernel
 (their reduced rows are the 3.1 rows with vanishing terms dropped).  The
 per-matrix witnesses of ``split_blocks`` evaluate the same groups.  ``_BLOCKS``
 names each block's source and target part, the one statement of where a
 block sits in a map on A x| U.
 
-The inner derivation v -> vz - zv of z = (a0, x0) is ``_phi``, built from
-the factors: its blocks are (ad a0, ad x0, 0, r_a0 + ad_U x0).  E, F and K
+The inner derivation v -> vz - zv of z = (a0, x0) is the ``phi`` row, built
+from the factors: its blocks are (ad a0, ad x0, 0, r_a0 + ad_U x0).  E, F and K
 are images of it: the kept blocks over the kernel of one killed block.
 
 Verdicts are ``verified``, ``hypotheses-not-met``, or ``MISMATCH``; a
@@ -78,6 +87,7 @@ from .spaces import (
     RIGHT,
     LinearMapSpace,
     RowGroup,
+    _h1_of,
     bimodule_hom,
     c_space,
     derivation_space,
@@ -98,7 +108,7 @@ THEOREM_IDS = ("4.1", "4.2", "4.3", "4.4")
 
 
 # ---------------------------------------------------------------------------
-# cached per-product spaces
+# the spaces a product carries, each built once per product
 
 def _memo(p: SemidirectAlgebra, key, thunk):
     memo = p._memo
@@ -107,91 +117,23 @@ def _memo(p: SemidirectAlgebra, key, thunk):
     return memo[key]
 
 
-def z1_total(p):
-    return _memo(p, "z1_total",
-                 lambda: derivation_space(p.total, regular_action(p.total)))
+def space(p: SemidirectAlgebra, name):
+    """The row ``name`` of ``_SPACES`` for p, built on first use and kept in p."""
+    return _memo(p, name, lambda: _SPACES[name](p))
 
 
-def n1_total(p):
-    return _memo(p, "n1_total",
-                 lambda: inner_space(p.total, regular_action(p.total)))
+# H1 part -> what its cohomology is of; rows z1_<part> and n1_<part> hold its Z1 and N1
+_PARTS = {"total": "the product", "a": "A", "au": "(A,U)", "u": "U"}
 
 
-def z1_a(p):
-    return _memo(p, "z1_a",
-                 lambda: derivation_space(p.part_a, regular_action(p.part_a)))
-
-
-def n1_a(p):
-    return _memo(p, "n1_a",
-                 lambda: inner_space(p.part_a, regular_action(p.part_a)))
-
-
-def z1_au(p):
-    return _memo(p, "z1_au", lambda: derivation_space(p.part_a, p.part_u.action))
-
-
-def n1_au(p):
-    return _memo(p, "n1_au", lambda: inner_space(p.part_a, p.part_u.action))
-
-
-def z1_u(p):
-    return _memo(p, "z1_u",
-                 lambda: derivation_space(p.part_u.algebra,
-                                          regular_action(p.part_u.algebra)))
-
-
-def n1_u(p):
-    return _memo(p, "n1_u",
-                 lambda: inner_space(p.part_u.algebra,
-                                     regular_action(p.part_u.algebra)))
-
-
-def hom_u(p):
-    return _memo(p, "hom_u",
-                 lambda: hom_space(p.part_a, p.part_u.action, p.part_u.action))
-
-
-def hom_cap_z1u(p):
-    """Hom_A(U) intersected with the derivations of U, in map coordinates."""
-    return _memo(
-        p, "hom_cap_z1u",
-        lambda: LinearMapSpace(p.m, p.m, intersect(hom_u(p).space, z1_u(p).space)))
-
-
-def ann_a_u(p):
-    return _memo(p, "ann_a_u", lambda: annihilator_in_algebra(p.part_a, p.part_u))
-
-
-def ann_u_u(p):
-    return _memo(p, "ann_u_u", lambda: annihilator_in_module(p.part_u))
-
-
-def ann_a_a(p):
-    return _memo(p, "ann_a_a",
-                 lambda: annihilator_in_algebra(p.part_a, regular_action(p.part_a)))
-
-
-def _h1_of(z, nn, what):
-    if not z.space.contains_subspace(nn.space):
-        raise InternalInvariantViolation(f"inner maps escaped the derivation space of {what}")
-    return z.dim - nn.dim
+def h1(p: SemidirectAlgebra, part):
+    """dim Z1 - dim N1 of one part of p: ``total``, ``a``, ``au`` or ``u``; checked once."""
+    return _memo(p, ("h1", part),
+                 lambda: _h1_of(space(p, f"z1_{part}"), space(p, f"n1_{part}"), _PARTS[part]))
 
 
 def h1_total(p):
-    return _h1_of(z1_total(p), n1_total(p), "the product")
-
-
-def h1_a(p):
-    return _h1_of(z1_a(p), n1_a(p), "A")
-
-
-def h1_au(p):
-    return _h1_of(z1_au(p), n1_au(p), "(A,U)")
-
-
-def h1_u(p):
-    return _h1_of(z1_u(p), n1_u(p), "U")
+    return h1(p, "total")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +232,7 @@ def _condition_groups(p: SemidirectAlgebra):
             if x + z + k in mult:
                 terms.append((-1, RIGHT, mult[x + z + k], (offset[y], offset[z], t)))
         groups.append(RowGroup(name, (dims[x], dims[y], dims[k]), terms, y_major))
-    return groups
+    return tuple(groups)
 
 
 def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
@@ -304,16 +246,12 @@ def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
     """
     delta1, delta2, tau1, tau2 = split_matrix(d, p)
     flat = d.flatten()
-    cond = {g.name: first_failure(g, flat) for g in _condition_groups(p)}
+    cond = {g.name: first_failure(g, flat) for g in space(p, "groups31")}
     return BlockDecomposition(delta1, delta2, tau1, tau2, cond)
 
 
 def is_derivation_via_3_1(d: Matrix, p: SemidirectAlgebra) -> bool:
     return split_blocks(d, p).ok
-
-
-def conditions_subspace(p: SemidirectAlgebra) -> Subspace:
-    return _memo(p, "cond31", lambda: solve(p.dim * p.dim, *_condition_groups(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +313,13 @@ def _verdict(ok):
 
 def _kernels_agree(p: SemidirectAlgebra, cond: Subspace):
     """Z1(A x| U) against a kernel of block conditions: (Z1, details, verdict)."""
-    leib = z1_total(p).space
+    leib = space(p, "z1_total").space
     return leib, {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}, _verdict(leib == cond)
 
 
 def _equivalence(p: SemidirectAlgebra, samples=0, rng=None):
     """Rule 3.1 as (lhs_dim, rhs_dim, verdict, details); see theorem_3_1_equivalence."""
-    cond = conditions_subspace(p)
+    cond = space(p, "cond31")
     leib, details, verdict = _kernels_agree(p, cond)
     if samples and rng is not None and verdict == "verified":
         t = p.dim
@@ -455,12 +393,12 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     if kind == "delta1-only":
         if leibniz_defect(block, a, regular_action(a)) is not None:
             return False
-        ann = ann_a_u(p)
+        ann = space(p, "ann_a_u")
         return all(ann.contains(row) for row in block.data)
     if kind == "delta2-only":
         if leibniz_defect(block, a, act) is not None:
             return False
-        ann = ann_u_u(p)
+        ann = space(p, "ann_u_u")
         return all(ann.contains(row) for row in block.data)
     if kind == "tau1-only":
         groups = (*_pairing_groups(p),
@@ -470,7 +408,7 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     if kind == "tau2-only":
         if leibniz_defect(block, u.algebra, regular_action(u.algebra)) is not None:
             return False
-        return hom_u(p).contains_map(block)
+        return space(p, "hom_u").contains_map(block)
     raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
 
 
@@ -482,70 +420,8 @@ def _block_part(p, row, block):
 
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
-    return all(not any(_block_part(p, row, "tau1")) for row in z1_total(p).space.basis.data)
-
-
-# ---------------------------------------------------------------------------
-# hypotheses
-
-def _image_in(space: LinearMapSpace, target: Subspace):
-    """Witness basis map whose image rows leave ``target``, else None."""
-    td = space.target_dim
-    for row in space.space.basis.data:
-        for pp in range(space.source_dim):
-            if not target.contains(row[pp * td:(pp + 1) * td]):
-                return [str(x) for x in row]
-    return None
-
-
-def _pairing_groups(p: SemidirectAlgebra):
-    """T: U -> A a module homomorphism with T(x)y + xT(y) = 0, on T's coordinates."""
-    act = p.part_u.action
-    n, m = p.n, p.m
-    place = (0, 0, n)
-    pairing = RowGroup("pairing", (m, m, m),
-                       [(1, RIGHT, act.right, place), (1, LEFT, act.left, place)])
-    return (*bimodule_hom(n, act, regular_action(p.part_a), place), pairing)
-
-
-def pairing_hom_space(p: SemidirectAlgebra) -> Subspace:
-    """Module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y."""
-    return solve(p.m * p.n, *_pairing_groups(p))
-
-
-def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
-    """Evaluate one named hypothesis exactly, with a witness when it fails."""
-    if name == "tau1-vanishes":
-        holds = tau1_vanishes(p)
-        return HypothesisResult(name, holds, None if holds else "a basis derivation has tau1 != 0")
-    if name == "Z1(A) image in ann_A(U)":
-        w = _image_in(z1_a(p), ann_a_u(p))
-        return HypothesisResult(name, w is None, w)
-    if name == "Z1(A,U) image in ann_U(U)":
-        w = _image_in(z1_au(p), ann_u_u(p))
-        return HypothesisResult(name, w is None, w)
-    if name == "H1(A)=0":
-        d = h1_a(p)
-        return HypothesisResult(name, d == 0, None if d == 0 else {"h1": d})
-    if name == "H1(A,U)=0":
-        d = h1_au(p)
-        return HypothesisResult(name, d == 0, None if d == 0 else {"h1": d})
-    if name == "Hom(U) cap Z1(U) inside R(U)+N1(U)":
-        rn = subspace_sum(r_space(p.part_a, p.part_u).space, n1_u(p).space)
-        for row in hom_cap_z1u(p).space.basis.data:
-            if not rn.contains(row):
-                return HypothesisResult(name, False, [str(x) for x in row])
-        return HypothesisResult(name, True)
-    if name == "no nonzero pairing hom U->A":
-        s = pairing_hom_space(p)
-        return HypothesisResult(name, s.dim == 0, None if s.dim == 0 else {"dim": s.dim})
-    if name == "ann_U(U)=0 or span(A^2)=A":
-        holds = ann_u_u(p).dim == 0 or span_of_products(p.part_a).dim == p.n
-        return HypothesisResult(name, holds)
-    if name == "ann_A(A)=0 or span(U^2)=U":
-        holds = ann_a_a(p).dim == 0 or span_of_products(p.part_u.algebra).dim == p.m
-        return HypothesisResult(name, holds)
-    raise UnknownHypothesis(f"unknown hypothesis {name!r}")
+    return all(not any(_block_part(p, row, "tau1"))
+               for row in space(p, "z1_total").space.basis.data)
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +435,17 @@ def _phi(p: SemidirectAlgebra):
     (A, U) and tau2 = r_a0 + ad_U x0; tau1 is always zero.  Built from the
     factors' structure tensors, never from the total algebra.
     """
-    def build():
-        a, u = p.part_a, p.part_u
-        ad_au = _commutators(u.action)
-        return {"delta1": _commutators(regular_action(a)) + [()] * p.m,
-                "delta2": [()] * p.n + ad_au,
-                "tau2": _twists(ad_au, p.n, p.m) + _commutators(regular_action(u.algebra))}
-    return _memo(p, "phi", build)
+    a, u = p.part_a, p.part_u
+    ad_au = _commutators(u.action)
+    return {"delta1": _commutators(regular_action(a)) + [()] * p.m,
+            "delta2": [()] * p.n + ad_au,
+            "tau2": _twists(ad_au, p.n, p.m) + _commutators(regular_action(u.algebra))}
 
 
 def _phi_flat(p: SemidirectAlgebra, w):
     """Φ(w), the inner derivation of z = w on A x| U, as a flattened map."""
     flat, t, ranges = [F0] * (p.dim * p.dim), p.dim, _block_ranges(p)
-    for block, rows in _phi(p).items():
+    for block, rows in space(p, "phi").items():
         rs, cs = ranges[block]
         for j, c in _combine(rows, w):
             s, q = divmod(j, len(cs))
@@ -581,7 +455,7 @@ def _phi_flat(p: SemidirectAlgebra, w):
 
 def _image_over_kernel(p: SemidirectAlgebra, keep, kill) -> Subspace:
     """The two ``keep`` blocks of Φ, side by side, over the kernel of its ``kill`` block."""
-    phi, ranges = _phi(p), _block_ranges(p)
+    phi, ranges = space(p, "phi"), _block_ranges(p)
     first, second = (len(rs) * len(cs) for rs, cs in (ranges[block] for block in keep))
     rows = [_combine(phi[keep[0]], w) + [(first + j, c) for j, c in _combine(phi[keep[1]], w)]
             for w in _kernel_of_images(phi[kill], p.n + p.m).basis.data]
@@ -613,6 +487,103 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
+# the space table and the gate table
+
+def _pairing_groups(p: SemidirectAlgebra):
+    """T: U -> A a module homomorphism with T(x)y + xT(y) = 0, on T's coordinates."""
+    act = p.part_u.action
+    n, m = p.n, p.m
+    place = (0, 0, n)
+    pairing = RowGroup("pairing", (m, m, m),
+                       [(1, RIGHT, act.right, place), (1, LEFT, act.left, place)])
+    return (*bimodule_hom(n, act, regular_action(p.part_a), place), pairing)
+
+
+# space name -> how a product builds it from its factors (read through ``space``)
+_SPACES = {
+    "z1_total": lambda p: derivation_space(p.total, regular_action(p.total)),
+    "n1_total": lambda p: inner_space(p.total, regular_action(p.total)),
+    "z1_a": lambda p: derivation_space(p.part_a, regular_action(p.part_a)),
+    "n1_a": lambda p: inner_space(p.part_a, regular_action(p.part_a)),
+    "z1_au": lambda p: derivation_space(p.part_a, p.part_u.action),
+    "n1_au": lambda p: inner_space(p.part_a, p.part_u.action),
+    "z1_u": lambda p: derivation_space(p.part_u.algebra, regular_action(p.part_u.algebra)),
+    "n1_u": lambda p: inner_space(p.part_u.algebra, regular_action(p.part_u.algebra)),
+    "hom_u": lambda p: hom_space(p.part_a, p.part_u.action, p.part_u.action),
+    # Hom_A(U) intersected with the derivations of U, in map coordinates
+    "hom_cap_z1u": lambda p: LinearMapSpace(
+        p.m, p.m, intersect(space(p, "hom_u").space, space(p, "z1_u").space)),
+    "ann_a_u": lambda p: annihilator_in_algebra(p.part_a, p.part_u),
+    "ann_u_u": lambda p: annihilator_in_module(p.part_u),
+    "ann_a_a": lambda p: annihilator_in_algebra(p.part_a, regular_action(p.part_a)),
+    "r": lambda p: r_space(p.part_a, p.part_u),
+    "c": lambda p: c_space(p.part_a, p.part_u),
+    "i": lambda p: i_space(p.part_a, p.part_u),
+    # module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y
+    "pairing": lambda p: solve(p.m * p.n, *_pairing_groups(p)),
+    "groups31": _condition_groups,
+    "cond31": lambda p: solve(p.dim * p.dim, *space(p, "groups31")),
+    "phi": _phi,
+}
+
+
+def _images_in(maps, target):
+    """Gate: the maps of row ``maps`` take values in row ``target``; else a basis map."""
+    def gate(p):
+        z, ann = space(p, maps), space(p, target)
+        td = z.target_dim
+        for row in z.space.basis.data:
+            if not all(ann.contains(row[pp * td:(pp + 1) * td]) for pp in range(z.source_dim)):
+                return False, [str(x) for x in row]
+        return True, None
+    return gate
+
+
+def _zero(dim, key):
+    """Gate: ``dim(p)`` is 0, else the witness ``{key: dim(p)}``."""
+    def gate(p):
+        d = dim(p)
+        return d == 0, None if d == 0 else {key: d}
+    return gate
+
+
+def _hom_in_r_plus_n1u(p):
+    rn = subspace_sum(space(p, "r").space, space(p, "n1_u").space)
+    for row in space(p, "hom_cap_z1u").space.basis.data:
+        if not rn.contains(row):
+            return False, [str(x) for x in row]
+    return True, None
+
+
+def _tau1_gate(p):
+    holds = tau1_vanishes(p)
+    return holds, None if holds else "a basis derivation has tau1 != 0"
+
+
+# gate name -> p -> (holds, witness); ``hypothesis_check`` evaluates each once per product
+GATES = {
+    "tau1-vanishes": _tau1_gate,
+    "Z1(A) image in ann_A(U)": _images_in("z1_a", "ann_a_u"),
+    "Z1(A,U) image in ann_U(U)": _images_in("z1_au", "ann_u_u"),
+    "H1(A)=0": _zero(lambda p: h1(p, "a"), "h1"),
+    "H1(A,U)=0": _zero(lambda p: h1(p, "au"), "h1"),
+    "Hom(U) cap Z1(U) inside R(U)+N1(U)": _hom_in_r_plus_n1u,
+    "no nonzero pairing hom U->A": _zero(lambda p: space(p, "pairing").dim, "dim"),
+    "ann_U(U)=0 or span(A^2)=A": lambda p: (
+        space(p, "ann_u_u").dim == 0 or span_of_products(p.part_a).dim == p.n, None),
+    "ann_A(A)=0 or span(U^2)=U": lambda p: (
+        space(p, "ann_a_a").dim == 0 or span_of_products(p.part_u.algebra).dim == p.m, None),
+}
+
+
+def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
+    """Evaluate one named hypothesis exactly, with a witness when it fails."""
+    if name not in GATES:
+        raise UnknownHypothesis(f"unknown hypothesis {name!r}")
+    return HypothesisResult(name, *_memo(p, ("gate", name), lambda: GATES[name](p)))
+
+
+# ---------------------------------------------------------------------------
 # the checks; each returns (lhs_dim, rhs_dim, verdict, details)
 
 def _quotient(p, numerator, denominator):
@@ -628,7 +599,7 @@ def _quotient(p, numerator, denominator):
 def _h1_sum(p, *parts):
     """h1(A x| U) against the sum of the h1s of the given parts."""
     lhs = h1_total(p)
-    rhs = sum(h1(p) for h1 in parts)
+    rhs = sum(h1(p, part) for part in parts)
     return lhs, rhs, _verdict(lhs == rhs), None
 
 
@@ -645,9 +616,9 @@ def _direct_blocks(p):
     cond = solve(t * t,
                  leibniz("delta1", a, regular_action(a), (0, 0, t)),
                  leibniz("tau2", u.algebra, regular_action(u.algebra), (n, n, t)),
-                 lands_in("tau1-in-ann", ann_a_a(p), tau1, m),
+                 lands_in("tau1-in-ann", space(p, "ann_a_a"), tau1, m),
                  kills("tau1-kills", u.algebra.mult, tau1, n),
-                 lands_in("delta2-in-ann", ann_u_u(p), delta2, n),
+                 lands_in("delta2-in-ann", space(p, "ann_u_u"), delta2, n),
                  kills("delta2-kills", a.mult, delta2, m))
     leib, details, verdict = _kernels_agree(p, cond)
     # vanishing consequences under the stated non-degeneracy conditions
@@ -670,10 +641,10 @@ def _direct_blocks(p):
 
 def _direct_h1_split(p):
     """Rule 5.3: H1, Z1 and N1 of A x U split over the two factors."""
-    lhs, rhs = h1_total(p), h1_a(p) + h1_u(p)
+    lhs, rhs = h1_total(p), h1(p, "a") + h1(p, "u")
     details = {
-        "z1_split": z1_total(p).dim == z1_a(p).dim + z1_u(p).dim,
-        "n1_split": n1_total(p).dim == n1_a(p).dim + n1_u(p).dim,
+        "z1_split": space(p, "z1_total").dim == space(p, "z1_a").dim + space(p, "z1_u").dim,
+        "n1_split": space(p, "n1_total").dim == space(p, "n1_a").dim + space(p, "n1_u").dim,
     }
     return lhs, rhs, _verdict(lhs == rhs and all(details.values())), details
 
@@ -698,7 +669,7 @@ def _extension_blocks(p):
     delta2 are derivations, tau1 is a module homomorphism with
     x tau1(y) + tau1(x) y = 0, and tau2 is twisted by delta1 alone.
     """
-    cond = conditions_subspace(p)
+    cond = space(p, "cond31")
     leib, details, verdict = _kernels_agree(p, cond)
     if verdict == "verified":
         # D = D1 + D2 with D1 = (delta1 + tau1, tau2) and D2 = (0, delta2),
@@ -707,7 +678,7 @@ def _extension_blocks(p):
         split_ok = all(leib.contains(_block_part(p, row, "delta2")) for row in leib.basis.data)
         details["decomposition_ok"] = split_ok
         inner_tau1_zero = all(not any(_block_part(p, row, "tau1"))
-                              for row in n1_total(p).space.basis.data)
+                              for row in space(p, "n1_total").space.basis.data)
         details["inner_tau1_zero"] = inner_tau1_zero
         verdict = _verdict(split_ok and inner_tau1_zero)
     return leib.dim, cond.dim, verdict, details
@@ -716,18 +687,17 @@ def _extension_blocks(p):
 def _extension_h1(p):
     """Rule cte: H1(T(A,U)) = H1(A,U) + dim Hom_A(U) cap Z1(U) - dim C_A(U)."""
     lhs = h1_total(p)
-    homz1 = hom_cap_z1u(p).space
-    cs = c_space(p.part_a, p.part_u).space
+    homz1, cs = space(p, "hom_cap_z1u").space, space(p, "c").space
     details = {"hom_dim": homz1.dim, "c_dim": cs.dim}
     if not homz1.contains_subspace(cs):
         return lhs, None, "MISMATCH", dict(details, reason="C_A(U) escapes Hom cap Z1")
-    rhs = h1_au(p) + homz1.dim - cs.dim
+    rhs = h1(p, "au") + homz1.dim - cs.dim
     return lhs, rhs, _verdict(lhs == rhs), details
 
 
 def _extension_embedding(p):
     """Rule embed: H1(A,U) embeds in H1(T(A,U))."""
-    lhs, rhs = h1_au(p), h1_total(p)
+    lhs, rhs = h1(p, "au"), h1_total(p)
     return lhs, rhs, _verdict(lhs <= rhs), {"claim": "h1(A,U) embeds, so lhs <= rhs"}
 
 
@@ -739,7 +709,7 @@ def _scaled_blocks(p):
     and its right twin, tau1 is a module homomorphism killing U-products, and
     tau2 twists on U-products by t o tau1.
     """
-    cond = conditions_subspace(p)
+    cond = space(p, "cond31")
     leib, details, verdict = _kernels_agree(p, cond)
     if verdict == "verified":
         # report the two coupling identities separately for each derivation
@@ -756,7 +726,7 @@ def _scaled_blocks(p):
         details["coupling_right_ok"] = right_ok
         inner_ok = all(
             not any(_block_part(p, row, "tau1")) and not any(_block_part(p, row, "delta2"))
-            for row in n1_total(p).space.basis.data)
+            for row in space(p, "n1_total").space.basis.data)
         details["inner_shape_ok"] = inner_ok
         verdict = _verdict(left_ok and right_ok and inner_ok)
     return leib.dim, cond.dim, verdict, details
@@ -782,23 +752,27 @@ _CONSTRUCTIONS = {
               lambda p: p.kind == "alpha" and p.alpha is not None),
 }
 
+def _product(p, first, second):
+    """The product of two rows of ``_SPACES``: the numerator of a quotient rule."""
+    return product_subspace(space(p, first).space, space(p, second).space)
+
+
 # rule id -> (construction it needs or None, gates, check)
 RULES = {
     "3.1": (None, (), _equivalence),
     "4.1": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
-            lambda p: _quotient(p, product_subspace(z1_a(p).space, hom_cap_z1u(p).space),
+            lambda p: _quotient(p, _product(p, "z1_a", "hom_cap_z1u"),
                                 build_E(p))),
     "4.2": (None, ("tau1-vanishes", "Z1(A,U) image in ann_U(U)", "H1(A)=0"),
-            lambda p: _quotient(p, product_subspace(z1_au(p).space, hom_cap_z1u(p).space),
+            lambda p: _quotient(p, _product(p, "z1_au", "hom_cap_z1u"),
                                 build_F(p))),
     "4.3": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "Z1(A,U) image in ann_U(U)",
                    "Hom(U) cap Z1(U) inside R(U)+N1(U)"),
-            lambda p: _quotient(p, product_subspace(z1_a(p).space, z1_au(p).space),
+            lambda p: _quotient(p, _product(p, "z1_a", "z1_au"),
                                 build_K(p))),
     "4.4": (None, ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
-            lambda p: _quotient(p, hom_cap_z1u(p).space,
-                                subspace_sum(c_space(p.part_a, p.part_u).space,
-                                             i_space(p.part_a, p.part_u).space))),
+            lambda p: _quotient(p, space(p, "hom_cap_z1u").space,
+                                subspace_sum(space(p, "c").space, space(p, "i").space))),
     "5.1": ("direct", (), _direct_blocks),
     "5.3": ("direct", ("ann_U(U)=0 or span(A^2)=A", "ann_A(A)=0 or span(U^2)=U"),
             _direct_h1_split),
@@ -807,9 +781,9 @@ RULES = {
     "embed": ("extension", (), _extension_embedding),
     "lau-der": ("scaled", (), _scaled_blocks),
     "a1": ("scaled", ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
-           lambda p: _h1_sum(p, h1_a, h1_u)),
+           lambda p: _h1_sum(p, "a", "u")),
     "prop10": ("scaled", ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
-               lambda p: _h1_sum(p, h1_u)),
+               lambda p: _h1_sum(p, "u")),
     "5.4": ("alpha", (), _alpha_transport),
 }
 

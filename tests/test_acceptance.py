@@ -32,8 +32,8 @@ from semih1.products import (
 from semih1.selftest import selftest
 from semih1.spaces import h1_dim
 from semih1.verify import (
-    hom_cap_z1u,
     inner_characterization,
+    space,
     split_blocks,
     theorem_3_1_equivalence,
     verify_special_case,
@@ -130,7 +130,7 @@ def test_criterion_5_extension_h1_formula_fixture():
         rep = verify_special_case("cte", te)
         assert rep.verdict == "verified"
         assert rep.lhs_dim == 1
-        homz1 = hom_cap_z1u(te).space
+        homz1 = space(te, "hom_cap_z1u").space
         c = _c_space(te.part_a, te.part_u).space
         assert h1_dim(q, te.part_u.action) == 0
         assert quotient_dim(homz1, c) == 1

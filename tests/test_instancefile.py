@@ -21,6 +21,8 @@ from semih1.instancefile import (
     render_text,
     run_jobs,
 )
+from semih1.linalg import Subspace
+from semih1.spaces import LinearMapSpace
 
 from _oracle import dense
 
@@ -40,6 +42,16 @@ def test_minimal_file_parses_and_runs():
     doc, code = run_jobs(inst)
     assert code == 0
     assert doc["jobs"][0]["result"] == {"h1_dim": 0, "z1_dim": 0, "n1_dim": 0}
+
+
+def test_h1_job_checks_that_the_inner_maps_lie_in_z1(monkeypatch):
+    # Z1(Q) = 0, so the full space on Q, standing in for N1, escapes it
+    monkeypatch.setattr(semih1.instancefile, "inner_space",
+                        lambda a, act: LinearMapSpace(1, 1, Subspace.full(1)))
+    doc, code = run_jobs(parse_instance_text(doc_text(MINIMAL)))
+    assert code == 2
+    assert doc["jobs"][0]["status"] == "error"
+    assert doc["jobs"][0]["error"]["type"] == "InternalInvariantViolation"
 
 
 def test_invalid_json_is_a_parse_error():
@@ -532,21 +544,26 @@ def test_entries_that_cancel_parse_to_the_algebra_without_them(case):
     assert dense(algebra[0].mult, dim) == dense(algebra[1].mult, dim)
 
 
-@pytest.mark.parametrize("fixture", ["extension_qq.json", "paired_tau.json", "tau1_witness.json"])
+@pytest.mark.parametrize("fixture", ["extension_qq.json", "paired_tau.json", "tau1_witness.json",
+                                     "triangular.json"])
 def test_each_module_is_validated_once(fixture, monkeypatch):
-    # parsing validates every module; builds and spaces jobs on a parsed
-    # module reuse that verdict instead of running validate_module again
+    # parsing validates every module and corner; builds and spaces jobs on a
+    # parsed one reuse that verdict instead of validating it again
     calls = []
 
-    def counted(u, a):
-        calls.append(u.name)
-        return semih1.algebra.validate_module(u, a)
+    def counting(validate):
+        def counted(u, *over):
+            calls.append(id(u))
+            return validate(u, *over)
+        return counted
 
-    for mod in (semih1.instancefile, semih1.products):
-        monkeypatch.setattr(mod, "validate_module", counted)
+    for name in ("validate_module", "validate_corner"):
+        for mod in (semih1.instancefile, semih1.products):
+            monkeypatch.setattr(mod, name, counting(getattr(semih1.algebra, name)))
     text = (resources.files("semih1") / "fixtures" / fixture).read_text(encoding="utf-8")
     inst = parse_instance_text(text)
-    assert sorted(calls) == sorted(inst.modules)
+    parsed = sorted(id(u) for u, _ in (*inst.modules.values(), *inst.corners.values()))
+    assert sorted(calls) == parsed
     doc, code = run_jobs(inst)
     assert code == 0
-    assert sorted(calls) == sorted(inst.modules)
+    assert sorted(calls) == parsed

@@ -42,15 +42,13 @@ from semih1.verify import (
     hypothesis_check,
     inner_characterization,
     is_derivation_via_3_1,
-    n1_a,
-    n1_u,
+    space,
     split_blocks,
     tau1_vanishes,
     theorem_3_1_equivalence,
     verify_any,
     verify_special_case,
     verify_theorem,
-    z1_total,
 )
 
 
@@ -110,7 +108,7 @@ def test_inner_maps_always_pass_block_conditions():
         witness = [rng.randint(-2, 2) for _ in range(p.dim)]
         d = inner_map(witness, p.total, regular_action(p.total))
         assert is_derivation_via_3_1(d, p)
-        assert z1_total(p).space.contains(d.flatten())
+        assert space(p, "z1_total").space.contains(d.flatten())
 
 
 def test_inner_characterization_roundtrip():
@@ -228,8 +226,8 @@ def test_efk_spaces_for_scaled_products():
     # K = N1(A) x 0
     t2 = upper_triangular_2()
     p = theta_lau(t2, matrix_algebra(2), Character(t2, [1, 0, 0]))
-    na = n1_a(p).space
-    nu = n1_u(p).space
+    na = space(p, "n1_a").space
+    nu = space(p, "n1_u").space
     assert na.dim == 2 and nu.dim == 3
     from semih1.linalg import Subspace
     assert build_E(p) == product_subspace(na, nu)
