@@ -16,6 +16,10 @@ every basis triple that breaks one, so downstream solvers may assume the
 axioms hold.
 """
 
+from fractions import Fraction
+from math import lcm
+from operator import itemgetter
+
 from .errors import (
     NotSubmodule,
     ShapeMismatch,
@@ -304,38 +308,48 @@ def _associativity(subject, blocks, dims, laws) -> ValidationReport:
     failure carries lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k), dense.  A
     nest visits, in its loop order, only the triples where e_i e_j or
     e_j e_k is nonzero for one of its rows: elsewhere both sides are zero.
+    Each block b is scaled once to integers by the lcm s(b) of its
+    denominators, so the sums run on ints: L = s(xy) s(xy.z) lhs and
+    R = s(yz) s(x.yz) rhs, and a law holds iff L s(yz) s(x.yz) = R s(xy) s(xy.z).
     """
     report = ValidationReport(subject)
     block_of = {key[:2]: key for key in blocks}
+    scale = {key: lcm(*(c.denominator for slab in b for sl in slab for _, c in sl))
+             for key, b in blocks.items()}
+    ints = {key: [[tuple([(k, c.numerator * (scale[key] // c.denominator)) for k, c in sl])
+                   for sl in slab] for slab in b] for key, b in blocks.items()}
     for nest in laws:
         checks, loops = [], set()
         for axiom, (x, y, z), scan in nest:
             xy, yz = block_of[x + y], block_of[y + z]
             xy_z, x_yz = block_of[xy[2] + z], block_of[x + yz[2]]
-            where = ["xyz".index(s) for s in scan]
+            where = itemgetter(*("xyz".index(s) for s in scan))
             for i, slab in enumerate(blocks[xy]):
                 for j, sl in enumerate(slab):
                     if sl:
-                        loops.update(tuple((i, j, k)[w] for w in where) for k in range(dims[z]))
+                        loops.update(where((i, j, k)) for k in range(dims[z]))
             for j, slab in enumerate(blocks[yz]):
                 for k, sl in enumerate(slab):
                     if sl:
-                        loops.update(tuple((i, j, k)[w] for w in where) for i in range(dims[x]))
-            checks.append((axiom, blocks[xy], blocks[xy_z], blocks[yz], blocks[x_yz],
-                           dims[xy_z[2]], [scan.index(s) for s in "xyz"]))
+                        loops.update(where((i, j, k)) for i in range(dims[x]))
+            checks.append((axiom, ints[xy], ints[xy_z], ints[yz], ints[x_yz], dims[xy_z[2]],
+                           itemgetter(*(scan.index(s) for s in "xyz")),
+                           scale[xy] * scale[xy_z], scale[yz] * scale[x_yz]))
         for loop in sorted(loops):
-            for axiom, xy, xy_z, yz, x_yz, d, slots in checks:
-                i, j, k = (loop[s] for s in slots)
-                lhs = [F0] * d
+            for axiom, xy, xy_z, yz, x_yz, d, slots, ls, rs in checks:
+                i, j, k = slots(loop)
+                lhs = [0] * d
                 for c, coef in xy[i][j]:
                     for l, v in xy_z[c][k]:
                         lhs[l] += coef * v
-                rhs = [F0] * d
+                rhs = [0] * d
                 for c, coef in yz[j][k]:
                     for l, v in x_yz[i][c]:
                         rhs[l] += coef * v
-                if lhs != rhs:
-                    report.add(axiom, (i, j, k), lhs, rhs)
+                if (lhs != rhs if ls == rs
+                        else [x * rs for x in lhs] != [x * ls for x in rhs]):
+                    report.add(axiom, (i, j, k), [Fraction(x, ls) for x in lhs],
+                               [Fraction(x, rs) for x in rhs])
     return report
 
 

@@ -37,12 +37,12 @@ from .catalog import (
 )
 from .linalg import F0, Matrix, frac
 from .products import (
+    _triangular,
     alpha_product,
     direct_product,
     module_extension,
     semidirect,
     theta_lau,
-    triangular,
     unitization,
 )
 
@@ -212,7 +212,8 @@ def random_product(rng, max_dim, allow_kinds=None):
                             Matrix.identity(a_sample.dim),
                             Matrix.identity(a_sample.dim)])
         return alpha_product(a_sample.algebra, ualg, alpha), a_sample
-    # triangular: scalar corner actions through characters of both factors;
+    # triangular: scalar corner actions through characters of both factors,
+    # a bimodule by construction;
     # the two diagonal blocks share the dimension budget so the product's
     # subalgebra part stays within max_dim
     da = rng.randint(1, max(1, max_dim - 1))
@@ -227,7 +228,7 @@ def random_product(rng, max_dim, allow_kinds=None):
     md = rng.randint(1, max_dim)
     corner = _from_slices(CornerModule, a_sample.dim, b_sample.dim, md,
                           *_scaled(ta.values, tb.values, md))
-    return triangular(a_sample.algebra, b_sample.algebra, corner), a_sample
+    return _triangular(a_sample.algebra, b_sample.algebra, corner), a_sample
 
 
 def random_matrix(rng, rows, cols) -> Matrix:

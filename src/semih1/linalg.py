@@ -2,14 +2,16 @@
 
 Everything downstream reduces to the calculus in this module: reduced row
 echelon forms, kernels, images, and the sum/intersection/quotient arithmetic
-of subspaces of Q^d.  All scalars are :class:`fractions.Fraction`, so every
-equality test is exact and every subspace has one canonical basis.
+of subspaces of Q^d.  Every scalar that enters or leaves is a
+:class:`fractions.Fraction`, so every equality test is exact and every
+subspace has one canonical basis.
 
 Every elimination goes through ``_rref_rows``, which takes rows as sparse
 lists of ``(column, value)`` pairs and reduces them one at a time against
-the pivot rows found so far (see its docstring).  Dense callers hand it the
-nonzero entries of their rows; constraint systems built sparse, such as
-those of :mod:`semih1.spaces`, go straight to :func:`kernel_of_rows`.
+the pivot rows found so far, on fraction-free integer rows inside (see its
+docstring).  Dense callers hand it the nonzero entries of their rows;
+constraint systems built sparse, such as those of :mod:`semih1.spaces`, go
+straight to :func:`kernel_of_rows`.
 
 Conventions
 -----------
@@ -22,6 +24,7 @@ Conventions
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotASubspace, ShapeMismatch
 
@@ -52,61 +55,68 @@ def _pairs(row):
     return tuple([(j, x) for j, x in enumerate(row) if x])
 
 
-def _subtract(row, f, prow):
-    """``row -= f * prow`` on sparse rows, dropping entries that cancel."""
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row, c, prow):
+    """``a * row - f * prow``, a/f = prow[c]/row[c] in lowest terms; made primitive if a > 1."""
+    g = gcd(prow[c], row[c])
+    a, f = prow[c] // g, row[c] // g
+    if a != 1:
+        row = {j: a * x for j, x in row.items()}
     for j, v in prow.items():
-        x = row.get(j)
-        if x is None:
-            row[j] = -f * v
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
         else:
-            x -= f * v
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+            del row[j]
+    return row if a == 1 else _primitive(row)
 
 
 def _rref_rows(rows, cols):
     """Reduced row echelon form of sparse rows, by incremental elimination.
 
     Each row is a list of ``(column, value)`` pairs with distinct columns
-    and nonzero values.  Rows are taken one at a time and reduced against
-    the pivot rows kept so far; a row that reduces to zero is dropped.
-    Otherwise its lowest nonzero column becomes a new pivot: the row is
-    scaled so the pivot is 1, and that column is eliminated from the earlier
-    pivot rows.  The pivot rows thus stay fully reduced, each led by its own
-    pivot, so they are the unique rref of the span whatever the row order.
-    Once every column is a pivot the remaining rows are skipped.
+    and nonzero rational values, taken one at a time as a primitive integer
+    row (denominators cleared, content divided out) and reduced against the
+    pivot rows kept so far: pivot row P clears column c by
+    ``row <- P[c] row - row[c] P``.  A row that reduces to zero is dropped.
+    Otherwise its lowest nonzero column becomes a new pivot, made positive,
+    and is eliminated from the earlier pivot rows.  These thus stay fully
+    reduced: divided by their pivots, they are the unique rref of the span
+    whatever the row order.  Once every column is a pivot the remaining
+    rows are skipped.
 
-    Returns ``(reduced_rows, pivot_columns)``: the pivot rows as dense rows
-    of length ``cols`` in increasing pivot order, and those pivots.
+    Returns ``(reduced_rows, pivot_columns)``: the pivot rows as dense
+    Fraction rows of length ``cols`` in increasing pivot order, and those pivots.
     """
     pivot_rows = {}
     for entries in rows:
-        row = dict(entries)
+        s = lcm(*(x.denominator for _, x in entries))
+        row = _primitive({j: x.numerator * (s // x.denominator) for j, x in entries})
         for c in [c for c in row if c in pivot_rows]:
-            # pivot rows hold no other pivot column, so row[c] is still current
-            _subtract(row, row[c], pivot_rows[c])
+            # pivot rows hold no other pivot column, so row[c] stays nonzero
+            row = _eliminate(row, c, pivot_rows[c])
         if not row:
             continue
         p = min(row)
-        pv = row[p]
-        if pv != 1:
-            inv = F1 / pv
-            row = {j: x * inv for j, x in row.items()}
-        for prow in pivot_rows.values():
-            f = prow.get(p)
-            if f:
-                _subtract(prow, f, row)
+        if row[p] < 0:
+            row = {j: -x for j, x in row.items()}
+        for c, prow in pivot_rows.items():
+            if p in prow:
+                pivot_rows[c] = _eliminate(prow, p, row)
         pivot_rows[p] = row
         if len(pivot_rows) == cols:
             break
     pivots = sorted(pivot_rows)
     reduced = []
     for p in pivots:
-        dense = [F0] * cols
-        for j, x in pivot_rows[p].items():
-            dense[j] = x
+        row, dense = pivot_rows[p], [F0] * cols
+        for j, x in row.items():
+            dense[j] = Fraction(x, row[p])
         reduced.append(dense)
     return reduced, pivots
 

@@ -184,12 +184,8 @@ def upper_triangular_mult():
     return mult
 
 
-def brute_assoc_failures(mult):
-    """Every basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
-
-    Both sides are expanded straight from the structure constants
-    ``mult[i][j][k]``; the triples come in lexicographic order.
-    """
+def brute_assoc_sides(mult, i, j, k):
+    """The two sides ((e_i e_j) e_k, e_i (e_j e_k)), expanded from ``mult[i][j][k]``."""
     n = len(mult)
 
     def times(u, v):
@@ -202,12 +198,22 @@ def brute_assoc_failures(mult):
         return out
 
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    return (times(times(basis[i], basis[j]), basis[k]),
+            times(basis[i], times(basis[j], basis[k])))
+
+
+def brute_assoc_failures(mult):
+    """Every basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
+
+    Both sides are expanded straight from the structure constants
+    ``mult[i][j][k]``; the triples come in lexicographic order.
+    """
+    n = len(mult)
     failures = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = times(times(basis[i], basis[j]), basis[k])
-                rhs = times(basis[i], times(basis[j], basis[k]))
+                lhs, rhs = brute_assoc_sides(mult, i, j, k)
                 if lhs != rhs:
                     failures.append((i, j, k))
     return failures

@@ -6,10 +6,13 @@ checked for associativity by the brute-force oracle.  Each basis triple of
 the total lies in one block of parts, so its failing triples must be exactly
 the failures of ``validate_algebra`` on both factors and of
 ``validate_module`` (or ``validate_corner`` for a triangular algebra),
-moved into total coordinates.
+moved into total coordinates.  Each reported failure's two sides must be
+the oracle's Fractions for that triple, also when the factors' tensors
+have different denominators.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +28,7 @@ from semih1.algebra import (
 from semih1.catalog import dual_numbers, matrix_algebra, upper_triangular_2
 from semih1.families import random_product
 
-from _oracle import brute_assoc_failures, dense
+from _oracle import brute_assoc_failures, brute_assoc_sides, dense
 
 # the parts (x, y, z) of the witness (i, j, k) each law reports
 MODULE_LAWS = {"(ab)x=a(bx)": "AAU", "x(ab)=(xa)b": "UAA", "(ax)b=a(xb)": "AUA",
@@ -33,9 +36,9 @@ MODULE_LAWS = {"(ab)x=a(bx)": "AAU", "x(ab)=(xa)b": "UAA", "(ax)b=a(xb)": "AUA",
 CORNER_LAWS = {"(aa')m=a(a'm)": "AAM", "m(bb')=(mb)b'": "MBB", "(am)b=a(mb)": "AMB"}
 
 
-def sparse(rng, d0, d1, d2):
-    return [[[rng.choice((0, 0, 0, 0, 0, 1, -1)) for _ in range(d2)] for _ in range(d1)]
-            for _ in range(d0)]
+def sparse(rng, d0, d1, d2, q=1):
+    return [[[Fraction(rng.choice((0, 0, 0, 0, 0, 1, -1)), q) for _ in range(d2)]
+             for _ in range(d1)] for _ in range(d0)]
 
 
 def assemble(dims, blocks):
@@ -56,9 +59,21 @@ def assemble(dims, blocks):
 ASSOC = "(ab)c=a(bc)"
 
 
-def moved(report, offset, laws):
-    return [tuple(offset[part] + w for part, w in zip(laws[f["axiom"]], f["witness"]))
-            for f in report.failures]
+def moved(report, offset, laws, mult, out):
+    """The report's failing triples in total coordinates.
+
+    Each failure's lhs and rhs, dense in part ``out``, must be the oracle's
+    two sides of its triple on the total tensor, as Fractions.
+    """
+    triples = []
+    for f in report.failures:
+        triple = tuple(offset[part] + w for part, w in zip(laws[f["axiom"]], f["witness"]))
+        before, after = offset[out], len(mult) - offset[out] - len(f["lhs"])
+        for side, total in zip((f["lhs"], f["rhs"]), brute_assoc_sides(mult, *triple)):
+            assert all(type(x) is Fraction for x in side)
+            assert [0] * before + side + [0] * after == total
+        triples.append(triple)
+    return triples
 
 
 def check_semidirect(a, u):
@@ -67,9 +82,9 @@ def check_semidirect(a, u):
                             {"AAA": a.mult, "AUU": u.action.left, "UAU": u.action.right,
                              "UUU": u.algebra.mult})
     module = validate_module(u, a)
-    expected = (moved(validate_algebra(a), offset, {ASSOC: "AAA"})
-                + moved(module, offset, MODULE_LAWS)
-                + moved(validate_algebra(u.algebra), offset, {ASSOC: "UUU"}))
+    expected = (moved(validate_algebra(a), offset, {ASSOC: "AAA"}, mult, "A")
+                + moved(module, offset, MODULE_LAWS, mult, "U")
+                + moved(validate_algebra(u.algebra), offset, {ASSOC: "UUU"}, mult, "U"))
     assert len(set(expected)) == len(expected)
     assert sorted(expected) == brute_assoc_failures(mult)
     return {f["axiom"] for f in module.failures}
@@ -80,9 +95,9 @@ def check_triangular(a, b, m):
     mult, offset = assemble({"A": a.dim, "B": b.dim, "M": m.dim},
                             {"AAA": a.mult, "BBB": b.mult, "AMM": m.left, "MBM": m.right})
     corner = validate_corner(m, a, b)
-    expected = (moved(validate_algebra(a), offset, {ASSOC: "AAA"})
-                + moved(validate_algebra(b), offset, {ASSOC: "BBB"})
-                + moved(corner, offset, CORNER_LAWS))
+    expected = (moved(validate_algebra(a), offset, {ASSOC: "AAA"}, mult, "A")
+                + moved(validate_algebra(b), offset, {ASSOC: "BBB"}, mult, "B")
+                + moved(corner, offset, CORNER_LAWS, mult, "M"))
     assert len(set(expected)) == len(expected)
     assert sorted(expected) == brute_assoc_failures(mult)
     return {f["axiom"] for f in corner.failures}
@@ -121,5 +136,71 @@ def test_invalid_corner_fails_exactly_where_the_triangular_algebra_does():
         a = Algebra("A", n, sparse(rng, n, n, n))
         b = Algebra("B", nb, sparse(rng, nb, nb, nb))
         corner = CornerModule(n, nb, d, sparse(rng, n, d, d), sparse(rng, d, nb, d))
+        failing |= check_triangular(a, b, corner)
+    assert failing == set(CORNER_LAWS)
+
+
+def halved_projection(rows):
+    """The action x -> x P / 2 of b on Q^2, P = rows: slice p is row p of P / 2."""
+    return [[x / 2 for x in row] for row in rows]
+
+
+P = ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 3), Fraction(2, 3)))
+PT = tuple(zip(*P))
+
+
+def line_over_half(right):
+    """A = Q b with b b = b/2 acting on U = Q^2 (null) by x P / 2 and x right / 2.
+
+    P and its transpose PT are idempotent, so each action is one of A; the
+    two commute, and A x| U is associative, exactly when right is P.
+    """
+    left = halved_projection(P)
+    a = Algebra("A", 1, [[[Fraction(1, 2)]]])
+    u = ModuleAlgebra(Algebra("U", 2, [[[0, 0]] * 2] * 2),
+                      BimoduleAction(1, 2, [left], [[row] for row in halved_projection(right)]))
+    return a, u
+
+
+def test_rational_blocks_are_compared_at_their_own_scales():
+    # A's table is over 1/2, the action over 1/6.  On (b b) u_p = b (b u_p)
+    # the validator sums the left side at scale 2 * 6 and the right side at
+    # 6 * 6, so the integer sums, (1, 2) and (3, 6) for p = 0, differ though
+    # both sides are (1/12, 1/6): the law holds only once they are rescaled.
+    a, u = line_over_half(P)
+    assert validate_module(u, a).ok
+    assert check_semidirect(a, u) == set()
+
+
+def test_rational_blocks_report_the_oracle_sides():
+    # P PT != PT P: (ax)b = a(xb) fails, the other laws hold
+    a, u = line_over_half(PT)
+    assert check_semidirect(a, u) == {"(ax)b=a(xb)"}
+    failures = validate_module(u, a).failures
+    assert any(x.denominator > 1 for f in failures for x in f["lhs"] + f["rhs"])
+
+
+def test_rational_factors_fail_exactly_where_the_total_does():
+    # A over 1/2, the action over 1/3 and U over 1/5: each block has its
+    # own scale
+    failing = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        a = Algebra("A", n, sparse(rng, n, n, n, 2))
+        u = ModuleAlgebra(Algebra("U", m, sparse(rng, m, m, m, 5)),
+                          BimoduleAction(n, m, sparse(rng, n, m, m, 3), sparse(rng, m, n, m, 3)))
+        failing |= check_semidirect(a, u)
+    assert failing == set(MODULE_LAWS)
+
+
+def test_rational_corner_fails_exactly_where_the_triangular_algebra_does():
+    failing = set()
+    for seed in range(8):
+        rng = random.Random(seed)
+        n, nb, d = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+        a = Algebra("A", n, sparse(rng, n, n, n, 2))
+        b = Algebra("B", nb, sparse(rng, nb, nb, nb, 3))
+        corner = CornerModule(n, nb, d, sparse(rng, n, d, d, 5), sparse(rng, d, nb, d, 7))
         failing |= check_triangular(a, b, corner)
     assert failing == set(CORNER_LAWS)

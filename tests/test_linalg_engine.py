@@ -7,7 +7,9 @@ bit for bit, against ``brute_rref`` / ``brute_kernel`` / ``brute_rank`` of
 ``tests/_oracle.py`` on small integer and rational systems with duplicate
 rows, zero rows and rows that cancel, plus two metamorphic invariants:
 permuting the rows or scaling them by nonzero factors leaves the rref as
-it is.
+it is.  Entries of height up to 10**40 and rows with a huge common content
+stress the integer rows the engine eliminates on.  Basis changes with such
+entries must leave H1 of an algebra at its closed form.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semih1.algebra import Algebra
-from semih1.catalog import invert
+from semih1.catalog import change_basis_algebra, invert, matrix_algebra
 from semih1.errors import ShapeMismatch
 from semih1.linalg import (
     Matrix,
@@ -28,7 +30,7 @@ from semih1.linalg import (
     rref,
     solve_right,
 )
-from semih1.spaces import OUT, RowGroup, solve
+from semih1.spaces import OUT, RowGroup, h1_dim, solve
 
 from _oracle import brute_kernel, brute_rank, brute_rref
 
@@ -36,6 +38,7 @@ ENGINE = settings(max_examples=150, deadline=None, derandomize=True, database=No
 
 INTEGERS = st.integers(-3, 3).map(Fraction)
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+HUGE = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
 
 
 def sparse(rows):
@@ -44,16 +47,23 @@ def sparse(rows):
 
 @st.composite
 def systems(draw, max_rows=6, max_cols=6):
-    """(cols, rows): small dense rows plus duplicates, zero rows and combinations."""
-    entries = draw(st.sampled_from((INTEGERS, RATIONALS)))
+    """(cols, rows): small dense rows plus duplicates, zero rows, combinations and multiples.
+
+    A multiple is a row times an integer up to 10**40, so its entries share
+    that content.
+    """
+    entries = draw(st.sampled_from((INTEGERS, RATIONALS, HUGE)))
     cols = draw(st.integers(0, max_cols))
     rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=max_rows))
-    for kind in draw(st.lists(st.sampled_from(("duplicate", "zero", "combination")),
-                              max_size=3)):
+    for kind in draw(st.lists(st.sampled_from(("duplicate", "zero", "combination",
+                                               "multiple")), max_size=3)):
         if kind == "zero" or not rows:
             rows.append([Fraction(0)] * cols)
         elif kind == "duplicate":
             rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "multiple":
+            f = draw(st.integers(2, 10**40))
+            rows.append([f * x for x in draw(st.sampled_from(rows))])
         else:
             # a combination of earlier rows reduces to zero entry by entry
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
@@ -200,3 +210,25 @@ def test_invert_matches_rank(rows):
     else:
         inv = invert(p)
         assert p @ inv == Matrix.identity(n) and inv @ p == Matrix.identity(n)
+
+
+def truncated_polynomials(k):
+    """Q[t]/(t^k) on the basis 1, t, ..., t^(k-1)."""
+    return Algebra(f"Q[t]/t^{k}", k, [[[int(i + j == l) for l in range(k)] for j in range(k)]
+                                       for i in range(k)])
+
+
+def huge_basis_change(n):
+    """A unitriangular basis change whose entries have height about 10**40."""
+    return Matrix.from_rows([[Fraction(0)] * i + [Fraction(1)]
+                             + [Fraction((-1) ** (i + j) * (10**40 + 7 * j), 10**39 + 3 * i + 1)
+                                for j in range(i + 1, n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("algebra, h1", [(matrix_algebra(2), 0), (truncated_polynomials(4), 3)],
+                         ids=["M2", "truncated4"])
+def test_h1_survives_a_basis_change_with_huge_entries(algebra, h1):
+    # H1(M_k) = 0 and H1(Q[t]/(t^k)) = k - 1 in every basis
+    changed = change_basis_algebra(algebra, huge_basis_change(algebra.dim))
+    assert max(c.denominator for row in changed.mult for sl in row for _, c in sl) > 10**30
+    assert h1_dim(algebra) == h1_dim(changed) == h1

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+import semih1.products
 
 from semih1.algebra import (
     Algebra,
@@ -25,6 +29,7 @@ from semih1.errors import (
     NotHomomorphism,
     ValidationFailed,
 )
+from semih1.families import random_product
 from semih1.linalg import Matrix
 from semih1.products import (
     alpha_iso,
@@ -330,3 +335,13 @@ def test_fixture_paired_tau_blocks_rejects_bad_gamma():
     with pytest.raises(GammaIdentityFailed) as err:
         fixture_paired_tau_blocks(q, regular_action(q), Matrix([[1]]))
     assert err.value.witness == (0, 0)
+
+
+def test_sampled_triangular_draws_skip_corner_validation(monkeypatch):
+    # the sampler's corners act through two characters, so they are bimodules
+    # by construction and are assembled without validation
+    calls = []
+    monkeypatch.setattr(semih1.products, "validate_corner", lambda *args: calls.append(args))
+    kinds = [random_product(random.Random(seed), 3)[0].kind for seed in range(200)]
+    assert kinds.count("triangular") > 10
+    assert calls == []
