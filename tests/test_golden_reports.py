@@ -6,7 +6,10 @@ dimension, a canonical basis or a witness tuple shows up here as a diff.
 ``tests/golden/text/<fixture>.txt`` holds the text report of the same run.
 ``tests/golden/jobs/job_errors.json`` holds the JSON report of
 ``JOB_ERRORS``: one job per error path of the job runner, so any change to
-an error's type or message shows up as a diff.
+an error's type or message shows up as a diff.  ``tests/golden/jobs/map_spaces.json``
+holds the report of ``MAP_SPACES``: successful ``z1``, ``n1``, ``h1`` and
+``hom`` jobs whose source and target dimensions differ, so a swapped shape
+shows up as a diff.
 """
 
 import json
@@ -100,9 +103,42 @@ JOB_ERRORS = {
 }
 
 
+DUAL = [{"i": 0, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 1, "k": 1, "c": "1"},
+        {"i": 1, "j": 0, "k": 1, "c": "1"}]
+MAP_SPACES = {
+    # D = Q[e]/(e^2); on U1, 1 acts as the identity and e as 0; V2 is D over itself
+    "algebras": [{"name": "Q", "dim": 1, "mult": ONE}, {"name": "D", "dim": 2, "mult": DUAL}],
+    "modules": [{"name": "R", "over": "Q", "dim": 1, **IDENTITY},
+                {"name": "Z", "over": "Q", "dim": 0},
+                {"name": "U1", "over": "D", "dim": 1, **IDENTITY},
+                {"name": "V2", "over": "D", "dim": 2, "mult": DUAL,
+                 "left": [{"i": e["i"], "p": e["j"], "q": e["k"], "c": "1"} for e in DUAL],
+                 "right": [{"p": e["i"], "i": e["j"], "q": e["k"], "c": "1"} for e in DUAL]}],
+    "jobs": [
+        *({"cmd": cmd, "args": args} for args in (["D"], ["D", "U1"], ["D", "V2"], ["Q", "Z"])
+          for cmd in ("z1", "n1", "h1")),
+        {"cmd": "hom", "args": ["D", "U1"]},
+        {"cmd": "hom", "args": ["D", "V2"]},
+        {"cmd": "hom", "args": ["D", "U1", "V2"]},
+        {"cmd": "hom", "args": ["D", "V2", "U1"]},
+        {"cmd": "hom", "args": ["Q", "Z"]},
+        {"cmd": "hom", "args": ["Q", "R", "Z"]},
+        {"cmd": "hom", "args": ["Q", "Z", "R"]},
+    ],
+}
+
+
+def _assert_pinned(name, doc, code, tmp_path):
+    path = tmp_path / f"{name}_in.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / f"{name}.json"
+    assert main(["run", str(path), "--format", "json", "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / "jobs" / f"{name}.json").read_bytes()
+
+
 def test_job_errors_are_pinned(tmp_path):
-    path = tmp_path / "job_errors_in.json"
-    path.write_text(json.dumps(JOB_ERRORS))
-    out = tmp_path / "job_errors.json"
-    assert main(["run", str(path), "--format", "json", "--out", str(out)]) == 2
-    assert out.read_bytes() == (GOLDEN / "jobs" / "job_errors.json").read_bytes()
+    _assert_pinned("job_errors", JOB_ERRORS, 2, tmp_path)
+
+
+def test_map_space_jobs_are_pinned(tmp_path):
+    _assert_pinned("map_spaces", MAP_SPACES, 0, tmp_path)
