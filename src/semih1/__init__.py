@@ -53,7 +53,6 @@ from .products import (
     unitization,
 )
 from .spaces import (
-    LinearMapSpace,
     c_space,
     derivation_space,
     h1_dim,

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     ValidationFailed,
 )
-from .linalg import F0, F1, Subspace, _kernel_of_images, _pairs, frac
+from .linalg import F0, F1, Subspace, _kernel_of_images, _pairs, _span_of_rows, frac
 
 
 def unit_vector(n, i):
@@ -472,7 +472,7 @@ def center(a: Algebra) -> Subspace:
 
 
 def _span(grid, d) -> Subspace:
-    return Subspace.from_vectors(d, [_vector(sl, d) for slab in grid for sl in slab])
+    return _span_of_rows([sl for slab in grid for sl in slab], d)
 
 
 def span_of_products(a: Algebra) -> Subspace:

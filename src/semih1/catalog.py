@@ -130,17 +130,11 @@ def _change_basis_algebra(a: Algebra, p: Matrix, pinv: Matrix, name) -> Algebra:
     return _from_slices(Algebra, name or f"{a.name}~", n, mult)
 
 
-def change_basis_action(act: BimoduleAction, pa: Matrix, pu: Matrix) -> BimoduleAction:
-    """Transport an action along basis changes of the algebra and the module."""
-    if (pa.rows, pa.cols) != (act.algebra_dim, act.algebra_dim):
-        raise ShapeMismatch("algebra basis change has the wrong shape")
-    if (pu.rows, pu.cols) != (act.module_dim, act.module_dim):
-        raise ShapeMismatch("module basis change has the wrong shape")
-    return _change_basis_action(act, pa, pu, invert(pu))
-
-
 def _change_basis_action(act, pa, pu, pu_inv) -> BimoduleAction:
-    """:func:`change_basis_action` with ``pu_inv``, the inverse of pu, already at hand."""
+    """Transport an action along basis changes pa of the algebra and pu of the module.
+
+    ``pu_inv`` is the inverse of pu, already at hand.
+    """
     n, m = act.algebra_dim, act.module_dim
     left = [[_pairs(pu_inv.apply(act.act_left(pa.data[i], pu.data[p]))) for p in range(m)]
             for i in range(n)]

@@ -46,10 +46,6 @@ from .products import (
     unitization,
 )
 
-FAMILY_NAMES = ("matrix", "dual-numbers", "null", "triangular",
-                "group-algebra", "direct-sum", "basis-change")
-
-
 class AlgebraSample:
     """An algebra plus the transported extras the samplers need."""
 

@@ -91,6 +91,20 @@ def _named_list(doc, key):
     return items
 
 
+def _entries(doc, section, keys, tables):
+    """(where, entry, name) per entry of ``section``: a dict of a name and ``keys``, named afresh."""
+    for pos, spec in enumerate(_named_list(doc, section)):
+        here = f"{section}[{pos}]"
+        _expect(spec, dict, here)
+        for k in spec:
+            if k not in ("name", *keys):
+                raise ParseError(f"unknown key {k!r}", here)
+        name = _expect(spec.get("name"), str, f"{here}.name")
+        if any(name in table for table in tables):
+            raise ParseError(f"duplicate name {name!r}", here)
+        yield here, spec, name
+
+
 def _sparse_tensor(entries, shape, keys, where):
     """The d0 x d1 grid of slices of a list of sparse entries."""
     d0, d1, d2 = shape
@@ -145,13 +159,8 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
         if key not in ("algebras", "modules", "characters", "jobs"):
             raise ParseError(f"unknown top-level key {key!r}", where)
 
-    algebras = {}
-    for pos, spec in enumerate(_named_list(doc, "algebras")):
-        here = f"algebras[{pos}]"
-        _expect(spec, dict, here)
-        name = _expect(spec.get("name"), str, f"{here}.name")
-        if name in algebras:
-            raise ParseError(f"duplicate algebra {name!r}", here)
+    algebras, characters, modules, corners = tables = {}, {}, {}, {}
+    for here, spec, name in _entries(doc, "algebras", ("dim", "mult"), tables):
         dim = spec.get("dim")
         if type(dim) is not int or dim < 0:
             raise ParseError("dim must be a nonnegative integer", f"{here}.dim")
@@ -163,13 +172,7 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
             raise ValidationFailed(f"algebra {name!r}: " + report.describe(), report)
         algebras[name] = alg
 
-    characters = {}
-    for pos, spec in enumerate(_named_list(doc, "characters")):
-        here = f"characters[{pos}]"
-        _expect(spec, dict, here)
-        name = _expect(spec.get("name"), str, f"{here}.name")
-        if name in algebras:
-            raise ParseError(f"duplicate name {name!r}", here)
+    for here, spec, name in _entries(doc, "characters", ("over", "values"), tables):
         over = _expect(spec.get("over"), str, f"{here}.over")
         if over not in algebras:
             raise UnresolvedReference(f"{here}: unknown algebra {over!r}")
@@ -180,18 +183,10 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
         char = Character(base, [_rat(v, f"{here}.values[{i}]") for i, v in enumerate(values)])
         if not validate_character(char):
             raise ValidationFailed(f"character {name!r} is not a nonzero multiplicative functional")
-        if name in characters:
-            raise ParseError(f"duplicate character {name!r}", here)
         characters[name] = (char, (over,))
 
-    modules = {}
-    corners = {}
-    for pos, spec in enumerate(_named_list(doc, "modules")):
-        here = f"modules[{pos}]"
-        _expect(spec, dict, here)
-        name = _expect(spec.get("name"), str, f"{here}.name")
-        if any(name in table for table in (modules, corners, algebras, characters)):
-            raise ParseError(f"duplicate name {name!r}", here)
+    for here, spec, name in _entries(doc, "modules", ("over", "right_over", "dim", "mult", "left",
+                                                      "right"), tables):
         over = _expect(spec.get("over"), str, f"{here}.over")
         if over not in algebras:
             raise UnresolvedReference(f"{here}: unknown algebra {over!r}")
@@ -357,9 +352,10 @@ def _action(a, u):
     return regular_action(a) if u is None else u.action
 
 
-def _space(space):
-    return {"dim": space.dim, "source_dim": space.source_dim,
-            "target_dim": space.target_dim, "basis": _matrix_rows(space.space.basis)}
+def _space(space, source_dim, target_dim):
+    """The report of a space of maps source -> target, flattened row-major."""
+    return {"dim": space.dim, "source_dim": source_dim,
+            "target_dim": target_dim, "basis": _matrix_rows(space.basis)}
 
 
 def _validate(job, named):
@@ -405,11 +401,14 @@ def _inner_witness(job, a, u=None):
 _PAIR = (("algebra",), ("algebra", "module"))
 JOBS = {
     "validate": ((("name",),), _validate),
-    "z1": (_PAIR, lambda job, a, u=None: _space(derivation_space(a, _action(a, u)))),
-    "n1": (_PAIR, lambda job, a, u=None: _space(inner_space(a, _action(a, u)))),
+    "z1": (_PAIR, lambda job, a, u=None: _space(derivation_space(a, _action(a, u)),
+                                                a.dim, (u or a).dim)),
+    "n1": (_PAIR, lambda job, a, u=None: _space(inner_space(a, _action(a, u)),
+                                                a.dim, (u or a).dim)),
     "h1": (_PAIR, _h1),
     "hom": ((("algebra", "module"), ("algebra", "module", "module")),
-            lambda job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action))),
+            lambda job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action),
+                                             u.dim, (v or u).dim)),
     "spaces": ((("product",), ("algebra", "module")), _spaces),
     "decompose": ((("product",),), _decompose),
     "inner-witness": ((("product",), ("algebra", "module")), _inner_witness),

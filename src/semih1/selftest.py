@@ -83,10 +83,10 @@ def _check_structure(p):
 
 def _check_space_containments(p):
     for label, part in (("total", "total"), ("A", "a"), ("A,U", "au"), ("U", "u")):
-        if not space(p, f"z1_{part}").space.contains_subspace(space(p, f"n1_{part}").space):
+        if not space(p, f"z1_{part}").contains_subspace(space(p, f"n1_{part}")):
             _fail("n1-in-z1", label)
     a, u = p.part_a, p.part_u
-    homz1, hom, r, c, ii, n1u, z1u = (space(p, name).space for name in (
+    homz1, hom, r, c, ii, n1u, z1u = (space(p, name) for name in (
         "hom_cap_z1u", "hom_u", "r", "c", "i", "n1_u", "z1_u"))
     if not z1u.contains_subspace(r):
         _fail("r-in-z1u")
@@ -135,7 +135,7 @@ def _check_converse_laws(p):
     ann_U(U) = 0.
     """
     n, m = p.n, p.m
-    hom, phi = space(p, "hom_u").space, space(p, "phi")
+    hom, phi = space(p, "hom_u"), space(p, "phi")
     for params, block, check, faithful in (
             (range(n), "delta1", "r_a-hom-forces-central",
              space(p, "ann_a_u").dim == 0 and m > 0 and n > 0),
@@ -185,8 +185,8 @@ def _check_rules(p):
             _fail(f"rule-{rid}", rep.as_dict())
     # consequences of a trivial H1 under a verified quotient rule
     if h1(p, "total") == 0:
-        homz1 = space(p, "hom_cap_z1u").space
-        ci = subspace_sum(space(p, "c").space, space(p, "i").space)
+        homz1 = space(p, "hom_cap_z1u")
+        ci = subspace_sum(space(p, "c"), space(p, "i"))
         h1_a, h1_au = h1(p, "a"), h1(p, "au")
         if reports["4.1"].verdict == "verified":
             if h1_a or homz1 != ci:

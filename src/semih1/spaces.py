@@ -1,9 +1,11 @@
 """Solvers for the linear spaces of maps attached to an algebra pair.
 
-All spaces live inside the coordinate space of linear maps from a source to
-a target: a map ``f`` with ``f(e_p) = sum_q F[p][q] u_q`` is flattened
-row-major, coordinate ``p * target_dim + q``.  This module owns that
-convention.
+Every space of maps is a canonical :class:`~.linalg.Subspace` of the
+coordinate space of linear maps from a source to a target: a map ``f`` with
+``f(e_p) = sum_q F[p][q] u_q`` is flattened row-major, coordinate
+``p * target_dim + q``, so the ambient is ``source_dim * target_dim`` and
+``unflatten(row, source_dim, target_dim)`` gives back a basis map.  This
+module owns that convention; the shape is the caller's to know.
 
 It also owns the one vocabulary for linear constraints on such maps.  A
 :class:`RowGroup` is a named bilinear identity in basis pairs ``(x, y)``;
@@ -21,12 +23,12 @@ Computed spaces, the last four read from the commutator rows of
 ``algebra._commutators`` (row p: the map a -> a u_p - u_p a) and their
 transpose, the rows of a -> r_a:
 
-* ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b,
-* ``hom_space``         -- two-sided module homomorphisms,
-* ``inner_space``       -- the span of the commutator rows,
+* ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b, maps A -> M,
+* ``hom_space``         -- two-sided module homomorphisms, maps U -> V,
+* ``inner_space``       -- the span of the commutator rows, maps A -> M,
 * ``r/c/i_space``       -- the twisting maps r_a(x) = xa - ax, their central
                            slice, and the inner maps of U with vanishing
-                           A-commutator.
+                           A-commutator, maps U -> U.
 """
 
 from .algebra import (
@@ -187,41 +189,11 @@ def lands_in(name, target: Subspace, place, dx) -> RowGroup:
     return RowGroup(name, (dx, 1, d), [(1, LEFT, residual, place)])
 
 
-class LinearMapSpace:
-    """A subspace of the maps source -> target, flattened row-major."""
-
-    __slots__ = ("source_dim", "target_dim", "space")
-
-    def __init__(self, source_dim, target_dim, space: Subspace):
-        if space.ambient != source_dim * target_dim:
-            raise ShapeMismatch("ambient dimension is not source_dim * target_dim")
-        self.source_dim = source_dim
-        self.target_dim = target_dim
-        self.space = space
-
-    @property
-    def dim(self):
-        return self.space.dim
-
-    def basis_maps(self):
-        return [unflatten(row, self.source_dim, self.target_dim)
-                for row in self.space.basis.data]
-
-    def contains_map(self, m: Matrix) -> bool:
-        if (m.rows, m.cols) != (self.source_dim, self.target_dim):
-            raise ShapeMismatch("map has the wrong shape for this space")
-        return self.space.contains(m.flatten())
-
-    def __repr__(self):
-        return (f"LinearMapSpace({self.source_dim}->{self.target_dim}, "
-                f"dim={self.dim})")
-
-
 def _action_of(m):
     return m.action if isinstance(m, ModuleAlgebra) else m
 
 
-def derivation_space(a: Algebra, m) -> LinearMapSpace:
+def derivation_space(a: Algebra, m) -> Subspace:
     """All d: A -> M with d(ab) = a.d(b) + d(a).b, as a kernel.
 
     In finite dimension every derivation is continuous, so this is the full
@@ -231,7 +203,7 @@ def derivation_space(a: Algebra, m) -> LinearMapSpace:
     if act.algebra_dim != a.dim:
         raise ShapeMismatch("module is not over the given algebra")
     n, md = a.dim, act.module_dim
-    return LinearMapSpace(n, md, solve(n * md, leibniz("leibniz", a, act, (0, 0, md))))
+    return solve(n * md, leibniz("leibniz", a, act, (0, 0, md)))
 
 
 def leibniz_defect(d: Matrix, a: Algebra, m):
@@ -248,12 +220,6 @@ def _map(rows, coeffs, source_dim, target_dim) -> Matrix:
                      source_dim, target_dim)
 
 
-def _span(rows, source_dim, target_dim) -> LinearMapSpace:
-    """The span of rows in flat map coordinates, as a space of maps."""
-    return LinearMapSpace(source_dim, target_dim,
-                          _span_of_rows(rows, source_dim * target_dim))
-
-
 def _r(u: ModuleAlgebra):
     """The flat rows of a -> r_a, one per basis vector of the algebra."""
     act = u.action
@@ -268,15 +234,15 @@ def inner_map(x, a: Algebra, m) -> Matrix:
     return _map(_commutators(act), x, a.dim, act.module_dim)
 
 
-def inner_space(a: Algebra, m) -> LinearMapSpace:
+def inner_space(a: Algebra, m) -> Subspace:
     """N1(A, M): the span of the inner maps, as an image."""
     act = _action_of(m)
-    return _span(_commutators(act), a.dim, act.module_dim)
+    return _span_of_rows(_commutators(act), a.dim * act.module_dim)
 
 
-def _h1_of(z: LinearMapSpace, inner: LinearMapSpace, what=None) -> int:
+def _h1_of(z: Subspace, inner: Subspace, what=None) -> int:
     """dim Z1 - dim N1, once N1 is checked to lie inside Z1."""
-    if not z.space.contains_subspace(inner.space):
+    if not z.contains_subspace(inner):
         raise InternalInvariantViolation("inner maps escaped the derivation space"
                                          + ("" if what is None else f" of {what}"))
     return z.dim - inner.dim
@@ -289,13 +255,13 @@ def h1_dim(a: Algebra, m=None) -> int:
     return _h1_of(derivation_space(a, m), inner_space(a, m))
 
 
-def hom_space(a: Algebra, u, v) -> LinearMapSpace:
+def hom_space(a: Algebra, u, v) -> Subspace:
     """Hom_A(U, V): maps with f(a.x) = a.f(x) and f(x.a) = f(x).a."""
     ua, va = _action_of(u), _action_of(v)
     if ua.algebra_dim != a.dim or va.algebra_dim != a.dim:
         raise ShapeMismatch("both modules must be over the given algebra")
     mu, mv = ua.module_dim, va.module_dim
-    return LinearMapSpace(mu, mv, solve(mu * mv, *bimodule_hom(a.dim, ua, va, (0, 0, mv))))
+    return solve(mu * mv, *bimodule_hom(a.dim, ua, va, (0, 0, mv)))
 
 
 def r_map(a_elt, u: ModuleAlgebra) -> Matrix:
@@ -305,15 +271,15 @@ def r_map(a_elt, u: ModuleAlgebra) -> Matrix:
     return _map(_r(u), a_elt, u.dim, u.dim)
 
 
-def r_space(a: Algebra, u: ModuleAlgebra) -> LinearMapSpace:
+def r_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """R_A(U): the span of the maps r_a over a in A."""
-    return _span(_r(u), u.dim, u.dim)
+    return _span_of_rows(_r(u), u.dim * u.dim)
 
 
-def c_space(a: Algebra, u: ModuleAlgebra) -> LinearMapSpace:
+def c_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """C_A(U): the maps r_a with a central in A."""
     rows = _r(u)
-    return _span([_combine(rows, z) for z in center(a).basis.data], u.dim, u.dim)
+    return _span_of_rows([_combine(rows, z) for z in center(a).basis.data], u.dim * u.dim)
 
 
 def u_inner_map(x, u_alg: Algebra) -> Matrix:
@@ -321,11 +287,11 @@ def u_inner_map(x, u_alg: Algebra) -> Matrix:
     return inner_map(x, u_alg, regular_action(u_alg))
 
 
-def i_space(a: Algebra, u: ModuleAlgebra) -> LinearMapSpace:
+def i_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """I(U): inner maps of U induced by x whose A-commutator map vanishes."""
     rows = _commutators(regular_action(u.algebra))
-    return _span([_combine(rows, x) for x in commutant_in_module(a, u).basis.data],
-                 u.dim, u.dim)
+    return _span_of_rows([_combine(rows, x) for x in commutant_in_module(a, u).basis.data],
+                         u.dim * u.dim)
 
 
 def commutant_in_module(a: Algebra, u) -> Subspace:

@@ -28,9 +28,11 @@ product and kept in it.  ``_SPACES`` names every space a product carries
 (Z1 and N1 of A x| U, A, (A, U) and U; Hom_A(U) and its meet with Z1(U);
 the annihilators; R, C and I; the pairing homomorphisms; the 3.1 row groups
 and their kernel; the map Phi below) with how the product builds it from
-its factors, read through ``space(p, name)``; ``h1(p, part)`` is the
-checked difference of one part's Z1 and N1.  ``GATES`` maps each gate name
-to ``p -> (holds, witness)``, read through ``hypothesis_check``.
+its factors, read through ``space(p, name)``.  Every row but the 3.1 row
+groups and Phi is a Subspace, of maps flattened as in :mod:`.spaces`.
+``h1(p, part)`` is the checked difference of one part's Z1 and N1.
+``GATES`` maps each gate name to ``p -> (holds, witness)``, read through
+``hypothesis_check``.
 
 Every linear system here is a list of row groups from :mod:`.spaces`, solved
 by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
@@ -85,7 +87,6 @@ from .spaces import (
     LEFT,
     OUT,
     RIGHT,
-    LinearMapSpace,
     RowGroup,
     _h1_of,
     bimodule_hom,
@@ -313,7 +314,7 @@ def _verdict(ok):
 
 def _kernels_agree(p: SemidirectAlgebra, cond: Subspace):
     """Z1(A x| U) against a kernel of block conditions: (Z1, details, verdict)."""
-    leib = space(p, "z1_total").space
+    leib = space(p, "z1_total")
     return leib, {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}, _verdict(leib == cond)
 
 
@@ -408,7 +409,7 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     if kind == "tau2-only":
         if leibniz_defect(block, u.algebra, regular_action(u.algebra)) is not None:
             return False
-        return space(p, "hom_u").contains_map(block)
+        return space(p, "hom_u").contains(block.flatten())
     raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
 
 
@@ -421,7 +422,7 @@ def _block_part(p, row, block):
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
     return all(not any(_block_part(p, row, "tau1"))
-               for row in space(p, "z1_total").space.basis.data)
+               for row in space(p, "z1_total").basis.data)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +512,7 @@ _SPACES = {
     "n1_u": lambda p: inner_space(p.part_u.algebra, regular_action(p.part_u.algebra)),
     "hom_u": lambda p: hom_space(p.part_a, p.part_u.action, p.part_u.action),
     # Hom_A(U) intersected with the derivations of U, in map coordinates
-    "hom_cap_z1u": lambda p: LinearMapSpace(
-        p.m, p.m, intersect(space(p, "hom_u").space, space(p, "z1_u").space)),
+    "hom_cap_z1u": lambda p: intersect(space(p, "hom_u"), space(p, "z1_u")),
     "ann_a_u": lambda p: annihilator_in_algebra(p.part_a, p.part_u),
     "ann_u_u": lambda p: annihilator_in_module(p.part_u),
     "ann_a_a": lambda p: annihilator_in_algebra(p.part_a, regular_action(p.part_a)),
@@ -528,12 +528,12 @@ _SPACES = {
 
 
 def _images_in(maps, target):
-    """Gate: the maps of row ``maps`` take values in row ``target``; else a basis map."""
+    """Gate: the maps out of A of row ``maps`` take values in row ``target``; else a basis map."""
     def gate(p):
         z, ann = space(p, maps), space(p, target)
-        td = z.target_dim
-        for row in z.space.basis.data:
-            if not all(ann.contains(row[pp * td:(pp + 1) * td]) for pp in range(z.source_dim)):
+        td = ann.ambient
+        for row in z.basis.data:
+            if not all(ann.contains(row[s * td:(s + 1) * td]) for s in range(p.n)):
                 return False, [str(x) for x in row]
         return True, None
     return gate
@@ -548,8 +548,8 @@ def _zero(dim, key):
 
 
 def _hom_in_r_plus_n1u(p):
-    rn = subspace_sum(space(p, "r").space, space(p, "n1_u").space)
-    for row in space(p, "hom_cap_z1u").space.basis.data:
+    rn = subspace_sum(space(p, "r"), space(p, "n1_u"))
+    for row in space(p, "hom_cap_z1u").basis.data:
         if not rn.contains(row):
             return False, [str(x) for x in row]
     return True, None
@@ -678,7 +678,7 @@ def _extension_blocks(p):
         split_ok = all(leib.contains(_block_part(p, row, "delta2")) for row in leib.basis.data)
         details["decomposition_ok"] = split_ok
         inner_tau1_zero = all(not any(_block_part(p, row, "tau1"))
-                              for row in space(p, "n1_total").space.basis.data)
+                              for row in space(p, "n1_total").basis.data)
         details["inner_tau1_zero"] = inner_tau1_zero
         verdict = _verdict(split_ok and inner_tau1_zero)
     return leib.dim, cond.dim, verdict, details
@@ -687,7 +687,7 @@ def _extension_blocks(p):
 def _extension_h1(p):
     """Rule cte: H1(T(A,U)) = H1(A,U) + dim Hom_A(U) cap Z1(U) - dim C_A(U)."""
     lhs = h1_total(p)
-    homz1, cs = space(p, "hom_cap_z1u").space, space(p, "c").space
+    homz1, cs = space(p, "hom_cap_z1u"), space(p, "c")
     details = {"hom_dim": homz1.dim, "c_dim": cs.dim}
     if not homz1.contains_subspace(cs):
         return lhs, None, "MISMATCH", dict(details, reason="C_A(U) escapes Hom cap Z1")
@@ -726,7 +726,7 @@ def _scaled_blocks(p):
         details["coupling_right_ok"] = right_ok
         inner_ok = all(
             not any(_block_part(p, row, "tau1")) and not any(_block_part(p, row, "delta2"))
-            for row in space(p, "n1_total").space.basis.data)
+            for row in space(p, "n1_total").basis.data)
         details["inner_shape_ok"] = inner_ok
         verdict = _verdict(left_ok and right_ok and inner_ok)
     return leib.dim, cond.dim, verdict, details
@@ -754,7 +754,7 @@ _CONSTRUCTIONS = {
 
 def _product(p, first, second):
     """The product of two rows of ``_SPACES``: the numerator of a quotient rule."""
-    return product_subspace(space(p, first).space, space(p, second).space)
+    return product_subspace(space(p, first), space(p, second))
 
 
 # rule id -> (construction it needs or None, gates, check)
@@ -771,8 +771,8 @@ RULES = {
             lambda p: _quotient(p, _product(p, "z1_a", "z1_au"),
                                 build_K(p))),
     "4.4": (None, ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
-            lambda p: _quotient(p, space(p, "hom_cap_z1u").space,
-                                subspace_sum(space(p, "c").space, space(p, "i").space))),
+            lambda p: _quotient(p, space(p, "hom_cap_z1u"),
+                                subspace_sum(space(p, "c"), space(p, "i")))),
     "5.1": ("direct", (), _direct_blocks),
     "5.3": ("direct", ("ann_U(U)=0 or span(A^2)=A", "ann_A(A)=0 or span(U^2)=U"),
             _direct_h1_split),

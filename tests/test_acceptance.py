@@ -130,8 +130,8 @@ def test_criterion_5_extension_h1_formula_fixture():
         rep = verify_special_case("cte", te)
         assert rep.verdict == "verified"
         assert rep.lhs_dim == 1
-        homz1 = space(te, "hom_cap_z1u").space
-        c = _c_space(te.part_a, te.part_u).space
+        homz1 = space(te, "hom_cap_z1u")
+        c = _c_space(te.part_a, te.part_u)
         assert h1_dim(q, te.part_u.action) == 0
         assert quotient_dim(homz1, c) == 1
         assert rep.rhs_dim == 0 + 1

@@ -21,6 +21,7 @@ from pathlib import Path
 from semih1.algebra import center, regular_action
 from semih1.errors import Semih1Error
 from semih1.instancefile import _Registry, parse_instance_text, run_job
+from semih1.linalg import unflatten
 from semih1.products import semidirect
 from semih1.spaces import (
     c_space,
@@ -92,13 +93,13 @@ def images(p):
         "center_U": _basis(center(ualg)),
         "center_T": _basis(center(t)),
         "commutant": _basis(commutant_in_module(a, u)),
-        "n1_A": _basis(inner_space(a, regular_action(a)).space),
-        "n1_AU": _basis(inner_space(a, u).space),
-        "n1_U": _basis(inner_space(ualg, regular_action(ualg)).space),
-        "n1_T": _basis(inner_space(t, reg_t).space),
-        "r": _basis(r_space(a, u).space),
-        "c": _basis(c_space(a, u).space),
-        "i": _basis(i_space(a, u).space),
+        "n1_A": _basis(inner_space(a, regular_action(a))),
+        "n1_AU": _basis(inner_space(a, u)),
+        "n1_U": _basis(inner_space(ualg, regular_action(ualg))),
+        "n1_T": _basis(inner_space(t, reg_t)),
+        "r": _basis(r_space(a, u)),
+        "c": _basis(c_space(a, u)),
+        "i": _basis(i_space(a, u)),
         "E": _basis(build_E(p)),
         "F": _basis(build_F(p)),
         "K": _basis(build_K(p)),
@@ -109,8 +110,8 @@ def images(p):
         "r_map": _matrix(r_map(xa, u)),
         "inner_witness_AU": _witness(inner_witness(inner_map(xu, a, u), a, u)),
         "inner_witness_T": _witness(inner_witness(inner_map(xt, t, reg_t), t, reg_t)),
-        "inner_witness_Z1": [_witness(inner_witness(d, t, reg_t))
-                             for d in derivation_space(t, reg_t).basis_maps()],
+        "inner_witness_Z1": [_witness(inner_witness(unflatten(row, p.dim, p.dim), t, reg_t))
+                             for row in derivation_space(t, reg_t).basis.data],
     }
 
 

@@ -22,7 +22,6 @@ from semih1.instancefile import (
     run_jobs,
 )
 from semih1.linalg import Subspace
-from semih1.spaces import LinearMapSpace
 
 from _oracle import dense
 
@@ -47,7 +46,7 @@ def test_minimal_file_parses_and_runs():
 def test_h1_job_checks_that_the_inner_maps_lie_in_z1(monkeypatch):
     # Z1(Q) = 0, so the full space on Q, standing in for N1, escapes it
     monkeypatch.setattr(semih1.instancefile, "inner_space",
-                        lambda a, act: LinearMapSpace(1, 1, Subspace.full(1)))
+                        lambda a, act: Subspace.full(1))
     doc, code = run_jobs(parse_instance_text(doc_text(MINIMAL)))
     assert code == 2
     assert doc["jobs"][0]["status"] == "error"
@@ -135,6 +134,38 @@ def test_a_name_shared_across_kinds_is_rejected(defs):
     with pytest.raises(ParseError) as err:
         parse_instance_text(doc_text(doc))
     assert "duplicate name" in str(err.value)
+
+
+ONE_MODULE = {"name": "M", "over": "Q", "dim": 1, "mult": [{"i": 0, "j": 0, "k": 0, "c": "1"}],
+              "left": [{"i": 0, "p": 0, "q": 0, "c": "1"}],
+              "right": [{"p": 0, "i": 0, "q": 0, "c": "1"}]}
+
+
+@pytest.mark.parametrize("section, spec", [
+    ("algebras", {"name": "B", "dim": 1, "mutl": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}),
+    ("characters", {"name": "one", "over": "Q", "value": ["1"]}),
+    ("modules", {**ONE_MODULE, "rigth": []}),
+], ids=["algebra", "character", "module"])
+def test_a_misspelled_definition_key_is_a_parse_error(section, spec, tmp_path):
+    from semih1.cli import main
+
+    doc = dict(MINIMAL, **{section: MINIMAL.get(section, []) + [spec]})
+    misspelled = (set(spec) - {"name", "dim", "mult", "over", "values", "left", "right"}).pop()
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(doc_text(doc))
+    assert f"unknown key {misspelled!r}" in str(err.value)
+    path = tmp_path / "misspelled.json"
+    path.write_text(doc_text(doc))
+    assert main(["validate", str(path)]) == 1
+
+
+def test_a_duplicate_character_is_rejected_before_it_is_validated():
+    # the second "t" is not multiplicative; its name clashes first
+    doc = dict(MINIMAL, characters=[{"name": "t", "over": "Q", "values": ["1"]},
+                                    {"name": "t", "over": "Q", "values": ["2"]}])
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(doc_text(doc))
+    assert "duplicate name 't'" in str(err.value)
 
 
 def test_unresolved_references_rejected():
@@ -542,6 +573,85 @@ def test_entries_that_cancel_parse_to_the_algebra_without_them(case):
                for entries in (base, noisy)]
     assert algebra[0].mult == algebra[1].mult
     assert dense(algebra[0].mult, dim) == dense(algebra[1].mult, dim)
+
+
+# Modules, corners and characters over the VALID_BASES algebras, each clean
+# or with one defect.  A clean entry parses; every defect but a missing or
+# null right_over (which makes a corner a module, maybe a valid one) fails.
+BASE_DOC = [{"name": name, "dim": dim, "mult": [entry(*e) for e in mult]}
+            for name, (dim, mult) in sorted(VALID_BASES.items())]
+# multiplicative values: an idempotent of each algebra goes to 1
+CHARACTER_VALUES = {"Q": ["1"], "D": ["1", "0"], "T2": ["1", "0", "0"]}
+DEFINITION_DEFECTS = ("none", "none", "over", "dim", "key", "entry")
+
+
+def regular(name, keys):
+    """The product entries of a base algebra under the tensor keys of an action."""
+    return [dict(zip(keys, e[:3]), c=e[3]) for e in VALID_BASES[name][1]]
+
+
+@st.composite
+def malformed_definitions(draw):
+    """(section, entry, defect): one module, corner or character, maybe with a defect."""
+    kind = draw(st.sampled_from(("module", "corner", "character")))
+    defects = DEFINITION_DEFECTS + {"module": (), "corner": ("right_over", "mult"),
+                                    "character": ("length", "multiplicative")}[kind]
+    defect = draw(st.sampled_from(defects))
+    if kind == "character":
+        over = draw(st.sampled_from(sorted(CHARACTER_VALUES)))
+        spec = {"name": "t", "over": over, "values": list(CHARACTER_VALUES[over])}
+    else:
+        over = draw(st.sampled_from(sorted(VALID_BASES)))
+        spec = {"name": "M", "over": over, "dim": draw(st.integers(0, 3))}
+        if kind == "module" and draw(st.booleans()):
+            spec.update(dim=VALID_BASES[over][0], mult=regular(over, "ijk"),
+                        left=regular(over, "ipq"), right=regular(over, "piq"))
+        if kind == "corner":
+            spec["right_over"] = right = draw(st.sampled_from(sorted(VALID_BASES)))
+            side = draw(st.sampled_from(("zero", "left", "right")))
+            if side == "left":
+                spec.update(dim=VALID_BASES[over][0], left=regular(over, "ipq"))
+            elif side == "right":
+                spec.update(dim=VALID_BASES[right][0], right=regular(right, "piq"))
+    if defect in ("over", "right_over"):
+        spec[defect] = draw(st.sampled_from((None, "nope", 1, "", ...)))
+        if spec[defect] is ...:
+            del spec[defect]
+    elif defect == "dim" and kind != "character":
+        spec["dim"] = draw(st.sampled_from((-1, None, "2", 1.0, True)))
+    elif defect == "dim":
+        spec["dim"] = 1
+    elif defect == "key":
+        spec[draw(st.sampled_from(("mutl", "rigth", "lfet", "valeus", "ovr", "dims")))] = []
+    elif defect == "entry" and kind == "character":
+        spec["values"][0] = draw(st.sampled_from(("1.0", "x", None, True, "1/0")))
+    elif defect == "entry":
+        field = draw(st.sampled_from(("left", "right") + ("mult",) * (kind == "module")))
+        keys = {"mult": "ijk", "left": "ipq", "right": "piq"}[field]
+        bad = dict.fromkeys(keys, 0)
+        bad.update(draw(st.sampled_from(({}, {"c": "1/0"}, {"c": 1.5}, {"c": "1", "x": 0},
+                                          {"c": "1", keys[2]: 4}, {"c": "1", keys[0]: None}))))
+        spec[field] = [*spec.get(field, []), bad] if draw(st.booleans()) else "entries"
+    elif defect == "mult":
+        spec["mult"] = [{"i": 0, "j": 0, "k": 0, "c": "1"}]
+    elif defect == "length":
+        spec["values"] = spec["values"] + ["0"] if draw(st.booleans()) else spec["values"][1:]
+    elif defect == "multiplicative":
+        spec["values"] = draw(st.sampled_from((["2"], ["0"]))) + spec["values"][1:]
+    return kind.replace("corner", "module") + "s", spec, defect
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_definitions())
+def test_malformed_definitions_raise_only_front_door_errors(case):
+    section, spec, defect = case
+    text = doc_text({"algebras": BASE_DOC, section: [spec]})
+    try:
+        parse_instance_text(text)
+    except (ParseError, UnresolvedReference, ValidationFailed):
+        assert defect != "none"
+        return
+    assert defect == "none" or (defect == "right_over" and spec.get(defect) is None)
 
 
 @pytest.mark.parametrize("fixture", ["extension_qq.json", "paired_tau.json", "tau1_witness.json",

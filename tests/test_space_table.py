@@ -6,6 +6,7 @@ from collections import Counter
 import semih1.verify as verify
 from semih1.catalog import dual_numbers, field_q
 from semih1.families import random_product
+from semih1.linalg import Subspace
 from semih1.products import direct_product
 from semih1.selftest import run_case
 
@@ -47,3 +48,26 @@ def test_each_space_and_gate_is_computed_once_per_product(monkeypatch):
         run_case(p, a_sample, rng)
     assert {kind for kind, _, _ in builds} == {"space", "gate"}
     assert [key for key, count in builds.items() if count > 1] == []
+
+
+def test_every_space_is_a_subspace_of_its_flattened_maps():
+    # row -> its ambient: source dim times target dim for a space of maps,
+    # the dimension of the part for an annihilator
+    def ambients(p):
+        t, n, m = p.dim, p.n, p.m
+        return {"z1_total": t * t, "n1_total": t * t, "z1_a": n * n, "n1_a": n * n,
+                "z1_au": n * m, "n1_au": n * m, "z1_u": m * m, "n1_u": m * m,
+                "hom_u": m * m, "hom_cap_z1u": m * m, "r": m * m, "c": m * m, "i": m * m,
+                "pairing": m * n, "cond31": t * t, "ann_a_u": n, "ann_u_u": m, "ann_a_a": n}
+
+    shapes = set()
+    for i in range(20):
+        p, _ = random_product(random.Random(f"table:{i}"), 3)
+        shapes.add((p.n, p.m))
+        expected = ambients(p)
+        assert set(expected) == set(verify._SPACES) - {"groups31", "phi"}
+        for name, ambient in expected.items():
+            got = verify.space(p, name)
+            assert isinstance(got, Subspace), name
+            assert got.ambient == ambient, name
+    assert any(n != m and n * m for n, m in shapes)

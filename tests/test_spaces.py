@@ -19,7 +19,7 @@ from semih1.catalog import (
 )
 from semih1.errors import NotADerivation
 from semih1.families import random_algebra_sample, random_module_sample
-from semih1.linalg import Matrix, Subspace, frac
+from semih1.linalg import Matrix, Subspace, frac, unflatten
 from semih1.products import theta_lau
 from semih1.spaces import (
     LEFT,
@@ -54,7 +54,7 @@ def test_dual_numbers_derivations():
     z = derivation_space(d, regular_action(d))
     assert z.dim == 1
     # the basis derivation sends 1 -> 0 and t -> t
-    basis = z.basis_maps()[0]
+    basis = unflatten(z.basis.data[0], 2, 2)
     assert basis.data[0] == [0, 0]
     assert basis.data[1][1] != 0 and basis.data[1][0] == 0
 
@@ -65,7 +65,7 @@ def test_matrix_algebra_derivations_all_inner():
     nn = inner_space(m2, regular_action(m2))
     assert z.dim == 3  # frozen from the brute-force reference
     assert nn.dim == 3
-    assert z.space == nn.space
+    assert z == nn
 
 
 def test_oracle_agreement_on_catalog():
@@ -132,13 +132,13 @@ def test_hom_space_matrix_bimodule_endomorphisms_are_scalars():
     m2 = matrix_algebra(2)
     space = hom_space(m2, regular_action(m2), regular_action(m2))
     assert space.dim == 1
-    assert space.contains_map(Matrix.identity(4))
+    assert space.contains(Matrix.identity(4).flatten())
 
 
 def test_r_space_commutative_base_equals_c_space():
     d = dual_numbers()
     u = regular_module(d)
-    assert r_space(d, u).space == c_space(d, u).space
+    assert r_space(d, u) == c_space(d, u)
 
 
 def test_scaled_action_r_space_vanishes():
@@ -183,7 +183,7 @@ def test_inner_witness_roundtrip_matrix_algebra():
 def test_inner_witness_none_for_outer_derivation():
     d_alg = dual_numbers()
     z = derivation_space(d_alg, regular_action(d_alg))
-    outer = z.basis_maps()[0]
+    outer = unflatten(z.basis.data[0], 2, 2)
     assert inner_witness(outer, d_alg, regular_action(d_alg)) is None
 
 
@@ -214,7 +214,7 @@ def test_n1_contained_in_z1_fuzz():
         mod = random_module_sample(rng, sample, 3)
         z = derivation_space(sample.algebra, mod.action)
         nn = inner_space(sample.algebra, mod.action)
-        assert z.space.contains_subspace(nn.space)
+        assert z.contains_subspace(nn)
 
 
 def test_row_group_terms_are_the_products_they_name():

@@ -108,7 +108,7 @@ def test_inner_maps_always_pass_block_conditions():
         witness = [rng.randint(-2, 2) for _ in range(p.dim)]
         d = inner_map(witness, p.total, regular_action(p.total))
         assert is_derivation_via_3_1(d, p)
-        assert space(p, "z1_total").space.contains(d.flatten())
+        assert space(p, "z1_total").contains(d.flatten())
 
 
 def test_inner_characterization_roundtrip():
@@ -226,8 +226,8 @@ def test_efk_spaces_for_scaled_products():
     # K = N1(A) x 0
     t2 = upper_triangular_2()
     p = theta_lau(t2, matrix_algebra(2), Character(t2, [1, 0, 0]))
-    na = space(p, "n1_a").space
-    nu = space(p, "n1_u").space
+    na = space(p, "n1_a")
+    nu = space(p, "n1_u")
     assert na.dim == 2 and nu.dim == 3
     from semih1.linalg import Subspace
     assert build_E(p) == product_subspace(na, nu)
