@@ -2,16 +2,16 @@
 
 Everything downstream reduces to the calculus in this module: reduced row
 echelon forms, kernels, images, and the sum/intersection/quotient arithmetic
-of subspaces of Q^d.  Every scalar that enters or leaves is a
-:class:`fractions.Fraction`, so every equality test is exact and every
-subspace has one canonical basis.
+of subspaces of Q^d.  Scalars enter as ints or :class:`fractions.Fraction`
+and leave as Fractions, so every equality test is exact and every subspace
+has one canonical basis.
 
 Every elimination goes through ``_rref_rows``, which takes rows as sparse
-lists of ``(column, value)`` pairs and reduces them one at a time against
-the pivot rows found so far, on fraction-free integer rows inside (see its
-docstring).  Dense callers hand it the nonzero entries of their rows;
-constraint systems built sparse, such as those of :mod:`semih1.spaces`, go
-straight to :func:`kernel_of_rows`.
+lists of ``(column, value)`` pairs, int or Fraction, and works on
+fraction-free integer rows inside: it builds an echelon form one row at a
+time, then back-substitutes once (see its docstring).  Dense callers hand it
+the nonzero entries of their rows; constraint systems built sparse, such as
+the integer rows of :mod:`semih1.spaces`, go straight to :func:`kernel_of_rows`.
 
 Conventions
 -----------
@@ -40,9 +40,7 @@ def frac(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -77,18 +75,19 @@ def _eliminate(row, c, prow):
 
 
 def _rref_rows(rows, cols):
-    """Reduced row echelon form of sparse rows, by incremental elimination.
+    """Reduced row echelon form of sparse rows: echelon form, then one back-substitution.
 
     Each row is a list of ``(column, value)`` pairs with distinct columns
-    and nonzero rational values, taken one at a time as a primitive integer
-    row (denominators cleared, content divided out) and reduced against the
-    pivot rows kept so far: pivot row P clears column c by
-    ``row <- P[c] row - row[c] P``.  A row that reduces to zero is dropped.
-    Otherwise its lowest nonzero column becomes a new pivot, made positive,
-    and is eliminated from the earlier pivot rows.  These thus stay fully
-    reduced: divided by their pivots, they are the unique rref of the span
-    whatever the row order.  Once every column is a pivot the remaining
-    rows are skipped.
+    and nonzero int or Fraction values, taken one at a time as a primitive
+    integer row (denominators cleared, content divided out; an int row
+    passes unchanged but for its content).  While its lowest nonzero column
+    c is a pivot, pivot row P clears it by ``row <- P[c] row - row[c] P``.
+    A row that reduces to zero is dropped; otherwise column c becomes a new
+    pivot, made positive.  Once every column is a pivot the remaining rows
+    are skipped.  The pivot rows, an echelon form, are then reduced once in
+    decreasing pivot order, each against the later ones, already reduced.
+    Divided by their pivots, they are the unique rref of the span whatever
+    the row order.
 
     Returns ``(reduced_rows, pivot_columns)``: the pivot rows as dense
     Fraction rows of length ``cols`` in increasing pivot order, and those pivots.
@@ -97,28 +96,26 @@ def _rref_rows(rows, cols):
     for entries in rows:
         s = lcm(*(x.denominator for _, x in entries))
         row = _primitive({j: x.numerator * (s // x.denominator) for j, x in entries})
-        for c in [c for c in row if c in pivot_rows]:
-            # pivot rows hold no other pivot column, so row[c] stays nonzero
-            row = _eliminate(row, c, pivot_rows[c])
+        while row and (p := min(row)) in pivot_rows:
+            row = _eliminate(row, p, pivot_rows[p])
         if not row:
             continue
-        p = min(row)
-        if row[p] < 0:
-            row = {j: -x for j, x in row.items()}
-        for c, prow in pivot_rows.items():
-            if p in prow:
-                pivot_rows[c] = _eliminate(prow, p, row)
-        pivot_rows[p] = row
+        pivot_rows[p] = row if row[p] > 0 else {j: -x for j, x in row.items()}
         if len(pivot_rows) == cols:
             break
     pivots = sorted(pivot_rows)
     reduced = []
-    for p in pivots:
-        row, dense = pivot_rows[p], [F0] * cols
+    for p in reversed(pivots):
+        row = pivot_rows[p]
+        for c in [c for c in row if c != p and c in pivot_rows]:
+            # the later pivot rows are reduced, so row[c] stays nonzero
+            row = _eliminate(row, c, pivot_rows[c])
+        pivot_rows[p] = row
+        dense = [F0] * cols
         for j, x in row.items():
             dense[j] = Fraction(x, row[p])
         reduced.append(dense)
-    return reduced, pivots
+    return reduced[::-1], pivots
 
 
 def _combine(rows, coeffs):
@@ -356,7 +353,7 @@ def kernel_of_rows(rows, cols) -> Subspace:
     """Solution space in Q^cols of sparse rows of ``(column, value)`` pairs.
 
     Each row is one constraint ``sum value * v[column] = 0``; its columns
-    are distinct and its values nonzero Fractions.
+    are distinct and its values nonzero ints or Fractions.
 
     >>> k = kernel_of_rows([[(0, F1), (2, -F1)], []], 3)
     >>> k.dim, k.contains([1, 5, 1])

@@ -13,11 +13,11 @@ each of its rows, one per ``(x, y, k)``, is a signed sum of terms of three
 shapes, ``D(xy)``, ``(Dx)y`` and ``x(Dy)``, where the product is a grid of
 slices (``B[x][y]`` holds the nonzero ``(k, c)`` coordinates of the product
 of basis vectors x and y, as in :mod:`.algebra`) and ``D`` is one block of
-the unknown map, placed at an offset of the flattened coordinates.
-:func:`solve` is the one place where groups become a canonical kernel;
-:func:`first_failure` evaluates a group on one flattened map and returns
-its first failing basis pair, the witness a per-matrix check reports.  Both
-visit only the rows some term reaches.
+the unknown map, placed at an offset of the flattened coordinates.  Rows
+are integer rows, built only where some term reaches.  :func:`solve` hands
+them to the engine, the one place where groups become a canonical kernel;
+:func:`first_failure` keeps them on the group and returns the first basis
+pair failing on a flattened map, the witness a per-matrix check reports.
 
 Computed spaces, the last four read from the commutator rows of
 ``algebra._commutators`` (row p: the map a -> a u_p - u_p a) and their
@@ -31,6 +31,9 @@ transpose, the rows of a -> r_a:
                            A-commutator, maps U -> U.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from .algebra import (
     Algebra,
     ModuleAlgebra,
@@ -43,7 +46,6 @@ from .algebra import (
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
 from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
-    F0,
     Matrix,
     Subspace,
     _by_coordinate,
@@ -78,28 +80,32 @@ class RowGroup:
 
     Each term is indexed once, at construction, by the slot a pair (x, y)
     looks it up with: ``(x, y)``, ``y`` and ``x`` respectively, giving the
-    signed ``(l, c)`` pairs of the sum, with k for the last two.  A pair's
-    rows are thus built together, and only those some term reaches: every k
-    when ``D(xy)`` has an entry, else the k of its other terms.  Pairs are
-    scanned x-major, or y-major when ``y_major`` is set; the first pair with
-    a nonzero row is the group's witness.
+    signed ``(l, c)`` pairs of the sum, with k for the last two, each c an
+    int: ``scale``, the lcm of all term denominators, times the coefficient.
+    A pair's rows are thus built together, and only those some term reaches:
+    every k when ``D(xy)`` has an entry, else the k of its other terms.
+    Pairs are scanned x-major, or y-major when ``y_major`` is set; the first
+    pair with a nonzero row is the group's witness.
     """
 
-    __slots__ = ("name", "dims", "y_major", "_index")
+    __slots__ = ("name", "dims", "y_major", "scale", "_index", "_kept")
 
     def __init__(self, name, dims, terms, y_major=False):
         self.name = name
         self.dims = dims
         self.y_major = y_major
+        self.scale = s = lcm(*(c.denominator for _, _, tensor, _ in terms
+                               for slab in tensor for sl in slab for _, c in sl))
         self._index = []
+        self._kept = None
         for sign, shape, tensor, (r0, c0, width) in terms:
-            by = {}
+            by, f = {}, sign * s
             for a, slab in enumerate(tensor):
                 for b, sl in enumerate(slab):
                     for k, c in sl:
                         key, entry = {OUT: ((a, b), (k,)), LEFT: (b, (k, a)),
                                       RIGHT: (a, (k, b))}[shape]
-                        by.setdefault(key, []).append((*entry, c if sign > 0 else -c))
+                        by.setdefault(key, []).append((*entry, c.numerator * (f // c.denominator)))
             self._index.append((shape, r0, c0, width, by))
 
     def pairs(self):
@@ -109,53 +115,51 @@ class RowGroup:
         return [(x, y) for x in range(dx) for y in range(dy)]
 
     def _pair_rows(self, x, y):
-        """k -> the (flat coordinate, coefficient) entries of row (x, y, k), for each k reached."""
+        """k -> {flat coordinate: summed int coefficient} of row (x, y, k), for each k reached."""
         rows = {}
         for shape, r0, c0, width, by in self._index:
             if shape == OUT:
                 terms = by.get((x, y), ())
                 for k in range(self.dims[2]) if terms else ():
-                    rows.setdefault(k, []).extend(((r0 + l) * width + c0 + k, c) for l, c in terms)
+                    row = rows.setdefault(k, {})
+                    for l, c in terms:
+                        i = (r0 + l) * width + c0 + k
+                        row[i] = row.get(i, 0) + c
             else:
                 base = (r0 + (x if shape == LEFT else y)) * width + c0
                 for k, l, c in by.get(y if shape == LEFT else x, ()):
-                    rows.setdefault(k, []).append((base + l, c))
+                    row = rows.setdefault(k, {})
+                    row[base + l] = row.get(base + l, 0) + c
         return rows
 
     def _rows(self):
-        """((x, y), row (x, y, k)) for every row some term reaches, in scan order."""
+        """((x, y), nonzero row (x, y, k) as (coordinate, int) pairs), in scan order."""
         for x, y in self.pairs():
             rows = self._pair_rows(x, y)
             for k in sorted(rows):
-                yield (x, y), rows[k]
+                if row := [(i, c) for i, c in rows[k].items() if c]:
+                    yield (x, y), row
 
     def row(self, x, y, k):
-        """The nonzero (flat coordinate, coefficient) entries of row (x, y, k)."""
-        return self._pair_rows(x, y).get(k, [])
+        """The nonzero (flat coordinate, coefficient) entries of row (x, y, k), as Fractions."""
+        row = self._pair_rows(x, y).get(k, {})
+        return [(i, Fraction(c, self.scale)) for i, c in row.items() if c]
 
 
 def solve(amb, *groups) -> Subspace:
-    """The canonical kernel, inside Q^amb, of every row of the given groups.
-
-    Terms of a row that land on one coordinate are added up and the sums
-    that cancel dropped, so each row reaches the engine as sparse pairs.
-    """
-    rows = []
-    for g in groups:
-        for _, entries in g._rows():
-            merged = {}
-            for i, c in entries:
-                merged[i] = merged.get(i, F0) + c
-            rows.append([(i, c) for i, c in merged.items() if c])
-    if not rows:
-        return Subspace.full(amb)
-    return kernel_of_rows(rows, amb)
+    """The canonical kernel, inside Q^amb, of the integer rows of the groups; none is kept."""
+    return kernel_of_rows([row for g in groups for _, row in g._rows()], amb)
 
 
 def first_failure(group: RowGroup, flat):
-    """The first basis pair whose rows do not vanish on a flattened map, else None."""
-    for pair, entries in group._rows():
-        if sum(c * flat[i] for i, c in entries if flat[i]):
+    """The first basis pair whose rows do not vanish on a flattened map, else None.
+
+    A group is read-only, so its rows are built once, at its first call, and kept.
+    """
+    if group._kept is None:
+        group._kept = list(group._rows())
+    for pair, row in group._kept:
+        if sum(c * flat[i] for i, c in row if flat[i]):
             return pair
     return None
 
@@ -189,8 +193,11 @@ def lands_in(name, target: Subspace, place, dx) -> RowGroup:
     return RowGroup(name, (dx, 1, d), [(1, LEFT, residual, place)])
 
 
-def _action_of(m):
-    return m.action if isinstance(m, ModuleAlgebra) else m
+def _action_of(a: Algebra, m):
+    act = m.action if isinstance(m, ModuleAlgebra) else m
+    if act.algebra_dim != a.dim:
+        raise ShapeMismatch("module is not over the given algebra")
+    return act
 
 
 def derivation_space(a: Algebra, m) -> Subspace:
@@ -199,16 +206,13 @@ def derivation_space(a: Algebra, m) -> Subspace:
     In finite dimension every derivation is continuous, so this is the full
     space Z1(A, M) with no topological qualifier.
     """
-    act = _action_of(m)
-    if act.algebra_dim != a.dim:
-        raise ShapeMismatch("module is not over the given algebra")
-    n, md = a.dim, act.module_dim
-    return solve(n * md, leibniz("leibniz", a, act, (0, 0, md)))
+    act = _action_of(a, m)
+    return solve(a.dim * act.module_dim, leibniz("leibniz", a, act, (0, 0, act.module_dim)))
 
 
 def leibniz_defect(d: Matrix, a: Algebra, m):
     """First basis pair (i, j) where d fails the derivation law, else None."""
-    act = _action_of(m)
+    act = _action_of(a, m)
     if (d.rows, d.cols) != (a.dim, act.module_dim):
         raise ShapeMismatch("candidate map has the wrong shape")
     return first_failure(leibniz("leibniz", a, act, (0, 0, d.cols)), d.flatten())
@@ -228,7 +232,7 @@ def _r(u: ModuleAlgebra):
 
 def inner_map(x, a: Algebra, m) -> Matrix:
     """The matrix of a -> ax - xa for a module element x."""
-    act = _action_of(m)
+    act = _action_of(a, m)
     if len(x) != act.module_dim:
         raise ShapeMismatch("module element has the wrong length")
     return _map(_commutators(act), x, a.dim, act.module_dim)
@@ -236,7 +240,7 @@ def inner_map(x, a: Algebra, m) -> Matrix:
 
 def inner_space(a: Algebra, m) -> Subspace:
     """N1(A, M): the span of the inner maps, as an image."""
-    act = _action_of(m)
+    act = _action_of(a, m)
     return _span_of_rows(_commutators(act), a.dim * act.module_dim)
 
 
@@ -250,16 +254,13 @@ def _h1_of(z: Subspace, inner: Subspace, what=None) -> int:
 
 def h1_dim(a: Algebra, m=None) -> int:
     """dim Z1(A,M) - dim N1(A,M); with m omitted, coefficients in A itself."""
-    if m is None:
-        m = regular_action(a)
+    m = regular_action(a) if m is None else m
     return _h1_of(derivation_space(a, m), inner_space(a, m))
 
 
 def hom_space(a: Algebra, u, v) -> Subspace:
     """Hom_A(U, V): maps with f(a.x) = a.f(x) and f(x.a) = f(x).a."""
-    ua, va = _action_of(u), _action_of(v)
-    if ua.algebra_dim != a.dim or va.algebra_dim != a.dim:
-        raise ShapeMismatch("both modules must be over the given algebra")
+    ua, va = _action_of(a, u), _action_of(a, v)
     mu, mv = ua.module_dim, va.module_dim
     return solve(mu * mv, *bimodule_hom(a.dim, ua, va, (0, 0, mv)))
 
@@ -296,7 +297,7 @@ def i_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
 
 def commutant_in_module(a: Algebra, u) -> Subspace:
     """{x in U : a.x = x.a for all a}: the parameter space behind I(U)."""
-    act = _action_of(u)
+    act = _action_of(a, u)
     return _kernel_of_images(_commutators(act), act.module_dim)
 
 
@@ -306,10 +307,9 @@ def inner_witness(d: Matrix, a: Algebra, m):
     Witnesses are not unique whenever the commutant is nontrivial; callers
     must verify a returned witness, never compare two of them.
     """
-    defect = leibniz_defect(d, a, m)
-    if defect is not None:
+    if (defect := leibniz_defect(d, a, m)) is not None:
         raise NotADerivation(f"map violates the derivation law at basis pair {defect}")
-    act = _action_of(m)
+    act = _action_of(a, m)
     # one row per map coordinate: sum_p x_p ad(u_p) = d, with d as column md
     images = [*_commutators(act), _pairs(d.flatten())]
     return _solve_rows(list(_by_coordinate(images).values()), act.module_dim)

@@ -6,10 +6,11 @@
 bit for bit, against ``brute_rref`` / ``brute_kernel`` / ``brute_rank`` of
 ``tests/_oracle.py`` on small integer and rational systems with duplicate
 rows, zero rows and rows that cancel, plus two metamorphic invariants:
-permuting the rows or scaling them by nonzero factors leaves the rref as
-it is.  Entries of height up to 10**40 and rows with a huge common content
-stress the integer rows the engine eliminates on.  Basis changes with such
-entries must leave H1 of an algebra at its closed form.
+permuting the rows or scaling them by nonzero factors leaves the rref, and
+the ``(rows, pivots)`` ``_rref_rows`` returns for int or Fraction rows, as
+they are.  Entries of height up to 10**40 and rows with a huge common
+content stress the integer rows the engine eliminates on.  Basis changes
+with such entries must leave H1 of an algebra at its closed form.
 """
 
 from fractions import Fraction
@@ -108,6 +109,22 @@ def test_rref_ignores_row_order_and_row_scale(system, data):
     scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
     shuffled = data.draw(st.permutations(scaled))
     assert rref(Matrix.from_rows(shuffled, cols=cols)) == rref(Matrix.from_rows(rows, cols=cols))
+
+
+@ENGINE
+@given(systems(), st.data())
+def test_rref_rows_output_ignores_row_order_and_row_scale(system, data):
+    # the echelon form depends on the row order, the back-substituted rref must not;
+    # integral rows go in as ints, as spaces.solve hands them over
+    cols, rows = system
+    factors = data.draw(st.lists(st.one_of(RATIONALS, HUGE).filter(bool), min_size=len(rows),
+                                 max_size=len(rows)))
+    scaled = [[int(y) if y.denominator == 1 else y for y in (f * x for x in row)]
+              for f, row in zip(factors, rows)]
+    shuffled = data.draw(st.permutations(scaled))
+    reduced, pivots = _rref_rows(sparse(shuffled), cols)
+    assert (reduced, pivots) == _rref_rows(sparse(rows), cols)
+    assert all_fractions(reduced)
 
 
 def test_empty_pair_lists_and_zero_columns():

@@ -17,7 +17,7 @@ from semih1.catalog import (
     null_algebra,
     upper_triangular_2,
 )
-from semih1.errors import NotADerivation
+from semih1.errors import NotADerivation, ShapeMismatch
 from semih1.families import random_algebra_sample, random_module_sample
 from semih1.linalg import Matrix, Subspace, frac, unflatten
 from semih1.products import theta_lau
@@ -109,6 +109,19 @@ def test_inner_space_matrix_algebra_dimension():
     # dim N1 = dim A - dim Z(A) = 4 - 1
     m2 = matrix_algebra(2)
     assert inner_space(m2, regular_action(m2)).dim == 3
+
+
+@pytest.mark.parametrize("a, m", [(field_q(), regular_action(matrix_algebra(2))),
+                                  (matrix_algebra(2), regular_action(field_q()))],
+                         ids=["module-over-bigger-algebra", "module-over-smaller-algebra"])
+def test_inner_maps_need_a_module_over_the_algebra(a, m):
+    # as derivation_space does: no IndexError, no space of the wrong shape
+    with pytest.raises(ShapeMismatch, match="not over the given algebra"):
+        inner_space(a, m)
+    with pytest.raises(ShapeMismatch, match="not over the given algebra"):
+        inner_map([frac(1)] * m.module_dim, a, m)
+    with pytest.raises(ShapeMismatch, match="not over the given algebra"):
+        derivation_space(a, m)
 
 
 def test_inner_map_of_zero_is_zero():
