@@ -7,11 +7,12 @@ and leave as Fractions, so every equality test is exact and every subspace
 has one canonical basis.
 
 Every elimination goes through ``_rref_rows``, which takes rows as sparse
-lists of ``(column, value)`` pairs, int or Fraction, and works on
-fraction-free integer rows inside: it builds an echelon form one row at a
-time, then back-substitutes once (see its docstring).  Dense callers hand it
-the nonzero entries of their rows; constraint systems built sparse, such as
-the integer rows of :mod:`semih1.spaces`, go straight to :func:`kernel_of_rows`.
+lists of ``(column, value)`` pairs, int or Fraction, and returns the reduced
+integer pivot rows of one fraction-free elimination (see its docstring);
+``_fractions`` divides them out to a dense rref.  Dense callers hand it the
+nonzero entries of their rows; constraint systems built sparse, such as the
+integer rows of :mod:`semih1.spaces`, go to :func:`kernel_of_rows`, which reads
+the canonical kernel basis off one elimination with mirrored columns.
 
 Conventions
 -----------
@@ -86,11 +87,11 @@ def _rref_rows(rows, cols):
     pivot, made positive.  Once every column is a pivot the remaining rows
     are skipped.  The pivot rows, an echelon form, are then reduced once in
     decreasing pivot order, each against the later ones, already reduced.
-    Divided by their pivots, they are the unique rref of the span whatever
-    the row order.
+    Divided by their pivots (:func:`_fractions`), they are the unique rref
+    of the span whatever the row order.
 
-    Returns ``(reduced_rows, pivot_columns)``: the pivot rows as dense
-    Fraction rows of length ``cols`` in increasing pivot order, and those pivots.
+    Returns ``(reduced, pivots)``: the reduced pivot rows as ``{column: int}``
+    dicts, pivot entry positive, in increasing pivot order, and those pivots.
     """
     pivot_rows = {}
     for entries in rows:
@@ -104,18 +105,22 @@ def _rref_rows(rows, cols):
         if len(pivot_rows) == cols:
             break
     pivots = sorted(pivot_rows)
-    reduced = []
     for p in reversed(pivots):
         row = pivot_rows[p]
         for c in [c for c in row if c != p and c in pivot_rows]:
             # the later pivot rows are reduced, so row[c] stays nonzero
             row = _eliminate(row, c, pivot_rows[c])
         pivot_rows[p] = row
-        dense = [F0] * cols
+    return [pivot_rows[p] for p in pivots], pivots
+
+
+def _fractions(reduced, pivots, cols):
+    """The reduced rows of :func:`_rref_rows` as dense Fraction rows, pivots 1."""
+    dense = [[F0] * cols for _ in reduced]
+    for out, row, p in zip(dense, reduced, pivots):
         for j, x in row.items():
-            dense[j] = Fraction(x, row[p])
-        reduced.append(dense)
-    return reduced[::-1], pivots
+            out[j] = Fraction(x, row[p])
+    return dense
 
 
 def _combine(rows, coeffs):
@@ -151,11 +156,15 @@ class Matrix:
         self.data = [[frac(x) for x in row] for row in data]
 
     @classmethod
-    def zeros(cls, rows, cols):
+    def _trusted(cls, data, cols):
+        """A matrix on rows of Fractions of length ``cols``, taken as they are."""
         m = object.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m.data = [[F0] * cols for _ in range(rows)]
+        m.rows, m.cols, m.data = len(data), cols, data
         return m
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls._trusted([[F0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
@@ -244,8 +253,8 @@ def rref(m: Matrix) -> Matrix:
     >>> rref(Matrix([[1, 2], [3, 4]])) == Matrix.identity(2)
     True
     """
-    rows, _ = _rref_rows([_pairs(row) for row in m.data], m.cols)
-    return Matrix.from_rows(rows, cols=m.cols)
+    return Matrix._trusted(_fractions(*_rref_rows([_pairs(row) for row in m.data], m.cols),
+                                      m.cols), m.cols)
 
 
 class Subspace:
@@ -334,8 +343,8 @@ class Subspace:
 
 def _span_of_rows(rows, ambient) -> Subspace:
     """The span of sparse ``(column, value)`` rows inside Q^ambient."""
-    reduced, _ = _rref_rows(rows, ambient)
-    return Subspace(ambient, Matrix.from_rows(reduced, cols=ambient))
+    return Subspace(ambient, Matrix._trusted(_fractions(*_rref_rows(rows, ambient), ambient),
+                                             ambient))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -353,17 +362,25 @@ def kernel_of_rows(rows, cols) -> Subspace:
     """Solution space in Q^cols of sparse rows of ``(column, value)`` pairs.
 
     Each row is one constraint ``sum value * v[column] = 0``; its columns
-    are distinct and its values nonzero ints or Fractions.
+    are distinct and its values nonzero ints or Fractions.  Eliminated with
+    column j as ``cols - 1 - j``, each pivot p is the highest column of its
+    row, so the solutions of the free columns f (1 at f, ``-row[f] / row[p]``
+    at each p) are zero before f and at the other free columns: the rref basis.
 
-    >>> k = kernel_of_rows([[(0, F1), (2, -F1)], []], 3)
-    >>> k.dim, k.contains([1, 5, 1])
-    (2, True)
+    >>> k = kernel_of_rows([[(0, 1), (1, 1), (3, 2)], [(2, 2), (3, 2)]], 4)
+    >>> [[str(x) for x in row] for row in k.basis.data]
+    [['1', '0', '1/2', '-1/2'], ['0', '1', '1/2', '-1/2']]
     """
-    rows, pivots = _rref_rows(rows, cols)
+    last = cols - 1
+    reduced, pivots = _rref_rows([[(last - j, x) for j, x in row] for row in rows], cols)
     pivot_set = set(pivots)
-    # one solution per free column fc: 1 there and -row[fc] at each pivot
-    return _span_of_rows([[(fc, F1)] + [(pc, -row[fc]) for row, pc in zip(rows, pivots) if row[fc]]
-                          for fc in range(cols) if fc not in pivot_set], cols)
+    # keyed by mirrored free column j: the solution of free column last - j
+    solution = {j: [F0] * (last - j) + [F1] + [F0] * j for j in range(cols) if j not in pivot_set}
+    for row, p in zip(reduced, pivots):
+        for j, x in row.items():
+            if j != p:
+                solution[j][last - p] = Fraction(-x, row[p])
+    return Subspace(cols, Matrix._trusted(list(solution.values())[::-1], cols))
 
 
 def _by_coordinate(images):
@@ -452,5 +469,5 @@ def _solve_rows(rows, cols):
         return None
     x = [F0] * cols
     for row, pc in zip(reduced, pivots):
-        x[pc] = row[cols]
+        x[pc] = Fraction(row.get(cols, 0), row[pc])
     return x

@@ -224,9 +224,8 @@ def _map(rows, coeffs, source_dim, target_dim) -> Matrix:
                      source_dim, target_dim)
 
 
-def _r(u: ModuleAlgebra):
+def _r(act):
     """The flat rows of a -> r_a, one per basis vector of the algebra."""
-    act = u.action
     return _twists(_commutators(act), act.algebra_dim, act.module_dim)
 
 
@@ -269,17 +268,17 @@ def r_map(a_elt, u: ModuleAlgebra) -> Matrix:
     """The matrix of x -> x.a - a.x on U for an algebra element a."""
     if len(a_elt) != u.action.algebra_dim:
         raise ShapeMismatch("algebra element has the wrong length")
-    return _map(_r(u), a_elt, u.dim, u.dim)
+    return _map(_r(u.action), a_elt, u.dim, u.dim)
 
 
 def r_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """R_A(U): the span of the maps r_a over a in A."""
-    return _span_of_rows(_r(u), u.dim * u.dim)
+    return _span_of_rows(_r(_action_of(a, u)), u.dim * u.dim)
 
 
 def c_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """C_A(U): the maps r_a with a central in A."""
-    rows = _r(u)
+    rows = _r(_action_of(a, u))
     return _span_of_rows([_combine(rows, z) for z in center(a).basis.data], u.dim * u.dim)
 
 

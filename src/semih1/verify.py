@@ -370,7 +370,7 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
         return None
     diff = [x - y for x, y in zip(d.flatten(), _phi_flat(p, witness))]
     for block in _BLOCKS:
-        if any(_block_part(p, diff, block)):
+        if not _block_zero(p, diff, block):
             raise InternalInvariantViolation(
                 f"{block} block of an inner map is not the image of its witness")
     return witness[:p.n], witness[p.n:]
@@ -419,10 +419,15 @@ def _block_part(p, row, block):
     return [x if j // p.dim in rows and j % p.dim in cols else F0 for j, x in enumerate(row)]
 
 
+def _block_zero(p, row, block):
+    """True when the given flattened map on A x| U is zero on the named block."""
+    rows, cols = _block_ranges(p)[block]
+    return not any(row[r * p.dim + c] for r in rows for c in cols)
+
+
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
-    return all(not any(_block_part(p, row, "tau1"))
-               for row in space(p, "z1_total").basis.data)
+    return all(_block_zero(p, row, "tau1") for row in space(p, "z1_total").basis.data)
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +633,11 @@ def _direct_blocks(p):
     details["forces_tau1_zero"] = force_tau1
     if verdict == "verified":
         for row in leib.basis.data:
-            if force_delta2 and any(_block_part(p, row, "delta2")):
+            if force_delta2 and not _block_zero(p, row, "delta2"):
                 verdict = "MISMATCH"
                 details["reason"] = "delta2 should vanish but does not"
                 break
-            if force_tau1 and any(_block_part(p, row, "tau1")):
+            if force_tau1 and not _block_zero(p, row, "tau1"):
                 verdict = "MISMATCH"
                 details["reason"] = "tau1 should vanish but does not"
                 break
@@ -677,7 +682,7 @@ def _extension_blocks(p):
         # one exactly when D2 is
         split_ok = all(leib.contains(_block_part(p, row, "delta2")) for row in leib.basis.data)
         details["decomposition_ok"] = split_ok
-        inner_tau1_zero = all(not any(_block_part(p, row, "tau1"))
+        inner_tau1_zero = all(_block_zero(p, row, "tau1")
                               for row in space(p, "n1_total").basis.data)
         details["inner_tau1_zero"] = inner_tau1_zero
         verdict = _verdict(split_ok and inner_tau1_zero)
@@ -725,7 +730,7 @@ def _scaled_blocks(p):
         details["coupling_left_ok"] = left_ok
         details["coupling_right_ok"] = right_ok
         inner_ok = all(
-            not any(_block_part(p, row, "tau1")) and not any(_block_part(p, row, "delta2"))
+            _block_zero(p, row, "tau1") and _block_zero(p, row, "delta2")
             for row in space(p, "n1_total").basis.data)
         details["inner_shape_ok"] = inner_ok
         verdict = _verdict(left_ok and right_ok and inner_ok)

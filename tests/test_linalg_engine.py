@@ -7,10 +7,13 @@ bit for bit, against ``brute_rref`` / ``brute_kernel`` / ``brute_rank`` of
 ``tests/_oracle.py`` on small integer and rational systems with duplicate
 rows, zero rows and rows that cancel, plus two metamorphic invariants:
 permuting the rows or scaling them by nonzero factors leaves the rref, and
-the ``(rows, pivots)`` ``_rref_rows`` returns for int or Fraction rows, as
-they are.  Entries of height up to 10**40 and rows with a huge common
-content stress the integer rows the engine eliminates on.  Basis changes
-with such entries must leave H1 of an algebra at its closed form.
+the rref that ``_rref_rows`` returns for int or Fraction rows as they are,
+its integer pivot rows divided out by ``_fractions``.  Entries of height up
+to 10**40 and rows with a huge common content stress the integer rows the
+engine eliminates on.  A kernel is one elimination, read off its mirrored
+pivot rows; it is checked on wide sparse int rows as ``spaces.solve`` builds
+them.  Basis changes with such entries must leave H1 of an algebra at its
+closed form.
 """
 
 from fractions import Fraction
@@ -19,12 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semih1 import linalg
 from semih1.algebra import Algebra
 from semih1.catalog import change_basis_algebra, invert, matrix_algebra
 from semih1.errors import ShapeMismatch
 from semih1.linalg import (
     Matrix,
     Subspace,
+    _fractions,
     _rref_rows,
     kernel,
     kernel_of_rows,
@@ -77,14 +82,20 @@ def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
+def dense_rref(rows, cols):
+    """``_rref_rows`` with its reduced integer rows divided out to dense Fraction rows."""
+    reduced, pivots = _rref_rows(rows, cols)
+    return _fractions(reduced, pivots, cols), pivots
+
+
 @ENGINE
 @given(systems())
 def test_rref_rows_is_gauss_jordan(system):
     cols, rows = system
-    reduced, pivots = _rref_rows(sparse(rows), cols)
-    assert (reduced, pivots) == brute_rref(rows, cols)
+    dense, pivots = dense_rref(sparse(rows), cols)
+    assert (dense, pivots) == brute_rref(rows, cols)
     assert len(pivots) == brute_rank(rows)
-    assert all_fractions(reduced)
+    assert all_fractions(dense)
 
 
 @ENGINE
@@ -122,9 +133,62 @@ def test_rref_rows_output_ignores_row_order_and_row_scale(system, data):
     scaled = [[int(y) if y.denominator == 1 else y for y in (f * x for x in row)]
               for f, row in zip(factors, rows)]
     shuffled = data.draw(st.permutations(scaled))
-    reduced, pivots = _rref_rows(sparse(shuffled), cols)
-    assert (reduced, pivots) == _rref_rows(sparse(rows), cols)
-    assert all_fractions(reduced)
+    dense, pivots = dense_rref(sparse(shuffled), cols)
+    assert (dense, pivots) == dense_rref(sparse(rows), cols)
+    assert all_fractions(dense)
+
+
+@ENGINE
+@given(systems())
+def test_rref_rows_returns_integer_pivot_rows(system):
+    cols, rows = system
+    reduced, pivots = _rref_rows(sparse(rows), cols)
+    assert pivots == sorted(pivots)
+    for row, p in zip(reduced, pivots):
+        assert all(type(x) is int and x for x in row.values())
+        assert row[p] > 0 and not any(c in row for c in pivots if c != p)
+
+
+@st.composite
+def int_constraints(draw, max_rows=10, max_cols=12):
+    """(cols, rows): wide int rows of a few entries each, as ``spaces.solve`` hands them over."""
+    cols = draw(st.integers(0, max_cols))
+    if not cols:
+        return cols, draw(st.lists(st.just([]), max_size=2))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30)).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry, max_size=3),
+                         max_size=max_rows))
+    return cols, [list(row.items()) for row in rows]
+
+
+@ENGINE
+@given(int_constraints())
+def test_kernel_of_sparse_int_rows_matches_the_oracle(system):
+    cols, rows = system
+    dense = [[dict(row).get(j, 0) for j in range(cols)] for row in rows]
+    basis = kernel_of_rows(rows, cols).basis.data
+    assert basis == brute_kernel(dense, cols)
+    assert all_fractions(basis)
+
+
+def test_a_kernel_is_one_elimination(monkeypatch):
+    seen = []
+
+    def counted(rows, cols):
+        seen.append(len(rows))
+        return _rref_rows(rows, cols)
+
+    monkeypatch.setattr(linalg, "_rref_rows", counted)
+    cases = [([[1, 2, 0, 3], [0, -2, 1, 1], [1, 0, 1, 4]], 4), ([[0, 3, 0], [0, 0, 0]], 3),
+             ([], 2), ([[1, 0], [0, 1]], 2)]
+    for rows, cols in cases:
+        seen.clear()
+        assert kernel_of_rows(sparse(rows), cols).basis.data == brute_kernel(rows, cols)
+        assert seen == [len(rows)]
+    # H1 of an algebra: one kernel for Z1 and one span for N1
+    seen.clear()
+    assert h1_dim(truncated_polynomials(4)) == 3
+    assert len(seen) == 2
 
 
 def test_empty_pair_lists_and_zero_columns():
@@ -146,7 +210,7 @@ def test_full_rank_reads_no_further_rows():
             read.append(i)
             yield entries
 
-    assert _rref_rows(rows(), 3) == brute_rref(dense, 3)
+    assert dense_rref(rows(), 3) == brute_rref(dense, 3)
     assert read == [0, 1, 2, 3, 4]
 
 
@@ -154,7 +218,7 @@ def test_entries_that_cancel_during_elimination():
     # the third row is the sum of the first two, the fourth their difference
     # doubled: both reduce to nothing, entry by entry
     rows = [[1, 2, 0, 3], [0, -2, 1, 1], [1, 0, 1, 4], [2, 8, -2, 4]]
-    assert _rref_rows(sparse([[Fraction(x) for x in r] for r in rows]), 4) == \
+    assert dense_rref(sparse([[Fraction(x) for x in r] for r in rows]), 4) == \
         brute_rref(rows, 4)
     assert _rref_rows(sparse([[Fraction(x) for x in r] for r in rows]), 4)[1] == [0, 1]
 

@@ -111,17 +111,22 @@ def test_inner_space_matrix_algebra_dimension():
     assert inner_space(m2, regular_action(m2)).dim == 3
 
 
-@pytest.mark.parametrize("a, m", [(field_q(), regular_action(matrix_algebra(2))),
-                                  (matrix_algebra(2), regular_action(field_q()))],
+@pytest.mark.parametrize("a, u", [(field_q(), regular_module(matrix_algebra(2))),
+                                  (matrix_algebra(2), regular_module(field_q()))],
                          ids=["module-over-bigger-algebra", "module-over-smaller-algebra"])
-def test_inner_maps_need_a_module_over_the_algebra(a, m):
+def test_inner_maps_need_a_module_over_the_algebra(a, u):
     # as derivation_space does: no IndexError, no space of the wrong shape
+    m = u.action
     with pytest.raises(ShapeMismatch, match="not over the given algebra"):
         inner_space(a, m)
     with pytest.raises(ShapeMismatch, match="not over the given algebra"):
         inner_map([frac(1)] * m.module_dim, a, m)
     with pytest.raises(ShapeMismatch, match="not over the given algebra"):
         derivation_space(a, m)
+    with pytest.raises(ShapeMismatch, match="not over the given algebra"):
+        c_space(a, u)
+    with pytest.raises(ShapeMismatch, match="not over the given algebra"):
+        r_space(a, u)
 
 
 def test_inner_map_of_zero_is_zero():
