@@ -25,21 +25,13 @@ from .errors import (
     ShapeMismatch,
     ValidationFailed,
 )
-from .linalg import F0, F1, Subspace, _kernel_of_images, _pairs, _span_of_rows, frac
+from .linalg import F0, F1, Subspace, _kernel_of_images, _pairs, _span_of_rows, _vector, frac
 
 
 def unit_vector(n, i):
     """The i-th standard basis vector of Q^n."""
     v = [F0] * n
     v[i] = F1
-    return v
-
-
-def _vector(sl, d):
-    """The dense vector of length d of a slice."""
-    v = [F0] * d
-    for k, c in sl:
-        v[k] = c
     return v
 
 

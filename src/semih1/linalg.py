@@ -9,10 +9,10 @@ has one canonical basis.
 Every elimination goes through ``_rref_rows``, which takes rows as sparse
 lists of ``(column, value)`` pairs, int or Fraction, and returns the reduced
 integer pivot rows of one fraction-free elimination (see its docstring);
-``_fractions`` divides them out to a dense rref.  Dense callers hand it the
-nonzero entries of their rows; constraint systems built sparse, such as the
-integer rows of :mod:`semih1.spaces`, go to :func:`kernel_of_rows`, which reads
-the canonical kernel basis off one elimination with mirrored columns.
+``_fractions`` divides them out to sparse rref rows.  Dense callers hand it
+the nonzero entries of their rows; constraint systems built sparse, such as
+the integer rows of :mod:`semih1.spaces`, go to :func:`kernel_of_rows`, which
+reads the canonical kernel basis off one elimination with mirrored columns.
 
 Conventions
 -----------
@@ -20,8 +20,10 @@ Conventions
 * ``kernel(m)`` is the solution space of ``m @ v = 0`` (one constraint per
   row, ambient dimension ``m.cols``); ``kernel_of_rows`` is the same for
   sparse rows.
-* A :class:`Subspace` stores the unique reduced-row-echelon basis of a
-  subspace; two subspaces are equal iff their bases are bit-equal.
+* A :class:`Subspace` is its unique rref basis in one sparse form, ``rows``:
+  a tuple of rows, each a tuple of ``(column, Fraction)`` pairs in
+  increasing column order, pivot ``(p, 1)`` first.  Two subspaces are equal
+  iff these rows are; ``basis`` writes them out as a dense :class:`Matrix`.
 """
 
 from fractions import Fraction
@@ -52,6 +54,14 @@ def _pairs(row):
     This is also the slice of a vector in the structure tensors of :mod:`.algebra`.
     """
     return tuple([(j, x) for j, x in enumerate(row) if x])
+
+
+def _vector(pairs, d):
+    """The dense vector of length d with the given ``(column, value)`` pairs; see :func:`_pairs`."""
+    v = [F0] * d
+    for j, x in pairs:
+        v[j] = x
+    return v
 
 
 def _primitive(row):
@@ -114,22 +124,18 @@ def _rref_rows(rows, cols):
     return [pivot_rows[p] for p in pivots], pivots
 
 
-def _fractions(reduced, pivots, cols):
-    """The reduced rows of :func:`_rref_rows` as dense Fraction rows, pivots 1."""
-    dense = [[F0] * cols for _ in reduced]
-    for out, row, p in zip(dense, reduced, pivots):
-        for j, x in row.items():
-            out[j] = Fraction(x, row[p])
-    return dense
+def _fractions(reduced, pivots):
+    """The reduced rows of :func:`_rref_rows` as ``Subspace.rows``: sparse, ``(p, 1)`` first."""
+    return tuple(tuple([(j, Fraction(x, row[p])) for j, x in sorted(row.items())])
+                 for row, p in zip(reduced, pivots))
 
 
 def _combine(rows, coeffs):
-    """``sum_k coeffs[k] rows[k]`` of sparse ``(key, value)`` rows, as sparse pairs."""
+    """``sum x rows[k]`` over sparse ``(k, x)`` coefficients, of sparse ``(key, value)`` rows."""
     out = {}
-    for x, row in zip(coeffs, rows):
-        if x:
-            for key, c in row:
-                out[key] = out.get(key, F0) + x * c
+    for k, x in coeffs:
+        for key, c in rows[k]:
+            out[key] = out.get(key, F0) + x * c
     return [(key, c) for key, c in out.items() if c]
 
 
@@ -253,16 +259,19 @@ def rref(m: Matrix) -> Matrix:
     >>> rref(Matrix([[1, 2], [3, 4]])) == Matrix.identity(2)
     True
     """
-    return Matrix._trusted(_fractions(*_rref_rows([_pairs(row) for row in m.data], m.cols),
-                                      m.cols), m.cols)
+    rows = _fractions(*_rref_rows([_pairs(row) for row in m.data], m.cols))
+    return Matrix._trusted([_vector(row, m.cols) for row in rows], m.cols)
 
 
 class Subspace:
-    """A subspace of Q^d held by its canonical rref basis.
+    """A subspace of Q^d held by its canonical rref basis, as sparse rows.
 
-    The basis rows are nonzero, pivots are 1, pivot columns strictly
-    increase and are zero elsewhere, so two subspaces are equal iff their
-    bases compare equal entry by entry.
+    ``rows`` is a tuple with one tuple of ``(column, Fraction)`` pairs per
+    basis vector: nonzero values, columns increasing, pivot entry ``(p, 1)``
+    first, and each pivot column absent from every other row.  Pivots
+    strictly increase down the rows, so two subspaces are equal iff their
+    rows are.  Only this module builds one; ``basis`` is the dense
+    :class:`Matrix` of the rows, written out on each read.
 
     >>> s = Subspace.from_vectors(3, [[0, 2, 2], [0, 1, 1], [1, 0, 1]])
     >>> s.dim
@@ -271,14 +280,11 @@ class Subspace:
     True
     """
 
-    __slots__ = ("ambient", "basis", "_sparse")
+    __slots__ = ("ambient", "rows")
 
-    def __init__(self, ambient, basis: Matrix):
-        if basis.cols != ambient:
-            raise DimensionMismatch("basis width differs from ambient dimension")
+    def __init__(self, ambient, rows):
         self.ambient = ambient
-        self.basis = basis
-        self._sparse = None
+        self.rows = rows
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
@@ -286,27 +292,22 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient):
-        return cls(ambient, Matrix.from_rows([], cols=ambient))
+        return cls(ambient, ())
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, Matrix.identity(ambient))
+        return cls(ambient, tuple(((j, F1),) for j in range(ambient)))
 
     @property
     def dim(self):
-        return self.basis.rows
+        return len(self.rows)
 
-    def _sparse_rows(self):
-        """Each basis row as (pivot column, its nonzero pairs), worked out once."""
-        if self._sparse is None:
-            self._sparse = []
-            for row in self.basis.data:
-                nz = _pairs(row)
-                self._sparse.append((nz[0][0], nz))
-        return self._sparse
+    @property
+    def basis(self) -> Matrix:
+        return Matrix._trusted([_vector(row, self.ambient) for row in self.rows], self.ambient)
 
     def pivot_columns(self):
-        return [piv for piv, _ in self._sparse_rows()]
+        return [row[0][0] for row in self.rows]
 
     def reduce(self, vec):
         """Residual of ``vec`` after elimination by the basis.
@@ -317,10 +318,10 @@ class Subspace:
         if len(vec) != self.ambient:
             raise DimensionMismatch("vector length differs from ambient dimension")
         v = list(map(frac, vec))
-        for piv, nz in self._sparse_rows():
-            f = v[piv]
+        for row in self.rows:
+            f = v[row[0][0]]
             if f:
-                for j, x in nz:
+                for j, x in row:
                     v[j] -= f * x
         return v
 
@@ -330,12 +331,12 @@ class Subspace:
     def contains_subspace(self, other) -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(row) for row in other.basis.data)
+        return all(self.contains(_vector(row, self.ambient)) for row in other.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self.rows == other.rows
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -343,8 +344,7 @@ class Subspace:
 
 def _span_of_rows(rows, ambient) -> Subspace:
     """The span of sparse ``(column, value)`` rows inside Q^ambient."""
-    return Subspace(ambient, Matrix._trusted(_fractions(*_rref_rows(rows, ambient), ambient),
-                                             ambient))
+    return Subspace(ambient, _fractions(*_rref_rows(rows, ambient)))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -365,7 +365,8 @@ def kernel_of_rows(rows, cols) -> Subspace:
     are distinct and its values nonzero ints or Fractions.  Eliminated with
     column j as ``cols - 1 - j``, each pivot p is the highest column of its
     row, so the solutions of the free columns f (1 at f, ``-row[f] / row[p]``
-    at each p) are zero before f and at the other free columns: the rref basis.
+    at each p) are zero before f and at the other free columns: the rref
+    basis, read off as sparse rows with the pivots p in increasing order.
 
     >>> k = kernel_of_rows([[(0, 1), (1, 1), (3, 2)], [(2, 2), (3, 2)]], 4)
     >>> [[str(x) for x in row] for row in k.basis.data]
@@ -375,12 +376,12 @@ def kernel_of_rows(rows, cols) -> Subspace:
     reduced, pivots = _rref_rows([[(last - j, x) for j, x in row] for row in rows], cols)
     pivot_set = set(pivots)
     # keyed by mirrored free column j: the solution of free column last - j
-    solution = {j: [F0] * (last - j) + [F1] + [F0] * j for j in range(cols) if j not in pivot_set}
-    for row, p in zip(reduced, pivots):
+    solution = {j: [(last - j, F1)] for j in range(cols) if j not in pivot_set}
+    for row, p in zip(reduced[::-1], pivots[::-1]):
         for j, x in row.items():
             if j != p:
-                solution[j][last - p] = Fraction(-x, row[p])
-    return Subspace(cols, Matrix._trusted(list(solution.values())[::-1], cols))
+                solution[j].append((last - p, Fraction(-x, row[p])))
+    return Subspace(cols, tuple(map(tuple, reversed(solution.values()))))
 
 
 def _by_coordinate(images):
@@ -408,7 +409,7 @@ def image(m: Matrix) -> Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    return Subspace.from_vectors(a.ambient, a.basis.data + b.basis.data)
+    return _span_of_rows(a.rows + b.rows, a.ambient)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -428,10 +429,10 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient)
     # the coefficients (c, d) with sum_i c_i a_i - sum_i d_i b_i = 0
-    a_rows = [nz for _, nz in a._sparse_rows()]
-    b_rows = [[(j, -x) for j, x in nz] for _, nz in b._sparse_rows()]
-    coeffs = _kernel_of_images(a_rows + b_rows, a.dim + b.dim)
-    return _span_of_rows([_combine(a_rows, c) for c in coeffs.basis.data], a.ambient)
+    b_rows = tuple([(j, -x) for j, x in row] for row in b.rows)
+    coeffs = _kernel_of_images(a.rows + b_rows, a.dim + b.dim)
+    return _span_of_rows([_combine(a.rows, [(k, x) for k, x in c if k < a.dim])
+                          for c in coeffs.rows], a.ambient)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
@@ -445,14 +446,10 @@ def quotient_dim(big: Subspace, small: Subspace) -> int:
 
 def product_subspace(a: Subspace, b: Subspace) -> Subspace:
     """External direct sum a x b inside Q^(da+db), blocks side by side."""
-    da, db = a.ambient, b.ambient
-    vectors = []
-    for row in a.basis.data:
-        vectors.append(list(row) + [F0] * db)
-    for row in b.basis.data:
-        vectors.append([F0] * da + list(row))
+    da = a.ambient
     # Block-diagonal stacking of two rref bases is already in rref form.
-    return Subspace(da + db, Matrix.from_rows(vectors, cols=da + db))
+    return Subspace(da + b.ambient,
+                    a.rows + tuple(tuple([(da + j, x) for j, x in row]) for row in b.rows))
 
 
 def solve_right(m: Matrix, rhs) -> "list[Fraction] | None":

@@ -39,7 +39,6 @@ from .algebra import (
     ModuleAlgebra,
     _commutators,
     _twists,
-    _vector,
     center,
     regular_action,
     unit_vector,
@@ -54,6 +53,7 @@ from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
     _pairs,
     _solve_rows,
     _span_of_rows,
+    _vector,
     kernel,
     kernel_of_rows,
     unflatten,
@@ -180,6 +180,20 @@ def bimodule_hom(a_dim, u, v, place):
                      [(1, OUT, u.right, place), (-1, LEFT, v.right, place)]))
 
 
+def pairing_groups(a: Algebra, act):
+    """gamma: C -> A a bimodule homomorphism with c.gamma(c') + gamma(c).c' = 0.
+
+    Row groups on the flattened coordinates of gamma, for the A-bimodule C
+    with action ``act``: ``hom-left`` and ``hom-right`` state gamma(a.c) =
+    a.gamma(c) and gamma(c.a) = gamma(c).a, ``pairing`` the last law.
+    """
+    n, mc = a.dim, act.module_dim
+    place = (0, 0, n)
+    pairing = RowGroup("pairing", (mc, mc, mc),
+                       [(1, RIGHT, act.right, place), (1, LEFT, act.left, place)])
+    return (*bimodule_hom(n, act, regular_action(a), place), pairing)
+
+
 def kills(name, tensor, place, dk) -> RowGroup:
     """D(xy) = 0 for every basis product of ``tensor``; D has ``dk`` columns."""
     return RowGroup(name, (len(tensor), len(tensor[0]) if tensor else 0, dk),
@@ -220,7 +234,7 @@ def leibniz_defect(d: Matrix, a: Algebra, m):
 
 def _map(rows, coeffs, source_dim, target_dim) -> Matrix:
     """``sum_k coeffs[k] rows[k]`` of rows in flat map coordinates, as a matrix."""
-    return unflatten(_vector(_combine(rows, coeffs), source_dim * target_dim),
+    return unflatten(_vector(_combine(rows, _pairs(coeffs)), source_dim * target_dim),
                      source_dim, target_dim)
 
 
@@ -279,7 +293,7 @@ def r_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
 def c_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """C_A(U): the maps r_a with a central in A."""
     rows = _r(_action_of(a, u))
-    return _span_of_rows([_combine(rows, z) for z in center(a).basis.data], u.dim * u.dim)
+    return _span_of_rows([_combine(rows, z) for z in center(a).rows], u.dim * u.dim)
 
 
 def u_inner_map(x, u_alg: Algebra) -> Matrix:
@@ -290,7 +304,7 @@ def u_inner_map(x, u_alg: Algebra) -> Matrix:
 def i_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """I(U): inner maps of U induced by x whose A-commutator map vanishes."""
     rows = _commutators(regular_action(u.algebra))
-    return _span_of_rows([_combine(rows, x) for x in commutant_in_module(a, u).basis.data],
+    return _span_of_rows([_combine(rows, x) for x in commutant_in_module(a, u).rows],
                          u.dim * u.dim)
 
 

@@ -76,7 +76,9 @@ from .linalg import (
     Subspace,
     _combine,
     _kernel_of_images,
+    _pairs,
     _span_of_rows,
+    _vector,
     intersect,
     product_subspace,
     subspace_sum,
@@ -89,7 +91,6 @@ from .spaces import (
     RIGHT,
     RowGroup,
     _h1_of,
-    bimodule_hom,
     c_space,
     derivation_space,
     first_failure,
@@ -101,6 +102,7 @@ from .spaces import (
     lands_in,
     leibniz,
     leibniz_defect,
+    pairing_groups,
     r_space,
     solve,
 )
@@ -169,9 +171,10 @@ _BLOCKS = {"delta1": "AA", "delta2": "AU", "tau1": "UA", "tau2": "UU"}
 
 
 def _block_ranges(p: SemidirectAlgebra):
-    """block -> (row range, column range) of that block in a map on A x| U."""
-    part = {"A": range(p.n), "U": range(p.n, p.dim)}
-    return {block: (part[s], part[t]) for block, (s, t) in _BLOCKS.items()}
+    """block -> (row range, column range) of that block in a map on A x| U, kept in p."""
+    return _memo(p, "block_ranges", lambda: {
+        block: tuple(range(p.n) if part == "A" else range(p.n, p.dim) for part in parts)
+        for block, parts in _BLOCKS.items()})
 
 
 def split_matrix(d: Matrix, p: SemidirectAlgebra):
@@ -368,7 +371,7 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     witness = inner_witness(d, p.total, total_reg)
     if witness is None:
         return None
-    diff = [x - y for x, y in zip(d.flatten(), _phi_flat(p, witness))]
+    diff = _pairs([x - y for x, y in zip(d.flatten(), _phi_flat(p, _pairs(witness)))])
     for block in _BLOCKS:
         if not _block_zero(p, diff, block):
             raise InternalInvariantViolation(
@@ -402,7 +405,7 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
         ann = space(p, "ann_u_u")
         return all(ann.contains(row) for row in block.data)
     if kind == "tau1-only":
-        groups = (*_pairing_groups(p),
+        groups = (*pairing_groups(a, act),
                   kills("tau1-kills-products", u.algebra.mult, (0, 0, p.n), p.n))
         flat = block.flatten()
         return all(first_failure(g, flat) is None for g in groups)
@@ -414,20 +417,19 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
 
 
 def _block_part(p, row, block):
-    """The given flattened map on A x| U with every entry outside the named block zeroed."""
-    rows, cols = _block_ranges(p)[block]
-    return [x if j // p.dim in rows and j % p.dim in cols else F0 for j, x in enumerate(row)]
+    """The entries of a sparse flattened map on A x| U inside the named block."""
+    (rows, cols), t = _block_ranges(p)[block], p.dim
+    return [(j, x) for j, x in row if j // t in rows and j % t in cols]
 
 
 def _block_zero(p, row, block):
-    """True when the given flattened map on A x| U is zero on the named block."""
-    rows, cols = _block_ranges(p)[block]
-    return not any(row[r * p.dim + c] for r in rows for c in cols)
+    """True when a sparse flattened map on A x| U is zero on the named block."""
+    return not _block_part(p, row, block)
 
 
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
-    return all(_block_zero(p, row, "tau1") for row in space(p, "z1_total").basis.data)
+    return all(_block_zero(p, row, "tau1") for row in space(p, "z1_total").rows)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +451,7 @@ def _phi(p: SemidirectAlgebra):
 
 
 def _phi_flat(p: SemidirectAlgebra, w):
-    """Φ(w), the inner derivation of z = w on A x| U, as a flattened map."""
+    """Φ(w), the inner derivation of z on A x| U, flattened; w holds z's nonzero (index, value)."""
     flat, t, ranges = [F0] * (p.dim * p.dim), p.dim, _block_ranges(p)
     for block, rows in space(p, "phi").items():
         rs, cs = ranges[block]
@@ -464,7 +466,7 @@ def _image_over_kernel(p: SemidirectAlgebra, keep, kill) -> Subspace:
     phi, ranges = space(p, "phi"), _block_ranges(p)
     first, second = (len(rs) * len(cs) for rs, cs in (ranges[block] for block in keep))
     rows = [_combine(phi[keep[0]], w) + [(first + j, c) for j, c in _combine(phi[keep[1]], w)]
-            for w in _kernel_of_images(phi[kill], p.n + p.m).basis.data]
+            for w in _kernel_of_images(phi[kill], p.n + p.m).rows]
     return _span_of_rows(rows, first + second)
 
 
@@ -495,16 +497,6 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
 # ---------------------------------------------------------------------------
 # the space table and the gate table
 
-def _pairing_groups(p: SemidirectAlgebra):
-    """T: U -> A a module homomorphism with T(x)y + xT(y) = 0, on T's coordinates."""
-    act = p.part_u.action
-    n, m = p.n, p.m
-    place = (0, 0, n)
-    pairing = RowGroup("pairing", (m, m, m),
-                       [(1, RIGHT, act.right, place), (1, LEFT, act.left, place)])
-    return (*bimodule_hom(n, act, regular_action(p.part_a), place), pairing)
-
-
 # space name -> how a product builds it from its factors (read through ``space``)
 _SPACES = {
     "z1_total": lambda p: derivation_space(p.total, regular_action(p.total)),
@@ -525,7 +517,7 @@ _SPACES = {
     "c": lambda p: c_space(p.part_a, p.part_u),
     "i": lambda p: i_space(p.part_a, p.part_u),
     # module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y
-    "pairing": lambda p: solve(p.m * p.n, *_pairing_groups(p)),
+    "pairing": lambda p: solve(p.m * p.n, *pairing_groups(p.part_a, p.part_u.action)),
     "groups31": _condition_groups,
     "cond31": lambda p: solve(p.dim * p.dim, *space(p, "groups31")),
     "phi": _phi,
@@ -632,7 +624,7 @@ def _direct_blocks(p):
     details["forces_delta2_zero"] = force_delta2
     details["forces_tau1_zero"] = force_tau1
     if verdict == "verified":
-        for row in leib.basis.data:
+        for row in leib.rows:
             if force_delta2 and not _block_zero(p, row, "delta2"):
                 verdict = "MISMATCH"
                 details["reason"] = "delta2 should vanish but does not"
@@ -680,10 +672,10 @@ def _extension_blocks(p):
         # D = D1 + D2 with D1 = (delta1 + tau1, tau2) and D2 = (0, delta2),
         # both of which must themselves be derivations; as D is one, D1 is
         # one exactly when D2 is
-        split_ok = all(leib.contains(_block_part(p, row, "delta2")) for row in leib.basis.data)
+        split_ok = all(leib.contains(_vector(_block_part(p, row, "delta2"), leib.ambient))
+                       for row in leib.rows)
         details["decomposition_ok"] = split_ok
-        inner_tau1_zero = all(_block_zero(p, row, "tau1")
-                              for row in space(p, "n1_total").basis.data)
+        inner_tau1_zero = all(_block_zero(p, row, "tau1") for row in space(p, "n1_total").rows)
         details["inner_tau1_zero"] = inner_tau1_zero
         verdict = _verdict(split_ok and inner_tau1_zero)
     return leib.dim, cond.dim, verdict, details
@@ -725,13 +717,14 @@ def _scaled_blocks(p):
                         [(1, LEFT, act.left, delta1), (1, LEFT, umult, delta2)])
         right = RowGroup("coupling-right", (m, n, m),
                          [(1, RIGHT, act.right, delta1), (1, RIGHT, umult, delta2)])
-        left_ok = all(first_failure(left, row) is None for row in leib.basis.data)
-        right_ok = all(first_failure(right, row) is None for row in leib.basis.data)
+        flats = leib.basis.data
+        left_ok = all(first_failure(left, row) is None for row in flats)
+        right_ok = all(first_failure(right, row) is None for row in flats)
         details["coupling_left_ok"] = left_ok
         details["coupling_right_ok"] = right_ok
         inner_ok = all(
             _block_zero(p, row, "tau1") and _block_zero(p, row, "delta2")
-            for row in space(p, "n1_total").basis.data)
+            for row in space(p, "n1_total").rows)
         details["inner_shape_ok"] = inner_ok
         verdict = _verdict(left_ok and right_ok and inner_ok)
     return leib.dim, cond.dim, verdict, details

@@ -8,7 +8,9 @@ bit for bit, against ``brute_rref`` / ``brute_kernel`` / ``brute_rank`` of
 rows, zero rows and rows that cancel, plus two metamorphic invariants:
 permuting the rows or scaling them by nonzero factors leaves the rref, and
 the rref that ``_rref_rows`` returns for int or Fraction rows as they are,
-its integer pivot rows divided out by ``_fractions``.  Entries of height up
+its integer pivot rows divided out by ``_fractions`` into sparse rows, as
+they are.  Every constructor of a ``Subspace`` must leave its ``rows`` in
+that canonical sparse form, since equality compares them.  Entries of height up
 to 10**40 and rows with a huge common content stress the integer rows the
 engine eliminates on.  A kernel is one elimination, read off its mirrored
 pivot rows; it is checked on wide sparse int rows as ``spaces.solve`` builds
@@ -31,10 +33,13 @@ from semih1.linalg import (
     Subspace,
     _fractions,
     _rref_rows,
+    intersect,
     kernel,
     kernel_of_rows,
+    product_subspace,
     rref,
     solve_right,
+    subspace_sum,
 )
 from semih1.spaces import OUT, RowGroup, h1_dim, solve
 
@@ -82,20 +87,30 @@ def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
-def dense_rref(rows, cols):
-    """``_rref_rows`` with its reduced integer rows divided out to dense Fraction rows."""
+def sparse_rref(rows, cols):
+    """``_rref_rows`` with its reduced integer rows divided out to sparse Fraction rows."""
     reduced, pivots = _rref_rows(rows, cols)
-    return _fractions(reduced, pivots, cols), pivots
+    return _fractions(reduced, pivots), pivots
+
+
+def oracle_rref(rows, cols):
+    """``brute_rref`` in the sparse form of ``_fractions``: a tuple of tuples of pairs."""
+    dense, pivots = brute_rref(rows, cols)
+    return tuple(tuple(row) for row in sparse(dense)), pivots
+
+
+def sparse_fractions(rows):
+    return all(type(x) is Fraction for row in rows for _, x in row)
 
 
 @ENGINE
 @given(systems())
 def test_rref_rows_is_gauss_jordan(system):
     cols, rows = system
-    dense, pivots = dense_rref(sparse(rows), cols)
-    assert (dense, pivots) == brute_rref(rows, cols)
+    reduced, pivots = sparse_rref(sparse(rows), cols)
+    assert (reduced, pivots) == oracle_rref(rows, cols)
     assert len(pivots) == brute_rank(rows)
-    assert all_fractions(dense)
+    assert sparse_fractions(reduced)
 
 
 @ENGINE
@@ -133,9 +148,9 @@ def test_rref_rows_output_ignores_row_order_and_row_scale(system, data):
     scaled = [[int(y) if y.denominator == 1 else y for y in (f * x for x in row)]
               for f, row in zip(factors, rows)]
     shuffled = data.draw(st.permutations(scaled))
-    dense, pivots = dense_rref(sparse(shuffled), cols)
-    assert (dense, pivots) == dense_rref(sparse(rows), cols)
-    assert all_fractions(dense)
+    reduced, pivots = sparse_rref(sparse(shuffled), cols)
+    assert (reduced, pivots) == sparse_rref(sparse(rows), cols)
+    assert sparse_fractions(reduced)
 
 
 @ENGINE
@@ -210,7 +225,7 @@ def test_full_rank_reads_no_further_rows():
             read.append(i)
             yield entries
 
-    assert dense_rref(rows(), 3) == brute_rref(dense, 3)
+    assert sparse_rref(rows(), 3) == oracle_rref(dense, 3)
     assert read == [0, 1, 2, 3, 4]
 
 
@@ -218,8 +233,8 @@ def test_entries_that_cancel_during_elimination():
     # the third row is the sum of the first two, the fourth their difference
     # doubled: both reduce to nothing, entry by entry
     rows = [[1, 2, 0, 3], [0, -2, 1, 1], [1, 0, 1, 4], [2, 8, -2, 4]]
-    assert dense_rref(sparse([[Fraction(x) for x in r] for r in rows]), 4) == \
-        brute_rref(rows, 4)
+    assert sparse_rref(sparse([[Fraction(x) for x in r] for r in rows]), 4) == \
+        oracle_rref(rows, 4)
     assert _rref_rows(sparse([[Fraction(x) for x in r] for r in rows]), 4)[1] == [0, 1]
 
 
@@ -246,6 +261,41 @@ def test_solve_merges_terms_that_share_a_coordinate(data):
                     row[l * d + k] += first[x][y][l] - second[x][y][l]
                 dense.append(row)
     assert solve(d * d, group).basis.data == brute_kernel(dense, d * d)
+
+
+def assert_canonical(space, expected):
+    """``space.rows`` is a canonical sparse rref, and ``space.basis`` the oracle's ``expected``."""
+    rows = space.rows
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    pivots = {row[0][0] for row in rows}
+    for row in rows:
+        columns = [j for j, _ in row]
+        assert row[0][1] == 1
+        assert all(type(x) is Fraction and x for _, x in row)
+        assert all(j < k for j, k in zip(columns, columns[1:]))
+        assert not pivots.intersection(columns[1:])
+    assert space.basis.data == expected
+
+
+@ENGINE
+@given(systems(), st.data())
+def test_every_constructor_leaves_canonical_rows(system, data):
+    cols, va = system
+    vb = data.draw(st.lists(st.lists(RATIONALS, min_size=cols, max_size=cols), max_size=4))
+    a, b = Subspace.from_vectors(cols, va), Subspace.from_vectors(cols, vb)
+    assert_canonical(a, brute_rref(va, cols)[0])
+    assert_canonical(b, brute_rref(vb, cols)[0])
+    assert_canonical(kernel_of_rows(sparse(va), cols), brute_kernel(va, cols))
+    assert_canonical(subspace_sum(a, b), brute_rref(va + vb, cols)[0])
+    # over Q the meet of two spans is the annihilator of the sum of their annihilators
+    meet = brute_kernel(brute_kernel(va, cols) + brute_kernel(vb, cols), cols)
+    assert_canonical(intersect(a, b), meet)
+    pad = [Fraction(0)] * cols
+    stacked = [list(v) + pad for v in va] + [pad + list(v) for v in vb]
+    assert_canonical(product_subspace(a, b), brute_rref(stacked, 2 * cols)[0])
+    assert_canonical(Subspace.zero(cols), [])
+    identity = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
+    assert_canonical(Subspace.full(cols), brute_rref(identity, cols)[0])
 
 
 @ENGINE
