@@ -25,7 +25,17 @@ from .errors import (
     ShapeMismatch,
     ValidationFailed,
 )
-from .linalg import F0, F1, Subspace, _kernel_of_images, _pairs, _span_of_rows, _vector, frac
+from .linalg import (
+    F0,
+    F1,
+    Subspace,
+    _combine,
+    _kernel_of_images,
+    _pairs,
+    _span_of_rows,
+    _vector,
+    frac,
+)
 
 
 def unit_vector(n, i):
@@ -426,35 +436,26 @@ def annihilator_in_module(u: ModuleAlgebra) -> Subspace:
 
 def is_sub_bimodule(n_space: Subspace, act: BimoduleAction) -> bool:
     """True when the subspace is closed under both actions of every basis element."""
-    for row in n_space.basis.data:
-        for i in range(act.algebra_dim):
-            ai = unit_vector(act.algebra_dim, i)
-            if not n_space.contains(act.act_left(ai, row)):
-                return False
-            if not n_space.contains(act.act_right(row, ai)):
-                return False
-    return True
+    return not any(n_space.reduce(_combine(grid, x))
+                   for i in range(act.algebra_dim)
+                   for grid in (act.left[i], [row[i] for row in act.right])
+                   for x in n_space.rows)
 
 
 def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
     """(N:U)_A = {a in A : a.U <= N and U.a <= N} for a sub-bimodule N.
 
-    With N = 0 this reduces to ann_A U.
+    With N = 0 this reduces to ann_A U.  Modulo N, a.u_p and u_p.a are linear in a.
     """
     act = u.action if isinstance(u, ModuleAlgebra) else u
     if n_space.ambient != act.module_dim:
         raise ShapeMismatch("submodule lives in the wrong ambient dimension")
     if not is_sub_bimodule(n_space, act):
         raise NotSubmodule("the given subspace is not closed under the actions")
-    m = act.module_dim
-
-    def residual(sl):
-        # e_i.u_p (resp. u_p.e_i) modulo N, linear in the algebra slot
-        return _pairs(n_space.reduce(_vector(sl, m)))
-
+    m, reduce = act.module_dim, n_space.reduce
     return _kernel_of_images(
-        [[((p, 0, q), c) for p in range(m) for q, c in residual(act.left[i][p])]
-         + [((p, 1, q), c) for p in range(m) for q, c in residual(act.right[p][i])]
+        [[((p, 0, q), c) for p in range(m) for q, c in reduce(act.left[i][p])]
+         + [((p, 1, q), c) for p in range(m) for q, c in reduce(act.right[p][i])]
          for i in range(act.algebra_dim)], act.algebra_dim)
 
 

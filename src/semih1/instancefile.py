@@ -75,7 +75,10 @@ def _rat(value, where):
     if isinstance(value, str):
         if not RATIONAL_RE.match(value):
             raise ParseError(f"bad rational {value!r}", where)
-        return frac(value)
+        try:
+            return frac(value)
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"bad rational: {exc}", where)
     raise ParseError(f"expected a rational string, got {type(value).__name__}", where)
 
 
@@ -154,6 +157,8 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
                          where)
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ParseError(f"invalid JSON: {exc}", where)
     _expect(doc, dict, where)
     for key in doc:
         if key not in ("algebras", "modules", "characters", "jobs"):

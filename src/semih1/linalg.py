@@ -24,6 +24,8 @@ Conventions
   a tuple of rows, each a tuple of ``(column, Fraction)`` pairs in
   increasing column order, pivot ``(p, 1)`` first.  Two subspaces are equal
   iff these rows are; ``basis`` writes them out as a dense :class:`Matrix`.
+* ``Subspace.reduce`` maps a sparse vector of such pairs to its residual in
+  that form, empty iff the vector lies in the span; ``contains`` is dense.
 """
 
 from fractions import Fraction
@@ -271,7 +273,8 @@ class Subspace:
     first, and each pivot column absent from every other row.  Pivots
     strictly increase down the rows, so two subspaces are equal iff their
     rows are.  Only this module builds one; ``basis`` is the dense
-    :class:`Matrix` of the rows, written out on each read.
+    :class:`Matrix` of the rows, written out on each read.  ``reduce`` tests
+    membership on sparse pairs; ``contains`` takes a dense vector.
 
     >>> s = Subspace.from_vectors(3, [[0, 2, 2], [0, 1, 1], [1, 0, 1]])
     >>> s.dim
@@ -306,32 +309,28 @@ class Subspace:
     def basis(self) -> Matrix:
         return Matrix._trusted([_vector(row, self.ambient) for row in self.rows], self.ambient)
 
-    def pivot_columns(self):
-        return [row[0][0] for row in self.rows]
+    def reduce(self, pairs):
+        """Residual of a sparse vector of ``(column, Fraction)`` pairs modulo the span.
 
-    def reduce(self, vec):
-        """Residual of ``vec`` after elimination by the basis.
-
-        The residual is zero exactly when ``vec`` lies in the subspace, and
-        depends linearly on ``vec``.
+        Linear in the vector, it is the tuple of nonzero pairs left off the
+        pivots, columns increasing: empty iff the vector lies in the span.
         """
-        if len(vec) != self.ambient:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        v = list(map(frac, vec))
+        v = dict(pairs)
         for row in self.rows:
-            f = v[row[0][0]]
-            if f:
+            if f := v.get(row[0][0]):
                 for j, x in row:
-                    v[j] -= f * x
-        return v
+                    v[j] = v.get(j, F0) - f * x
+        return tuple(sorted((j, x) for j, x in v.items() if x))
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        if len(vec) != self.ambient:
+            raise DimensionMismatch("vector length differs from ambient dimension")
+        return not self.reduce(_pairs(map(frac, vec)))
 
     def contains_subspace(self, other) -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(_vector(row, self.ambient)) for row in other.rows)
+        return not any(map(self.reduce, other.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -437,8 +436,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
     """dim(big/small); raises :class:`NotASubspace` unless small <= big."""
-    if big.ambient != small.ambient:
-        raise DimensionMismatch("ambient dimensions differ")
     if not big.contains_subspace(small):
         raise NotASubspace("claimed subspace is not contained in the larger space")
     return big.dim - small.dim

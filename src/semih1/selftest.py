@@ -25,7 +25,6 @@ from .linalg import (
     Subspace,
     _combine,
     _kernel_of_images,
-    _pairs,
     _vector,
     image,
     intersect,
@@ -142,7 +141,7 @@ def _check_converse_laws(p):
              space(p, "ann_u_u").dim == 0 and m > 0)):
         if not faithful:
             continue
-        residuals = [_pairs(hom.reduce(_vector(phi["tau2"][k], m * m))) for k in params]
+        residuals = [hom.reduce(phi["tau2"][k]) for k in params]
         rows = [phi[block][k] for k in params]
         for w in _kernel_of_images(residuals, len(params)).rows:
             if _combine(rows, w):

@@ -41,10 +41,10 @@ from .algebra import (
     _twists,
     center,
     regular_action,
-    unit_vector,
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
 from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
+    F1,
     Matrix,
     Subspace,
     _by_coordinate,
@@ -202,9 +202,8 @@ def kills(name, tensor, place, dk) -> RowGroup:
 
 def lands_in(name, target: Subspace, place, dx) -> RowGroup:
     """D(e_x) lies in ``target`` for x < dx: its residual mod ``target`` vanishes."""
-    d = target.ambient
-    residual = [[_pairs(target.reduce(unit_vector(d, l)))] for l in range(d)]
-    return RowGroup(name, (dx, 1, d), [(1, LEFT, residual, place)])
+    residual = [[target.reduce(((l, F1),))] for l in range(target.ambient)]
+    return RowGroup(name, (dx, 1, target.ambient), [(1, LEFT, residual, place)])
 
 
 def _action_of(a: Algebra, m):

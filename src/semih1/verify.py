@@ -529,9 +529,9 @@ def _images_in(maps, target):
     def gate(p):
         z, ann = space(p, maps), space(p, target)
         td = ann.ambient
-        for row in z.basis.data:
-            if not all(ann.contains(row[s * td:(s + 1) * td]) for s in range(p.n)):
-                return False, [str(x) for x in row]
+        for row in z.rows:
+            if any(ann.reduce([(j % td, x) for j, x in row if j // td == s]) for s in range(p.n)):
+                return False, [str(x) for x in _vector(row, z.ambient)]
         return True, None
     return gate
 
@@ -545,10 +545,10 @@ def _zero(dim, key):
 
 
 def _hom_in_r_plus_n1u(p):
-    rn = subspace_sum(space(p, "r"), space(p, "n1_u"))
-    for row in space(p, "hom_cap_z1u").basis.data:
-        if not rn.contains(row):
-            return False, [str(x) for x in row]
+    rn, homz1 = subspace_sum(space(p, "r"), space(p, "n1_u")), space(p, "hom_cap_z1u")
+    for row in homz1.rows:
+        if rn.reduce(row):
+            return False, [str(x) for x in _vector(row, homz1.ambient)]
     return True, None
 
 
@@ -672,8 +672,7 @@ def _extension_blocks(p):
         # D = D1 + D2 with D1 = (delta1 + tau1, tau2) and D2 = (0, delta2),
         # both of which must themselves be derivations; as D is one, D1 is
         # one exactly when D2 is
-        split_ok = all(leib.contains(_vector(_block_part(p, row, "delta2"), leib.ambient))
-                       for row in leib.rows)
+        split_ok = not any(leib.reduce(_block_part(p, row, "delta2")) for row in leib.rows)
         details["decomposition_ok"] = split_ok
         inner_tau1_zero = all(_block_zero(p, row, "tau1") for row in space(p, "n1_total").rows)
         details["inner_tau1_zero"] = inner_tau1_zero

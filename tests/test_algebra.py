@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semih1.algebra import (
     Algebra,
@@ -8,6 +10,7 @@ from semih1.algebra import (
     annihilator_in_algebra,
     annihilator_in_module,
     center,
+    is_sub_bimodule,
     regular_module,
     relative_annihilator,
     span_of_products,
@@ -28,7 +31,7 @@ from semih1.errors import NotSubmodule, ValidationFailed
 from semih1.linalg import Subspace
 from semih1.products import theta_lau
 
-from _oracle import dense
+from _oracle import brute_kernel, brute_rank, dense
 
 
 def test_one_dim_idempotent_is_valid():
@@ -136,6 +139,74 @@ def test_relative_annihilator_rejects_non_submodule():
     not_module = Subspace.from_vectors(4, [[0, 1, 0, 0]])   # span{E12}
     with pytest.raises(NotSubmodule):
         relative_annihilator(not_module, m2, u)
+
+
+def brute_actions(mult, v):
+    """e_i v and v e_i for every basis element e_i, expanded from ``mult[i][j][k]``."""
+    n = len(mult)
+    return ([[sum(v[p] * mult[i][p][q] for p in range(n)) for q in range(n)] for i in range(n)]
+            + [[sum(v[p] * mult[p][i][q] for p in range(n)) for q in range(n)] for i in range(n)])
+
+
+def brute_closed(mult, vectors):
+    """True when no action of a basis element raises the rank of ``vectors``."""
+    rank = brute_rank(vectors)
+    return all(brute_rank(vectors + [w]) == rank for v in vectors for w in brute_actions(mult, v))
+
+
+def brute_generated(mult, vectors):
+    """Vectors spanning the sub-bimodule that ``vectors`` generate."""
+    gens = list(vectors)
+    for v in gens:  # each generator appended here is acted on in turn
+        for w in brute_actions(mult, v):
+            if brute_rank(gens + [w]) > brute_rank(gens):
+                gens.append(w)
+    return gens
+
+
+def brute_relative_annihilator(mult, vectors):
+    """The rref basis of {a : a e_p and e_p a lie in span(vectors) for every p}.
+
+    A vector lies in the span iff it pairs to zero with every vector k of
+    ``brute_kernel(vectors)``, and the pairing of k with a e_p (e_p a) is
+    linear in a.
+    """
+    n = len(mult)
+    normals = brute_kernel(vectors, n)
+    rows = [[sum(k[q] * mult[i][p][q] for q in range(n)) for i in range(n)]
+            for p in range(n) for k in normals]
+    rows += [[sum(k[q] * mult[p][i][q] for q in range(n)) for i in range(n)]
+             for p in range(n) for k in normals]
+    return brute_kernel(rows, n)
+
+
+# over a unital algebra (N : A)_A = N whichever side is checked, so the two
+# non-unital rings of first-row and first-column 2x2 matrices join in
+FIRST_ROW = Algebra("row", 2, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+FIRST_COLUMN = Algebra("column", 2, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+
+
+@pytest.mark.parametrize(
+    "a", [matrix_algebra(2), upper_triangular_2(), dual_numbers(), FIRST_ROW, FIRST_COLUMN],
+    ids=lambda a: a.name)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sub_bimodules_and_relative_annihilators_match_a_brute_oracle(a, data):
+    u, mult = regular_module(a), dense(a.mult, a.dim)
+    # coordinates mostly zero, so that proper sub-bimodules of T2 and D come up
+    coords = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=a.dim, max_size=a.dim)
+    vectors = data.draw(st.lists(coords, min_size=1, max_size=2))
+    # the span of the drawn vectors, which need not be a sub-bimodule
+    drawn, closed = Subspace.from_vectors(a.dim, vectors), brute_closed(mult, vectors)
+    assert is_sub_bimodule(drawn, u.action) == closed
+    if not closed:
+        with pytest.raises(NotSubmodule):
+            relative_annihilator(drawn, a, u)
+    # the sub-bimodule N they generate
+    gens = brute_generated(mult, vectors)
+    n_space = Subspace.from_vectors(a.dim, gens)
+    assert is_sub_bimodule(n_space, u.action)
+    assert relative_annihilator(n_space, a, u).basis.data == brute_relative_annihilator(mult, gens)
 
 
 def test_center_of_commutative_algebra_is_everything():

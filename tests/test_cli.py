@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from semih1.cli import main
 
 
@@ -44,6 +46,19 @@ def test_validate_parse_error_exit_1(tmp_path, capsys):
     path.write_text("{")
     assert main(["validate", str(path)]) == 1
     assert "parse error" in capsys.readouterr().err
+
+
+def test_run_reports_a_rational_over_the_int_digit_limit_as_a_parse_error(tmp_path, capsys):
+    import sys
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts decimal strings of any length here")
+    doc = json.loads(json.dumps(GOOD))
+    doc["algebras"][0]["mult"][0]["c"] = "1" + "0" * limit
+    assert main(["run", write(tmp_path, "big.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
 
 
 def test_validate_axiom_failure_exit_2(tmp_path, capsys):

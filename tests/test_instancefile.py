@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from importlib import resources
 
@@ -90,6 +91,28 @@ def test_bad_rational_rejected():
     doc["algebras"][0]["mult"][0]["c"] = "1/0"
     with pytest.raises(ParseError):
         parse_instance_text(doc_text(doc))
+
+
+def digits_over_the_int_limit():
+    """A decimal one digit longer than int() converts from a string, or a skip."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts decimal strings of any length here")
+    return "1" + "0" * limit
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("c", '"BIG"'), ("c", '"1/BIG"'), ("c", "BIG"), ("map", '[["BIG"]]')])
+def test_a_rational_over_the_int_digit_limit_is_a_parse_error(entry, value):
+    doc = json.loads(json.dumps(MINIMAL))
+    if entry == "c":
+        doc["algebras"][0]["mult"][0]["c"] = "VALUE"
+    else:
+        doc["jobs"][0]["map"] = "VALUE"
+    text = doc_text(doc).replace('"VALUE"', value.replace("BIG", digits_over_the_int_limit()))
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text, where="big.json")
+    assert "limit" in str(err.value)
 
 
 def test_out_of_range_index_rejected():

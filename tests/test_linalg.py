@@ -8,6 +8,7 @@ from semih1.families import random_matrix
 from semih1.linalg import (
     Matrix,
     Subspace,
+    _pairs,
     frac,
     image,
     intersect,
@@ -145,7 +146,11 @@ def test_contains_and_reduce():
     s = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
     assert s.contains([1, 1, 2])
     assert not s.contains([0, 0, 1])
-    assert any(s.reduce([0, 0, 1]))
+    # the residual of (0, 0, 1) is (0, 0, 1): sparse, off the pivots 0 and 1
+    assert s.reduce(_pairs([0, 0, Fraction(1)])) == ((2, Fraction(1)),)
+    assert s.reduce([(2, Fraction(3)), (0, Fraction(1))]) == ((2, Fraction(2)),)
+    for v in ([1, 1, 2], [0, 0, 1], [2, -1, 0]):
+        assert s.contains(v) == (not s.reduce(_pairs(map(Fraction, v))))
 
 
 def test_product_subspace_blocks():

@@ -32,6 +32,7 @@ from semih1.linalg import (
     Matrix,
     Subspace,
     _fractions,
+    _pairs,
     _rref_rows,
     intersect,
     kernel,
@@ -304,15 +305,19 @@ def test_reduce_leaves_a_residual_off_the_pivots(system, data):
     cols, rows = system
     space = Subspace.from_vectors(cols, rows)
     pivots = brute_rref(rows, cols)[1]
-    assert space.pivot_columns() == pivots
+    assert [row[0][0] for row in space.rows] == pivots
     vec = data.draw(st.lists(RATIONALS, min_size=cols, max_size=cols))
-    residual = space.reduce(vec)
-    assert all(residual[p] == 0 for p in pivots)
-    # vec - residual lies in the span, and vec does iff the residual is zero
-    basis = space.basis.data
-    assert brute_rank(basis + [[v - r for v, r in zip(vec, residual)]]) == space.dim
-    assert (brute_rank(basis + [vec]) == space.dim) == (not any(residual))
-    assert space.reduce(vec) == residual
+    residual = space.reduce(_pairs(vec))
+    # sparse: nonzero pairs in strictly increasing column order, none at a pivot
+    columns = [j for j, _ in residual]
+    assert columns == sorted(set(columns)) and all(x for _, x in residual)
+    assert not set(columns) & set(pivots)
+    # vec - residual lies in the span, and vec does iff the residual is empty
+    basis, rest = space.basis.data, dict(residual)
+    assert brute_rank(basis + [[v - rest.get(j, 0) for j, v in enumerate(vec)]]) == space.dim
+    assert (brute_rank(basis + [vec]) == space.dim) == (not residual)
+    assert space.contains(vec) == (not space.reduce(_pairs(vec)))
+    assert space.reduce(_pairs(vec)) == residual
 
 
 @ENGINE
