@@ -108,11 +108,10 @@ def invert(p: Matrix) -> Matrix:
     if p.cols != n:
         raise ShapeMismatch("only square matrices can be inverted")
     # rref [P | I] = [I | P^-1] exactly when P is invertible
-    reduced = rref(Matrix.from_rows([row + unit_vector(n, i) for i, row in enumerate(p.data)],
-                                    cols=2 * n))
+    reduced = rref(Matrix._trusted([r + unit_vector(n, i) for i, r in enumerate(p.data)], 2 * n))
     if [row[:n] for row in reduced.data] != Matrix.identity(n).data:
         raise ShapeMismatch("matrix is singular")
-    return Matrix.from_rows([row[n:] for row in reduced.data], cols=n)
+    return Matrix._trusted([row[n:] for row in reduced.data], n)
 
 
 def change_basis_algebra(a: Algebra, p: Matrix, name=None) -> Algebra:

@@ -35,7 +35,7 @@ from .linalg import (
 from .spaces import first_failure, inner_map
 from .verify import (
     RULES,
-    _phi_flat,
+    _restrict,
     applies,
     h1,
     inner_characterization,
@@ -117,8 +117,8 @@ def _check_twisting_identities(p):
     ad x, and the Leibniz law of r_a and ad_U x on U.
     """
     groups = [g for g in space(p, "groups31") if g.name.startswith("tau2")]
-    for k in range(p.dim):
-        flat = _phi_flat(p, [(k, F1)])
+    for k, phi_k in enumerate(space(p, "phi")):
+        flat = _vector(phi_k, p.dim * p.dim)
         for g in groups:
             pair = first_failure(g, flat)
             if pair is not None:
@@ -141,8 +141,8 @@ def _check_converse_laws(p):
              space(p, "ann_u_u").dim == 0 and m > 0)):
         if not faithful:
             continue
-        residuals = [hom.reduce(phi["tau2"][k]) for k in params]
-        rows = [phi[block][k] for k in params]
+        residuals = [hom.reduce(_restrict(p, phi[k], ("tau2",))) for k in params]
+        rows = [_restrict(p, phi[k], (block,)) for k in params]
         for w in _kernel_of_images(residuals, len(params)).rows:
             if _combine(rows, w):
                 _fail(check, [str(x) for x in _vector(w, len(params))])

@@ -39,13 +39,15 @@ by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
 identity built from the factors' structure tensors, 5.1 solves its own
 reduced groups, and ttd and lau-der compare Z1 with the 3.1 kernel
 (their reduced rows are the 3.1 rows with vanishing terms dropped).  The
-per-matrix witnesses of ``split_blocks`` evaluate the same groups.  ``_BLOCKS``
-names each block's source and target part, the one statement of where a
-block sits in a map on A x| U.
+per-matrix witnesses of ``split_blocks`` evaluate the same groups.  Where a
+block sits in a map on A x| U is stated once: ``_layout(p, blocks)`` maps each
+flat coordinate to its place in the named blocks side by side, read from
+``_BLOCKS`` (each block's source and target part), as are the RowGroup places.
 
-The inner derivation v -> vz - zv of z = (a0, x0) is the ``phi`` row, built
-from the factors: its blocks are (ad a0, ad x0, 0, r_a0 + ad_U x0).  E, F and K
-are images of it: the kept blocks over the kernel of one killed block.
+The ``phi`` row holds Phi(z), v -> vz - zv, for each basis vector z = (a0, x0) as
+a flat map on A x| U with blocks (ad a0, ad x0, 0, r_a0 + ad_U x0), from the
+factors.  Rules 4.1-4.3 keep two blocks over the kernel of a killed one: the
+numerator (the spaces filling the kept blocks) and E, F or K share their layout, iota.
 
 Verdicts are ``verified``, ``hypotheses-not-met``, or ``MISMATCH``; a
 MISMATCH on a validated instance falsifies the implementation and is never
@@ -70,7 +72,6 @@ from .errors import (
     WrongConstructionKind,
 )
 from .linalg import (
-    F0,
     F1,
     Matrix,
     Subspace,
@@ -170,28 +171,64 @@ class BlockDecomposition:
 _BLOCKS = {"delta1": "AA", "delta2": "AU", "tau1": "UA", "tau2": "UU"}
 
 
-def _block_ranges(p: SemidirectAlgebra):
-    """block -> (row range, column range) of that block in a map on A x| U, kept in p."""
-    return _memo(p, "block_ranges", lambda: {
-        block: tuple(range(p.n) if part == "A" else range(p.n, p.dim) for part in parts)
-        for block, parts in _BLOCKS.items()})
+def _part(p: SemidirectAlgebra, part):
+    """The coordinates of part ``A`` or ``U`` in A x| U: A's first, then U's."""
+    return range(p.n) if part == "A" else range(p.n, p.dim)
+
+
+def _place(p: SemidirectAlgebra, parts):
+    """The RowGroup place of the block from ``parts[0]`` to ``parts[1]`` in a map on A x| U."""
+    return _part(p, parts[0]).start, _part(p, parts[1]).start, p.dim
+
+
+def _layout(p: SemidirectAlgebra, blocks):
+    """Flat coordinate of a map on A x| U -> its coordinate in ``blocks`` side by side; kept in p.
+
+    Each block is laid out row-major, so its keys, in order, place the blocks
+    back into a map on A x| U: the block embedding iota.
+    """
+    return _memo(p, ("layout", blocks), lambda: {j: i for i, j in enumerate(
+        r * p.dim + c for s, t in (_BLOCKS[block] for block in blocks)
+        for r in _part(p, s) for c in _part(p, t))})
+
+
+def _restrict(p, row, blocks):
+    """A sparse flattened map on A x| U read in the layout of ``blocks``: its entries there."""
+    where = _layout(p, blocks)
+    return [(where[j], x) for j, x in row if j in where]
+
+
+def _shape(p: SemidirectAlgebra, block):
+    """(rows, columns) of the named block of a map on A x| U."""
+    return tuple(len(_part(p, part)) for part in _BLOCKS[block])
+
+
+def _check_block(p: SemidirectAlgebra, name, block: Matrix):
+    """Raise ShapeMismatch unless ``block`` has the shape of the named block of a map on A x| U."""
+    if (block.rows, block.cols) != _shape(p, name):
+        s, t = _BLOCKS[name]
+        raise ShapeMismatch(f"{name} block must be "
+                            + (f"dim({s}) square" if s == t else f"dim({s}) x dim({t})"))
 
 
 def split_matrix(d: Matrix, p: SemidirectAlgebra):
     if (d.rows, d.cols) != (p.dim, p.dim):
         raise ShapeMismatch("map must be square of the product dimension")
-    return tuple(Matrix.from_rows([d.data[r][cols.start:cols.stop] for r in rows], cols=len(cols))
-                 for rows, cols in _block_ranges(p).values())
+    flat, blocks = d.flatten(), []
+    for block in _BLOCKS:
+        vals, (h, w) = [flat[j] for j in _layout(p, (block,))], _shape(p, block)
+        blocks.append(Matrix._trusted([vals[r * w:(r + 1) * w] for r in range(h)], w))
+    return tuple(blocks)
 
 
 def embed_blocks(p: SemidirectAlgebra, delta1=None, delta2=None, tau1=None, tau2=None) -> Matrix:
-    """Assemble a map on A x| U from (some of) its four blocks."""
-    d = Matrix.zeros(p.dim, p.dim)
-    for block, (rows, cols) in zip((delta1, delta2, tau1, tau2), _block_ranges(p).values()):
+    """Assemble a map on A x| U from (some of) its four blocks; a wrong shape raises."""
+    d, t = Matrix.zeros(p.dim, p.dim), p.dim
+    for name, block in zip(_BLOCKS, (delta1, delta2, tau1, tau2)):
         if block is not None:
-            for r, brow in zip(rows, block.data):
-                for c, x in zip(cols, brow):
-                    d.data[r][c] = x
+            _check_block(p, name, block)
+            for j, x in zip(_layout(p, (name,)), block.flatten()):
+                d.data[j // t][j % t] = x
     return d
 
 
@@ -221,21 +258,18 @@ def _condition_groups(p: SemidirectAlgebra):
     from the total algebra, so this kernel is solved independently of
     Z1(A x| U).
     """
-    t = p.dim
-    dims = {"A": p.n, "U": p.m}
-    offset = {"A": 0, "U": p.n}
     mult = semidirect_blocks(p.part_a, p.part_u)
     groups = []
     for name, (x, y, k), y_major in _CONDITIONS_3_1:
         terms = []
         for z in "AU":
             if x + y + z in mult:
-                terms.append((1, OUT, mult[x + y + z], (offset[z], offset[k], t)))
+                terms.append((1, OUT, mult[x + y + z], _place(p, z + k)))
             if z + y + k in mult:
-                terms.append((-1, LEFT, mult[z + y + k], (offset[x], offset[z], t)))
+                terms.append((-1, LEFT, mult[z + y + k], _place(p, x + z)))
             if x + z + k in mult:
-                terms.append((-1, RIGHT, mult[x + z + k], (offset[y], offset[z], t)))
-        groups.append(RowGroup(name, (dims[x], dims[y], dims[k]), terms, y_major))
+                terms.append((-1, RIGHT, mult[x + z + k], _place(p, y + z)))
+        groups.append(RowGroup(name, tuple(len(_part(p, q)) for q in (x, y, k)), terms, y_major))
     return tuple(groups)
 
 
@@ -248,10 +282,9 @@ def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
       (c) tau1 is an A-module homomorphism U -> A killing U-products;
       (d) tau2 twists by delta1/delta2 on actions and by tau1 on U-products.
     """
-    delta1, delta2, tau1, tau2 = split_matrix(d, p)
-    flat = d.flatten()
+    blocks, flat = split_matrix(d, p), d.flatten()
     cond = {g.name: first_failure(g, flat) for g in space(p, "groups31")}
-    return BlockDecomposition(delta1, delta2, tau1, tau2, cond)
+    return BlockDecomposition(*blocks, cond)
 
 
 def is_derivation_via_3_1(d: Matrix, p: SemidirectAlgebra) -> bool:
@@ -367,13 +400,13 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     image of z under the factor-built map ``_phi``; that is asserted block
     by block, not assumed.
     """
-    total_reg = regular_action(p.total)
-    witness = inner_witness(d, p.total, total_reg)
+    witness = inner_witness(d, p.total, regular_action(p.total))
     if witness is None:
         return None
-    diff = _pairs([x - y for x, y in zip(d.flatten(), _phi_flat(p, _pairs(witness)))])
+    phi_w = _vector(_combine(space(p, "phi"), _pairs(witness)), p.dim * p.dim)
+    diff = _pairs([x - y for x, y in zip(d.flatten(), phi_w)])
     for block in _BLOCKS:
-        if not _block_zero(p, diff, block):
+        if _restrict(p, diff, (block,)):
             raise InternalInvariantViolation(
                 f"{block} block of an inner map is not the image of its witness")
     return witness[:p.n], witness[p.n:]
@@ -390,10 +423,7 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     act = u.action
     name = kind.removesuffix("-only")
     if name in _BLOCKS:
-        (rs, cs), (s, t) = _block_ranges(p)[name], _BLOCKS[name]
-        if (block.rows, block.cols) != (len(rs), len(cs)):
-            shape = f"dim({s}) square" if s == t else f"dim({s}) x dim({t})"
-            raise ShapeMismatch(f"{name} block must be {shape}")
+        _check_block(p, name, block)
     if kind == "delta1-only":
         if leibniz_defect(block, a, regular_action(a)) is not None:
             return False
@@ -416,58 +446,38 @@ def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
 
 
-def _block_part(p, row, block):
-    """The entries of a sparse flattened map on A x| U inside the named block."""
-    (rows, cols), t = _block_ranges(p)[block], p.dim
-    return [(j, x) for j, x in row if j // t in rows and j % t in cols]
-
-
-def _block_zero(p, row, block):
-    """True when a sparse flattened map on A x| U is zero on the named block."""
-    return not _block_part(p, row, block)
-
-
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
-    return all(_block_zero(p, row, "tau1") for row in space(p, "z1_total").rows)
+    return not any(_restrict(p, row, ("tau1",)) for row in space(p, "z1_total").rows)
 
 
 # ---------------------------------------------------------------------------
 # the inner-derivation map and the subspaces E, F, K of the quotient rules
 
 def _phi(p: SemidirectAlgebra):
-    """The blocks of v -> v z - z v on A x| U as linear maps of z = (a0, x0).
+    """Φ(e_k) for each basis vector e_k of A x| U, as a sparse flattened map on A x| U.
 
-    Maps each of delta1, delta2 and tau2 to n + m flat rows, the images of
-    the parameter basis (A's, then U's): delta1 = ad a0, delta2 = ad x0 on
-    (A, U) and tau2 = r_a0 + ad_U x0; tau1 is always zero.  Built from the
-    factors' structure tensors, never from the total algebra.
+    Φ(z) is v -> v z - z v for z = (a0, x0), with blocks delta1 = ad a0,
+    delta2 = ad x0 on (A, U), tau1 = 0 and tau2 = r_a0 + ad_U x0, each placed
+    by ``_layout``.  Built from the factors' structure tensors, never from
+    the total algebra; Φ(w) is ``_combine`` of these rows with w.
     """
     a, u = p.part_a, p.part_u
     ad_au = _commutators(u.action)
-    return {"delta1": _commutators(regular_action(a)) + [()] * p.m,
-            "delta2": [()] * p.n + ad_au,
-            "tau2": _twists(ad_au, p.n, p.m) + _commutators(regular_action(u.algebra))}
-
-
-def _phi_flat(p: SemidirectAlgebra, w):
-    """Φ(w), the inner derivation of z on A x| U, flattened; w holds z's nonzero (index, value)."""
-    flat, t, ranges = [F0] * (p.dim * p.dim), p.dim, _block_ranges(p)
-    for block, rows in space(p, "phi").items():
-        rs, cs = ranges[block]
-        for j, c in _combine(rows, w):
-            s, q = divmod(j, len(cs))
-            flat[(rs.start + s) * t + cs.start + q] = c
-    return flat
+    blocks = {"delta1": _commutators(regular_action(a)) + [()] * p.m,
+              "delta2": [()] * p.n + ad_au,
+              "tau2": _twists(ad_au, p.n, p.m) + _commutators(regular_action(u.algebra))}
+    place = {block: list(_layout(p, (block,))) for block in blocks}
+    return [[(place[block][i], x) for block, rows in blocks.items() for i, x in rows[k]]
+            for k in range(p.dim)]
 
 
 def _image_over_kernel(p: SemidirectAlgebra, keep, kill) -> Subspace:
-    """The two ``keep`` blocks of Φ, side by side, over the kernel of its ``kill`` block."""
-    phi, ranges = space(p, "phi"), _block_ranges(p)
-    first, second = (len(rs) * len(cs) for rs, cs in (ranges[block] for block in keep))
-    rows = [_combine(phi[keep[0]], w) + [(first + j, c) for j, c in _combine(phi[keep[1]], w)]
-            for w in _kernel_of_images(phi[kill], p.n + p.m).rows]
-    return _span_of_rows(rows, first + second)
+    """Φ over the kernel of its ``kill`` block, read in the layout of the ``keep`` blocks."""
+    phi = space(p, "phi")
+    kernel = _kernel_of_images([_restrict(p, row, (kill,)) for row in phi], p.dim)
+    return _span_of_rows([_restrict(p, _combine(phi, w), keep) for w in kernel.rows],
+                         len(_layout(p, keep)))
 
 
 def build_E(p: SemidirectAlgebra) -> Subspace:
@@ -608,31 +618,24 @@ def _direct_blocks(p):
     in ann_U(U) and kills A-products.
     """
     a, u = p.part_a, p.part_u
-    n, m, t = p.n, p.m, p.dim
-    tau1, delta2 = (n, 0, t), (0, n, t)
-    cond = solve(t * t,
-                 leibniz("delta1", a, regular_action(a), (0, 0, t)),
-                 leibniz("tau2", u.algebra, regular_action(u.algebra), (n, n, t)),
-                 lands_in("tau1-in-ann", space(p, "ann_a_a"), tau1, m),
-                 kills("tau1-kills", u.algebra.mult, tau1, n),
-                 lands_in("delta2-in-ann", space(p, "ann_u_u"), delta2, n),
-                 kills("delta2-kills", a.mult, delta2, m))
+    delta1, delta2, tau1, tau2 = (_place(p, parts) for parts in _BLOCKS.values())
+    cond = solve(p.dim * p.dim,
+                 leibniz("delta1", a, regular_action(a), delta1),
+                 leibniz("tau2", u.algebra, regular_action(u.algebra), tau2),
+                 lands_in("tau1-in-ann", space(p, "ann_a_a"), tau1, p.m),
+                 kills("tau1-kills", u.algebra.mult, tau1, p.n),
+                 lands_in("delta2-in-ann", space(p, "ann_u_u"), delta2, p.n),
+                 kills("delta2-kills", a.mult, delta2, p.m))
     leib, details, verdict = _kernels_agree(p, cond)
     # vanishing consequences under the stated non-degeneracy conditions
     force_delta2 = hypothesis_check("ann_U(U)=0 or span(A^2)=A", p).holds
     force_tau1 = hypothesis_check("ann_A(A)=0 or span(U^2)=U", p).holds
     details["forces_delta2_zero"] = force_delta2
     details["forces_tau1_zero"] = force_tau1
-    if verdict == "verified":
-        for row in leib.rows:
-            if force_delta2 and not _block_zero(p, row, "delta2"):
-                verdict = "MISMATCH"
-                details["reason"] = "delta2 should vanish but does not"
-                break
-            if force_tau1 and not _block_zero(p, row, "tau1"):
-                verdict = "MISMATCH"
-                details["reason"] = "tau1 should vanish but does not"
-                break
+    forced = [b for b, forces in (("delta2", force_delta2), ("tau1", force_tau1)) if forces]
+    stray = [b for row in leib.rows for b in forced if _restrict(p, row, (b,))]
+    if verdict == "verified" and stray:
+        verdict, details["reason"] = "MISMATCH", f"{stray[0]} should vanish but does not"
     return leib.dim, cond.dim, verdict, details
 
 
@@ -672,9 +675,10 @@ def _extension_blocks(p):
         # D = D1 + D2 with D1 = (delta1 + tau1, tau2) and D2 = (0, delta2),
         # both of which must themselves be derivations; as D is one, D1 is
         # one exactly when D2 is
-        split_ok = not any(leib.reduce(_block_part(p, row, "delta2")) for row in leib.rows)
+        delta2 = _layout(p, ("delta2",))
+        split_ok = not any(leib.reduce([(j, x) for j, x in r if j in delta2]) for r in leib.rows)
         details["decomposition_ok"] = split_ok
-        inner_tau1_zero = all(_block_zero(p, row, "tau1") for row in space(p, "n1_total").rows)
+        inner_tau1_zero = not any(_restrict(p, row, ("tau1",)) for row in space(p, "n1_total").rows)
         details["inner_tau1_zero"] = inner_tau1_zero
         verdict = _verdict(split_ok and inner_tau1_zero)
     return leib.dim, cond.dim, verdict, details
@@ -710,20 +714,18 @@ def _scaled_blocks(p):
     if verdict == "verified":
         # report the two coupling identities separately for each derivation
         act, umult = p.part_u.action, p.part_u.algebra.mult
-        n, m, t = p.n, p.m, p.dim
-        delta1, delta2 = (0, 0, t), (0, n, t)
-        left = RowGroup("coupling-left", (n, m, m),
+        delta1, delta2, _, _ = (_place(p, parts) for parts in _BLOCKS.values())
+        left = RowGroup("coupling-left", (p.n, p.m, p.m),
                         [(1, LEFT, act.left, delta1), (1, LEFT, umult, delta2)])
-        right = RowGroup("coupling-right", (m, n, m),
+        right = RowGroup("coupling-right", (p.m, p.n, p.m),
                          [(1, RIGHT, act.right, delta1), (1, RIGHT, umult, delta2)])
         flats = leib.basis.data
         left_ok = all(first_failure(left, row) is None for row in flats)
         right_ok = all(first_failure(right, row) is None for row in flats)
         details["coupling_left_ok"] = left_ok
         details["coupling_right_ok"] = right_ok
-        inner_ok = all(
-            _block_zero(p, row, "tau1") and _block_zero(p, row, "delta2")
-            for row in space(p, "n1_total").rows)
+        n1 = space(p, "n1_total").rows
+        inner_ok = not any(_restrict(p, row, ("delta2", "tau1")) for row in n1)
         details["inner_shape_ok"] = inner_ok
         verdict = _verdict(left_ok and right_ok and inner_ok)
     return leib.dim, cond.dim, verdict, details
@@ -749,24 +751,23 @@ _CONSTRUCTIONS = {
               lambda p: p.kind == "alpha" and p.alpha is not None),
 }
 
-def _product(p, first, second):
-    """The product of two rows of ``_SPACES``: the numerator of a quotient rule."""
-    return product_subspace(space(p, first), space(p, second))
+def _kept_over_killed(keep, kill):
+    """Rules 4.1-4.3: the spaces filling the ``keep`` blocks over Φ's image there, one layout."""
+    fills = [{"delta1": "z1_a", "delta2": "z1_au", "tau2": "hom_cap_z1u"}[b] for b in keep]
+    return lambda p: _quotient(p, product_subspace(*(space(p, f) for f in fills)),
+                               _image_over_kernel(p, keep, kill))
 
 
 # rule id -> (construction it needs or None, gates, check)
 RULES = {
     "3.1": (None, (), _equivalence),
     "4.1": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
-            lambda p: _quotient(p, _product(p, "z1_a", "hom_cap_z1u"),
-                                build_E(p))),
+            _kept_over_killed(("delta1", "tau2"), kill="delta2")),
     "4.2": (None, ("tau1-vanishes", "Z1(A,U) image in ann_U(U)", "H1(A)=0"),
-            lambda p: _quotient(p, _product(p, "z1_au", "hom_cap_z1u"),
-                                build_F(p))),
+            _kept_over_killed(("delta2", "tau2"), kill="delta1")),
     "4.3": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "Z1(A,U) image in ann_U(U)",
                    "Hom(U) cap Z1(U) inside R(U)+N1(U)"),
-            lambda p: _quotient(p, _product(p, "z1_a", "z1_au"),
-                                build_K(p))),
+            _kept_over_killed(("delta1", "delta2"), kill="tau2")),
     "4.4": (None, ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
             lambda p: _quotient(p, space(p, "hom_cap_z1u"),
                                 subspace_sum(space(p, "c"), space(p, "i")))),

@@ -1,0 +1,112 @@
+"""The block layout of maps on A x| U, checked against the total algebra.
+
+``verify._layout(p, blocks)`` maps each flat coordinate of a map on A x| U
+to its coordinate in the named blocks side by side, each row-major; its keys,
+in order, place those blocks back into a map on A x| U (the embedding iota).
+Every block-aware site reads it, so these tests hold it to what the paper
+says about the placed maps:
+
+* the numerator and denominator of rules 4.1-4.4 live in the layout of the
+  kept blocks: placed by iota, the denominator lies in N1(A x| U), and on a
+  verified verdict the numerator lies in Z1(A x| U), both computed from the
+  total algebra;
+* Phi(e_k), built from the factors and placed by the layout, is the inner
+  map of e_k computed from the total algebra;
+* ``embed_blocks`` and ``corollary_3_2_check`` reject a wrong-shaped block
+  with one message.
+
+"300 draws" are ``random_product(random.Random(12345), 3)`` drawn 300 times.
+"""
+
+import random
+from functools import cache
+
+import pytest
+
+from semih1 import verify
+from semih1.algebra import regular_action, unit_vector
+from semih1.catalog import dual_numbers, field_q
+from semih1.errors import ShapeMismatch
+from semih1.families import random_product
+from semih1.linalg import Matrix, _vector, product_subspace, subspace_sum
+from semih1.products import direct_product
+from semih1.spaces import derivation_space, inner_map, inner_space
+
+
+@cache
+def _draws():
+    rng = random.Random(12345)
+    return tuple(random_product(rng, 3)[0] for _ in range(300))
+
+
+def _quotients(p):
+    """rule -> (kept blocks, numerator, denominator), each space in the kept blocks' layout."""
+    space = verify.space
+    hom_z1 = space(p, "hom_cap_z1u")
+    return {
+        "4.1": (("delta1", "tau2"), product_subspace(space(p, "z1_a"), hom_z1), verify.build_E(p)),
+        "4.2": (("delta2", "tau2"), product_subspace(space(p, "z1_au"), hom_z1), verify.build_F(p)),
+        "4.3": (("delta1", "delta2"), product_subspace(space(p, "z1_a"), space(p, "z1_au")),
+                verify.build_K(p)),
+        "4.4": (("tau2",), hom_z1, subspace_sum(space(p, "c"), space(p, "i"))),
+    }
+
+
+def _outside(target, p, blocks, sub):
+    """The rows of ``sub``, placed into maps on A x| U by the layout, that ``target`` misses."""
+    place = list(verify._layout(p, blocks))
+    assert len(place) == sub.ambient
+    return [row for row in sub.rows if target.reduce([(place[i], x) for i, x in row])]
+
+
+def test_the_layout_places_quotient_spaces_as_derivations_of_the_total_algebra():
+    verified = dict.fromkeys(("4.1", "4.2", "4.3", "4.4"), 0)
+    for p in _draws():
+        reg = regular_action(p.total)
+        z1, n1 = derivation_space(p.total, reg), inner_space(p.total, reg)
+        for rule, (keep, numerator, denominator) in _quotients(p).items():
+            assert not _outside(n1, p, keep, denominator), (rule, p.name)
+            verdict = verify.verify_theorem(rule, p).verdict
+            assert verdict != "MISMATCH", (rule, p.name)
+            if verdict == "verified":
+                verified[rule] += 1
+                assert not _outside(z1, p, keep, numerator), (rule, p.name)
+    assert all(verified.values()), verified
+
+
+def test_phi_from_the_factors_is_the_inner_map_of_the_total_algebra():
+    kinds = set()
+    for p in _draws():
+        kinds.add(p.kind)
+        t, reg = p.dim, regular_action(p.total)
+        for k, phi_k in enumerate(verify.space(p, "phi")):
+            expected = inner_map(unit_vector(t, k), p.total, reg).flatten()
+            assert _vector(phi_k, t * t) == expected, (p.name, k)
+    assert len(kinds) == 7, kinds
+
+
+# block -> (its shape in a map on D x Q, the message for a wrong shape)
+_SHAPES = {
+    "delta1": ((2, 2), "delta1 block must be dim(A) square"),
+    "delta2": ((2, 1), "delta2 block must be dim(A) x dim(U)"),
+    "tau1": ((1, 2), "tau1 block must be dim(U) x dim(A)"),
+    "tau2": ((1, 1), "tau2 block must be dim(U) square"),
+}
+
+
+@pytest.mark.parametrize("block", sorted(_SHAPES))
+def test_embed_blocks_and_the_single_block_criteria_reject_one_wrong_shape(block):
+    p = direct_product(dual_numbers(), field_q())   # dim(A) = 2 != dim(U) = 1
+    (rows, cols), message = _SHAPES[block]
+    for shape in sorted({(cols, rows), (rows + 1, cols), (rows, cols + 1), (rows + 1, cols + 1)}):
+        if shape == (rows, cols):
+            continue
+        wrong = Matrix.zeros(*shape)
+        with pytest.raises(ShapeMismatch) as embedded:
+            verify.embed_blocks(p, **{block: wrong})
+        with pytest.raises(ShapeMismatch) as checked:
+            verify.corollary_3_2_check(f"{block}-only", wrong, p)
+        assert str(embedded.value) == str(checked.value) == message
+    right = Matrix.zeros(rows, cols)
+    assert verify.embed_blocks(p, **{block: right}) == Matrix.zeros(3, 3)
+    assert verify.corollary_3_2_check(f"{block}-only", right, p)
