@@ -17,6 +17,7 @@ axioms hold.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import itemgetter
 
@@ -46,9 +47,9 @@ def unit_vector(n, i):
 
 
 def _from_slices(cls, *fields):
-    """``cls(*fields)`` for an Algebra, BimoduleAction or CornerModule, tensors as slices."""
+    """``cls(*fields)`` for an Algebra, BimoduleAction or CornerModule; later slots start None."""
     obj = object.__new__(cls)
-    for slot, value in zip(cls.__slots__, fields):
+    for slot, value in zip_longest(cls.__slots__, fields):
         setattr(obj, slot, value)
     return obj
 
@@ -140,15 +141,16 @@ class Algebra:
     The constructor takes ``mult`` dense, ``mult[i][j]`` the coordinate
     vector of ``e_i * e_j``, and keeps the slice of each product.
     Associativity is an invariant checked by :func:`validate_algebra`, not
-    assumed at construction time.
+    assumed at construction time.  ``_regular`` keeps the regular action.
     """
 
-    __slots__ = ("name", "dim", "mult")
+    __slots__ = ("name", "dim", "mult", "_regular")
 
     def __init__(self, name, dim, mult):
         self.name = name
         self.dim = dim
         self.mult = _slices(mult, dim, dim, dim, f"mult tensor of {name}")
+        self._regular = None
 
     def product(self, u, v):
         """Bilinear extension of the basis products to coordinate vectors."""
@@ -167,16 +169,17 @@ class BimoduleAction:
 
     ``left[i][p]`` is the slice of ``e_i . u_p`` and ``right[p][i]`` that
     of ``u_p . e_i``; the constructor takes them dense.  The three bimodule
-    axioms are checked by :func:`validate_module`.
+    axioms are checked by :func:`validate_module`; ``_comm`` keeps :func:`_commutators`.
     """
 
-    __slots__ = ("algebra_dim", "module_dim", "left", "right")
+    __slots__ = ("algebra_dim", "module_dim", "left", "right", "_comm")
 
     def __init__(self, algebra_dim, module_dim, left, right):
         self.algebra_dim = algebra_dim
         self.module_dim = module_dim
         self.left = _slices(left, algebra_dim, module_dim, module_dim, "left action")
         self.right = _slices(right, module_dim, algebra_dim, module_dim, "right action")
+        self._comm = None
 
     @classmethod
     def trivial(cls, algebra_dim, module_dim):
@@ -197,8 +200,9 @@ class BimoduleAction:
 
 
 def regular_action(a: Algebra) -> BimoduleAction:
-    """A acting on itself by multiplication on both sides."""
-    return _from_slices(BimoduleAction, a.dim, a.dim, a.mult, a.mult)
+    """A acting on itself by multiplication on both sides; built once per algebra and kept."""
+    a._regular = a._regular or _from_slices(BimoduleAction, a.dim, a.dim, a.mult, a.mult)
+    return a._regular
 
 
 class ModuleAlgebra:
@@ -395,19 +399,20 @@ def _commutators(act):
     """Row p of x -> (a -> a.x - x.a): the nonzero (i * m + q, c) of e_i.u_p - u_p.e_i.
 
     Keys increase; m is the module dimension.  On a regular action these are
-    the rows of ad_A; read transposed by :func:`_twists`, the maps r_a.
+    the rows of ad_A; read transposed by :func:`_twists`, the maps r_a.  Kept on the action.
     """
-    m = act.module_dim
-    rows = []
-    for p in range(m):
-        row = {}
-        for i in range(act.algebra_dim):
-            for q, c in act.left[i][p]:
-                row[i * m + q] = c
-            for q, c in act.right[p][i]:
-                row[i * m + q] = row.get(i * m + q, F0) - c
-        rows.append([(j, c) for j, c in sorted(row.items()) if c])
-    return rows
+    if act._comm is None:
+        m, rows = act.module_dim, []
+        for p in range(m):
+            row = {}
+            for i in range(act.algebra_dim):
+                for q, c in act.left[i][p]:
+                    row[i * m + q] = c
+                for q, c in act.right[p][i]:
+                    row[i * m + q] = row.get(i * m + q, F0) - c
+            rows.append(tuple([(j, c) for j, c in sorted(row.items()) if c]))
+        act._comm = tuple(rows)
+    return act._comm
 
 
 def _twists(rows, n, m):

@@ -19,9 +19,9 @@ them to the engine, the one place where groups become a canonical kernel;
 :func:`first_failure` keeps them on the group and returns the first basis
 pair failing on a flattened map, the witness a per-matrix check reports.
 
-Computed spaces, the last four read from the commutator rows of
-``algebra._commutators`` (row p: the map a -> a u_p - u_p a) and their
-transpose, the rows of a -> r_a:
+Computed spaces, the last four read from the commutator rows that
+``algebra._commutators`` keeps on each action (row p: a -> a u_p - u_p a)
+and their transpose, the rows of a -> r_a:
 
 * ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b, maps A -> M,
 * ``hom_space``         -- two-sided module homomorphisms, maps U -> V,
@@ -54,9 +54,9 @@ from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
     _solve_rows,
     _span_of_rows,
     _vector,
+    frac,
     kernel,
     kernel_of_rows,
-    unflatten,
 )
 
 
@@ -102,10 +102,12 @@ class RowGroup:
             by, f = {}, sign * s
             for a, slab in enumerate(tensor):
                 for b, sl in enumerate(slab):
-                    for k, c in sl:
-                        key, entry = {OUT: ((a, b), (k,)), LEFT: (b, (k, a)),
-                                      RIGHT: (a, (k, b))}[shape]
-                        by.setdefault(key, []).append((*entry, c.numerator * (f // c.denominator)))
+                    ints = [(k, c.numerator * (f // c.denominator)) for k, c in sl]
+                    if shape == OUT:
+                        by.setdefault((a, b), []).extend(ints)
+                    elif ints:
+                        key, l = (b, a) if shape == LEFT else (a, b)
+                        by.setdefault(key, []).extend([(k, l, c) for k, c in ints])
             self._index.append((shape, r0, c0, width, by))
 
     def pairs(self):
@@ -233,8 +235,9 @@ def leibniz_defect(d: Matrix, a: Algebra, m):
 
 def _map(rows, coeffs, source_dim, target_dim) -> Matrix:
     """``sum_k coeffs[k] rows[k]`` of rows in flat map coordinates, as a matrix."""
-    return unflatten(_vector(_combine(rows, _pairs(coeffs)), source_dim * target_dim),
-                     source_dim, target_dim)
+    flat = _vector(_combine(rows, _pairs([frac(x) for x in coeffs])), source_dim * target_dim)
+    return Matrix._trusted([flat[r * target_dim:(r + 1) * target_dim]
+                            for r in range(source_dim)], target_dim)
 
 
 def _r(act):
@@ -321,7 +324,9 @@ def inner_witness(d: Matrix, a: Algebra, m):
     """
     if (defect := leibniz_defect(d, a, m)) is not None:
         raise NotADerivation(f"map violates the derivation law at basis pair {defect}")
-    act = _action_of(a, m)
-    # one row per map coordinate: sum_p x_p ad(u_p) = d, with d as column md
-    images = [*_commutators(act), _pairs(d.flatten())]
-    return _solve_rows(list(_by_coordinate(images).values()), act.module_dim)
+    return _witness(_action_of(a, m), _pairs(d.flatten()))
+
+
+def _witness(act, flat):
+    """Some x with sum_p x_p (a -> a u_p - u_p a) = flat, a sparse flat map, else None."""
+    return _solve_rows(list(_by_coordinate([*_commutators(act), flat]).values()), act.module_dim)

@@ -72,7 +72,6 @@ from .errors import (
     WrongConstructionKind,
 )
 from .linalg import (
-    F1,
     Matrix,
     Subspace,
     _combine,
@@ -83,7 +82,6 @@ from .linalg import (
     intersect,
     product_subspace,
     subspace_sum,
-    unflatten,
 )
 from .products import SemidirectAlgebra, alpha_iso, direct_product
 from .spaces import (
@@ -92,6 +90,7 @@ from .spaces import (
     RIGHT,
     RowGroup,
     _h1_of,
+    _witness,
     c_space,
     derivation_space,
     first_failure,
@@ -211,10 +210,15 @@ def _check_block(p: SemidirectAlgebra, name, block: Matrix):
                             + (f"dim({s}) square" if s == t else f"dim({s}) x dim({t})"))
 
 
-def split_matrix(d: Matrix, p: SemidirectAlgebra):
+def _flat_map(d: Matrix, p: SemidirectAlgebra):
+    """``d.flatten()`` for a map d on A x| U; a map of another shape raises."""
     if (d.rows, d.cols) != (p.dim, p.dim):
         raise ShapeMismatch("map must be square of the product dimension")
-    flat, blocks = d.flatten(), []
+    return d.flatten()
+
+
+def split_matrix(d: Matrix, p: SemidirectAlgebra):
+    flat, blocks = _flat_map(d, p), []
     for block in _BLOCKS:
         vals, (h, w) = [flat[j] for j in _layout(p, (block,))], _shape(p, block)
         blocks.append(Matrix._trusted([vals[r * w:(r + 1) * w] for r in range(h)], w))
@@ -287,8 +291,13 @@ def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
     return BlockDecomposition(*blocks, cond)
 
 
+def _meets_3_1(p: SemidirectAlgebra, flat) -> bool:
+    """True when a dense flattened map on A x| U (ints or Fractions) meets every 3.1 condition."""
+    return all(first_failure(g, flat) is None for g in space(p, "groups31"))
+
+
 def is_derivation_via_3_1(d: Matrix, p: SemidirectAlgebra) -> bool:
-    return split_blocks(d, p).ok
+    return _meets_3_1(p, _flat_map(d, p))
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +368,17 @@ def _equivalence(p: SemidirectAlgebra, samples=0, rng=None):
     cond = space(p, "cond31")
     leib, details, verdict = _kernels_agree(p, cond)
     if samples and rng is not None and verdict == "verified":
-        t = p.dim
-        agree = 0
+        t, agree = p.dim, 0
         for _ in range(samples):
-            mat = Matrix.zeros(t, t)
-            for r in range(t):
-                for s in range(t):
-                    mat.data[r][s] = F1 * rng.randint(-2, 2)
-            if leib.contains(mat.flatten()) != is_derivation_via_3_1(mat, p):
+            flat = [rng.randint(-2, 2) for _ in range(t * t)]
+            if (not leib.reduce(_pairs(flat))) != _meets_3_1(p, flat):
                 verdict = "MISMATCH"
-                details["sample_disagreement"] = [[str(x) for x in row] for row in mat.data]
+                details["sample_disagreement"] = [[str(x) for x in flat[r * t:(r + 1) * t]]
+                                                  for r in range(t)]
                 break
             agree += 1
-        for row in leib.basis.data[: max(0, samples - 1)]:
-            if not is_derivation_via_3_1(unflatten(row, t, t), p):
+        for row in leib.rows[: max(0, samples - 1)]:
+            if not _meets_3_1(p, _vector(row, t * t)):
                 verdict = "MISMATCH"
                 details["basis_disagreement"] = True
                 break
@@ -400,11 +406,16 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     image of z under the factor-built map ``_phi``; that is asserted block
     by block, not assumed.
     """
-    witness = inner_witness(d, p.total, regular_action(p.total))
+    if (d.rows, d.cols) != (p.dim, p.dim):
+        raise ShapeMismatch("candidate map has the wrong shape")
+    act, flat = regular_action(p.total), d.flatten()
+    if space(p, "z1_total").reduce(_pairs(flat)):
+        inner_witness(d, p.total, act)  # d is not in Z1: raises NotADerivation at its basis pair
+    witness = _witness(act, _pairs(flat))
     if witness is None:
         return None
     phi_w = _vector(_combine(space(p, "phi"), _pairs(witness)), p.dim * p.dim)
-    diff = _pairs([x - y for x, y in zip(d.flatten(), phi_w)])
+    diff = _pairs([x - y for x, y in zip(flat, phi_w)])
     for block in _BLOCKS:
         if _restrict(p, diff, (block,)):
             raise InternalInvariantViolation(
@@ -464,9 +475,9 @@ def _phi(p: SemidirectAlgebra):
     """
     a, u = p.part_a, p.part_u
     ad_au = _commutators(u.action)
-    blocks = {"delta1": _commutators(regular_action(a)) + [()] * p.m,
-              "delta2": [()] * p.n + ad_au,
-              "tau2": _twists(ad_au, p.n, p.m) + _commutators(regular_action(u.algebra))}
+    blocks = {"delta1": _commutators(regular_action(a)) + ((),) * p.m,
+              "delta2": ((),) * p.n + ad_au,
+              "tau2": (*_twists(ad_au, p.n, p.m), *_commutators(regular_action(u.algebra)))}
     place = {block: list(_layout(p, (block,))) for block in blocks}
     return [[(place[block][i], x) for block, rows in blocks.items() for i, x in rows[k]]
             for k in range(p.dim)]

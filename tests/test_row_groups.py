@@ -7,8 +7,9 @@ against rows this module builds term by term from the ``RowGroup``
 docstring: ``solve`` must give ``brute_kernel`` of them, ``row`` must give
 them exactly, and ``first_failure`` must give the first pair, in scan
 order, at which direct Fraction evaluation finds a nonzero row.  Over
-battery draws, each 3.1 group builds its rows at most once per product, and
-solving ``cond31`` keeps none.
+battery draws, each 3.1 group builds its rows at most once per product,
+solving ``cond31`` keeps none, and a whole battery case builds the Leibniz
+rows of the product once.
 """
 
 import random
@@ -17,8 +18,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semih1.algebra import _commutators, regular_action
 from semih1.families import random_product
 from semih1.linalg import Subspace, unflatten
+from semih1.selftest import run_case
 from semih1.spaces import LEFT, OUT, RIGHT, RowGroup, first_failure, lands_in, solve
 from semih1.verify import space, split_blocks
 
@@ -165,3 +168,27 @@ def test_each_3_1_group_builds_its_rows_once_per_product(monkeypatch):
         for row in z1.basis.data:
             assert split_blocks(unflatten(row, p.dim, p.dim), p).ok
         assert all(built.get(id(g), 0) == (1 if z1.dim else 0) for g in groups), p.name
+
+
+def test_a_battery_case_builds_derived_data_once(monkeypatch):
+    """The Leibniz rows of A x| U, the regular action and the commutator rows, each once."""
+    built = []
+    build = RowGroup._rows
+
+    def counted(group):
+        built.append((group.name, group.dims))
+        return build(group)
+
+    monkeypatch.setattr(RowGroup, "_rows", counted)
+    for draw in range(50):
+        rng = random.Random(f"battery:1:{draw}")
+        p, sample = random_product(rng, 3)
+        built.clear()
+        run_case(p, sample, rng)
+        t = p.dim
+        assert built.count(("leibniz", (t, t, t))) == 1, p.name
+        act = regular_action(p.total)
+        assert act is regular_action(p.total)
+        rows = _commutators(act)
+        assert rows is _commutators(act)
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from semih1.algebra import (
     Character,
     ModuleAlgebra,
     regular_action,
+    regular_module,
 )
 from semih1.catalog import (
     direct_sum_algebra,
@@ -18,6 +20,7 @@ from semih1.catalog import (
 )
 from semih1.errors import (
     NotADerivation,
+    ShapeMismatch,
     UnknownHypothesis,
     WrongConstructionKind,
 )
@@ -31,7 +34,8 @@ from semih1.products import (
     theta_lau,
     unitization,
 )
-from semih1.spaces import inner_map, r_map
+from semih1.families import random_product
+from semih1.spaces import inner_map, inner_witness, r_map
 from semih1.verify import (
     applies,
     build_E,
@@ -131,6 +135,44 @@ def test_inner_characterization_rejects_outer_and_nonderivations():
     assert inner_characterization(outer, lau) is None
     with pytest.raises(NotADerivation):
         inner_characterization(Matrix.identity(2), lau)
+
+
+def test_inner_and_3_1_checks_keep_their_error_contract():
+    """A wrong shape is refused before any membership test; a non-derivation names its pair."""
+    p = semidirect(dual_numbers(), regular_module(dual_numbers()))
+    assert p.dim == 4
+    for bad in (Matrix.zeros(1, 1), Matrix.zeros(4, 3)):
+        with pytest.raises(ShapeMismatch, match="^candidate map has the wrong shape$"):
+            inner_characterization(bad, p)
+        with pytest.raises(ShapeMismatch, match="^map must be square of the product dimension$"):
+            is_derivation_via_3_1(bad, p)
+    d = Matrix.zeros(4, 4)
+    d.data[0][1] = Fraction(1)
+    with pytest.raises(NotADerivation) as expected:
+        inner_witness(d, p.total, regular_action(p.total))
+    with pytest.raises(NotADerivation) as raised:
+        inner_characterization(d, p)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_3_1_sample_disagreement_report_is_unchanged():
+    """With the 3.1 groups emptied, the first sampled map outside Z1 is reported as drawn."""
+    p, _ = random_product(random.Random("battery:1:0"), 3)
+    t = p.dim
+    assert t
+    space(p, "cond31")
+    p._memo["groups31"] = ()  # every map now meets the block conditions
+    rep = theorem_3_1_equivalence(p, samples=2, rng=random.Random(7))
+    z1, replay = space(p, "z1_total"), random.Random(7)
+    for agreed in range(2):
+        grid = [[replay.randint(-2, 2) for _ in range(t)] for _ in range(t)]
+        if not z1.contains([x for row in grid for x in row]):
+            break
+    else:
+        pytest.fail("both samples lie in Z1; draw another product")
+    assert rep.verdict == "MISMATCH"
+    assert rep.details["sample_disagreement"] == [[str(x) for x in row] for row in grid]
+    assert rep.details["samples_checked"] == agreed + min(1, z1.dim)
 
 
 def test_corollary_delta1_only():
