@@ -311,12 +311,15 @@ def _associativity(subject, blocks, dims, laws) -> ValidationReport:
     ``blocks[xyz][i][j]`` is the slice, in part z, of the product of basis
     vector i of part x with basis vector j of part y, and ``dims`` the
     dimension of each part; each pair of parts has at most one block.  A
-    failure carries lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k), dense.  A
-    nest visits, in its loop order, only the triples where e_i e_j or
-    e_j e_k is nonzero for one of its rows: elsewhere both sides are zero.
-    Each block b is scaled once to integers by the lcm s(b) of its
-    denominators, so the sums run on ints: L = s(xy) s(xy.z) lhs and
-    R = s(yz) s(x.yz) rhs, and a law holds iff L s(yz) s(x.yz) = R s(xy) s(xy.z).
+    failure carries lhs = (e_i e_j) e_k and rhs = e_i (e_j e_k), dense.  Each
+    block b is scaled to ints by the lcm s(b) of its denominators; with
+    L = s(xy) s(xy.z) lhs and R = s(yz) s(x.yz) rhs, a law holds iff
+    L s(yz) s(x.yz) = R s(xy) s(xy.z).  A row is checked one basis pair (i, j)
+    at a time: that difference over every k is one int map keyed by k d + l
+    (for the algebra law, L_{e_i e_j} = L_{e_i} L_{e_j}); a pair where e_i e_j
+    and every e_j e_k vanish is skipped, and the sides are written out only
+    at a k where the map is nonzero.  A nest reports triple by triple in its
+    loop order, rows in table order.
     """
     report = ValidationReport(subject)
     block_of = {key[:2]: key for key in blocks}
@@ -325,37 +328,41 @@ def _associativity(subject, blocks, dims, laws) -> ValidationReport:
     ints = {key: [[tuple([(k, c.numerator * (scale[key] // c.denominator)) for k, c in sl])
                    for sl in slab] for slab in b] for key, b in blocks.items()}
     for nest in laws:
-        checks, loops = [], set()
-        for axiom, (x, y, z), scan in nest:
+        failed = []
+        for row, (axiom, (x, y, z), scan) in enumerate(nest):
             xy, yz = block_of[x + y], block_of[y + z]
             xy_z, x_yz = block_of[xy[2] + z], block_of[x + yz[2]]
+            ls, rs, d = scale[xy] * scale[xy_z], scale[yz] * scale[x_yz], dims[xy_z[2]]
+            lm, rm = (1, 1) if ls == rs else (ls, rs)
+            xy, yz, xy_z, x_yz = ints[xy], ints[yz], ints[xy_z], ints[x_yz]
+            flat = [[(k * d + l, v * rm) for k, sl in enumerate(slab) for l, v in sl]
+                    for slab in xy_z]
             where = itemgetter(*("xyz".index(s) for s in scan))
-            for i, slab in enumerate(blocks[xy]):
-                for j, sl in enumerate(slab):
-                    if sl:
-                        loops.update(where((i, j, k)) for k in range(dims[z]))
-            for j, slab in enumerate(blocks[yz]):
-                for k, sl in enumerate(slab):
-                    if sl:
-                        loops.update(where((i, j, k)) for i in range(dims[x]))
-            checks.append((axiom, ints[xy], ints[xy_z], ints[yz], ints[x_yz], dims[xy_z[2]],
-                           itemgetter(*(scan.index(s) for s in "xyz")),
-                           scale[xy] * scale[xy_z], scale[yz] * scale[x_yz]))
-        for loop in sorted(loops):
-            for axiom, xy, xy_z, yz, x_yz, d, slots, ls, rs in checks:
-                i, j, k = slots(loop)
-                lhs = [0] * d
-                for c, coef in xy[i][j]:
-                    for l, v in xy_z[c][k]:
-                        lhs[l] += coef * v
-                rhs = [0] * d
-                for c, coef in yz[j][k]:
-                    for l, v in x_yz[i][c]:
-                        rhs[l] += coef * v
-                if (lhs != rhs if ls == rs
-                        else [x * rs for x in lhs] != [x * ls for x in rhs]):
-                    report.add(axiom, (i, j, k), [Fraction(x, ls) for x in lhs],
-                               [Fraction(x, rs) for x in rhs])
+            for j, slab in enumerate(yz):
+                for i in range(dims[x]):
+                    if not (xy[i][j] or any(slab)):
+                        continue
+                    diff = {}
+                    for c, coef in xy[i][j]:
+                        for key, v in flat[c]:
+                            diff[key] = diff.get(key, 0) + coef * v
+                    for k, sl in enumerate(slab):
+                        for c, coef in sl:
+                            for l, v in x_yz[i][c]:
+                                diff[k * d + l] = diff.get(k * d + l, 0) - lm * coef * v
+                    for k in sorted({key // d for key, v in diff.items() if v}):
+                        lhs, rhs = [0] * d, [0] * d
+                        for c, coef in xy[i][j]:
+                            for l, v in xy_z[c][k]:
+                                lhs[l] += coef * v
+                        for c, coef in slab[k]:
+                            for l, v in x_yz[i][c]:
+                                rhs[l] += coef * v
+                        failed.append((where((i, j, k)), row, axiom, (i, j, k),
+                                       [Fraction(v, ls) for v in lhs],
+                                       [Fraction(v, rs) for v in rhs]))
+        for _, _, *failure in sorted(failed, key=itemgetter(0, 1)):
+            report.add(*failure)
     return report
 
 

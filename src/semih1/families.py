@@ -151,7 +151,8 @@ def random_module_sample(rng, a_sample: AlgebraSample, max_dim) -> ModuleAlgebra
         kinds.append("two-scaled-null")
     kind = rng.choice(kinds)
     if kind == "regular":
-        u = ModuleAlgebra(_from_slices(Algebra, a.name + "'", a.dim, a.mult), regular_action(a))
+        act = regular_action(a)  # the twin keeps a's action, so their derived data is shared
+        u = ModuleAlgebra(_from_slices(Algebra, a.name + "'", a.dim, a.mult, act), act)
     elif kind == "trivial":
         ualg = random_algebra_sample(rng, max_dim, name="U").algebra
         u = ModuleAlgebra(ualg, BimoduleAction.trivial(a.dim, ualg.dim))
@@ -201,9 +202,9 @@ def random_product(rng, max_dim, allow_kinds=None):
         return prod, scalars
     if kind == "alpha":
         # U = a fresh copy of A, so both the zero and the identity map are
-        # algebra homomorphisms A -> U
+        # algebra homomorphisms A -> U; it keeps A's regular action
         ualg = _from_slices(Algebra, a_sample.algebra.name + "'", a_sample.dim,
-                            a_sample.algebra.mult)
+                            a_sample.algebra.mult, regular_action(a_sample.algebra))
         alpha = rng.choice([Matrix.zeros(a_sample.dim, a_sample.dim),
                             Matrix.identity(a_sample.dim),
                             Matrix.identity(a_sample.dim)])

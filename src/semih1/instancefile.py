@@ -2,19 +2,19 @@
 
 The format is sparse and exact: structure constants are lists of
 ``{"i", "j", "k", "c"}`` entries with 0-based indices and string rationals
-matching ``-?[0-9]+(/[1-9][0-9]*)?`` (bare JSON integers are also
-accepted).  Entries on one index triple add up, a sum of zero being no
-entry, and parse straight into the slices of :mod:`.algebra`: one cell per
-index pair, never one per triple.  Every definition is validated once, at
-parse; jobs then execute in order against a registry seeded with the
-definitions and extended by ``build`` jobs.  Each command is one row of
-``JOBS`` and each build kind one of ``BUILDS``: argument signatures and a
-handler.  A job that fits no signature is a ``ParseError`` job error.
-Builds call the ``products`` constructors, which skip the checks that a
-valid definition implies; a ``semidirect``, ``module-extension`` or
-``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
-assemble the product from a module or corner that parsing validated,
-without validating it again.
+matching ``-?[0-9]+(/[1-9][0-9]*)?`` (bare JSON integers are also accepted),
+each distinct string parsed once per tensor.  Entries on one index triple add
+up, a sum of zero being no entry, and parse straight into the slices of
+:mod:`.algebra`: one cell per index pair, never one per triple.  Every
+definition is validated once, at parse; jobs then execute in order against a
+registry seeded with the definitions and extended by ``build`` jobs.  Each
+command is one row of ``JOBS`` and each build kind one of ``BUILDS``:
+argument signatures and a handler.  A job that fits no signature is a
+``ParseError`` job error.  Builds call the ``products`` constructors, which
+skip the checks that a valid definition implies; a ``semidirect``,
+``module-extension`` or ``triangular`` build, and a ``spaces`` job on an
+(algebra, module) pair, assemble the product from a module or corner that
+parsing validated, without validating it again.
 """
 
 import json
@@ -41,7 +41,7 @@ from .errors import (
     UnresolvedReference,
     ValidationFailed,
 )
-from .linalg import F0, Matrix, frac
+from .linalg import Matrix, frac
 from .products import (
     _assemble,
     _triangular,
@@ -111,7 +111,7 @@ def _entries(doc, section, keys, tables):
 def _sparse_tensor(entries, shape, keys, where):
     """The d0 x d1 grid of slices of a list of sparse entries."""
     d0, d1, d2 = shape
-    cells = {}
+    cells, parsed = {}, {}
     _expect(entries, list, where)
     for pos, entry in enumerate(entries):
         _expect(entry, dict, f"{where}[{pos}]")
@@ -120,15 +120,17 @@ def _sparse_tensor(entries, shape, keys, where):
             if k not in (*keys, "c"):
                 raise ParseError(f"unknown key {k!r}", here)
         try:
-            a, b, c = (entry[k] for k in keys)
-            val = entry["c"]
+            a, b, c, val = (entry[k] for k in (*keys, "c"))
         except KeyError as missing:
             raise ParseError(f"missing key {missing}", here)
         for idx, bound, label in ((a, d0, keys[0]), (b, d1, keys[1]), (c, d2, keys[2])):
             if type(idx) is not int or not (0 <= idx < bound):
                 raise ParseError(f"index {label}={idx!r} out of range [0,{bound})", here)
+        x = parsed.get(val) if type(val) is str else _rat(val, here)  # True == 1: str keys only
+        if x is None:
+            x = parsed[val] = _rat(val, here)
         cell = cells.setdefault((a, b), {})
-        cell[c] = cell.get(c, F0) + _rat(val, here)
+        cell[c] = cell[c] + x if c in cell else x
     grid = [[()] * d1 for _ in range(d0)]
     for (a, b), cell in cells.items():
         grid[a][b] = tuple(sorted((k, x) for k, x in cell.items() if x))

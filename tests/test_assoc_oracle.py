@@ -12,6 +12,7 @@ have different denominators.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,15 @@ from semih1.algebra import (
     validate_corner,
     validate_module,
 )
-from semih1.catalog import dual_numbers, matrix_algebra, upper_triangular_2
+from semih1.catalog import (
+    change_basis_algebra,
+    cyclic_group_algebra,
+    direct_sum_algebra,
+    dual_numbers,
+    elementary_matrices,
+    matrix_algebra,
+    upper_triangular_2,
+)
 from semih1.families import random_product
 
 from _oracle import brute_assoc_failures, brute_assoc_sides, dense
@@ -204,3 +213,22 @@ def test_rational_corner_fails_exactly_where_the_triangular_algebra_does():
         corner = CornerModule(n, nb, d, sparse(rng, n, d, d, 5), sparse(rng, d, nb, d, 7))
         failing |= check_triangular(a, b, corner)
     assert failing == set(CORNER_LAWS)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_failures_come_in_scan_order_at_larger_dimensions(seed):
+    # the algebra law scans (i, j, k) lexicographically, the oracle's order;
+    # one entry off by 1/2 in a sheared basis of dimension 4-6 breaks several
+    # triples, and several k on one basis pair
+    rng = random.Random(seed)
+    base = (matrix_algebra(2), cyclic_group_algebra(5),
+            direct_sum_algebra(matrix_algebra(2), dual_numbers()))[seed % 3]
+    a = change_basis_algebra(base, elementary_matrices(rng, base.dim, steps=2))
+    mult = dense(a.mult, a.dim)
+    mult[rng.randrange(a.dim)][rng.randrange(a.dim)][rng.randrange(a.dim)] += Fraction(1, 2)
+    failures = validate_algebra(Algebra("bad", a.dim, mult)).failures
+    witnesses = [f["witness"] for f in failures]
+    assert witnesses == brute_assoc_failures(mult)
+    assert max(Counter(w[:2] for w in witnesses).values()) > 1
+    for f in failures:
+        assert (f["lhs"], f["rhs"]) == brute_assoc_sides(mult, *f["witness"])

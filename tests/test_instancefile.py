@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -91,6 +92,26 @@ def test_bad_rational_rejected():
     doc["algebras"][0]["mult"][0]["c"] = "1/0"
     with pytest.raises(ParseError):
         parse_instance_text(doc_text(doc))
+
+
+def sparse_mult(values, dim=1):
+    """``_sparse_tensor`` of the entries ``values`` in turn, all on the triple (0, 0, 0)."""
+    entries = [{"i": 0, "j": 0, "k": 0, "c": c} for c in values]
+    return semih1.instancefile._sparse_tensor(entries, (dim, dim, dim), ("i", "j", "k"), "mult")
+
+
+def test_the_parse_contract_of_a_sparse_tensor():
+    # each rational string is parsed once per tensor; the entries it stands
+    # for still add up one by one, and every bad value raises at its own place
+    assert sparse_mult(["1/2", "1/2"]) == [[((0, Fraction(1)),)]]
+    assert sparse_mult(["1", "-1"]) == [[()]]
+    assert sparse_mult([1, "1"]) == [[((0, Fraction(2)),)]]
+    for values, message in ((["1", "1", True], "expected a rational string, got bool"),
+                            (["1", "1", "1/0"], "bad rational '1/0'")):
+        with pytest.raises(ParseError) as err:
+            sparse_mult(values, dim=2)
+        assert err.value.where == "mult[2]"
+        assert str(err.value) == f"mult[2]: {message}"
 
 
 def digits_over_the_int_limit():

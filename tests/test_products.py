@@ -345,3 +345,16 @@ def test_sampled_triangular_draws_skip_corner_validation(monkeypatch):
     kinds = [random_product(random.Random(seed), 3)[0].kind for seed in range(200)]
     assert kinds.count("triangular") > 10
     assert calls == []
+
+
+def test_sampled_twin_algebras_keep_the_base_regular_action():
+    # a regular-kind module's U and an alpha product's U are twins of A over
+    # A's table; each keeps A's regular action, so U's commutator rows are A's
+    twins = set()
+    for seed in range(200):
+        p, _ = random_product(random.Random(seed), 3)
+        a, u = p.part_a, p.part_u.algebra
+        if u is not a and u.mult is a.mult:
+            twins.add(p.kind)
+            assert regular_action(u) is regular_action(a)
+    assert twins == {"semidirect", "alpha"}
