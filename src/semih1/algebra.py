@@ -6,6 +6,9 @@ constants: ``mult[i][j]``, the slice of ``e_i * e_j``, is a tuple of
 :class:`BimoduleAction` adds left/right action grids of the same form, and a
 :class:`ModuleAlgebra` couples a module's own multiplication with such an
 action.  Public constructors take dense nested lists; nothing is kept dense.
+Every product of vectors through a structure tensor (a basis change, the
+alpha-product's actions, the homomorphism check) runs on the slices through
+:func:`_transport`.
 
 Every axiom validated here is one block of associativity
 (e_x e_y) e_z = e_x (e_y e_z) on basis vectors of the parts of a product:
@@ -34,6 +37,7 @@ from .linalg import (
     _kernel_of_images,
     _pairs,
     _span_of_rows,
+    _sparse_rows,
     _vector,
     frac,
 )
@@ -54,18 +58,16 @@ def _from_slices(cls, *fields):
     return obj
 
 
-def _bilinear(tensor, u, v, d):
-    """sum u_i v_j (e_i e_j) over a grid of slices, as a dense vector of length d."""
-    out = [F0] * d
-    for i, x in enumerate(u):
-        if x:
-            ti = tensor[i]
-            for j, y in enumerate(v):
-                if y:
-                    xy = x * y
-                    for k, c in ti[j]:
-                        out[k] += xy * c
-    return out
+def _transport(grid, xs, ys, out=None):
+    """The grid of slices of x_i y_j over a grid of slices, for sparse rows xs and ys.
+
+    ``x_i y_j`` is sum x_i[a] y_j[b] grid[a][b]; when ``out`` is given, each
+    product is read through out's sparse rows, as sum_k c_k out[k].  Each
+    slice is sorted by column with zeros dropped, the form of ``Algebra.mult``.
+    """
+    cols = [[_combine(slab, y) for slab in grid] for y in ys]
+    return [[tuple(sorted(_combine(out, p) if out is not None else p))
+             for p in (_combine(col, x) for col in cols)] for x in xs]
 
 
 def _scaled(left, right, m):
@@ -154,7 +156,9 @@ class Algebra:
 
     def product(self, u, v):
         """Bilinear extension of the basis products to coordinate vectors."""
-        return _bilinear(self.mult, u, v, self.dim)
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ShapeMismatch("vector length differs from algebra dimension")
+        return _vector(_transport(self.mult, [_pairs(u)], [_pairs(v)])[0][0], self.dim)
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i]
@@ -186,12 +190,6 @@ class BimoduleAction:
         return _from_slices(cls, algebra_dim, module_dim,
                             [[()] * module_dim for _ in range(algebra_dim)],
                             [[()] * algebra_dim for _ in range(module_dim)])
-
-    def act_left(self, avec, xvec):
-        return _bilinear(self.left, avec, xvec, self.module_dim)
-
-    def act_right(self, xvec, avec):
-        return _bilinear(self.right, xvec, avec, self.module_dim)
 
     def is_symmetric(self):
         """True when a.x = x.a on every basis pair (a commutative bimodule)."""
@@ -245,6 +243,8 @@ class Character:
         self.values = [frac(v) for v in values]
 
     def __call__(self, vec):
+        if len(vec) != len(self.values):
+            raise ShapeMismatch("vector length differs from algebra dimension")
         return sum((v * x for v, x in zip(self.values, vec)), F0)
 
 
@@ -254,11 +254,12 @@ def hom_failure(f, a: Algebra, b: Algebra):
     ``f`` is a Matrix whose row i is the image of e_i in B; pairs are
     scanned i-major.
     """
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if f.apply(_vector(a.mult[i][j], a.dim)) != b.product(f.data[i], f.data[j]):
-                return i, j
-    return None
+    rows = _sparse_rows(f)
+    basis = [((i, F1),) for i in range(a.dim)]
+    lhs = _transport(a.mult, basis, basis, rows)
+    rhs = _transport(b.mult, rows, rows)
+    return next(((i, j) for i in range(a.dim) for j in range(a.dim)
+                 if lhs[i][j] != rhs[i][j]), None)
 
 
 def validate_character(t: Character) -> bool:

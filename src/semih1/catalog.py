@@ -13,11 +13,12 @@ from .algebra import (
     Character,
     ModuleAlgebra,
     _from_slices,
+    _transport,
     block_tensor,
     unit_vector,
 )
 from .errors import ShapeMismatch
-from .linalg import F0, F1, Matrix, _pairs, frac, rref
+from .linalg import F0, F1, Matrix, _sparse_rows, frac, rref
 
 
 def field_q(name="Q") -> Algebra:
@@ -123,10 +124,9 @@ def change_basis_algebra(a: Algebra, p: Matrix, name=None) -> Algebra:
 
 def _change_basis_algebra(a: Algebra, p: Matrix, pinv: Matrix, name) -> Algebra:
     """:func:`change_basis_algebra` with ``pinv``, the inverse of p, already at hand."""
-    n = a.dim
-    mult = [[_pairs(pinv.apply(a.product(p.data[i], p.data[j]))) for j in range(n)]
-            for i in range(n)]
-    return _from_slices(Algebra, name or f"{a.name}~", n, mult)
+    rows = _sparse_rows(p)
+    return _from_slices(Algebra, name or f"{a.name}~", a.dim,
+                        _transport(a.mult, rows, rows, _sparse_rows(pinv)))
 
 
 def _change_basis_action(act, pa, pu, pu_inv) -> BimoduleAction:
@@ -134,12 +134,9 @@ def _change_basis_action(act, pa, pu, pu_inv) -> BimoduleAction:
 
     ``pu_inv`` is the inverse of pu, already at hand.
     """
-    n, m = act.algebra_dim, act.module_dim
-    left = [[_pairs(pu_inv.apply(act.act_left(pa.data[i], pu.data[p]))) for p in range(m)]
-            for i in range(n)]
-    right = [[_pairs(pu_inv.apply(act.act_right(pu.data[p], pa.data[i]))) for i in range(n)]
-             for p in range(m)]
-    return _from_slices(BimoduleAction, n, m, left, right)
+    ra, ru, out = _sparse_rows(pa), _sparse_rows(pu), _sparse_rows(pu_inv)
+    return _from_slices(BimoduleAction, act.algebra_dim, act.module_dim,
+                        _transport(act.left, ra, ru, out), _transport(act.right, ru, ra, out))
 
 
 def change_basis_module(u: ModuleAlgebra, pa: Matrix, pu: Matrix, name=None) -> ModuleAlgebra:

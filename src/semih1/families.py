@@ -3,10 +3,10 @@
 Raw random structure tensors are essentially never associative, so every
 family starts from a catalog algebra (scalars, null, dual numbers, cyclic
 group algebras, upper-triangular, matrix blocks, direct sums) and composes
-it with a random small invertible change of basis.  Characters and
-idempotents are transported along, which is what lets the module and
-product samplers build scaled and homomorphism-twisted actions in the new
-coordinates.
+it with a random small invertible change of basis.  Characters are
+transported along, which is what lets the module and product samplers build
+scaled actions in the new coordinates; the alpha sampler twists a copy of
+the algebra by the zero or the identity map, homomorphisms in any basis.
 """
 
 from .algebra import (
@@ -32,7 +32,6 @@ from .catalog import (
     matrix_algebra,
     null_algebra,
     standard_characters,
-    standard_idempotents,
     upper_triangular_2,
 )
 from .linalg import F0, Matrix, frac
@@ -47,7 +46,10 @@ from .products import (
 )
 
 class AlgebraSample:
-    """An algebra plus the transported extras the samplers need."""
+    """An algebra plus the transported extras the samplers need.
+
+    ``idempotents`` is kept for samples built by hand; the samplers leave it empty.
+    """
 
     __slots__ = ("algebra", "characters", "idempotents", "family", "split")
 
@@ -91,8 +93,7 @@ def _base_sample(rng, max_dim, name) -> AlgebraSample:
         alg = upper_triangular_2(name)
     else:
         alg = matrix_algebra(2, name)
-    return AlgebraSample(alg, standard_characters(alg, fam),
-                         standard_idempotents(alg, fam), fam)
+    return AlgebraSample(alg, standard_characters(alg, fam), (), fam)
 
 
 def _direct_sum_sample(rng, max_dim, name) -> AlgebraSample:
@@ -105,9 +106,7 @@ def _direct_sum_sample(rng, max_dim, name) -> AlgebraSample:
         chars.append(Character(alg, list(t.values) + [F0] * right.dim))
     for t in right.characters:
         chars.append(Character(alg, [F0] * left.dim + list(t.values)))
-    idems = [w + [F0] * right.dim for w in left.idempotents]
-    idems += [[F0] * left.dim + w for w in right.idempotents]
-    return AlgebraSample(alg, chars, idems, "direct-sum", split=(left.dim, right.dim))
+    return AlgebraSample(alg, chars, (), "direct-sum", split=(left.dim, right.dim))
 
 
 def _apply_basis_change(sample: AlgebraSample, rng) -> AlgebraSample:
@@ -115,12 +114,10 @@ def _apply_basis_change(sample: AlgebraSample, rng) -> AlgebraSample:
     if n == 0:
         return sample
     p = elementary_matrices(rng, n, steps=rng.randint(1, 4))
-    pinv = invert(p)
-    alg = _change_basis_algebra(sample.algebra, p, pinv, sample.algebra.name)
+    alg = _change_basis_algebra(sample.algebra, p, invert(p), sample.algebra.name)
     chars = [change_basis_character(t, alg, p) for t in sample.characters]
-    idems = [pinv.apply(w) for w in sample.idempotents]
     # a basis change scrambles the ideal-split coordinates, so drop it
-    return AlgebraSample(alg, chars, idems, sample.family + "~", split=None)
+    return AlgebraSample(alg, chars, (), sample.family + "~", split=None)
 
 
 def random_algebra_sample(rng, max_dim, name="A") -> AlgebraSample:
@@ -196,8 +193,7 @@ def random_product(rng, max_dim, allow_kinds=None):
         return theta_lau(a_sample.algebra, ualg, t), a_sample
     if kind == "unitization":
         q = field_q()
-        scalars = AlgebraSample(q, standard_characters(q, "field"),
-                                standard_idempotents(q, "field"), "field")
+        scalars = AlgebraSample(q, standard_characters(q, "field"), (), "field")
         prod = unitization(a_sample.algebra)
         return prod, scalars
     if kind == "alpha":

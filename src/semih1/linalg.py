@@ -58,6 +58,11 @@ def _pairs(row):
     return tuple([(j, x) for j, x in enumerate(row) if x])
 
 
+def _sparse_rows(m):
+    """The rows of a :class:`Matrix` as :func:`_pairs`."""
+    return [_pairs(row) for row in m.data]
+
+
 def _vector(pairs, d):
     """The dense vector of length d with the given ``(column, value)`` pairs; see :func:`_pairs`."""
     v = [F0] * d
@@ -242,7 +247,7 @@ class Matrix:
         return out
 
     def rank(self):
-        _, pivots = _rref_rows([_pairs(row) for row in self.data], self.cols)
+        _, pivots = _rref_rows(_sparse_rows(self), self.cols)
         return len(pivots)
 
 
@@ -261,7 +266,7 @@ def rref(m: Matrix) -> Matrix:
     >>> rref(Matrix([[1, 2], [3, 4]])) == Matrix.identity(2)
     True
     """
-    rows = _fractions(*_rref_rows([_pairs(row) for row in m.data], m.cols))
+    rows = _fractions(*_rref_rows(_sparse_rows(m), m.cols))
     return Matrix._trusted([_vector(row, m.cols) for row in rows], m.cols)
 
 
@@ -354,7 +359,7 @@ def kernel(m: Matrix) -> Subspace:
     >>> kernel(Matrix.identity(4)).dim
     0
     """
-    return kernel_of_rows([_pairs(row) for row in m.data], m.cols)
+    return kernel_of_rows(_sparse_rows(m), m.cols)
 
 
 def kernel_of_rows(rows, cols) -> Subspace:

@@ -22,11 +22,11 @@ from .algebra import (
     ModuleAlgebra,
     _from_slices,
     _scaled,
+    _transport,
     block_tensor,
     hom_failure,
     regular_action,
     semidirect_blocks,
-    unit_vector,
     validate_character,
     validate_corner,
     validate_module,
@@ -39,7 +39,7 @@ from .errors import (
     NotHomomorphism,
     ShapeMismatch,
 )
-from .linalg import F1, Matrix, _pairs
+from .linalg import F1, Matrix, _sparse_rows
 from .spaces import first_failure, pairing_groups
 
 
@@ -190,11 +190,10 @@ def _check_algebra_hom(a: Algebra, u: Algebra, alpha: Matrix):
 def alpha_product(a: Algebra, u: Algebra, alpha: Matrix, name=None) -> SemidirectAlgebra:
     """A x|_alpha U: the action a.x = alpha(a)x, x.a = x alpha(a) in U."""
     _check_algebra_hom(a, u, alpha)
-    m = u.dim
-    basis = [unit_vector(m, p) for p in range(m)]
-    left = [[_pairs(u.product(alpha.data[i], basis[p])) for p in range(m)] for i in range(a.dim)]
-    right = [[_pairs(u.product(basis[p], alpha.data[i])) for i in range(a.dim)] for p in range(m)]
-    mod = ModuleAlgebra(u, _from_slices(BimoduleAction, a.dim, m, left, right))
+    rows, basis = _sparse_rows(alpha), [((p, F1),) for p in range(u.dim)]
+    mod = ModuleAlgebra(u, _from_slices(BimoduleAction, a.dim, u.dim,
+                                        _transport(u.mult, rows, basis),
+                                        _transport(u.mult, basis, rows)))
     # the compatibility laws are instances of U's own associativity
     validate_module(mod, a).raise_if_failed()
     return _assemble(a, mod, name or f"ad({a.name},{u.name})", "alpha", alpha=alpha)

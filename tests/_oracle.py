@@ -235,3 +235,44 @@ def dense(tensor, width):
             rows.append(vec)
         out.append(rows)
     return out
+
+
+def brute_inverse(p):
+    """P^-1 read off brute_rref of [P | I]; P must be square and invertible."""
+    n = len(p)
+    reduced, pivots = brute_rref([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(p)], 2 * n)
+    assert pivots == list(range(n)), "singular matrix"
+    return [row[n:] for row in reduced]
+
+
+def brute_transport(tensor, xs, ys, out):
+    """The dense grid of x_i y_j = sum_ab x_i[a] y_j[b] tensor[a][b], read through out.
+
+    ``tensor[a][b][k]`` is dense; each product is first the triple sum over
+    a, b and k in the old coordinates, then mapped to sum_k w_k out[k].
+    """
+    width = len(out[0]) if out else 0
+    grid = []
+    for x in xs:
+        slab = []
+        for y in ys:
+            w = [Fraction(0)] * len(out)
+            for a, xa in enumerate(x):
+                for b, yb in enumerate(y):
+                    for k, c in enumerate(tensor[a][b]):
+                        if xa and yb and c:
+                            w[k] += Fraction(xa) * yb * c
+            slab.append([sum((w[k] * out[k][l] for k in range(len(out)) if w[k]), Fraction(0))
+                         for l in range(width)])
+        grid.append(slab)
+    return grid
+
+
+def brute_change_basis(tensor, xs, ys, p):
+    """``tensor`` in the new basis f_i = sum_j P[i][j] e_j of its product's space.
+
+    xs and ys are the new bases of the two factors, as rows; for an algebra
+    all three are P.  A product w in e-coordinates is w P^-1 in f-coordinates.
+    """
+    return brute_transport(tensor, xs, ys, brute_inverse(p))

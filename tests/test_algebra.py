@@ -10,6 +10,7 @@ from semih1.algebra import (
     annihilator_in_algebra,
     annihilator_in_module,
     center,
+    hom_failure,
     is_sub_bimodule,
     regular_module,
     relative_annihilator,
@@ -27,9 +28,9 @@ from semih1.catalog import (
     null_algebra,
     upper_triangular_2,
 )
-from semih1.errors import NotSubmodule, ValidationFailed
-from semih1.linalg import Subspace
-from semih1.products import theta_lau
+from semih1.errors import NotHomomorphism, NotSubmodule, ShapeMismatch, ValidationFailed
+from semih1.linalg import Matrix, Subspace
+from semih1.products import alpha_iso, alpha_product, direct_product, theta_lau
 
 from _oracle import brute_kernel, brute_rank, dense
 
@@ -238,6 +239,71 @@ def test_character_validation():
     c2 = cyclic_group_algebra(2)
     assert validate_character(Character(c2, [1, 1]))
     assert validate_character(Character(c2, [1, -1]))
+
+
+def test_vectors_of_the_wrong_length_are_rejected():
+    d = dual_numbers()
+    assert d.product([0, 1], [1, 0]) == [0, 1]
+    assert Character(d, [1, 0])([1, 2]) == 1
+    for bad in ([1], [1, 0, 0]):
+        with pytest.raises(ShapeMismatch):
+            d.product(bad, bad)
+        with pytest.raises(ShapeMismatch):
+            d.product([1, 0], bad)
+        with pytest.raises(ShapeMismatch):
+            d.product(bad, [1, 0])
+    with pytest.raises(ShapeMismatch):
+        Character(d, [1, 0])([1, 2, 3])
+    with pytest.raises(ShapeMismatch):
+        Character(d, [1, 0])([1])
+
+
+def _brute_hom_failures(f, a, b):
+    """Every basis pair (i, j), i-major, where f(e_i e_j) != f(e_i) f(e_j), from dense lists."""
+    am, bm = dense(a.mult, a.dim), dense(b.mult, b.dim)
+    fails = []
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = [sum(am[i][j][k] * f[k][q] for k in range(a.dim)) for q in range(b.dim)]
+            rhs = [sum(f[i][s] * f[j][t] * bm[s][t][q] for s in range(b.dim) for t in range(b.dim))
+                   for q in range(b.dim)]
+            if lhs != rhs:
+                fails.append((i, j))
+    return fails
+
+
+def test_hom_failure_reports_the_first_pair_in_i_major_order():
+    t2 = upper_triangular_2()
+    u = Algebra("T2'", 3, dense(t2.mult, 3))
+    # E11 -> E11, E12 -> 0, E22 -> E11 breaks E11 E22 = 0 and E22 E11 = 0 only
+    f = [[1, 0, 0], [0, 0, 0], [1, 0, 0]]
+    assert _brute_hom_failures(Matrix(f).data, t2, u) == [(0, 2), (2, 0)]
+    assert hom_failure(Matrix(f), t2, u) == (0, 2)
+    with pytest.raises(NotHomomorphism) as exc:
+        alpha_product(t2, u, Matrix(f))
+    assert str(exc.value) == "alpha(e0*e2) != alpha(e0)alpha(e2)"
+    # 2 id sends e_i e_j to 2 e_i e_j, but f(e_i) f(e_j) = 4 e_i e_j
+    m2 = matrix_algebra(2)
+    twice = Matrix([[2 if p == q else 0 for q in range(4)] for p in range(4)])
+    fails = _brute_hom_failures(twice.data, m2, m2)
+    assert len(fails) == 8 and hom_failure(twice, m2, m2) == fails[0] == (0, 0)
+    shear = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+    # j-major, (2, 1) would come first
+    assert _brute_hom_failures(shear.data, m2, m2) == [(0, 2), (2, 1), (2, 2), (3, 2)]
+    assert hom_failure(shear, m2, m2) == (0, 2)
+
+
+def test_hom_failure_is_none_on_homomorphisms():
+    t2 = upper_triangular_2()
+    u = Algebra("T2'", 3, dense(t2.mult, 3))
+    assert hom_failure(Matrix.identity(3), t2, u) is None
+    assert hom_failure(Matrix.zeros(3, 3), t2, u) is None
+    # the character E11 -> 1 into the scalars
+    assert hom_failure(Matrix([[1], [0], [0]]), t2, field_q()) is None
+    for alpha in (Matrix.zeros(3, 3), Matrix.identity(3)):
+        iso = alpha_iso(t2, u, alpha)
+        assert hom_failure(iso, direct_product(t2, u).total, alpha_product(t2, u, alpha).total) is None
+    assert hom_failure(Matrix.zeros(0, 0), null_algebra(0), null_algebra(0)) is None
 
 
 def test_span_of_products():
