@@ -436,10 +436,17 @@ def _twists(rows, n, m):
     return out
 
 
+def _action_of(a: Algebra, m):
+    """The action of m, a module or a bare action; ShapeMismatch unless it is over a."""
+    act = m.action if isinstance(m, ModuleAlgebra) else m
+    if act.algebra_dim != a.dim:
+        raise ShapeMismatch("module is not over the given algebra")
+    return act
+
+
 def annihilator_in_algebra(a: Algebra, u) -> Subspace:
     """ann_A U = {a in A : a.U = U.a = 0}, computed as a kernel."""
-    act = u.action if isinstance(u, ModuleAlgebra) else u
-    return relative_annihilator(Subspace.zero(act.module_dim), a, act)
+    return relative_annihilator(Subspace.zero(_action_of(a, u).module_dim), a, u)
 
 
 def annihilator_in_module(u: ModuleAlgebra) -> Subspace:
@@ -460,7 +467,7 @@ def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
 
     With N = 0 this reduces to ann_A U.  Modulo N, a.u_p and u_p.a are linear in a.
     """
-    act = u.action if isinstance(u, ModuleAlgebra) else u
+    act = _action_of(a, u)
     if n_space.ambient != act.module_dim:
         raise ShapeMismatch("submodule lives in the wrong ambient dimension")
     if not is_sub_bimodule(n_space, act):

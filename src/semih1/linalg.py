@@ -446,12 +446,14 @@ def quotient_dim(big: Subspace, small: Subspace) -> int:
     return big.dim - small.dim
 
 
-def product_subspace(a: Subspace, b: Subspace) -> Subspace:
-    """External direct sum a x b inside Q^(da+db), blocks side by side."""
-    da = a.ambient
-    # Block-diagonal stacking of two rref bases is already in rref form.
-    return Subspace(da + b.ambient,
-                    a.rows + tuple(tuple([(da + j, x) for j, x in row]) for row in b.rows))
+def product_subspace(*parts: Subspace) -> Subspace:
+    """External direct sum of the parts inside Q^(sum of their ambients), blocks side by side."""
+    rows, offset = [], 0
+    # Block-diagonal stacking of rref bases is already in rref form.
+    for part in parts:
+        rows += [tuple([(offset + j, x) for j, x in row]) for row in part.rows]
+        offset += part.ambient
+    return Subspace(offset, tuple(rows))
 
 
 def solve_right(m: Matrix, rhs) -> "list[Fraction] | None":

@@ -83,16 +83,16 @@ def _check_space_containments(p):
         if not space(p, f"z1_{part}").contains_subspace(space(p, f"n1_{part}")):
             _fail("n1-in-z1", label)
     a, u = p.part_a, p.part_u
-    homz1, hom, r, c, ii, n1u, z1u = (space(p, name) for name in (
-        "hom_cap_z1u", "hom_u", "r", "c", "i", "n1_u", "z1_u"))
+    homz1, hom, r, c, ii, n1u, z1u, rn, ci = (space(p, name) for name in (
+        "hom_cap_z1u", "hom_u", "r", "c", "i", "n1_u", "z1_u", "r_plus_n1u", "c_plus_i"))
     if not z1u.contains_subspace(r):
         _fail("r-in-z1u")
     if not intersect(hom, r).contains_subspace(c):
         _fail("c-in-hom-cap-r")
     if not intersect(hom, n1u).contains_subspace(ii):
         _fail("i-in-hom-cap-n1")
-    chain_mid = intersect(hom, subspace_sum(r, n1u))
-    if not chain_mid.contains_subspace(subspace_sum(c, ii)):
+    chain_mid = intersect(hom, rn)
+    if not chain_mid.contains_subspace(ci):
         _fail("chain-c+i-in-hom-cap-r+n1")
     if not homz1.contains_subspace(chain_mid):
         _fail("chain-hom-cap-r+n1-in-hom-cap-z1")
@@ -183,7 +183,7 @@ def _check_rules(p):
     # consequences of a trivial H1 under a verified quotient rule
     if h1(p, "total") == 0:
         homz1 = space(p, "hom_cap_z1u")
-        ci = subspace_sum(space(p, "c"), space(p, "i"))
+        ci = space(p, "c_plus_i")
         h1_a, h1_au = h1(p, "a"), h1(p, "au")
         if reports["4.1"].verdict == "verified":
             if h1_a or homz1 != ci:

@@ -37,6 +37,7 @@ from math import lcm
 from .algebra import (
     Algebra,
     ModuleAlgebra,
+    _action_of,
     _commutators,
     _twists,
     center,
@@ -206,13 +207,6 @@ def lands_in(name, target: Subspace, place, dx) -> RowGroup:
     """D(e_x) lies in ``target`` for x < dx: its residual mod ``target`` vanishes."""
     residual = [[target.reduce(((l, F1),))] for l in range(target.ambient)]
     return RowGroup(name, (dx, 1, target.ambient), [(1, LEFT, residual, place)])
-
-
-def _action_of(a: Algebra, m):
-    act = m.action if isinstance(m, ModuleAlgebra) else m
-    if act.algebra_dim != a.dim:
-        raise ShapeMismatch("module is not over the given algebra")
-    return act
 
 
 def derivation_space(a: Algebra, m) -> Subspace:

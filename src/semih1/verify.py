@@ -7,7 +7,7 @@ compares them exactly:
                   blocks (delta1, delta2, tau1, tau2) satisfy the block
                   conditions; checked as equality of two solution subspaces.
 * ``4.1-4.4``  -- hypothesis-gated linear isomorphisms computing H1(A x| U)
-                  as a quotient by the subspaces E, F, K, or C+I.
+                  as one quotient shape: kept blocks over iota^-1(N1), below.
 * ``5.1/5.3``  -- direct products: block structure and H1 additivity.
 * ``ttd/cte/embed``      -- module extensions T(A,U).
 * ``lau-der/a1/prop10``  -- scaled-action (character) products.
@@ -26,13 +26,13 @@ check only when all of them hold.  ``verify_theorem`` (4.1-4.4) and
 What the rules read is two more tables, each row computed at most once per
 product and kept in it.  ``_SPACES`` names every space a product carries
 (Z1 and N1 of A x| U, A, (A, U) and U; Hom_A(U) and its meet with Z1(U);
-the annihilators; R, C and I; the pairing homomorphisms; the 3.1 row groups
-and their kernel; the map Phi below) with how the product builds it from
-its factors, read through ``space(p, name)``.  Every row but the 3.1 row
-groups and Phi is a Subspace, of maps flattened as in :mod:`.spaces`.
+the annihilators; R, C, I, R + N1(U) and C + I; the pairing homomorphisms;
+the 3.1 row groups and their kernel; the map Phi below) with how the product
+builds it from its factors, read through ``space(p, name)``.  Every row but
+the 3.1 row groups and Phi is a Subspace, of maps flattened as in :mod:`.spaces`.
 ``h1(p, part)`` is the checked difference of one part's Z1 and N1.
 ``GATES`` maps each gate name to ``p -> (holds, witness)``, read through
-``hypothesis_check``.
+``hypothesis_check``; a containment gate's witness is its first basis map outside.
 
 Every linear system here is a list of row groups from :mod:`.spaces`, solved
 by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
@@ -46,8 +46,8 @@ flat coordinate to its place in the named blocks side by side, read from
 
 The ``phi`` row holds Phi(z), v -> vz - zv, for each basis vector z = (a0, x0) as
 a flat map on A x| U with blocks (ad a0, ad x0, 0, r_a0 + ad_U x0), from the
-factors.  Rules 4.1-4.3 keep two blocks over the kernel of a killed one: the
-numerator (the spaces filling the kept blocks) and E, F or K share their layout, iota.
+factors.  Rules 4.1-4.4 name only their kept blocks: the spaces filling them side
+by side over iota^-1(N1), Phi where it vanishes off them (E, F, K or C + I), one layout.
 
 Verdicts are ``verified``, ``hypotheses-not-met``, or ``MISMATCH``; a
 MISMATCH on a validated instance falsifies the implementation and is never
@@ -463,7 +463,7 @@ def tau1_vanishes(p: SemidirectAlgebra) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the inner-derivation map and the subspaces E, F, K of the quotient rules
+# the inner-derivation map and the denominators E, F, K, C + I of the quotient rules
 
 def _phi(p: SemidirectAlgebra):
     """Φ(e_k) for each basis vector e_k of A x| U, as a sparse flattened map on A x| U.
@@ -483,12 +483,11 @@ def _phi(p: SemidirectAlgebra):
             for k in range(p.dim)]
 
 
-def _image_over_kernel(p: SemidirectAlgebra, keep, kill) -> Subspace:
-    """Φ over the kernel of its ``kill`` block, read in the layout of the ``keep`` blocks."""
-    phi = space(p, "phi")
-    kernel = _kernel_of_images([_restrict(p, row, (kill,)) for row in phi], p.dim)
-    return _span_of_rows([_restrict(p, _combine(phi, w), keep) for w in kernel.rows],
-                         len(_layout(p, keep)))
+def _image_over_kernel(p: SemidirectAlgebra, keep) -> Subspace:
+    """ι⁻¹(N1) for the ``keep`` blocks: Φ where it vanishes off them, read in their layout."""
+    phi, where = space(p, "phi"), _layout(p, keep)
+    kernel = _kernel_of_images([[(j, x) for j, x in row if j not in where] for row in phi], p.dim)
+    return _span_of_rows([_restrict(p, _combine(phi, w), keep) for w in kernel.rows], len(where))
 
 
 def build_E(p: SemidirectAlgebra) -> Subspace:
@@ -496,7 +495,7 @@ def build_E(p: SemidirectAlgebra) -> Subspace:
 
     Lives in maps(A,A) (+) maps(U,U); the denominator of the 4.1 quotient.
     """
-    return _image_over_kernel(p, ("delta1", "tau2"), kill="delta2")
+    return _image_over_kernel(p, ("delta1", "tau2"))
 
 
 def build_F(p: SemidirectAlgebra) -> Subspace:
@@ -504,7 +503,7 @@ def build_F(p: SemidirectAlgebra) -> Subspace:
 
     Lives in maps(A,U) (+) maps(U,U); the denominator of the 4.2 quotient.
     """
-    return _image_over_kernel(p, ("delta2", "tau2"), kill="delta1")
+    return _image_over_kernel(p, ("delta2", "tau2"))
 
 
 def build_K(p: SemidirectAlgebra) -> Subspace:
@@ -512,7 +511,7 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
 
     Lives in maps(A,A) (+) maps(A,U); the denominator of the 4.3 quotient.
     """
-    return _image_over_kernel(p, ("delta1", "delta2"), kill="tau2")
+    return _image_over_kernel(p, ("delta1", "delta2"))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +536,8 @@ _SPACES = {
     "r": lambda p: r_space(p.part_a, p.part_u),
     "c": lambda p: c_space(p.part_a, p.part_u),
     "i": lambda p: i_space(p.part_a, p.part_u),
+    "r_plus_n1u": lambda p: subspace_sum(space(p, "r"), space(p, "n1_u")),
+    "c_plus_i": lambda p: subspace_sum(space(p, "c"), space(p, "i")),
     # module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y
     "pairing": lambda p: solve(p.m * p.n, *pairing_groups(p.part_a, p.part_u.action)),
     "groups31": _condition_groups,
@@ -545,15 +546,14 @@ _SPACES = {
 }
 
 
-def _images_in(maps, target):
-    """Gate: the maps out of A of row ``maps`` take values in row ``target``; else a basis map."""
+def _inside(maps, target, rowwise=False):
+    """Gate: row ``maps`` lies in row ``target`` (row-wise if ``rowwise``), else a basis map."""
     def gate(p):
-        z, ann = space(p, maps), space(p, target)
-        td = ann.ambient
-        for row in z.rows:
-            if any(ann.reduce([(j % td, x) for j, x in row if j // td == s]) for s in range(p.n)):
-                return False, [str(x) for x in _vector(row, z.ambient)]
-        return True, None
+        z, room = space(p, maps), space(p, target)
+        room = product_subspace(*[room] * p.n) if rowwise else room
+        outside = next((row for row in z.rows if room.reduce(row)), None)
+        return outside is None, None if outside is None else [
+            str(x) for x in _vector(outside, z.ambient)]
     return gate
 
 
@@ -565,14 +565,6 @@ def _zero(dim, key):
     return gate
 
 
-def _hom_in_r_plus_n1u(p):
-    rn, homz1 = subspace_sum(space(p, "r"), space(p, "n1_u")), space(p, "hom_cap_z1u")
-    for row in homz1.rows:
-        if rn.reduce(row):
-            return False, [str(x) for x in _vector(row, homz1.ambient)]
-    return True, None
-
-
 def _tau1_gate(p):
     holds = tau1_vanishes(p)
     return holds, None if holds else "a basis derivation has tau1 != 0"
@@ -581,11 +573,11 @@ def _tau1_gate(p):
 # gate name -> p -> (holds, witness); ``hypothesis_check`` evaluates each once per product
 GATES = {
     "tau1-vanishes": _tau1_gate,
-    "Z1(A) image in ann_A(U)": _images_in("z1_a", "ann_a_u"),
-    "Z1(A,U) image in ann_U(U)": _images_in("z1_au", "ann_u_u"),
+    "Z1(A) image in ann_A(U)": _inside("z1_a", "ann_a_u", rowwise=True),
+    "Z1(A,U) image in ann_U(U)": _inside("z1_au", "ann_u_u", rowwise=True),
     "H1(A)=0": _zero(lambda p: h1(p, "a"), "h1"),
     "H1(A,U)=0": _zero(lambda p: h1(p, "au"), "h1"),
-    "Hom(U) cap Z1(U) inside R(U)+N1(U)": _hom_in_r_plus_n1u,
+    "Hom(U) cap Z1(U) inside R(U)+N1(U)": _inside("hom_cap_z1u", "r_plus_n1u"),
     "no nonzero pairing hom U->A": _zero(lambda p: space(p, "pairing").dim, "dim"),
     "ann_U(U)=0 or span(A^2)=A": lambda p: (
         space(p, "ann_u_u").dim == 0 or span_of_products(p.part_a).dim == p.n, None),
@@ -762,26 +754,24 @@ _CONSTRUCTIONS = {
               lambda p: p.kind == "alpha" and p.alpha is not None),
 }
 
-def _kept_over_killed(keep, kill):
-    """Rules 4.1-4.3: the spaces filling the ``keep`` blocks over Φ's image there, one layout."""
+def _quotient_on(*keep):
+    """Rules 4.1-4.4: the spaces filling the ``keep`` blocks over ι⁻¹(N1) there, one layout."""
     fills = [{"delta1": "z1_a", "delta2": "z1_au", "tau2": "hom_cap_z1u"}[b] for b in keep]
     return lambda p: _quotient(p, product_subspace(*(space(p, f) for f in fills)),
-                               _image_over_kernel(p, keep, kill))
+                               _image_over_kernel(p, keep))
 
 
 # rule id -> (construction it needs or None, gates, check)
 RULES = {
     "3.1": (None, (), _equivalence),
     "4.1": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
-            _kept_over_killed(("delta1", "tau2"), kill="delta2")),
+            _quotient_on("delta1", "tau2")),
     "4.2": (None, ("tau1-vanishes", "Z1(A,U) image in ann_U(U)", "H1(A)=0"),
-            _kept_over_killed(("delta2", "tau2"), kill="delta1")),
+            _quotient_on("delta2", "tau2")),
     "4.3": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "Z1(A,U) image in ann_U(U)",
                    "Hom(U) cap Z1(U) inside R(U)+N1(U)"),
-            _kept_over_killed(("delta1", "delta2"), kill="tau2")),
-    "4.4": (None, ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
-            lambda p: _quotient(p, space(p, "hom_cap_z1u"),
-                                subspace_sum(space(p, "c"), space(p, "i")))),
+            _quotient_on("delta1", "delta2")),
+    "4.4": (None, ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"), _quotient_on("tau2")),
     "5.1": ("direct", (), _direct_blocks),
     "5.3": ("direct", ("ann_U(U)=0 or span(A^2)=A", "ann_A(A)=0 or span(U^2)=U"),
             _direct_h1_split),

@@ -12,6 +12,7 @@ from semih1.algebra import (
     center,
     hom_failure,
     is_sub_bimodule,
+    regular_action,
     regular_module,
     relative_annihilator,
     span_of_products,
@@ -115,6 +116,13 @@ def test_annihilator_matrix_regular_is_zero():
 def test_annihilator_in_null_module_is_everything():
     u = ModuleAlgebra(null_algebra(3), BimoduleAction.trivial(1, 3))
     assert annihilator_in_module(u) == Subspace.full(3)
+
+
+def test_annihilators_reject_a_module_over_another_algebra():
+    with pytest.raises(ShapeMismatch, match="module is not over the given algebra"):
+        annihilator_in_algebra(field_q(), regular_action(matrix_algebra(2)))
+    with pytest.raises(ShapeMismatch, match="module is not over the given algebra"):
+        relative_annihilator(Subspace.zero(2), field_q(), regular_action(dual_numbers()))
 
 
 def test_relative_annihilator_at_zero_matches_annihilator():

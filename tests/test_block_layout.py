@@ -10,6 +10,8 @@ says about the placed maps:
   kept blocks: placed by iota, the denominator lies in N1(A x| U), and on a
   verified verdict the numerator lies in Z1(A x| U), both computed from the
   total algebra;
+* rule 4.4's denominator, the inverse image of N1 on the tau2 block, is C + I
+  built from the factors by ``spaces``;
 * Phi(e_k), built from the factors and placed by the layout, is the inner
   map of e_k computed from the total algebra;
 * ``embed_blocks`` and ``corollary_3_2_check`` reject a wrong-shaped block
@@ -30,7 +32,7 @@ from semih1.errors import ShapeMismatch
 from semih1.families import random_product
 from semih1.linalg import Matrix, _vector, product_subspace, subspace_sum
 from semih1.products import direct_product
-from semih1.spaces import derivation_space, inner_map, inner_space
+from semih1.spaces import c_space, derivation_space, i_space, inner_map, inner_space
 
 
 @cache
@@ -72,6 +74,20 @@ def test_the_layout_places_quotient_spaces_as_derivations_of_the_total_algebra()
                 verified[rule] += 1
                 assert not _outside(z1, p, keep, numerator), (rule, p.name)
     assert all(verified.values()), verified
+
+
+def test_the_4_4_denominator_is_c_plus_i_from_the_factors(monkeypatch):
+    # the denominator that rule 4.4's check hands to the quotient, gates aside
+    handed = []
+    monkeypatch.setattr(verify, "_quotient", lambda p, num, den: handed.append(den))
+    nonzero = 0
+    for p in _draws():
+        handed.clear()
+        verify.RULES["4.4"][2](p)
+        a, u = p.part_a, p.part_u
+        assert handed == [subspace_sum(c_space(a, u), i_space(a, u))], p.name
+        nonzero += handed[0].dim > 0
+    assert nonzero
 
 
 def test_phi_from_the_factors_is_the_inner_map_of_the_total_algebra():

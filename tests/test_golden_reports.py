@@ -9,7 +9,11 @@ dimension, a canonical basis or a witness tuple shows up here as a diff.
 an error's type or message shows up as a diff.  ``tests/golden/jobs/map_spaces.json``
 holds the report of ``MAP_SPACES``: successful ``z1``, ``n1``, ``h1`` and
 ``hom`` jobs whose source and target dimensions differ, so a swapped shape
-shows up as a diff.
+shows up as a diff.  ``tests/golden/jobs/zero_dim.json`` holds the report of
+``ZERO_DIM``: every rule and a ``spaces`` job on each product with a
+zero-dimensional factor.  ``tests/golden/jobs/failed_gates.txt`` holds the
+text report of ``FAILED_GATES``: rules whose gates fail, one or two at once,
+each failing gate named.
 """
 
 import json
@@ -19,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from semih1.cli import main
+from semih1.verify import RULES
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = sorted(entry.name for entry in (resources.files("semih1") / "fixtures").iterdir()
@@ -128,12 +133,55 @@ MAP_SPACES = {
 }
 
 
-def _assert_pinned(name, doc, code, tmp_path):
+# Z has dimension 0; M is Q over Z, E the zero module over Q
+_ZERO_PRODUCTS = (("direct", ["Z", "Q"]), ("direct", ["Q", "Z"]), ("direct", ["Z", "Z"]),
+                  ("semidirect", ["Z", "M"]), ("semidirect", ["Q", "E"]),
+                  ("module-extension", ["Q", "E"]), ("theta-lau", ["Q", "Z", "one"]),
+                  ("unitization", ["Z"]), ("alpha", ["Q", "Z", [[]]]))
+ZERO_DIM = {
+    "algebras": [{"name": "Q", "dim": 1, "mult": ONE}, {"name": "Z", "dim": 0}],
+    "modules": [{"name": "M", "over": "Z", "dim": 1, "mult": ONE},
+                {"name": "E", "over": "Q", "dim": 0}],
+    "characters": [{"name": "one", "over": "Q", "values": ["1"]}],
+    "jobs": [
+        *({"cmd": "build", "kind": kind, "args": args, "name": f"P{k}"}
+          for k, (kind, args) in enumerate(_ZERO_PRODUCTS)),
+        *({"cmd": "verify", "id": rule, "args": [f"P{k}"]}
+          for k in range(len(_ZERO_PRODUCTS)) for rule in RULES),
+        *({"cmd": "spaces", "args": [f"P{k}"]} for k in range(len(_ZERO_PRODUCTS))),
+        {"cmd": "spaces", "args": ["Z", "M"]},
+        {"cmd": "spaces", "args": ["Q", "E"]},
+    ],
+}
+
+
+# P = D x Q and R = Q x D; S = D x| D and T = T(D, D); L scales D by d0; W = T(D, U1)
+# carries a derivation with tau1 != 0
+FAILED_GATES = {
+    "algebras": MAP_SPACES["algebras"],
+    "modules": [module for module in MAP_SPACES["modules"] if module["name"] in ("U1", "V2")],
+    "characters": [{"name": "d0", "over": "D", "values": ["1", "0"]}],
+    "jobs": [
+        {"cmd": "build", "kind": "direct", "args": ["D", "Q"], "name": "P"},
+        {"cmd": "build", "kind": "direct", "args": ["Q", "D"], "name": "R"},
+        {"cmd": "build", "kind": "semidirect", "args": ["D", "V2"], "name": "S"},
+        {"cmd": "build", "kind": "module-extension", "args": ["D", "V2"], "name": "T"},
+        {"cmd": "build", "kind": "theta-lau", "args": ["D", "D", "d0"], "name": "L"},
+        {"cmd": "build", "kind": "module-extension", "args": ["D", "U1"], "name": "W"},
+        *({"cmd": "verify", "id": rule, "args": [prod]} for prod, rules in (
+            ("P", ("4.2", "4.4")), ("R", ("4.3",)), ("S", ("4.1", "4.2", "4.3", "4.4")),
+            ("T", ("cte",)), ("L", ("a1", "prop10")), ("W", ("4.1",))) for rule in rules),
+    ],
+}
+
+
+def _assert_pinned(name, doc, code, tmp_path, fmt="json"):
     path = tmp_path / f"{name}_in.json"
     path.write_text(json.dumps(doc))
-    out = tmp_path / f"{name}.json"
-    assert main(["run", str(path), "--format", "json", "--out", str(out)]) == code
-    assert out.read_bytes() == (GOLDEN / "jobs" / f"{name}.json").read_bytes()
+    out = tmp_path / f"{name}.{fmt}"
+    assert main(["run", str(path), "--format", fmt, "--out", str(out)]) == code
+    suffix = "json" if fmt == "json" else "txt"
+    assert out.read_bytes() == (GOLDEN / "jobs" / f"{name}.{suffix}").read_bytes()
 
 
 def test_job_errors_are_pinned(tmp_path):
@@ -142,3 +190,12 @@ def test_job_errors_are_pinned(tmp_path):
 
 def test_map_space_jobs_are_pinned(tmp_path):
     _assert_pinned("map_spaces", MAP_SPACES, 0, tmp_path)
+
+
+def test_every_rule_on_a_zero_dimensional_factor_is_pinned(tmp_path):
+    # rules on another construction are job errors, so the run exits 2
+    _assert_pinned("zero_dim", ZERO_DIM, 2, tmp_path)
+
+
+def test_failed_gates_are_named_in_the_text_report(tmp_path):
+    _assert_pinned("failed_gates", FAILED_GATES, 0, tmp_path, fmt="text")

@@ -162,6 +162,13 @@ def test_product_subspace_blocks():
     assert prod.contains([1, 0, 0, 0, 0])
     assert prod.contains([0, 0, 0, 1, 1])
     assert not prod.contains([0, 1, 0, 0, 0])
+    # any number of parts, each placed after the ones before it
+    assert product_subspace() == Subspace.zero(0)
+    assert product_subspace(b) == b
+    assert product_subspace(a, product_subspace(), b) == prod
+    assert product_subspace(a, b, a) == Subspace.from_vectors(
+        7, [[1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 1, 0]])
 
 
 def test_solve_right_consistency():

@@ -24,7 +24,7 @@ from semih1.errors import (
     UnknownHypothesis,
     WrongConstructionKind,
 )
-from semih1.linalg import Matrix, product_subspace
+from semih1.linalg import Matrix, Subspace, product_subspace
 from semih1.products import (
     alpha_product,
     direct_product,
@@ -289,6 +289,18 @@ def test_verify_44_scaled_dual_fixture():
     rep = verify_theorem("4.4", lau_dual())
     assert rep.verdict == "verified"
     assert rep.lhs_dim == rep.rhs_dim == 1
+
+
+def test_a_denominator_outside_its_numerator_is_a_mismatch_report():
+    """With Hom cap Z1(U) emptied, rule 4.4's C + I = I(M2) escapes it and is reported so."""
+    p = unitization(matrix_algebra(2))
+    space(p, "c")
+    p._memo["hom_cap_z1u"] = Subspace.zero(p.m * p.m)
+    rep = verify_theorem("4.4", p)
+    assert all(h.holds for h in rep.hypotheses)
+    assert (rep.verdict, rep.lhs_dim, rep.rhs_dim) == ("MISMATCH", 0, None)
+    assert rep.details == {"numerator_dim": 0, "denominator_dim": 3,
+                           "reason": "denominator not inside numerator"}
 
 
 def test_verify_43_gate_failure_path():
