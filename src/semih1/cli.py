@@ -4,8 +4,8 @@ Subcommands: ``validate`` (parse and axiom-check an instance file), ``run``
 (execute its jobs and emit a text or JSON report), ``selftest`` (the seeded
 random battery plus the packaged fixtures).
 
-Exit codes: 0 success, 1 usage or parse error, 2 validation failure or job
-error, 3 theorem MISMATCH or selftest failure.
+Exit codes: 0 success, 1 usage or parse error or an unwritable report, 2
+validation failure or job error, 3 theorem MISMATCH or selftest failure.
 """
 
 import argparse
@@ -54,11 +54,17 @@ def _build_parser():
 
 
 def _emit(text, out_path):
+    """Write the report to stdout or ``out_path``; False, after a message, if the write fails."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report to {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load(path):
@@ -88,9 +94,9 @@ def cmd_run(args):
     if inst is None:
         return code
     doc, code = run_jobs(inst)
-    _emit(json.dumps(doc, indent=2, sort_keys=False) + "\n" if args.format == "json"
-          else render_text(doc), args.out)
-    return code
+    text = (json.dumps(doc, indent=2, sort_keys=False) + "\n" if args.format == "json"
+            else render_text(doc))
+    return code if _emit(text, args.out) else EXIT_USAGE
 
 
 def cmd_selftest(args):

@@ -14,10 +14,11 @@ shapes, ``D(xy)``, ``(Dx)y`` and ``x(Dy)``, where the product is a grid of
 slices (``B[x][y]`` holds the nonzero ``(k, c)`` coordinates of the product
 of basis vectors x and y, as in :mod:`.algebra`) and ``D`` is one block of
 the unknown map, placed at an offset of the flattened coordinates.  Rows
-are integer rows, built only where some term reaches.  :func:`solve` hands
-them to the engine, the one place where groups become a canonical kernel;
-:func:`first_failure` keeps them on the group and returns the first basis
-pair failing on a flattened map, the witness a per-matrix check reports.
+are integer rows, built only where some term reaches, each distinct row
+once, first occurrence kept.  :func:`solve` hands them to the engine, the
+one place where groups become a canonical kernel; :func:`first_failure`
+keeps them on the group and returns the first basis pair failing on a
+flattened map, the witness a per-matrix check reports.
 
 Computed spaces, the last four read from the commutator rows that
 ``algebra._commutators`` keeps on each action (row p: a -> a u_p - u_p a)
@@ -85,8 +86,9 @@ class RowGroup:
     int: ``scale``, the lcm of all term denominators, times the coefficient.
     A pair's rows are thus built together, and only those some term reaches:
     every k when ``D(xy)`` has an entry, else the k of its other terms.
-    Pairs are scanned x-major, or y-major when ``y_major`` is set; the first
-    pair with a nonzero row is the group's witness.
+    Pairs are scanned x-major, or y-major when ``y_major`` is set, and each
+    distinct row is handed on once, first occurrence kept; the first pair
+    with a nonzero row is the group's witness.
     """
 
     __slots__ = ("name", "dims", "y_major", "scale", "_index", "_kept")
@@ -136,11 +138,13 @@ class RowGroup:
         return rows
 
     def _rows(self):
-        """((x, y), nonzero row (x, y, k) as (coordinate, int) pairs), in scan order."""
+        """((x, y), row (x, y, k)) in scan order, each distinct row once, first occurrence kept."""
+        seen = set()
         for x, y in self.pairs():
             rows = self._pair_rows(x, y)
             for k in sorted(rows):
-                if row := [(i, c) for i, c in rows[k].items() if c]:
+                if (row := tuple((i, c) for i, c in rows[k].items() if c)) and row not in seen:
+                    seen.add(row)
                     yield (x, y), row
 
     def row(self, x, y, k):
@@ -150,14 +154,15 @@ class RowGroup:
 
 
 def solve(amb, *groups) -> Subspace:
-    """The canonical kernel, inside Q^amb, of the integer rows of the groups; none is kept."""
-    return kernel_of_rows([row for g in groups for _, row in g._rows()], amb)
+    """The kernel in Q^amb of the groups' rows, each distinct row once, first occurrence kept."""
+    return kernel_of_rows(list(dict.fromkeys(row for g in groups for _, row in g._rows())), amb)
 
 
 def first_failure(group: RowGroup, flat):
     """The first basis pair whose rows do not vanish on a flattened map, else None.
 
-    A group is read-only, so its rows are built once, at its first call, and kept.
+    A group is read-only, so its rows are built once, at its first call, and kept, each
+    distinct row once, first occurrence kept: a repeat fails no earlier than its first copy.
     """
     if group._kept is None:
         group._kept = list(group._rows())

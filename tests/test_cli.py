@@ -93,6 +93,20 @@ def test_run_json_report_deterministic(tmp_path, capsys):
     assert basis["h1_dim"] == 1
 
 
+def test_run_out_to_an_unwritable_path_exits_1_without_a_traceback(tmp_path):
+    import subprocess
+    import sys
+
+    path = write(tmp_path, "good.json", GOOD)
+    for out in (tmp_path / "missing" / "dir" / "r.txt", tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "semih1", "run", path, "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write report to {out}: ")
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "missing").exists()
+
+
 def test_run_job_error_exit_2(tmp_path):
     doc = json.loads(json.dumps(GOOD))
     doc["jobs"].append({"cmd": "build", "kind": "theta-lau",
