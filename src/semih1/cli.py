@@ -10,11 +10,12 @@ validation failure or job error, 3 theorem MISMATCH or selftest failure.
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
 from .errors import ParseError, Semih1Error, UnresolvedReference, ValidationFailed
-from .instancefile import parse_instance, render_text, run_jobs
+from .instancefile import _definitions, parse_instance, render_text, run_jobs
 from .selftest import selftest
 
 EXIT_OK = 0
@@ -39,17 +40,20 @@ def _build_parser():
 
     p_validate = sub.add_parser("validate", help="parse and validate an instance file")
     p_validate.add_argument("file")
+    p_validate.set_defaults(handler=cmd_validate)
 
     p_run = sub.add_parser("run", help="run the jobs of an instance file")
     p_run.add_argument("file")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--out", default=None, help="write the report to a file")
+    p_run.set_defaults(handler=cmd_run)
 
     p_self = sub.add_parser("selftest", help="run the seeded invariant battery")
     p_self.add_argument("--seed", type=int, default=1)
     p_self.add_argument("--max-dim", type=int, default=3)
     p_self.add_argument("--cases", type=int, default=200)
     p_self.add_argument("--quiet", action="store_true")
+    p_self.set_defaults(handler=cmd_selftest)
     return parser
 
 
@@ -83,9 +87,8 @@ def cmd_validate(args):
     inst, code = _load(args.file)
     if inst is None:
         return code
-    print(f"{args.file}: {len(inst.algebras)} algebra(s), {len(inst.modules)} module(s), "
-          f"{len(inst.corners)} corner(s), {len(inst.characters)} character(s), "
-          f"{len(inst.jobs)} job(s) - all valid")
+    print(f"{args.file}: {_definitions(inst.algebras, inst.modules, inst.corners, inst.characters)}"
+          f", {len(inst.jobs)} job(s) - all valid")
     return EXIT_OK
 
 
@@ -123,17 +126,20 @@ def cmd_selftest(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     try:
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_selftest(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; let that write go nowhere
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
+        return EXIT_USAGE
     except Semih1Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -9,12 +9,14 @@ up, a sum of zero being no entry, and parse straight into the slices of
 definition is validated once, at parse; jobs then execute in order against a
 registry seeded with the definitions and extended by ``build`` jobs.  Each
 command is one row of ``JOBS`` and each build kind one of ``BUILDS``:
-argument signatures and a handler.  A job that fits no signature is a
-``ParseError`` job error.  Builds call the ``products`` constructors, which
-skip the checks that a valid definition implies; a ``semidirect``,
-``module-extension`` or ``triangular`` build, and a ``spaces`` job on an
-(algebra, module) pair, assemble the product from a module or corner that
-parsing validated, without validating it again.
+argument signatures, a handler and, for a command, its line in the text
+report; builds share the ``ok k=v ...`` line of ``validate``.  A job that
+fits no signature is a ``ParseError`` job error.  Builds call the
+``products`` constructors, which skip the checks that a valid definition
+implies; a ``semidirect``, ``module-extension`` or ``triangular`` build,
+and a ``spaces`` job on an (algebra, module) pair, assemble the product
+from a module or corner that parsing validated, without validating it
+again.
 """
 
 import json
@@ -88,15 +90,9 @@ def _expect(obj, typ, where):
     return obj
 
 
-def _named_list(doc, key):
-    items = doc.get(key, [])
-    _expect(items, list, key)
-    return items
-
-
 def _entries(doc, section, keys, tables):
     """(where, entry, name) per entry of ``section``: a dict of a name and ``keys``, named afresh."""
-    for pos, spec in enumerate(_named_list(doc, section)):
+    for pos, spec in enumerate(_expect(doc.get(section, []), list, section)):
         here = f"{section}[{pos}]"
         _expect(spec, dict, here)
         for k in spec:
@@ -140,13 +136,10 @@ def _sparse_tensor(entries, shape, keys, where):
 def _matrix_arg(value, where) -> Matrix:
     _expect(value, list, where)
     rows = []
-    width = None
     for i, row in enumerate(value):
         _expect(row, list, f"{where}[{i}]")
         rows.append([_rat(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(rows[0]):
             raise ParseError("ragged matrix", where)
     if not rows:
         raise ParseError("empty matrix", where)
@@ -167,22 +160,33 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
             raise ParseError(f"unknown top-level key {key!r}", where)
 
     algebras, characters, modules, corners = tables = {}, {}, {}, {}
-    for here, spec, name in _entries(doc, "algebras", ("dim", "mult"), tables):
+
+    def algebra_named(spec, key, here):
+        over = _expect(spec.get(key), str, f"{here}.{key}")
+        if over not in algebras:
+            raise UnresolvedReference(f"{here}: unknown algebra {over!r}")
+        return over
+
+    def dim_of(spec, here):
         dim = spec.get("dim")
         if type(dim) is not int or dim < 0:
             raise ParseError("dim must be a nonnegative integer", f"{here}.dim")
+        return dim
+
+    def passed(report, what):
+        if not report.ok:
+            raise ValidationFailed(f"{what}: " + report.describe(), report)
+
+    for here, spec, name in _entries(doc, "algebras", ("dim", "mult"), tables):
+        dim = dim_of(spec, here)
         mult = _sparse_tensor(spec.get("mult", []), (dim, dim, dim),
                               ("i", "j", "k"), f"{here}.mult")
         alg = _from_slices(Algebra, name, dim, mult)
-        report = validate_algebra(alg)
-        if not report.ok:
-            raise ValidationFailed(f"algebra {name!r}: " + report.describe(), report)
+        passed(validate_algebra(alg), f"algebra {name!r}")
         algebras[name] = alg
 
     for here, spec, name in _entries(doc, "characters", ("over", "values"), tables):
-        over = _expect(spec.get("over"), str, f"{here}.over")
-        if over not in algebras:
-            raise UnresolvedReference(f"{here}: unknown algebra {over!r}")
+        over = algebra_named(spec, "over", here)
         values = _expect(spec.get("values"), list, f"{here}.values")
         base = algebras[over]
         if len(values) != base.dim:
@@ -194,20 +198,13 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
 
     for here, spec, name in _entries(doc, "modules", ("over", "right_over", "dim", "mult", "left",
                                                       "right"), tables):
-        over = _expect(spec.get("over"), str, f"{here}.over")
-        if over not in algebras:
-            raise UnresolvedReference(f"{here}: unknown algebra {over!r}")
-        dim = spec.get("dim")
-        if type(dim) is not int or dim < 0:
-            raise ParseError("dim must be a nonnegative integer", f"{here}.dim")
+        over = algebra_named(spec, "over", here)
+        dim = dim_of(spec, here)
         a = algebras[over]
-        right_over = spec.get("right_over")
-        if right_over is not None:
+        if spec.get("right_over") is not None:
             # an (A,B)-module for triangular builds: left action of A,
             # right action of B, no multiplication of its own
-            right_over = _expect(right_over, str, f"{here}.right_over")
-            if right_over not in algebras:
-                raise UnresolvedReference(f"{here}: unknown algebra {right_over!r}")
+            right_over = algebra_named(spec, "right_over", here)
             if spec.get("mult"):
                 raise ParseError("corner modules carry no multiplication", f"{here}.mult")
             b = algebras[right_over]
@@ -216,9 +213,7 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
             right = _sparse_tensor(spec.get("right", []), (dim, b.dim, dim),
                                    ("p", "i", "q"), f"{here}.right")
             corner = _from_slices(CornerModule, a.dim, b.dim, dim, left, right)
-            report = validate_corner(corner, a, b)
-            if not report.ok:
-                raise ValidationFailed(f"module {name!r}: " + report.describe(), report)
+            passed(validate_corner(corner, a, b), f"module {name!r}")
             corners[name] = (corner, (over, right_over))
             continue
         mult = _sparse_tensor(spec.get("mult", []), (dim, dim, dim),
@@ -228,25 +223,20 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
         right = _sparse_tensor(spec.get("right", []), (dim, a.dim, dim),
                                ("p", "i", "q"), f"{here}.right")
         ualg = _from_slices(Algebra, name, dim, mult)
-        report = validate_algebra(ualg)
-        if not report.ok:
-            raise ValidationFailed(f"module {name!r}: " + report.describe(), report)
+        passed(validate_algebra(ualg), f"module {name!r}")
         mod = ModuleAlgebra(ualg, _from_slices(BimoduleAction, a.dim, dim, left, right))
-        report = validate_module(mod, a)
-        if not report.ok:
-            raise ValidationFailed(f"module {name!r}: " + report.describe(), report)
+        passed(validate_module(mod, a), f"module {name!r}")
         modules[name] = (mod, (over,))
 
     jobs = []
     known = set(algebras) | set(modules) | set(corners) | set(characters)
-    for pos, job in enumerate(_named_list(doc, "jobs")):
+    for pos, job in enumerate(_expect(doc.get("jobs", []), list, "jobs")):
         here = f"jobs[{pos}]"
         _expect(job, dict, here)
         cmd = job.get("cmd")
         if cmd not in JOB_CMDS:
             raise ParseError(f"unknown cmd {cmd!r}", here)
-        args = job.get("args", [])
-        _expect(args, list, f"{here}.args")
+        args = _expect(job.get("args", []), list, f"{here}.args")
         for k in job:
             if k not in ("cmd", "args", "kind", "name", "id", "map"):
                 raise ParseError(f"unknown key {k!r}", here)
@@ -402,24 +392,53 @@ def _inner_witness(job, a, u=None):
             "witness": None if witness is None else [str(x) for x in witness]}
 
 
-# Rows are (argument signatures, handler).  A command's handler takes the job
-# and the resolved arguments, a build's the resolved arguments and the result
-# name.  Rows reach the layer functions through this module's globals.
+def _fields(result):
+    return " ".join(f"{k}={v}" for k, v in sorted(result.items()) if isinstance(v, (int, str)))
+
+
+def _ok(result):
+    return "ok " + _fields(result)
+
+
+def _dim(result):
+    return f"dim={result['dim']}"
+
+
+def _verdict(result):
+    text = result["verdict"]
+    if result["lhs_dim"] is not None:
+        text += f" lhs={result['lhs_dim']} rhs={result['rhs_dim']}"
+    gates = [h["name"] for h in result["hypotheses"] if not h["holds"]]
+    return text + (" failed-gates: " + "; ".join(gates) if gates else "")
+
+
+def _derivation(result):
+    bad = {k: v for k, v in result["conditions"].items() if v is not None}
+    return "derivation" if result["is_derivation"] else f"not a derivation {bad}"
+
+
+# Rows are (argument signatures, handler, text line).  A command's handler
+# takes the job and the resolved arguments, a build's the resolved arguments
+# and the result name; a line takes a successful job's result and gives its
+# text after the label, builds sharing ``_ok``.  Rows reach the layer
+# functions through this module's globals.
 _PAIR = (("algebra",), ("algebra", "module"))
 JOBS = {
-    "validate": ((("name",),), _validate),
+    "validate": ((("name",),), _validate, _ok),
     "z1": (_PAIR, lambda job, a, u=None: _space(derivation_space(a, _action(a, u)),
-                                                a.dim, (u or a).dim)),
+                                                a.dim, (u or a).dim), _dim),
     "n1": (_PAIR, lambda job, a, u=None: _space(inner_space(a, _action(a, u)),
-                                                a.dim, (u or a).dim)),
-    "h1": (_PAIR, _h1),
+                                                a.dim, (u or a).dim), _dim),
+    "h1": (_PAIR, _h1, lambda r: f"h1={r['h1_dim']} (z1={r['z1_dim']}, n1={r['n1_dim']})"),
     "hom": ((("algebra", "module"), ("algebra", "module", "module")),
             lambda job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action),
-                                             u.dim, (v or u).dim)),
-    "spaces": ((("product",), ("algebra", "module")), _spaces),
-    "decompose": ((("product",),), _decompose),
-    "inner-witness": ((("product",), ("algebra", "module")), _inner_witness),
-    "verify": ((("product",),), lambda job, prod: verify_any(job["id"], prod).as_dict()),
+                                             u.dim, (v or u).dim), _dim),
+    "spaces": ((("product",), ("algebra", "module")), _spaces, _fields),
+    "decompose": ((("product",),), _decompose, _derivation),
+    "inner-witness": ((("product",), ("algebra", "module")), _inner_witness,
+                      lambda r: "inner" if r["inner"] else "not inner"),
+    "verify": ((("product",),), lambda job, prod: verify_any(job["id"], prod).as_dict(),
+               _verdict),
 }
 BUILDS = {
     "semidirect": ((("algebra", "module"),),
@@ -444,7 +463,7 @@ def run_job(reg: _Registry, job):
     """Run one job: its table row's handler on its resolved arguments."""
     cmd, args = job["cmd"], job.get("args", [])
     if cmd != "build":
-        signatures, handler = JOBS[cmd]
+        signatures, handler, _ = JOBS[cmd]
         return handler(job, *_resolve(reg, cmd, signatures, args))
     kind, name = job["kind"], job["name"]
     signatures, make = BUILDS[kind]
@@ -494,57 +513,27 @@ def run_jobs(inst: InstanceFile):
     return doc, code
 
 
+def _definitions(algebras, modules, corners, characters):
+    return (f"{len(algebras)} algebra(s), {len(modules)} module(s), "
+            f"{len(corners)} corner(s), {len(characters)} character(s)")
+
+
 def render_text(doc):
-    """Human-readable rendering of a report document."""
-    lines = [f"semih1 {doc['version']} report"]
-    defs = doc["definitions"]
-    lines.append(
-        "definitions: "
-        f"{len(defs['algebras'])} algebra(s), {len(defs['modules'])} module(s), "
-        f"{len(defs['corners'])} corner(s), {len(defs['characters'])} character(s)")
+    """Human-readable rendering of a report document: one line per job, from its row."""
+    lines = [f"semih1 {doc['version']} report",
+             "definitions: " + _definitions(**doc["definitions"])]
     for entry in doc["jobs"]:
         job = entry["job"]
-        label = job["cmd"]
-        if job.get("kind"):
-            label += f" {job['kind']}"
-        if job.get("id"):
-            label += f" {job['id']}"
-        if job.get("args"):
-            label += " " + " ".join(a if isinstance(a, str) else "<matrix>"
-                                    for a in job["args"])
+        words = [str(job[k]) for k in ("cmd", "kind", "id") if job.get(k)]
+        words += [a if isinstance(a, str) else "<matrix>" for a in job.get("args", [])]
+        label = " ".join(words)
         if entry["status"] == "error":
             err = entry["error"]
-            lines.append(f"[{entry['index']}] {label}: ERROR {err['type']}: {err['message']}")
-            continue
-        result = entry["result"]
-        if job["cmd"] == "verify":
-            verdict = result["verdict"]
-            extra = ""
-            if result["lhs_dim"] is not None:
-                extra = f" lhs={result['lhs_dim']} rhs={result['rhs_dim']}"
-            gates = [h["name"] for h in result["hypotheses"] if not h["holds"]]
-            if gates:
-                extra += " failed-gates: " + "; ".join(gates)
-            lines.append(f"[{entry['index']}] {label}: {verdict}{extra}")
-        elif job["cmd"] == "h1":
-            lines.append(f"[{entry['index']}] {label}: h1={result['h1_dim']} "
-                         f"(z1={result['z1_dim']}, n1={result['n1_dim']})")
-        elif job["cmd"] in ("z1", "n1", "hom"):
-            lines.append(f"[{entry['index']}] {label}: dim={result['dim']}")
-        elif job["cmd"] == "spaces":
-            lines.append(f"[{entry['index']}] {label}: " +
-                         " ".join(f"{k}={v}" for k, v in sorted(result.items())))
-        elif job["cmd"] == "decompose":
-            bad = {k: v for k, v in result["conditions"].items() if v is not None}
-            verdict = "derivation" if result["is_derivation"] else f"not a derivation {bad}"
-            lines.append(f"[{entry['index']}] {label}: {verdict}")
-        elif job["cmd"] == "inner-witness":
-            lines.append(f"[{entry['index']}] {label}: "
-                         + ("inner" if result["inner"] else "not inner"))
+            text = f"ERROR {err['type']}: {err['message']}"
         else:
-            lines.append(f"[{entry['index']}] {label}: ok "
-                         + " ".join(f"{k}={v}" for k, v in sorted(result.items())
-                                    if isinstance(v, (int, str))))
+            line = JOBS[job["cmd"]][2] if job["cmd"] in JOBS else _ok
+            text = line(entry["result"])
+        lines.append(f"[{entry['index']}] {label}: {text}")
     lines.append(f"mismatches={doc['mismatches']} errors={doc['errors']} "
                  f"ok={str(doc['ok']).lower()}")
     return "\n".join(lines) + "\n"

@@ -31,6 +31,8 @@ def test_version_flag(capsys):
 
 def test_usage_error_exits_1(capsys):
     assert main([]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "semih1: error: the following arguments are required: command"
     assert main(["run"]) == 1
     assert main(["unknown-command"]) == 1
 
@@ -39,6 +41,16 @@ def test_validate_ok(tmp_path, capsys):
     path = write(tmp_path, "good.json", GOOD)
     assert main(["validate", path]) == 0
     assert "all valid" in capsys.readouterr().out
+    # every definition kind, each with its own count
+    doc = json.loads(json.dumps(GOOD))
+    doc["modules"] = [{"name": "R", "over": "Q", "dim": 1},
+                      *({"name": f"C{k}", "over": "Q", "right_over": "N", "dim": 1}
+                        for k in range(3))]
+    doc["characters"] += [{"name": f"one{k}", "over": "Q", "values": ["1"]} for k in range(3)]
+    path = write(tmp_path, "kinds.json", doc)
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == (f"{path}: 2 algebra(s), 1 module(s), 3 corner(s), "
+                                       "4 character(s), 3 job(s) - all valid\n")
 
 
 def test_validate_parse_error_exit_1(tmp_path, capsys):
@@ -105,6 +117,29 @@ def test_run_out_to_an_unwritable_path_exits_1_without_a_traceback(tmp_path):
         assert proc.stderr.startswith(f"error: cannot write report to {out}: ")
         assert "Traceback" not in proc.stderr
     assert not (tmp_path / "missing").exists()
+
+
+def test_a_closed_stdout_exits_1_with_an_error_line(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    path = write(tmp_path, "good.json", GOOD)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for args in (["run", path, "--format", "json"], ["validate", path],
+                 ["selftest", "--cases", "1"]):
+        # buffered, the failed write shows when the interpreter flushes at exit
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # nothing reads, so every write to stdout fails
+            try:
+                proc = subprocess.run([sys.executable, "-m", "semih1", *args], stdout=write_end,
+                                      stderr=subprocess.PIPE, text=True, env={**env, **unbuffered})
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: cannot write to stdout: "), proc.stderr
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_run_job_error_exit_2(tmp_path):

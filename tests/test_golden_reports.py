@@ -13,7 +13,10 @@ shows up as a diff.  ``tests/golden/jobs/zero_dim.json`` holds the report of
 ``ZERO_DIM``: every rule and a ``spaces`` job on each product with a
 zero-dimensional factor.  ``tests/golden/jobs/failed_gates.txt`` holds the
 text report of ``FAILED_GATES``: rules whose gates fail, one or two at once,
-each failing gate named.
+each failing gate named.  ``tests/golden/jobs/<name>.txt`` holds the text
+report of ``JOB_ERRORS``, of ``MAP_SPACES`` and of ``TEXT_LINES``, so that
+every shape of a text line is pinned: ``ERROR`` lines, ``hom`` lines,
+``not a derivation {...}``, ``inner``, and ``validate`` of every kind.
 """
 
 import json
@@ -175,6 +178,23 @@ FAILED_GATES = {
 }
 
 
+# T is the upper triangular 2x2 matrices; the map is x -> x e12 - e12 x
+TEXT_LINES = {
+    "algebras": [{"name": "Q", "dim": 1, "mult": ONE}, {"name": "D", "dim": 2, "mult": DUAL}],
+    "modules": [MAP_SPACES["modules"][2],
+                {"name": "C", "over": "Q", "right_over": "Q", "dim": 1, **IDENTITY}],
+    "characters": [{"name": "d0", "over": "D", "values": ["1", "0"]}],
+    "jobs": [
+        {"cmd": "build", "kind": "triangular", "args": ["Q", "Q", "C"], "name": "T"},
+        *({"cmd": "validate", "args": [name]} for name in ("D", "U1", "C", "d0", "T")),
+        {"cmd": "decompose", "args": ["T"], "map": [["1", "0", "0"], ["0", "1", "0"],
+                                                    ["0", "0", "1"]]},
+        {"cmd": "inner-witness", "args": ["T"], "map": [["0", "0", "1"], ["0", "0", "-1"],
+                                                        ["0", "0", "0"]]},
+    ],
+}
+
+
 def _assert_pinned(name, doc, code, tmp_path, fmt="json"):
     path = tmp_path / f"{name}_in.json"
     path.write_text(json.dumps(doc))
@@ -199,3 +219,10 @@ def test_every_rule_on_a_zero_dimensional_factor_is_pinned(tmp_path):
 
 def test_failed_gates_are_named_in_the_text_report(tmp_path):
     _assert_pinned("failed_gates", FAILED_GATES, 0, tmp_path, fmt="text")
+
+
+@pytest.mark.parametrize("name, doc, code", [("job_errors", JOB_ERRORS, 2),
+                                             ("map_spaces", MAP_SPACES, 0),
+                                             ("text_lines", TEXT_LINES, 0)])
+def test_every_text_line_shape_is_pinned(name, doc, code, tmp_path):
+    _assert_pinned(name, doc, code, tmp_path, fmt="text")

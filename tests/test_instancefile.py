@@ -400,7 +400,7 @@ def test_job_signature_table_matches_readme():
     from pathlib import Path
 
     assert JOB_CMDS == ("build", *JOBS) and BUILD_KINDS == tuple(BUILDS)
-    rows = {cmd: sigs for cmd, (sigs, _) in JOBS.items()}
+    rows = {cmd: sigs for cmd, (sigs, _, _) in JOBS.items()}
     rows.update({f"build {kind}": sigs for kind, (sigs, _) in BUILDS.items()})
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Instance file format", 1)[1].split("\n## ", 1)[0]
