@@ -134,7 +134,7 @@ def main(argv=None):
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
+    except OSError as exc:  # a closed pipe (BrokenPipeError) or a full device
         print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
         # the interpreter flushes stdout again at exit; let that write go nowhere
         with open(os.devnull, "wb") as sink:

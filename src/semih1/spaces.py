@@ -15,10 +15,15 @@ slices (``B[x][y]`` holds the nonzero ``(k, c)`` coordinates of the product
 of basis vectors x and y, as in :mod:`.algebra`) and ``D`` is one block of
 the unknown map, placed at an offset of the flattened coordinates.  Rows
 are integer rows, built only where some term reaches, each distinct row
-once, first occurrence kept.  :func:`solve` hands them to the engine, the
-one place where groups become a canonical kernel; :func:`first_failure`
-keeps them on the group and returns the first basis pair failing on a
-flattened map, the witness a per-matrix check reports.
+once, first occurrence kept, and built once per group: ``RowGroup.kept``
+fills them at first use and keeps them.  :func:`solve` hands the kept rows
+to the engine, the one place where groups become a canonical kernel;
+:func:`first_failure` returns the first basis pair whose kept rows fail on a
+flattened map, the witness a per-matrix check reports.  Since equal row
+sets have one kernel, a caller holding two systems can certify one kernel
+by the other's rows: :mod:`.verify` takes Z1(A x| U) as the 3.1 kernel when
+the 3.1 rows, scaled to the Leibniz group's denominator, are exactly the
+Leibniz rows of the total, and solves the 3.1 groups only when they differ.
 
 Computed spaces, the last four read from the commutator rows that
 ``algebra._commutators`` keeps on each action (row p: a -> a u_p - u_p a)
@@ -81,14 +86,16 @@ class RowGroup:
     * ``x(Dy)``: ``sum_l tensor[x][l] D[y][l]``.
 
     Each term is indexed once, at construction, by the slot a pair (x, y)
-    looks it up with: ``(x, y)``, ``y`` and ``x`` respectively, giving the
-    signed ``(l, c)`` pairs of the sum, with k for the last two, each c an
-    int: ``scale``, the lcm of all term denominators, times the coefficient.
-    A pair's rows are thus built together, and only those some term reaches:
-    every k when ``D(xy)`` has an entry, else the k of its other terms.
-    Pairs are scanned x-major, or y-major when ``y_major`` is set, and each
-    distinct row is handed on once, first occurrence kept; the first pair
-    with a nonzero row is the group's witness.
+    looks it up with: ``(x, y)``, ``y`` and ``x`` respectively, giving each
+    signed entry of the sum with the part of its flat coordinate known then
+    (the row of ``D(xy)`` adds k, the others the row of D[x] or D[y]), with
+    k for the last two, each coefficient an int: ``scale``, the lcm of all
+    term denominators, times it.  A pair's rows are thus built together, and
+    only those some term reaches: every k when ``D(xy)`` has an entry, else
+    the k of its other terms.  Pairs are scanned x-major, or y-major when
+    ``y_major`` is set, and each distinct row is handed on once, first
+    occurrence kept; the first pair with a nonzero row is the group's
+    witness.  The rows are built once, by the first call of ``kept``.
     """
 
     __slots__ = ("name", "dims", "y_major", "scale", "_index", "_kept")
@@ -101,17 +108,21 @@ class RowGroup:
                                for slab in tensor for sl in slab for _, c in sl))
         self._index = []
         self._kept = None
+        # flat offsets: (r0 + l) * width + c0 for D(xy), c0 + l for the other two
         for sign, shape, tensor, (r0, c0, width) in terms:
             by, f = {}, sign * s
             for a, slab in enumerate(tensor):
                 for b, sl in enumerate(slab):
-                    ints = [(k, c.numerator * (f // c.denominator)) for k, c in sl]
+                    if not sl:
+                        continue
                     if shape == OUT:
-                        by.setdefault((a, b), []).extend(ints)
-                    elif ints:
+                        by[a, b] = [((r0 + l) * width + c0, c.numerator * (f // c.denominator))
+                                    for l, c in sl]
+                    else:
                         key, l = (b, a) if shape == LEFT else (a, b)
-                        by.setdefault(key, []).extend([(k, l, c) for k, c in ints])
-            self._index.append((shape, r0, c0, width, by))
+                        by.setdefault(key, []).extend(
+                            [(k, c0 + l, c.numerator * (f // c.denominator)) for k, c in sl])
+            self._index.append((shape, r0, width, by))
 
     def pairs(self):
         dx, dy, _ = self.dims
@@ -122,30 +133,45 @@ class RowGroup:
     def _pair_rows(self, x, y):
         """k -> {flat coordinate: summed int coefficient} of row (x, y, k), for each k reached."""
         rows = {}
-        for shape, r0, c0, width, by in self._index:
+        get = rows.get
+        for shape, r0, width, by in self._index:
             if shape == OUT:
-                terms = by.get((x, y), ())
-                for k in range(self.dims[2]) if terms else ():
-                    row = rows.setdefault(k, {})
-                    for l, c in terms:
-                        i = (r0 + l) * width + c0 + k
-                        row[i] = row.get(i, 0) + c
+                for k in range(self.dims[2]) if (terms := by.get((x, y))) else ():
+                    if (row := get(k)) is None:
+                        rows[k] = {i + k: c for i, c in terms}
+                    else:
+                        for i, c in terms:
+                            i += k
+                            row[i] = row.get(i, 0) + c
             else:
-                base = (r0 + (x if shape == LEFT else y)) * width + c0
+                base = (r0 + (x if shape == LEFT else y)) * width
                 for k, l, c in by.get(y if shape == LEFT else x, ()):
-                    row = rows.setdefault(k, {})
-                    row[base + l] = row.get(base + l, 0) + c
+                    i = base + l
+                    if (row := get(k)) is None:
+                        rows[k] = {i: c}
+                    else:
+                        row[i] = row.get(i, 0) + c
         return rows
 
     def _rows(self):
         """((x, y), row (x, y, k)) in scan order, each distinct row once, first occurrence kept."""
         seen = set()
-        for x, y in self.pairs():
-            rows = self._pair_rows(x, y)
+        add, pair_rows = seen.add, self._pair_rows
+        for pair in self.pairs():
+            rows = pair_rows(*pair)
             for k in sorted(rows):
-                if (row := tuple((i, c) for i, c in rows[k].items() if c)) and row not in seen:
-                    seen.add(row)
-                    yield (x, y), row
+                r = rows[k]
+                row = tuple(r.items()) if all(r.values()) else tuple(
+                    (i, c) for i, c in r.items() if c)
+                if row and row not in seen:
+                    add(row)
+                    yield pair, row
+
+    def kept(self):
+        """The list of ``_rows``, built at the first call and kept: a group is read-only."""
+        if self._kept is None:
+            self._kept = list(self._rows())
+        return self._kept
 
     def row(self, x, y, k):
         """The nonzero (flat coordinate, coefficient) entries of row (x, y, k), as Fractions."""
@@ -154,19 +180,17 @@ class RowGroup:
 
 
 def solve(amb, *groups) -> Subspace:
-    """The kernel in Q^amb of the groups' rows, each distinct row once, first occurrence kept."""
-    return kernel_of_rows(list(dict.fromkeys(row for g in groups for _, row in g._rows())), amb)
+    """The kernel in Q^amb of the groups' kept rows, each distinct row once, first kept."""
+    return kernel_of_rows(list(dict.fromkeys(row for g in groups for _, row in g.kept())), amb)
 
 
 def first_failure(group: RowGroup, flat):
-    """The first basis pair whose rows do not vanish on a flattened map, else None.
+    """The first basis pair whose kept rows do not vanish on a flattened map, else None.
 
-    A group is read-only, so its rows are built once, at its first call, and kept, each
-    distinct row once, first occurrence kept: a repeat fails no earlier than its first copy.
+    Each distinct row is kept once, first occurrence kept: a repeat fails no earlier than
+    its first copy.
     """
-    if group._kept is None:
-        group._kept = list(group._rows())
-    for pair, row in group._kept:
+    for pair, row in group.kept():
         if sum(c * flat[i] for i, c in row if flat[i]):
             return pair
     return None

@@ -36,7 +36,9 @@ the 3.1 row groups and Phi is a Subspace, of maps flattened as in :mod:`.spaces`
 
 Every linear system here is a list of row groups from :mod:`.spaces`, solved
 by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
-identity built from the factors' structure tensors, 5.1 solves its own
+identity built from the factors' structure tensors, and their kernel is
+Z1(A x| U) itself when their rows are exactly the Leibniz rows of the total
+(``_cond31``), else solved from them; 5.1 solves its own
 reduced groups, and ttd and lau-der compare Z1 with the 3.1 kernel
 (their reduced rows are the 3.1 rows with vanishing terms dropped).  The
 per-matrix witnesses of ``split_blocks`` evaluate the same groups.  Where a
@@ -259,22 +261,50 @@ def _condition_groups(p: SemidirectAlgebra):
     the (x, y) -> z product, the (z, y) -> k product of D_(x->z)(v) with w,
     and the (x, z) -> k product of v with D_(y->z)(w).  The products are the
     four blocks of ``semidirect_blocks``, taken from the factors and never
-    from the total algebra, so this kernel is solved independently of
-    Z1(A x| U).
+    from the total algebra, so these rows are built independently of the
+    Leibniz rows of A x| U that ``_cond31`` compares them with.
     """
     mult = semidirect_blocks(p.part_a, p.part_u)
     groups = []
     for name, (x, y, k), y_major in _CONDITIONS_3_1:
-        terms = []
-        for z in "AU":
-            if x + y + z in mult:
-                terms.append((1, OUT, mult[x + y + z], _place(p, z + k)))
-            if z + y + k in mult:
-                terms.append((-1, LEFT, mult[z + y + k], _place(p, x + z)))
-            if x + z + k in mult:
-                terms.append((-1, RIGHT, mult[x + z + k], _place(p, y + z)))
+        # in the order of the Leibniz group of A x| U, so that each row is its row (x, y, k)
+        terms = [(sign, shape, mult[key], _place(p, place)) for sign, shape, key, place in (
+            *((1, OUT, x + y + z, z + k) for z in "AU"),
+            *((-1, RIGHT, x + z + k, y + z) for z in "AU"),
+            *((-1, LEFT, z + y + k, x + z) for z in "AU")) if key in mult]
         groups.append(RowGroup(name, tuple(len(_part(p, q)) for q in (x, y, k)), terms, y_major))
     return tuple(groups)
+
+
+def _leibniz_total(p: SemidirectAlgebra):
+    """The Leibniz group of A x| U, from the total algebra; built once and kept in p."""
+    return _memo(p, "leibniz_total", lambda: leibniz(
+        "leibniz", p.total, regular_action(p.total), (0, 0, p.dim)))
+
+
+def _same_rows(leib: RowGroup, groups) -> bool:
+    """True when the groups' distinct rows, scaled to ``leib.scale``, are those of ``leib``."""
+    rows = set()
+    for g in groups:
+        f, r = divmod(leib.scale, g.scale)
+        if r:
+            return False
+        rows.update(row if f == 1 else tuple((i, c * f) for i, c in row) for _, row in g.kept())
+    return rows == {row for _, row in leib.kept()}
+
+
+def _cond31(p: SemidirectAlgebra) -> Subspace:
+    """The kernel of the 3.1 groups: Z1(A x| U) when their rows are its rows, else solved.
+
+    Each 3.1 row, times the Leibniz scale over its group's, is a row of the
+    Leibniz group of A x| U.  When the distinct ones are all its distinct rows,
+    the two systems have one row set and so one kernel.  The Leibniz rows are
+    dropped once this is decided.
+    """
+    groups, leib, z1 = space(p, "groups31"), _leibniz_total(p), space(p, "z1_total")
+    same = _same_rows(leib, groups)
+    leib._kept = None
+    return z1 if same else solve(p.dim * p.dim, *groups)
 
 
 def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
@@ -519,7 +549,7 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
 
 # space name -> how a product builds it from its factors (read through ``space``)
 _SPACES = {
-    "z1_total": lambda p: derivation_space(p.total, regular_action(p.total)),
+    "z1_total": lambda p: solve(p.dim * p.dim, _leibniz_total(p)),
     "n1_total": lambda p: inner_space(p.total, regular_action(p.total)),
     "z1_a": lambda p: derivation_space(p.part_a, regular_action(p.part_a)),
     "n1_a": lambda p: inner_space(p.part_a, regular_action(p.part_a)),
@@ -541,7 +571,7 @@ _SPACES = {
     # module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y
     "pairing": lambda p: solve(p.m * p.n, *pairing_groups(p.part_a, p.part_u.action)),
     "groups31": _condition_groups,
-    "cond31": lambda p: solve(p.dim * p.dim, *space(p, "groups31")),
+    "cond31": _cond31,
     "phi": _phi,
 }
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -137,6 +138,23 @@ def test_a_closed_stdout_exits_1_with_an_error_line(tmp_path):
                                       stderr=subprocess.PIPE, text=True, env={**env, **unbuffered})
             finally:
                 os.close(write_end)
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: cannot write to stdout: "), proc.stderr
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_stdout_exits_1_with_an_error_line(tmp_path):
+    import subprocess
+    import sys
+
+    path = write(tmp_path, "good.json", GOOD)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for args in (["run", path], ["selftest", "--cases", "1"]):
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
+                proc = subprocess.run([sys.executable, "-m", "semih1", *args], stdout=full,
+                                      stderr=subprocess.PIPE, text=True, env={**env, **unbuffered})
             assert proc.returncode == 1, proc.stderr
             assert proc.stderr.startswith("error: cannot write to stdout: "), proc.stderr
             assert len(proc.stderr.splitlines()) == 1, proc.stderr

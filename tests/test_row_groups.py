@@ -7,12 +7,15 @@ against rows this module builds term by term from the ``RowGroup``
 docstring: ``solve`` must give ``brute_kernel`` of them, ``row`` must give
 them exactly, and ``first_failure`` must give the first pair, in scan
 order, at which direct Fraction evaluation finds a nonzero row.  Over
-battery draws, each 3.1 group builds its rows at most once per product,
-solving ``cond31`` keeps none, and a whole battery case builds the Leibniz
-rows of the product once.
+battery draws, across ``cond31``, ``z1_total`` and ``split_blocks`` on
+every basis map of Z1, each 3.1 group and the Leibniz group of the product
+build their rows exactly once, the Leibniz group keeps none once ``cond31``
+is decided, and a whole battery case builds the Leibniz rows of the product
+once.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from semih1.families import random_product
 from semih1.linalg import Subspace, unflatten
 from semih1.selftest import run_case
 from semih1.spaces import LEFT, OUT, RIGHT, RowGroup, first_failure, lands_in, solve
-from semih1.verify import space, split_blocks
+from semih1.verify import _leibniz_total, space, split_blocks
 
 from _oracle import brute_kernel, brute_rref
 
@@ -150,24 +153,26 @@ def test_first_failure_is_the_first_pair_fraction_evaluation_finds(system, data)
 
 
 def test_each_3_1_group_builds_its_rows_once_per_product(monkeypatch):
-    built = {}
+    built = Counter()
     build = RowGroup._rows
 
     def counted(group):
-        built[id(group)] = built.get(id(group), 0) + 1
+        built[id(group)] += 1
         return build(group)
 
     monkeypatch.setattr(RowGroup, "_rows", counted)
     for draw in range(50):
         p, _ = random_product(random.Random(f"battery:1:{draw}"), 3)
-        groups = space(p, "groups31")
-        space(p, "cond31")
-        assert all(g._kept is None for g in groups), "solve kept rows"
         built.clear()
+        space(p, "cond31")
+        leibniz = _leibniz_total(p)
+        assert leibniz._kept is None, "the Leibniz rows outlived cond31"
         z1 = space(p, "z1_total")
         for row in z1.basis.data:
             assert split_blocks(unflatten(row, p.dim, p.dim), p).ok
-        assert all(built.get(id(g), 0) == (1 if z1.dim else 0) for g in groups), p.name
+        groups = space(p, "groups31")
+        assert [built[id(g)] for g in groups] == [1] * len(groups), p.name
+        assert built[id(leibniz)] == 1, p.name
 
 
 def test_a_battery_case_builds_derived_data_once(monkeypatch):
