@@ -317,10 +317,11 @@ def _associativity(subject, blocks, dims, laws) -> ValidationReport:
     L = s(xy) s(xy.z) lhs and R = s(yz) s(x.yz) rhs, a law holds iff
     L s(yz) s(x.yz) = R s(xy) s(xy.z).  A row is checked one basis pair (i, j)
     at a time: that difference over every k is one int map keyed by k d + l
-    (for the algebra law, L_{e_i e_j} = L_{e_i} L_{e_j}); a pair where e_i e_j
-    and every e_j e_k vanish is skipped, and the sides are written out only
-    at a k where the map is nonzero.  A nest reports triple by triple in its
-    loop order, rows in table order.
+    (for the algebra law, L_{e_i e_j} = L_{e_i} L_{e_j}).  The nonzero e_j e_k
+    are listed once per j and only they enter the map; when e_j e_k vanishes
+    for every k, only the i with e_i e_j nonzero are visited.  The sides are
+    written out only at a k where the map is nonzero.  A nest reports triple
+    by triple in its loop order, rows in table order.
     """
     report = ValidationReport(subject)
     block_of = {key[:2]: key for key in blocks}
@@ -340,17 +341,18 @@ def _associativity(subject, blocks, dims, laws) -> ValidationReport:
                     for slab in xy_z]
             where = itemgetter(*("xyz".index(s) for s in scan))
             for j, slab in enumerate(yz):
-                for i in range(dims[x]):
-                    if not (xy[i][j] or any(slab)):
-                        continue
+                right = [(k * d, c, lm * coef) for k, sl in enumerate(slab) for c, coef in sl]
+                for i in range(dims[x]) if right else [i for i, xi in enumerate(xy) if xi[j]]:
                     diff = {}
                     for c, coef in xy[i][j]:
                         for key, v in flat[c]:
                             diff[key] = diff.get(key, 0) + coef * v
-                    for k, sl in enumerate(slab):
-                        for c, coef in sl:
-                            for l, v in x_yz[i][c]:
-                                diff[k * d + l] = diff.get(k * d + l, 0) - lm * coef * v
+                    x_yz_i = x_yz[i]
+                    for kd, c, coef in right:
+                        for l, v in x_yz_i[c]:
+                            diff[kd + l] = diff.get(kd + l, 0) - coef * v
+                    if not any(diff.values()):
+                        continue
                     for k in sorted({key // d for key, v in diff.items() if v}):
                         lhs, rhs = [0] * d, [0] * d
                         for c, coef in xy[i][j]:
@@ -417,7 +419,8 @@ def _commutators(act):
                 for q, c in act.left[i][p]:
                     row[i * m + q] = c
                 for q, c in act.right[p][i]:
-                    row[i * m + q] = row.get(i * m + q, F0) - c
+                    key = i * m + q
+                    row[key] = row[key] - c if key in row else -c
             rows.append(tuple([(j, c) for j, c in sorted(row.items()) if c]))
         act._comm = tuple(rows)
     return act._comm

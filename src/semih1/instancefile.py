@@ -55,7 +55,7 @@ from .products import (
 from .spaces import _h1_of, derivation_space, hom_space, inner_space, inner_witness
 from .verify import RULES, space, split_blocks, verify_any
 
-RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
+RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 VERIFY_IDS = tuple(RULES)
 
@@ -75,7 +75,7 @@ def _rat(value, where):
     if type(value) is int:  # a JSON true or false is no number
         return frac(value)
     if isinstance(value, str):
-        if not RATIONAL_RE.match(value):
+        if not RATIONAL_RE.fullmatch(value):
             raise ParseError(f"bad rational {value!r}", where)
         try:
             return frac(value)
@@ -104,27 +104,51 @@ def _entries(doc, section, keys, tables):
         yield here, spec, name
 
 
-def _sparse_tensor(entries, shape, keys, where):
-    """The d0 x d1 grid of slices of a list of sparse entries."""
+def _entry_fields(entry, shape, keys, here):
+    """The indices and value of a sparse entry, else a ParseError for its first defect.
+
+    Defects come in this order: not a dict; an unknown key, in entry order;
+    a missing key, in the order of ``keys`` then ``c``; an index out of
+    range, in key order.  The value is parsed by the caller.
+    """
     d0, d1, d2 = shape
+    _expect(entry, dict, here)
+    for k in entry:
+        if k not in (*keys, "c"):
+            raise ParseError(f"unknown key {k!r}", here)
+    try:
+        a, b, c, val = (entry[k] for k in (*keys, "c"))
+    except KeyError as missing:
+        raise ParseError(f"missing key {missing}", here)
+    for idx, bound, label in ((a, d0, keys[0]), (b, d1, keys[1]), (c, d2, keys[2])):
+        if type(idx) is not int or not (0 <= idx < bound):
+            raise ParseError(f"index {label}={idx!r} out of range [0,{bound})", here)
+    return a, b, c, val
+
+
+def _sparse_tensor(entries, shape, keys, where):
+    """The d0 x d1 grid of slices of a list of sparse entries.
+
+    An entry whose keys are exactly ``keys`` and ``c``, with int indices in
+    range, goes straight to its cell; any other is read by
+    :func:`_entry_fields`, which raises at its first defect.
+    """
+    d0, d1, d2 = shape
+    ki, kj, kk = keys
+    fields = {*keys, "c"}
     cells, parsed = {}, {}
     _expect(entries, list, where)
     for pos, entry in enumerate(entries):
-        _expect(entry, dict, f"{where}[{pos}]")
-        here = f"{where}[{pos}]"
-        for k in entry:
-            if k not in (*keys, "c"):
-                raise ParseError(f"unknown key {k!r}", here)
-        try:
-            a, b, c, val = (entry[k] for k in (*keys, "c"))
-        except KeyError as missing:
-            raise ParseError(f"missing key {missing}", here)
-        for idx, bound, label in ((a, d0, keys[0]), (b, d1, keys[1]), (c, d2, keys[2])):
-            if type(idx) is not int or not (0 <= idx < bound):
-                raise ParseError(f"index {label}={idx!r} out of range [0,{bound})", here)
-        x = parsed.get(val) if type(val) is str else _rat(val, here)  # True == 1: str keys only
+        a = b = c = None
+        if type(entry) is dict and entry.keys() == fields:
+            a, b, c, val = entry[ki], entry[kj], entry[kk], entry["c"]
+        if not (type(a) is int and type(b) is int and type(c) is int
+                and 0 <= a < d0 and 0 <= b < d1 and 0 <= c < d2):
+            a, b, c, val = _entry_fields(entry, shape, keys, f"{where}[{pos}]")
+        # True == 1: only str values share a parse
+        x = parsed.get(val) if type(val) is str else _rat(val, f"{where}[{pos}]")
         if x is None:
-            x = parsed[val] = _rat(val, here)
+            x = parsed[val] = _rat(val, f"{where}[{pos}]")
         cell = cells.setdefault((a, b), {})
         cell[c] = cell[c] + x if c in cell else x
     grid = [[()] * d1 for _ in range(d0)]
@@ -350,9 +374,18 @@ def _action(a, u):
 
 
 def _space(space, source_dim, target_dim):
-    """The report of a space of maps source -> target, flattened row-major."""
-    return {"dim": space.dim, "source_dim": source_dim,
-            "target_dim": target_dim, "basis": _matrix_rows(space.basis)}
+    """The report of a space of maps source -> target, flattened row-major.
+
+    Each basis row is written from its sparse form: "0" but at its nonzero columns.
+    """
+    basis = []
+    for row in space.rows:
+        out = ["0"] * space.ambient
+        for j, x in row:
+            out[j] = str(x)
+        basis.append(out)
+    return {"dim": space.dim, "source_dim": source_dim, "target_dim": target_dim,
+            "basis": basis}
 
 
 def _validate(job, named):

@@ -232,3 +232,62 @@ def test_failures_come_in_scan_order_at_larger_dimensions(seed):
     assert max(Counter(w[:2] for w in witnesses).values()) > 1
     for f in failures:
         assert (f["lhs"], f["rhs"]) == brute_assoc_sides(mult, *f["witness"])
+
+
+def scattered(rng, d0, d1, d2, nonzeros, q=1):
+    """A dense d0 x d1 x d2 table with about ``nonzeros`` entries, the rest zero."""
+    t = [[[Fraction(0)] * d2 for _ in range(d1)] for _ in range(d0)]
+    for _ in range(nonzeros):
+        t[rng.randrange(d0)][rng.randrange(d1)][rng.randrange(d2)] = Fraction(
+            rng.choice((1, -1, 2)), q)
+    return t
+
+
+def with_a_null_column(rng, mult):
+    """Make e_j e_k = 0 for every k but e_i e_j = e_l with e_l e_k' != 0, for some i, l, k'.
+
+    Then (e_i e_j) e_k' != 0 = e_i (e_j e_k'): a failure on a column j whose
+    products e_j e_k all vanish.  Returns j.
+    """
+    n = len(mult)
+    j, i, l, k = rng.sample(range(n), 4)
+    for row in mult[j]:
+        row[:] = [Fraction(0)] * n
+    mult[i][j] = [Fraction(int(c == l)) for c in range(n)]
+    mult[l][k][rng.randrange(n)] = Fraction(1)
+    return j
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_tables_fail_where_the_oracle_does(seed):
+    # dimension 6-10, about one nonzero per row of slices: most slices empty
+    rng = random.Random(seed)
+    n = rng.randint(6, 10)
+    mult = scattered(rng, n, n, n, n, q=rng.choice((1, 2)))
+    j = with_a_null_column(rng, mult)
+    failures = validate_algebra(Algebra("S", n, mult)).failures
+    witnesses = [f["witness"] for f in failures]
+    assert witnesses == brute_assoc_failures(mult)
+    assert any(w[1] == j for w in witnesses)
+    for f in failures:
+        assert (f["lhs"], f["rhs"]) == brute_assoc_sides(mult, *f["witness"])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_modules_and_corners_fail_where_the_oracle_does(seed):
+    # A of dimension 6-8 with few nonzeros and a null column; its module and
+    # corner blocks just as sparse, over other denominators
+    rng = random.Random(seed)
+    n, m = rng.randint(6, 8), rng.randint(2, 4)
+    mult = scattered(rng, n, n, n, n, q=2)
+    with_a_null_column(rng, mult)
+    a = Algebra("A", n, mult)
+    u = ModuleAlgebra(Algebra("U", m, scattered(rng, m, m, m, m, q=5)),
+                      BimoduleAction(n, m, scattered(rng, n, m, m, n, q=3),
+                                     scattered(rng, m, n, m, n, q=3)))
+    assert check_semidirect(a, u)
+    nb = rng.randint(2, 3)
+    b = Algebra("B", nb, scattered(rng, nb, nb, nb, nb))
+    corner = CornerModule(n, nb, m, scattered(rng, n, m, m, n, q=5),
+                          scattered(rng, m, nb, m, m, q=7))
+    assert check_triangular(a, b, corner)

@@ -17,6 +17,10 @@ each failing gate named.  ``tests/golden/jobs/<name>.txt`` holds the text
 report of ``JOB_ERRORS``, of ``MAP_SPACES`` and of ``TEXT_LINES``, so that
 every shape of a text line is pinned: ``ERROR`` lines, ``hom`` lines,
 ``not a derivation {...}``, ``inner``, and ``validate`` of every kind.
+``tests/golden/jobs/sheared_spaces.json`` holds the report of ``SHEARED``:
+``z1``, ``n1`` and ``hom`` jobs on M3 + D, dimension 11, in a sheared
+basis, so the space reports of a mid-size table with few nonzeros, the
+shape of most instance files, are pinned too.
 """
 
 import json
@@ -25,7 +29,9 @@ from pathlib import Path
 
 import pytest
 
+from semih1.catalog import change_basis_algebra, direct_sum_algebra, dual_numbers, matrix_algebra
 from semih1.cli import main
+from semih1.linalg import Matrix
 from semih1.verify import RULES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -195,6 +201,29 @@ TEXT_LINES = {
 }
 
 
+def _sheared_m3_plus_d():
+    """M3 + D in the basis f = e P, P the identity with three shears and one scaling."""
+    p = Matrix.identity(11).data
+    p[0][9], p[4][10], p[2][7], p[3][3] = 1, -2, 1, 2
+    return change_basis_algebra(direct_sum_algebra(matrix_algebra(3), dual_numbers()),
+                                Matrix(p))
+
+
+def _entries(a, keys):
+    return [{keys[0]: i, keys[1]: j, keys[2]: k, "c": str(c)}
+            for i, slab in enumerate(a.mult) for j, sl in enumerate(slab) for k, c in sl]
+
+
+_SHEARED = _sheared_m3_plus_d()
+SHEARED = {
+    "algebras": [{"name": "A", "dim": 11, "mult": _entries(_SHEARED, "ijk")}],
+    "modules": [{"name": "R", "over": "A", "dim": 11, "mult": _entries(_SHEARED, "ijk"),
+                 "left": _entries(_SHEARED, "ipq"), "right": _entries(_SHEARED, "piq")}],
+    "jobs": [{"cmd": "z1", "args": ["A"]}, {"cmd": "n1", "args": ["A"]},
+             {"cmd": "hom", "args": ["A", "R"]}],
+}
+
+
 def _assert_pinned(name, doc, code, tmp_path, fmt="json"):
     path = tmp_path / f"{name}_in.json"
     path.write_text(json.dumps(doc))
@@ -210,6 +239,10 @@ def test_job_errors_are_pinned(tmp_path):
 
 def test_map_space_jobs_are_pinned(tmp_path):
     _assert_pinned("map_spaces", MAP_SPACES, 0, tmp_path)
+
+
+def test_space_reports_of_a_sheared_mid_size_algebra_are_pinned(tmp_path):
+    _assert_pinned("sheared_spaces", SHEARED, 0, tmp_path)
 
 
 def test_every_rule_on_a_zero_dimensional_factor_is_pinned(tmp_path):

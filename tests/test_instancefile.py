@@ -1,11 +1,12 @@
 import json
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semih1.algebra
@@ -148,6 +149,25 @@ def test_index_and_rational_that_are_booleans_rejected():
     for entry in ({"i": True, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 0, "k": 0, "c": True}):
         with pytest.raises(ParseError):
             parse_instance_text(doc_text({"algebras": [{"name": "S", "dim": 2, "mult": [entry]}]}))
+
+
+@pytest.mark.parametrize("value", ["1\n", "1/1\n"])
+@pytest.mark.parametrize("place", ["mult", "values", "map"])
+def test_a_rational_with_a_trailing_newline_is_a_parse_error(place, value):
+    # each value is a valid rational without its newline, in every place
+    doc = json.loads(json.dumps(MINIMAL))
+    if place == "mult":
+        doc["algebras"][0]["mult"][0]["c"] = value
+        where = "algebras[0].mult[0]"
+    elif place == "values":
+        doc["characters"] = [{"name": "one", "over": "Q", "values": [value]}]
+        where = "characters[0].values[0]"
+    else:
+        doc["jobs"] = [{"cmd": "inner-witness", "args": ["Q"], "map": [[value]]}]
+        where = "jobs[0].map[0][0]"
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(doc_text(doc))
+    assert (str(err.value), err.value.where) == (f"{where}: bad rational {value!r}", where)
 
 
 def test_a_large_sparse_algebra_parses_without_dense_cells():
@@ -551,31 +571,73 @@ def entry(i, j, k, c):
     return {"i": i, "j": j, "k": k, "c": c}
 
 
+ENTRY_DEFECTS = ("range", "type", "key", "missing", "rational", "notdict")
+SPARSE_KEYS = ("i", "j", "k")
+
+
 @st.composite
 def malformed_entries(draw):
-    """(dim, entries, malformed): entries over keys i, j, k, c, some malformed."""
+    """(dim, entries, malformed): entries over keys i, j, k, c, some with one or two defects.
+
+    The keys of an entry come in any order, so an unknown key may precede
+    the others and the precedence below is tested within one entry too.
+    """
     dim = draw(st.integers(1, 3))
     index = st.integers(0, dim - 1)
     entries, malformed = [], False
     for _ in range(draw(st.integers(1, 4))):
         e = entry(draw(index), draw(index), draw(index), draw(RATIONAL))
-        defect = draw(st.sampled_from(("none", "none", "range", "type", "key", "missing",
-                                       "rational")))
-        key = draw(st.sampled_from("ijk"))
-        if defect == "range":
-            e[key] = draw(st.integers(-2, -1) | st.integers(dim, dim + 2))
-        elif defect == "type":
-            e[key] = draw(st.sampled_from((None, "0", 0.5, True, [0])))
-        elif defect == "key":
-            e[draw(st.sampled_from(("p", "q", "x", "value")))] = 0
-        elif defect == "missing":
-            del e[draw(st.sampled_from("ijkc"))]
-        elif defect == "rational":
-            e["c"] = draw(st.sampled_from(("1.5", "1/0", "x", "", "+1", "1/-2", "0x1", 1.5,
-                                           None, False, ["1"])))
-        malformed = malformed or defect != "none"
+        defects = draw(st.lists(st.sampled_from(ENTRY_DEFECTS), max_size=2))
+        for defect in defects:
+            key = draw(st.sampled_from("ijk"))
+            if defect == "range":
+                e[key] = draw(st.integers(-2, -1) | st.integers(dim, dim + 2))
+            elif defect == "type":
+                e[key] = draw(st.sampled_from((None, "0", 0.5, True, [0])))
+            elif defect == "key":
+                e[draw(st.sampled_from(("p", "q", "x", "value")))] = 0
+            elif defect == "missing":
+                e.pop(draw(st.sampled_from("ijkc")), None)
+            elif defect == "rational":
+                e["c"] = draw(st.sampled_from(("1.5", "1/0", "x", "", "+1", "1/-2", "0x1", "1\n",
+                                               "1/2\n", 1.5, None, False, ["1"])))
+        if draw(st.booleans()):
+            e = dict(draw(st.permutations(list(e.items()))))
+        if "notdict" in defects:
+            e = draw(st.sampled_from(([0, 0, 0, "1"], "1", 0, None)))
+        malformed = malformed or bool(defects)
         entries.append(e)
     return dim, entries, malformed
+
+
+def first_entry_error(dim, entries, where):
+    """(message, where) of the first malformed entry, or None.
+
+    Within an entry: not a dict; an unknown key, in entry order; a missing
+    key, in the order i, j, k, c; an index out of range, in key order; a bad
+    rational.
+    """
+    for pos, e in enumerate(entries):
+        here = f"{where}[{pos}]"
+        if not isinstance(e, dict):
+            return f"expected dict, got {type(e).__name__}", here
+        unknown = [k for k in e if k not in (*SPARSE_KEYS, "c")]
+        if unknown:
+            return f"unknown key {unknown[0]!r}", here
+        missing = [k for k in (*SPARSE_KEYS, "c") if k not in e]
+        if missing:
+            return f"missing key {missing[0]!r}", here
+        out = [k for k in SPARSE_KEYS if type(e[k]) is not int or not 0 <= e[k] < dim]
+        if out:
+            return f"index {out[0]}={e[out[0]]!r} out of range [0,{dim})", here
+        c = e["c"]
+        if type(c) is int:
+            continue
+        if type(c) is not str:
+            return f"expected a rational string, got {type(c).__name__}", here
+        if not re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", c):
+            return f"bad rational {c!r}", here
+    return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -583,9 +645,13 @@ def malformed_entries(draw):
 def test_malformed_sparse_entries_are_parse_errors(case):
     dim, entries, malformed = case
     text = doc_text({"algebras": [{"name": "A", "dim": dim, "mult": entries}]})
+    expected = first_entry_error(dim, entries, "algebras[0].mult")
+    assert (expected is not None) == malformed
     if malformed:
-        with pytest.raises(ParseError):
+        message, where = expected
+        with pytest.raises(ParseError) as err:
             parse_instance_text(text)
+        assert (str(err.value), err.value.where) == (f"{where}: {message}", where)
         return
     try:
         inst = parse_instance_text(text)
@@ -721,3 +787,28 @@ def test_each_module_is_validated_once(fixture, monkeypatch):
     doc, code = run_jobs(inst)
     assert code == 0
     assert sorted(calls) == parsed
+
+
+SPAN_VALUES = st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 4)))
+
+
+@st.composite
+def sampled_subspaces(draw):
+    """A span of sparse vectors in Q^0 to Q^6, the zero space among them."""
+    ambient = draw(st.integers(0, 6))
+    vectors = draw(st.lists(st.lists(SPAN_VALUES, min_size=ambient, max_size=ambient),
+                            max_size=4))
+    return Subspace.from_vectors(ambient, vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_subspaces(), st.integers(0, 3))
+@example(Subspace.zero(0), 1)
+@example(Subspace.zero(3), 1)
+@example(Subspace.full(3), 0)
+def test_a_space_report_writes_the_dense_basis(space, source_dim):
+    report = semih1.instancefile._space(space, source_dim, 7)
+    assert report["basis"] == semih1.instancefile._matrix_rows(space.basis)
+    assert (report["dim"], report["source_dim"], report["target_dim"]) == (space.dim,
+                                                                          source_dim, 7)
+
