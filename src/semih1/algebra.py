@@ -477,14 +477,14 @@ def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
         raise NotSubmodule("the given subspace is not closed under the actions")
     m, reduce = act.module_dim, n_space.reduce
     return _kernel_of_images(
-        [[((p, 0, q), c) for p in range(m) for q, c in reduce(act.left[i][p])]
-         + [((p, 1, q), c) for p in range(m) for q, c in reduce(act.right[p][i])]
-         for i in range(act.algebra_dim)], act.algebra_dim)
+        [[(p * m + q, c) for p in range(m) for q, c in reduce(act.left[i][p])]
+         + [((m + p) * m + q, c) for p in range(m) for q, c in reduce(act.right[p][i])]
+         for i in range(act.algebra_dim)], act.algebra_dim, 2 * m * m)
 
 
 def center(a: Algebra) -> Subspace:
     """Z(A) = {z : z e_i = e_i z for every basis element}."""
-    return _kernel_of_images(_commutators(regular_action(a)), a.dim)
+    return _kernel_of_images(_commutators(regular_action(a)), a.dim, a.dim * a.dim)
 
 
 def _span(grid, d) -> Subspace:

@@ -13,6 +13,8 @@ integer pivot rows of one fraction-free elimination (see its docstring);
 the nonzero entries of their rows; constraint systems built sparse, such as
 the integer rows of :mod:`semih1.spaces`, go to :func:`kernel_of_rows`, which
 reads the canonical kernel basis off one elimination with mirrored columns.
+Every image of a kernel, intersections included, is one elimination read
+past its constraint columns (:func:`_image_of_kernel`).
 
 Conventions
 -----------
@@ -296,6 +298,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
+        if any(len(v) != ambient for v in vectors):
+            raise DimensionMismatch("vector length differs from ambient dimension")
         return _span_of_rows([_pairs(map(frac, v)) for v in vectors], ambient)
 
     @classmethod
@@ -388,21 +392,24 @@ def kernel_of_rows(rows, cols) -> Subspace:
     return Subspace(cols, tuple(map(tuple, reversed(solution.values()))))
 
 
-def _by_coordinate(images):
-    """Sparse images transposed: coordinate -> the (i, value) pairs of images[i] there."""
-    rows = {}
-    for i, image in enumerate(images):
-        for key, c in image:
-            rows.setdefault(key, []).append((i, c))
-    return rows
+def _image_of_kernel(constraints, values, head, ambient) -> Subspace:
+    """{sum_i w_i values[i] : sum_i w_i constraints[i] = 0} in Q^ambient, from one elimination.
 
-
-def _kernel_of_images(images, n) -> Subspace:
-    """{a in Q^n : sum_i a_i images[i] = 0}; images[i] lists (coordinate, nonzero value).
-
-    Coordinates are any hashable keys, distinct within one image.
+    Row i is constraints[i], sparse pairs on int columns below ``head``, then
+    values[i] shifted past ``head``.  ``_rref_rows`` pivots on the lowest
+    column, so the reduced rows pivoted past ``head`` are zero before it:
+    shifted back, they are the rref rows of the image.
     """
-    return kernel_of_rows(list(_by_coordinate(images).values()), n)
+    reduced, pivots = _rref_rows([[*c, *[(head + j, x) for j, x in v]]
+                                  for c, v in zip(constraints, values)], head + ambient)
+    k = sum(p < head for p in pivots)
+    shifted = [{j - head: x for j, x in row.items()} for row in reduced[k:]]
+    return Subspace(ambient, _fractions(shifted, [p - head for p in pivots[k:]]))
+
+
+def _kernel_of_images(images, n, head) -> Subspace:
+    """{a in Q^n : sum_i a_i images[i] = 0}; images[i] lists (column below head, nonzero value)."""
+    return _image_of_kernel(images, [((i, F1),) for i in range(n)], head, n)
 
 
 def image(m: Matrix) -> Subspace:
@@ -417,11 +424,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, via the kernel of the stacked-coefficient system.
-
-    A vector in the intersection is a combination of a-basis rows that is
-    simultaneously a combination of b-basis rows; solving for the paired
-    coefficients and projecting onto the a-part yields the intersection.
+    """Intersection: the image of a kernel on rows ``(a_i | a_i)`` and ``(b_j | 0)`` (Zassenhaus).
 
     >>> e = Matrix.identity(3).data
     >>> s = intersect(Subspace.from_vectors(3, e[:2]), Subspace.from_vectors(3, e[1:]))
@@ -430,13 +433,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """
     if a.ambient != b.ambient:
         raise DimensionMismatch("ambient dimensions differ")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient)
-    # the coefficients (c, d) with sum_i c_i a_i - sum_i d_i b_i = 0
-    b_rows = tuple([(j, -x) for j, x in row] for row in b.rows)
-    coeffs = _kernel_of_images(a.rows + b_rows, a.dim + b.dim)
-    return _span_of_rows([_combine(a.rows, [(k, x) for k, x in c if k < a.dim])
-                          for c in coeffs.rows], a.ambient)
+    return _image_of_kernel(a.rows + b.rows, a.rows + ((),) * b.dim, a.ambient, a.ambient)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:

@@ -142,7 +142,7 @@ def _check_converse_laws(p):
             continue
         residuals = [hom.reduce(_restrict(p, phi[k], ("tau2",))) for k in params]
         rows = [_restrict(p, phi[k], (block,)) for k in params]
-        for w in _kernel_of_images(residuals, len(params)).rows:
+        for w in _kernel_of_images(residuals, len(params), m * m).rows:
             if _combine(rows, w):
                 _fail(check, [str(x) for x in _vector(w, len(params))])
 

@@ -27,7 +27,9 @@ Leibniz rows of the total, and solves the 3.1 groups only when they differ.
 
 Computed spaces, the last four read from the commutator rows that
 ``algebra._commutators`` keeps on each action (row p: a -> a u_p - u_p a)
-and their transpose, the rows of a -> r_a:
+and their transpose, the rows of a -> r_a; C and I, images of kernels, are
+each one elimination read past ``head`` (``linalg._image_of_kernel``), while
+the constraint rows of the groups go to ``linalg.kernel_of_rows``:
 
 * ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b, maps A -> M,
 * ``hom_space``         -- two-sided module homomorphisms, maps U -> V,
@@ -46,7 +48,6 @@ from .algebra import (
     _action_of,
     _commutators,
     _twists,
-    center,
     regular_action,
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
@@ -54,8 +55,8 @@ from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
     F1,
     Matrix,
     Subspace,
-    _by_coordinate,
     _combine,
+    _image_of_kernel,
     _kernel_of_images,
     _pairs,
     _solve_rows,
@@ -317,8 +318,8 @@ def r_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
 
 def c_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """C_A(U): the maps r_a with a central in A."""
-    rows = _r(_action_of(a, u))
-    return _span_of_rows([_combine(rows, z) for z in center(a).rows], u.dim * u.dim)
+    return _image_of_kernel(_commutators(regular_action(a)), _r(_action_of(a, u)),
+                            a.dim * a.dim, u.dim * u.dim)
 
 
 def u_inner_map(x, u_alg: Algebra) -> Matrix:
@@ -328,15 +329,14 @@ def u_inner_map(x, u_alg: Algebra) -> Matrix:
 
 def i_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """I(U): inner maps of U induced by x whose A-commutator map vanishes."""
-    rows = _commutators(regular_action(u.algebra))
-    return _span_of_rows([_combine(rows, x) for x in commutant_in_module(a, u).rows],
-                         u.dim * u.dim)
+    return _image_of_kernel(_commutators(_action_of(a, u)), _commutators(regular_action(u.algebra)),
+                            a.dim * u.dim, u.dim * u.dim)
 
 
 def commutant_in_module(a: Algebra, u) -> Subspace:
     """{x in U : a.x = x.a for all a}: the parameter space behind I(U)."""
     act = _action_of(a, u)
-    return _kernel_of_images(_commutators(act), act.module_dim)
+    return _kernel_of_images(_commutators(act), act.module_dim, act.algebra_dim * act.module_dim)
 
 
 def inner_witness(d: Matrix, a: Algebra, m):
@@ -352,4 +352,8 @@ def inner_witness(d: Matrix, a: Algebra, m):
 
 def _witness(act, flat):
     """Some x with sum_p x_p (a -> a u_p - u_p a) = flat, a sparse flat map, else None."""
-    return _solve_rows(list(_by_coordinate([*_commutators(act), flat]).values()), act.module_dim)
+    rows = {}  # the commutator rows and flat transposed: one equation per flat coordinate
+    for p, image in enumerate([*_commutators(act), flat]):
+        for key, c in image:
+            rows.setdefault(key, []).append((p, c))
+    return _solve_rows(list(rows.values()), act.module_dim)

@@ -77,9 +77,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _combine,
-    _kernel_of_images,
+    _image_of_kernel,
     _pairs,
-    _span_of_rows,
     _vector,
     intersect,
     product_subspace,
@@ -516,8 +515,8 @@ def _phi(p: SemidirectAlgebra):
 def _image_over_kernel(p: SemidirectAlgebra, keep) -> Subspace:
     """ι⁻¹(N1) for the ``keep`` blocks: Φ where it vanishes off them, read in their layout."""
     phi, where = space(p, "phi"), _layout(p, keep)
-    kernel = _kernel_of_images([[(j, x) for j, x in row if j not in where] for row in phi], p.dim)
-    return _span_of_rows([_restrict(p, _combine(phi, w), keep) for w in kernel.rows], len(where))
+    return _image_of_kernel([[(j, x) for j, x in row if j not in where] for row in phi],
+                            [_restrict(p, row, keep) for row in phi], p.dim * p.dim, len(where))
 
 
 def build_E(p: SemidirectAlgebra) -> Subspace:

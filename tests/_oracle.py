@@ -77,6 +77,29 @@ def brute_kernel(rows, ncols):
     return brute_rref(basis, ncols)[0]
 
 
+def brute_image_of_kernel(constraints, values):
+    """The rref basis of {sum_i w_i values[i] : sum_i w_i constraints[i] = 0}.
+
+    Row i of each list is a dense row; all constraint rows have one width,
+    all value rows another.  The weights w are brute_kernel of the
+    constraints transposed; their images are combined entry by entry.
+    """
+    n = len(constraints)
+    if n == 0:
+        return []
+    width = len(values[0])
+    transposed = [[row[c] for row in constraints] for c in range(len(constraints[0]))]
+    images = []
+    for w in brute_kernel(transposed, n):
+        image = [Fraction(0)] * width
+        for wi, row in zip(w, values):
+            if wi:
+                for c, x in enumerate(row):
+                    image[c] += wi * x
+        images.append(image)
+    return brute_rref(images, width)[0]
+
+
 def brute_solution_dim(rows, unknowns):
     """Dimension of the solution space of a homogeneous system."""
     if not rows:

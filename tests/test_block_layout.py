@@ -14,6 +14,10 @@ says about the placed maps:
   built from the factors by ``spaces``;
 * Phi(e_k), built from the factors and placed by the layout, is the inner
   map of e_k computed from the total algebra;
+* every image of a kernel the package computes (the meet of two spaces,
+  C_A(U), I(U), the centre, the commutant, the annihilator and E, F, K)
+  matches ``brute_image_of_kernel`` of ``tests/_oracle.py`` on dense maps
+  written out in the test from the structure tensors;
 * ``embed_blocks`` and ``corollary_3_2_check`` reject a wrong-shaped block
   with one message.
 
@@ -26,13 +30,22 @@ from functools import cache
 import pytest
 
 from semih1 import verify
-from semih1.algebra import regular_action, unit_vector
+from semih1.algebra import annihilator_in_algebra, center, regular_action, unit_vector
 from semih1.catalog import dual_numbers, field_q
 from semih1.errors import ShapeMismatch
 from semih1.families import random_product
-from semih1.linalg import Matrix, _vector, product_subspace, subspace_sum
+from semih1.linalg import Matrix, _vector, intersect, product_subspace, subspace_sum
 from semih1.products import direct_product
-from semih1.spaces import c_space, derivation_space, i_space, inner_map, inner_space
+from semih1.spaces import (
+    c_space,
+    commutant_in_module,
+    derivation_space,
+    i_space,
+    inner_map,
+    inner_space,
+)
+
+from _oracle import brute_image_of_kernel, dense
 
 
 @cache
@@ -99,6 +112,59 @@ def test_phi_from_the_factors_is_the_inner_map_of_the_total_algebra():
             expected = inner_map(unit_vector(t, k), p.total, reg).flatten()
             assert _vector(phi_k, t * t) == expected, (p.name, k)
     assert len(kinds) == 7, kinds
+
+
+def _ad(mult, n):
+    """Row i: the flat map e_j -> e_i e_j - e_j e_i of a dense product tensor, at j * n + k."""
+    return [[mult[i][j][k] - mult[j][i][k] for j in range(n) for k in range(n)] for i in range(n)]
+
+
+def _units(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _coordinates(p, keep):
+    """The flat coordinates of the ``keep`` blocks of a map on A x| U, each block row-major."""
+    parts = {"A": range(p.n), "U": range(p.n, p.dim)}
+    shapes = {"delta1": "AA", "delta2": "AU", "tau1": "UA", "tau2": "UU"}
+    return [r * p.dim + c for block in keep
+            for r in parts[shapes[block][0]] for c in parts[shapes[block][1]]]
+
+
+def test_images_of_kernels_match_a_brute_oracle():
+    for p in _draws():
+        a, u, n, m = p.part_a, p.part_u, p.n, p.m
+        act = u.action
+        mult, umult = dense(a.mult, n), dense(u.algebra.mult, m)
+        left, right = dense(act.left, m), dense(act.right, m)
+        # row p: a -> a.u_p - u_p.a; row i: r_(e_i), u_p -> u_p.e_i - e_i.u_p
+        comm = [[left[i][q][k] - right[q][i][k] for i in range(n) for k in range(m)]
+                for q in range(m)]
+        r = [[right[q][i][k] - left[i][q][k] for q in range(m) for k in range(m)]
+             for i in range(n)]
+        ann = [[left[i][q][k] for q in range(m) for k in range(m)]
+               + [right[q][i][k] for q in range(m) for k in range(m)] for i in range(n)]
+        cases = {
+            "center": (center(a), _ad(mult, n), _units(n)),
+            "commutant": (commutant_in_module(a, u), comm, _units(m)),
+            "annihilator": (annihilator_in_algebra(a, u), ann, _units(n)),
+            "c": (c_space(a, u), _ad(mult, n), r),
+            "i": (i_space(a, u), comm, _ad(umult, m)),
+        }
+        for x, y in (("hom_u", "z1_u"), ("r", "n1_u")):
+            sx, sy = verify.space(p, x), verify.space(p, y)
+            cases[f"{x} cap {y}"] = (intersect(sx, sy), sx.basis.data + sy.basis.data,
+                                     sx.basis.data + [[0] * sx.ambient] * sy.dim)
+        phi = [_vector(row, p.dim * p.dim) for row in verify.space(p, "phi")]
+        for name, build, keep in (("E", verify.build_E, ("delta1", "tau2")),
+                                  ("F", verify.build_F, ("delta2", "tau2")),
+                                  ("K", verify.build_K, ("delta1", "delta2"))):
+            kept = _coordinates(p, keep)
+            off = sorted(set(range(p.dim * p.dim)) - set(kept))
+            cases[name] = (build(p), [[row[j] for j in off] for row in phi],
+                           [[row[j] for j in kept] for row in phi])
+        for name, (computed, constraints, values) in cases.items():
+            assert computed.basis.data == brute_image_of_kernel(constraints, values), (name, p.name)
 
 
 # block -> (its shape in a map on D x Q, the message for a wrong shape)

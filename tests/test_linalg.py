@@ -118,6 +118,12 @@ def test_dimension_mismatch_raised():
         intersect(Subspace.full(2), Subspace.full(3))
 
 
+def test_from_vectors_rejects_a_vector_of_another_length():
+    for vectors in ([[1, 2, 3, 4]], [[1]], [[1, 0, 0], [0, 1]]):
+        with pytest.raises(DimensionMismatch, match="vector length differs from ambient dimension"):
+            Subspace.from_vectors(3, vectors)
+
+
 def test_modular_law_fuzz():
     rng = random.Random(23)
     for _ in range(150):

@@ -24,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semih1 import linalg
-from semih1.algebra import Algebra
+from semih1 import linalg, verify
+from semih1.algebra import Algebra, annihilator_in_algebra, center, regular_module
 from semih1.catalog import change_basis_algebra, invert, matrix_algebra
 from semih1.errors import ShapeMismatch
 from semih1.linalg import (
@@ -42,7 +42,8 @@ from semih1.linalg import (
     solve_right,
     subspace_sum,
 )
-from semih1.spaces import OUT, RowGroup, h1_dim, solve
+from semih1.products import semidirect
+from semih1.spaces import OUT, RowGroup, c_space, commutant_in_module, h1_dim, i_space, solve
 
 from _oracle import brute_kernel, brute_rank, brute_rref
 
@@ -205,6 +206,19 @@ def test_a_kernel_is_one_elimination(monkeypatch):
     seen.clear()
     assert h1_dim(truncated_polynomials(4)) == 3
     assert len(seen) == 2
+    # every image of a kernel, an intersection included, is one system
+    m2 = matrix_algebra(2)
+    p = semidirect(m2, regular_module(m2))
+    u, hom, z1 = p.part_u, verify.space(p, "hom_u"), verify.space(p, "z1_u")
+    for name, compute in {"intersect": lambda: intersect(hom, z1),
+                          "c_space": lambda: c_space(m2, u), "i_space": lambda: i_space(m2, u),
+                          "center": lambda: center(m2),
+                          "commutant_in_module": lambda: commutant_in_module(m2, u),
+                          "annihilator_in_algebra": lambda: annihilator_in_algebra(m2, u),
+                          "build_E": lambda: verify.build_E(p)}.items():
+        seen.clear()
+        compute()
+        assert len(seen) == 1, name
 
 
 def test_empty_pair_lists_and_zero_columns():
