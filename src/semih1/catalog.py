@@ -85,7 +85,11 @@ def standard_characters(a: Algebra, family: str):
 
 
 def standard_idempotents(a: Algebra, family: str):
-    """Vectors w with w*w = w, used to seed algebra homomorphisms."""
+    """Vectors w with w*w = w in the standard basis of the named family.
+
+    Only the benchmark ladder reads them, into ``AlgebraSample.idempotents``,
+    and nothing reads that field yet.
+    """
     if family == "field":
         return [[F1]]
     if family == "dual":

@@ -262,7 +262,7 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
             raise ParseError(f"unknown cmd {cmd!r}", here)
         args = _expect(job.get("args", []), list, f"{here}.args")
         for k in job:
-            if k not in ("cmd", "args", "kind", "name", "id", "map"):
+            if k not in ("cmd", "args", *_JOB_KEYS.get(cmd, ())):
                 raise ParseError(f"unknown key {k!r}", here)
         if cmd == "build":
             kind = job.get("kind")
@@ -489,6 +489,9 @@ BUILDS = {
     "alpha": ((("algebra", "algebra", "matrix"),), lambda *v, name: alpha_product(*v, name=name)),
 }
 JOB_CMDS = ("build", *JOBS)
+# cmd -> the keys its jobs take besides ``cmd`` and ``args``
+_JOB_KEYS = {"build": ("kind", "name"), "verify": ("id",), "decompose": ("map",),
+             "inner-witness": ("map",)}
 BUILD_KINDS = tuple(BUILDS)
 
 

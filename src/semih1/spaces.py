@@ -15,15 +15,16 @@ slices (``B[x][y]`` holds the nonzero ``(k, c)`` coordinates of the product
 of basis vectors x and y, as in :mod:`.algebra`) and ``D`` is one block of
 the unknown map, placed at an offset of the flattened coordinates.  Rows
 are integer rows, built only where some term reaches, each distinct row
-once, first occurrence kept, and built once per group: ``RowGroup.kept``
-fills them at first use and keeps them.  :func:`solve` hands the kept rows
-to the engine, the one place where groups become a canonical kernel;
-:func:`first_failure` returns the first basis pair whose kept rows fail on a
-flattened map, the witness a per-matrix check reports.  Since equal row
-sets have one kernel, a caller holding two systems can certify one kernel
-by the other's rows: :mod:`.verify` takes Z1(A x| U) as the 3.1 kernel when
-the 3.1 rows, scaled to the Leibniz group's denominator, are exactly the
-Leibniz rows of the total, and solves the 3.1 groups only when they differ.
+once, first occurrence kept, and built once per group, in one pass over its
+terms: ``RowGroup.kept`` fills them at first use and keeps them.
+:func:`solve` hands the kept rows to the engine, the one place where groups
+become a canonical kernel; :func:`first_failure` returns the first basis
+pair whose kept rows fail on a flattened map, the witness a per-matrix
+check reports.  Since equal row sets have one kernel, a caller holding two
+systems can certify one kernel by the other's rows: :mod:`.verify` takes
+Z1(A x| U) as the 3.1 kernel when the 3.1 rows, scaled to the Leibniz
+group's denominator, are exactly the Leibniz rows of the total, and solves
+the 3.1 groups only when they differ.
 
 Computed spaces, the last four read from the commutator rows that
 ``algebra._commutators`` keeps on each action (row p: a -> a u_p - u_p a)
@@ -39,7 +40,6 @@ the constraint rows of the groups go to ``linalg.kernel_of_rows``:
                            A-commutator, maps U -> U.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .algebra import (
@@ -51,7 +51,7 @@ from .algebra import (
     regular_action,
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
-from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
+from .linalg import (
     F1,
     Matrix,
     Subspace,
@@ -63,7 +63,7 @@ from .linalg import (  # noqa: F401 -- kernel stays importable as spaces.kernel
     _span_of_rows,
     _vector,
     frac,
-    kernel,
+    kernel,  # noqa: F401 -- stays importable as spaces.kernel
     kernel_of_rows,
 )
 
@@ -78,52 +78,40 @@ class RowGroup:
 
     ``dims`` is ``(dx, dy, dk)``: basis pairs (x, y) and output coordinates
     k.  ``terms`` lists ``(sign, shape, tensor, place)``, each tensor a grid
-    of slices.  With ``place = (row_offset, col_offset, width)`` the block D
-    has entry ``D[r][s]`` at flat coordinate ``(row_offset + r) * width +
-    col_offset + s``, and row (x, y, k) gets ``sign`` times coordinate k of
+    of slices.  With ``place = (r0, c0, width)`` the block D has entry
+    ``D[r][s]`` at flat coordinate ``(r0 + r) * width + c0 + s``, and row
+    (x, y, k) gets ``sign`` times coordinate k of
 
     * ``D(xy)``: ``sum_l tensor[x][y][l] D[l]``,
     * ``(Dx)y``: ``sum_l D[x][l] tensor[l][y]``,
     * ``x(Dy)``: ``sum_l tensor[x][l] D[y][l]``.
 
-    Each term is indexed once, at construction, by the slot a pair (x, y)
-    looks it up with: ``(x, y)``, ``y`` and ``x`` respectively, giving each
-    signed entry of the sum with the part of its flat coordinate known then
-    (the row of ``D(xy)`` adds k, the others the row of D[x] or D[y]), with
-    k for the last two, each coefficient an int: ``scale``, the lcm of all
-    term denominators, times it.  A pair's rows are thus built together, and
-    only those some term reaches: every k when ``D(xy)`` has an entry, else
-    the k of its other terms.  Pairs are scanned x-major, or y-major when
-    ``y_major`` is set, and each distinct row is handed on once, first
-    occurrence kept; the first pair with a nonzero row is the group's
-    witness.  The rows are built once, by the first call of ``kept``.
+    The rows are built in one pass over the terms, in order.  Each entry of
+    slice (a, b) is made an int once (``scale``, the lcm of all term
+    denominators, times ``sign`` times it) and lands
+
+    * for ``D(xy)``, entry (l, c) at ``D[l][k]`` of row (a, b, k), every k;
+    * for ``(Dx)y``, entry (k, c) at ``D[x][a]`` of row (x, b, k), every x;
+    * for ``x(Dy)``, entry (k, c) at ``D[y][b]`` of row (a, y, k), every y.
+
+    A row takes its entries in term order, then in row-major slice order
+    (a ``(Dx)y`` tensor is read by columns, which keeps that order), and
+    only the rows some term reaches exist.  Pairs are scanned x-major, or
+    y-major when ``y_major`` is set, and each distinct row is handed on
+    once, first occurrence kept; the first pair with a nonzero row is the
+    group's witness.  The rows are built once, by the first call of ``kept``.
     """
 
-    __slots__ = ("name", "dims", "y_major", "scale", "_index", "_kept")
+    __slots__ = ("name", "dims", "terms", "y_major", "scale", "_kept")
 
     def __init__(self, name, dims, terms, y_major=False):
         self.name = name
         self.dims = dims
+        self.terms = terms
         self.y_major = y_major
-        self.scale = s = lcm(*(c.denominator for _, _, tensor, _ in terms
-                               for slab in tensor for sl in slab for _, c in sl))
-        self._index = []
+        self.scale = lcm(*(c.denominator for _, _, tensor, _ in terms
+                           for slab in tensor for sl in slab for _, c in sl))
         self._kept = None
-        # flat offsets: (r0 + l) * width + c0 for D(xy), c0 + l for the other two
-        for sign, shape, tensor, (r0, c0, width) in terms:
-            by, f = {}, sign * s
-            for a, slab in enumerate(tensor):
-                for b, sl in enumerate(slab):
-                    if not sl:
-                        continue
-                    if shape == OUT:
-                        by[a, b] = [((r0 + l) * width + c0, c.numerator * (f // c.denominator))
-                                    for l, c in sl]
-                    else:
-                        key, l = (b, a) if shape == LEFT else (a, b)
-                        by.setdefault(key, []).extend(
-                            [(k, c0 + l, c.numerator * (f // c.denominator)) for k, c in sl])
-            self._index.append((shape, r0, width, by))
 
     def pairs(self):
         dx, dy, _ = self.dims
@@ -131,35 +119,43 @@ class RowGroup:
             return [(x, y) for y in range(dy) for x in range(dx)]
         return [(x, y) for x in range(dx) for y in range(dy)]
 
-    def _pair_rows(self, x, y):
-        """k -> {flat coordinate: summed int coefficient} of row (x, y, k), for each k reached."""
-        rows = {}
-        get = rows.get
-        for shape, r0, width, by in self._index:
+    def _grid(self):
+        """grid[x][y]: k -> {flat coordinate: summed int coefficient} of each row (x, y, k)."""
+        dx, dy, dk = self.dims
+        grid = [[{} for _ in range(dy)] for _ in range(dx)]
+        for sign, shape, tensor, (r0, c0, width) in self.terms:
+            f = sign * self.scale
             if shape == OUT:
-                for k in range(self.dims[2]) if (terms := by.get((x, y))) else ():
-                    if (row := get(k)) is None:
-                        rows[k] = {i + k: c for i, c in terms}
-                    else:
-                        for i, c in terms:
-                            i += k
-                            row[i] = row.get(i, 0) + c
-            else:
-                base = (r0 + (x if shape == LEFT else y)) * width
-                for k, l, c in by.get(y if shape == LEFT else x, ()):
-                    i = base + l
-                    if (row := get(k)) is None:
-                        rows[k] = {i: c}
-                    else:
-                        row[i] = row.get(i, 0) + c
-        return rows
+                for a, slab in enumerate(tensor):
+                    for b, sl in enumerate(slab):
+                        entries = [((r0 + l) * width + c0, c.numerator * (f // c.denominator))
+                                   for l, c in sl]
+                        rows = grid[a][b]
+                        for k in range(dk) if entries else ():
+                            row = rows.get(k) or rows.setdefault(k, {})
+                            for i, c in entries:
+                                row[i + k] = row.get(i + k, 0) + c
+                continue
+            # tensor column j lands in the rows (x, j, k) of every x, tensor row j in the
+            # rows (j, y, k) of every y; bases[r] is the flat coordinate of D[r][0]
+            bases = [(r0 + r) * width + c0 for r in range(dx if shape == LEFT else dy)]
+            for j, line in enumerate(zip(*tensor) if shape == LEFT else tensor):
+                entries = [(l, k, c.numerator * (f // c.denominator))
+                           for l, sl in enumerate(line) for k, c in sl]
+                cells = ([g[j] for g in grid] if shape == LEFT else grid[j]) if entries else ()
+                for rows, base in zip(cells, bases):
+                    for l, k, c in entries:
+                        row = rows.get(k) or rows.setdefault(k, {})
+                        row[base + l] = row.get(base + l, 0) + c
+        return grid
 
     def _rows(self):
         """((x, y), row (x, y, k)) in scan order, each distinct row once, first occurrence kept."""
-        seen = set()
-        add, pair_rows = seen.add, self._pair_rows
+        grid, seen = self._grid(), set()
+        add = seen.add
         for pair in self.pairs():
-            rows = pair_rows(*pair)
+            x, y = pair
+            rows, grid[x][y] = grid[x][y], None  # each pair's dicts go once they are tupled
             for k in sorted(rows):
                 r = rows[k]
                 row = tuple(r.items()) if all(r.values()) else tuple(
@@ -173,11 +169,6 @@ class RowGroup:
         if self._kept is None:
             self._kept = list(self._rows())
         return self._kept
-
-    def row(self, x, y, k):
-        """The nonzero (flat coordinate, coefficient) entries of row (x, y, k), as Fractions."""
-        row = self._pair_rows(x, y).get(k, {})
-        return [(i, Fraction(c, self.scale)) for i, c in row.items() if c]
 
 
 def solve(amb, *groups) -> Subspace:

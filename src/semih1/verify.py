@@ -69,6 +69,7 @@ from .algebra import (
 )
 from .errors import (
     InternalInvariantViolation,
+    NotADerivation,
     ShapeMismatch,
     UnknownHypothesis,
     WrongConstructionKind,
@@ -98,11 +99,9 @@ from .spaces import (
     hom_space,
     i_space,
     inner_space,
-    inner_witness,
     kills,
     lands_in,
     leibniz,
-    leibniz_defect,
     pairing_groups,
     r_space,
     solve,
@@ -437,10 +436,11 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     """
     if (d.rows, d.cols) != (p.dim, p.dim):
         raise ShapeMismatch("candidate map has the wrong shape")
-    act, flat = regular_action(p.total), d.flatten()
+    flat = d.flatten()
     if space(p, "z1_total").reduce(_pairs(flat)):
-        inner_witness(d, p.total, act)  # d is not in Z1: raises NotADerivation at its basis pair
-    witness = _witness(act, _pairs(flat))
+        raise NotADerivation("map violates the derivation law at basis pair "
+                             f"{first_failure(_leibniz_total(p), flat)}")
+    witness = _witness(regular_action(p.total), _pairs(flat))
     if witness is None:
         return None
     phi_w = _vector(_combine(space(p, "phi"), _pairs(witness)), p.dim * p.dim)
@@ -452,43 +452,42 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     return witness[:p.n], witness[p.n:]
 
 
+# single-block kind -> the space its block lies in, and the one each block row lies in
+_SINGLE_BLOCK = {"delta1-only": ("z1_a", "ann_a_u"), "delta2-only": ("z1_au", "ann_u_u"),
+                 "tau1-only": ("pairing", None), "tau2-only": ("hom_cap_z1u", None)}
+
+
 def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     """Exact single-block criteria for a map on A x| U to be a derivation.
 
     ``kind`` picks which corner the block occupies; the other three blocks
-    are zero.  The tau1 criterion includes the module-homomorphism law,
-    which the two displayed identities alone do not imply.
+    are zero.  The block must lie in the spaces ``_SINGLE_BLOCK`` names, which
+    p keeps, and tau1 must also kill U-products.  The tau1 space, the pairing
+    homomorphisms, includes the module-homomorphism law, which the two
+    displayed identities alone do not imply.
     """
-    a, u = p.part_a, p.part_u
-    act = u.action
     name = kind.removesuffix("-only")
     if name in _BLOCKS:
         _check_block(p, name, block)
-    if kind == "delta1-only":
-        if leibniz_defect(block, a, regular_action(a)) is not None:
-            return False
-        ann = space(p, "ann_a_u")
-        return all(ann.contains(row) for row in block.data)
-    if kind == "delta2-only":
-        if leibniz_defect(block, a, act) is not None:
-            return False
-        ann = space(p, "ann_u_u")
-        return all(ann.contains(row) for row in block.data)
+    if kind not in _SINGLE_BLOCK:
+        raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
+    (inside, rows_inside), flat = _SINGLE_BLOCK[kind], block.flatten()
+    if not space(p, inside).contains(flat):
+        return False
     if kind == "tau1-only":
-        groups = (*pairing_groups(a, act),
-                  kills("tau1-kills-products", u.algebra.mult, (0, 0, p.n), p.n))
-        flat = block.flatten()
-        return all(first_failure(g, flat) is None for g in groups)
-    if kind == "tau2-only":
-        if leibniz_defect(block, u.algebra, regular_action(u.algebra)) is not None:
-            return False
-        return space(p, "hom_u").contains(block.flatten())
-    raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
+        kill = kills("tau1-kills-products", p.part_u.algebra.mult, (0, 0, p.n), p.n)
+        return first_failure(kill, flat) is None
+    return rows_inside is None or all(space(p, rows_inside).contains(row) for row in block.data)
+
+
+def _vanishes(p: SemidirectAlgebra, name, blocks) -> bool:
+    """True when every map of the space ``name`` of p is zero on ``blocks``."""
+    return not any(_restrict(p, row, blocks) for row in space(p, name).rows)
 
 
 def tau1_vanishes(p: SemidirectAlgebra) -> bool:
     """True when every derivation of A x| U has zero U->A corner."""
-    return not any(_restrict(p, row, ("tau1",)) for row in space(p, "z1_total").rows)
+    return _vanishes(p, "z1_total", ("tau1",))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +709,7 @@ def _extension_blocks(p):
         delta2 = _layout(p, ("delta2",))
         split_ok = not any(leib.reduce([(j, x) for j, x in r if j in delta2]) for r in leib.rows)
         details["decomposition_ok"] = split_ok
-        inner_tau1_zero = not any(_restrict(p, row, ("tau1",)) for row in space(p, "n1_total").rows)
+        inner_tau1_zero = _vanishes(p, "n1_total", ("tau1",))
         details["inner_tau1_zero"] = inner_tau1_zero
         verdict = _verdict(split_ok and inner_tau1_zero)
     return leib.dim, cond.dim, verdict, details
@@ -756,8 +755,7 @@ def _scaled_blocks(p):
         right_ok = all(first_failure(right, row) is None for row in flats)
         details["coupling_left_ok"] = left_ok
         details["coupling_right_ok"] = right_ok
-        n1 = space(p, "n1_total").rows
-        inner_ok = not any(_restrict(p, row, ("delta2", "tau1")) for row in n1)
+        inner_ok = _vanishes(p, "n1_total", ("delta2", "tau1"))
         details["inner_shape_ok"] = inner_ok
         verdict = _verdict(left_ok and right_ok and inner_ok)
     return leib.dim, cond.dim, verdict, details

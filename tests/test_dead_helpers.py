@@ -1,10 +1,13 @@
-"""No private helper of the package is left without a caller.
+"""No private helper of the package is left without a caller, no import unread.
 
 Every function or class defined at the top level of a module under
 ``src/semih1`` with a ``_private`` name must be referenced somewhere in the
 package outside its own definition: as a name that is read, or as an
 attribute.  An import is not a reference, so a helper that is only
 imported somewhere is still reported.
+
+Every name a module other than ``__init__.py`` imports at its top level
+must be read in that module, unless its line is marked ``noqa``.
 """
 
 import ast
@@ -34,3 +37,19 @@ def test_every_private_helper_is_referenced():
                   if not any(n == name and o != (module, name) for n, o in used))
     assert len(defined) > 50
     assert not dead, dead
+
+
+def test_every_module_level_import_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for top in tree.body:
+            for alias in top.names if isinstance(top, (ast.Import, ast.ImportFrom)) else ():
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "noqa" not in lines[alias.lineno - 1]:
+                    unread.append(f"{path.name}:{alias.lineno}:{name}")
+    assert not unread, unread

@@ -1,10 +1,10 @@
-"""Each distinct constraint row once, checked against rows built one by one.
+"""Each distinct constraint row once, checked against every row the group builds.
 
 A group's kept rows and the rows :func:`~semih1.spaces.solve` eliminates
-skip repeats.  The oracles here build every row ``(x, y, k)`` through
-``RowGroup.row``, never through the skipping scan, and check over 300 draws,
-on the 3.1 groups, the Leibniz group of the total algebra, the bimodule-hom
-groups of U and the pairing groups, that
+skip repeats.  The oracles here read every row ``(x, y, k)`` from the
+group's one pass over its terms (``RowGroup._grid``), before the skipping
+scan, and check over 300 draws, on the 3.1 groups, the Leibniz group of
+the total algebra, the bimodule-hom groups of U and the pairing groups, that
 
 * ``solve`` gives the kernel of all of them;
 * ``first_failure`` gives the first pair, in scan order, with a row that is
@@ -52,8 +52,9 @@ def _systems(p):
 
 
 def _every_row(group):
-    """(x, y) -> [row (x, y, k) for each k], each built through ``row``."""
-    return {(x, y): [group.row(x, y, k) for k in range(group.dims[2])]
+    """(x, y) -> [row (x, y, k) for each k reached], its int entries as built by the pass."""
+    grid = group._grid()
+    return {(x, y): [[(i, c) for i, c in row.items() if c] for row in grid[x][y].values()]
             for x, y in group.pairs()}
 
 

@@ -130,11 +130,27 @@ def test_a_rational_over_the_int_digit_limit_is_a_parse_error(entry, value):
     if entry == "c":
         doc["algebras"][0]["mult"][0]["c"] = "VALUE"
     else:
-        doc["jobs"][0]["map"] = "VALUE"
+        doc["jobs"] = [{"cmd": "inner-witness", "args": ["Q"], "map": "VALUE"}]
     text = doc_text(doc).replace('"VALUE"', value.replace("BIG", digits_over_the_int_limit()))
     with pytest.raises(ParseError) as err:
         parse_instance_text(text, where="big.json")
     assert "limit" in str(err.value)
+
+
+@pytest.mark.parametrize("job, key", [
+    ({"cmd": "h1", "args": ["Q"], "id": "bogus"}, "id"),
+    ({"cmd": "h1", "args": ["Q"], "kind": "direct"}, "kind"),
+    ({"cmd": "z1", "args": ["Q"], "map": [["x"]]}, "map"),
+    ({"cmd": "verify", "id": "3.1", "args": ["Q"], "name": "P"}, "name"),
+    ({"cmd": "build", "kind": "unitization", "args": ["Q"], "name": "P", "map": [["1"]]}, "map"),
+    ({"cmd": "decompose", "args": ["Q"], "map": [["1"]], "id": "3.1"}, "id"),
+    ({"cmd": "inner-witness", "args": ["Q"], "map": [["1"]], "kind": "direct"}, "kind"),
+])
+def test_a_key_its_command_does_not_take_is_a_parse_error(job, key):
+    # build takes kind and name, verify id, decompose and inner-witness map; no job another
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(doc_text(dict(MINIMAL, jobs=[job])))
+    assert (str(err.value), err.value.where) == (f"jobs[0]: unknown key {key!r}", "jobs[0]")
 
 
 def test_out_of_range_index_rejected():

@@ -1,0 +1,95 @@
+"""The kept rows of every row group, and the groups a per-map check builds.
+
+A group's kept rows are pinned entry by entry: each group that
+``selftest.run_case`` reads on 50 seeded draws is hashed as the sequence of
+its ``(name, pair, row)`` triples, so a change to which rows are kept, to
+their pair, or to the order of the entries inside a row changes the pin.
+
+The per-map checks on a product read the spaces the product keeps: once
+``run_case`` has run and every space a check reads exists,
+``corollary_3_2_check`` builds no row group but the tau1 kills group, and
+``inner_characterization`` on a non-derivation builds none.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from semih1 import spaces
+from semih1.algebra import regular_action
+from semih1.errors import NotADerivation
+from semih1.families import random_product
+from semih1.linalg import Matrix
+from semih1.selftest import run_case
+from semih1.verify import (
+    _SINGLE_BLOCK,
+    _shape,
+    corollary_3_2_check,
+    inner_characterization,
+    space,
+)
+
+# sha256 of the sorted per-group digests, recorded before rows were built in one pass
+KEPT_ROWS_SHA256 = "aabcd799e16a02b6b038b771e95cc79db68f470d98252d52469b0804090d68cd"
+
+
+def _draws(count=50):
+    """``count`` products with the rng each ``run_case`` goes on with."""
+    rng = random.Random(2026)
+    for _ in range(count):
+        p, a_sample = random_product(rng, 3)
+        yield p, a_sample, rng
+
+
+def test_kept_rows_of_every_group_run_case_reads(monkeypatch):
+    digests, seen, kept = [], {}, spaces.RowGroup.kept
+
+    def recorded(group):
+        rows = kept(group)
+        if id(group) not in seen:
+            seen[id(group)] = group  # held, so no id is reused while it is recorded
+            digests.append(hashlib.sha256(repr(
+                [(group.name, pair, row) for pair, row in rows]).encode()).hexdigest())
+        return rows
+
+    monkeypatch.setattr(spaces.RowGroup, "kept", recorded)
+    for p, a_sample, rng in _draws():
+        run_case(p, a_sample, rng)
+    assert len(digests) == 906
+    assert hashlib.sha256("".join(sorted(digests)).encode()).hexdigest() == KEPT_ROWS_SHA256
+
+
+def test_per_map_checks_read_the_kept_spaces(monkeypatch):
+    rng, init, checked = random.Random(3), spaces.RowGroup.__init__, 0
+
+    def recording(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        built.append(group.name)
+
+    for p, a_sample, case_rng in _draws(20):
+        run_case(p, a_sample, case_rng)
+        for name in {name for names in _SINGLE_BLOCK.values() for name in names if name}:
+            space(p, name)
+        d = Matrix([[rng.randint(-2, 2) for _ in range(p.dim)] for _ in range(p.dim)])
+        outside = not space(p, "z1_total").contains(d.flatten())
+        with monkeypatch.context() as patch:
+            patch.setattr(spaces.RowGroup, "__init__", recording)
+            for kind in _SINGLE_BLOCK:
+                rows, cols = _shape(p, kind.removesuffix("-only"))
+                block = Matrix([[rng.randint(-1, 1) for _ in range(cols)] for _ in range(rows)])
+                for candidate in (block, Matrix.zeros(rows, cols)):
+                    built = []
+                    corollary_3_2_check(kind, candidate, p)
+                    assert built in ([], ["tau1-kills-products"]), (p.name, kind)
+            built = []
+            if outside:
+                with pytest.raises(NotADerivation) as raised:
+                    inner_characterization(d, p)
+                assert built == [], p.name
+        if outside:
+            with pytest.raises(NotADerivation) as expected:
+                spaces.inner_witness(d, p.total, regular_action(p.total))
+            assert str(raised.value) == str(expected.value)
+            checked += 1
+    assert checked > 10

@@ -4,7 +4,8 @@ A :class:`~semih1.spaces.RowGroup` holds its rows as ints, scaled by the lcm
 of its term denominators.  Groups whose tensors have rational entries of
 height up to 10**40, next to a ``lands_in`` residual group, are checked
 against rows this module builds term by term from the ``RowGroup``
-docstring: ``solve`` must give ``brute_kernel`` of them, ``row`` must give
+docstring: ``solve`` must give ``brute_kernel`` of them, the group's one
+pass over its terms (``RowGroup._grid``, divided by ``scale``) must give
 them exactly, and ``first_failure`` must give the first pair, in scan
 order, at which direct Fraction evaluation finds a nonzero row.  Over
 battery draws, across ``cond31``, ``z1_total`` and ``split_blocks`` on
@@ -121,8 +122,11 @@ def test_solve_and_row_match_dense_fraction_rows(system):
     rows = [row for _, dense in pairs for row in dense.values()]
     assert solve(amb, *(g for g, _ in pairs)).basis.data == brute_kernel(rows, amb)
     for group, dense in pairs:
+        grid = group._grid()
         for (x, y, k), row in dense.items():
-            assert sorted(group.row(x, y, k)) == [(i, c) for i, c in enumerate(row) if c]
+            built = grid[x][y].get(k, {}).items()
+            assert sorted((i, Fraction(c, group.scale)) for i, c in built if c) == [
+                (i, c) for i, c in enumerate(row) if c]
 
 
 def kernel_element(data, rows, amb):

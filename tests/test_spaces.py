@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -249,8 +250,10 @@ def test_row_group_terms_are_the_products_they_name():
               RIGHT: lambda x, y: a.product(e[x], d.data[y])}
     for shape, product in direct.items():
         group = RowGroup(shape, (n, n, n), [(1, shape, a.mult, (1, 2, width))])
+        grid = group._grid()
         for x, y in group.pairs():
-            rows = [sum(c * flat[i] for i, c in group.row(x, y, k)) for k in range(n)]
+            rows = [Fraction(sum(c * flat[i] for i, c in grid[x][y].get(k, {}).items()),
+                             group.scale) for k in range(n)]
             assert rows == product(x, y)
 
 
