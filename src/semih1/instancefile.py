@@ -178,6 +178,8 @@ def parse_instance_text(text, where="<input>") -> InstanceFile:
                          where)
     except ValueError as exc:  # an integer with more digits than int() converts
         raise ParseError(f"invalid JSON: {exc}", where)
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise ParseError("invalid JSON: nested too deeply", where)
     _expect(doc, dict, where)
     for key in doc:
         if key not in ("algebras", "modules", "characters", "jobs"):

@@ -52,7 +52,6 @@ from .algebra import (
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
 from .linalg import (
-    F1,
     Matrix,
     Subspace,
     _combine,
@@ -222,12 +221,6 @@ def kills(name, tensor, place, dk) -> RowGroup:
     """D(xy) = 0 for every basis product of ``tensor``; D has ``dk`` columns."""
     return RowGroup(name, (len(tensor), len(tensor[0]) if tensor else 0, dk),
                     [(1, OUT, tensor, place)])
-
-
-def lands_in(name, target: Subspace, place, dx) -> RowGroup:
-    """D(e_x) lies in ``target`` for x < dx: its residual mod ``target`` vanishes."""
-    residual = [[target.reduce(((l, F1),))] for l in range(target.ambient)]
-    return RowGroup(name, (dx, 1, target.ambient), [(1, LEFT, residual, place)])
 
 
 def derivation_space(a: Algebra, m) -> Subspace:

@@ -26,8 +26,9 @@ check only when all of them hold.  ``verify_theorem`` (4.1-4.4) and
 What the rules read is two more tables, each row computed at most once per
 product and kept in it.  ``_SPACES`` names every space a product carries
 (Z1 and N1 of A x| U, A, (A, U) and U; Hom_A(U) and its meet with Z1(U);
-the annihilators; R, C, I, R + N1(U) and C + I; the pairing homomorphisms;
-the 3.1 row groups and their kernel; the map Phi below) with how the product
+the annihilators and the maps with every row in one; the maps killing U- or
+A-products; R, C, I, R + N1(U) and C + I; the pairing homomorphisms; the
+3.1 row groups and their kernel; the map Phi below) with how the product
 builds it from its factors, read through ``space(p, name)``.  Every row but
 the 3.1 row groups and Phi is a Subspace, of maps flattened as in :mod:`.spaces`.
 ``h1(p, part)`` is the checked difference of one part's Z1 and N1.
@@ -38,8 +39,8 @@ Every linear system here is a list of row groups from :mod:`.spaces`, solved
 by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
 identity built from the factors' structure tensors, and their kernel is
 Z1(A x| U) itself when their rows are exactly the Leibniz rows of the total
-(``_cond31``), else solved from them; 5.1 solves its own
-reduced groups, and ttd and lau-der compare Z1 with the 3.1 kernel
+(``_cond31``), else solved from them; 5.1 places four kept block spaces
+by iota (``_placed``), and ttd and lau-der compare Z1 with the 3.1 kernel
 (their reduced rows are the 3.1 rows with vanishing terms dropped).  The
 per-matrix witnesses of ``split_blocks`` evaluate the same groups.  Where a
 block sits in a map on A x| U is stated once: ``_layout(p, blocks)`` maps each
@@ -49,7 +50,8 @@ flat coordinate to its place in the named blocks side by side, read from
 The ``phi`` row holds Phi(z), v -> vz - zv, for each basis vector z = (a0, x0) as
 a flat map on A x| U with blocks (ad a0, ad x0, 0, r_a0 + ad_U x0), from the
 factors.  Rules 4.1-4.4 name only their kept blocks: the spaces filling them side
-by side over iota^-1(N1), Phi where it vanishes off them (E, F, K or C + I), one layout.
+by side over iota^-1(N1), Phi where it vanishes off them (E, F, K or C + I), one layout;
+cte is the same quotient check, Hom_A(U) cap Z1(U) over C_A(U), offset by H1(A, U).
 
 Verdicts are ``verified``, ``hypotheses-not-met``, or ``MISMATCH``; a
 MISMATCH on a validated instance falsifies the implementation and is never
@@ -80,6 +82,7 @@ from .linalg import (
     _combine,
     _image_of_kernel,
     _pairs,
+    _span_of_rows,
     _vector,
     intersect,
     product_subspace,
@@ -100,7 +103,6 @@ from .spaces import (
     i_space,
     inner_space,
     kills,
-    lands_in,
     leibniz,
     pairing_groups,
     r_space,
@@ -195,6 +197,12 @@ def _restrict(p, row, blocks):
     """A sparse flattened map on A x| U read in the layout of ``blocks``: its entries there."""
     where = _layout(p, blocks)
     return [(where[j], x) for j, x in row if j in where]
+
+
+def _placed(p, rows, blocks):
+    """iota: sparse rows in the layout of ``blocks``, placed as maps on A x| U."""
+    place = list(_layout(p, blocks))
+    return [[(place[i], x) for i, x in row] for row in rows]
 
 
 def _shape(p: SemidirectAlgebra, block):
@@ -452,32 +460,27 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     return witness[:p.n], witness[p.n:]
 
 
-# single-block kind -> the space its block lies in, and the one each block row lies in
-_SINGLE_BLOCK = {"delta1-only": ("z1_a", "ann_a_u"), "delta2-only": ("z1_au", "ann_u_u"),
-                 "tau1-only": ("pairing", None), "tau2-only": ("hom_cap_z1u", None)}
+# single-block kind -> the spaces its block lies in
+_SINGLE_BLOCK = {"delta1-only": ("z1_a", "rows_in_ann_a_u"),
+                 "delta2-only": ("z1_au", "rows_in_ann_u_u"),
+                 "tau1-only": ("pairing", "kills_u2"), "tau2-only": ("hom_cap_z1u",)}
 
 
 def corollary_3_2_check(kind, block: Matrix, p: SemidirectAlgebra) -> bool:
     """Exact single-block criteria for a map on A x| U to be a derivation.
 
     ``kind`` picks which corner the block occupies; the other three blocks
-    are zero.  The block must lie in the spaces ``_SINGLE_BLOCK`` names, which
-    p keeps, and tau1 must also kill U-products.  The tau1 space, the pairing
-    homomorphisms, includes the module-homomorphism law, which the two
-    displayed identities alone do not imply.
+    are zero.  The block must lie in every space ``_SINGLE_BLOCK`` names, each
+    kept by p.  The tau1 space, the pairing homomorphisms killing U-products,
+    includes the module-homomorphism law, which the two displayed identities
+    alone do not imply.
     """
     name = kind.removesuffix("-only")
     if name in _BLOCKS:
         _check_block(p, name, block)
     if kind not in _SINGLE_BLOCK:
         raise UnknownHypothesis(f"unknown single-block kind {kind!r}")
-    (inside, rows_inside), flat = _SINGLE_BLOCK[kind], block.flatten()
-    if not space(p, inside).contains(flat):
-        return False
-    if kind == "tau1-only":
-        kill = kills("tau1-kills-products", p.part_u.algebra.mult, (0, 0, p.n), p.n)
-        return first_failure(kill, flat) is None
-    return rows_inside is None or all(space(p, rows_inside).contains(row) for row in block.data)
+    return all(space(p, s).contains(block.flatten()) for s in _SINGLE_BLOCK[kind])
 
 
 def _vanishes(p: SemidirectAlgebra, name, blocks) -> bool:
@@ -561,6 +564,14 @@ _SPACES = {
     "ann_a_u": lambda p: annihilator_in_algebra(p.part_a, p.part_u),
     "ann_u_u": lambda p: annihilator_in_module(p.part_u),
     "ann_a_a": lambda p: annihilator_in_algebra(p.part_a, regular_action(p.part_a)),
+    # the maps A -> A, A -> U and U -> A whose every row lies in ann_A(U), ann_U(U), ann_A(A)
+    "rows_in_ann_a_u": lambda p: product_subspace(*[space(p, "ann_a_u")] * p.n),
+    "rows_in_ann_u_u": lambda p: product_subspace(*[space(p, "ann_u_u")] * p.n),
+    "rows_in_ann_a_a": lambda p: product_subspace(*[space(p, "ann_a_a")] * p.m),
+    # the maps U -> A that vanish on U-products, and A -> U that vanish on A-products
+    "kills_u2": lambda p: solve(p.m * p.n, kills("kills_u2", p.part_u.algebra.mult,
+                                                 (0, 0, p.n), p.n)),
+    "kills_a2": lambda p: solve(p.n * p.m, kills("kills_a2", p.part_a.mult, (0, 0, p.m), p.m)),
     "r": lambda p: r_space(p.part_a, p.part_u),
     "c": lambda p: c_space(p.part_a, p.part_u),
     "i": lambda p: i_space(p.part_a, p.part_u),
@@ -574,11 +585,10 @@ _SPACES = {
 }
 
 
-def _inside(maps, target, rowwise=False):
-    """Gate: row ``maps`` lies in row ``target`` (row-wise if ``rowwise``), else a basis map."""
+def _inside(maps, target):
+    """Gate: row ``maps`` lies in row ``target``, else its first basis map outside."""
     def gate(p):
         z, room = space(p, maps), space(p, target)
-        room = product_subspace(*[room] * p.n) if rowwise else room
         outside = next((row for row in z.rows if room.reduce(row)), None)
         return outside is None, None if outside is None else [
             str(x) for x in _vector(outside, z.ambient)]
@@ -601,8 +611,8 @@ def _tau1_gate(p):
 # gate name -> p -> (holds, witness); ``hypothesis_check`` evaluates each once per product
 GATES = {
     "tau1-vanishes": _tau1_gate,
-    "Z1(A) image in ann_A(U)": _inside("z1_a", "ann_a_u", rowwise=True),
-    "Z1(A,U) image in ann_U(U)": _inside("z1_au", "ann_u_u", rowwise=True),
+    "Z1(A) image in ann_A(U)": _inside("z1_a", "rows_in_ann_a_u"),
+    "Z1(A,U) image in ann_U(U)": _inside("z1_au", "rows_in_ann_u_u"),
     "H1(A)=0": _zero(lambda p: h1(p, "a"), "h1"),
     "H1(A,U)=0": _zero(lambda p: h1(p, "au"), "h1"),
     "Hom(U) cap Z1(U) inside R(U)+N1(U)": _inside("hom_cap_z1u", "r_plus_n1u"),
@@ -624,13 +634,13 @@ def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
 # ---------------------------------------------------------------------------
 # the checks; each returns (lhs_dim, rhs_dim, verdict, details)
 
-def _quotient(p, numerator, denominator):
-    """Rules 4.1-4.4: h1(A x| U) against dim(numerator) - dim(denominator)."""
+def _quotient(p, numerator, denominator, labels, reason, base=0):
+    """Rules 4.1-4.4 and cte: h1(A x| U) against base + dim(numerator) - dim(denominator)."""
     lhs = h1_total(p)
-    details = {"numerator_dim": numerator.dim, "denominator_dim": denominator.dim}
+    details = dict(zip(labels, (numerator.dim, denominator.dim)))
     if not numerator.contains_subspace(denominator):
-        return lhs, None, "MISMATCH", dict(details, reason="denominator not inside numerator")
-    rhs = numerator.dim - denominator.dim
+        return lhs, None, "MISMATCH", dict(details, reason=reason)
+    rhs = base + numerator.dim - denominator.dim
     return lhs, rhs, _verdict(lhs == rhs), details
 
 
@@ -642,21 +652,17 @@ def _h1_sum(p, *parts):
 
 
 def _direct_blocks(p):
-    """Rule 5.1: the direct-product block conditions as one reduced system.
+    """Rule 5.1: Proposition 5.1's block conditions, read from the spaces p keeps.
 
     A derivation of A x U (trivial actions) is exactly: delta1 and tau2 are
-    derivations, tau1 lands in ann_A(A) and kills U-products, delta2 lands
-    in ann_U(U) and kills A-products.
+    derivations, delta2 lands in ann_U(U) and kills A-products, tau1 lands
+    in ann_A(A) and kills U-products: four kept block spaces, placed by iota.
     """
-    a, u = p.part_a, p.part_u
-    delta1, delta2, tau1, tau2 = (_place(p, parts) for parts in _BLOCKS.values())
-    cond = solve(p.dim * p.dim,
-                 leibniz("delta1", a, regular_action(a), delta1),
-                 leibniz("tau2", u.algebra, regular_action(u.algebra), tau2),
-                 lands_in("tau1-in-ann", space(p, "ann_a_a"), tau1, p.m),
-                 kills("tau1-kills", u.algebra.mult, tau1, p.n),
-                 lands_in("delta2-in-ann", space(p, "ann_u_u"), delta2, p.n),
-                 kills("delta2-kills", a.mult, delta2, p.m))
+    blocks = product_subspace(space(p, "z1_a"),
+                              intersect(space(p, "rows_in_ann_u_u"), space(p, "kills_a2")),
+                              intersect(space(p, "rows_in_ann_a_a"), space(p, "kills_u2")),
+                              space(p, "z1_u"))
+    cond = _span_of_rows(_placed(p, blocks.rows, tuple(_BLOCKS)), p.dim * p.dim)
     leib, details, verdict = _kernels_agree(p, cond)
     # vanishing consequences under the stated non-degeneracy conditions
     force_delta2 = hypothesis_check("ann_U(U)=0 or span(A^2)=A", p).holds
@@ -717,13 +723,8 @@ def _extension_blocks(p):
 
 def _extension_h1(p):
     """Rule cte: H1(T(A,U)) = H1(A,U) + dim Hom_A(U) cap Z1(U) - dim C_A(U)."""
-    lhs = h1_total(p)
-    homz1, cs = space(p, "hom_cap_z1u"), space(p, "c")
-    details = {"hom_dim": homz1.dim, "c_dim": cs.dim}
-    if not homz1.contains_subspace(cs):
-        return lhs, None, "MISMATCH", dict(details, reason="C_A(U) escapes Hom cap Z1")
-    rhs = h1(p, "au") + homz1.dim - cs.dim
-    return lhs, rhs, _verdict(lhs == rhs), details
+    return _quotient(p, space(p, "hom_cap_z1u"), space(p, "c"), ("hom_dim", "c_dim"),
+                     "C_A(U) escapes Hom cap Z1", h1(p, "au"))
 
 
 def _extension_embedding(p):
@@ -785,7 +786,8 @@ def _quotient_on(*keep):
     """Rules 4.1-4.4: the spaces filling the ``keep`` blocks over ι⁻¹(N1) there, one layout."""
     fills = [{"delta1": "z1_a", "delta2": "z1_au", "tau2": "hom_cap_z1u"}[b] for b in keep]
     return lambda p: _quotient(p, product_subspace(*(space(p, f) for f in fills)),
-                               _image_over_kernel(p, keep))
+                               _image_over_kernel(p, keep), ("numerator_dim", "denominator_dim"),
+                               "denominator not inside numerator")
 
 
 # rule id -> (construction it needs or None, gates, check)

@@ -92,7 +92,7 @@ def test_the_layout_places_quotient_spaces_as_derivations_of_the_total_algebra()
 def test_the_4_4_denominator_is_c_plus_i_from_the_factors(monkeypatch):
     # the denominator that rule 4.4's check hands to the quotient, gates aside
     handed = []
-    monkeypatch.setattr(verify, "_quotient", lambda p, num, den: handed.append(den))
+    monkeypatch.setattr(verify, "_quotient", lambda p, num, den, *rest: handed.append(den))
     nonzero = 0
     for p in _draws():
         handed.clear()

@@ -74,6 +74,16 @@ def test_run_reports_a_rational_over_the_int_digit_limit_as_a_parse_error(tmp_pa
     assert err.startswith("parse error: ") and "Traceback" not in err
 
 
+def test_run_reports_deeply_nested_json_as_a_parse_error(tmp_path, capsys):
+    # 100,000 levels are past the JSON decoder's recursion limit on every supported Python
+    for depth in (1000, 100_000):
+        path = tmp_path / "deep.json"
+        path.write_text('{"jobs": ' + "[" * depth + "]" * depth + "}")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 def test_validate_axiom_failure_exit_2(tmp_path, capsys):
     doc = {"algebras": [{"name": "bad", "dim": 2, "mult": [
         {"i": 0, "j": 0, "k": 1, "c": "1"},

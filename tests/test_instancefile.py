@@ -61,6 +61,14 @@ def test_invalid_json_is_a_parse_error():
         parse_instance_text("{not json", where="bad.json")
     assert "bad.json" in str(err.value)
     assert "line 1" in str(err.value)
+    # arrays nested past the recursion limit: a parse error, not a RecursionError (an
+    # interpreter whose limit lets 1,000 levels through reports the list under "jobs")
+    for depth in (1000, 100_000):
+        with pytest.raises(ParseError) as err:
+            parse_instance_text('{"jobs": ' + "[" * depth + "]" * depth + "}", where="deep.json")
+        assert err.value.where in ("deep.json", "jobs[0]")
+    assert (str(err.value), err.value.where) == (
+        "deep.json: invalid JSON: nested too deeply", "deep.json")
 
 
 def test_nonassociative_tensor_reports_witness():
@@ -151,6 +159,25 @@ def test_a_key_its_command_does_not_take_is_a_parse_error(job, key):
     with pytest.raises(ParseError) as err:
         parse_instance_text(doc_text(dict(MINIMAL, jobs=[job])))
     assert (str(err.value), err.value.where) == (f"jobs[0]: unknown key {key!r}", "jobs[0]")
+
+
+@pytest.mark.parametrize("doc, message, where", [
+    (dict(MINIMAL, bogus=1), "unknown top-level key 'bogus'", "t.json"),
+    *((dict(MINIMAL, jobs=[{"cmd": "z1", "args": ["Q", matrix]}]), message, "jobs[0].args[1]")
+      for matrix, message in (([["1"], ["1", "2"]], "ragged matrix"),
+                              ([["1", "2"], ["1"]], "ragged matrix"),
+                              ([], "empty matrix"))),
+    (dict(MINIMAL, jobs=[{"cmd": "build", "kind": "bogus", "args": ["Q"], "name": "P"}]),
+     "unknown build kind 'bogus'", "jobs[0]"),
+    *((dict(MINIMAL, jobs=[{"cmd": "build", "kind": "unitization", "args": ["Q"], **named}]),
+       "build jobs need a result name", "jobs[0]") for named in ({}, {"name": ""})),
+    *((dict(MINIMAL, jobs=[{"cmd": "z1", "args": ["Q", arg]}]),
+       "args must be names or matrices", "jobs[0].args[1]") for arg in (3, {})),
+])
+def test_each_structural_parse_error_names_its_place(doc, message, where):
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(doc_text(doc), where="t.json")
+    assert (str(err.value), err.value.where) == (f"{where}: {message}", where)
 
 
 def test_out_of_range_index_rejected():

@@ -7,8 +7,8 @@ their pair, or to the order of the entries inside a row changes the pin.
 
 The per-map checks on a product read the spaces the product keeps: once
 ``run_case`` has run and every space a check reads exists,
-``corollary_3_2_check`` builds no row group but the tau1 kills group, and
-``inner_characterization`` on a non-derivation builds none.
+``corollary_3_2_check`` builds no row group, nor does rule 5.1 on a direct
+product, nor ``inner_characterization`` on a non-derivation.
 """
 
 import hashlib
@@ -25,13 +25,16 @@ from semih1.selftest import run_case
 from semih1.verify import (
     _SINGLE_BLOCK,
     _shape,
+    applies,
     corollary_3_2_check,
     inner_characterization,
     space,
+    verify_any,
 )
 
-# sha256 of the sorted per-group digests, recorded before rows were built in one pass
-KEPT_ROWS_SHA256 = "aabcd799e16a02b6b038b771e95cc79db68f470d98252d52469b0804090d68cd"
+# sha256 of the sorted per-group digests, recorded when rule 5.1 began reading the kept
+# block spaces: its six groups on maps of A x U gave way to the two kill groups on blocks
+KEPT_ROWS_SHA256 = "3d1cc778c59034783784577bceef6ace8abc9ea77f2666f24d7a393d5a5aa7ed"
 
 
 def _draws(count=50):
@@ -56,12 +59,12 @@ def test_kept_rows_of_every_group_run_case_reads(monkeypatch):
     monkeypatch.setattr(spaces.RowGroup, "kept", recorded)
     for p, a_sample, rng in _draws():
         run_case(p, a_sample, rng)
-    assert len(digests) == 906
+    assert len(digests) == 822
     assert hashlib.sha256("".join(sorted(digests)).encode()).hexdigest() == KEPT_ROWS_SHA256
 
 
 def test_per_map_checks_read_the_kept_spaces(monkeypatch):
-    rng, init, checked = random.Random(3), spaces.RowGroup.__init__, 0
+    rng, init, checked, direct = random.Random(3), spaces.RowGroup.__init__, 0, 0
 
     def recording(group, *args, **kwargs):
         init(group, *args, **kwargs)
@@ -69,7 +72,7 @@ def test_per_map_checks_read_the_kept_spaces(monkeypatch):
 
     for p, a_sample, case_rng in _draws(20):
         run_case(p, a_sample, case_rng)
-        for name in {name for names in _SINGLE_BLOCK.values() for name in names if name}:
+        for name in {name for names in _SINGLE_BLOCK.values() for name in names}:
             space(p, name)
         d = Matrix([[rng.randint(-2, 2) for _ in range(p.dim)] for _ in range(p.dim)])
         outside = not space(p, "z1_total").contains(d.flatten())
@@ -81,8 +84,12 @@ def test_per_map_checks_read_the_kept_spaces(monkeypatch):
                 for candidate in (block, Matrix.zeros(rows, cols)):
                     built = []
                     corollary_3_2_check(kind, candidate, p)
-                    assert built in ([], ["tau1-kills-products"]), (p.name, kind)
+                    assert built == [], (p.name, kind)
             built = []
+            if applies("5.1", p):
+                verify_any("5.1", p)
+                assert built == [], p.name
+                direct += 1
             if outside:
                 with pytest.raises(NotADerivation) as raised:
                     inner_characterization(d, p)
@@ -92,4 +99,4 @@ def test_per_map_checks_read_the_kept_spaces(monkeypatch):
                 spaces.inner_witness(d, p.total, regular_action(p.total))
             assert str(raised.value) == str(expected.value)
             checked += 1
-    assert checked > 10
+    assert checked > 10 and direct > 3

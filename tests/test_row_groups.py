@@ -2,9 +2,9 @@
 
 A :class:`~semih1.spaces.RowGroup` holds its rows as ints, scaled by the lcm
 of its term denominators.  Groups whose tensors have rational entries of
-height up to 10**40, next to a ``lands_in`` residual group, are checked
-against rows this module builds term by term from the ``RowGroup``
-docstring: ``solve`` must give ``brute_kernel`` of them, the group's one
+height up to 10**40, next to a residual group (``D[x]`` lies in a target
+subspace), are checked against rows this module builds term by term from
+the ``RowGroup`` docstring: ``solve`` must give ``brute_kernel`` of them, the group's one
 pass over its terms (``RowGroup._grid``, divided by ``scale``) must give
 them exactly, and ``first_failure`` must give the first pair, in scan
 order, at which direct Fraction evaluation finds a nonzero row.  Over
@@ -26,7 +26,7 @@ from semih1.algebra import _commutators, regular_action
 from semih1.families import random_product
 from semih1.linalg import Subspace, unflatten
 from semih1.selftest import run_case
-from semih1.spaces import LEFT, OUT, RIGHT, RowGroup, first_failure, lands_in, solve
+from semih1.spaces import LEFT, OUT, RIGHT, RowGroup, first_failure, solve
 from semih1.verify import _leibniz_total, space, split_blocks
 
 from _oracle import brute_kernel, brute_rref
@@ -51,7 +51,7 @@ def slices(t):
 
 @st.composite
 def systems(draw):
-    """(amb, [(group, dense rows by (x, y, k))]): a drawn group and a lands_in group.
+    """(amb, [(group, dense rows by (x, y, k))]): a drawn group and a residual group.
 
     Both act on one side x side block D at ``place = (r0, c0, width)`` of a
     flat map with ``(r0 + side) * width`` coordinates.
@@ -83,7 +83,7 @@ def systems(draw):
                             row[at(y, l)] += sign * t[x][l][k]
     group = RowGroup("drawn", (dx, dy, dk), terms, draw(st.booleans()))
 
-    # lands_in: row (x, 0, k) is coordinate k of the residual of D[x] mod target
+    # residual group: row (x, 0, k) is coordinate k of the residual of D[x] mod target
     vectors = draw(st.lists(st.lists(ENTRIES, min_size=side, max_size=side), max_size=2))
     basis, pivots = brute_rref(vectors, side)
     residual = [[Fraction(int(j == l)) for j in range(side)] for l in range(side)]
@@ -97,7 +97,9 @@ def systems(draw):
             for l in range(side):
                 row[at(x, l)] += residual[l][k]
     target = Subspace.from_vectors(side, vectors)
-    return amb, [(group, dense), (lands_in("in", target, place, lx), lands)]
+    residual_grid = [[target.reduce(((l, Fraction(1)),))] for l in range(side)]
+    lands_in = RowGroup("in", (lx, 1, side), [(1, LEFT, residual_grid, place)])
+    return amb, [(group, dense), (lands_in, lands)]
 
 
 def scan_order(group):

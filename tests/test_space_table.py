@@ -59,7 +59,9 @@ def test_every_space_is_a_subspace_of_its_flattened_maps():
                 "z1_au": n * m, "n1_au": n * m, "z1_u": m * m, "n1_u": m * m,
                 "hom_u": m * m, "hom_cap_z1u": m * m, "r": m * m, "c": m * m, "i": m * m,
                 "r_plus_n1u": m * m, "c_plus_i": m * m,
-                "pairing": m * n, "cond31": t * t, "ann_a_u": n, "ann_u_u": m, "ann_a_a": n}
+                "pairing": m * n, "cond31": t * t, "ann_a_u": n, "ann_u_u": m, "ann_a_a": n,
+                "rows_in_ann_a_u": n * n, "rows_in_ann_u_u": n * m, "rows_in_ann_a_a": m * n,
+                "kills_u2": m * n, "kills_a2": n * m}
 
     shapes = set()
     for i in range(20):
