@@ -99,39 +99,38 @@ def _entries(doc, section, keys, tables):
             if k not in ("name", *keys):
                 raise ParseError(f"unknown key {k!r}", here)
         name = _expect(spec.get("name"), str, f"{here}.name")
+        if not name:
+            raise ParseError("name must not be empty", f"{here}.name")
         if any(name in table for table in tables):
             raise ParseError(f"duplicate name {name!r}", here)
         yield here, spec, name
 
 
-def _entry_fields(entry, shape, keys, here):
-    """The indices and value of a sparse entry, else a ParseError for its first defect.
+def _entry_defect(entry, shape, keys, here):
+    """Raise a ParseError for the first defect of a sparse entry that has one.
 
     Defects come in this order: not a dict; an unknown key, in entry order;
     a missing key, in the order of ``keys`` then ``c``; an index out of
     range, in key order.  The value is parsed by the caller.
     """
-    d0, d1, d2 = shape
     _expect(entry, dict, here)
     for k in entry:
         if k not in (*keys, "c"):
             raise ParseError(f"unknown key {k!r}", here)
-    try:
-        a, b, c, val = (entry[k] for k in (*keys, "c"))
-    except KeyError as missing:
-        raise ParseError(f"missing key {missing}", here)
-    for idx, bound, label in ((a, d0, keys[0]), (b, d1, keys[1]), (c, d2, keys[2])):
-        if type(idx) is not int or not (0 <= idx < bound):
-            raise ParseError(f"index {label}={idx!r} out of range [0,{bound})", here)
-    return a, b, c, val
+    for k in (*keys, "c"):
+        if k not in entry:
+            raise ParseError(f"missing key {k!r}", here)
+    for k, bound in zip(keys, shape):
+        if type(entry[k]) is not int or not (0 <= entry[k] < bound):
+            raise ParseError(f"index {k}={entry[k]!r} out of range [0,{bound})", here)
 
 
 def _sparse_tensor(entries, shape, keys, where):
     """The d0 x d1 grid of slices of a list of sparse entries.
 
     An entry whose keys are exactly ``keys`` and ``c``, with int indices in
-    range, goes straight to its cell; any other is read by
-    :func:`_entry_fields`, which raises at its first defect.
+    range, goes straight to its cell; any other has a defect, which
+    :func:`_entry_defect` raises.
     """
     d0, d1, d2 = shape
     ki, kj, kk = keys
@@ -141,10 +140,11 @@ def _sparse_tensor(entries, shape, keys, where):
     for pos, entry in enumerate(entries):
         a = b = c = None
         if type(entry) is dict and entry.keys() == fields:
-            a, b, c, val = entry[ki], entry[kj], entry[kk], entry["c"]
+            a, b, c = entry[ki], entry[kj], entry[kk]
         if not (type(a) is int and type(b) is int and type(c) is int
                 and 0 <= a < d0 and 0 <= b < d1 and 0 <= c < d2):
-            a, b, c, val = _entry_fields(entry, shape, keys, f"{where}[{pos}]")
+            _entry_defect(entry, shape, keys, f"{where}[{pos}]")
+        val = entry["c"]
         # True == 1: only str values share a parse
         x = parsed.get(val) if type(val) is str else _rat(val, f"{where}[{pos}]")
         if x is None:

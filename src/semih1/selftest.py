@@ -19,6 +19,7 @@ from .algebra import (
     span_right_action,
     validate_algebra,
 )
+from .errors import Semih1Error
 from .families import random_matrix, random_product
 from .linalg import (
     Subspace,
@@ -200,17 +201,20 @@ def _check_rules(p):
 
 
 def run_case(p, a_sample, rng):
-    """Run the whole battery on one instance; raises CaseFailure."""
-    _check_structure(p)
-    rep = theorem_3_1_equivalence(p, samples=2, rng=rng)
-    if rep.verdict != "verified":
-        _fail("rule-3.1", rep.as_dict())
-    _check_space_containments(p)
-    _check_twisting_identities(p)
-    _check_converse_laws(p)
-    _check_ideal_split_law(p, a_sample)
-    _check_inner_round_trip(p, rng)
-    return _check_rules(p)
+    """Run the whole battery on one instance; raises CaseFailure, a library error as one too."""
+    try:
+        _check_structure(p)
+        rep = theorem_3_1_equivalence(p, samples=2, rng=rng)
+        if rep.verdict != "verified":
+            _fail("rule-3.1", rep.as_dict())
+        _check_space_containments(p)
+        _check_twisting_identities(p)
+        _check_converse_laws(p)
+        _check_ideal_split_law(p, a_sample)
+        _check_inner_round_trip(p, rng)
+        return _check_rules(p)
+    except Semih1Error as exc:  # named by its class, so the battery and _shrink record it
+        raise CaseFailure(type(exc).__name__, str(exc)) from exc
 
 
 def _linalg_fuzz(rng, rounds):

@@ -22,15 +22,17 @@ test that p is the construction a rule needs; ``verify_any`` rejects an
 unknown id or a wrong construction, evaluates every gate, and runs the
 check only when all of them hold.  ``verify_theorem`` (4.1-4.4) and
 ``verify_special_case`` (the rest) are id-range checks in front of it.
+3.1, ttd and lau-der are one check, ``_blocks_rule``, and 5.3, a1 and prop10
+another, ``_h1_sum``; their rows name only the facts they add, keys of
+``_FACTS`` (fact key -> p -> bool).
 
 What the rules read is two more tables, each row computed at most once per
 product and kept in it.  ``_SPACES`` names every space a product carries
-(Z1 and N1 of A x| U, A, (A, U) and U; Hom_A(U) and its meet with Z1(U);
-the annihilators and the maps with every row in one; the maps killing U- or
-A-products; R, C, I, R + N1(U) and C + I; the pairing homomorphisms; the
-3.1 row groups and their kernel; the map Phi below) with how the product
-builds it from its factors, read through ``space(p, name)``.  Every row but
-the 3.1 row groups and Phi is a Subspace, of maps flattened as in :mod:`.spaces`.
+(Z1 and N1 of each part, the annihilators and the single-block laws, R, C, I
+and their sums, the pairing homomorphisms, the 3.1 and coupling row groups,
+the map Phi below) with how the product builds it from its factors, read
+through ``space(p, name)``.  Every row but the row groups and Phi is a
+Subspace, of maps flattened as in :mod:`.spaces`.
 ``h1(p, part)`` is the checked difference of one part's Z1 and N1.
 ``GATES`` maps each gate name to ``p -> (holds, witness)``, read through
 ``hypothesis_check``; a containment gate's witness is its first basis map outside.
@@ -40,12 +42,11 @@ by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
 identity built from the factors' structure tensors, and their kernel is
 Z1(A x| U) itself when their rows are exactly the Leibniz rows of the total
 (``_cond31``), else solved from them; 5.1 places four kept block spaces
-by iota (``_placed``), and ttd and lau-der compare Z1 with the 3.1 kernel
-(their reduced rows are the 3.1 rows with vanishing terms dropped).  The
-per-matrix witnesses of ``split_blocks`` evaluate the same groups.  Where a
-block sits in a map on A x| U is stated once: ``_layout(p, blocks)`` maps each
-flat coordinate to its place in the named blocks side by side, read from
-``_BLOCKS`` (each block's source and target part), as are the RowGroup places.
+by iota (``_placed``).  The per-matrix witnesses of ``split_blocks`` evaluate
+the same groups.  Where a block sits in a map on A x| U is stated once:
+``_layout(p, blocks)`` maps each flat coordinate to its place in the named
+blocks side by side, read from ``_BLOCKS`` (each block's source and target
+part), as are the RowGroup places.
 
 The ``phi`` row holds Phi(z), v -> vz - zv, for each basis vector z = (a0, x0) as
 a flat map on A x| U with blocks (ad a0, ad x0, 0, r_a0 + ad_U x0), from the
@@ -225,14 +226,6 @@ def _flat_map(d: Matrix, p: SemidirectAlgebra):
     return d.flatten()
 
 
-def split_matrix(d: Matrix, p: SemidirectAlgebra):
-    flat, blocks = _flat_map(d, p), []
-    for block in _BLOCKS:
-        vals, (h, w) = [flat[j] for j in _layout(p, (block,))], _shape(p, block)
-        blocks.append(Matrix._trusted([vals[r * w:(r + 1) * w] for r in range(h)], w))
-    return tuple(blocks)
-
-
 def embed_blocks(p: SemidirectAlgebra, delta1=None, delta2=None, tau1=None, tau2=None) -> Matrix:
     """Assemble a map on A x| U from (some of) its four blocks; a wrong shape raises."""
     d, t = Matrix.zeros(p.dim, p.dim), p.dim
@@ -282,6 +275,16 @@ def _condition_groups(p: SemidirectAlgebra):
     return tuple(groups)
 
 
+def _coupling_groups(p: SemidirectAlgebra):
+    """The lau-der couplings t(delta1(a))x + delta2(a)x and its right twin as row groups."""
+    act, umult = p.part_u.action, p.part_u.algebra.mult
+    delta1, delta2 = _place(p, _BLOCKS["delta1"]), _place(p, _BLOCKS["delta2"])
+    return (RowGroup("coupling-left", (p.n, p.m, p.m),
+                     [(1, LEFT, act.left, delta1), (1, LEFT, umult, delta2)]),
+            RowGroup("coupling-right", (p.m, p.n, p.m),
+                     [(1, RIGHT, act.right, delta1), (1, RIGHT, umult, delta2)]))
+
+
 def _leibniz_total(p: SemidirectAlgebra):
     """The Leibniz group of A x| U, from the total algebra; built once and kept in p."""
     return _memo(p, "leibniz_total", lambda: leibniz(
@@ -322,7 +325,10 @@ def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
       (c) tau1 is an A-module homomorphism U -> A killing U-products;
       (d) tau2 twists by delta1/delta2 on actions and by tau1 on U-products.
     """
-    blocks, flat = split_matrix(d, p), d.flatten()
+    flat, blocks = _flat_map(d, p), []
+    for block in _BLOCKS:
+        vals, (h, w) = [flat[j] for j in _layout(p, (block,))], _shape(p, block)
+        blocks.append(Matrix._trusted([vals[r * w:(r + 1) * w] for r in range(h)], w))
     cond = {g.name: first_failure(g, flat) for g in space(p, "groups31")}
     return BlockDecomposition(*blocks, cond)
 
@@ -399,30 +405,6 @@ def _kernels_agree(p: SemidirectAlgebra, cond: Subspace):
     return leib, {"leibniz_dim": leib.dim, "conditions_dim": cond.dim}, _verdict(leib == cond)
 
 
-def _equivalence(p: SemidirectAlgebra, samples=0, rng=None):
-    """Rule 3.1 as (lhs_dim, rhs_dim, verdict, details); see theorem_3_1_equivalence."""
-    cond = space(p, "cond31")
-    leib, details, verdict = _kernels_agree(p, cond)
-    if samples and rng is not None and verdict == "verified":
-        t, agree = p.dim, 0
-        for _ in range(samples):
-            flat = [rng.randint(-2, 2) for _ in range(t * t)]
-            if (not leib.reduce(_pairs(flat))) != _meets_3_1(p, flat):
-                verdict = "MISMATCH"
-                details["sample_disagreement"] = [[str(x) for x in flat[r * t:(r + 1) * t]]
-                                                  for r in range(t)]
-                break
-            agree += 1
-        for row in leib.rows[: max(0, samples - 1)]:
-            if not _meets_3_1(p, _vector(row, t * t)):
-                verdict = "MISMATCH"
-                details["basis_disagreement"] = True
-                break
-            agree += 1
-        details["samples_checked"] = agree
-    return leib.dim, cond.dim, verdict, details
-
-
 def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleReport:
     """Compare the Leibniz kernel of A x| U with the block-condition kernel.
 
@@ -431,7 +413,26 @@ def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleRe
     set, random maps are additionally spot-checked for agreement between
     the per-matrix block conditions and subspace membership.
     """
-    return RuleReport("3.1", p.name, [], *_equivalence(p, samples, rng))
+    rep = verify_any("3.1", p)
+    if not (samples and rng is not None and rep.verdict == "verified"):
+        return rep
+    leib, t, agree = space(p, "z1_total"), p.dim, 0
+    for _ in range(samples):
+        flat = [rng.randint(-2, 2) for _ in range(t * t)]
+        if (not leib.reduce(_pairs(flat))) != _meets_3_1(p, flat):
+            rep.verdict = "MISMATCH"
+            rep.details["sample_disagreement"] = [[str(x) for x in flat[r * t:(r + 1) * t]]
+                                                  for r in range(t)]
+            break
+        agree += 1
+    for row in leib.rows[: max(0, samples - 1)]:
+        if not _meets_3_1(p, _vector(row, t * t)):
+            rep.verdict = "MISMATCH"
+            rep.details["basis_disagreement"] = True
+            break
+        agree += 1
+    rep.details["samples_checked"] = agree
+    return rep
 
 
 def inner_characterization(d: Matrix, p: SemidirectAlgebra):
@@ -546,7 +547,7 @@ def build_K(p: SemidirectAlgebra) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# the space table and the gate table
+# the space, gate and fact tables
 
 # space name -> how a product builds it from its factors (read through ``space``)
 _SPACES = {
@@ -581,6 +582,7 @@ _SPACES = {
     "pairing": lambda p: solve(p.m * p.n, *pairing_groups(p.part_a, p.part_u.action)),
     "groups31": _condition_groups,
     "cond31": _cond31,
+    "couplings": _coupling_groups,
     "phi": _phi,
 }
 
@@ -631,6 +633,45 @@ def hypothesis_check(name, p: SemidirectAlgebra) -> HypothesisResult:
     return HypothesisResult(name, *_memo(p, ("gate", name), lambda: GATES[name](p)))
 
 
+def _delta2_splits_off(p):
+    """ttd: each derivation D of T(A,U) is D1 + D2, D1 = (delta1 + tau1, tau2), D2 = (0, delta2).
+
+    With U^2 = 0 every U-product term of the 3.1 rows vanishes: delta1 and
+    delta2 are derivations, tau1 is a module homomorphism with
+    x tau1(y) + tau1(x) y = 0, and tau2 is twisted by delta1 alone.  So D1
+    and D2 must both be derivations; as D is one, D1 is one exactly when D2
+    is, so each basis derivation's delta2 block alone must lie in Z1.
+    """
+    z1, delta2 = space(p, "z1_total"), _layout(p, ("delta2",))
+    return not any(z1.reduce([(j, x) for j, x in row if j in delta2]) for row in z1.rows)
+
+
+def _coupled(side):
+    """lau-der: every derivation meets the left (0) or right (1) coupling of ``couplings``.
+
+    With a.x = x.a = t(a)x the two t terms of each tau2 twist cancel: delta1
+    and delta2 are derivations coupled by t(delta1(a))x + delta2(a)x = 0 and
+    its right twin, tau1 is a module homomorphism killing U-products, and
+    tau2 twists on U-products by t o tau1.
+    """
+    return lambda p: all(first_failure(space(p, "couplings")[side], row) is None
+                         for row in space(p, "z1_total").basis.data)
+
+
+# fact key -> p -> bool; a rule names the facts it adds, and reports each under its key
+_FACTS = {
+    "decomposition_ok": _delta2_splits_off,
+    # every inner derivation has tau1 = 0 (ttd), and delta2 = 0 too (lau-der)
+    "inner_tau1_zero": lambda p: _vanishes(p, "n1_total", ("tau1",)),
+    "coupling_left_ok": _coupled(0),
+    "coupling_right_ok": _coupled(1),
+    "inner_shape_ok": lambda p: _vanishes(p, "n1_total", ("delta2", "tau1")),
+    # 5.3: Z1 and N1 of A x U are those of A and of U side by side
+    "z1_split": lambda p: space(p, "z1_total").dim == space(p, "z1_a").dim + space(p, "z1_u").dim,
+    "n1_split": lambda p: space(p, "n1_total").dim == space(p, "n1_a").dim + space(p, "n1_u").dim,
+}
+
+
 # ---------------------------------------------------------------------------
 # the checks; each returns (lhs_dim, rhs_dim, verdict, details)
 
@@ -644,11 +685,29 @@ def _quotient(p, numerator, denominator, labels, reason, base=0):
     return lhs, rhs, _verdict(lhs == rhs), details
 
 
-def _h1_sum(p, *parts):
-    """h1(A x| U) against the sum of the h1s of the given parts."""
-    lhs = h1_total(p)
-    rhs = sum(h1(p, part) for part in parts)
-    return lhs, rhs, _verdict(lhs == rhs), None
+def _blocks_rule(*facts):
+    """Theorem 3.1 and the ``facts`` a construction adds: Z1(A x| U) against the 3.1 kernel.
+
+    When the two agree, each fact is reported under its key, in order, and
+    the verdict is verified only if every one holds.
+    """
+    def check(p):
+        cond = space(p, "cond31")
+        leib, details, verdict = _kernels_agree(p, cond)
+        if verdict == "verified":
+            details.update((key, _FACTS[key](p)) for key in facts)
+            verdict = _verdict(all(details[key] for key in facts))
+        return leib.dim, cond.dim, verdict, details
+    return check
+
+
+def _h1_sum(*parts, facts=()):
+    """h1(A x| U) against the sum of the h1s of ``parts``; every fact is reported and must hold."""
+    def check(p):
+        lhs, rhs = h1_total(p), sum(h1(p, part) for part in parts)
+        details = {key: _FACTS[key](p) for key in facts}
+        return lhs, rhs, _verdict(lhs == rhs and all(details.values())), details
+    return check
 
 
 def _direct_blocks(p):
@@ -665,60 +724,25 @@ def _direct_blocks(p):
     cond = _span_of_rows(_placed(p, blocks.rows, tuple(_BLOCKS)), p.dim * p.dim)
     leib, details, verdict = _kernels_agree(p, cond)
     # vanishing consequences under the stated non-degeneracy conditions
-    force_delta2 = hypothesis_check("ann_U(U)=0 or span(A^2)=A", p).holds
-    force_tau1 = hypothesis_check("ann_A(A)=0 or span(U^2)=U", p).holds
-    details["forces_delta2_zero"] = force_delta2
-    details["forces_tau1_zero"] = force_tau1
-    forced = [b for b, forces in (("delta2", force_delta2), ("tau1", force_tau1)) if forces]
+    for b, gate in (("delta2", "ann_U(U)=0 or span(A^2)=A"), ("tau1", "ann_A(A)=0 or span(U^2)=U")):
+        details[f"forces_{b}_zero"] = hypothesis_check(gate, p).holds
+    forced = [b for b in ("delta2", "tau1") if details[f"forces_{b}_zero"]]
     stray = [b for row in leib.rows for b in forced if _restrict(p, row, (b,))]
     if verdict == "verified" and stray:
         verdict, details["reason"] = "MISMATCH", f"{stray[0]} should vanish but does not"
     return leib.dim, cond.dim, verdict, details
 
 
-def _direct_h1_split(p):
-    """Rule 5.3: H1, Z1 and N1 of A x U split over the two factors."""
-    lhs, rhs = h1_total(p), h1(p, "a") + h1(p, "u")
-    details = {
-        "z1_split": space(p, "z1_total").dim == space(p, "z1_a").dim + space(p, "z1_u").dim,
-        "n1_split": space(p, "n1_total").dim == space(p, "n1_a").dim + space(p, "n1_u").dim,
-    }
-    return lhs, rhs, _verdict(lhs == rhs and all(details.values())), details
-
-
 def _alpha_transport(p):
     """Rule 5.4: the twist is an isomorphism of A x U onto the alpha-product."""
-    a, u = p.part_a, p.part_u.algebra
+    a, u, t = p.part_a, p.part_u.algebra, p.dim
     iso = alpha_iso(a, u, p.alpha)
-    dp = direct_product(a, u)
-    t = p.dim
-    details = {"pairs_checked": t * t, "iso_invertible": iso.rank() == t}
-    pair = hom_failure(iso, dp.total, p.total) if details["iso_invertible"] else None
+    invertible = iso.rank() == t
+    details = {"pairs_checked": t * t, "iso_invertible": invertible}
+    pair = hom_failure(iso, direct_product(a, u).total, p.total) if invertible else None
     if pair is not None:
         details["failing_pair"] = pair
-    return None, None, _verdict(details["iso_invertible"] and pair is None), details
-
-
-def _extension_blocks(p):
-    """Rule ttd: Z1 of a module extension T(A,U) against the 3.1 kernel.
-
-    With U^2 = 0 every U-product term of the 3.1 rows vanishes: delta1 and
-    delta2 are derivations, tau1 is a module homomorphism with
-    x tau1(y) + tau1(x) y = 0, and tau2 is twisted by delta1 alone.
-    """
-    cond = space(p, "cond31")
-    leib, details, verdict = _kernels_agree(p, cond)
-    if verdict == "verified":
-        # D = D1 + D2 with D1 = (delta1 + tau1, tau2) and D2 = (0, delta2),
-        # both of which must themselves be derivations; as D is one, D1 is
-        # one exactly when D2 is
-        delta2 = _layout(p, ("delta2",))
-        split_ok = not any(leib.reduce([(j, x) for j, x in r if j in delta2]) for r in leib.rows)
-        details["decomposition_ok"] = split_ok
-        inner_tau1_zero = _vanishes(p, "n1_total", ("tau1",))
-        details["inner_tau1_zero"] = inner_tau1_zero
-        verdict = _verdict(split_ok and inner_tau1_zero)
-    return leib.dim, cond.dim, verdict, details
+    return None, None, _verdict(invertible and pair is None), details
 
 
 def _extension_h1(p):
@@ -731,35 +755,6 @@ def _extension_embedding(p):
     """Rule embed: H1(A,U) embeds in H1(T(A,U))."""
     lhs, rhs = h1(p, "au"), h1_total(p)
     return lhs, rhs, _verdict(lhs <= rhs), {"claim": "h1(A,U) embeds, so lhs <= rhs"}
-
-
-def _scaled_blocks(p):
-    """Rule lau-der: Z1 of a character-scaled product against the 3.1 kernel.
-
-    With a.x = x.a = t(a)x the two action terms of each tau2 twist cancel:
-    delta1 and delta2 are derivations coupled by t(delta1(a))x + delta2(a)x = 0
-    and its right twin, tau1 is a module homomorphism killing U-products, and
-    tau2 twists on U-products by t o tau1.
-    """
-    cond = space(p, "cond31")
-    leib, details, verdict = _kernels_agree(p, cond)
-    if verdict == "verified":
-        # report the two coupling identities separately for each derivation
-        act, umult = p.part_u.action, p.part_u.algebra.mult
-        delta1, delta2, _, _ = (_place(p, parts) for parts in _BLOCKS.values())
-        left = RowGroup("coupling-left", (p.n, p.m, p.m),
-                        [(1, LEFT, act.left, delta1), (1, LEFT, umult, delta2)])
-        right = RowGroup("coupling-right", (p.m, p.n, p.m),
-                         [(1, RIGHT, act.right, delta1), (1, RIGHT, umult, delta2)])
-        flats = leib.basis.data
-        left_ok = all(first_failure(left, row) is None for row in flats)
-        right_ok = all(first_failure(right, row) is None for row in flats)
-        details["coupling_left_ok"] = left_ok
-        details["coupling_right_ok"] = right_ok
-        inner_ok = _vanishes(p, "n1_total", ("delta2", "tau1"))
-        details["inner_shape_ok"] = inner_ok
-        verdict = _verdict(left_ok and right_ok and inner_ok)
-    return leib.dim, cond.dim, verdict, details
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +787,7 @@ def _quotient_on(*keep):
 
 # rule id -> (construction it needs or None, gates, check)
 RULES = {
-    "3.1": (None, (), _equivalence),
+    "3.1": (None, (), _blocks_rule()),
     "4.1": (None, ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
             _quotient_on("delta1", "tau2")),
     "4.2": (None, ("tau1-vanishes", "Z1(A,U) image in ann_U(U)", "H1(A)=0"),
@@ -803,15 +798,15 @@ RULES = {
     "4.4": (None, ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"), _quotient_on("tau2")),
     "5.1": ("direct", (), _direct_blocks),
     "5.3": ("direct", ("ann_U(U)=0 or span(A^2)=A", "ann_A(A)=0 or span(U^2)=U"),
-            _direct_h1_split),
-    "ttd": ("extension", (), _extension_blocks),
+            _h1_sum("a", "u", facts=("z1_split", "n1_split"))),
+    "ttd": ("extension", (), _blocks_rule("decomposition_ok", "inner_tau1_zero")),
     "cte": ("extension", ("no nonzero pairing hom U->A", "H1(A)=0"), _extension_h1),
     "embed": ("extension", (), _extension_embedding),
-    "lau-der": ("scaled", (), _scaled_blocks),
+    "lau-der": ("scaled", (), _blocks_rule("coupling_left_ok", "coupling_right_ok",
+                                           "inner_shape_ok")),
     "a1": ("scaled", ("tau1-vanishes", "Z1(A) image in ann_A(U)", "H1(A,U)=0"),
-           lambda p: _h1_sum(p, "a", "u")),
-    "prop10": ("scaled", ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"),
-               lambda p: _h1_sum(p, "u")),
+           _h1_sum("a", "u")),
+    "prop10": ("scaled", ("tau1-vanishes", "H1(A)=0", "H1(A,U)=0"), _h1_sum("u")),
     "5.4": ("alpha", (), _alpha_transport),
 }
 

@@ -266,6 +266,50 @@ def test_a_misspelled_definition_key_is_a_parse_error(section, spec, tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+@pytest.mark.parametrize("section, spec, pos", [
+    ("algebras", {"name": "", "dim": 1}, 1),
+    ("characters", {"name": "", "over": "Q", "values": ["1"]}, 0),
+    ("modules", {**ONE_MODULE, "name": ""}, 0),
+], ids=["algebra", "character", "module"])
+def test_an_empty_definition_name_is_a_parse_error(section, spec, pos, tmp_path):
+    from semih1.cli import main
+
+    doc = dict(MINIMAL, **{section: MINIMAL.get(section, []) + [spec]})
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(doc_text(doc))
+    where = f"{section}[{pos}].name"
+    assert (str(err.value), err.value.where) == (f"{where}: name must not be empty", where)
+    path = tmp_path / "empty_name.json"
+    path.write_text(doc_text(doc))
+    assert main(["validate", str(path)]) == 1
+
+
+def test_a_mismatch_wins_over_a_job_error_at_the_front_door(monkeypatch, tmp_path, capsys):
+    import semih1.verify as verify
+    from semih1.cli import main
+
+    construction, gates, _ = verify.RULES["4.4"]
+    monkeypatch.setitem(verify.RULES, "4.4", (construction, gates,
+                                              lambda p: (1, 2, "MISMATCH", {"forced": True})))
+    doc = {"algebras": [MINIMAL["algebras"][0], {"name": "N", "dim": 1}],
+           "characters": [{"name": "one", "over": "Q", "values": ["1"]}],
+           "jobs": [{"cmd": "build", "kind": "theta-lau", "args": ["Q", "N", "one"], "name": "P"},
+                    {"cmd": "verify", "id": "4.4", "args": ["P"]}]}
+    out, code = run_jobs(parse_instance_text(doc_text(doc)))
+    assert (code, out["mismatches"], out["errors"]) == (3, 1, 0)
+    assert out["jobs"][1]["result"]["verdict"] == "MISMATCH"
+    assert [line for line in render_text(out).splitlines() if "MISMATCH" in line] == [
+        "[1] verify 4.4 P: MISMATCH lhs=1 rhs=2"]
+    # a job error in the same file: 3 still wins over 2
+    doc["jobs"].append({"cmd": "verify", "id": "5.4", "args": ["P"]})
+    out, code = run_jobs(parse_instance_text(doc_text(doc)))
+    assert (code, out["mismatches"], out["errors"]) == (3, 1, 1)
+    path = tmp_path / "mismatch.json"
+    path.write_text(doc_text(doc))
+    assert main(["run", str(path)]) == 3
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_a_duplicate_character_is_rejected_before_it_is_validated():
     # the second "t" is not multiplicative; its name clashes first
     doc = dict(MINIMAL, characters=[{"name": "t", "over": "Q", "values": ["1"]},

@@ -55,6 +55,26 @@ def test_failure_accounting_and_shrink(monkeypatch):
     assert min(f["smallest_found"]["total_dim"] for f in failing) <= 3
 
 
+def test_a_library_error_in_a_case_is_a_recorded_failure(monkeypatch, capsys):
+    import semih1.cli as cli
+    import semih1.selftest as st
+    import semih1.verify as verify
+    from semih1.errors import InternalInvariantViolation
+
+    def broken(z, inner, what=None):
+        raise InternalInvariantViolation(f"synthetic h1 failure on {what}")
+
+    monkeypatch.setattr(verify, "_h1_of", broken)
+    summary = st.selftest(seed=1, max_dim=2, cases=2)
+    failing = [f for f in summary["failures"] if f.get("case") in (0, 1)]
+    assert [f["check"] for f in failing] == ["InternalInvariantViolation"] * 2
+    assert all(f["detail"].startswith("synthetic h1 failure on") for f in failing)
+    assert all(f["smallest_found"]["check"] == "InternalInvariantViolation" for f in failing)
+    assert cli.main(["selftest", "--cases", "2", "--quiet"]) == 3
+    out = capsys.readouterr().out
+    assert "FAILURES" in out and "'check': 'InternalInvariantViolation'" in out
+
+
 def test_cli_selftest_failure_exit_code(monkeypatch, capsys):
     import semih1.cli as cli
 

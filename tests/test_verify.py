@@ -186,6 +186,9 @@ def test_corollary_delta1_only():
     p2 = alpha_product(dual_numbers(), dual_numbers("D'"), Matrix.identity(2))
     assert not corollary_3_2_check("delta1-only", delta, p2)
     assert not is_derivation_via_3_1(embed_blocks(p2, delta1=delta), p2)
+    # a kind that names no corner
+    with pytest.raises(UnknownHypothesis):
+        corollary_3_2_check("delta3-only", delta, p)
 
 
 def test_corollary_tau1_only_needs_module_hom_law():
