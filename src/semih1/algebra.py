@@ -143,16 +143,18 @@ class Algebra:
     The constructor takes ``mult`` dense, ``mult[i][j]`` the coordinate
     vector of ``e_i * e_j``, and keeps the slice of each product.
     Associativity is an invariant checked by :func:`validate_algebra`, not
-    assumed at construction time.  ``_regular`` keeps the regular action.
+    assumed at construction time.  ``_regular`` keeps the regular action,
+    ``_gens`` the generating set of :func:`generators`.
     """
 
-    __slots__ = ("name", "dim", "mult", "_regular")
+    __slots__ = ("name", "dim", "mult", "_regular", "_gens")
 
     def __init__(self, name, dim, mult):
         self.name = name
         self.dim = dim
         self.mult = _slices(mult, dim, dim, dim, f"mult tensor of {name}")
         self._regular = None
+        self._gens = None
 
     def product(self, u, v):
         """Bilinear extension of the basis products to coordinate vectors."""
@@ -201,6 +203,43 @@ def regular_action(a: Algebra) -> BimoduleAction:
     """A acting on itself by multiplication on both sides; built once per algebra and kept."""
     a._regular = a._regular or _from_slices(BimoduleAction, a.dim, a.dim, a.mult, a.mult)
     return a._regular
+
+
+def generators(a: Algebra):
+    """Sorted basis indices G whose words span A; chosen once per algebra and kept.
+
+    The scan runs in basis order and adds an index to G when it reaches it
+    unreached.  An index k is reached when it is in G, or when it is the only
+    unreached key of a product e_r e_g or e_g e_r with r reached and g in G:
+    that product lies in the span of the words in G, and so does e_k.  Every
+    index is reached in the end, so the words in G span A.  The rule reads
+    the slices alone, with no elimination; it may keep more generators than
+    a smallest set.
+    """
+    if a._gens is None:
+        mult, n = a.mult, a.dim
+        gens, reached, pending = [], [False] * n, []
+        for i in range(n):
+            if reached[i]:
+                continue
+            gens.append(i)
+            reached[i] = True
+            new = [(r, i) for r in range(n) if reached[r]]
+            while new:
+                # the products of each new (reached, generator) pair, then every product
+                # with two or more unreached keys, until no index is newly reached
+                pending += [sl for r, g in new for sl in (mult[r][g], mult[g][r]) if sl]
+                keep, fresh = [], []
+                for sl in pending:
+                    open_ = [k for k, _ in sl if not reached[k]]
+                    if len(open_) == 1:
+                        reached[open_[0]] = True
+                        fresh.append(open_[0])
+                    elif open_:
+                        keep.append(sl)
+                pending, new = keep, [(r, g) for r in fresh for g in gens]
+        a._gens = tuple(gens)
+    return a._gens
 
 
 class ModuleAlgebra:

@@ -298,7 +298,9 @@ def parse_instance(path) -> InstanceFile:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(str(exc), str(path))
+        raise ParseError(exc.strerror or str(exc), str(path)) from None
+    except UnicodeDecodeError:
+        raise ParseError("not UTF-8 text", str(path)) from None
     return parse_instance_text(text, where=str(path))
 
 

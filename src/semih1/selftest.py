@@ -109,20 +109,27 @@ def _check_space_containments(p):
 
 
 def _check_twisting_identities(p):
-    """Each basis inner map, built from the factors as the ``phi`` row, passes the 3.1 tau2 laws.
+    """Each basis inner map, built from the factors as the ``phi`` row, meets the 3.1 conditions.
 
     Parameter e_k of A gives (ad e_k, 0, 0, r_(e_k)) and u_q of U gives
     (0, ad u_q, 0, ad_U u_q).  Their tau2 conditions are the twisting laws
     r_a(bx) = b r_a(x) + (ad a)(b) x, its mirror, the same for ad_U x with
-    ad x, and the Leibniz law of r_a and ad_U x on U.
+    ad x, and the Leibniz law of r_a and ad_U x on U.  The 3.1 groups keep
+    their generator rows only, so the tau2 groups alone do not carry those
+    laws; all eight do, and ``cond31`` is the kernel of their rows.  Each
+    Φ(e_k) is reduced by it, and one outside is named by the first group
+    that fails on it.
     """
-    groups = [g for g in space(p, "groups31") if g.name.startswith("tau2")]
+    cond, groups = space(p, "cond31"), space(p, "groups31")
     for k, phi_k in enumerate(space(p, "phi")):
+        if not cond.reduce(phi_k):
+            continue
         flat = _vector(phi_k, p.dim * p.dim)
         for g in groups:
             pair = first_failure(g, flat)
             if pair is not None:
                 _fail(f"inner-basis-{g.name}", (k, pair))
+        _fail("inner-basis-cond31", k)
 
 
 def _check_converse_laws(p):

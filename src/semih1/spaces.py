@@ -16,7 +16,12 @@ of basis vectors x and y, as in :mod:`.algebra`) and ``D`` is one block of
 the unknown map, placed at an offset of the flattened coordinates.  Rows
 are integer rows, built only where some term reaches, each distinct row
 once, first occurrence kept, and built once per group, in one pass over its
-terms: ``RowGroup.kept`` fills them at first use and keeps them.
+terms: ``RowGroup.kept`` fills them at first use and keeps them.  A group
+visits only the pairs whose algebra index lies in the set it is given:
+the kernel solvers pass :func:`~.algebra.generators`, basis indices whose
+words span the algebra, and so build only the generator rows, which cut out
+the same kernel under the associativity and bimodule laws that validation
+guarantees; a witness scan passes none and visits every pair.
 :func:`solve` hands the kept rows to the engine, the one place where groups
 become a canonical kernel; :func:`first_failure` returns the first basis
 pair whose kept rows fail on a flattened map, the witness a per-matrix
@@ -48,6 +53,7 @@ from .algebra import (
     _action_of,
     _commutators,
     _twists,
+    generators,
     regular_action,
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
@@ -85,6 +91,12 @@ class RowGroup:
     * ``(Dx)y``: ``sum_l D[x][l] tensor[l][y]``,
     * ``x(Dy)``: ``sum_l tensor[x][l] D[y][l]``.
 
+    Only the pairs with x in ``xs`` and y in ``ys`` have rows; an axis whose
+    set is None visits every index.  A caller that passes a generating set of the
+    algebra on one axis (:func:`~.algebra.generators`) keeps the rows that
+    already cut out the kernel: a law that holds for x = g1 and x = g2 and
+    every y holds for x = g1 g2, by associativity and the bimodule laws.
+
     The rows are built in one pass over the terms, in order.  Each entry of
     slice (a, b) is made an int once (``scale``, the lcm of all term
     denominators, times ``sign`` times it) and lands
@@ -101,47 +113,56 @@ class RowGroup:
     group's witness.  The rows are built once, by the first call of ``kept``.
     """
 
-    __slots__ = ("name", "dims", "terms", "y_major", "scale", "_kept")
+    __slots__ = ("name", "dims", "terms", "y_major", "xs", "ys", "scale", "_kept")
 
-    def __init__(self, name, dims, terms, y_major=False):
+    def __init__(self, name, dims, terms, y_major=False, xs=None, ys=None):
         self.name = name
         self.dims = dims
         self.terms = terms
         self.y_major = y_major
+        self.xs = range(dims[0]) if xs is None else xs
+        self.ys = range(dims[1]) if ys is None else ys
         self.scale = lcm(*(c.denominator for _, _, tensor, _ in terms
                            for slab in tensor for sl in slab for _, c in sl))
         self._kept = None
 
     def pairs(self):
-        dx, dy, _ = self.dims
         if self.y_major:
-            return [(x, y) for y in range(dy) for x in range(dx)]
-        return [(x, y) for x in range(dx) for y in range(dy)]
+            return [(x, y) for y in self.ys for x in self.xs]
+        return [(x, y) for x in self.xs for y in self.ys]
 
     def _grid(self):
-        """grid[x][y]: k -> {flat coordinate: summed int coefficient} of each row (x, y, k)."""
-        dx, dy, dk = self.dims
+        """grid[x][y]: k -> {flat coordinate: summed int coefficient} of each row (x, y, k).
+
+        Only the cells of pairs in ``xs`` and ``ys`` are filled.
+        """
+        (dx, dy, dk), xs, ys = self.dims, self.xs, self.ys
         grid = [[{} for _ in range(dy)] for _ in range(dx)]
         for sign, shape, tensor, (r0, c0, width) in self.terms:
             f = sign * self.scale
             if shape == OUT:
-                for a, slab in enumerate(tensor):
-                    for b, sl in enumerate(slab):
+                for a in xs:
+                    slab = tensor[a]
+                    for b in ys:
                         entries = [((r0 + l) * width + c0, c.numerator * (f // c.denominator))
-                                   for l, c in sl]
+                                   for l, c in slab[b]]
                         rows = grid[a][b]
                         for k in range(dk) if entries else ():
                             row = rows.get(k) or rows.setdefault(k, {})
                             for i, c in entries:
                                 row[i + k] = row.get(i + k, 0) + c
                 continue
-            # tensor column j lands in the rows (x, j, k) of every x, tensor row j in the
-            # rows (j, y, k) of every y; bases[r] is the flat coordinate of D[r][0]
-            bases = [(r0 + r) * width + c0 for r in range(dx if shape == LEFT else dy)]
-            for j, line in enumerate(zip(*tensor) if shape == LEFT else tensor):
+            # tensor column j lands in the rows (x, j, k) of every x in xs, tensor row j in
+            # the rows (j, y, k) of every y in ys; bases pairs each with the flat
+            # coordinate of its D[r][0]
+            lines, others = (ys, xs) if shape == LEFT else (xs, ys)
+            bases = [(r0 + r) * width + c0 for r in others]
+            for j in lines:
+                line = [slab[j] for slab in tensor] if shape == LEFT else tensor[j]
                 entries = [(l, k, c.numerator * (f // c.denominator))
                            for l, sl in enumerate(line) for k, c in sl]
-                cells = ([g[j] for g in grid] if shape == LEFT else grid[j]) if entries else ()
+                cells = ([grid[x][j] for x in xs] if shape == LEFT
+                         else [grid[j][y] for y in ys]) if entries else ()
                 for rows, base in zip(cells, bases):
                     for l, k, c in entries:
                         row = rows.get(k) or rows.setdefault(k, {})
@@ -171,7 +192,11 @@ class RowGroup:
 
 
 def solve(amb, *groups) -> Subspace:
-    """The kernel in Q^amb of the groups' kept rows, each distinct row once, first kept."""
+    """The kernel in Q^amb of the groups' kept rows, each distinct row once, first kept.
+
+    A group cut to a generating set hands on only its generator rows; the
+    kernel is the one of every row, so the canonical basis is too.
+    """
     return kernel_of_rows(list(dict.fromkeys(row for g in groups for _, row in g.kept())), amb)
 
 
@@ -187,20 +212,29 @@ def first_failure(group: RowGroup, flat):
     return None
 
 
-def leibniz(name, a: Algebra, act, place) -> RowGroup:
-    """D(xy) = x.D(y) + D(x).y for D: A -> M placed at ``place``."""
+def leibniz(name, a: Algebra, act, place, gens=None) -> RowGroup:
+    """D(xy) = x.D(y) + D(x).y for D: A -> M placed at ``place``.
+
+    With ``gens``, basis indices whose words span A, only the rows with x in
+    ``gens`` are built: they cut out the same derivations.  Without, every
+    pair has its rows, as a witness scan needs.
+    """
     return RowGroup(name, (a.dim, a.dim, act.module_dim),
                     [(1, OUT, a.mult, place), (-1, RIGHT, act.left, place),
-                     (-1, LEFT, act.right, place)])
+                     (-1, LEFT, act.right, place)], xs=gens)
 
 
-def bimodule_hom(a_dim, u, v, place):
-    """f(a.x) = a.f(x) and f(x.a) = f(x).a for f: U -> V placed at ``place``."""
+def bimodule_hom(a_dim, u, v, place, gens=None):
+    """f(a.x) = a.f(x) and f(x.a) = f(x).a for f: U -> V placed at ``place``.
+
+    With ``gens``, generating basis indices of the algebra, only the rows
+    with a in ``gens`` are built, as for :func:`leibniz`.
+    """
     mu, mv = u.module_dim, v.module_dim
     return (RowGroup("hom-left", (a_dim, mu, mv),
-                     [(1, OUT, u.left, place), (-1, RIGHT, v.left, place)]),
+                     [(1, OUT, u.left, place), (-1, RIGHT, v.left, place)], xs=gens),
             RowGroup("hom-right", (mu, a_dim, mv),
-                     [(1, OUT, u.right, place), (-1, LEFT, v.right, place)]))
+                     [(1, OUT, u.right, place), (-1, LEFT, v.right, place)], ys=gens))
 
 
 def pairing_groups(a: Algebra, act):
@@ -230,7 +264,8 @@ def derivation_space(a: Algebra, m) -> Subspace:
     space Z1(A, M) with no topological qualifier.
     """
     act = _action_of(a, m)
-    return solve(a.dim * act.module_dim, leibniz("leibniz", a, act, (0, 0, act.module_dim)))
+    return solve(a.dim * act.module_dim,
+                 leibniz("leibniz", a, act, (0, 0, act.module_dim), generators(a)))
 
 
 def leibniz_defect(d: Matrix, a: Algebra, m):
@@ -285,7 +320,7 @@ def hom_space(a: Algebra, u, v) -> Subspace:
     """Hom_A(U, V): maps with f(a.x) = a.f(x) and f(x.a) = f(x).a."""
     ua, va = _action_of(a, u), _action_of(a, v)
     mu, mv = ua.module_dim, va.module_dim
-    return solve(mu * mv, *bimodule_hom(a.dim, ua, va, (0, 0, mv)))
+    return solve(mu * mv, *bimodule_hom(a.dim, ua, va, (0, 0, mv), generators(a)))
 
 
 def r_map(a_elt, u: ModuleAlgebra) -> Matrix:

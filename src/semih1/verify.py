@@ -42,8 +42,11 @@ by ``spaces.solve``: the eight 3.1 conditions are the blocks of the Leibniz
 identity built from the factors' structure tensors, and their kernel is
 Z1(A x| U) itself when their rows are exactly the Leibniz rows of the total
 (``_cond31``), else solved from them; 5.1 places four kept block spaces
-by iota (``_placed``).  The per-matrix witnesses of ``split_blocks`` evaluate
-the same groups.  Where a block sits in a map on A x| U is stated once:
+by iota (``_placed``).  The Leibniz group of the total and the 3.1 groups
+keep only the rows whose source index lies in the generating set of
+A x| U (``algebra.generators``), which cut out the same kernel; the
+per-matrix witnesses of ``split_blocks`` evaluate the same groups on every
+pair.  Where a block sits in a map on A x| U is stated once:
 ``_layout(p, blocks)`` maps each flat coordinate to its place in the named
 blocks side by side, read from ``_BLOCKS`` (each block's source and target
 part), as are the RowGroup places.
@@ -65,6 +68,7 @@ from .algebra import (
     _twists,
     annihilator_in_algebra,
     annihilator_in_module,
+    generators,
     hom_failure,
     regular_action,
     semidirect_blocks,
@@ -105,6 +109,7 @@ from .spaces import (
     inner_space,
     kills,
     leibniz,
+    leibniz_defect,
     pairing_groups,
     r_space,
     solve,
@@ -252,7 +257,7 @@ _CONDITIONS_3_1 = (
 )
 
 
-def _condition_groups(p: SemidirectAlgebra):
+def _condition_groups(p: SemidirectAlgebra, full=False):
     """The eight 3.1 conditions as row groups on the t*t coordinates of a map.
 
     For parts x, y, k in {A, U}, block (x, y) -> k of the Leibniz identity
@@ -262,8 +267,16 @@ def _condition_groups(p: SemidirectAlgebra):
     four blocks of ``semidirect_blocks``, taken from the factors and never
     from the total algebra, so these rows are built independently of the
     Leibniz rows of A x| U that ``_cond31`` compares them with.
+
+    Unless ``full`` is set, a group keeps only the rows whose source index v
+    lies in the generating set of A x| U, split into its A and U parts, as
+    ``_leibniz_total`` does: their union cuts out Z1(A x| U).  The witness
+    scan of ``split_blocks`` reads every row.
     """
-    mult = semidirect_blocks(p.part_a, p.part_u)
+    mult, cut = semidirect_blocks(p.part_a, p.part_u), {"A": None, "U": None}
+    if not full:
+        gens = generators(p.total)
+        cut = {"A": tuple(g for g in gens if g < p.n), "U": tuple(g - p.n for g in gens if g >= p.n)}
     groups = []
     for name, (x, y, k), y_major in _CONDITIONS_3_1:
         # in the order of the Leibniz group of A x| U, so that each row is its row (x, y, k)
@@ -271,7 +284,8 @@ def _condition_groups(p: SemidirectAlgebra):
             *((1, OUT, x + y + z, z + k) for z in "AU"),
             *((-1, RIGHT, x + z + k, y + z) for z in "AU"),
             *((-1, LEFT, z + y + k, x + z) for z in "AU")) if key in mult]
-        groups.append(RowGroup(name, tuple(len(_part(p, q)) for q in (x, y, k)), terms, y_major))
+        groups.append(RowGroup(name, tuple(len(_part(p, q)) for q in (x, y, k)), terms, y_major,
+                               xs=cut[x]))
     return tuple(groups)
 
 
@@ -286,9 +300,9 @@ def _coupling_groups(p: SemidirectAlgebra):
 
 
 def _leibniz_total(p: SemidirectAlgebra):
-    """The Leibniz group of A x| U, from the total algebra; built once and kept in p."""
+    """The Leibniz group of A x| U on its generator rows, from the total algebra; kept in p."""
     return _memo(p, "leibniz_total", lambda: leibniz(
-        "leibniz", p.total, regular_action(p.total), (0, 0, p.dim)))
+        "leibniz", p.total, regular_action(p.total), (0, 0, p.dim), generators(p.total)))
 
 
 def _same_rows(leib: RowGroup, groups) -> bool:
@@ -329,7 +343,7 @@ def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
     for block in _BLOCKS:
         vals, (h, w) = [flat[j] for j in _layout(p, (block,))], _shape(p, block)
         blocks.append(Matrix._trusted([vals[r * w:(r + 1) * w] for r in range(h)], w))
-    cond = {g.name: first_failure(g, flat) for g in space(p, "groups31")}
+    cond = {g.name: first_failure(g, flat) for g in _condition_groups(p, full=True)}
     return BlockDecomposition(*blocks, cond)
 
 
@@ -410,9 +424,12 @@ def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleRe
 
     Both sides are solution sets of linear systems, so equality of the two
     canonical bases is the equivalence in full strength.  With ``samples``
-    set, random maps are additionally spot-checked for agreement between
-    the per-matrix block conditions and subspace membership.
+    set, random maps drawn from ``rng`` are additionally spot-checked for
+    agreement between the per-matrix block conditions and subspace
+    membership; samples without an rng raise TypeError before any work.
     """
+    if samples > 0 and rng is None:
+        raise TypeError("sampling needs an rng")
     rep = verify_any("3.1", p)
     if not (samples and rng is not None and rep.verdict == "verified"):
         return rep
@@ -448,7 +465,7 @@ def inner_characterization(d: Matrix, p: SemidirectAlgebra):
     flat = d.flatten()
     if space(p, "z1_total").reduce(_pairs(flat)):
         raise NotADerivation("map violates the derivation law at basis pair "
-                             f"{first_failure(_leibniz_total(p), flat)}")
+                             f"{leibniz_defect(d, p.total, regular_action(p.total))}")
     witness = _witness(regular_action(p.total), _pairs(flat))
     if witness is None:
         return None

@@ -299,3 +299,29 @@ def brute_change_basis(tensor, xs, ys, p):
     all three are P.  A product w in e-coordinates is w P^-1 in f-coordinates.
     """
     return brute_transport(tensor, xs, ys, brute_inverse(p))
+
+
+def brute_word_span_dim(mult, gens):
+    """dim of the span of the words in the basis vectors ``gens``, from ``mult[i][j][k]``.
+
+    That span is the smallest subspace holding every e_g and closed under
+    right multiplication by each e_g, since a word of length l + 1 is a word
+    of length l times a generator.  Vectors are added while they raise the
+    rank, and each added one is multiplied on by every generator in turn.
+    """
+    n = len(mult)
+    span = []
+    todo = [[Fraction(int(i == g)) for i in range(n)] for g in gens]
+    while todo:
+        v = todo.pop()
+        if brute_rank(span + [v]) == len(span):
+            continue
+        span.append(v)
+        for g in gens:
+            w = [Fraction(0)] * n
+            for i, vi in enumerate(v):
+                if vi:
+                    for k, c in enumerate(mult[i][g]):
+                        w[k] += vi * c
+            todo.append(w)
+    return len(span)

@@ -61,6 +61,20 @@ def test_validate_parse_error_exit_1(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_an_unreadable_file_is_one_parse_error_line(tmp_path, capsys, command):
+    """A missing path, a directory and non-UTF-8 bytes: exit 1, one line naming the path once."""
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b'\xff\xfe{"algebras": []}')
+    for path, reason in ((tmp_path / "missing.json", None), (tmp_path, None),
+                         (raw, "not UTF-8 text")):
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.endswith("\n"), err
+        assert err.startswith(f"parse error: {path}: ") and err.count(str(path)) == 1, err
+        assert reason is None or err == f"parse error: {path}: {reason}\n"
+
+
 def test_run_reports_a_rational_over_the_int_digit_limit_as_a_parse_error(tmp_path, capsys):
     import sys
 

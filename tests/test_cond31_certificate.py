@@ -77,12 +77,28 @@ def test_groups_with_smaller_denominators_are_certified_through_the_scale():
     assert cond == solve(p.dim * p.dim, *verify._condition_groups(p))
 
 
-def flipped(name, dims, terms, y_major=False):
+def test_a_group_scale_that_does_not_divide_the_leibniz_scale_is_solved(monkeypatch):
+    """One 3.1 group's rows scaled by 7, past the Leibniz scale 1: the rows are not compared."""
+    def rescaled(*args, **kwargs):
+        group = RowGroup(*args, **kwargs)
+        if group.name == "tau2-product-twist":
+            group.scale *= 7
+        return group
+
+    p = module_extension(matrix_algebra(2), regular_action(matrix_algebra(2)))
+    monkeypatch.setattr(verify, "RowGroup", rescaled)
+    assert verify._leibniz_total(p).scale == 1
+    cond, z1 = verify.space(p, "cond31"), verify.space(p, "z1_total")
+    assert cond is not z1 and cond == z1
+    assert verify.verify_any("3.1", p).verdict == "verified"
+
+
+def flipped(name, dims, terms, y_major=False, xs=None):
     """A RowGroup, but delta1-derivation's x(Dy) term through A has the wrong sign."""
     if name == "delta1-derivation":
         terms = [(-sign if shape == RIGHT and place[:2] == (0, 0) else sign, shape, t, place)
                  for sign, shape, t, place in terms]
-    return RowGroup(name, dims, terms, y_major)
+    return RowGroup(name, dims, terms, y_major, xs)
 
 
 def products():

@@ -12,8 +12,9 @@ the total algebra, the bimodule-hom groups of U and the pairing groups, that
   on which no group fails.
 
 The count pins say how much the skip saves: no group and no ``solve`` call
-hands on a row twice, and the Leibniz systems of T(M3) and T(M4) shrink from
-3,105 and 14,432 rows to 1,155 and 4,176.
+hands on a row twice, and the Leibniz systems of T(M3) and T(M4), on every
+pair, shrink from 3,105 and 14,432 rows to 1,155 and 4,176.  Cut to the
+generator rows (6 generators of 18 and 8 of 32), they hand on 671 and 2,178.
 
 "300 draws" are ``random_product(random.Random(12345), 3)`` drawn 300 times.
 """
@@ -96,7 +97,7 @@ def test_no_group_and_no_solve_hands_on_a_row_twice(monkeypatch):
             assert len(set(handed[0])) == len(handed[0]), p.name
 
 
-@pytest.mark.parametrize("k, rows, dim", [(3, 1155, 17), (4, 4176, 31)])
+@pytest.mark.parametrize("k, rows, dim", [(3, 671, 17), (4, 2178, 31)])
 def test_leibniz_rows_of_t_mk(monkeypatch, k, rows, dim):
     handed = []
 

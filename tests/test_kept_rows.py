@@ -8,7 +8,8 @@ their pair, or to the order of the entries inside a row changes the pin.
 The per-map checks on a product read the spaces the product keeps: once
 ``run_case`` has run and every space a check reads exists,
 ``corollary_3_2_check`` builds no row group, nor does rule 5.1 on a direct
-product, nor ``inner_characterization`` on a non-derivation.
+product.  ``inner_characterization`` on a non-derivation builds one group,
+the full Leibniz group of A x| U, whose scan names the failing pair.
 """
 
 import hashlib
@@ -32,9 +33,9 @@ from semih1.verify import (
     verify_any,
 )
 
-# sha256 of the sorted per-group digests, recorded when rule 5.1 began reading the kept
-# block spaces: its six groups on maps of A x U gave way to the two kill groups on blocks
-KEPT_ROWS_SHA256 = "3d1cc778c59034783784577bceef6ace8abc9ea77f2666f24d7a393d5a5aa7ed"
+# sha256 of the sorted per-group digests, recorded when the Leibniz, hom and 3.1 groups
+# began keeping only the rows whose algebra index lies in a generating set
+KEPT_ROWS_SHA256 = "2adb0cf55cf08e1ce1d1e619f79928a0690e842018118a62d2270f888da988c3"
 
 
 def _draws(count=50):
@@ -68,7 +69,7 @@ def test_per_map_checks_read_the_kept_spaces(monkeypatch):
 
     def recording(group, *args, **kwargs):
         init(group, *args, **kwargs)
-        built.append(group.name)
+        built.append(group)
 
     for p, a_sample, case_rng in _draws(20):
         run_case(p, a_sample, case_rng)
@@ -93,7 +94,7 @@ def test_per_map_checks_read_the_kept_spaces(monkeypatch):
             if outside:
                 with pytest.raises(NotADerivation) as raised:
                     inner_characterization(d, p)
-                assert built == [], p.name
+                assert [(g.name, g.xs) for g in built] == [("leibniz", range(p.dim))], p.name
         if outside:
             with pytest.raises(NotADerivation) as expected:
                 spaces.inner_witness(d, p.total, regular_action(p.total))

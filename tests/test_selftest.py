@@ -2,8 +2,19 @@ import doctest
 
 import pytest
 
+import random
+
 import semih1.linalg
-from semih1.selftest import run_fixture_files, selftest
+from semih1 import verify
+from semih1.families import random_product
+from semih1.linalg import Subspace
+from semih1.selftest import (
+    CaseFailure,
+    _check_twisting_identities,
+    run_case,
+    run_fixture_files,
+    selftest,
+)
 
 
 def test_same_seed_gives_identical_summaries():
@@ -90,3 +101,47 @@ def test_cli_selftest_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "selftest", fake_selftest)
     assert cli.main(["selftest", "--cases", "1", "--quiet"]) == 3
     assert "FAILURES" in capsys.readouterr().out
+
+
+def _u_square_nonzero_case():
+    """The key of the first battery draw with dim A > 0 and U^2 != 0."""
+    for draw in range(200):
+        key = f"battery:1:{draw}"
+        p, _ = random_product(random.Random(key), 3)
+        if p.n and not p.u_square_is_zero():
+            return key
+    raise AssertionError("no draw with U^2 != 0")
+
+
+def test_an_inner_map_that_is_no_derivation_fails_its_3_1_group(monkeypatch):
+    """Phi(e_0) plus the identity on U: only tau2-product-twist fails on it when U^2 != 0."""
+    phi = verify._SPACES["phi"]
+
+    def broken(p):
+        rows = phi(p)
+        row = dict(rows[0])
+        for q in range(p.n, p.dim):
+            row[q * p.dim + q] = row.get(q * p.dim + q, 0) + 1
+        rows[0] = [(j, x) for j, x in sorted(row.items()) if x]
+        return rows
+
+    key = _u_square_nonzero_case()
+    rng = random.Random(key)
+    run_case(*random_product(rng, 3), rng)
+    monkeypatch.setitem(verify._SPACES, "phi", broken)
+    rng = random.Random(key)
+    with pytest.raises(CaseFailure) as failure:
+        run_case(*random_product(rng, 3), rng)
+    assert failure.value.check == "inner-basis-tau2-product-twist"
+    assert failure.value.detail[0] == 0
+
+
+def test_an_inner_map_outside_cond31_that_no_group_fails_is_named():
+    rng = random.Random(_u_square_nonzero_case())
+    p, sample = random_product(rng, 3)
+    run_case(p, sample, rng)
+    assert any(verify.space(p, "phi"))
+    p._memo["cond31"] = Subspace.zero(p.dim * p.dim)
+    with pytest.raises(CaseFailure) as failure:
+        _check_twisting_identities(p)
+    assert failure.value.check == "inner-basis-cond31"

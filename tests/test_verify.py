@@ -155,6 +155,28 @@ def test_inner_and_3_1_checks_keep_their_error_contract():
     assert str(raised.value) == str(expected.value)
 
 
+def test_3_1_sampling_without_an_rng_raises_before_any_work():
+    p = direct_product(dual_numbers(), field_q())
+    with pytest.raises(TypeError):
+        theorem_3_1_equivalence(p, samples=3)
+    assert p._memo == {}
+    rep = theorem_3_1_equivalence(p, samples=0)
+    assert rep.verdict == "verified"
+    assert rep.details == {"leibniz_dim": 1, "conditions_dim": 1}
+
+
+def test_3_1_basis_disagreement_report(monkeypatch):
+    """A 3.1 check that rejects every map: the sampled maps, outside Z1, agree; a basis one not."""
+    import semih1.verify
+
+    p = direct_product(dual_numbers(), field_q())
+    monkeypatch.setattr(semih1.verify, "_meets_3_1", lambda p, flat: False)
+    rep = theorem_3_1_equivalence(p, samples=3, rng=random.Random(1))
+    assert rep.verdict == "MISMATCH"
+    assert rep.details == {"leibniz_dim": 1, "conditions_dim": 1, "basis_disagreement": True,
+                           "samples_checked": 3}
+
+
 def test_3_1_sample_disagreement_report_is_unchanged():
     """With the 3.1 groups emptied, the first sampled map outside Z1 is reported as drawn."""
     p, _ = random_product(random.Random("battery:1:0"), 3)
