@@ -37,7 +37,9 @@ from .linalg import (
     kernel,
     quotient_dim,
     rref,
+    solve_right,
     subspace_sum,
+    unflatten,
 )
 from .products import (
     SemidirectAlgebra,
@@ -71,6 +73,7 @@ from .verify import (
     build_F,
     build_K,
     corollary_3_2_check,
+    embed_blocks,
     hypothesis_check,
     inner_characterization,
     is_derivation_via_3_1,

@@ -70,15 +70,6 @@ def _transport(grid, xs, ys, out=None):
              for p in (_combine(col, x) for col in cols)] for x in xs]
 
 
-def _scaled(left, right, m):
-    """The grids of the action a.x = t1(a) x, x.a = t2(a) x on Q^m.
-
-    ``left`` and ``right`` are the values of t1 and t2 on the basis.
-    """
-    return ([[((p, v),) if v else () for p in range(m)] for v in left],
-            [[((p, v),) if v else () for v in right] for p in range(m)])
-
-
 def block_tensor(shape, blocks):
     """A d0 x d1 grid of slices, ``shape = (d0, d1)``, with each (offsets, block) copied in.
 
@@ -285,6 +276,22 @@ class Character:
         if len(vec) != len(self.values):
             raise ShapeMismatch("vector length differs from algebra dimension")
         return sum((v * x for v, x in zip(self.values, vec)), F0)
+
+
+def _scaled(left, right, m):
+    """The grids of the action a.x = t1(a) x, x.a = t2(a) x on Q^m.
+
+    ``left`` and ``right`` are the values of t1 and t2 on the basis.
+    """
+    return ([[((p, v),) if v else () for p in range(m)] for v in left],
+            [[((p, v),) if v else () for v in right] for p in range(m)])
+
+
+def scaled_action(a: Algebra, left_char: Character, right_char: Character,
+                  module_dim) -> BimoduleAction:
+    """a.x = t1(a) x and x.a = t2(a) x; a bimodule for any characters."""
+    return _from_slices(BimoduleAction, a.dim, module_dim,
+                        *_scaled(left_char.values, right_char.values, module_dim))
 
 
 def hom_failure(f, a: Algebra, b: Algebra):
@@ -521,9 +528,15 @@ def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
          for i in range(act.algebra_dim)], act.algebra_dim, 2 * m * m)
 
 
+def commutant_in_module(a: Algebra, u) -> Subspace:
+    """{x in U : a.x = x.a for all a}: the parameter space behind I(U)."""
+    act = _action_of(a, u)
+    return _kernel_of_images(_commutators(act), act.module_dim, act.algebra_dim * act.module_dim)
+
+
 def center(a: Algebra) -> Subspace:
-    """Z(A) = {z : z e_i = e_i z for every basis element}."""
-    return _kernel_of_images(_commutators(regular_action(a)), a.dim, a.dim * a.dim)
+    """Z(A) = {z : z e_i = e_i z for every basis element}: the commutant of the regular action."""
+    return commutant_in_module(a, regular_action(a))
 
 
 def _span(grid, d) -> Subspace:
@@ -534,12 +547,3 @@ def span_of_products(a: Algebra) -> Subspace:
     """The linear span of all basis products e_i e_j (the span of A^2)."""
     return _span(a.mult, a.dim)
 
-
-def span_left_action(act: BimoduleAction) -> Subspace:
-    """Span of A.U inside U."""
-    return _span(act.left, act.module_dim)
-
-
-def span_right_action(act: BimoduleAction) -> Subspace:
-    """Span of U.A inside U."""
-    return _span(act.right, act.module_dim)

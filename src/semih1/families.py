@@ -18,6 +18,7 @@ from .algebra import (
     _from_slices,
     _scaled,
     regular_action,
+    scaled_action,
 )
 from .catalog import (
     _change_basis_algebra,
@@ -128,13 +129,6 @@ def random_algebra_sample(rng, max_dim, name="A") -> AlgebraSample:
     if rng.random() < 0.4:
         sample = _apply_basis_change(sample, rng)
     return sample
-
-
-def scaled_action(a: Algebra, left_char: Character, right_char: Character,
-                  module_dim) -> BimoduleAction:
-    """a.x = t1(a) x and x.a = t2(a) x; a bimodule for any characters."""
-    return _from_slices(BimoduleAction, a.dim, module_dim,
-                        *_scaled(left_char.values, right_char.values, module_dim))
 
 
 def random_module_sample(rng, a_sample: AlgebraSample, max_dim) -> ModuleAlgebra:

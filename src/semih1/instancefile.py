@@ -12,11 +12,10 @@ command is one row of ``JOBS`` and each build kind one of ``BUILDS``:
 argument signatures, a handler and, for a command, its line in the text
 report; builds share the ``ok k=v ...`` line of ``validate``.  A job that
 fits no signature is a ``ParseError`` job error.  Builds call the
-``products`` constructors, which skip the checks that a valid definition
-implies; a ``semidirect``, ``module-extension`` or ``triangular`` build,
-and a ``spaces`` job on an (algebra, module) pair, assemble the product
-from a module or corner that parsing validated, without validating it
-again.
+``products`` constructors; a ``semidirect``, ``module-extension`` or
+``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
+call the trusted ``_semidirect``, ``_module_extension`` or ``_triangular``
+on a module or corner that parsing validated, so it is not checked again.
 """
 
 import json
@@ -36,7 +35,6 @@ from .algebra import (
     validate_corner,
     validate_module,
 )
-from .catalog import null_algebra
 from .errors import (
     ParseError,
     Semih1Error,
@@ -45,7 +43,8 @@ from .errors import (
 )
 from .linalg import Matrix, frac
 from .products import (
-    _assemble,
+    _module_extension,
+    _semidirect,
     _triangular,
     alpha_product,
     direct_product,
@@ -405,7 +404,7 @@ def _h1(job, a, u=None):
 
 
 def _spaces(job, a, u=None):
-    prod = a if u is None else _assemble(a, u, f"sd({a.name},{u.name})", "semidirect")
+    prod = a if u is None else _semidirect(a, u)
     return {"r_dim": space(prod, "r").dim, "c_dim": space(prod, "c").dim,
             "i_dim": space(prod, "i").dim, "hom_dim": space(prod, "hom_u").dim,
             "hom_cap_z1_dim": space(prod, "hom_cap_z1u").dim}
@@ -478,13 +477,10 @@ JOBS = {
                _verdict),
 }
 BUILDS = {
-    "semidirect": ((("algebra", "module"),),
-                   lambda a, u, name: _assemble(a, u, name, "semidirect")),
+    "semidirect": ((("algebra", "module"),), lambda a, u, name: _semidirect(a, u, name)),
     "direct": ((("algebra", "algebra"),), lambda *v, name: direct_product(*v, name=name)),
     "module-extension": ((("algebra", "module"),),
-                         lambda a, u, name: _assemble(
-                             a, ModuleAlgebra(null_algebra(u.dim, u.name), u.action), name,
-                             "module-extension")),
+                         lambda a, u, name: _module_extension(a, u.action, u.name, name)),
     "triangular": ((("algebra", "algebra", "corner"),),
                    lambda *v, name: _triangular(*v, name=name)),
     "theta-lau": ((("algebra", "algebra", "character"),),

@@ -253,11 +253,16 @@ class Matrix:
         return len(pivots)
 
 
+def _reshape(flat, rows, cols) -> Matrix:
+    """The rows x cols matrix of a row-major list of Fractions, taken as it is."""
+    return Matrix._trusted([flat[r * cols:(r + 1) * cols] for r in range(rows)], cols)
+
+
 def unflatten(vec, rows, cols):
     """Inverse of :meth:`Matrix.flatten` for a rows x cols map."""
     if len(vec) != rows * cols:
         raise ShapeMismatch(f"expected {rows * cols} coordinates, got {len(vec)}")
-    return Matrix.from_rows([list(vec[i * cols:(i + 1) * cols]) for i in range(rows)], cols=cols)
+    return _reshape([frac(x) for x in vec], rows, cols)
 
 
 def rref(m: Matrix) -> Matrix:

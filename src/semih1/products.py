@@ -10,7 +10,8 @@ globally: A occupies coordinates 0..n-1 and U occupies n..n+m-1; block
 extraction everywhere downstream relies on it.
 
 ``semidirect``, ``module_extension`` and ``alpha_product`` validate the
-module they are handed.  The others skip ``validate_module``: their module
+module they are handed, the first two around the trusted ``_semidirect`` and
+``_module_extension``.  The others skip ``validate_module``: their module
 laws hold by construction once the character or corner they check is valid.
 """
 
@@ -21,17 +22,17 @@ from .algebra import (
     CornerModule,
     ModuleAlgebra,
     _from_slices,
-    _scaled,
     _transport,
     block_tensor,
     hom_failure,
     regular_action,
+    scaled_action,
     semidirect_blocks,
     validate_character,
     validate_corner,
     validate_module,
 )
-from .catalog import field_q, null_algebra
+from .catalog import direct_sum_algebra, field_q, null_algebra
 from .errors import (
     GammaIdentityFailed,
     InvalidCharacter,
@@ -108,6 +109,11 @@ def semidirect(a: Algebra, u: ModuleAlgebra, name=None, character=None) -> Semid
     total is associative exactly when A and U also are.
     """
     validate_module(u, a).raise_if_failed()
+    return _semidirect(a, u, name, character)
+
+
+def _semidirect(a: Algebra, u: ModuleAlgebra, name=None, character=None) -> SemidirectAlgebra:
+    """:func:`semidirect` of a module the caller has validated."""
     return _assemble(a, u, name or f"sd({a.name},{u.name})", "semidirect", character=character)
 
 
@@ -125,10 +131,16 @@ def module_extension(a: Algebra, action: BimoduleAction, u_name=None,
     """T(A,U): the semidirect product with the U-multiplication forced to zero."""
     if action.algebra_dim != a.dim:
         raise ShapeMismatch("action is not over the given algebra")
-    null_u = null_algebra(action.module_dim, name=u_name or "U0")
-    mod = ModuleAlgebra(null_u, action)
-    validate_module(mod, a).raise_if_failed()
-    return _assemble(a, mod, name or f"T({a.name},{null_u.name})", "module-extension")
+    p = _module_extension(a, action, u_name, name)
+    validate_module(p.part_u, a).raise_if_failed()
+    return p
+
+
+def _module_extension(a: Algebra, action: BimoduleAction, u_name=None,
+                      name=None) -> SemidirectAlgebra:
+    """:func:`module_extension` of an action the caller has validated."""
+    u = ModuleAlgebra(null_algebra(action.module_dim, name=u_name or "U0"), action)
+    return _assemble(a, u, name or f"T({a.name},{u.name})", "module-extension")
 
 
 def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> SemidirectAlgebra:
@@ -145,7 +157,7 @@ def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> Semid
 
 def _triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> SemidirectAlgebra:
     """The triangular algebra of a corner that the caller has validated."""
-    base = direct_product(a, b).total
+    base = direct_sum_algebra(a, b, name=f"dp({a.name},{b.name})")
     n, nb, md = a.dim, b.dim, corner.dim
     left = block_tensor((n + nb, md), [((0, 0, 0), corner.left)])
     right = block_tensor((md, n + nb), [((0, n, 0), corner.right)])
@@ -165,9 +177,7 @@ def theta_lau(a: Algebra, u: Algebra, t: Character, name=None,
     char = Character(a, t.values)
     if not validate_character(char):
         raise InvalidCharacter("character must be nonzero and multiplicative")
-    values = char.values
-    mod = ModuleAlgebra(u, _from_slices(BimoduleAction, a.dim, u.dim,
-                                        *_scaled(values, values, u.dim)))
+    mod = ModuleAlgebra(u, scaled_action(a, char, char, u.dim))
     return _assemble(a, mod, name or f"lau({a.name},{u.name})", kind, character=char)
 
 

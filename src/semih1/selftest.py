@@ -13,12 +13,7 @@ reports pass/fail counts deterministically for a given seed.
 import random
 from importlib import resources
 
-from .algebra import (
-    regular_action,
-    span_left_action,
-    span_right_action,
-    validate_algebra,
-)
+from .algebra import _span, regular_action, validate_algebra
 from .errors import Semih1Error
 from .families import random_matrix, random_product
 from .linalg import (
@@ -166,7 +161,7 @@ def _check_ideal_split_law(p, a_sample):
     u_kills_i1 = not any(act.right[pp][i] for pp in range(m) for i in range(d1))
     if not (i2_kills and u_kills_i1):
         return
-    full_span = (span_left_action(act).dim == m) or (span_right_action(act).dim == m)
+    full_span = (_span(act.left, m).dim == m) or (_span(act.right, m).dim == m)
     if full_span and not p.u_square_is_zero():
         _fail("ideal-split-forces-usquare-zero", p.name)
 

@@ -4,8 +4,8 @@ Every space of maps is a canonical :class:`~.linalg.Subspace` of the
 coordinate space of linear maps from a source to a target: a map ``f`` with
 ``f(e_p) = sum_q F[p][q] u_q`` is flattened row-major, coordinate
 ``p * target_dim + q``, so the ambient is ``source_dim * target_dim`` and
-``unflatten(row, source_dim, target_dim)`` gives back a basis map.  This
-module owns that convention; the shape is the caller's to know.
+``linalg.unflatten(row, source_dim, target_dim)`` gives back a basis map.
+This module owns that convention; the shape is the caller's to know.
 
 It also owns the one vocabulary for linear constraints on such maps.  A
 :class:`RowGroup` is a named bilinear identity in basis pairs ``(x, y)``;
@@ -32,10 +32,10 @@ group's denominator, are exactly the Leibniz rows of the total, and solves
 the 3.1 groups only when they differ.
 
 Computed spaces, the last four read from the commutator rows that
-``algebra._commutators`` keeps on each action (row p: a -> a u_p - u_p a)
-and their transpose, the rows of a -> r_a; C and I, images of kernels, are
-each one elimination read past ``head`` (``linalg._image_of_kernel``), while
-the constraint rows of the groups go to ``linalg.kernel_of_rows``:
+``algebra._commutators`` keeps on each action (row p: a -> a u_p - u_p a),
+whose kernel is the commutant and centre of :mod:`.algebra`, and their
+transpose, the rows of a -> r_a; C and I are each one elimination
+(``linalg._image_of_kernel``), the groups' rows go to ``kernel_of_rows``:
 
 * ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b, maps A -> M,
 * ``hom_space``         -- two-sided module homomorphisms, maps U -> V,
@@ -62,8 +62,8 @@ from .linalg import (
     Subspace,
     _combine,
     _image_of_kernel,
-    _kernel_of_images,
     _pairs,
+    _reshape,
     _solve_rows,
     _span_of_rows,
     _vector,
@@ -279,8 +279,7 @@ def leibniz_defect(d: Matrix, a: Algebra, m):
 def _map(rows, coeffs, source_dim, target_dim) -> Matrix:
     """``sum_k coeffs[k] rows[k]`` of rows in flat map coordinates, as a matrix."""
     flat = _vector(_combine(rows, _pairs([frac(x) for x in coeffs])), source_dim * target_dim)
-    return Matrix._trusted([flat[r * target_dim:(r + 1) * target_dim]
-                            for r in range(source_dim)], target_dim)
+    return _reshape(flat, source_dim, target_dim)
 
 
 def _r(act):
@@ -289,7 +288,7 @@ def _r(act):
 
 
 def inner_map(x, a: Algebra, m) -> Matrix:
-    """The matrix of a -> ax - xa for a module element x."""
+    """The matrix of a -> ax - xa for a module element x (of U itself: ``regular_action(u)``)."""
     act = _action_of(a, m)
     if len(x) != act.module_dim:
         raise ShapeMismatch("module element has the wrong length")
@@ -341,21 +340,10 @@ def c_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
                             a.dim * a.dim, u.dim * u.dim)
 
 
-def u_inner_map(x, u_alg: Algebra) -> Matrix:
-    """The inner map y -> yx - xy of the algebra U itself."""
-    return inner_map(x, u_alg, regular_action(u_alg))
-
-
 def i_space(a: Algebra, u: ModuleAlgebra) -> Subspace:
     """I(U): inner maps of U induced by x whose A-commutator map vanishes."""
     return _image_of_kernel(_commutators(_action_of(a, u)), _commutators(regular_action(u.algebra)),
                             a.dim * u.dim, u.dim * u.dim)
-
-
-def commutant_in_module(a: Algebra, u) -> Subspace:
-    """{x in U : a.x = x.a for all a}: the parameter space behind I(U)."""
-    act = _action_of(a, u)
-    return _kernel_of_images(_commutators(act), act.module_dim, act.algebra_dim * act.module_dim)
 
 
 def inner_witness(d: Matrix, a: Algebra, m):

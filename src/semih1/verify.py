@@ -45,11 +45,11 @@ Z1(A x| U) itself when their rows are exactly the Leibniz rows of the total
 by iota (``_placed``).  The Leibniz group of the total and the 3.1 groups
 keep only the rows whose source index lies in the generating set of
 A x| U (``algebra.generators``), which cut out the same kernel; the
-per-matrix witnesses of ``split_blocks`` evaluate the same groups on every
-pair.  Where a block sits in a map on A x| U is stated once:
-``_layout(p, blocks)`` maps each flat coordinate to its place in the named
-blocks side by side, read from ``_BLOCKS`` (each block's source and target
-part), as are the RowGroup places.
+per-matrix witnesses of ``split_blocks`` read the same groups on every
+pair, kept as the ``groups31_full`` row.  Where a block sits in a map on
+A x| U is stated once: ``_layout(p, blocks)`` maps each flat coordinate to
+its place in the named blocks side by side, read from ``_BLOCKS`` (each
+block's source and target part), as are the RowGroup places.
 
 The ``phi`` row holds Phi(z), v -> vz - zv, for each basis vector z = (a0, x0) as
 a flat map on A x| U with blocks (ad a0, ad x0, 0, r_a0 + ad_U x0), from the
@@ -74,6 +74,7 @@ from .algebra import (
     semidirect_blocks,
     span_of_products,
 )
+from .catalog import direct_sum_algebra
 from .errors import (
     InternalInvariantViolation,
     NotADerivation,
@@ -87,13 +88,14 @@ from .linalg import (
     _combine,
     _image_of_kernel,
     _pairs,
+    _reshape,
     _span_of_rows,
     _vector,
     intersect,
     product_subspace,
     subspace_sum,
 )
-from .products import SemidirectAlgebra, alpha_iso, direct_product
+from .products import SemidirectAlgebra, alpha_iso
 from .spaces import (
     LEFT,
     OUT,
@@ -271,7 +273,7 @@ def _condition_groups(p: SemidirectAlgebra, full=False):
     Unless ``full`` is set, a group keeps only the rows whose source index v
     lies in the generating set of A x| U, split into its A and U parts, as
     ``_leibniz_total`` does: their union cuts out Z1(A x| U).  The witness
-    scan of ``split_blocks`` reads every row.
+    scan of ``split_blocks`` reads every row, from the ``groups31_full`` row.
     """
     mult, cut = semidirect_blocks(p.part_a, p.part_u), {"A": None, "U": None}
     if not full:
@@ -309,9 +311,7 @@ def _same_rows(leib: RowGroup, groups) -> bool:
     """True when the groups' distinct rows, scaled to ``leib.scale``, are those of ``leib``."""
     rows = set()
     for g in groups:
-        f, r = divmod(leib.scale, g.scale)
-        if r:
-            return False
+        f = leib.scale // g.scale  # g's entries are entries of the total: g.scale divides it
         rows.update(row if f == 1 else tuple((i, c * f) for i, c in row) for _, row in g.kept())
     return rows == {row for _, row in leib.kept()}
 
@@ -339,11 +339,10 @@ def split_blocks(d: Matrix, p: SemidirectAlgebra) -> BlockDecomposition:
       (c) tau1 is an A-module homomorphism U -> A killing U-products;
       (d) tau2 twists by delta1/delta2 on actions and by tau1 on U-products.
     """
-    flat, blocks = _flat_map(d, p), []
-    for block in _BLOCKS:
-        vals, (h, w) = [flat[j] for j in _layout(p, (block,))], _shape(p, block)
-        blocks.append(Matrix._trusted([vals[r * w:(r + 1) * w] for r in range(h)], w))
-    cond = {g.name: first_failure(g, flat) for g in _condition_groups(p, full=True)}
+    flat = _flat_map(d, p)
+    blocks = [_reshape([flat[j] for j in _layout(p, (block,))], *_shape(p, block))
+              for block in _BLOCKS]
+    cond = {g.name: first_failure(g, flat) for g in space(p, "groups31_full")}
     return BlockDecomposition(*blocks, cond)
 
 
@@ -424,14 +423,16 @@ def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleRe
 
     Both sides are solution sets of linear systems, so equality of the two
     canonical bases is the equivalence in full strength.  With ``samples``
-    set, random maps drawn from ``rng`` are additionally spot-checked for
-    agreement between the per-matrix block conditions and subspace
-    membership; samples without an rng raise TypeError before any work.
+    set, random maps drawn from ``rng`` are also spot-checked for agreement
+    of the per-matrix block conditions with subspace membership.  Negative
+    samples raise ValueError, and samples without an rng TypeError, first.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     if samples > 0 and rng is None:
         raise TypeError("sampling needs an rng")
     rep = verify_any("3.1", p)
-    if not (samples and rng is not None and rep.verdict == "verified"):
+    if not (samples and rep.verdict == "verified"):
         return rep
     leib, t, agree = space(p, "z1_total"), p.dim, 0
     for _ in range(samples):
@@ -442,7 +443,7 @@ def theorem_3_1_equivalence(p: SemidirectAlgebra, samples=0, rng=None) -> RuleRe
                                                   for r in range(t)]
             break
         agree += 1
-    for row in leib.rows[: max(0, samples - 1)]:
+    for row in leib.rows[:samples - 1]:
         if not _meets_3_1(p, _vector(row, t * t)):
             rep.verdict = "MISMATCH"
             rep.details["basis_disagreement"] = True
@@ -598,6 +599,7 @@ _SPACES = {
     # module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y
     "pairing": lambda p: solve(p.m * p.n, *pairing_groups(p.part_a, p.part_u.action)),
     "groups31": _condition_groups,
+    "groups31_full": lambda p: _condition_groups(p, full=True),
     "cond31": _cond31,
     "couplings": _coupling_groups,
     "phi": _phi,
@@ -756,7 +758,7 @@ def _alpha_transport(p):
     iso = alpha_iso(a, u, p.alpha)
     invertible = iso.rank() == t
     details = {"pairs_checked": t * t, "iso_invertible": invertible}
-    pair = hom_failure(iso, direct_product(a, u).total, p.total) if invertible else None
+    pair = hom_failure(iso, direct_sum_algebra(a, u), p.total) if invertible else None
     if pair is not None:
         details["failing_pair"] = pair
     return None, None, _verdict(invertible and pair is None), details

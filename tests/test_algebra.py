@@ -339,7 +339,7 @@ def test_split_base_with_full_span_forces_square_zero_module():
     # is all of U.  Such an action coexists only with U^2 = 0: on any
     # algebra with a nonzero product the compatibility law (x.a)y = x(a.y)
     # breaks, so validation must reject it.
-    from semih1.families import scaled_action
+    from semih1.algebra import scaled_action
 
     qq = direct_sum_algebra(field_q("Q1"), field_q("Q2"))
     t1 = Character(qq, [1, 0])

@@ -19,7 +19,10 @@ says about the placed maps:
   matches ``brute_image_of_kernel`` of ``tests/_oracle.py`` on dense maps
   written out in the test from the structure tensors;
 * ``embed_blocks`` and ``corollary_3_2_check`` reject a wrong-shaped block
-  with one message.
+  with one message;
+* ``direct_sum_algebra(A, B)``, the base of a triangular algebra and the
+  target of rule 5.4, has the tensor of ``direct_product(A, B).total`` for
+  the A and U of each of the 300 draws.
 
 "300 draws" are ``random_product(random.Random(12345), 3)`` drawn 300 times.
 """
@@ -30,15 +33,20 @@ from functools import cache
 import pytest
 
 from semih1 import verify
-from semih1.algebra import annihilator_in_algebra, center, regular_action, unit_vector
-from semih1.catalog import dual_numbers, field_q
+from semih1.algebra import (
+    annihilator_in_algebra,
+    center,
+    commutant_in_module,
+    regular_action,
+    unit_vector,
+)
+from semih1.catalog import direct_sum_algebra, dual_numbers, field_q
 from semih1.errors import ShapeMismatch
 from semih1.families import random_product
 from semih1.linalg import Matrix, _vector, intersect, product_subspace, subspace_sum
 from semih1.products import direct_product
 from semih1.spaces import (
     c_space,
-    commutant_in_module,
     derivation_space,
     i_space,
     inner_map,
@@ -174,6 +182,12 @@ _SHAPES = {
     "tau1": ((1, 2), "tau1 block must be dim(U) x dim(A)"),
     "tau2": ((1, 1), "tau2 block must be dim(U) square"),
 }
+
+
+def test_the_direct_sum_is_the_direct_product_total():
+    for p in _draws():
+        a, u = p.part_a, p.part_u.algebra
+        assert direct_sum_algebra(a, u).mult == direct_product(a, u).total.mult, p.name
 
 
 @pytest.mark.parametrize("block", sorted(_SHAPES))

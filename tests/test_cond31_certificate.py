@@ -78,7 +78,10 @@ def test_groups_with_smaller_denominators_are_certified_through_the_scale():
 
 
 def test_a_group_scale_that_does_not_divide_the_leibniz_scale_is_solved(monkeypatch):
-    """One 3.1 group's rows scaled by 7, past the Leibniz scale 1: the rows are not compared."""
+    """One 3.1 group's scale times 7, past the Leibniz scale 1: no row matches, so cond31 is solved.
+
+    A real group's scale divides the Leibniz scale; this one's rows are scaled by 1 // 7 = 0.
+    """
     def rescaled(*args, **kwargs):
         group = RowGroup(*args, **kwargs)
         if group.name == "tau2-product-twist":

@@ -3,10 +3,10 @@
 ``tests/golden/images/image_pins.json`` holds, for each product, the
 canonical bases of ``center`` (of A, U and the total), ``commutant_in_module``,
 ``inner_space`` (of A, (A, U), U and the total), ``r_space``, ``c_space``,
-``i_space`` and ``build_E``/``F``/``K``, the matrices of ``inner_map``,
-``u_inner_map`` and ``r_map`` on fixed vectors, and the witnesses that
-``inner_witness`` returns for a fixed inner map and for every basis
-derivation of the total.  Witnesses are not unique, so the pin fixes the one
+``i_space`` and ``build_E``/``F``/``K``, the matrices of ``inner_map`` (its
+``u_inner_map`` entry is the inner map of U's own regular action) and
+``r_map`` on fixed vectors, and the witnesses that ``inner_witness`` returns
+for a fixed inner map and for every basis derivation of the total.  Witnesses are not unique, so the pin fixes the one
 solution the solver picks.  The products are the 26 of
 ``tests/test_rule_reports.py``, the semidirect product of every module a
 packaged fixture defines, and every product the fixtures build.
@@ -18,14 +18,13 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from semih1.algebra import center, regular_action
+from semih1.algebra import center, commutant_in_module, regular_action
 from semih1.errors import Semih1Error
 from semih1.instancefile import _Registry, parse_instance_text, run_job
 from semih1.linalg import unflatten
 from semih1.products import semidirect
 from semih1.spaces import (
     c_space,
-    commutant_in_module,
     derivation_space,
     i_space,
     inner_map,
@@ -33,7 +32,6 @@ from semih1.spaces import (
     inner_witness,
     r_map,
     r_space,
-    u_inner_map,
 )
 from semih1.verify import build_E, build_F, build_K
 
@@ -105,7 +103,7 @@ def images(p):
         "K": _basis(build_K(p)),
         "inner_map_A": _matrix(inner_map(xa, a, regular_action(a))),
         "inner_map_AU": _matrix(inner_map(xu, a, u.action)),
-        "u_inner_map": _matrix(u_inner_map(xu, ualg)),
+        "u_inner_map": _matrix(inner_map(xu, ualg, regular_action(ualg))),
         "inner_map_T": _matrix(inner_map(xt, t, reg_t)),
         "r_map": _matrix(r_map(xa, u)),
         "inner_witness_AU": _witness(inner_witness(inner_map(xu, a, u), a, u)),

@@ -10,6 +10,8 @@ The per-map checks on a product read the spaces the product keeps: once
 ``corollary_3_2_check`` builds no row group, nor does rule 5.1 on a direct
 product.  ``inner_characterization`` on a non-derivation builds one group,
 the full Leibniz group of A x| U, whose scan names the failing pair.
+``split_blocks`` builds the eight full 3.1 groups on its first call on a
+product and none on a later one.
 """
 
 import hashlib
@@ -19,17 +21,21 @@ import pytest
 
 from semih1 import spaces
 from semih1.algebra import regular_action
+from semih1.catalog import matrix_algebra
 from semih1.errors import NotADerivation
 from semih1.families import random_product
 from semih1.linalg import Matrix
+from semih1.products import module_extension
 from semih1.selftest import run_case
 from semih1.verify import (
+    _CONDITIONS_3_1,
     _SINGLE_BLOCK,
     _shape,
     applies,
     corollary_3_2_check,
     inner_characterization,
     space,
+    split_blocks,
     verify_any,
 )
 
@@ -101,3 +107,23 @@ def test_per_map_checks_read_the_kept_spaces(monkeypatch):
             assert str(raised.value) == str(expected.value)
             checked += 1
     assert checked > 10 and direct > 3
+
+
+def test_a_second_split_blocks_on_one_product_builds_no_row_group(monkeypatch):
+    init, built = spaces.RowGroup.__init__, []
+
+    def recording(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        built.append(group.name)
+
+    monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
+    m2 = matrix_algebra(2)
+    p = module_extension(m2, regular_action(m2))
+    first = split_blocks(Matrix.identity(p.dim), p)
+    assert built == [name for name, _, _ in _CONDITIONS_3_1]
+    assert not first.ok
+    built.clear()
+    second = split_blocks(Matrix.zeros(p.dim, p.dim), p)
+    assert built == [] and second.ok
+    assert split_blocks(Matrix.identity(p.dim), p).conditions == first.conditions
+    assert built == []

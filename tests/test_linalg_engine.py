@@ -25,7 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semih1 import linalg, verify
-from semih1.algebra import Algebra, annihilator_in_algebra, center, regular_module
+from semih1.algebra import (
+    Algebra,
+    annihilator_in_algebra,
+    center,
+    commutant_in_module,
+    regular_module,
+)
 from semih1.catalog import change_basis_algebra, invert, matrix_algebra
 from semih1.errors import ShapeMismatch
 from semih1.linalg import (
@@ -43,7 +49,7 @@ from semih1.linalg import (
     subspace_sum,
 )
 from semih1.products import semidirect
-from semih1.spaces import OUT, RowGroup, c_space, commutant_in_module, h1_dim, i_space, solve
+from semih1.spaces import OUT, RowGroup, c_space, h1_dim, i_space, solve
 
 from _oracle import brute_kernel, brute_rank, brute_rref
 

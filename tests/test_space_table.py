@@ -68,7 +68,7 @@ def test_every_space_is_a_subspace_of_its_flattened_maps():
         p, _ = random_product(random.Random(f"table:{i}"), 3)
         shapes.add((p.n, p.m))
         expected = ambients(p)
-        assert set(expected) == set(verify._SPACES) - {"groups31", "couplings", "phi"}
+        assert set(expected) == set(verify._SPACES) - {"groups31", "groups31_full", "couplings", "phi"}
         for name, ambient in expected.items():
             got = verify.space(p, name)
             assert isinstance(got, Subspace), name

@@ -165,6 +165,14 @@ def test_3_1_sampling_without_an_rng_raises_before_any_work():
     assert rep.details == {"leibniz_dim": 1, "conditions_dim": 1}
 
 
+def test_3_1_negative_samples_raise_before_any_work():
+    p = direct_product(dual_numbers(), field_q())
+    for rng in (None, random.Random(1)):
+        with pytest.raises(ValueError):
+            theorem_3_1_equivalence(p, samples=-1, rng=rng)
+    assert p._memo == {}
+
+
 def test_3_1_basis_disagreement_report(monkeypatch):
     """A 3.1 check that rejects every map: the sampled maps, outside Z1, agree; a basis one not."""
     import semih1.verify
