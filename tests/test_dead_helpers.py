@@ -35,8 +35,8 @@ def _read(node):
 
 
 def _package():
-    """(defined, used): each top-level definition as (module, name, node), and each
-    (name read, (module, definition) it is read in, or None at module level)."""
+    """(defined, used): each top-level definition as (module, name, node), and each pair
+    (name read, the (module, name) of the definition it is read in, or None)."""
     defined, used = [], set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -48,16 +48,17 @@ def _package():
     return defined, used
 
 
-def _unread(defined, used, keep):
-    return sorted(f"{module}:{name}" for module, name, _ in defined if keep(name)
-                  and not any(n == name and o != (module, name) for n, o in used))
+def _unread(defined, used):
+    """``module:name`` of each definition read nowhere in the package outside itself."""
+    return sorted(f"{module}:{name}" for module, name, _ in defined
+                  if not any(n == name and o != (module, name) for n, o in used))
 
 
 def test_every_private_helper_is_referenced():
     defined, used = _package()
     private = [d for d in defined if _is_private(d[1])]
     assert len(private) > 50
-    dead = _unread(private, used, lambda name: True)
+    dead = _unread(private, used)
     assert not dead, dead
 
 
@@ -71,7 +72,7 @@ def test_every_public_function_is_read_exported_or_benchmarked():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if (name := _read(node)) is not None}
     assert len(public) > 80
-    dead = _unread(public, used, lambda name: name not in exported and name not in benched)
+    dead = _unread([d for d in public if d[1] not in exported | benched], used)
     assert not dead, dead
 
 
