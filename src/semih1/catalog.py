@@ -1,11 +1,14 @@
-"""Ready-made small algebras, characters, and basis-change transport.
+"""Ready-made small algebras, their characters, and basis-change transport.
 
 These are the concrete inputs every test and every random family starts
 from: the scalars, full matrix algebras, dual numbers, null algebras,
 cyclic-group algebras, the 2x2 upper-triangular algebra, direct sums, and
 the change-of-basis maps that make all of them look non-obvious in
-coordinates while staying exactly isomorphic.
+coordinates while staying exactly isomorphic.  ``FAMILIES`` holds one row
+per family the samplers draw: its constructor, characters and idempotents.
 """
+
+from math import isqrt
 
 from .algebra import (
     Algebra,
@@ -68,43 +71,45 @@ def direct_sum_algebra(a: Algebra, b: Algebra, name=None) -> Algebra:
     return _from_slices(Algebra, name or f"{a.name}+{b.name}", t, mult)
 
 
-def standard_characters(a: Algebra, family: str):
-    """The rational characters we know for each catalog family."""
-    if family == "field":
-        return [Character(a, [F1])]
-    if family == "dual":
-        return [Character(a, [F1, F0])]
-    if family == "cyclic":
-        chars = [Character(a, [F1] * a.dim)]
-        if a.dim % 2 == 0:
-            chars.append(Character(a, [F1 if i % 2 == 0 else -F1 for i in range(a.dim)]))
-        return chars
-    if family == "triangular":
-        return [Character(a, [F1, F0, F0]), Character(a, [F0, F0, F1])]
-    return []
+def _unit(n):
+    """The unit of an algebra whose basis starts with it."""
+    return [unit_vector(n, 0)]
+
+
+def _cyclic_characters(n):
+    """The trivial character of Q[Z/n], and the sign character when n is even."""
+    return [[F1] * n] + ([[F1 if i % 2 == 0 else -F1 for i in range(n)]] if n % 2 == 0 else [])
+
+
+def _matrix_units(n):
+    """The diagonal matrix units E_ii of M_k, where n = k*k."""
+    k = isqrt(n)
+    return [unit_vector(n, i * k + i) for i in range(k)]
+
+
+# One row per family the samplers draw: (its algebra of dimension d named
+# ``name``; the values on the basis of its rational characters; a complete set
+# of orthogonal idempotents), the last two taking the algebra's dimension.
+FAMILIES = {
+    "field": (lambda d, name: field_q(name), lambda n: [[F1]], _unit),
+    "null": (null_algebra, lambda n: [], lambda n: []),
+    "cyclic": (cyclic_group_algebra, _cyclic_characters, _unit),
+    "dual": (lambda d, name: dual_numbers(name), lambda n: [[F1, F0]], _unit),
+    # the characters a -> a_11 and a -> a_22 are E11 and E22 as vectors
+    "triangular": (lambda d, name: upper_triangular_2(name),
+                   lambda n: [[F1, F0, F0], [F0, F0, F1]],
+                   lambda n: [[F1, F0, F0], [F0, F0, F1]]),
+    "matrix": (lambda d, name: matrix_algebra(isqrt(d), name), lambda n: [], _matrix_units),
+}
 
 
 def standard_idempotents(a: Algebra, family: str):
-    """Vectors w with w*w = w in the standard basis of the named family.
+    """The orthogonal idempotents of the named family's row, summing to the unit if any.
 
     Only the benchmark ladder reads them, into ``AlgebraSample.idempotents``,
     and nothing reads that field yet.
     """
-    if family == "field":
-        return [[F1]]
-    if family == "dual":
-        return [[F1, F0]]
-    if family == "cyclic":
-        return [unit_vector(a.dim, 0)]
-    if family == "triangular":
-        return [[F1, F0, F0], [F0, F0, F1], [F1, F0, F1]]
-    if family == "matrix":
-        k = int(round(a.dim ** 0.5))
-        unit = [F0] * a.dim
-        for i in range(k):
-            unit[i * k + i] = F1
-        return [unit]
-    return []
+    return FAMILIES[family][2](a.dim)
 
 
 def invert(p: Matrix) -> Matrix:

@@ -1,10 +1,9 @@
 """Seeded random instance families for the self-test battery.
 
 Raw random structure tensors are essentially never associative, so every
-family starts from a catalog algebra (scalars, null, dual numbers, cyclic
-group algebras, upper-triangular, matrix blocks, direct sums) and composes
-it with a random small invertible change of basis.  Characters are
-transported along, which is what lets the module and product samplers build
+family starts from a row of ``catalog.FAMILIES`` or a direct sum of two,
+composed with a random small invertible change of basis.  Its characters
+are transported along, which lets the module and product samplers build
 scaled actions in the new coordinates; the alpha sampler twists a copy of
 the algebra by the zero or the identity map, homomorphisms in any basis.
 """
@@ -21,19 +20,14 @@ from .algebra import (
     scaled_action,
 )
 from .catalog import (
+    FAMILIES,
     _change_basis_algebra,
     change_basis_character,
     change_basis_module,
-    cyclic_group_algebra,
-    dual_numbers,
     direct_sum_algebra,
     elementary_matrices,
-    field_q,
     invert,
-    matrix_algebra,
     null_algebra,
-    standard_characters,
-    upper_triangular_2,
 )
 from .linalg import F0, Matrix, frac
 from .products import (
@@ -81,20 +75,14 @@ def _base_sample(rng, max_dim, name) -> AlgebraSample:
         options.append(("triangular", 3))
     if max_dim >= 4:
         options.append(("matrix", 4))
-    fam, d = rng.choice(options)
-    if fam == "field":
-        alg = field_q(name)
-    elif fam == "null":
-        alg = null_algebra(d, name)
-    elif fam == "cyclic":
-        alg = cyclic_group_algebra(d, name)
-    elif fam == "dual":
-        alg = dual_numbers(name)
-    elif fam == "triangular":
-        alg = upper_triangular_2(name)
-    else:
-        alg = matrix_algebra(2, name)
-    return AlgebraSample(alg, standard_characters(alg, fam), (), fam)
+    return _catalog_sample(*rng.choice(options), name)
+
+
+def _catalog_sample(family, d, name) -> AlgebraSample:
+    """The algebra of ``family``'s catalog row at size ``d``, with its characters."""
+    build, characters, _ = FAMILIES[family]
+    alg = build(d, name)
+    return AlgebraSample(alg, [Character(alg, v) for v in characters(alg.dim)], (), family)
 
 
 def _direct_sum_sample(rng, max_dim, name) -> AlgebraSample:
@@ -186,10 +174,7 @@ def random_product(rng, max_dim, allow_kinds=None):
         ualg = random_algebra_sample(rng, max_dim, name="U").algebra
         return theta_lau(a_sample.algebra, ualg, t), a_sample
     if kind == "unitization":
-        q = field_q()
-        scalars = AlgebraSample(q, standard_characters(q, "field"), (), "field")
-        prod = unitization(a_sample.algebra)
-        return prod, scalars
+        return unitization(a_sample.algebra), _catalog_sample("field", 1, "Q")
     if kind == "alpha":
         # U = a fresh copy of A, so both the zero and the identity map are
         # algebra homomorphisms A -> U; it keeps A's regular action

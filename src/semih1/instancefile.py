@@ -15,7 +15,8 @@ fits no signature is a ``ParseError`` job error.  Builds call the
 ``products`` constructors; a ``semidirect``, ``module-extension`` or
 ``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
 call the trusted ``_semidirect``, ``_module_extension`` or ``_triangular``
-on a module or corner that parsing validated, so it is not checked again.
+on a module or corner that parsing validated, so it is not checked again;
+the ``spaces`` jobs of a run share one product per pair.
 """
 
 import json
@@ -321,6 +322,13 @@ class _Registry:
         self.tables = {"product": {}, "algebra": {n: (a, ()) for n, a in inst.algebras.items()},
                        "module": inst.modules, "corner": inst.corners,
                        "character": inst.characters}
+        self.pairs = {}
+
+    def pair(self, a, u):
+        """A x| U for ``spaces`` jobs on the pair: one per run, not a built product."""
+        if (a, u) not in self.pairs:
+            self.pairs[a, u] = _semidirect(a, u)
+        return self.pairs[a, u]
 
     def lookup(self, name, kind):
         """(kind found, value, over-names) of ``name`` in a ``kind`` slot.
@@ -391,26 +399,26 @@ def _space(space, source_dim, target_dim):
             "basis": basis}
 
 
-def _validate(job, named):
+def _validate(reg, job, named):
     kind, value = named
     dim = value.base.dim if kind == "character" else value.dim
     return {"name": job["args"][0], "kind": kind, "valid": True, "dim": dim}
 
 
-def _h1(job, a, u=None):
+def _h1(reg, job, a, u=None):
     act = _action(a, u)
     z, nn = derivation_space(a, act), inner_space(a, act)
     return {"h1_dim": _h1_of(z, nn), "z1_dim": z.dim, "n1_dim": nn.dim}
 
 
-def _spaces(job, a, u=None):
-    prod = a if u is None else _semidirect(a, u)
+def _spaces(reg, job, a, u=None):
+    prod = a if u is None else reg.pair(a, u)
     return {"r_dim": space(prod, "r").dim, "c_dim": space(prod, "c").dim,
             "i_dim": space(prod, "i").dim, "hom_dim": space(prod, "hom_u").dim,
             "hom_cap_z1_dim": space(prod, "hom_cap_z1u").dim}
 
 
-def _decompose(job, prod):
+def _decompose(reg, job, prod):
     bd = split_blocks(_job_map(job, (prod.dim, prod.dim)), prod)
     return {
         "is_derivation": bd.ok,
@@ -420,7 +428,7 @@ def _decompose(job, prod):
     }
 
 
-def _inner_witness(job, a, u=None):
+def _inner_witness(reg, job, a, u=None):
     a = a.total if u is None else a
     act = _action(a, u)
     witness = inner_witness(_job_map(job, (a.dim, act.module_dim)), a, act)
@@ -454,26 +462,26 @@ def _derivation(result):
 
 
 # Rows are (argument signatures, handler, text line).  A command's handler
-# takes the job and the resolved arguments, a build's the resolved arguments
-# and the result name; a line takes a successful job's result and gives its
-# text after the label, builds sharing ``_ok``.  Rows reach the layer
-# functions through this module's globals.
+# takes the registry, the job and the resolved arguments, a build's the
+# resolved arguments and the result name; a line takes a successful job's
+# result and gives its text after the label, builds sharing ``_ok``.  Rows
+# reach the layer functions through this module's globals.
 _PAIR = (("algebra",), ("algebra", "module"))
 JOBS = {
     "validate": ((("name",),), _validate, _ok),
-    "z1": (_PAIR, lambda job, a, u=None: _space(derivation_space(a, _action(a, u)),
-                                                a.dim, (u or a).dim), _dim),
-    "n1": (_PAIR, lambda job, a, u=None: _space(inner_space(a, _action(a, u)),
-                                                a.dim, (u or a).dim), _dim),
+    "z1": (_PAIR, lambda reg, job, a, u=None: _space(derivation_space(a, _action(a, u)),
+                                                     a.dim, (u or a).dim), _dim),
+    "n1": (_PAIR, lambda reg, job, a, u=None: _space(inner_space(a, _action(a, u)),
+                                                     a.dim, (u or a).dim), _dim),
     "h1": (_PAIR, _h1, lambda r: f"h1={r['h1_dim']} (z1={r['z1_dim']}, n1={r['n1_dim']})"),
     "hom": ((("algebra", "module"), ("algebra", "module", "module")),
-            lambda job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action),
-                                             u.dim, (v or u).dim), _dim),
+            lambda reg, job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action),
+                                                  u.dim, (v or u).dim), _dim),
     "spaces": ((("product",), ("algebra", "module")), _spaces, _fields),
     "decompose": ((("product",),), _decompose, _derivation),
     "inner-witness": ((("product",), ("algebra", "module")), _inner_witness,
                       lambda r: "inner" if r["inner"] else "not inner"),
-    "verify": ((("product",),), lambda job, prod: verify_any(job["id"], prod).as_dict(),
+    "verify": ((("product",),), lambda reg, job, prod: verify_any(job["id"], prod).as_dict(),
                _verdict),
 }
 BUILDS = {
@@ -500,7 +508,7 @@ def run_job(reg: _Registry, job):
     cmd, args = job["cmd"], job.get("args", [])
     if cmd != "build":
         signatures, handler, _ = JOBS[cmd]
-        return handler(job, *_resolve(reg, cmd, signatures, args))
+        return handler(reg, job, *_resolve(reg, cmd, signatures, args))
     kind, name = job["kind"], job["name"]
     signatures, make = BUILDS[kind]
     prod = make(*_resolve(reg, f"build {kind}", signatures, args), name=name)

@@ -11,10 +11,12 @@ The per-map checks on a product read the spaces the product keeps: once
 product.  ``inner_characterization`` on a non-derivation builds one group,
 the full Leibniz group of A x| U, whose scan names the failing pair.
 ``split_blocks`` builds the eight full 3.1 groups on its first call on a
-product and none on a later one.
+product and none on a later one.  The ``spaces`` jobs of one run on one
+(algebra, module) pair build each group once.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from semih1.algebra import regular_action
 from semih1.catalog import matrix_algebra
 from semih1.errors import NotADerivation
 from semih1.families import random_product
+from semih1.instancefile import parse_instance_text, render_text, run_jobs
 from semih1.linalg import Matrix
 from semih1.products import module_extension
 from semih1.selftest import run_case
@@ -127,3 +130,33 @@ def test_a_second_split_blocks_on_one_product_builds_no_row_group(monkeypatch):
     assert built == [] and second.ok
     assert split_blocks(Matrix.identity(p.dim), p).conditions == first.conditions
     assert built == []
+
+
+def test_spaces_jobs_on_one_pair_build_each_group_once(monkeypatch):
+    init, built = spaces.RowGroup.__init__, []
+
+    def recording(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        built.append(group.name)
+
+    # the dual numbers D and U, a copy of D under its regular action
+    mult = [{"i": i, "j": j, "k": k, "c": "1"} for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 0, 1))]
+    doc = {"algebras": [{"name": "D", "dim": 2, "mult": mult}],
+           "modules": [{"name": "U", "over": "D", "dim": 2, "mult": mult,
+                        "left": [{"i": i, "p": p, "q": q, "c": "1"} for i, p, q in
+                                 ((0, 0, 0), (0, 1, 1), (1, 0, 1))],
+                        "right": [{"p": p, "i": i, "q": q, "c": "1"} for p, i, q in
+                                  ((0, 0, 0), (0, 1, 1), (1, 0, 1))]}],
+           "jobs": [{"cmd": "spaces", "args": ["D", "U"]}] * 3}
+    inst = parse_instance_text(json.dumps(doc))
+    monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
+    report, code = run_jobs(inst)
+    assert code == 0
+    assert built == ["hom-left", "hom-right", "leibniz"]
+    first = report["jobs"][0]["result"]
+    assert [job["result"] for job in report["jobs"]] == [first] * 3
+    # a second run builds its own product and the same report
+    built.clear()
+    again, _ = run_jobs(inst)
+    assert built == ["hom-left", "hom-right", "leibniz"]
+    assert render_text(again) == render_text(report)
