@@ -7,8 +7,8 @@ and leave as Fractions, so every equality test is exact and every subspace
 has one canonical basis.
 
 Every elimination goes through ``_rref_rows``, which takes rows as sparse
-lists of ``(column, value)`` pairs, int or Fraction, and returns the reduced
-integer pivot rows of one fraction-free elimination (see its docstring);
+``(column, value)`` pair lists, int or Fraction, or owned int dicts, and
+returns the reduced integer pivot rows of one fraction-free elimination;
 ``_fractions`` divides them out to sparse rref rows.  Dense callers hand it
 the nonzero entries of their rows; constraint systems built sparse, such as
 the integer rows of :mod:`semih1.spaces`, go to :func:`kernel_of_rows`, which
@@ -99,12 +99,13 @@ def _rref_rows(rows, cols):
 
     Each row is a list of ``(column, value)`` pairs with distinct columns
     and nonzero int or Fraction values, taken one at a time as a primitive
-    integer row (denominators cleared, content divided out; an int row
-    passes unchanged but for its content).  While its lowest nonzero column
-    c is a pivot, pivot row P clears it by ``row <- P[c] row - row[c] P``.
-    A row that reduces to zero is dropped; otherwise column c becomes a new
-    pivot, made positive.  Once every column is a pivot the remaining rows
-    are skipped.  The pivot rows, an echelon form, are then reduced once in
+    integer row (denominators cleared, content divided out), or a
+    ``{column: int}`` dict: an int row it owns, made primitive with no copy
+    (only :func:`kernel_of_rows` builds one).  While its lowest column c is
+    a pivot, pivot row P clears it by ``row <- P[c] row - row[c] P``.  A row
+    that reduces to zero is dropped; otherwise column c becomes a new pivot,
+    made positive.  Once every column is a pivot the remaining rows are
+    skipped.  The pivot rows, an echelon form, are then reduced once in
     decreasing pivot order, each against the later ones, already reduced.
     Divided by their pivots (:func:`_fractions`), they are the unique rref
     of the span whatever the row order.
@@ -114,8 +115,11 @@ def _rref_rows(rows, cols):
     """
     pivot_rows = {}
     for entries in rows:
-        s = lcm(*(x.denominator for _, x in entries))
-        row = _primitive({j: x.numerator * (s // x.denominator) for j, x in entries})
+        if type(entries) is dict:
+            row = _primitive(entries)
+        else:
+            s = lcm(*(x.denominator for _, x in entries))
+            row = _primitive({j: x.numerator * (s // x.denominator) for j, x in entries})
         while row and (p := min(row)) in pivot_rows:
             row = _eliminate(row, p, pivot_rows[p])
         if not row:
@@ -372,7 +376,7 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def kernel_of_rows(rows, cols) -> Subspace:
-    """Solution space in Q^cols of sparse rows of ``(column, value)`` pairs.
+    """Solution space in Q^cols of a list of sparse rows of ``(column, value)`` pairs.
 
     Each row is one constraint ``sum value * v[column] = 0``; its columns
     are distinct and its values nonzero ints or Fractions.  Eliminated with
@@ -380,13 +384,18 @@ def kernel_of_rows(rows, cols) -> Subspace:
     row, so the solutions of the free columns f (1 at f, ``-row[f] / row[p]``
     at each p) are zero before f and at the other free columns: the rref
     basis, read off as sparse rows with the pivots p in increasing order.
+    An all-int system, checked once, enters as fresh ``{column: int}`` dicts.
 
     >>> k = kernel_of_rows([[(0, 1), (1, 1), (3, 2)], [(2, 2), (3, 2)]], 4)
     >>> [[str(x) for x in row] for row in k.basis.data]
     [['1', '0', '1/2', '-1/2'], ['0', '1', '1/2', '-1/2']]
     """
     last = cols - 1
-    reduced, pivots = _rref_rows([[(last - j, x) for j, x in row] for row in rows], cols)
+    if all(type(x) is int for row in rows for _, x in row):
+        mirrored = [{last - j: x for j, x in row} for row in rows]
+    else:
+        mirrored = [[(last - j, x) for j, x in row] for row in rows]
+    reduced, pivots = _rref_rows(mirrored, cols)
     pivot_set = set(pivots)
     # keyed by mirrored free column j: the solution of free column last - j
     solution = {j: [(last - j, F1)] for j in range(cols) if j not in pivot_set}

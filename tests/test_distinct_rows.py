@@ -11,6 +11,10 @@ the total algebra, the bimodule-hom groups of U and the pairing groups, that
   nonzero on a map: small random int maps and every basis map of the kernel,
   on which no group fails.
 
+The engine reduces only rows it owns: solving the same groups twice gives
+one kernel and leaves every kept row as it was, and rows a caller keeps
+come back from ``_rref_rows`` and ``kernel_of_rows`` unchanged.
+
 The count pins say how much the skip saves: no group and no ``solve`` call
 hands on a row twice, and the Leibniz systems of T(M3) and T(M4), on every
 pair, shrink from 3,105 and 14,432 rows to 1,155 and 4,176.  Cut to the
@@ -19,7 +23,9 @@ generator rows (6 generators of 18 and 8 of 32), they hand on 671 and 2,178.
 "300 draws" are ``random_product(random.Random(12345), 3)`` drawn 300 times.
 """
 
+import copy
 import random
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -28,7 +34,7 @@ from semih1 import spaces
 from semih1.algebra import regular_action
 from semih1.catalog import matrix_algebra
 from semih1.families import random_product
-from semih1.linalg import _vector, kernel_of_rows
+from semih1.linalg import _rref_rows, _vector, kernel_of_rows
 from semih1.products import module_extension
 from semih1.spaces import RowGroup, bimodule_hom, first_failure, leibniz, pairing_groups, solve
 from semih1.verify import space
@@ -95,6 +101,21 @@ def test_no_group_and_no_solve_hands_on_a_row_twice(monkeypatch):
             handed.clear()
             solve(amb, *groups)
             assert len(set(handed[0])) == len(handed[0]), p.name
+
+
+def test_the_engine_mutates_no_row_it_does_not_own():
+    # kernel_of_rows hands the engine fresh rows; the engine may reduce only those
+    for p in _draws():
+        for amb, groups in _systems(p):
+            before = [copy.deepcopy(g.kept()) for g in groups]
+            assert solve(amb, *groups) == solve(amb, *groups), p.name
+            assert [g.kept() for g in groups] == before, p.name
+    for rows in ([[(0, 2), (1, 4), (3, -6)], [(0, 1), (2, 3)], [(1, 5), (3, 5)]],
+                 [[(0, Fraction(1, 2)), (2, 3)], [(0, 3), (1, Fraction(-4, 3))], [(2, 7)]]):
+        kept = copy.deepcopy(rows)
+        _rref_rows(rows, 4)
+        kernel_of_rows(rows, 4)
+        assert rows == kept
 
 
 @pytest.mark.parametrize("k, rows, dim", [(3, 671, 17), (4, 2178, 31)])

@@ -14,7 +14,10 @@ that canonical sparse form, since equality compares them.  Entries of height up
 to 10**40 and rows with a huge common content stress the integer rows the
 engine eliminates on.  A kernel is one elimination, read off its mirrored
 pivot rows; it is checked on wide sparse int rows as ``spaces.solve`` builds
-them.  Basis changes with such entries must leave H1 of an algebra at its
+them.  An all-int system enters the engine as owned int dicts and any other
+as pairs: the int rows, the same rows as Fractions and rescaled give one
+kernel, and a row mixing ints with a Fraction sends its system by pairs.
+Basis changes with such entries must leave H1 of an algebra at its
 closed form.
 """
 
@@ -192,6 +195,60 @@ def test_kernel_of_sparse_int_rows_matches_the_oracle(system):
     basis = kernel_of_rows(rows, cols).basis.data
     assert basis == brute_kernel(dense, cols)
     assert all_fractions(basis)
+
+
+def routes(rows, cols):
+    """``kernel_of_rows(rows, cols)`` and the types of the rows its one elimination received."""
+    seen, rref_rows = [], linalg._rref_rows
+
+    def recorded(rows, cols):
+        rows = list(rows)
+        seen.extend(type(row) for row in rows)
+        return rref_rows(rows, cols)
+
+    linalg._rref_rows = recorded
+    try:
+        return kernel_of_rows(rows, cols), set(seen)
+    finally:
+        linalg._rref_rows = rref_rows
+
+
+@ENGINE
+@given(int_constraints(), st.data())
+def test_int_fraction_and_scaled_rows_give_one_kernel(system, data):
+    # an all-int system enters the engine as owned dicts, one with a Fraction as pairs;
+    # the rref is unique, so the kernel is the same Subspace either way
+    cols, rows = system
+    factors = data.draw(st.lists(RATIONALS.filter(bool), min_size=len(rows),
+                                 max_size=len(rows)))
+    as_ints, int_route = routes(rows, cols)
+    as_fractions, fraction_route = routes([[(j, Fraction(x)) for j, x in row]
+                                           for row in rows], cols)
+    scaled, scaled_route = routes([[(j, f * x) for j, x in row]
+                                   for f, row in zip(factors, rows)], cols)
+    assert as_ints == as_fractions == scaled
+    assert int_route <= {dict}
+    if any(rows):  # a system of empty rows holds no Fraction
+        assert dict not in fraction_route | scaled_route
+    dense = [[dict(row).get(j, 0) for j in range(cols)] for row in rows]
+    assert as_ints.basis.data == brute_kernel(dense, cols)
+
+
+@ENGINE
+@given(int_constraints().filter(lambda system: system[0]), st.data())
+def test_a_mixed_system_takes_the_fraction_route(system, data):
+    cols, rows = system
+    at = data.draw(st.integers(0, len(rows)))
+    # one row of ints and one non-integral Fraction, in any position
+    row = data.draw(st.dictionaries(st.integers(0, cols - 1), st.integers(-9, 9).filter(bool),
+                                    min_size=1, max_size=4))
+    odd = data.draw(st.sampled_from(sorted(row)))
+    row[odd] = Fraction(data.draw(st.sampled_from((1, -3, 5))), 2)
+    mixed = rows[:at] + [list(row.items())] + rows[at:]
+    kernel_, route = routes(mixed, cols)
+    assert dict not in route
+    dense = [[dict(r).get(j, 0) for j in range(cols)] for r in mixed]
+    assert kernel_.basis.data == brute_kernel(dense, cols)
 
 
 def test_a_kernel_is_one_elimination(monkeypatch):
