@@ -9,6 +9,12 @@ the failures of ``validate_algebra`` on both factors and of
 moved into total coordinates.  Each reported failure's two sides must be
 the oracle's Fractions for that triple, also when the factors' tensors
 have different denominators.
+
+The algebra and module laws are checked with the middle index on a
+generating set first (Light's test), and in full only when that fails; on
+sheared tables with one constant perturbed, and on a table with failures
+at non-generator middles, the reports must still be the oracle's, and the
+tests count the scans each path takes.
 """
 
 import random
@@ -17,22 +23,28 @@ from fractions import Fraction
 
 import pytest
 
+from semih1 import algebra
 from semih1.algebra import (
     Algebra,
     BimoduleAction,
     CornerModule,
     ModuleAlgebra,
+    generators,
+    regular_module,
+    semidirect_blocks,
     validate_algebra,
     validate_corner,
     validate_module,
 )
 from semih1.catalog import (
     change_basis_algebra,
+    change_basis_module,
     cyclic_group_algebra,
     direct_sum_algebra,
     dual_numbers,
     elementary_matrices,
     matrix_algebra,
+    null_algebra,
     upper_triangular_2,
 )
 from semih1.families import random_product
@@ -68,28 +80,37 @@ def assemble(dims, blocks):
 ASSOC = "(ab)c=a(bc)"
 
 
+def triples(report, offset, laws):
+    """The report's failing triples in total coordinates."""
+    return [tuple(offset[part] + w for part, w in zip(laws[f["axiom"]], f["witness"]))
+            for f in report.failures]
+
+
 def moved(report, offset, laws, mult, out):
     """The report's failing triples in total coordinates.
 
     Each failure's lhs and rhs, dense in part ``out``, must be the oracle's
     two sides of its triple on the total tensor, as Fractions.
     """
-    triples = []
-    for f in report.failures:
-        triple = tuple(offset[part] + w for part, w in zip(laws[f["axiom"]], f["witness"]))
+    found = triples(report, offset, laws)
+    for f, triple in zip(report.failures, found):
         before, after = offset[out], len(mult) - offset[out] - len(f["lhs"])
         for side, total in zip((f["lhs"], f["rhs"]), brute_assoc_sides(mult, *triple)):
             assert all(type(x) is Fraction for x in side)
             assert [0] * before + side + [0] * after == total
-        triples.append(triple)
-    return triples
+    return found
+
+
+def semidirect_total(a, u):
+    """The total tensor of A x| U and the offset of each part."""
+    return assemble({"A": a.dim, "U": u.dim},
+                    {"AAA": a.mult, "AUU": u.action.left, "UAU": u.action.right,
+                     "UUU": u.algebra.mult})
 
 
 def check_semidirect(a, u):
     """Compare the oracle on A x| U with the validators; return the failing laws."""
-    mult, offset = assemble({"A": a.dim, "U": u.dim},
-                            {"AAA": a.mult, "AUU": u.action.left, "UAU": u.action.right,
-                             "UUU": u.algebra.mult})
+    mult, offset = semidirect_total(a, u)
     module = validate_module(u, a)
     expected = (moved(validate_algebra(a), offset, {ASSOC: "AAA"}, mult, "A")
                 + moved(module, offset, MODULE_LAWS, mult, "U")
@@ -291,3 +312,114 @@ def test_sparse_modules_and_corners_fail_where_the_oracle_does(seed):
     corner = CornerModule(n, nb, m, scattered(rng, n, m, m, n, q=5),
                           scattered(rng, m, nb, m, m, q=7))
     assert check_triangular(a, b, corner)
+
+
+# Light's test: draw s shears LIGHT_BASES[s % 4] for the algebra law and MODULE_BASES[s % 4]
+# for the regular module, whose factors pass validation before its laws are checked
+LIGHT_BASES = (matrix_algebra(2), cyclic_group_algebra(5), cyclic_group_algebra(6),
+               direct_sum_algebra(matrix_algebra(2), dual_numbers()))
+MODULE_BASES = (dual_numbers(), upper_triangular_2(), matrix_algebra(2), cyclic_group_algebra(3))
+LIGHT_DRAWS = 48
+
+
+def perturb(rng, t):
+    """Add a small rational to one entry of the dense table t in three draws of four."""
+    if rng.random() < 0.75:
+        t[rng.randrange(len(t))][rng.randrange(len(t[0]))][rng.randrange(len(t[0][0]))] += \
+            Fraction(rng.choice((1, -1, 2)), rng.choice((1, 2, 3)))
+    return t
+
+
+def light_draw(seed):
+    """A sheared table ``mult``, and a module U over A whose factors pass validation.
+
+    U is the regular module of a base algebra with A and U sheared apart and
+    one action constant perturbed in most draws.
+    """
+    rng = random.Random(seed)
+    base = LIGHT_BASES[seed % 4]
+    sheared = change_basis_algebra(base, elementary_matrices(rng, base.dim, steps=2))
+    mult = perturb(rng, dense(sheared.mult, base.dim))
+    base = MODULE_BASES[seed % 4]
+    n = base.dim
+    pa = elementary_matrices(rng, n, steps=2)
+    reg = change_basis_module(regular_module(base), pa, elementary_matrices(rng, n, steps=2))
+    actions = [dense(reg.action.left, n), dense(reg.action.right, n)]
+    perturb(rng, rng.choice(actions))
+    a = change_basis_algebra(base, pa)
+    assert validate_algebra(a).ok and validate_algebra(reg.algebra).ok
+    return mult, a, ModuleAlgebra(reg.algebra, BimoduleAction(n, n, *actions))
+
+
+def light_disagreements(draws):
+    """Yield each draw below ``draws`` where a validator's failing triples are not the oracle's."""
+    for seed in range(draws):
+        mult, a, u = light_draw(seed)
+        found = [f["witness"] for f in validate_algebra(Algebra("T", len(mult), mult)).failures]
+        total, offset = semidirect_total(a, u)
+        module = triples(validate_module(u, a), offset, MODULE_LAWS)
+        if found != brute_assoc_failures(mult) or sorted(module) != brute_assoc_failures(total):
+            yield seed
+
+
+def test_light_validation_reports_the_oracle_failures():
+    assert list(light_disagreements(LIGHT_DRAWS)) == []
+
+
+def scans(monkeypatch):
+    """Record the ``mids`` of every associativity scan from here on (None: a full scan)."""
+    calls, scan = [], algebra._associativity
+
+    def counted(subject, blocks, dims, laws, mids=None):
+        calls.append(mids)
+        return scan(subject, blocks, dims, laws, mids)
+
+    monkeypatch.setattr(algebra, "_associativity", counted)
+    return calls
+
+
+def t_to_the_eighth_is_one():
+    """Q[t]/(t^5) with t^4 t^4 = 1: of its 12 failing triples, 10 have the middle t^2, t^3 or t^4."""
+    mult = [[[int(i + j == k) for k in range(5)] for j in range(5)] for i in range(5)]
+    mult[4][4][0] = 1
+    return mult
+
+
+def test_each_table_takes_the_scans_its_generators_allow(monkeypatch):
+    calls = scans(monkeypatch)
+    pa, rng = elementary_matrices(random.Random(6), 6), random.Random(7)
+    a = change_basis_algebra(cyclic_group_algebra(6), pa)
+    u = change_basis_module(regular_module(cyclic_group_algebra(6)), pa, elementary_matrices(rng, 6))
+    gens = generators(a)
+    assert validate_algebra(a).ok and calls == [{"A": gens}] and len(gens) < 6
+    assert validate_algebra(u.algebra).ok
+    calls.clear()
+    assert validate_module(u, a).ok
+    assert calls == [{"A": gens, "U": generators(u.algebra)}]
+    # a failing restricted scan is followed by the full one, whose list is reported
+    calls.clear()
+    mult = t_to_the_eighth_is_one()
+    bad = Algebra("P", 5, mult)
+    witnesses = [f["witness"] for f in validate_algebra(bad).failures]
+    assert calls == [{"A": (0, 1)}, None] and bad._valid is False
+    assert witnesses == brute_assoc_failures(mult)
+    assert sum(w[1] in (0, 1) for w in witnesses) == 2 and len(witnesses) == 12
+    # every index a generator: the one scan is the full one
+    calls.clear()
+    assert validate_algebra(null_algebra(3)).ok and calls == [None]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_unvalidated_or_invalid_factors_take_one_full_module_scan(monkeypatch, seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    a = Algebra("A", n, sparse(rng, n, n, n))
+    u = ModuleAlgebra(Algebra("U", m, sparse(rng, m, m, m)),
+                      BimoduleAction(n, m, sparse(rng, n, m, m), sparse(rng, m, n, m)))
+    if seed % 2:  # validated, and one factor fails
+        assert not (validate_algebra(a).ok and validate_algebra(u.algebra).ok)
+    today = algebra._associativity("module U over A", semidirect_blocks(a, u),
+                                   {"A": n, "U": m}, algebra._MODULE_LAWS).failures
+    calls = scans(monkeypatch)
+    assert validate_module(u, a).failures == today
+    assert calls == [None]

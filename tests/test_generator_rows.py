@@ -13,7 +13,9 @@ hold the cut to three things:
 * on the 300 draws, the spaces the cut reaches and every applicable rule
   report are those of the full rows: one SHA-256, recorded when every row
   was built, that the cut and the full rows both give;
-* a mutant that drops one generator changes that digest.
+* a mutant that drops one generator changes that digest, and makes the
+  validators' reports differ from the brute associativity oracle on some
+  draw of ``tests/test_assoc_oracle.py``'s Light's-test draws.
 
 "300 draws" are ``random_product(random.Random(12345), 3)`` drawn 300 times.
 """
@@ -23,7 +25,7 @@ import random
 
 import pytest
 
-from semih1 import spaces, verify
+from semih1 import algebra, spaces, verify
 from semih1.algebra import Algebra, generators, regular_action
 from semih1.catalog import (
     change_basis_algebra,
@@ -36,6 +38,7 @@ from semih1.products import module_extension
 from semih1.spaces import RowGroup, leibniz
 
 from _oracle import brute_word_span_dim, dense
+from test_assoc_oracle import LIGHT_DRAWS, light_disagreements
 
 # sha256 of the spaces below and every applicable rule report on the 300 draws, each
 # space as the repr of its canonical rows, recorded with every Leibniz, hom and 3.1 row
@@ -160,3 +163,9 @@ def test_a_dropped_generator_is_caught(monkeypatch):
     assert (z1.dim, spaces.derivation_space(a, regular_action(a)).dim) == (20, 0)
     assert not _spans(a, generators(a)[:-1])
 
+
+def test_a_dropped_generator_fails_the_validation_oracle(monkeypatch):
+    # validation checks the middle index on generators(a) first: one too few and a
+    # failing table can pass
+    monkeypatch.setattr(algebra, "generators", lambda a: generators(a)[:-1])
+    assert next(light_disagreements(LIGHT_DRAWS), None) is not None
