@@ -17,11 +17,11 @@ A x| U, and the three corner laws as blocks of the triangular algebra on
 (A, M, B).  One checker runs a table of such blocks, exactly, and reports
 every basis triple that breaks one, so downstream solvers may assume the
 axioms hold.  The algebra and module laws are checked first with the
-middle on generators alone (Light's test); a failure list is the full scan's.
+middle on generators first (Light's test); only a table that fails there
+has its other middles scanned, and its failure list is the full scan's.
 """
 
 from fractions import Fraction
-from functools import partial
 from itertools import zip_longest
 from math import lcm
 from operator import itemgetter
@@ -369,9 +369,15 @@ def _associativity(subject, blocks, dims, laws, mids=None) -> ValidationReport:
     (for the algebra law, L_{e_i e_j} = L_{e_i} L_{e_j}).  The nonzero e_j e_k
     are listed once per j and only they enter the map; when e_j e_k vanishes
     for every k, only the i with e_i e_j nonzero are visited.  The sides are
-    written out only at a k where the map is nonzero.  A nest reports triple
-    by triple in its loop order, rows in table order.  ``mids`` maps a part
-    to the indices the middle j runs over (None: every index).
+    written out only at a k where the map is nonzero.
+
+    ``mids`` maps each part to the middles j scanned first (None: every
+    index).  Callers pass generators, for which a pass proves every middle
+    (Light's test: the middle nucleus {g : (xg)y = x(gy) for all x, y} of
+    any algebra is a subalgebra, by the Teichmueller identity).  Only when
+    some row fails there does every row scan the remaining middles, so each
+    failing triple is found once.  A nest reports triple by triple in its
+    loop order, rows in table order, whichever pass found it.
     """
     report = ValidationReport(subject)
     block_of = {key[:2]: key for key in blocks}
@@ -379,20 +385,23 @@ def _associativity(subject, blocks, dims, laws, mids=None) -> ValidationReport:
              for key, b in blocks.items()}
     ints = {key: [[tuple([(k, c.numerator * (scale[key] // c.denominator)) for k, c in sl])
                    for sl in slab] for slab in b] for key, b in blocks.items()}
-    for nest in laws:
-        failed = []
+    failed, rows = [[] for _ in laws], []
+    for nest, out in zip(laws, failed):
         for row, (axiom, (x, y, z), scan) in enumerate(nest):
             xy, yz = block_of[x + y], block_of[y + z]
             xy_z, x_yz = block_of[xy[2] + z], block_of[x + yz[2]]
             ls, rs, d = scale[xy] * scale[xy_z], scale[yz] * scale[x_yz], dims[xy_z[2]]
-            lm, rm = (1, 1) if ls == rs else (ls, rs)
-            xy, yz, xy_z, x_yz = ints[xy], ints[yz], ints[xy_z], ints[x_yz]
-            flat = [[(k * d + l, v * rm) for k, sl in enumerate(slab) for l, v in sl]
-                    for slab in xy_z]
-            where = itemgetter(*("xyz".index(s) for s in scan))
-            for j in mids[y] if mids else range(dims[y]):
-                right = [(k * d, c, lm * coef) for k, sl in enumerate(yz[j]) for c, coef in sl]
-                for i in range(dims[x]) if right else [i for i, xi in enumerate(xy) if xi[j]]:
+            flat = [[(k * d + l, v * rs) for k, sl in enumerate(slab) for l, v in sl]
+                    for slab in ints[xy_z]]
+            rows.append((out, row, axiom, itemgetter(*("xyz".index(s) for s in scan)),
+                         dims[x], y, d, ls, rs, ints[xy], ints[yz], ints[xy_z], ints[x_yz], flat))
+    first = mids or {p: range(n) for p, n in dims.items()}
+    rest = {p: sorted(set(range(dims[p])).difference(js)) for p, js in first.items()}
+    for middles in (first, rest):
+        for out, row, axiom, where, n, y, d, ls, rs, xy, yz, xy_z, x_yz, flat in rows:
+            for j in middles[y]:
+                right = [(k * d, c, ls * coef) for k, sl in enumerate(yz[j]) for c, coef in sl]
+                for i in range(n) if right else [i for i, xi in enumerate(xy) if xi[j]]:
                     diff = {}
                     for c, coef in xy[i][j]:
                         for key, v in flat[c]:
@@ -411,10 +420,13 @@ def _associativity(subject, blocks, dims, laws, mids=None) -> ValidationReport:
                         for c, coef in yz[j][k]:
                             for l, v in x_yz[i][c]:
                                 rhs[l] += coef * v
-                        failed.append((where((i, j, k)), row, axiom, (i, j, k),
-                                       [Fraction(v, ls) for v in lhs],
-                                       [Fraction(v, rs) for v in rhs]))
-        for _, _, *failure in sorted(failed, key=itemgetter(0, 1)):
+                        out.append((where((i, j, k)), row, axiom, (i, j, k),
+                                    [Fraction(v, ls) for v in lhs],
+                                    [Fraction(v, rs) for v in rhs]))
+        if not any(failed):
+            break
+    for out in failed:
+        for _, _, *failure in sorted(out, key=itemgetter(0, 1)):
             report.add(*failure)
     return report
 
@@ -427,22 +439,10 @@ def validate_corner(m: CornerModule, a: Algebra, b: Algebra) -> ValidationReport
                           {"A": a.dim, "B": b.dim, "M": m.dim}, _CORNER_LAWS)
 
 
-def _light(run, mids, dims):
-    """``run(mids)`` if it passes and cuts some part, else the full scan ``run()``.
-
-    The middle nucleus {g : (xg)y = x(gy) for all x, y} of any algebra is a
-    subalgebra (the Teichmueller identity), so a law that holds for every
-    middle in a generating set holds for all (Light's test).
-    """
-    report = run(mids) if any(len(m) < dims[p] for p, m in mids.items()) else None
-    return report if report and report.ok else run()
-
-
 def validate_algebra(a: Algebra) -> ValidationReport:
     """List every basis triple (i,j,k) where associativity fails; keep whether none does."""
-    dims = {"A": a.dim}
-    run = partial(_associativity, f"algebra {a.name}", {"AAA": a.mult}, dims, _ALGEBRA_LAWS)
-    report = _light(run, {"A": generators(a)}, dims)
+    report = _associativity(f"algebra {a.name}", {"AAA": a.mult}, {"A": a.dim}, _ALGEBRA_LAWS,
+                            {"A": generators(a)})
     a._valid = report.ok
     return report
 
@@ -468,11 +468,10 @@ def validate_module(u: ModuleAlgebra, a: Algebra) -> ValidationReport:
     """
     if u.action.algebra_dim != a.dim:
         raise ShapeMismatch("action algebra dimension differs from base algebra")
-    dims = {"A": a.dim, "U": u.dim}
-    run = partial(_associativity, f"module {u.name} over {a.name}", semidirect_blocks(a, u),
-                  dims, _MODULE_LAWS)
     valid = a._valid and u.algebra._valid
-    return _light(run, {"A": generators(a), "U": generators(u.algebra)} if valid else {}, dims)
+    return _associativity(f"module {u.name} over {a.name}", semidirect_blocks(a, u),
+                          {"A": a.dim, "U": u.dim}, _MODULE_LAWS,
+                          {"A": generators(a), "U": generators(u.algebra)} if valid else None)
 
 
 def _commutators(act):

@@ -11,10 +11,10 @@ the oracle's Fractions for that triple, also when the factors' tensors
 have different denominators.
 
 The algebra and module laws are checked with the middle index on a
-generating set first (Light's test), and in full only when that fails; on
-sheared tables with one constant perturbed, and on a table with failures
-at non-generator middles, the reports must still be the oracle's, and the
-tests count the scans each path takes.
+generating set first (Light's test), and over the other middles only when
+that fails; on sheared tables with one constant perturbed, and on a table
+with failures at non-generator middles, the reports must still be the
+oracle's and the full scan's, and the tests count the scans each path takes.
 """
 
 import random
@@ -366,6 +366,27 @@ def test_light_validation_reports_the_oracle_failures():
     assert list(light_disagreements(LIGHT_DRAWS)) == []
 
 
+def test_validators_report_the_full_scan_dict_for_dict():
+    """Each failure once, with the full scan's sides, in its order: a second pass included."""
+    full, late = algebra._associativity, Counter()
+    for mult, a, u in [(t_to_the_eighth_is_one(), None, None),
+                       *(light_draw(seed) for seed in range(LIGHT_DRAWS))]:
+        t = Algebra("T", len(mult), mult)
+        report = validate_algebra(t)
+        assert report.failures == full(report.subject, {"AAA": t.mult}, {"A": t.dim},
+                                       algebra._ALGEBRA_LAWS).failures
+        late["algebra"] += sum(f["witness"][1] not in generators(t) for f in report.failures)
+        if a is not None:
+            report = validate_module(u, a)
+            assert report.failures == full(report.subject, semidirect_blocks(a, u),
+                                           {"A": a.dim, "U": u.dim}, algebra._MODULE_LAWS).failures
+            gens = {"A": generators(a), "U": generators(u.algebra)}
+            late["module"] += sum(f["witness"][1] not in gens[MODULE_LAWS[f["axiom"]][1]]
+                                  for f in report.failures)
+    # failures at a non-generator middle, which only the second pass finds
+    assert late["algebra"] and late["module"]
+
+
 def scans(monkeypatch):
     """Record the ``mids`` of every associativity scan from here on (None: a full scan)."""
     calls, scan = [], algebra._associativity
@@ -396,17 +417,18 @@ def test_each_table_takes_the_scans_its_generators_allow(monkeypatch):
     calls.clear()
     assert validate_module(u, a).ok
     assert calls == [{"A": gens, "U": generators(u.algebra)}]
-    # a failing restricted scan is followed by the full one, whose list is reported
+    # a table failing on its generator middles takes the same one call, which scans
+    # the other middles too and reports the full list
     calls.clear()
     mult = t_to_the_eighth_is_one()
     bad = Algebra("P", 5, mult)
     witnesses = [f["witness"] for f in validate_algebra(bad).failures]
-    assert calls == [{"A": (0, 1)}, None] and bad._valid is False
+    assert calls == [{"A": (0, 1)}] and bad._valid is False
     assert witnesses == brute_assoc_failures(mult)
     assert sum(w[1] in (0, 1) for w in witnesses) == 2 and len(witnesses) == 12
     # every index a generator: the one scan is the full one
     calls.clear()
-    assert validate_algebra(null_algebra(3)).ok and calls == [None]
+    assert validate_algebra(null_algebra(3)).ok and calls == [{"A": (0, 1, 2)}]
 
 
 @pytest.mark.parametrize("seed", range(12))
