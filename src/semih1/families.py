@@ -150,15 +150,13 @@ def random_module_sample(rng, a_sample: AlgebraSample, max_dim) -> ModuleAlgebra
     return u
 
 
-def random_product(rng, max_dim, allow_kinds=None):
+def random_product(rng, max_dim):
     """One seeded semidirect-product instance with dims <= max_dim per factor."""
     a_sample = random_algebra_sample(rng, max_dim)
     kinds = ["semidirect", "direct", "module-extension"]
     if a_sample.characters:
         kinds += ["theta-lau", "unitization", "triangular"]
         kinds.append("alpha")
-    if allow_kinds is not None:
-        kinds = [k for k in kinds if k in allow_kinds] or list(allow_kinds)
     kind = rng.choice(kinds)
     if kind == "semidirect":
         u = random_module_sample(rng, a_sample, max_dim)

@@ -15,8 +15,12 @@ fits no signature is a ``ParseError`` job error.  Builds call the
 ``products`` constructors; a ``semidirect``, ``module-extension`` or
 ``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
 call the trusted ``_semidirect``, ``_module_extension`` or ``_triangular``
-on a module or corner that parsing validated, so it is not checked again;
-the ``spaces`` jobs of a run share one product per pair.
+on a module or corner that parsing validated, so it is not checked again.
+The ``z1``, ``n1``, ``h1`` and ``spaces`` jobs read the spaces a product
+keeps (``verify.space`` and ``verify.h1``), on the one product
+``_Registry.pair`` keeps per run for their arguments: a built product, one
+A x| U per (algebra, module) pair, or A x| 0 for a bare algebra.  So each
+space a run's jobs read is solved once per run on the product that keeps it.
 """
 
 import json
@@ -36,6 +40,7 @@ from .algebra import (
     validate_corner,
     validate_module,
 )
+from .catalog import null_algebra
 from .errors import (
     ParseError,
     Semih1Error,
@@ -44,6 +49,7 @@ from .errors import (
 )
 from .linalg import Matrix, frac
 from .products import (
+    SemidirectAlgebra,
     _module_extension,
     _semidirect,
     _triangular,
@@ -52,8 +58,8 @@ from .products import (
     theta_lau,
     unitization,
 )
-from .spaces import _h1_of, derivation_space, hom_space, inner_space, inner_witness
-from .verify import RULES, space, split_blocks, verify_any
+from .spaces import hom_space, inner_witness
+from .verify import RULES, h1, space, split_blocks, verify_any
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -324,10 +330,21 @@ class _Registry:
                        "character": inst.characters}
         self.pairs = {}
 
-    def pair(self, a, u):
-        """A x| U for ``spaces`` jobs on the pair: one per run, not a built product."""
+    def pair(self, a, u=None):
+        """(product, part) whose rows ``z1_<part>`` and ``n1_<part>`` are Z1 and N1 of A into U.
+
+        With U omitted the coefficients are A itself.  A built product's total
+        gives the product, part ``total`` (``run_job`` registers it); an
+        (algebra, module) pair the run's shared A x| U, part ``au``, which its
+        ``spaces`` jobs read too; a bare algebra an A x| 0 whose total is A
+        itself, part ``a``, so it keeps A's generators and regular action and
+        assembles no tensor.  Each is made once per run, so each space a job
+        reads on it is solved once per run.
+        """
         if (a, u) not in self.pairs:
-            self.pairs[a, u] = _semidirect(a, u)
+            zero = ModuleAlgebra(null_algebra(0), BimoduleAction.trivial(a.dim, 0))
+            self.pairs[a, u] = ((SemidirectAlgebra(a, a, zero, "direct"), "a") if u is None
+                                else (_semidirect(a, u), "au"))
         return self.pairs[a, u]
 
     def lookup(self, name, kind):
@@ -380,10 +397,6 @@ def _job_map(job, expected_shape):
     return m
 
 
-def _action(a, u):
-    return regular_action(a) if u is None else u.action
-
-
 def _space(space, source_dim, target_dim):
     """The report of a space of maps source -> target, flattened row-major.
 
@@ -405,14 +418,21 @@ def _validate(reg, job, named):
     return {"name": job["args"][0], "kind": kind, "valid": True, "dim": dim}
 
 
-def _h1(reg, job, a, u=None):
-    act = _action(a, u)
-    z, nn = derivation_space(a, act), inner_space(a, act)
-    return {"h1_dim": _h1_of(z, nn), "z1_dim": z.dim, "n1_dim": nn.dim}
+def _maps(reg, job, a, u=None):
+    """The report of the job's space, Z1 or N1 as its ``cmd`` says, of A into U or into A."""
+    p, part = reg.pair(a, u)
+    return _space(space(p, f"{job['cmd']}_{part}"), a.dim, (u or a).dim)
+
+
+def _cohomology(reg, job, a, u=None):
+    """dim H1 of A into U, or into A, with the Z1 and N1 dims it is the checked difference of."""
+    p, part = reg.pair(a, u)
+    return {"h1_dim": h1(p, part), "z1_dim": space(p, f"z1_{part}").dim,
+            "n1_dim": space(p, f"n1_{part}").dim}
 
 
 def _spaces(reg, job, a, u=None):
-    prod = a if u is None else reg.pair(a, u)
+    prod = a if u is None else reg.pair(a, u)[0]
     return {"r_dim": space(prod, "r").dim, "c_dim": space(prod, "c").dim,
             "i_dim": space(prod, "i").dim, "hom_dim": space(prod, "hom_u").dim,
             "hom_cap_z1_dim": space(prod, "hom_cap_z1u").dim}
@@ -429,8 +449,7 @@ def _decompose(reg, job, prod):
 
 
 def _inner_witness(reg, job, a, u=None):
-    a = a.total if u is None else a
-    act = _action(a, u)
+    a, act = (a.total, regular_action(a.total)) if u is None else (a, u.action)
     witness = inner_witness(_job_map(job, (a.dim, act.module_dim)), a, act)
     return {"inner": witness is not None,
             "witness": None if witness is None else [str(x) for x in witness]}
@@ -469,11 +488,9 @@ def _derivation(result):
 _PAIR = (("algebra",), ("algebra", "module"))
 JOBS = {
     "validate": ((("name",),), _validate, _ok),
-    "z1": (_PAIR, lambda reg, job, a, u=None: _space(derivation_space(a, _action(a, u)),
-                                                     a.dim, (u or a).dim), _dim),
-    "n1": (_PAIR, lambda reg, job, a, u=None: _space(inner_space(a, _action(a, u)),
-                                                     a.dim, (u or a).dim), _dim),
-    "h1": (_PAIR, _h1, lambda r: f"h1={r['h1_dim']} (z1={r['z1_dim']}, n1={r['n1_dim']})"),
+    "z1": (_PAIR, _maps, _dim),
+    "n1": (_PAIR, _maps, _dim),
+    "h1": (_PAIR, _cohomology, lambda r: f"h1={r['h1_dim']} (z1={r['z1_dim']}, n1={r['n1_dim']})"),
     "hom": ((("algebra", "module"), ("algebra", "module", "module")),
             lambda reg, job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action),
                                                   u.dim, (v or u).dim), _dim),
@@ -513,6 +530,7 @@ def run_job(reg: _Registry, job):
     signatures, make = BUILDS[kind]
     prod = make(*_resolve(reg, f"build {kind}", signatures, args), name=name)
     reg.tables["product"][name] = (prod, ())
+    reg.pairs[prod.total, None] = prod, "total"
     return {"name": name, "kind": kind, "dim": prod.dim, "n": prod.n, "m": prod.m}
 
 

@@ -19,7 +19,7 @@ from semih1.catalog import (
     null_algebra,
     upper_triangular_2,
 )
-from semih1.families import random_product
+from semih1.families import random_algebra_sample, random_product
 from semih1.linalg import Matrix, quotient_dim
 from semih1.products import (
     alpha_iso,
@@ -99,7 +99,8 @@ def test_criterion_3_direct_product_quotient_and_additivity():
         rng = random.Random(202)
         passed_41 = passed_53 = 0
         for _ in range(60):
-            p, _ = random_product(rng, 3, allow_kinds=("direct",))
+            p = direct_product(random_algebra_sample(rng, 3).algebra,
+                               random_algebra_sample(rng, 3, name="U").algebra)
             rep = verify_theorem("4.1", p)
             assert rep.verdict != "MISMATCH", rep.as_dict()
             if rep.verdict == "verified":

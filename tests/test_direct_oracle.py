@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import semih1.verify as verify
 from semih1.catalog import dual_numbers, null_algebra
-from semih1.families import random_product
+from semih1.families import random_algebra_sample
 from semih1.products import direct_product
 
 from _oracle import brute_kernel, dense
@@ -73,7 +73,9 @@ def proposition_5_1_rows(p):
 
 def _products():
     for i in range(120):
-        yield random_product(random.Random(f"d51:{i}"), 3, allow_kinds=("direct",))[0]
+        rng = random.Random(f"d51:{i}")
+        yield direct_product(random_algebra_sample(rng, 3).algebra,
+                             random_algebra_sample(rng, 3, name="U").algebra)
     for a, u in ((null_algebra(0), dual_numbers()), (dual_numbers(), null_algebra(0)),
                  (null_algebra(0), null_algebra(0))):
         yield direct_product(a, u)

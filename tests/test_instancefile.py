@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import semih1.algebra
 import semih1.instancefile
 import semih1.products
+import semih1.verify
 from semih1.errors import ParseError, Semih1Error, UnresolvedReference, ValidationFailed
 from semih1.instancefile import (
     BUILD_KINDS,
@@ -48,8 +49,7 @@ def test_minimal_file_parses_and_runs():
 
 def test_h1_job_checks_that_the_inner_maps_lie_in_z1(monkeypatch):
     # Z1(Q) = 0, so the full space on Q, standing in for N1, escapes it
-    monkeypatch.setattr(semih1.instancefile, "inner_space",
-                        lambda a, act: Subspace.full(1))
+    monkeypatch.setattr(semih1.verify, "inner_space", lambda a, act: Subspace.full(1))
     doc, code = run_jobs(parse_instance_text(doc_text(MINIMAL)))
     assert code == 2
     assert doc["jobs"][0]["status"] == "error"

@@ -12,7 +12,8 @@ product.  ``inner_characterization`` on a non-derivation builds one group,
 the full Leibniz group of A x| U, whose scan names the failing pair.
 ``split_blocks`` builds the eight full 3.1 groups on its first call on a
 product and none on a later one.  The ``spaces`` jobs of one run on one
-(algebra, module) pair build each group once.
+(algebra, module) pair build each group once, and the ``z1``, ``n1``, ``h1``
+and rule jobs of one run build each Leibniz group once.
 """
 
 import hashlib
@@ -132,14 +133,8 @@ def test_a_second_split_blocks_on_one_product_builds_no_row_group(monkeypatch):
     assert built == []
 
 
-def test_spaces_jobs_on_one_pair_build_each_group_once(monkeypatch):
-    init, built = spaces.RowGroup.__init__, []
-
-    def recording(group, *args, **kwargs):
-        init(group, *args, **kwargs)
-        built.append(group.name)
-
-    # the dual numbers D and U, a copy of D under its regular action
+def _dual_numbers(jobs):
+    """The dual numbers D and U, a copy of D under its regular action, with ``jobs``."""
     mult = [{"i": i, "j": j, "k": k, "c": "1"} for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 0, 1))]
     doc = {"algebras": [{"name": "D", "dim": 2, "mult": mult}],
            "modules": [{"name": "U", "over": "D", "dim": 2, "mult": mult,
@@ -147,8 +142,18 @@ def test_spaces_jobs_on_one_pair_build_each_group_once(monkeypatch):
                                  ((0, 0, 0), (0, 1, 1), (1, 0, 1))],
                         "right": [{"p": p, "i": i, "q": q, "c": "1"} for p, i, q in
                                   ((0, 0, 0), (0, 1, 1), (1, 0, 1))]}],
-           "jobs": [{"cmd": "spaces", "args": ["D", "U"]}] * 3}
-    inst = parse_instance_text(json.dumps(doc))
+           "jobs": jobs}
+    return parse_instance_text(json.dumps(doc))
+
+
+def test_spaces_jobs_on_one_pair_build_each_group_once(monkeypatch):
+    init, built = spaces.RowGroup.__init__, []
+
+    def recording(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        built.append(group.name)
+
+    inst = _dual_numbers([{"cmd": "spaces", "args": ["D", "U"]}] * 3)
     monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
     report, code = run_jobs(inst)
     assert code == 0
@@ -159,4 +164,33 @@ def test_spaces_jobs_on_one_pair_build_each_group_once(monkeypatch):
     built.clear()
     again, _ = run_jobs(inst)
     assert built == ["hom-left", "hom-right", "leibniz"]
+    assert render_text(again) == render_text(report)
+
+
+def test_z1_n1_h1_and_rule_jobs_of_one_run_build_each_leibniz_group_once(monkeypatch):
+    init, built = spaces.RowGroup.__init__, []
+
+    def recording(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        if group.name == "leibniz":
+            built.append(group.dims)
+
+    inst = _dual_numbers([
+        {"cmd": "z1", "args": ["D"]}, {"cmd": "n1", "args": ["D"]},
+        {"cmd": "h1", "args": ["D"]}, {"cmd": "h1", "args": ["D"]},
+        {"cmd": "z1", "args": ["D", "U"]}, {"cmd": "h1", "args": ["D", "U"]},
+        {"cmd": "spaces", "args": ["D", "U"]},
+        {"cmd": "build", "kind": "semidirect", "name": "P", "args": ["D", "U"]},
+        {"cmd": "h1", "args": ["P"]}, {"cmd": "verify", "id": "3.1", "args": ["P"]}])
+    monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
+    report, code = run_jobs(inst)
+    assert code == 0
+    # D, (D, U) and U itself, for Hom_D(U) cap Z1(U); then the total of P
+    assert built == [(2, 2, 2)] * 3 + [(4, 4, 4)]
+    results = [job["result"] for job in report["jobs"]]
+    assert results[2] == results[3] == {"h1_dim": 1, "z1_dim": 1, "n1_dim": 0}
+    assert results[9]["verdict"] == "verified"
+    built.clear()
+    again, _ = run_jobs(inst)
+    assert built == [(2, 2, 2)] * 3 + [(4, 4, 4)]
     assert render_text(again) == render_text(report)
