@@ -21,6 +21,7 @@ from .algebra import (
     regular_action,
     regular_module,
     relative_annihilator,
+    separable,
     span_of_products,
     validate_algebra,
     validate_character,

@@ -22,7 +22,7 @@ has its other middles scanned, and its failure list is the full scan's.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import takewhile, zip_longest
 from math import lcm
 from operator import itemgetter
 
@@ -136,19 +136,17 @@ class Algebra:
     The constructor takes ``mult`` dense, ``mult[i][j]`` the coordinate
     vector of ``e_i * e_j``, and keeps the slice of each product.
     Associativity is an invariant checked by :func:`validate_algebra`, not
-    assumed at construction time.  ``_regular`` keeps the regular action,
-    ``_gens`` :func:`generators`, ``_valid`` whether :func:`validate_algebra` passed.
+    assumed at construction time; ``_valid`` keeps its verdict, ``_regular`` the
+    regular action, ``_gens`` :func:`generators` and ``_separable`` :func:`separable`.
     """
 
-    __slots__ = ("name", "dim", "mult", "_regular", "_gens", "_valid")
+    __slots__ = ("name", "dim", "mult", "_regular", "_gens", "_separable", "_valid")
 
     def __init__(self, name, dim, mult):
         self.name = name
         self.dim = dim
         self.mult = _slices(mult, dim, dim, dim, f"mult tensor of {name}")
-        self._regular = None
-        self._gens = None
-        self._valid = None
+        self._regular = self._gens = self._separable = self._valid = None
 
     def product(self, u, v):
         """Bilinear extension of the basis products to coordinate vectors."""
@@ -234,6 +232,22 @@ def generators(a: Algebra):
                 pending, new = keep, [(r, g) for r in fresh for g in gens]
         a._gens = tuple(gens)
     return a._gens
+
+
+def separable(a: Algebra) -> bool:
+    """Whether the trace form T(x, y) = tr L_xy has full rank; decided once and kept.
+
+    Then A is semisimple (ker T holds every nilpotent ideal), so Z1(A, M) = N1(A, M) for
+    every M (Hochschild 1945).  T is read in ints; a zero row needs no elimination.
+    """
+    if a._separable is None:
+        s = lcm(*(c.denominator for slab in a.mult for sl in slab for _, c in sl))
+        tr = [sum(c.numerator * (s // c.denominator) for j, sl in enumerate(slab)
+                  for k, c in sl if k == j) for slab in a.mult]
+        form = list(takewhile(bool, ({j: t for j, sl in enumerate(slab) if (t := sum(
+            c.numerator * (s // c.denominator) * tr[k] for k, c in sl))} for slab in a.mult)))
+        a._separable = a.dim == len(form) == _span_of_rows(form, a.dim).dim
+    return a._separable
 
 
 class ModuleAlgebra:
@@ -487,9 +501,9 @@ def _commutators(act):
             for i in range(act.algebra_dim):
                 for q, c in act.left[i][p]:
                     row[i * m + q] = c
-                for q, c in act.right[p][i]:
+                for q, c in act.right[p][i]:  # compared first: a cancelling entry is not subtracted
                     key = i * m + q
-                    row[key] = row[key] - c if key in row else -c
+                    row[key] = -c if (old := row.get(key)) is None else F0 if old == c else old - c
             rows.append(tuple([(j, c) for j, c in sorted(row.items()) if c]))
         act._comm = tuple(rows)
     return act._comm
@@ -517,8 +531,13 @@ def _action_of(a: Algebra, m):
 
 
 def annihilator_in_algebra(a: Algebra, u) -> Subspace:
-    """ann_A U = {a in A : a.U = U.a = 0}, computed as a kernel."""
-    return relative_annihilator(Subspace.zero(_action_of(a, u).module_dim), a, u)
+    """ann_A U = {a in A : a.U = U.a = 0}, as a kernel on the action slices."""
+    act = _action_of(a, u)
+    m = act.module_dim
+    return _kernel_of_images(
+        [[(p * m + q, c) for p in range(m) for q, c in act.left[i][p]]
+         + [((m + p) * m + q, c) for p in range(m) for q, c in act.right[p][i]]
+         for i in range(act.algebra_dim)], act.algebra_dim, 2 * m * m)
 
 
 def annihilator_in_module(u: ModuleAlgebra) -> Subspace:
@@ -537,18 +556,15 @@ def is_sub_bimodule(n_space: Subspace, act: BimoduleAction) -> bool:
 def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
     """(N:U)_A = {a in A : a.U <= N and U.a <= N} for a sub-bimodule N.
 
-    With N = 0 this reduces to ann_A U.  Modulo N, a.u_p and u_p.a are linear in a.
+    It is ann_A (U/N), the action's slices reduced modulo N standing for U/N.
     """
     act = _action_of(a, u)
     if n_space.ambient != act.module_dim:
         raise ShapeMismatch("submodule lives in the wrong ambient dimension")
     if not is_sub_bimodule(n_space, act):
         raise NotSubmodule("the given subspace is not closed under the actions")
-    m, reduce = act.module_dim, n_space.reduce
-    return _kernel_of_images(
-        [[(p * m + q, c) for p in range(m) for q, c in reduce(act.left[i][p])]
-         + [((m + p) * m + q, c) for p in range(m) for q, c in reduce(act.right[p][i])]
-         for i in range(act.algebra_dim)], act.algebra_dim, 2 * m * m)
+    grids = ([list(map(n_space.reduce, slab)) for slab in grid] for grid in (act.left, act.right))
+    return annihilator_in_algebra(a, _from_slices(BimoduleAction, a.dim, act.module_dim, *grids))
 
 
 def commutant_in_module(a: Algebra, u) -> Subspace:

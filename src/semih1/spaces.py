@@ -37,7 +37,7 @@ whose kernel is the commutant and centre of :mod:`.algebra`, and their
 transpose, the rows of a -> r_a; C and I are each one elimination
 (``linalg._image_of_kernel``), the groups' rows go to ``kernel_of_rows``:
 
-* ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b, maps A -> M,
+* ``derivation_space``  -- solutions of d(ab) = a d(b) + d(a) b, maps A -> M; N1 on a separable A,
 * ``hom_space``         -- two-sided module homomorphisms, maps U -> V,
 * ``inner_space``       -- the span of the commutator rows, maps A -> M,
 * ``r/c/i_space``       -- the twisting maps r_a(x) = xa - ax, their central
@@ -55,6 +55,7 @@ from .algebra import (
     _twists,
     generators,
     regular_action,
+    separable,
 )
 from .errors import InternalInvariantViolation, NotADerivation, ShapeMismatch
 from .linalg import (
@@ -260,12 +261,12 @@ def kills(name, tensor, place, dk) -> RowGroup:
 def derivation_space(a: Algebra, m) -> Subspace:
     """All d: A -> M with d(ab) = a.d(b) + d(a).b, as a kernel.
 
-    In finite dimension every derivation is continuous, so this is the full
-    space Z1(A, M) with no topological qualifier.
+    Every derivation is continuous in finite dimension, so this is all of Z1(A, M); on a separable
+    A it is N1(A, M), which, like the generator cut, assumes the associativity validation checks.
     """
     act = _action_of(a, m)
-    return solve(a.dim * act.module_dim,
-                 leibniz("leibniz", a, act, (0, 0, act.module_dim), generators(a)))
+    return inner_space(a, act) if separable(a) else solve(
+        a.dim * act.module_dim, leibniz("leibniz", a, act, (0, 0, act.module_dim), generators(a)))
 
 
 def leibniz_defect(d: Matrix, a: Algebra, m):
@@ -310,9 +311,10 @@ def _h1_of(z: Subspace, inner: Subspace, what=None) -> int:
 
 
 def h1_dim(a: Algebra, m=None) -> int:
-    """dim Z1(A,M) - dim N1(A,M); with m omitted, coefficients in A itself."""
+    """dim Z1(A,M) - dim N1(A,M), 0 on a separable A; with m omitted, coefficients in A itself."""
     m = regular_action(a) if m is None else m
-    return _h1_of(derivation_space(a, m), inner_space(a, m))
+    _action_of(a, m)  # the shape check, which the separable route needs too
+    return 0 if separable(a) else _h1_of(derivation_space(a, m), inner_space(a, m))
 
 
 def hom_space(a: Algebra, u, v) -> Subspace:

@@ -325,3 +325,25 @@ def brute_word_span_dim(mult, gens):
                         w[k] += vi * c
             todo.append(w)
     return len(span)
+
+
+def brute_radical_dim(mult):
+    """dim rad A from ``mult[i][j][k]``, by Dickson's trace criterion on the unitization.
+
+    A+ = A + Q1 has a unit, so over Q its radical is {x : tr L_(xy) = 0 for
+    every y}: the kernel of the form T(x, y) = tr L_(xy).  Since A+/A is Q,
+    which has no nonzero nilpotent ideal, rad A+ lies in A and is rad A.
+    Basis index n of A+ is the adjoined unit.
+    """
+    n = len(mult)
+
+    def product(a, b):
+        if n in (a, b):
+            other = b if a == n else a
+            return [Fraction(int(k == other)) for k in range(n + 1)]
+        return [Fraction(x) for x in mult[a][b]] + [Fraction(0)]
+
+    trace = [sum(product(a, j)[j] for j in range(n + 1)) for a in range(n + 1)]
+    form = [[sum(c * t for c, t in zip(product(a, b), trace)) for b in range(n + 1)]
+            for a in range(n + 1)]
+    return n + 1 - brute_rank(form)

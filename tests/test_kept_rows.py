@@ -4,6 +4,9 @@ A group's kept rows are pinned entry by entry: each group that
 ``selftest.run_case`` reads on 50 seeded draws is hashed as the sequence of
 its ``(name, pair, row)`` triples, so a change to which rows are kept, to
 their pair, or to the order of the entries inside a row changes the pin.
+A separable factor takes N1 for its Z1 and builds no Leibniz group; with
+that route off, the groups are those of the older pin, and the groups left
+with it on are some of them.
 
 The per-map checks on a product read the spaces the product keeps: once
 ``run_case`` has run and every space a check reads exists,
@@ -19,6 +22,7 @@ and rule jobs of one run build each Leibniz group once.
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -44,8 +48,10 @@ from semih1.verify import (
 )
 
 # sha256 of the sorted per-group digests, recorded when the Leibniz, hom and 3.1 groups
-# began keeping only the rows whose algebra index lies in a generating set
-KEPT_ROWS_SHA256 = "2adb0cf55cf08e1ce1d1e619f79928a0690e842018118a62d2270f888da988c3"
+# began keeping only the rows whose algebra index lies in a generating set, with every
+# Z1 on the Leibniz route; and again when a separable factor's Z1 became its N1
+LEIBNIZ_ROUTE_SHA256 = "2adb0cf55cf08e1ce1d1e619f79928a0690e842018118a62d2270f888da988c3"
+KEPT_ROWS_SHA256 = "711fb664c7ae236f6085973329fd7a1f075595d09087d4ee51957c41946dd950"
 
 
 def _draws(count=50):
@@ -56,22 +62,41 @@ def _draws(count=50):
         yield p, a_sample, rng
 
 
-def test_kept_rows_of_every_group_run_case_reads(monkeypatch):
+def _kept_digests(monkeypatch):
+    """(group name, digest of its kept rows) of every group ``run_case`` reads on the draws."""
     digests, seen, kept = [], {}, spaces.RowGroup.kept
 
     def recorded(group):
         rows = kept(group)
         if id(group) not in seen:
             seen[id(group)] = group  # held, so no id is reused while it is recorded
-            digests.append(hashlib.sha256(repr(
-                [(group.name, pair, row) for pair, row in rows]).encode()).hexdigest())
+            digests.append((group.name, hashlib.sha256(repr(
+                [(group.name, pair, row) for pair, row in rows]).encode()).hexdigest()))
         return rows
 
-    monkeypatch.setattr(spaces.RowGroup, "kept", recorded)
-    for p, a_sample, rng in _draws():
-        run_case(p, a_sample, rng)
-    assert len(digests) == 822
-    assert hashlib.sha256("".join(sorted(digests)).encode()).hexdigest() == KEPT_ROWS_SHA256
+    with monkeypatch.context() as patch:
+        patch.setattr(spaces.RowGroup, "kept", recorded)
+        for p, a_sample, rng in _draws():
+            run_case(p, a_sample, rng)
+    return Counter(digests)
+
+
+def _pin(digests):
+    return hashlib.sha256("".join(sorted(d for _, d in digests.elements())).encode()).hexdigest()
+
+
+def test_kept_rows_of_every_group_run_case_reads(monkeypatch):
+    kept = _kept_digests(monkeypatch)
+    assert kept.total() == 759
+    assert _pin(kept) == KEPT_ROWS_SHA256
+    # a separable factor takes N1 for its Z1: every group left is one that the Leibniz
+    # route for every factor builds, and the groups no longer built are Leibniz groups
+    monkeypatch.setattr(spaces, "separable", lambda a: False)
+    every = _kept_digests(monkeypatch)
+    assert every.total() == 822
+    assert _pin(every) == LEIBNIZ_ROUTE_SHA256
+    assert kept <= every
+    assert {name for name, _ in (every - kept)} == {"leibniz"}
 
 
 def test_per_map_checks_read_the_kept_spaces(monkeypatch):
