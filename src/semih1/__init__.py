@@ -70,9 +70,6 @@ from .spaces import (
 from .verify import (
     BlockDecomposition,
     RuleReport,
-    build_E,
-    build_F,
-    build_K,
     corollary_3_2_check,
     embed_blocks,
     hypothesis_check,

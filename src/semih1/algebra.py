@@ -137,16 +137,17 @@ class Algebra:
     vector of ``e_i * e_j``, and keeps the slice of each product.
     Associativity is an invariant checked by :func:`validate_algebra`, not
     assumed at construction time; ``_valid`` keeps its verdict, ``_regular`` the
-    regular action, ``_gens`` :func:`generators` and ``_separable`` :func:`separable`.
+    regular action, ``_gens`` :func:`generators`, ``_separable`` :func:`separable`
+    and ``_memo`` the spaces :mod:`.verify` reads of A and its modules.
     """
 
-    __slots__ = ("name", "dim", "mult", "_regular", "_gens", "_separable", "_valid")
+    __slots__ = ("name", "dim", "mult", "_regular", "_gens", "_separable", "_valid", "_memo")
 
     def __init__(self, name, dim, mult):
         self.name = name
         self.dim = dim
         self.mult = _slices(mult, dim, dim, dim, f"mult tensor of {name}")
-        self._regular = self._gens = self._separable = self._valid = None
+        self._regular = self._gens = self._separable = self._valid = self._memo = None
 
     def product(self, u, v):
         """Bilinear extension of the basis products to coordinate vectors."""

@@ -16,11 +16,11 @@ fits no signature is a ``ParseError`` job error.  Builds call the
 ``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
 call the trusted ``_semidirect``, ``_module_extension`` or ``_triangular``
 on a module or corner that parsing validated, so it is not checked again.
-The ``z1``, ``n1``, ``h1`` and ``spaces`` jobs read the spaces a product
-keeps (``verify.space`` and ``verify.h1``), on the one product
-``_Registry.pair`` keeps per run for their arguments: a built product, one
-A x| U per (algebra, module) pair, or A x| 0 for a bare algebra.  So each
-space a run's jobs read is solved once per run on the product that keeps it.
+The ``z1``, ``n1``, ``h1`` and ``spaces`` jobs read the spaces kept by what
+they are of: a built product's total the product's rows (``verify.space``),
+an algebra and a module the entries the algebras keep for them
+(``verify._factor_space`` and ``verify._factor_rows``), which a built A x| U
+reads too.  So each space a file's jobs read is solved once.
 """
 
 import json
@@ -40,7 +40,6 @@ from .algebra import (
     validate_corner,
     validate_module,
 )
-from .catalog import null_algebra
 from .errors import (
     ParseError,
     Semih1Error,
@@ -49,7 +48,6 @@ from .errors import (
 )
 from .linalg import Matrix, frac
 from .products import (
-    SemidirectAlgebra,
     _module_extension,
     _semidirect,
     _triangular,
@@ -58,8 +56,8 @@ from .products import (
     theta_lau,
     unitization,
 )
-from .spaces import hom_space, inner_witness
-from .verify import RULES, h1, space, split_blocks, verify_any
+from .spaces import _h1_of, hom_space, inner_witness
+from .verify import RULES, _factor_rows, _factor_space, space, split_blocks, verify_any
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -328,24 +326,6 @@ class _Registry:
         self.tables = {"product": {}, "algebra": {n: (a, ()) for n, a in inst.algebras.items()},
                        "module": inst.modules, "corner": inst.corners,
                        "character": inst.characters}
-        self.pairs = {}
-
-    def pair(self, a, u=None):
-        """(product, part) whose rows ``z1_<part>`` and ``n1_<part>`` are Z1 and N1 of A into U.
-
-        With U omitted the coefficients are A itself.  A built product's total
-        gives the product, part ``total`` (``run_job`` registers it); an
-        (algebra, module) pair the run's shared A x| U, part ``au``, which its
-        ``spaces`` jobs read too; a bare algebra an A x| 0 whose total is A
-        itself, part ``a``, so it keeps A's generators and regular action and
-        assembles no tensor.  Each is made once per run, so each space a job
-        reads on it is solved once per run.
-        """
-        if (a, u) not in self.pairs:
-            zero = ModuleAlgebra(null_algebra(0), BimoduleAction.trivial(a.dim, 0))
-            self.pairs[a, u] = ((SemidirectAlgebra(a, a, zero, "direct"), "a") if u is None
-                                else (_semidirect(a, u), "au"))
-        return self.pairs[a, u]
 
     def lookup(self, name, kind):
         """(kind found, value, over-names) of ``name`` in a ``kind`` slot.
@@ -418,24 +398,36 @@ def _validate(reg, job, named):
     return {"name": job["args"][0], "kind": kind, "valid": True, "dim": dim}
 
 
+def _part(reg, job, a, u):
+    """(kind -> Z1 or N1, what they are of) of A into U, or into A.
+
+    A built product's total reads the rows the product keeps; any other
+    algebra the entries it keeps for the action, its own or U's.
+    """
+    built = reg.tables["product"].get(job["args"][0])
+    if built is not None:
+        return (lambda kind: space(built[0], f"{kind}_total")), "the product"
+    act = regular_action(a) if u is None else u.action
+    return (lambda kind: _factor_space(a, act, kind)), "A" if u is None else "(A,U)"
+
+
 def _maps(reg, job, a, u=None):
     """The report of the job's space, Z1 or N1 as its ``cmd`` says, of A into U or into A."""
-    p, part = reg.pair(a, u)
-    return _space(space(p, f"{job['cmd']}_{part}"), a.dim, (u or a).dim)
+    return _space(_part(reg, job, a, u)[0](job["cmd"]), a.dim, (u or a).dim)
 
 
 def _cohomology(reg, job, a, u=None):
     """dim H1 of A into U, or into A, with the Z1 and N1 dims it is the checked difference of."""
-    p, part = reg.pair(a, u)
-    return {"h1_dim": h1(p, part), "z1_dim": space(p, f"z1_{part}").dim,
-            "n1_dim": space(p, f"n1_{part}").dim}
+    read, what = _part(reg, job, a, u)
+    z1, n1 = read("z1"), read("n1")
+    return {"h1_dim": _h1_of(z1, n1, what), "z1_dim": z1.dim, "n1_dim": n1.dim}
 
 
 def _spaces(reg, job, a, u=None):
-    prod = a if u is None else reg.pair(a, u)[0]
-    return {"r_dim": space(prod, "r").dim, "c_dim": space(prod, "c").dim,
-            "i_dim": space(prod, "i").dim, "hom_dim": space(prod, "hom_u").dim,
-            "hom_cap_z1_dim": space(prod, "hom_cap_z1u").dim}
+    a, u = (a.part_a, a.part_u) if u is None else (a, u)
+    return {"r_dim": _factor_rows(a, u, "r").dim, "c_dim": _factor_rows(a, u, "c").dim,
+            "i_dim": _factor_rows(a, u, "i").dim, "hom_dim": _factor_rows(a, u, "hom_u").dim,
+            "hom_cap_z1_dim": _factor_rows(a, u, "hom_cap_z1u").dim}
 
 
 def _decompose(reg, job, prod):
@@ -530,7 +522,6 @@ def run_job(reg: _Registry, job):
     signatures, make = BUILDS[kind]
     prod = make(*_resolve(reg, f"build {kind}", signatures, args), name=name)
     reg.tables["product"][name] = (prod, ())
-    reg.pairs[prod.total, None] = prod, "total"
     return {"name": name, "kind": kind, "dim": prod.dim, "n": prod.n, "m": prod.m}
 
 

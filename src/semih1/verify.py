@@ -26,13 +26,16 @@ check only when all of them hold.  ``verify_theorem`` (4.1-4.4) and
 another, ``_h1_sum``; their rows name only the facts they add, keys of
 ``_FACTS`` (fact key -> p -> bool).
 
-What the rules read is two more tables, each row computed at most once per
-product and kept in it.  ``_SPACES`` names every space a product carries
-(Z1 and N1 of each part, the annihilators and the single-block laws, R, C, I
-and their sums, the pairing homomorphisms, the 3.1 and coupling row groups,
-the map Phi below) with how the product builds it from its factors, read
-through ``space(p, name)``.  Every row but the row groups and Phi is a
-Subspace, of maps flattened as in :mod:`.spaces`.
+What the rules read is more tables, each row computed at most once and kept
+by what it is of, read through ``space(p, name)``, which keeps in p what p
+reads.  ``_SPACES`` builds the rows of the total (its Z1 and N1, the 3.1 and
+coupling row groups, the map Phi below); ``_FACTOR_SPACES`` the rows of the
+factors (Z1 and N1 of A, (A, U) and U, the annihilators and the single-block
+laws, R, C, I and their sums, the pairing homomorphisms), kept in U's
+algebra.  Z1, N1 and Hom_A of A into an action are ``_factor_space``
+entries kept in A under the action, so every product and job on one action
+shares them.  Every row but the row groups and Phi is a Subspace, of maps
+flattened as in :mod:`.spaces`.
 ``h1(p, part)`` is the checked difference of one part's Z1 and N1.
 ``GATES`` maps each gate name to ``p -> (holds, witness)``, read through
 ``hypothesis_check``; a containment gate's witness is its first basis map outside.
@@ -72,6 +75,7 @@ from .algebra import (
     hom_failure,
     regular_action,
     semidirect_blocks,
+    separable,
     span_of_products,
 )
 from .catalog import direct_sum_algebra
@@ -121,19 +125,44 @@ THEOREM_IDS = ("4.1", "4.2", "4.3", "4.4")
 
 
 # ---------------------------------------------------------------------------
-# the spaces a product carries, each built once per product
+# the spaces a product reads, each built once and kept by what it is of
 
-def _memo(p: SemidirectAlgebra, key, thunk):
-    memo = p._memo
-    if key not in memo:
-        memo[key] = thunk()
-    return memo[key]
+def _memo(owner, key, thunk):
+    """The value ``owner`` (a product or an Algebra) keeps under ``key``, built on first use."""
+    if owner._memo is None:  # an Algebra's memo is made at its first entry
+        owner._memo = {}
+    if key not in owner._memo:
+        owner._memo[key] = thunk()
+    return owner._memo[key]
 
 
 def space(p: SemidirectAlgebra, name):
-    """The row ``name`` of ``_SPACES`` for p, built on first use and kept in p."""
-    return _memo(p, name, lambda: _SPACES[name](p))
+    """The row ``name`` of p, kept in p: a row of the total built by ``_SPACES``, a row of
+    the factors the entry :func:`_factor_rows` keeps, which every product on them reads."""
+    return _memo(p, name, lambda: _SPACES[name](p) if name in _SPACES
+                 else _factor_rows(p.part_a, p.part_u, name))
 
+
+def _factor_rows(a, u, name):
+    """The row ``name`` of ``_FACTOR_SPACES`` for A and U, built on first use and kept in U's
+    algebra under (name, A, U's action), so it lives as long as the module does."""
+    return _memo(u.algebra, (name, a, u.action), lambda: _FACTOR_SPACES[name](a, u))
+
+
+def _factor_space(a, act, kind):
+    """Z1, N1 or Hom_A (``kind`` z1, n1 or hom) of A into ``act``, kept in A under (kind, act).
+
+    Every product and job on one action reads this entry; a separable A's Z1 is its N1 entry.
+    """
+    return _memo(a, (kind, act), lambda: _OF_ACTION[kind](a, act))
+
+
+# kind -> (A, action) -> the space of maps that ``_factor_space`` keeps
+_OF_ACTION = {
+    "z1": lambda a, act: _factor_space(a, act, "n1") if separable(a) else derivation_space(a, act),
+    "n1": lambda a, act: inner_space(a, act),
+    "hom": lambda a, act: hom_space(a, act, act),
+}
 
 # H1 part -> what its cohomology is of; rows z1_<part> and n1_<part> hold its Z1 and N1
 _PARTS = {"total": "the product", "a": "A", "au": "(A,U)", "u": "U"}
@@ -540,69 +569,49 @@ def _image_over_kernel(p: SemidirectAlgebra, keep) -> Subspace:
                             [_restrict(p, row, keep) for row in phi], p.dim * p.dim, len(where))
 
 
-def build_E(p: SemidirectAlgebra) -> Subspace:
-    """E = {(ad a, r_a + ad_U x) : a in A, x with ad_(A,U) x = 0}.
-
-    Lives in maps(A,A) (+) maps(U,U); the denominator of the 4.1 quotient.
-    """
-    return _image_over_kernel(p, ("delta1", "tau2"))
-
-
-def build_F(p: SemidirectAlgebra) -> Subspace:
-    """F = {(ad_(A,U) x, r_a + ad_U x) : x in U, a central in A}.
-
-    Lives in maps(A,U) (+) maps(U,U); the denominator of the 4.2 quotient.
-    """
-    return _image_over_kernel(p, ("delta2", "tau2"))
-
-
-def build_K(p: SemidirectAlgebra) -> Subspace:
-    """K = {(ad a, ad_(A,U) x) : r_a + ad_U x = 0 on U}.
-
-    Lives in maps(A,A) (+) maps(A,U); the denominator of the 4.3 quotient.
-    """
-    return _image_over_kernel(p, ("delta1", "delta2"))
-
-
 # ---------------------------------------------------------------------------
 # the space, gate and fact tables
 
-# space name -> how a product builds it from its factors (read through ``space``)
+# row of the total -> how p builds it (kept in p)
 _SPACES = {
     "z1_total": lambda p: solve(p.dim * p.dim, _leibniz_total(p)),
     "n1_total": lambda p: inner_space(p.total, regular_action(p.total)),
-    "z1_a": lambda p: derivation_space(p.part_a, regular_action(p.part_a)),
-    "n1_a": lambda p: inner_space(p.part_a, regular_action(p.part_a)),
-    "z1_au": lambda p: derivation_space(p.part_a, p.part_u.action),
-    "n1_au": lambda p: inner_space(p.part_a, p.part_u.action),
-    "z1_u": lambda p: derivation_space(p.part_u.algebra, regular_action(p.part_u.algebra)),
-    "n1_u": lambda p: inner_space(p.part_u.algebra, regular_action(p.part_u.algebra)),
-    "hom_u": lambda p: hom_space(p.part_a, p.part_u.action, p.part_u.action),
-    # Hom_A(U) intersected with the derivations of U, in map coordinates
-    "hom_cap_z1u": lambda p: intersect(space(p, "hom_u"), space(p, "z1_u")),
-    "ann_a_u": lambda p: annihilator_in_algebra(p.part_a, p.part_u),
-    "ann_u_u": lambda p: annihilator_in_module(p.part_u),
-    "ann_a_a": lambda p: annihilator_in_algebra(p.part_a, regular_action(p.part_a)),
-    # the maps A -> A, A -> U and U -> A whose every row lies in ann_A(U), ann_U(U), ann_A(A)
-    "rows_in_ann_a_u": lambda p: product_subspace(*[space(p, "ann_a_u")] * p.n),
-    "rows_in_ann_u_u": lambda p: product_subspace(*[space(p, "ann_u_u")] * p.n),
-    "rows_in_ann_a_a": lambda p: product_subspace(*[space(p, "ann_a_a")] * p.m),
-    # the maps U -> A that vanish on U-products, and A -> U that vanish on A-products
-    "kills_u2": lambda p: solve(p.m * p.n, kills("kills_u2", p.part_u.algebra.mult,
-                                                 (0, 0, p.n), p.n)),
-    "kills_a2": lambda p: solve(p.n * p.m, kills("kills_a2", p.part_a.mult, (0, 0, p.m), p.m)),
-    "r": lambda p: r_space(p.part_a, p.part_u),
-    "c": lambda p: c_space(p.part_a, p.part_u),
-    "i": lambda p: i_space(p.part_a, p.part_u),
-    "r_plus_n1u": lambda p: subspace_sum(space(p, "r"), space(p, "n1_u")),
-    "c_plus_i": lambda p: subspace_sum(space(p, "c"), space(p, "i")),
-    # module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y
-    "pairing": lambda p: solve(p.m * p.n, *pairing_groups(p.part_a, p.part_u.action)),
     "groups31": _condition_groups,
     "groups31_full": lambda p: _condition_groups(p, full=True),
     "cond31": _cond31,
     "couplings": _coupling_groups,
     "phi": _phi,
+}
+
+# row of the factors -> how it is built from A and U (kept by ``_factor_rows``)
+_FACTOR_SPACES = {
+    "z1_a": lambda a, u: _factor_space(a, regular_action(a), "z1"),
+    "n1_a": lambda a, u: _factor_space(a, regular_action(a), "n1"),
+    "z1_au": lambda a, u: _factor_space(a, u.action, "z1"),
+    "n1_au": lambda a, u: _factor_space(a, u.action, "n1"),
+    "z1_u": lambda a, u: _factor_space(u.algebra, regular_action(u.algebra), "z1"),
+    "n1_u": lambda a, u: _factor_space(u.algebra, regular_action(u.algebra), "n1"),
+    "hom_u": lambda a, u: _factor_space(a, u.action, "hom"),
+    # Hom_A(U) intersected with the derivations of U, in map coordinates
+    "hom_cap_z1u": lambda a, u: intersect(_factor_rows(a, u, "hom_u"), _factor_rows(a, u, "z1_u")),
+    "ann_a_u": lambda a, u: annihilator_in_algebra(a, u),
+    "ann_u_u": lambda a, u: annihilator_in_module(u),
+    "ann_a_a": lambda a, u: annihilator_in_algebra(a, regular_action(a)),
+    # the maps A -> A, A -> U and U -> A whose every row lies in ann_A(U), ann_U(U), ann_A(A)
+    "rows_in_ann_a_u": lambda a, u: product_subspace(*[_factor_rows(a, u, "ann_a_u")] * a.dim),
+    "rows_in_ann_u_u": lambda a, u: product_subspace(*[_factor_rows(a, u, "ann_u_u")] * a.dim),
+    "rows_in_ann_a_a": lambda a, u: product_subspace(*[_factor_rows(a, u, "ann_a_a")] * u.dim),
+    # the maps U -> A that vanish on U-products, and A -> U that vanish on A-products
+    "kills_u2": lambda a, u: solve(u.dim * a.dim, kills("kills_u2", u.algebra.mult,
+                                                        (0, 0, a.dim), a.dim)),
+    "kills_a2": lambda a, u: solve(a.dim * u.dim, kills("kills_a2", a.mult, (0, 0, u.dim), u.dim)),
+    "r": lambda a, u: r_space(a, u),
+    "c": lambda a, u: c_space(a, u),
+    "i": lambda a, u: i_space(a, u),
+    "r_plus_n1u": lambda a, u: subspace_sum(_factor_rows(a, u, "r"), _factor_rows(a, u, "n1_u")),
+    "c_plus_i": lambda a, u: subspace_sum(_factor_rows(a, u, "c"), _factor_rows(a, u, "i")),
+    # module homomorphisms T: U -> A with T(x)y + xT(y) = 0 for all x, y
+    "pairing": lambda a, u: solve(u.dim * a.dim, *pairing_groups(a, u.action)),
 }
 
 

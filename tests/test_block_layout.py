@@ -67,10 +67,12 @@ def _quotients(p):
     space = verify.space
     hom_z1 = space(p, "hom_cap_z1u")
     return {
-        "4.1": (("delta1", "tau2"), product_subspace(space(p, "z1_a"), hom_z1), verify.build_E(p)),
-        "4.2": (("delta2", "tau2"), product_subspace(space(p, "z1_au"), hom_z1), verify.build_F(p)),
+        "4.1": (("delta1", "tau2"), product_subspace(space(p, "z1_a"), hom_z1),
+                verify._image_over_kernel(p, ("delta1", "tau2"))),
+        "4.2": (("delta2", "tau2"), product_subspace(space(p, "z1_au"), hom_z1),
+                verify._image_over_kernel(p, ("delta2", "tau2"))),
         "4.3": (("delta1", "delta2"), product_subspace(space(p, "z1_a"), space(p, "z1_au")),
-                verify.build_K(p)),
+                verify._image_over_kernel(p, ("delta1", "delta2"))),
         "4.4": (("tau2",), hom_z1, subspace_sum(space(p, "c"), space(p, "i"))),
     }
 
@@ -164,12 +166,12 @@ def test_images_of_kernels_match_a_brute_oracle():
             cases[f"{x} cap {y}"] = (intersect(sx, sy), sx.basis.data + sy.basis.data,
                                      sx.basis.data + [[0] * sx.ambient] * sy.dim)
         phi = [_vector(row, p.dim * p.dim) for row in verify.space(p, "phi")]
-        for name, build, keep in (("E", verify.build_E, ("delta1", "tau2")),
-                                  ("F", verify.build_F, ("delta2", "tau2")),
-                                  ("K", verify.build_K, ("delta1", "delta2"))):
+        for name, keep in (("E", ("delta1", "tau2")), ("F", ("delta2", "tau2")),
+                           ("K", ("delta1", "delta2"))):
             kept = _coordinates(p, keep)
             off = sorted(set(range(p.dim * p.dim)) - set(kept))
-            cases[name] = (build(p), [[row[j] for j in off] for row in phi],
+            cases[name] = (verify._image_over_kernel(p, keep),
+                           [[row[j] for j in off] for row in phi],
                            [[row[j] for j in kept] for row in phi])
         for name, (computed, constraints, values) in cases.items():
             assert computed.basis.data == brute_image_of_kernel(constraints, values), (name, p.name)

@@ -3,7 +3,8 @@
 ``tests/golden/images/image_pins.json`` holds, for each product, the
 canonical bases of ``center`` (of A, U and the total), ``commutant_in_module``,
 ``inner_space`` (of A, (A, U), U and the total), ``r_space``, ``c_space``,
-``i_space`` and ``build_E``/``F``/``K``, the matrices of ``inner_map`` (its
+``i_space`` and the 4.1-4.3 denominators E, F and K
+(``verify._image_over_kernel``), the matrices of ``inner_map`` (its
 ``u_inner_map`` entry is the inner map of U's own regular action) and
 ``r_map`` on fixed vectors, and the witnesses that ``inner_witness`` returns
 for a fixed inner map and for every basis derivation of the total.  Witnesses are not unique, so the pin fixes the one
@@ -33,7 +34,7 @@ from semih1.spaces import (
     r_map,
     r_space,
 )
-from semih1.verify import build_E, build_F, build_K
+from semih1.verify import _image_over_kernel
 
 from test_rule_reports import products as rule_products
 
@@ -98,9 +99,9 @@ def images(p):
         "r": _basis(r_space(a, u)),
         "c": _basis(c_space(a, u)),
         "i": _basis(i_space(a, u)),
-        "E": _basis(build_E(p)),
-        "F": _basis(build_F(p)),
-        "K": _basis(build_K(p)),
+        "E": _basis(_image_over_kernel(p, ("delta1", "tau2"))),
+        "F": _basis(_image_over_kernel(p, ("delta2", "tau2"))),
+        "K": _basis(_image_over_kernel(p, ("delta1", "delta2"))),
         "inner_map_A": _matrix(inner_map(xa, a, regular_action(a))),
         "inner_map_AU": _matrix(inner_map(xu, a, u.action)),
         "u_inner_map": _matrix(inner_map(xu, ualg, regular_action(ualg))),

@@ -48,8 +48,10 @@ def test_minimal_file_parses_and_runs():
 
 
 def test_h1_job_checks_that_the_inner_maps_lie_in_z1(monkeypatch):
-    # Z1(Q) = 0, so the full space on Q, standing in for N1, escapes it
+    # Z1(Q) = 0, so the full space on Q, standing in for N1, escapes it; Q is separable,
+    # so its Z1 entry would be that N1 entry unless the Leibniz route is taken
     monkeypatch.setattr(semih1.verify, "inner_space", lambda a, act: Subspace.full(1))
+    monkeypatch.setattr(semih1.verify, "separable", lambda a: False)
     doc, code = run_jobs(parse_instance_text(doc_text(MINIMAL)))
     assert code == 2
     assert doc["jobs"][0]["status"] == "error"

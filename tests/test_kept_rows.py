@@ -6,7 +6,11 @@ its ``(name, pair, row)`` triples, so a change to which rows are kept, to
 their pair, or to the order of the entries inside a row changes the pin.
 A separable factor takes N1 for its Z1 and builds no Leibniz group; with
 that route off, the groups are those of the older pin, and the groups left
-with it on are some of them.
+with it on are some of them.  Each factor's Z1 is kept in its algebra under
+the action, so a product that reads one factor space as two parts on one
+action (A and (A, U) when U is A's regular module) builds its group once:
+the pins recorded when each product kept its own copies are the pins of
+these groups with the groups read again added back.
 
 The per-map checks on a product read the spaces the product keeps: once
 ``run_case`` has run and every space a check reads exists,
@@ -16,7 +20,12 @@ the full Leibniz group of A x| U, whose scan names the failing pair.
 ``split_blocks`` builds the eight full 3.1 groups on its first call on a
 product and none on a later one.  The ``spaces`` jobs of one run on one
 (algebra, module) pair build each group once, and the ``z1``, ``n1``, ``h1``
-and rule jobs of one run build each Leibniz group once.
+and rule jobs of one run build each Leibniz group once, a built product's
+factor spaces included.  The factor spaces stay with the parsed algebras, so
+a second run of one parsed file builds only its built products' groups.  On
+a separable factor, Z1 is the N1 entry, so T(M2) solves each N1 once.
+The public ``spaces`` functions keep nothing: ``h1_dim`` twice on one
+algebra builds its Leibniz group twice.
 """
 
 import hashlib
@@ -26,9 +35,9 @@ from collections import Counter
 
 import pytest
 
-from semih1 import spaces
+from semih1 import spaces, verify
 from semih1.algebra import regular_action
-from semih1.catalog import matrix_algebra
+from semih1.catalog import dual_numbers, matrix_algebra
 from semih1.errors import NotADerivation
 from semih1.families import random_product
 from semih1.instancefile import parse_instance_text, render_text, run_jobs
@@ -49,9 +58,18 @@ from semih1.verify import (
 
 # sha256 of the sorted per-group digests, recorded when the Leibniz, hom and 3.1 groups
 # began keeping only the rows whose algebra index lies in a generating set, with every
-# Z1 on the Leibniz route; and again when a separable factor's Z1 became its N1
-LEIBNIZ_ROUTE_SHA256 = "2adb0cf55cf08e1ce1d1e619f79928a0690e842018118a62d2270f888da988c3"
-KEPT_ROWS_SHA256 = "711fb664c7ae236f6085973329fd7a1f075595d09087d4ee51957c41946dd950"
+# Z1 on the Leibniz route; again when a separable factor's Z1 became its N1; and again
+# when each factor's spaces came to be kept in its algebra instead of in each product
+LEIBNIZ_ROUTE_SHA256 = "5df184bf592bb841e5625b5db6b8a36cb25dc64bfcf7e3fe2926fba4db291cbe"
+KEPT_ROWS_SHA256 = "916bf383be67ac6b3cc1d65f7497898cbca9934befb11a2238dc82f54433e288"
+# the two pins while each product kept its own factor spaces, and the groups such a
+# product built again: a factor's Leibniz group, read as a second part on one action
+PER_PRODUCT_ROUTE_SHA256 = "2adb0cf55cf08e1ce1d1e619f79928a0690e842018118a62d2270f888da988c3"
+PER_PRODUCT_KEPT_SHA256 = "711fb664c7ae236f6085973329fd7a1f075595d09087d4ee51957c41946dd950"
+READ_AGAIN = Counter({("leibniz", digest): 1 for digest in (
+    "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "ac31d5308802caa57efa0c228e6ab52c9f701a14dfbbd58130abe539bfdf84a5",
+    "fd03683abfdc2b7e92a510d25a7323b2c25ab0fdfccc5064312d5366c3338de9")})
 
 
 def _draws(count=50):
@@ -87,16 +105,25 @@ def _pin(digests):
 
 def test_kept_rows_of_every_group_run_case_reads(monkeypatch):
     kept = _kept_digests(monkeypatch)
-    assert kept.total() == 759
+    assert kept.total() == 756
     assert _pin(kept) == KEPT_ROWS_SHA256
     # a separable factor takes N1 for its Z1: every group left is one that the Leibniz
     # route for every factor builds, and the groups no longer built are Leibniz groups
-    monkeypatch.setattr(spaces, "separable", lambda a: False)
+    for module in (spaces, verify):
+        monkeypatch.setattr(module, "separable", lambda a: False)
     every = _kept_digests(monkeypatch)
-    assert every.total() == 822
+    assert every.total() == 819
     assert _pin(every) == LEIBNIZ_ROUTE_SHA256
     assert kept <= every
     assert {name for name, _ in (every - kept)} == {"leibniz"}
+    # with the groups read again added back, both are the multisets the per-product
+    # copies built: no group is new, and every one dropped is a Leibniz group whose
+    # rows some group still kept has
+    assert {name for name, _ in READ_AGAIN} == {"leibniz"}
+    for groups, pin in ((kept, PER_PRODUCT_KEPT_SHA256),
+                        (every, PER_PRODUCT_ROUTE_SHA256)):
+        assert _pin(groups + READ_AGAIN) == pin
+        assert set(groups + READ_AGAIN) == set(groups)
 
 
 def test_per_map_checks_read_the_kept_spaces(monkeypatch):
@@ -185,10 +212,10 @@ def test_spaces_jobs_on_one_pair_build_each_group_once(monkeypatch):
     assert built == ["hom-left", "hom-right", "leibniz"]
     first = report["jobs"][0]["result"]
     assert [job["result"] for job in report["jobs"]] == [first] * 3
-    # a second run builds its own product and the same report
+    # a second run reads the spaces the parsed algebras keep, and gives the same report
     built.clear()
     again, _ = run_jobs(inst)
-    assert built == ["hom-left", "hom-right", "leibniz"]
+    assert built == []
     assert render_text(again) == render_text(report)
 
 
@@ -215,7 +242,60 @@ def test_z1_n1_h1_and_rule_jobs_of_one_run_build_each_leibniz_group_once(monkeyp
     results = [job["result"] for job in report["jobs"]]
     assert results[2] == results[3] == {"h1_dim": 1, "z1_dim": 1, "n1_dim": 0}
     assert results[9]["verdict"] == "verified"
+    # a second run builds P afresh, and with it the Leibniz group of its total alone
     built.clear()
     again, _ = run_jobs(inst)
-    assert built == [(2, 2, 2)] * 3 + [(4, 4, 4)]
+    assert built == [(4, 4, 4)]
     assert render_text(again) == render_text(report)
+
+
+def test_a_built_product_reads_the_factor_spaces_of_the_run(monkeypatch):
+    init, built = spaces.RowGroup.__init__, []
+
+    def recording(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        if group.name == "leibniz":
+            built.append(group.dims)
+
+    inst = _dual_numbers([
+        {"cmd": "h1", "args": ["D"]}, {"cmd": "h1", "args": ["D", "U"]},
+        {"cmd": "build", "kind": "semidirect", "name": "P", "args": ["D", "U"]},
+        {"cmd": "verify", "id": "4.1", "args": ["P"]}])
+    monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
+    report, code = run_jobs(inst)
+    assert code == 0
+    # Z1(D) and Z1(D, U), which rule 4.1's gates on P read too; then the total of P
+    assert built == [(2, 2, 2), (2, 2, 2), (4, 4, 4)]
+    assert report["jobs"][3]["result"]["verdict"] == "hypotheses-not-met"
+
+
+def test_a_separable_factor_solves_each_n1_once(monkeypatch):
+    span, ambients = spaces._span_of_rows, []
+
+    def counted(rows, ambient):
+        ambients.append(ambient)
+        return span(rows, ambient)
+
+    monkeypatch.setattr(spaces, "_span_of_rows", counted)
+    m2 = matrix_algebra(2)
+    p = module_extension(m2, regular_action(m2))
+    for name in ("z1_a", "n1_a", "z1_au", "n1_au", "z1_u", "n1_u"):
+        space(p, name)
+    # N1(M2), which is Z1 and N1 of both M2 and (M2, U), and N1(U) for the null U
+    assert ambients == [16, 16]
+    assert space(p, "z1_a") is space(p, "n1_au")
+
+
+def test_the_public_spaces_functions_keep_nothing(monkeypatch):
+    init, built = spaces.RowGroup.__init__, []
+
+    def recording(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        built.append(group.name)
+
+    monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
+    d = dual_numbers()
+    assert spaces.h1_dim(d) == spaces.h1_dim(d) == 1
+    # each call solves its own system: only ``verify`` keeps spaces in an algebra
+    assert built == ["leibniz", "leibniz"]
+    assert d._memo is None

@@ -278,7 +278,7 @@ def test_a_kernel_is_one_elimination(monkeypatch):
                           "center": lambda: center(m2),
                           "commutant_in_module": lambda: commutant_in_module(m2, u),
                           "annihilator_in_algebra": lambda: annihilator_in_algebra(m2, u),
-                          "build_E": lambda: verify.build_E(p)}.items():
+                          "E": lambda: verify._image_over_kernel(p, ("delta1", "tau2"))}.items():
         seen.clear()
         compute()
         assert len(seen) == 1, name

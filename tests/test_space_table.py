@@ -1,4 +1,9 @@
-"""The space and gate tables of ``verify``: consistent, and read once per product."""
+"""The space and gate tables of ``verify``: consistent, and each entry built once.
+
+A row of the total is built once per product, a row of the factors once per
+(algebra, module) pair, and Z1, N1 and Hom_A of a part once per algebra and
+action, however many products read them.
+"""
 
 import random
 from collections import Counter
@@ -30,23 +35,25 @@ def test_every_gate_named_is_a_row_of_gates_and_every_row_is_named(monkeypatch):
 
 def test_each_space_and_gate_is_computed_once_per_product(monkeypatch):
     builds = Counter()
-    products = []   # held so that no product's id is reused
+    held = []   # what each entry is of, held so that no id is reused
 
     def counting(table, kind):
         for name, build in list(table.items()):
-            def counted(p, name=name, build=build):
-                builds[kind, name, id(p)] += 1
-                return build(p)
+            def counted(*of, name=name, build=build):
+                held.append(of)
+                builds[kind, name, tuple(map(id, of))] += 1
+                return build(*of)
             monkeypatch.setitem(table, name, counted)
 
     counting(verify._SPACES, "space")
+    counting(verify._FACTOR_SPACES, "factor")
+    counting(verify._OF_ACTION, "action")
     counting(verify.GATES, "gate")
     for i in range(50):
         rng = random.Random(f"battery:1:{i}")
         p, a_sample = random_product(rng, 3)
-        products.append(p)
         run_case(p, a_sample, rng)
-    assert {kind for kind, _, _ in builds} == {"space", "gate"}
+    assert {kind for kind, _, _ in builds} == {"space", "factor", "action", "gate"}
     assert [key for key, count in builds.items() if count > 1] == []
 
 
@@ -68,7 +75,8 @@ def test_every_space_is_a_subspace_of_its_flattened_maps():
         p, _ = random_product(random.Random(f"table:{i}"), 3)
         shapes.add((p.n, p.m))
         expected = ambients(p)
-        assert set(expected) == set(verify._SPACES) - {"groups31", "groups31_full", "couplings", "phi"}
+        rows = set(verify._SPACES) | set(verify._FACTOR_SPACES)
+        assert set(expected) == rows - {"groups31", "groups31_full", "couplings", "phi"}
         for name, ambient in expected.items():
             got = verify.space(p, name)
             assert isinstance(got, Subspace), name

@@ -37,10 +37,8 @@ from semih1.products import (
 from semih1.families import random_product
 from semih1.spaces import inner_map, inner_witness, r_map
 from semih1.verify import (
+    _image_over_kernel,
     applies,
-    build_E,
-    build_F,
-    build_K,
     corollary_3_2_check,
     embed_blocks,
     hypothesis_check,
@@ -305,9 +303,10 @@ def test_efk_spaces_for_scaled_products():
     nu = space(p, "n1_u")
     assert na.dim == 2 and nu.dim == 3
     from semih1.linalg import Subspace
-    assert build_E(p) == product_subspace(na, nu)
-    assert build_F(p) == product_subspace(Subspace.zero(p.n * p.m), nu)
-    assert build_K(p) == product_subspace(na, Subspace.zero(p.n * p.m))
+    zero = Subspace.zero(p.n * p.m)
+    assert _image_over_kernel(p, ("delta1", "tau2")) == product_subspace(na, nu)
+    assert _image_over_kernel(p, ("delta2", "tau2")) == product_subspace(zero, nu)
+    assert _image_over_kernel(p, ("delta1", "delta2")) == product_subspace(na, zero)
 
 
 def test_verify_41_direct_product():
