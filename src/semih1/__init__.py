@@ -7,6 +7,9 @@ products (direct products, module extensions, triangular algebras,
 character-scaled and homomorphism-twisted products), and mechanically
 verifies the block-structure and H1-quotient laws relating a product's
 cohomology to that of its factors.
+
+The names imported here are the public surface, listed by workflow under
+"Library overview" in README.md; the rest is reached through its module.
 """
 
 from .algebra import (
@@ -19,36 +22,26 @@ from .algebra import (
     annihilator_in_module,
     center,
     regular_action,
-    regular_module,
-    relative_annihilator,
     separable,
-    span_of_products,
     validate_algebra,
-    validate_character,
-    validate_corner,
     validate_module,
 )
 from .errors import Semih1Error
 from .linalg import (
     Matrix,
     Subspace,
-    frac,
     image,
     intersect,
     kernel,
-    quotient_dim,
     rref,
-    solve_right,
     subspace_sum,
     unflatten,
 )
 from .products import (
     SemidirectAlgebra,
-    alpha_iso,
     alpha_product,
     direct_product,
     fixture_nonzero_tau1,
-    fixture_paired_tau_blocks,
     module_extension,
     semidirect,
     theta_lau,
@@ -68,18 +61,10 @@ from .spaces import (
     r_space,
 )
 from .verify import (
-    BlockDecomposition,
-    RuleReport,
     corollary_3_2_check,
-    embed_blocks,
-    hypothesis_check,
     inner_characterization,
-    is_derivation_via_3_1,
     split_blocks,
-    tau1_vanishes,
-    theorem_3_1_equivalence,
     verify_any,
-    verify_special_case,
     verify_theorem,
 )
 

@@ -26,11 +26,7 @@ from itertools import takewhile, zip_longest
 from math import lcm
 from operator import itemgetter
 
-from .errors import (
-    NotSubmodule,
-    ShapeMismatch,
-    ValidationFailed,
-)
+from .errors import ShapeMismatch, ValidationFailed
 from .linalg import (
     F0,
     F1,
@@ -272,11 +268,6 @@ class ModuleAlgebra:
 
     def __repr__(self):
         return f"ModuleAlgebra({self.algebra.name!r}, dim={self.dim})"
-
-
-def regular_module(a: Algebra) -> ModuleAlgebra:
-    """A as a module-algebra over itself."""
-    return ModuleAlgebra(a, regular_action(a))
 
 
 class Character:
@@ -544,28 +535,6 @@ def annihilator_in_algebra(a: Algebra, u) -> Subspace:
 def annihilator_in_module(u: ModuleAlgebra) -> Subspace:
     """ann_U U = {x in U : xU = Ux = 0} for U's own multiplication."""
     return annihilator_in_algebra(u.algebra, regular_action(u.algebra))
-
-
-def is_sub_bimodule(n_space: Subspace, act: BimoduleAction) -> bool:
-    """True when the subspace is closed under both actions of every basis element."""
-    return not any(n_space.reduce(_combine(grid, x))
-                   for i in range(act.algebra_dim)
-                   for grid in (act.left[i], [row[i] for row in act.right])
-                   for x in n_space.rows)
-
-
-def relative_annihilator(n_space: Subspace, a: Algebra, u) -> Subspace:
-    """(N:U)_A = {a in A : a.U <= N and U.a <= N} for a sub-bimodule N.
-
-    It is ann_A (U/N), the action's slices reduced modulo N standing for U/N.
-    """
-    act = _action_of(a, u)
-    if n_space.ambient != act.module_dim:
-        raise ShapeMismatch("submodule lives in the wrong ambient dimension")
-    if not is_sub_bimodule(n_space, act):
-        raise NotSubmodule("the given subspace is not closed under the actions")
-    grids = ([list(map(n_space.reduce, slab)) for slab in grid] for grid in (act.left, act.right))
-    return annihilator_in_algebra(a, _from_slices(BimoduleAction, a.dim, act.module_dim, *grids))
 
 
 def commutant_in_module(a: Algebra, u) -> Subspace:

@@ -19,20 +19,12 @@ class ShapeMismatch(Semih1Error):
     """A tensor or matrix does not have the declared shape."""
 
 
-class NotASubspace(Semih1Error):
-    """A claimed subspace containment does not hold."""
-
-
 class ValidationFailed(Semih1Error):
     """An algebra/module axiom fails; ``report`` holds the witnesses."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class NotSubmodule(Semih1Error):
-    """A subspace is not closed under the module actions."""
 
 
 class InvalidCharacter(Semih1Error):
@@ -45,14 +37,6 @@ class NotHomomorphism(Semih1Error):
 
 class NotBimodule(Semih1Error):
     """A two-sided action fails one of the bimodule axioms."""
-
-
-class GammaIdentityFailed(Semih1Error):
-    """The pairing identity c*g(c') + g(c)*c' = 0 fails; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotADerivation(Semih1Error):

@@ -16,11 +16,12 @@ fits no signature is a ``ParseError`` job error.  Builds call the
 ``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
 call the trusted ``_semidirect``, ``_module_extension`` or ``_triangular``
 on a module or corner that parsing validated, so it is not checked again.
-The ``z1``, ``n1``, ``h1`` and ``spaces`` jobs read the spaces kept by what
-they are of: a built product's total the product's rows (``verify.space``),
-an algebra and a module the entries the algebras keep for them
-(``verify._factor_space`` and ``verify._factor_rows``), which a built A x| U
-reads too.  So each space a file's jobs read is solved once.
+The ``z1``, ``n1``, ``h1``, ``spaces`` and two-argument ``hom`` jobs read the
+spaces kept by what they are of: a built product's total the product's rows
+(``verify.space``), an algebra and a module the entries the algebras keep for
+them (``verify._factor_space`` and ``verify._factor_rows``), which a built
+A x| U reads too.  So each space a file's jobs read is solved once; ``hom``
+into a second module is solved at each job.
 """
 
 import json
@@ -430,6 +431,12 @@ def _spaces(reg, job, a, u=None):
             "hom_cap_z1_dim": _factor_rows(a, u, "hom_cap_z1u").dim}
 
 
+def _hom(reg, job, a, u, v=None):
+    """Hom_A(U, V); Hom_A(U) is the entry A keeps for U's action."""
+    hom = _factor_space(a, u.action, "hom") if v is None else hom_space(a, u.action, v.action)
+    return _space(hom, u.dim, (v or u).dim)
+
+
 def _decompose(reg, job, prod):
     bd = split_blocks(_job_map(job, (prod.dim, prod.dim)), prod)
     return {
@@ -483,9 +490,7 @@ JOBS = {
     "z1": (_PAIR, _maps, _dim),
     "n1": (_PAIR, _maps, _dim),
     "h1": (_PAIR, _cohomology, lambda r: f"h1={r['h1_dim']} (z1={r['z1_dim']}, n1={r['n1_dim']})"),
-    "hom": ((("algebra", "module"), ("algebra", "module", "module")),
-            lambda reg, job, a, u, v=None: _space(hom_space(a, u.action, (v or u).action),
-                                                  u.dim, (v or u).dim), _dim),
+    "hom": ((("algebra", "module"), ("algebra", "module", "module")), _hom, _dim),
     "spaces": ((("product",), ("algebra", "module")), _spaces, _fields),
     "decompose": ((("product",),), _decompose, _derivation),
     "inner-witness": ((("product",), ("algebra", "module")), _inner_witness,

@@ -33,7 +33,7 @@ Conventions
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, NotASubspace, ShapeMismatch
+from .errors import DimensionMismatch, ShapeMismatch
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -450,13 +450,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return _image_of_kernel(a.rows + b.rows, a.rows + ((),) * b.dim, a.ambient, a.ambient)
 
 
-def quotient_dim(big: Subspace, small: Subspace) -> int:
-    """dim(big/small); raises :class:`NotASubspace` unless small <= big."""
-    if not big.contains_subspace(small):
-        raise NotASubspace("claimed subspace is not contained in the larger space")
-    return big.dim - small.dim
-
-
 def product_subspace(*parts: Subspace) -> Subspace:
     """External direct sum of the parts inside Q^(sum of their ambients), blocks side by side."""
     rows, offset = [], 0
@@ -467,15 +460,8 @@ def product_subspace(*parts: Subspace) -> Subspace:
     return Subspace(offset, tuple(rows))
 
 
-def solve_right(m: Matrix, rhs) -> "list[Fraction] | None":
-    """One solution x of ``m @ x = rhs``, or None if inconsistent."""
-    if len(rhs) != m.rows:
-        raise ShapeMismatch("right-hand side length differs from row count")
-    return _solve_rows([_pairs(row + [frac(b)]) for row, b in zip(m.data, rhs)], m.cols)
-
-
 def _solve_rows(rows, cols):
-    """:func:`solve_right` on sparse rows whose column ``cols`` holds the right-hand side."""
+    """One solution x of sparse rows whose column ``cols`` holds the right-hand side, else None."""
     reduced, pivots = _rref_rows(rows, cols + 1)
     if cols in pivots:
         return None

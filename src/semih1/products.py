@@ -34,14 +34,12 @@ from .algebra import (
 )
 from .catalog import direct_sum_algebra, field_q, null_algebra
 from .errors import (
-    GammaIdentityFailed,
     InvalidCharacter,
     NotBimodule,
     NotHomomorphism,
     ShapeMismatch,
 )
 from .linalg import F1, Matrix, _sparse_rows
-from .spaces import first_failure, pairing_groups
 
 
 class SemidirectAlgebra:
@@ -248,47 +246,4 @@ def fixture_nonzero_tau1(b: Algebra):
     for p in range(n):
         # tau1(u_p) = (0, u_p): the ideal copy of B inside A sits at columns n..2n-1
         d.data[2 * n + p][n + p] = F1
-    return prod, d
-
-
-def fixture_paired_tau_blocks(a: Algebra, c_action: BimoduleAction, gamma: Matrix):
-    """A semidirect product with a derivation whose tau1 and tau2 cancel in pairs.
-
-    Inputs: an A-bimodule C and an A-bimodule homomorphism gamma: C -> A
-    satisfying c.gamma(c') + gamma(c).c' = 0 for all c, c'.  The product is
-    A x| U with U = A x C, multiplication (x,y)(x',y') = (xx', 0), and the
-    returned map D has blocks tau1((x,y)) = gamma(y) and
-    tau2((x,y)) = (-gamma(y), 0); it passes the derivation test whenever the
-    pairing identity holds.  The three laws on gamma are checked as the row
-    groups of :func:`.spaces.pairing_groups`, in that order.
-    """
-    n = a.dim
-    nc = c_action.module_dim
-    if c_action.algebra_dim != n:
-        raise ShapeMismatch("C must be a bimodule over the given algebra")
-    if (gamma.rows, gamma.cols) != (nc, n):
-        raise ShapeMismatch("gamma must be a dim(C) x dim(A) matrix")
-    *homs, pairing = pairing_groups(a, c_action)
-    flat = gamma.flatten()
-    for g in homs:
-        if (pair := first_failure(g, flat)) is not None:
-            raise NotHomomorphism(f"gamma is no module homomorphism: {g.name} fails at {pair}")
-    if (pair := first_failure(pairing, flat)) is not None:
-        raise GammaIdentityFailed(f"c.gamma(c') + gamma(c).c' != 0 at (c,c')={pair}", witness=pair)
-    mu = n + nc
-    # U = A x C with multiplication (x,y)(x',y') = (xx', 0)
-    ualg = _from_slices(Algebra, f"{a.name}xC", mu, block_tensor((mu, mu), [((0, 0, 0), a.mult)]))
-    left = block_tensor((n, mu), [((0, 0, 0), a.mult), ((0, n, n), c_action.left)])
-    right = block_tensor((mu, n), [((0, 0, 0), a.mult), ((n, 0, n), c_action.right)])
-    mod = ModuleAlgebra(ualg, _from_slices(BimoduleAction, n, mu, left, right))
-    prod = semidirect(a, mod, name=f"sd({a.name},{ualg.name})")
-    t = prod.dim
-    d = Matrix.zeros(t, t)
-    for s in range(nc):
-        src = n + n + s  # the C-coordinates of U inside the total
-        for k in range(n):
-            g = gamma.data[s][k]
-            if g:
-                d.data[src][k] = g          # tau1((0,c)) = gamma(c)
-                d.data[src][n + k] = -g     # tau2((0,c)) = (-gamma(c), 0)
     return prod, d

@@ -262,17 +262,6 @@ def _flat_map(d: Matrix, p: SemidirectAlgebra):
     return d.flatten()
 
 
-def embed_blocks(p: SemidirectAlgebra, delta1=None, delta2=None, tau1=None, tau2=None) -> Matrix:
-    """Assemble a map on A x| U from (some of) its four blocks; a wrong shape raises."""
-    d, t = Matrix.zeros(p.dim, p.dim), p.dim
-    for name, block in zip(_BLOCKS, (delta1, delta2, tau1, tau2)):
-        if block is not None:
-            _check_block(p, name, block)
-            for j, x in zip(_layout(p, (name,)), block.flatten()):
-                d.data[j // t][j % t] = x
-    return d
-
-
 # The eight block conditions of 3.1 are the (source pair, target) blocks of
 # the Leibniz identity on A x| U, in the order they are reported.  Only the
 # tau1-hom-right pairs (x, a) are scanned a-major.

@@ -30,7 +30,7 @@ from semih1.algebra import (
     CornerModule,
     ModuleAlgebra,
     generators,
-    regular_module,
+    regular_action,
     semidirect_blocks,
     validate_algebra,
     validate_corner,
@@ -343,7 +343,8 @@ def light_draw(seed):
     base = MODULE_BASES[seed % 4]
     n = base.dim
     pa = elementary_matrices(rng, n, steps=2)
-    reg = change_basis_module(regular_module(base), pa, elementary_matrices(rng, n, steps=2))
+    regular = ModuleAlgebra(base, regular_action(base))
+    reg = change_basis_module(regular, pa, elementary_matrices(rng, n, steps=2))
     actions = [dense(reg.action.left, n), dense(reg.action.right, n)]
     perturb(rng, rng.choice(actions))
     a = change_basis_algebra(base, pa)
@@ -410,7 +411,8 @@ def test_each_table_takes_the_scans_its_generators_allow(monkeypatch):
     calls = scans(monkeypatch)
     pa, rng = elementary_matrices(random.Random(6), 6), random.Random(7)
     a = change_basis_algebra(cyclic_group_algebra(6), pa)
-    u = change_basis_module(regular_module(cyclic_group_algebra(6)), pa, elementary_matrices(rng, 6))
+    c6 = cyclic_group_algebra(6)
+    u = change_basis_module(ModuleAlgebra(c6, regular_action(c6)), pa, elementary_matrices(rng, 6))
     gens = generators(a)
     assert validate_algebra(a).ok and calls == [{"A": gens}] and len(gens) < 6
     assert validate_algebra(u.algebra).ok

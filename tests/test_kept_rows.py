@@ -18,8 +18,8 @@ The per-map checks on a product read the spaces the product keeps: once
 product.  ``inner_characterization`` on a non-derivation builds one group,
 the full Leibniz group of A x| U, whose scan names the failing pair.
 ``split_blocks`` builds the eight full 3.1 groups on its first call on a
-product and none on a later one.  The ``spaces`` jobs of one run on one
-(algebra, module) pair build each group once, and the ``z1``, ``n1``, ``h1``
+product and none on a later one.  The ``spaces`` and ``hom`` jobs of one run
+on one (algebra, module) pair build each group once, and the ``z1``, ``n1``, ``h1``
 and rule jobs of one run build each Leibniz group once, a built product's
 factor spaces included.  The factor spaces stay with the parsed algebras, so
 a second run of one parsed file builds only its built products' groups.  On
@@ -205,13 +205,19 @@ def test_spaces_jobs_on_one_pair_build_each_group_once(monkeypatch):
         init(group, *args, **kwargs)
         built.append(group.name)
 
-    inst = _dual_numbers([{"cmd": "spaces", "args": ["D", "U"]}] * 3)
+    inst = _dual_numbers([{"cmd": "spaces", "args": ["D", "U"]}] * 3
+                         + [{"cmd": "hom", "args": ["D", "U"]}] * 2)
     monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
     report, code = run_jobs(inst)
     assert code == 0
     assert built == ["hom-left", "hom-right", "leibniz"]
-    first = report["jobs"][0]["result"]
-    assert [job["result"] for job in report["jobs"]] == [first] * 3
+    first, hom = report["jobs"][0]["result"], report["jobs"][3]["result"]
+    assert [job["result"] for job in report["jobs"]] == [first] * 3 + [hom] * 2
+    # the kept Hom_D(U) is the space a fresh solve gives
+    d = inst.algebras["D"]
+    fresh = spaces.hom_space(d, *[regular_action(d)] * 2)
+    assert hom["dim"] == first["hom_dim"] == fresh.dim
+    assert hom["basis"] == [[str(x) for x in row] for row in fresh.basis.data]
     # a second run reads the spaces the parsed algebras keep, and gives the same report
     built.clear()
     again, _ = run_jobs(inst)

@@ -3,20 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from semih1.errors import DimensionMismatch, NotASubspace
+from semih1.errors import DimensionMismatch
 from semih1.families import random_matrix
 from semih1.linalg import (
     Matrix,
     Subspace,
     _pairs,
+    _solve_rows,
     frac,
     image,
     intersect,
     kernel,
     product_subspace,
-    quotient_dim,
     rref,
-    solve_right,
     subspace_sum,
     unflatten,
 )
@@ -99,18 +98,6 @@ def test_intersect_coordinate_planes():
     assert meet.basis.data == [[0, 1, 0]]
 
 
-def test_quotient_dim_of_line_in_space():
-    line = Subspace.from_vectors(3, [[1, 0, 0]])
-    assert quotient_dim(Subspace.full(3), line) == 2
-
-
-def test_quotient_dim_rejects_non_subspace():
-    a = Subspace.from_vectors(2, [[1, 0]])
-    b = Subspace.from_vectors(2, [[0, 1]])
-    with pytest.raises(NotASubspace):
-        quotient_dim(a, b)
-
-
 def test_dimension_mismatch_raised():
     with pytest.raises(DimensionMismatch):
         subspace_sum(Subspace.full(2), Subspace.full(3))
@@ -177,12 +164,13 @@ def test_product_subspace_blocks():
             [0, 0, 0, 0, 0, 1, 0]])
 
 
-def test_solve_right_consistency():
-    m = M([[1, 2], [3, 4], [4, 6]])
-    x = solve_right(m, [5, 11, 16])
+def test_solve_rows_consistency():
+    # column 2 holds the right-hand side
+    rows = [[1, 2, 5], [3, 4, 11], [4, 6, 16]]
+    x = _solve_rows([_pairs(row) for row in rows], 2)
     assert x is not None
-    assert [sum(r * v for r, v in zip(row, x)) for row in m.data] == [5, 11, 16]
-    assert solve_right(M([[1, 1], [1, 1]]), [0, 1]) is None
+    assert [sum(r * v for r, v in zip(row, x)) for row in rows] == [5, 11, 16]
+    assert _solve_rows([_pairs([1, 1, 0]), _pairs([1, 1, 1])], 2) is None
 
 
 def test_matrix_apply_and_flatten_roundtrip():

@@ -23,7 +23,6 @@ from semih1.catalog import (
     upper_triangular_2,
 )
 from semih1.errors import (
-    GammaIdentityFailed,
     InvalidCharacter,
     NotBimodule,
     NotHomomorphism,
@@ -36,7 +35,6 @@ from semih1.products import (
     alpha_product,
     direct_product,
     fixture_nonzero_tau1,
-    fixture_paired_tau_blocks,
     module_extension,
     semidirect,
     theta_lau,
@@ -49,14 +47,6 @@ from _oracle import dense
 
 def algebras_equal(a, b):
     return a.dim == b.dim and dense(a.mult, a.dim) == dense(b.mult, b.dim)
-
-
-def strict_corner_action(t2):
-    """span{E12} of the upper-triangular algebra as a bimodule over it."""
-    mult = dense(t2.mult, 3)
-    left = [[[mult[i][1][1]]] for i in range(3)]
-    right = [[[mult[1][i][1]] for i in range(3)]]
-    return BimoduleAction(3, 1, left, right)
 
 
 def test_semidirect_trivial_everything():
@@ -301,40 +291,6 @@ def test_fixture_nonzero_tau1_matrix_base():
     assert p.dim == 12
     from semih1.verify import is_derivation_via_3_1
     assert is_derivation_via_3_1(d, p)
-
-
-def test_fixture_paired_tau_blocks_inclusion():
-    t2 = upper_triangular_2()
-    c_act = strict_corner_action(t2)
-    gamma = Matrix([[0, 1, 0]])
-    p, d = fixture_paired_tau_blocks(t2, c_act, gamma)
-    assert p.dim == 7
-    from semih1.verify import is_derivation_via_3_1, split_blocks
-    bd = split_blocks(d, p)
-    assert bd.ok
-    assert not bd.tau1.is_zero()
-    assert not bd.tau2.is_zero()
-
-
-def test_fixture_paired_tau_blocks_zero_gamma():
-    t2 = upper_triangular_2()
-    p, d = fixture_paired_tau_blocks(t2, strict_corner_action(t2), Matrix.zeros(1, 3))
-    assert d.is_zero()
-    from semih1.verify import is_derivation_via_3_1
-    assert is_derivation_via_3_1(d, p)
-
-
-def test_fixture_paired_tau_blocks_rejects_bad_gamma():
-    t2 = upper_triangular_2()
-    # gamma = projection onto E11 is not a module homomorphism
-    with pytest.raises(NotHomomorphism):
-        fixture_paired_tau_blocks(t2, strict_corner_action(t2), Matrix([[1, 0, 0]]))
-    # gamma into the identity-ish direction breaks the pairing identity:
-    # use C = A itself with gamma = identity on the unital algebra Q
-    q = field_q()
-    with pytest.raises(GammaIdentityFailed) as err:
-        fixture_paired_tau_blocks(q, regular_action(q), Matrix([[1]]))
-    assert err.value.witness == (0, 0)
 
 
 def test_sampled_triangular_draws_skip_corner_validation(monkeypatch):

@@ -8,7 +8,6 @@ from semih1.algebra import (
     Character,
     ModuleAlgebra,
     regular_action,
-    regular_module,
 )
 from semih1.catalog import (
     direct_sum_algebra,
@@ -38,9 +37,9 @@ from semih1.families import random_product
 from semih1.spaces import inner_map, inner_witness, r_map
 from semih1.verify import (
     _image_over_kernel,
+    _placed,
     applies,
     corollary_3_2_check,
-    embed_blocks,
     hypothesis_check,
     inner_characterization,
     is_derivation_via_3_1,
@@ -52,6 +51,15 @@ from semih1.verify import (
     verify_special_case,
     verify_theorem,
 )
+
+
+def embed(p, **blocks):
+    """The map on A x| U with the given blocks, each a Matrix, placed by iota; zero elsewhere."""
+    names, d = tuple(blocks), Matrix.zeros(p.dim, p.dim)
+    row = list(enumerate(x for name in names for x in blocks[name].flatten()))
+    for j, x in _placed(p, [row], names)[0]:
+        d.data[j // p.dim][j % p.dim] = x
+    return d
 
 
 def lau_dual():
@@ -71,7 +79,7 @@ def test_split_blocks_roundtrip():
     rng = random.Random(3)
     d = Matrix([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
     bd = split_blocks(d, p)
-    assert embed_blocks(p, bd.delta1, bd.delta2, bd.tau1, bd.tau2) == d
+    assert embed(p, delta1=bd.delta1, delta2=bd.delta2, tau1=bd.tau1, tau2=bd.tau2) == d
 
 
 def test_split_blocks_identity_fails_leibniz():
@@ -137,7 +145,8 @@ def test_inner_characterization_rejects_outer_and_nonderivations():
 
 def test_inner_and_3_1_checks_keep_their_error_contract():
     """A wrong shape is refused before any membership test; a non-derivation names its pair."""
-    p = semidirect(dual_numbers(), regular_module(dual_numbers()))
+    u = dual_numbers()
+    p = semidirect(dual_numbers(), ModuleAlgebra(u, regular_action(u)))
     assert p.dim == 4
     for bad in (Matrix.zeros(1, 1), Matrix.zeros(4, 3)):
         with pytest.raises(ShapeMismatch, match="^candidate map has the wrong shape$"):
@@ -208,12 +217,12 @@ def test_corollary_delta1_only():
     p = direct_product(dual_numbers(), field_q())
     delta = Matrix([[0, 0], [0, 1]])  # 1 -> 0, t -> t
     assert corollary_3_2_check("delta1-only", delta, p)
-    embedded = embed_blocks(p, delta1=delta)
+    embedded = embed(p, delta1=delta)
     assert is_derivation_via_3_1(embedded, p)
     # with a faithful action the same block is rejected
     p2 = alpha_product(dual_numbers(), dual_numbers("D'"), Matrix.identity(2))
     assert not corollary_3_2_check("delta1-only", delta, p2)
-    assert not is_derivation_via_3_1(embed_blocks(p2, delta1=delta), p2)
+    assert not is_derivation_via_3_1(embed(p2, delta1=delta), p2)
     # a kind that names no corner
     with pytest.raises(UnknownHypothesis):
         corollary_3_2_check("delta3-only", delta, p)
@@ -225,14 +234,14 @@ def test_corollary_tau1_only_needs_module_hom_law():
     p = direct_product(field_q(), null_algebra(1))
     tau1 = Matrix([[1]])
     assert not corollary_3_2_check("tau1-only", tau1, p)
-    assert not is_derivation_via_3_1(embed_blocks(p, tau1=tau1), p)
+    assert not is_derivation_via_3_1(embed(p, tau1=tau1), p)
 
 
 def test_corollary_tau1_only_fixture_passes():
     p, d = fixture_nonzero_tau1(field_q())
     bd = split_blocks(d, p)
     assert corollary_3_2_check("tau1-only", bd.tau1, p)
-    assert is_derivation_via_3_1(embed_blocks(p, tau1=bd.tau1), p)
+    assert is_derivation_via_3_1(embed(p, tau1=bd.tau1), p)
 
 
 def test_corollary_tau2_only_requires_hom():
@@ -242,7 +251,7 @@ def test_corollary_tau2_only_requires_hom():
     block = r_map([0, 1, 0, 0], p.part_u)
     assert not block.is_zero()
     assert not corollary_3_2_check("tau2-only", block, p)
-    assert not is_derivation_via_3_1(embed_blocks(p, tau2=block), p)
+    assert not is_derivation_via_3_1(embed(p, tau2=block), p)
     # a central element gives a module homomorphism, hence a derivation
     central = r_map([1, 0, 0, 1], p.part_u)
     assert central.is_zero()
@@ -253,7 +262,7 @@ def test_corollary_delta2_only():
     p = module_extension(dual_numbers(), regular_action(dual_numbers()))
     delta2 = Matrix([[0, 0], [0, 1]])  # a derivation into the bimodule
     assert corollary_3_2_check("delta2-only", delta2, p)
-    assert is_derivation_via_3_1(embed_blocks(p, delta2=delta2), p)
+    assert is_derivation_via_3_1(embed(p, delta2=delta2), p)
 
 
 def test_corollary_cross_check_random_blocks():
@@ -264,7 +273,7 @@ def test_corollary_cross_check_random_blocks():
     for kind, (r, c) in shapes.items():
         for _ in range(12):
             block = Matrix([[rng.randint(-1, 1) for _ in range(c)] for _ in range(r)])
-            embedded = embed_blocks(p, **{kind.split("-")[0]: block})
+            embedded = embed(p, **{kind.split("-")[0]: block})
             assert corollary_3_2_check(kind, block, p) == \
                 is_derivation_via_3_1(embedded, p)
 
