@@ -36,7 +36,6 @@ from .linalg import (
     _pairs,
     _span_of_rows,
     _sparse_rows,
-    _vector,
     frac,
 )
 
@@ -133,23 +132,16 @@ class Algebra:
     vector of ``e_i * e_j``, and keeps the slice of each product.
     Associativity is an invariant checked by :func:`validate_algebra`, not
     assumed at construction time; ``_valid`` keeps its verdict, ``_regular`` the
-    regular action, ``_gens`` :func:`generators`, ``_separable`` :func:`separable`
-    and ``_memo`` the spaces :mod:`.verify` reads of A and its modules.
+    regular action, ``_gens`` :func:`generators` and ``_separable`` :func:`separable`.
     """
 
-    __slots__ = ("name", "dim", "mult", "_regular", "_gens", "_separable", "_valid", "_memo")
+    __slots__ = ("name", "dim", "mult", "_regular", "_gens", "_separable", "_valid")
 
     def __init__(self, name, dim, mult):
         self.name = name
         self.dim = dim
         self.mult = _slices(mult, dim, dim, dim, f"mult tensor of {name}")
-        self._regular = self._gens = self._separable = self._valid = self._memo = None
-
-    def product(self, u, v):
-        """Bilinear extension of the basis products to coordinate vectors."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ShapeMismatch("vector length differs from algebra dimension")
-        return _vector(_transport(self.mult, [_pairs(u)], [_pairs(v)])[0][0], self.dim)
+        self._regular = self._gens = self._separable = self._valid = None
 
     def is_commutative(self):
         return all(self.mult[i][j] == self.mult[j][i]
@@ -164,17 +156,18 @@ class BimoduleAction:
 
     ``left[i][p]`` is the slice of ``e_i . u_p`` and ``right[p][i]`` that
     of ``u_p . e_i``; the constructor takes them dense.  The three bimodule
-    axioms are checked by :func:`validate_module`; ``_comm`` keeps :func:`_commutators`.
+    axioms are checked by :func:`validate_module`; ``_comm`` keeps :func:`_commutators`
+    and ``_memo`` the spaces of maps from A into it that :mod:`.verify` reads.
     """
 
-    __slots__ = ("algebra_dim", "module_dim", "left", "right", "_comm")
+    __slots__ = ("algebra_dim", "module_dim", "left", "right", "_comm", "_memo")
 
     def __init__(self, algebra_dim, module_dim, left, right):
         self.algebra_dim = algebra_dim
         self.module_dim = module_dim
         self.left = _slices(left, algebra_dim, module_dim, module_dim, "left action")
         self.right = _slices(right, module_dim, algebra_dim, module_dim, "right action")
-        self._comm = None
+        self._comm = self._memo = None
 
     @classmethod
     def trivial(cls, algebra_dim, module_dim):
@@ -248,15 +241,19 @@ def separable(a: Algebra) -> bool:
 
 
 class ModuleAlgebra:
-    """An algebra U together with a compatible A-bimodule action on it."""
+    """An algebra U together with a compatible A-bimodule action on it.
 
-    __slots__ = ("algebra", "action")
+    ``_memo`` keeps the spaces of the pair (A, U) that :mod:`.verify` reads.
+    """
+
+    __slots__ = ("algebra", "action", "_memo")
 
     def __init__(self, algebra: Algebra, action: BimoduleAction):
         if action.module_dim != algebra.dim:
             raise ShapeMismatch("action module dimension differs from algebra dimension")
         self.algebra = algebra
         self.action = action
+        self._memo = None
 
     @property
     def dim(self):

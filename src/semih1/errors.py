@@ -1,9 +1,11 @@
 """Exception hierarchy for the semih1 toolkit.
 
-Every failure mode that callers are expected to handle gets its own class;
-all of them derive from :class:`Semih1Error` so batch drivers can catch one
-type.  Violated-axiom errors carry a ``witness`` attribute with the basis
-indices (and values, where helpful) that falsify the axiom.
+Every failure mode that callers are expected to handle has one class,
+whichever entry point meets it: a vector, matrix or tensor of the wrong size
+is a :class:`ShapeMismatch`, and a failed axiom, of an algebra, a module, a
+corner or a character, is a :class:`ValidationFailed` whose ``report`` holds
+the witnesses.  All of them derive from :class:`Semih1Error` so batch
+drivers can catch one type.
 """
 
 
@@ -11,12 +13,8 @@ class Semih1Error(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionMismatch(Semih1Error):
-    """Operands live in different ambient dimensions."""
-
-
 class ShapeMismatch(Semih1Error):
-    """A tensor or matrix does not have the declared shape."""
+    """A vector, matrix or tensor does not have the size its use needs."""
 
 
 class ValidationFailed(Semih1Error):
@@ -27,16 +25,8 @@ class ValidationFailed(Semih1Error):
         self.report = report
 
 
-class InvalidCharacter(Semih1Error):
-    """A character is zero or not multiplicative."""
-
-
 class NotHomomorphism(Semih1Error):
     """A linear map fails the algebra- or module-homomorphism law."""
-
-
-class NotBimodule(Semih1Error):
-    """A two-sided action fails one of the bimodule axioms."""
 
 
 class NotADerivation(Semih1Error):

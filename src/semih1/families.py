@@ -99,10 +99,7 @@ def _direct_sum_sample(rng, max_dim, name) -> AlgebraSample:
 
 
 def _apply_basis_change(sample: AlgebraSample, rng) -> AlgebraSample:
-    n = sample.dim
-    if n == 0:
-        return sample
-    p = elementary_matrices(rng, n, steps=rng.randint(1, 4))
+    p = elementary_matrices(rng, sample.dim, steps=rng.randint(1, 4))
     alg = _change_basis_algebra(sample.algebra, p, invert(p), sample.algebra.name)
     chars = [change_basis_character(t, alg, p) for t in sample.characters]
     # a basis change scrambles the ideal-split coordinates, so drop it

@@ -18,10 +18,10 @@ call the trusted ``_semidirect``, ``_module_extension`` or ``_triangular``
 on a module or corner that parsing validated, so it is not checked again.
 The ``z1``, ``n1``, ``h1``, ``spaces`` and two-argument ``hom`` jobs read the
 spaces kept by what they are of: a built product's total the product's rows
-(``verify.space``), an algebra and a module the entries the algebras keep for
-them (``verify._factor_space`` and ``verify._factor_rows``), which a built
-A x| U reads too.  So each space a file's jobs read is solved once; ``hom``
-into a second module is solved at each job.
+(``verify.space``), an algebra and a module the entries their actions and
+modules keep (``verify._factor_space`` and ``verify._factor_rows``), which a
+built A x| U reads too.  So each space a file's jobs read is solved once;
+``hom`` into a second module is solved at each job.
 """
 
 import json
@@ -403,7 +403,7 @@ def _part(reg, job, a, u):
     """(kind -> Z1 or N1, what they are of) of A into U, or into A.
 
     A built product's total reads the rows the product keeps; any other
-    algebra the entries it keeps for the action, its own or U's.
+    algebra the entries the action, its own or U's, keeps for it.
     """
     built = reg.tables["product"].get(job["args"][0])
     if built is not None:
@@ -432,7 +432,7 @@ def _spaces(reg, job, a, u=None):
 
 
 def _hom(reg, job, a, u, v=None):
-    """Hom_A(U, V); Hom_A(U) is the entry A keeps for U's action."""
+    """Hom_A(U, V); Hom_A(U) is the entry U's action keeps for A."""
     hom = _factor_space(a, u.action, "hom") if v is None else hom_space(a, u.action, v.action)
     return _space(hom, u.dim, (v or u).dim)
 

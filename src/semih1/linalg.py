@@ -10,18 +10,20 @@ Every elimination goes through ``_rref_rows``, which takes rows as sparse
 ``(column, value)`` pair lists, int or Fraction, or owned int dicts, and
 returns the reduced integer pivot rows of one fraction-free elimination;
 ``_fractions`` divides them out to sparse rref rows.  Dense callers hand it
-the nonzero entries of their rows; constraint systems built sparse, such as
-the integer rows of :mod:`semih1.spaces`, go to :func:`kernel_of_rows`, which
-reads the canonical kernel basis off one elimination with mirrored columns.
-Every image of a kernel, intersections included, is one elimination read
-past its constraint columns (:func:`_image_of_kernel`).
+the nonzero entries of their rows; integer constraint systems built sparse,
+the rows of :mod:`semih1.spaces`, go to :func:`kernel_of_rows`, which hands
+them over as owned int dicts and reads the canonical kernel basis off one
+elimination with mirrored columns.  Every image of a kernel, intersections
+included, is one elimination read past its constraint columns
+(:func:`_image_of_kernel`); the kernel of a dense :class:`Matrix` is the
+case whose images are its columns (:func:`_kernel_of_images`).
 
 Conventions
 -----------
 * A :class:`Matrix` is a dense row-major grid of Fractions.
 * ``kernel(m)`` is the solution space of ``m @ v = 0`` (one constraint per
   row, ambient dimension ``m.cols``); ``kernel_of_rows`` is the same for
-  sparse rows.
+  sparse int rows.
 * A :class:`Subspace` is its unique rref basis in one sparse form, ``rows``:
   a tuple of rows, each a tuple of ``(column, Fraction)`` pairs in
   increasing column order, pivot ``(p, 1)`` first.  Two subspaces are equal
@@ -33,7 +35,7 @@ Conventions
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -101,8 +103,9 @@ def _rref_rows(rows, cols):
     and nonzero int or Fraction values, taken one at a time as a primitive
     integer row (denominators cleared, content divided out), or a
     ``{column: int}`` dict: an int row it owns, made primitive with no copy
-    (only :func:`kernel_of_rows` builds one).  While its lowest column c is
-    a pivot, pivot row P clears it by ``row <- P[c] row - row[c] P``.  A row
+    (:func:`kernel_of_rows` and :func:`.algebra.separable` build them).
+    While its lowest column c is a pivot, pivot row P clears it by
+    ``row <- P[c] row - row[c] P``.  A row
     that reduces to zero is dropped; otherwise column c becomes a new pivot,
     made positive.  Once every column is a pivot the remaining rows are
     skipped.  The pivot rows, an echelon form, are then reduced once in
@@ -229,22 +232,6 @@ class Matrix:
                             orow[j] += x * y
         return out
 
-    def apply(self, vec):
-        """Image of a row vector under this map: ``vec @ self``."""
-        if len(vec) != self.rows:
-            raise ShapeMismatch("vector length does not match map source")
-        out = [F0] * self.cols
-        for p, x in enumerate(vec):
-            if x:
-                row = self.data[p]
-                for q, y in enumerate(row):
-                    if y:
-                        out[q] += x * y
-        return out
-
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
-
     def flatten(self):
         """Row-major flattening; the shared map-coordinate convention."""
         out = []
@@ -308,16 +295,8 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient, vectors):
         if any(len(v) != ambient for v in vectors):
-            raise DimensionMismatch("vector length differs from ambient dimension")
+            raise ShapeMismatch("vector length differs from ambient dimension")
         return _span_of_rows([_pairs(map(frac, v)) for v in vectors], ambient)
-
-    @classmethod
-    def zero(cls, ambient):
-        return cls(ambient, ())
-
-    @classmethod
-    def full(cls, ambient):
-        return cls(ambient, tuple(((j, F1),) for j in range(ambient)))
 
     @property
     def dim(self):
@@ -342,12 +321,12 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         if len(vec) != self.ambient:
-            raise DimensionMismatch("vector length differs from ambient dimension")
+            raise ShapeMismatch("vector length differs from ambient dimension")
         return not self.reduce(_pairs(map(frac, vec)))
 
     def contains_subspace(self, other) -> bool:
         if other.ambient != self.ambient:
-            raise DimensionMismatch("ambient dimensions differ")
+            raise ShapeMismatch("ambient dimensions differ")
         return not any(map(self.reduce, other.rows))
 
     def __eq__(self, other):
@@ -367,35 +346,34 @@ def _span_of_rows(rows, ambient) -> Subspace:
 def kernel(m: Matrix) -> Subspace:
     """Solution space of ``m @ v = 0`` in ambient dimension ``m.cols``.
 
+    These are the weights v with ``sum_j v_j (column j of m) = 0``, read
+    off one elimination on the columns (:func:`_kernel_of_images`).
+
     >>> kernel(Matrix([[1, 1]])).basis.data
     [[Fraction(1, 1), Fraction(-1, 1)]]
     >>> kernel(Matrix.identity(4)).dim
     0
     """
-    return kernel_of_rows(_sparse_rows(m), m.cols)
+    return _kernel_of_images(_sparse_rows(m.transpose()), m.cols, m.rows)
 
 
 def kernel_of_rows(rows, cols) -> Subspace:
-    """Solution space in Q^cols of a list of sparse rows of ``(column, value)`` pairs.
+    """Solution space in Q^cols of a list of sparse rows of ``(column, int)`` pairs.
 
     Each row is one constraint ``sum value * v[column] = 0``; its columns
-    are distinct and its values nonzero ints or Fractions.  Eliminated with
-    column j as ``cols - 1 - j``, each pivot p is the highest column of its
-    row, so the solutions of the free columns f (1 at f, ``-row[f] / row[p]``
-    at each p) are zero before f and at the other free columns: the rref
-    basis, read off as sparse rows with the pivots p in increasing order.
-    An all-int system, checked once, enters as fresh ``{column: int}`` dicts.
+    are distinct and its values nonzero ints.  Each row enters the engine
+    as a fresh ``{column: int}`` dict with column j as ``cols - 1 - j``, so
+    each pivot p is the highest column of its row, and the solutions of the
+    free columns f (1 at f, ``-row[f] / row[p]`` at each p) are zero before
+    f and at the other free columns: the rref basis, read off as sparse
+    rows with the pivots p in increasing order.
 
     >>> k = kernel_of_rows([[(0, 1), (1, 1), (3, 2)], [(2, 2), (3, 2)]], 4)
     >>> [[str(x) for x in row] for row in k.basis.data]
     [['1', '0', '1/2', '-1/2'], ['0', '1', '1/2', '-1/2']]
     """
     last = cols - 1
-    if all(type(x) is int for row in rows for _, x in row):
-        mirrored = [{last - j: x for j, x in row} for row in rows]
-    else:
-        mirrored = [[(last - j, x) for j, x in row] for row in rows]
-    reduced, pivots = _rref_rows(mirrored, cols)
+    reduced, pivots = _rref_rows([{last - j: x for j, x in row} for row in rows], cols)
     pivot_set = set(pivots)
     # keyed by mirrored free column j: the solution of free column last - j
     solution = {j: [(last - j, F1)] for j in range(cols) if j not in pivot_set}
@@ -433,7 +411,7 @@ def image(m: Matrix) -> Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient != b.ambient:
-        raise DimensionMismatch("ambient dimensions differ")
+        raise ShapeMismatch("ambient dimensions differ")
     return _span_of_rows(a.rows + b.rows, a.ambient)
 
 
@@ -446,7 +424,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     [[Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)]]
     """
     if a.ambient != b.ambient:
-        raise DimensionMismatch("ambient dimensions differ")
+        raise ShapeMismatch("ambient dimensions differ")
     return _image_of_kernel(a.rows + b.rows, a.rows + ((),) * b.dim, a.ambient, a.ambient)
 
 

@@ -13,6 +13,8 @@ extraction everywhere downstream relies on it.
 module they are handed, the first two around the trusted ``_semidirect`` and
 ``_module_extension``.  The others skip ``validate_module``: their module
 laws hold by construction once the character or corner they check is valid.
+Every failed law, of a module, a corner or a character, raises
+``ValidationFailed``, and every size that does not fit ``ShapeMismatch``.
 """
 
 from .algebra import (
@@ -33,12 +35,7 @@ from .algebra import (
     validate_module,
 )
 from .catalog import direct_sum_algebra, field_q, null_algebra
-from .errors import (
-    InvalidCharacter,
-    NotBimodule,
-    NotHomomorphism,
-    ShapeMismatch,
-)
+from .errors import NotHomomorphism, ShapeMismatch, ValidationFailed
 from .linalg import F1, Matrix, _sparse_rows
 
 
@@ -99,7 +96,7 @@ def _assemble(a: Algebra, u: ModuleAlgebra, name, kind, character=None, alpha=No
                              character=character, alpha=alpha)
 
 
-def semidirect(a: Algebra, u: ModuleAlgebra, name=None, character=None) -> SemidirectAlgebra:
+def semidirect(a: Algebra, u: ModuleAlgebra, name=None) -> SemidirectAlgebra:
     """Build A x| U from a module-algebra U over A.
 
     U is validated first (``validate_module``, raising ``ValidationFailed``):
@@ -107,12 +104,12 @@ def semidirect(a: Algebra, u: ModuleAlgebra, name=None, character=None) -> Semid
     total is associative exactly when A and U also are.
     """
     validate_module(u, a).raise_if_failed()
-    return _semidirect(a, u, name, character)
+    return _semidirect(a, u, name)
 
 
-def _semidirect(a: Algebra, u: ModuleAlgebra, name=None, character=None) -> SemidirectAlgebra:
+def _semidirect(a: Algebra, u: ModuleAlgebra, name=None) -> SemidirectAlgebra:
     """:func:`semidirect` of a module the caller has validated."""
-    return _assemble(a, u, name or f"sd({a.name},{u.name})", "semidirect", character=character)
+    return _assemble(a, u, name or f"sd({a.name},{u.name})", "semidirect")
 
 
 def direct_product(a: Algebra, u: Algebra, name=None) -> SemidirectAlgebra:
@@ -145,11 +142,10 @@ def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> Semid
     """The block upper-triangular algebra on (A, M, B), as T(AxB, M).
 
     M becomes an (AxB)-bimodule via (a,b).m = a.m and m.(a,b) = m.b; its
-    module laws are the corner laws, or read 0 = 0.
+    module laws are the corner laws, or read 0 = 0; a corner that breaks one
+    raises ``ValidationFailed`` with its report.
     """
-    report = validate_corner(corner, a, b)
-    if not report.ok:
-        raise NotBimodule(report.describe())
+    validate_corner(corner, a, b).raise_if_failed()
     return _triangular(a, b, corner, name)
 
 
@@ -168,13 +164,14 @@ def theta_lau(a: Algebra, u: Algebra, t: Character, name=None,
               kind="theta-lau") -> SemidirectAlgebra:
     """The scaled-action product: a.x = x.a = t(a) x for a character t.
 
-    The module laws of a scaled action hold exactly when t is multiplicative.
+    The module laws of a scaled action hold exactly when t is multiplicative;
+    a zero or non-multiplicative t raises ``ValidationFailed``.
     """
     if t.base is not a and t.base.dim != a.dim:
         raise ShapeMismatch("character is defined over a different algebra")
     char = Character(a, t.values)
     if not validate_character(char):
-        raise InvalidCharacter("character must be nonzero and multiplicative")
+        raise ValidationFailed("character must be nonzero and multiplicative")
     mod = ModuleAlgebra(u, scaled_action(a, char, char, u.dim))
     return _assemble(a, mod, name or f"lau({a.name},{u.name})", kind, character=char)
 

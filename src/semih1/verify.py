@@ -31,11 +31,12 @@ by what it is of, read through ``space(p, name)``, which keeps in p what p
 reads.  ``_SPACES`` builds the rows of the total (its Z1 and N1, the 3.1 and
 coupling row groups, the map Phi below); ``_FACTOR_SPACES`` the rows of the
 factors (Z1 and N1 of A, (A, U) and U, the annihilators and the single-block
-laws, R, C, I and their sums, the pairing homomorphisms), kept in U's
-algebra.  Z1, N1 and Hom_A of A into an action are ``_factor_space``
-entries kept in A under the action, so every product and job on one action
-shares them.  Every row but the row groups and Phi is a Subspace, of maps
-flattened as in :mod:`.spaces`.
+laws, R, C, I and their sums, the pairing homomorphisms), kept in the
+module U under A.  Z1, N1 and Hom_A of A into an action are
+``_factor_space`` entries kept in the action under A, so every product and
+job on one action shares them, and each lives as long as what it is of.
+Every row but the row groups and Phi is a Subspace, of maps flattened as in
+:mod:`.spaces`.
 ``h1(p, part)`` is the checked difference of one part's Z1 and N1.
 ``GATES`` maps each gate name to ``p -> (holds, witness)``, read through
 ``hypothesis_check``; a containment gate's witness is its first basis map outside.
@@ -128,8 +129,9 @@ THEOREM_IDS = ("4.1", "4.2", "4.3", "4.4")
 # the spaces a product reads, each built once and kept by what it is of
 
 def _memo(owner, key, thunk):
-    """The value ``owner`` (a product or an Algebra) keeps under ``key``, built on first use."""
-    if owner._memo is None:  # an Algebra's memo is made at its first entry
+    """The value ``owner`` (a product, a module or an action) keeps under ``key``, built on
+    first use."""
+    if owner._memo is None:  # a module's or an action's memo is made at its first entry
         owner._memo = {}
     if key not in owner._memo:
         owner._memo[key] = thunk()
@@ -144,17 +146,17 @@ def space(p: SemidirectAlgebra, name):
 
 
 def _factor_rows(a, u, name):
-    """The row ``name`` of ``_FACTOR_SPACES`` for A and U, built on first use and kept in U's
-    algebra under (name, A, U's action), so it lives as long as the module does."""
-    return _memo(u.algebra, (name, a, u.action), lambda: _FACTOR_SPACES[name](a, u))
+    """The row ``name`` of ``_FACTOR_SPACES`` for A and U, built on first use and kept in
+    the module U under (name, A), so it lives as long as the module does."""
+    return _memo(u, (name, a), lambda: _FACTOR_SPACES[name](a, u))
 
 
 def _factor_space(a, act, kind):
-    """Z1, N1 or Hom_A (``kind`` z1, n1 or hom) of A into ``act``, kept in A under (kind, act).
+    """Z1, N1 or Hom_A (``kind`` z1, n1 or hom) of A into ``act``, kept in act under (kind, A).
 
     Every product and job on one action reads this entry; a separable A's Z1 is its N1 entry.
     """
-    return _memo(a, (kind, act), lambda: _OF_ACTION[kind](a, act))
+    return _memo(act, (kind, a), lambda: _OF_ACTION[kind](a, act))
 
 
 # kind -> (A, action) -> the space of maps that ``_factor_space`` keeps
@@ -200,9 +202,6 @@ class BlockDecomposition:
     @property
     def ok(self):
         return all(w is None for w in self.conditions.values())
-
-    def failed(self):
-        return {k: w for k, w in self.conditions.items() if w is not None}
 
 
 # block -> (source part, target part) of a map on A x| U, in positional order

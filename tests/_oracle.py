@@ -207,22 +207,33 @@ def upper_triangular_mult():
     return mult
 
 
+def brute_product(mult, u, v):
+    """The product uv of two coordinate vectors, expanded from ``mult[i][j][k]``."""
+    n = len(mult)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            if u[i] and v[j]:
+                for k in range(n):
+                    out[k] += Fraction(u[i]) * v[j] * mult[i][j][k]
+    return out
+
+
+def brute_vector_times(vec, rows):
+    """The row vector ``vec`` times the dense matrix ``rows``: sum_p vec[p] rows[p]."""
+    out = [Fraction(0)] * (len(rows[0]) if rows else 0)
+    for x, row in zip(vec, rows):
+        for q, y in enumerate(row):
+            out[q] += Fraction(x) * y
+    return out
+
+
 def brute_assoc_sides(mult, i, j, k):
     """The two sides ((e_i e_j) e_k, e_i (e_j e_k)), expanded from ``mult[i][j][k]``."""
     n = len(mult)
-
-    def times(u, v):
-        out = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(n):
-                if u[i] and v[j]:
-                    for k in range(n):
-                        out[k] += Fraction(u[i]) * v[j] * mult[i][j][k]
-        return out
-
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    return (times(times(basis[i], basis[j]), basis[k]),
-            times(basis[i], times(basis[j], basis[k])))
+    return (brute_product(mult, brute_product(mult, basis[i], basis[j]), basis[k]),
+            brute_product(mult, basis[i], brute_product(mult, basis[j], basis[k])))
 
 
 def brute_assoc_failures(mult):

@@ -43,6 +43,8 @@ from semih1.verify import c_space as _c_space
 
 from _oracle import (
     brute_h1_dim,
+    brute_product,
+    brute_vector_times,
     dense,
     dual_numbers_mult,
     matrix2_mult,
@@ -149,11 +151,11 @@ def test_criterion_6_twist_isomorphism_transport():
             p = alpha_product(a, u, alpha)
             dp = direct_product(a, u)
             iso = alpha_iso(a, u, alpha)
-            dp_mult = dense(dp.total.mult, dp.dim)
+            dp_mult, p_mult = dense(dp.total.mult, dp.dim), dense(p.total.mult, p.dim)
             for i in range(p.dim):
                 for j in range(p.dim):
-                    assert iso.apply(dp_mult[i][j]) == \
-                        p.total.product(iso.data[i], iso.data[j])
+                    assert brute_vector_times(dp_mult[i][j], iso.data) == \
+                        brute_product(p_mult, iso.data[i], iso.data[j])
             assert verify_special_case("5.4", p).verdict == "verified"
 
 
@@ -161,8 +163,8 @@ def test_criterion_7_nonzero_tau1_regression():
     with criterion(7, "non-inner derivation with nonzero tau1"):
         p, d = fixture_nonzero_tau1(field_q())
         bd = split_blocks(d, p)
-        assert bd.ok, bd.failed()
-        assert not bd.tau1.is_zero()
+        assert bd.ok, bd.conditions
+        assert bd.tau1 != Matrix.zeros(bd.tau1.rows, bd.tau1.cols)
         assert inner_characterization(d, p) is None
 
 

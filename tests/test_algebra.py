@@ -1,9 +1,12 @@
+import re
+
 import pytest
 
 from semih1.algebra import (
     Algebra,
     BimoduleAction,
     Character,
+    CornerModule,
     ModuleAlgebra,
     annihilator_in_algebra,
     annihilator_in_module,
@@ -13,22 +16,33 @@ from semih1.algebra import (
     span_of_products,
     validate_algebra,
     validate_character,
+    validate_corner,
     validate_module,
 )
 from semih1.catalog import (
+    change_basis_algebra,
+    change_basis_module,
     cyclic_group_algebra,
     direct_sum_algebra,
     dual_numbers,
     field_q,
+    invert,
     matrix_algebra,
     null_algebra,
     upper_triangular_2,
 )
 from semih1.errors import NotHomomorphism, ShapeMismatch, ValidationFailed
-from semih1.linalg import Matrix, Subspace
-from semih1.products import alpha_iso, alpha_product, direct_product, theta_lau
+from semih1.linalg import Matrix, Subspace, unflatten
+from semih1.products import (
+    alpha_iso,
+    alpha_product,
+    direct_product,
+    module_extension,
+    theta_lau,
+)
+from semih1.spaces import inner_map, leibniz_defect, r_map
 
-from _oracle import dense
+from _oracle import brute_product, dense
 
 
 def test_one_dim_idempotent_is_valid():
@@ -90,7 +104,7 @@ def test_one_sided_regular_action_fails_compatibility():
 def test_annihilator_trivial_action_is_everything():
     a = dual_numbers()
     u = ModuleAlgebra(field_q("U"), BimoduleAction.trivial(2, 1))
-    assert annihilator_in_algebra(a, u) == Subspace.full(2)
+    assert annihilator_in_algebra(a, u) == Subspace.from_vectors(2, Matrix.identity(2).data)
 
 
 def test_annihilator_scaled_action_is_character_kernel():
@@ -111,7 +125,7 @@ def test_annihilator_matrix_regular_is_zero():
 
 def test_annihilator_in_null_module_is_everything():
     u = ModuleAlgebra(null_algebra(3), BimoduleAction.trivial(1, 3))
-    assert annihilator_in_module(u) == Subspace.full(3)
+    assert annihilator_in_module(u) == Subspace.from_vectors(3, Matrix.identity(3).data)
 
 
 def test_annihilators_reject_a_module_over_another_algebra():
@@ -120,7 +134,7 @@ def test_annihilators_reject_a_module_over_another_algebra():
 
 
 def test_center_of_commutative_algebra_is_everything():
-    assert center(dual_numbers()) == Subspace.full(2)
+    assert center(dual_numbers()) == Subspace.from_vectors(2, Matrix.identity(2).data)
 
 
 def test_center_of_matrix_algebra_is_scalars():
@@ -152,19 +166,65 @@ def test_character_validation():
 
 def test_vectors_of_the_wrong_length_are_rejected():
     d = dual_numbers()
-    assert d.product([0, 1], [1, 0]) == [0, 1]
     assert Character(d, [1, 0])([1, 2]) == 1
-    for bad in ([1], [1, 0, 0]):
-        with pytest.raises(ShapeMismatch):
-            d.product(bad, bad)
-        with pytest.raises(ShapeMismatch):
-            d.product([1, 0], bad)
-        with pytest.raises(ShapeMismatch):
-            d.product(bad, [1, 0])
     with pytest.raises(ShapeMismatch):
         Character(d, [1, 0])([1, 2, 3])
     with pytest.raises(ShapeMismatch):
         Character(d, [1, 0])([1])
+
+
+# one wrong size per ShapeMismatch raise site of the public API: (site, call, message)
+_D, _Q = dual_numbers(), field_q()
+WRONG_SIZES = [
+    ("Algebra: slices", lambda: Algebra("X", 2, [[[1, 0], [0, 1]]]),
+     "mult tensor of X: expected 2 slices, got 1"),
+    ("BimoduleAction: rows", lambda: BimoduleAction(1, 2, [[[1, 0]]], [[[1, 0]], [[0, 1]]]),
+     "left action[0]: expected 2 rows, got 1"),
+    ("CornerModule: entries", lambda: CornerModule(1, 1, 1, [[[1]]], [[[1, 0]]]),
+     "corner right action[0][0]: expected 1 entries"),
+    ("ModuleAlgebra", lambda: ModuleAlgebra(_D, regular_action(_Q)),
+     "action module dimension differs from algebra dimension"),
+    ("Character", lambda: Character(_D, [1]), "character length differs from algebra dimension"),
+    ("validate_corner", lambda: validate_corner(CornerModule(1, 1, 1, [[[1]]], [[[1]]]), _D, _Q),
+     "corner module dimensions do not match the algebras"),
+    ("validate_module", lambda: validate_module(ModuleAlgebra(_Q, regular_action(_Q)), _D),
+     "action algebra dimension differs from base algebra"),
+    ("invert", lambda: invert(Matrix([[1, 0]])), "only square matrices can be inverted"),
+    ("change_basis_algebra", lambda: change_basis_algebra(_D, Matrix.identity(3)),
+     "basis change must be square of the algebra dimension"),
+    ("change_basis_module: U", lambda: change_basis_module(
+        ModuleAlgebra(_D, regular_action(_D)), Matrix.identity(2), Matrix.identity(3)),
+     "basis change must be square of the algebra dimension"),
+    ("change_basis_module: A", lambda: change_basis_module(
+        ModuleAlgebra(_D, regular_action(_D)), Matrix.identity(3), Matrix.identity(2)),
+     "algebra basis change has the wrong shape"),
+    ("Matrix: ragged", lambda: Matrix([[1, 2], [3]]), "expected 2x2 grid"),
+    ("Matrix.from_rows: empty", lambda: Matrix.from_rows([]),
+     "cannot infer width of an empty matrix"),
+    ("Matrix @", lambda: Matrix.identity(2) @ Matrix.identity(3), "inner dimensions differ"),
+    ("unflatten", lambda: unflatten([1, 2, 3], 2, 2), "expected 4 coordinates, got 3"),
+    ("Subspace.contains", lambda: Subspace.from_vectors(2, [[1, 0]]).contains([1, 0, 0]),
+     "vector length differs from ambient dimension"),
+    ("Subspace.contains_subspace", lambda: Subspace.from_vectors(2, []).contains_subspace(
+        Subspace.from_vectors(3, [])), "ambient dimensions differ"),
+    ("module_extension", lambda: module_extension(_Q, regular_action(_D)),
+     "action is not over the given algebra"),
+    ("theta_lau", lambda: theta_lau(_Q, null_algebra(1), Character(_D, [1, 0])),
+     "character is defined over a different algebra"),
+    ("leibniz_defect", lambda: leibniz_defect(Matrix.identity(1), _D, regular_action(_D)),
+     "candidate map has the wrong shape"),
+    ("inner_map", lambda: inner_map([1], _D, regular_action(_D)),
+     "module element has the wrong length"),
+    ("r_map", lambda: r_map([1], ModuleAlgebra(_D, regular_action(_D))),
+     "algebra element has the wrong length"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in WRONG_SIZES],
+                         ids=[case[0] for case in WRONG_SIZES])
+def test_every_size_check_raises_shape_mismatch(call, message):
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _brute_hom_failures(f, a, b):
@@ -227,11 +287,12 @@ def test_annihilator_is_an_ideal():
     p = theta_lau(qq, null_algebra(2), Character(qq, [1, 0, 0]))
     ann = annihilator_in_algebra(qq, p.part_u)
     n = qq.dim
+    mult = dense(qq.mult, n)
     for row in ann.basis.data:
         for i in range(n):
             ei = [1 if k == i else 0 for k in range(n)]
-            assert ann.contains(qq.product(ei, row))
-            assert ann.contains(qq.product(row, ei))
+            assert ann.contains(brute_product(mult, ei, row))
+            assert ann.contains(brute_product(mult, row, ei))
 
 
 def test_split_base_with_full_span_forces_square_zero_module():

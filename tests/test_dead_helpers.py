@@ -11,6 +11,11 @@ must be referenced in the package the same way, exported from
 ``semih1/__init__.py``, or referenced by a file under ``bench/``: an error
 class that nothing raises or catches is reported too.
 
+Every public method or property of a public class defined at the top level
+of such a module must be read as an attribute in the package outside its
+own body, read as an attribute by a file under ``bench/``, or written as
+``.name`` in code in README.md.  A store (``self.rows = ...``) is not a read.
+
 Every name ``semih1/__init__.py`` exports is named in code in README.md, so
 the public surface is the one README documents.
 
@@ -58,6 +63,12 @@ def _unread(defined, used):
                   if not any(n == name and o != (module, name) for n, o in used))
 
 
+def _readme_code():
+    """The inline code spans and fenced code blocks of README.md, joined."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))
+
+
 def _exported():
     """The names ``semih1/__init__.py`` imports, so exports."""
     init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
@@ -84,11 +95,32 @@ def test_every_public_function_is_read_exported_or_benchmarked():
     assert not dead, dead
 
 
+def test_every_public_method_is_read_benchmarked_or_named_in_the_readme():
+    methods, loads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loads += [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+        methods += [(f"{path.name}:{top.name}.{node.name}", node) for top in tree.body
+                    if isinstance(top, ast.ClassDef) and not top.name.startswith("_")
+                    for node in top.body
+                    if isinstance(node, DEFS[:2]) and not node.name.startswith("_")]
+    benched = {node.attr for path in sorted(BENCH.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    named = set(re.findall(r"\.(\w+)", _readme_code()))
+    assert len(methods) > 20
+    dead = []
+    for where, method in methods:
+        own = {id(node) for node in ast.walk(method)}
+        if not (method.name in benched | named
+                or any(node.attr == method.name and id(node) not in own for node in loads)):
+            dead.append(where)
+    assert not dead, dead
+
+
 def test_every_exported_name_is_named_in_the_readme():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    # inline code spans and fenced code blocks
-    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
-    named = set(re.findall(r"\w+", " ".join(code)))
+    named = set(re.findall(r"\w+", _readme_code()))
     exported = _exported()
     assert len(exported) > 40
     assert not exported - named, sorted(exported - named)

@@ -25,7 +25,7 @@ from semih1.instancefile import (
     render_text,
     run_jobs,
 )
-from semih1.linalg import Subspace
+from semih1.linalg import Matrix, Subspace
 
 from _oracle import dense
 
@@ -50,7 +50,8 @@ def test_minimal_file_parses_and_runs():
 def test_h1_job_checks_that_the_inner_maps_lie_in_z1(monkeypatch):
     # Z1(Q) = 0, so the full space on Q, standing in for N1, escapes it; Q is separable,
     # so its Z1 entry would be that N1 entry unless the Leibniz route is taken
-    monkeypatch.setattr(semih1.verify, "inner_space", lambda a, act: Subspace.full(1))
+    monkeypatch.setattr(semih1.verify, "inner_space",
+                        lambda a, act: Subspace.from_vectors(1, Matrix.identity(1).data))
     monkeypatch.setattr(semih1.verify, "separable", lambda a: False)
     doc, code = run_jobs(parse_instance_text(doc_text(MINIMAL)))
     assert code == 2
@@ -892,9 +893,9 @@ def sampled_subspaces(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(sampled_subspaces(), st.integers(0, 3))
-@example(Subspace.zero(0), 1)
-@example(Subspace.zero(3), 1)
-@example(Subspace.full(3), 0)
+@example(Subspace.from_vectors(0, []), 1)
+@example(Subspace.from_vectors(3, []), 1)
+@example(Subspace.from_vectors(3, Matrix.identity(3).data), 0)
 def test_a_space_report_writes_the_dense_basis(space, source_dim):
     report = semih1.instancefile._space(space, source_dim, 7)
     assert report["basis"] == semih1.instancefile._matrix_rows(space.basis)

@@ -6,8 +6,8 @@ its ``(name, pair, row)`` triples, so a change to which rows are kept, to
 their pair, or to the order of the entries inside a row changes the pin.
 A separable factor takes N1 for its Z1 and builds no Leibniz group; with
 that route off, the groups are those of the older pin, and the groups left
-with it on are some of them.  Each factor's Z1 is kept in its algebra under
-the action, so a product that reads one factor space as two parts on one
+with it on are some of them.  Each factor's Z1 is kept in the action under
+its algebra, so a product that reads one factor space as two parts on one
 action (A and (A, U) when U is A's regular module) builds its group once:
 the pins recorded when each product kept its own copies are the pins of
 these groups with the groups read again added back.
@@ -21,28 +21,32 @@ the full Leibniz group of A x| U, whose scan names the failing pair.
 product and none on a later one.  The ``spaces`` and ``hom`` jobs of one run
 on one (algebra, module) pair build each group once, and the ``z1``, ``n1``, ``h1``
 and rule jobs of one run build each Leibniz group once, a built product's
-factor spaces included.  The factor spaces stay with the parsed algebras, so
-a second run of one parsed file builds only its built products' groups.  On
-a separable factor, Z1 is the N1 entry, so T(M2) solves each N1 once.
-The public ``spaces`` functions keep nothing: ``h1_dim`` twice on one
-algebra builds its Leibniz group twice.
+factor spaces included.  The factor spaces stay with the parsed modules and
+actions, so a second run of one parsed file builds only its built products'
+groups.  On a separable factor, Z1 is the N1 entry, so T(M2) solves each N1
+once.  The public ``spaces`` functions keep nothing: ``h1_dim`` twice on one
+algebra builds its Leibniz group twice.  An algebra keeps no space of an
+action over it, so many short-lived products over one A and one U leave
+nothing behind on either.
 """
 
+import gc
 import hashlib
 import json
 import random
+import types
 from collections import Counter
 
 import pytest
 
 from semih1 import spaces, verify
-from semih1.algebra import regular_action
-from semih1.catalog import dual_numbers, matrix_algebra
+from semih1.algebra import Character, regular_action
+from semih1.catalog import dual_numbers, matrix_algebra, null_algebra
 from semih1.errors import NotADerivation
 from semih1.families import random_product
 from semih1.instancefile import parse_instance_text, render_text, run_jobs
 from semih1.linalg import Matrix
-from semih1.products import module_extension
+from semih1.products import module_extension, theta_lau
 from semih1.selftest import run_case
 from semih1.verify import (
     _CONDITIONS_3_1,
@@ -302,6 +306,33 @@ def test_the_public_spaces_functions_keep_nothing(monkeypatch):
     monkeypatch.setattr(spaces.RowGroup, "__init__", recording)
     d = dual_numbers()
     assert spaces.h1_dim(d) == spaces.h1_dim(d) == 1
-    # each call solves its own system: only ``verify`` keeps spaces in an algebra
+    # each call solves its own system: only ``verify`` keeps spaces, in an action
     assert built == ["leibniz", "leibniz"]
-    assert d._memo is None
+    assert regular_action(d)._memo is None
+
+
+def _reachable(*roots):
+    """The number of objects reachable from ``roots``, not through a type, module or function."""
+    seen, todo = set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        todo.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+def test_short_lived_actions_over_one_algebra_leave_nothing_on_it():
+    a, u = dual_numbers(), null_algebra(2)
+
+    def product():
+        p = theta_lau(a, u, Character(a, [1, 0]))
+        for name in ("z1_au", "n1_au", "hom_u", "r", "c"):
+            space(p, name)
+
+    product()
+    once = _reachable(a, u)
+    for _ in range(99):
+        product()
+    assert _reachable(a, u) == once

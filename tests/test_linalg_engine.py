@@ -14,14 +14,15 @@ that canonical sparse form, since equality compares them.  Entries of height up
 to 10**40 and rows with a huge common content stress the integer rows the
 engine eliminates on.  A kernel is one elimination, read off its mirrored
 pivot rows; it is checked on wide sparse int rows as ``spaces.solve`` builds
-them.  An all-int system enters the engine as owned int dicts and any other
-as pairs: the int rows, the same rows as Fractions and rescaled give one
-kernel, and a row mixing ints with a Fraction sends its system by pairs.
+them.  ``kernel_of_rows`` takes int rows only, and hands each to the engine
+as an owned int dict: the int rows, the same rows rescaled by ints, and the
+same rows as a Fraction ``Matrix`` through ``kernel`` give one kernel.
 Basis changes with such entries must leave H1 of an algebra at its
 closed form.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,15 @@ def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
+def integral(rows):
+    """Sparse int pairs of dense rational rows, each row times the lcm of its denominators."""
+    out = []
+    for row in rows:
+        s = lcm(*(Fraction(x).denominator for x in row))
+        out.append([(j, int(x * s)) for j, x in enumerate(row) if x])
+    return out
+
+
 def sparse_rref(rows, cols):
     """``_rref_rows`` with its reduced integer rows divided out to sparse Fraction rows."""
     reduced, pivots = _rref_rows(rows, cols)
@@ -135,7 +145,7 @@ def test_rref_kernel_and_rank_match_the_oracle(system):
     k = kernel(m)
     assert k.basis.data == brute_kernel(rows, cols)
     assert all_fractions(k.basis.data)
-    assert kernel_of_rows(sparse(rows), cols) == k
+    assert kernel_of_rows(integral(rows), cols) == k
 
 
 @ENGINE
@@ -217,39 +227,18 @@ def routes(rows, cols):
 @ENGINE
 @given(int_constraints(), st.data())
 def test_int_fraction_and_scaled_rows_give_one_kernel(system, data):
-    # an all-int system enters the engine as owned dicts, one with a Fraction as pairs;
-    # the rref is unique, so the kernel is the same Subspace either way
+    # int rows, rescaled or not, enter the engine as owned dicts; as a Fraction Matrix
+    # they go through ``kernel``; the rref is unique, so the kernel is one Subspace
     cols, rows = system
-    factors = data.draw(st.lists(RATIONALS.filter(bool), min_size=len(rows),
-                                 max_size=len(rows)))
+    factors = data.draw(st.lists(st.integers(-10**20, 10**20).filter(bool),
+                                 min_size=len(rows), max_size=len(rows)))
     as_ints, int_route = routes(rows, cols)
-    as_fractions, fraction_route = routes([[(j, Fraction(x)) for j, x in row]
-                                           for row in rows], cols)
     scaled, scaled_route = routes([[(j, f * x) for j, x in row]
                                    for f, row in zip(factors, rows)], cols)
-    assert as_ints == as_fractions == scaled
-    assert int_route <= {dict}
-    if any(rows):  # a system of empty rows holds no Fraction
-        assert dict not in fraction_route | scaled_route
-    dense = [[dict(row).get(j, 0) for j in range(cols)] for row in rows]
+    dense = [[Fraction(dict(row).get(j, 0)) for j in range(cols)] for row in rows]
+    assert as_ints == scaled == kernel(Matrix.from_rows(dense, cols=cols))
+    assert int_route | scaled_route <= {dict}
     assert as_ints.basis.data == brute_kernel(dense, cols)
-
-
-@ENGINE
-@given(int_constraints().filter(lambda system: system[0]), st.data())
-def test_a_mixed_system_takes_the_fraction_route(system, data):
-    cols, rows = system
-    at = data.draw(st.integers(0, len(rows)))
-    # one row of ints and one non-integral Fraction, in any position
-    row = data.draw(st.dictionaries(st.integers(0, cols - 1), st.integers(-9, 9).filter(bool),
-                                    min_size=1, max_size=4))
-    odd = data.draw(st.sampled_from(sorted(row)))
-    row[odd] = Fraction(data.draw(st.sampled_from((1, -3, 5))), 2)
-    mixed = rows[:at] + [list(row.items())] + rows[at:]
-    kernel_, route = routes(mixed, cols)
-    assert dict not in route
-    dense = [[dict(r).get(j, 0) for j in range(cols)] for r in mixed]
-    assert kernel_.basis.data == brute_kernel(dense, cols)
 
 
 def test_a_kernel_is_one_elimination(monkeypatch):
@@ -289,7 +278,7 @@ def test_empty_pair_lists_and_zero_columns():
     assert _rref_rows([], 3) == ([], [])
     assert _rref_rows([[], []], 3) == ([], [])
     assert _rref_rows([[], []], 0) == ([], [])
-    assert kernel_of_rows([[], []], 2) == Subspace.full(2)
+    assert kernel_of_rows([[], []], 2) == Subspace.from_vectors(2, Matrix.identity(2).data)
     assert kernel_of_rows([[]], 0).dim == 0
     assert kernel(Matrix.from_rows([[], []], cols=0)).dim == 0
     assert rref(Matrix.from_rows([[0, 0], [0, 0]])).rows == 0
@@ -364,7 +353,8 @@ def test_every_constructor_leaves_canonical_rows(system, data):
     a, b = Subspace.from_vectors(cols, va), Subspace.from_vectors(cols, vb)
     assert_canonical(a, brute_rref(va, cols)[0])
     assert_canonical(b, brute_rref(vb, cols)[0])
-    assert_canonical(kernel_of_rows(sparse(va), cols), brute_kernel(va, cols))
+    assert_canonical(kernel(Matrix.from_rows(va, cols=cols)), brute_kernel(va, cols))
+    assert_canonical(kernel_of_rows(integral(va), cols), brute_kernel(va, cols))
     assert_canonical(subspace_sum(a, b), brute_rref(va + vb, cols)[0])
     # over Q the meet of two spans is the annihilator of the sum of their annihilators
     meet = brute_kernel(brute_kernel(va, cols) + brute_kernel(vb, cols), cols)
@@ -372,9 +362,10 @@ def test_every_constructor_leaves_canonical_rows(system, data):
     pad = [Fraction(0)] * cols
     stacked = [list(v) + pad for v in va] + [pad + list(v) for v in vb]
     assert_canonical(product_subspace(a, b), brute_rref(stacked, 2 * cols)[0])
-    assert_canonical(Subspace.zero(cols), [])
+    assert_canonical(Subspace.from_vectors(cols, []), [])
     identity = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-    assert_canonical(Subspace.full(cols), brute_rref(identity, cols)[0])
+    assert_canonical(Subspace.from_vectors(cols, Matrix.identity(cols).data),
+                     brute_rref(identity, cols)[0])
 
 
 @ENGINE

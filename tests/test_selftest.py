@@ -141,7 +141,7 @@ def test_an_inner_map_outside_cond31_that_no_group_fails_is_named():
     p, sample = random_product(rng, 3)
     run_case(p, sample, rng)
     assert any(verify.space(p, "phi"))
-    p._memo["cond31"] = Subspace.zero(p.dim * p.dim)
+    p._memo["cond31"] = Subspace.from_vectors(p.dim * p.dim, [])
     with pytest.raises(CaseFailure) as failure:
         _check_twisting_identities(p)
     assert failure.value.check == "inner-basis-cond31"
