@@ -156,18 +156,18 @@ class BimoduleAction:
 
     ``left[i][p]`` is the slice of ``e_i . u_p`` and ``right[p][i]`` that
     of ``u_p . e_i``; the constructor takes them dense.  The three bimodule
-    axioms are checked by :func:`validate_module`; ``_comm`` keeps :func:`_commutators`
-    and ``_memo`` the spaces of maps from A into it that :mod:`.verify` reads.
+    axioms are checked by :func:`validate_module`, which keeps A in ``_valid_over`` on a
+    pass; ``_comm`` keeps :func:`_commutators` and ``_memo`` the spaces of maps from A.
     """
 
-    __slots__ = ("algebra_dim", "module_dim", "left", "right", "_comm", "_memo")
+    __slots__ = ("algebra_dim", "module_dim", "left", "right", "_comm", "_memo", "_valid_over")
 
     def __init__(self, algebra_dim, module_dim, left, right):
         self.algebra_dim = algebra_dim
         self.module_dim = module_dim
         self.left = _slices(left, algebra_dim, module_dim, module_dim, "left action")
         self.right = _slices(right, module_dim, algebra_dim, module_dim, "right action")
-        self._comm = self._memo = None
+        self._comm = self._memo = self._valid_over = None
 
     @classmethod
     def trivial(cls, algebra_dim, module_dim):
@@ -243,17 +243,17 @@ def separable(a: Algebra) -> bool:
 class ModuleAlgebra:
     """An algebra U together with a compatible A-bimodule action on it.
 
-    ``_memo`` keeps the spaces of the pair (A, U) that :mod:`.verify` reads.
+    ``_valid_over`` keeps A of its last :func:`validate_module` pass, ``_memo`` the spaces.
     """
 
-    __slots__ = ("algebra", "action", "_memo")
+    __slots__ = ("algebra", "action", "_memo", "_valid_over")
 
     def __init__(self, algebra: Algebra, action: BimoduleAction):
         if action.module_dim != algebra.dim:
             raise ShapeMismatch("action module dimension differs from algebra dimension")
         self.algebra = algebra
         self.action = action
-        self._memo = None
+        self._memo = self._valid_over = None
 
     @property
     def dim(self):
@@ -326,10 +326,11 @@ class CornerModule:
 
     This is the corner block of a block upper-triangular algebra; the
     constructor takes the action tensors dense and keeps their slices.
-    Validation checks (aa')m = a(a'm), m(bb') = (mb)b', and (am)b = a(mb).
+    Validation checks (aa')m = a(a'm), m(bb') = (mb)b', (am)b = a(mb); ``_valid_over``
+    keeps (A, B) on a pass.
     """
 
-    __slots__ = ("a_dim", "b_dim", "dim", "left", "right")
+    __slots__ = ("a_dim", "b_dim", "dim", "left", "right", "_valid_over")
 
     def __init__(self, a_dim, b_dim, dim, left, right):
         self.a_dim = a_dim
@@ -337,6 +338,7 @@ class CornerModule:
         self.dim = dim
         self.left = _slices(left, a_dim, dim, dim, "corner left action")
         self.right = _slices(right, dim, b_dim, dim, "corner right action")
+        self._valid_over = None
 
 
 # Every axiom is one block (x, y, z) of associativity (e_x e_y) e_z = e_x (e_y e_z)
@@ -437,9 +439,12 @@ def _associativity(subject, blocks, dims, laws, mids=None) -> ValidationReport:
 def validate_corner(m: CornerModule, a: Algebra, b: Algebra) -> ValidationReport:
     if m.a_dim != a.dim or m.b_dim != b.dim:
         raise ShapeMismatch("corner module dimensions do not match the algebras")
-    return _associativity(f"corner module over ({a.name}, {b.name})",
-                          {"AAA": a.mult, "BBB": b.mult, "AMM": m.left, "MBM": m.right},
-                          {"A": a.dim, "B": b.dim, "M": m.dim}, _CORNER_LAWS)
+    report = _associativity(f"corner module over ({a.name}, {b.name})",
+                            {"AAA": a.mult, "BBB": b.mult, "AMM": m.left, "MBM": m.right},
+                            {"A": a.dim, "B": b.dim, "M": m.dim}, _CORNER_LAWS)
+    if report.ok:
+        m._valid_over = (a, b)
+    return report
 
 
 def validate_algebra(a: Algebra) -> ValidationReport:
@@ -468,13 +473,18 @@ def validate_module(u: ModuleAlgebra, a: Algebra) -> ValidationReport:
     the mixed blocks of associativity of A x| U.  When A and U have passed
     :func:`validate_algebra`, the AAA and UUU blocks hold and the generators
     of A and U generate A x| U, so the middle runs over those alone first.
+    A pass is kept on U and its action (``_valid_over``): the action laws never
+    read U's product, and the other three read 0 = 0 when U^2 = 0.
     """
     if u.action.algebra_dim != a.dim:
         raise ShapeMismatch("action algebra dimension differs from base algebra")
     valid = a._valid and u.algebra._valid
-    return _associativity(f"module {u.name} over {a.name}", semidirect_blocks(a, u),
-                          {"A": a.dim, "U": u.dim}, _MODULE_LAWS,
-                          {"A": generators(a), "U": generators(u.algebra)} if valid else None)
+    report = _associativity(f"module {u.name} over {a.name}", semidirect_blocks(a, u),
+                            {"A": a.dim, "U": u.dim}, _MODULE_LAWS,
+                            {"A": generators(a), "U": generators(u.algebra)} if valid else None)
+    if report.ok:
+        u._valid_over = u.action._valid_over = a
+    return report
 
 
 def _commutators(act):

@@ -31,12 +31,12 @@ from .catalog import (
 )
 from .linalg import F0, Matrix, frac
 from .products import (
-    _triangular,
     alpha_product,
     direct_product,
     module_extension,
     semidirect,
     theta_lau,
+    triangular,
     unitization,
 )
 
@@ -179,10 +179,8 @@ def random_product(rng, max_dim):
                             Matrix.identity(a_sample.dim),
                             Matrix.identity(a_sample.dim)])
         return alpha_product(a_sample.algebra, ualg, alpha), a_sample
-    # triangular: scalar corner actions through characters of both factors,
-    # a bimodule by construction;
-    # the two diagonal blocks share the dimension budget so the product's
-    # subalgebra part stays within max_dim
+    # triangular: scalar corner actions through characters of both factors; the two
+    # diagonal blocks share the dimension budget so the product's A part stays within max_dim
     da = rng.randint(1, max(1, max_dim - 1))
     a_sample = random_algebra_sample(rng, da, name="A")
     while not a_sample.characters:
@@ -195,7 +193,7 @@ def random_product(rng, max_dim):
     md = rng.randint(1, max_dim)
     corner = _from_slices(CornerModule, a_sample.dim, b_sample.dim, md,
                           *_scaled(ta.values, tb.values, md))
-    return _triangular(a_sample.algebra, b_sample.algebra, corner), a_sample
+    return triangular(a_sample.algebra, b_sample.algebra, corner), a_sample
 
 
 def random_matrix(rng, rows, cols) -> Matrix:

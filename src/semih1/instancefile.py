@@ -12,12 +12,10 @@ command is one row of ``JOBS`` and each build kind one of ``BUILDS``:
 argument signatures, a handler and, for a command, its line in the text
 report; builds share the ``ok k=v ...`` line of ``validate``.  A job that
 fits no signature is a ``ParseError`` job error.  Builds call the
-``products`` constructors; a ``semidirect``, ``module-extension`` or
-``triangular`` build, and a ``spaces`` job on an (algebra, module) pair,
-call the trusted ``_semidirect``, ``_module_extension`` or ``_triangular``
-on a module or corner that parsing validated, so it is not checked again.
-The ``z1``, ``n1``, ``h1``, ``spaces`` and two-argument ``hom`` jobs read the
-spaces kept by what they are of: a built product's total the product's rows
+``products`` constructors, which read the pass that parsing kept on a
+module, action or corner instead of checking it again.  The ``z1``, ``n1``,
+``h1``, ``spaces`` and two-argument ``hom`` jobs read the spaces kept by
+what they are of: a built product's total the product's rows
 (``verify.space``), an algebra and a module the entries their actions and
 modules keep (``verify._factor_space`` and ``verify._factor_rows``), which a
 built A x| U reads too.  So each space a file's jobs read is solved once;
@@ -49,12 +47,12 @@ from .errors import (
 )
 from .linalg import Matrix, frac
 from .products import (
-    _module_extension,
-    _semidirect,
-    _triangular,
     alpha_product,
     direct_product,
+    module_extension,
+    semidirect,
     theta_lau,
+    triangular,
     unitization,
 )
 from .spaces import _h1_of, hom_space, inner_witness
@@ -499,12 +497,12 @@ JOBS = {
                _verdict),
 }
 BUILDS = {
-    "semidirect": ((("algebra", "module"),), lambda a, u, name: _semidirect(a, u, name)),
+    "semidirect": ((("algebra", "module"),), lambda a, u, name: semidirect(a, u, name)),
     "direct": ((("algebra", "algebra"),), lambda *v, name: direct_product(*v, name=name)),
     "module-extension": ((("algebra", "module"),),
-                         lambda a, u, name: _module_extension(a, u.action, u.name, name)),
+                         lambda a, u, name: module_extension(a, u.action, u.name, name)),
     "triangular": ((("algebra", "algebra", "corner"),),
-                   lambda *v, name: _triangular(*v, name=name)),
+                   lambda *v, name: triangular(*v, name=name)),
     "theta-lau": ((("algebra", "algebra", "character"),),
                   lambda *v, name: theta_lau(*v, name=name)),
     "unitization": ((("algebra",),), lambda *v, name: unitization(*v, name=name)),

@@ -9,10 +9,10 @@ together with the factors it was built from.  The basis convention is fixed
 globally: A occupies coordinates 0..n-1 and U occupies n..n+m-1; block
 extraction everywhere downstream relies on it.
 
-``semidirect``, ``module_extension`` and ``alpha_product`` validate the
-module they are handed, the first two around the trusted ``_semidirect`` and
-``_module_extension``.  The others skip ``validate_module``: their module
-laws hold by construction once the character or corner they check is valid.
+``semidirect``, ``module_extension``, ``triangular`` and ``alpha_product``
+validate what they are handed, the first three unless it keeps a pass over
+the same algebras (``_valid_over``).  The others' module laws hold by
+construction once the character they check is valid.
 Every failed law, of a module, a corner or a character, raises
 ``ValidationFailed``, and every size that does not fit ``ShapeMismatch``.
 """
@@ -87,7 +87,7 @@ class SemidirectAlgebra:
 
 
 def _assemble(a: Algebra, u: ModuleAlgebra, name, kind, character=None, alpha=None):
-    """A x| U filled from :func:`semidirect_blocks`; callers vouch for the module laws."""
+    """A x| U filled from :func:`semidirect_blocks`; callers have checked the module laws."""
     n, t = a.dim, a.dim + u.dim
     offset = {"A": 0, "U": n}
     mult = block_tensor((t, t), [((offset[x], offset[y], offset[z]), block)
@@ -99,16 +99,12 @@ def _assemble(a: Algebra, u: ModuleAlgebra, name, kind, character=None, alpha=No
 def semidirect(a: Algebra, u: ModuleAlgebra, name=None) -> SemidirectAlgebra:
     """Build A x| U from a module-algebra U over A.
 
-    U is validated first (``validate_module``, raising ``ValidationFailed``):
-    its six laws are the mixed blocks of associativity of A x| U, so the
-    total is associative exactly when A and U also are.
+    U is validated (``validate_module``, raising ``ValidationFailed``) unless
+    it has passed over A: its six laws are the mixed blocks of associativity
+    of A x| U, so the total is associative exactly when A and U also are.
     """
-    validate_module(u, a).raise_if_failed()
-    return _semidirect(a, u, name)
-
-
-def _semidirect(a: Algebra, u: ModuleAlgebra, name=None) -> SemidirectAlgebra:
-    """:func:`semidirect` of a module the caller has validated."""
+    if u._valid_over is not a:
+        validate_module(u, a).raise_if_failed()
     return _assemble(a, u, name or f"sd({a.name},{u.name})", "semidirect")
 
 
@@ -123,18 +119,12 @@ def direct_product(a: Algebra, u: Algebra, name=None) -> SemidirectAlgebra:
 
 def module_extension(a: Algebra, action: BimoduleAction, u_name=None,
                      name=None) -> SemidirectAlgebra:
-    """T(A,U): the semidirect product with the U-multiplication forced to zero."""
+    """T(A,U): U's product forced to zero; the action is validated unless it passed over A."""
     if action.algebra_dim != a.dim:
         raise ShapeMismatch("action is not over the given algebra")
-    p = _module_extension(a, action, u_name, name)
-    validate_module(p.part_u, a).raise_if_failed()
-    return p
-
-
-def _module_extension(a: Algebra, action: BimoduleAction, u_name=None,
-                      name=None) -> SemidirectAlgebra:
-    """:func:`module_extension` of an action the caller has validated."""
     u = ModuleAlgebra(null_algebra(action.module_dim, name=u_name or "U0"), action)
+    if action._valid_over is not a:
+        validate_module(u, a).raise_if_failed()
     return _assemble(a, u, name or f"T({a.name},{u.name})", "module-extension")
 
 
@@ -143,14 +133,10 @@ def triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> Semid
 
     M becomes an (AxB)-bimodule via (a,b).m = a.m and m.(a,b) = m.b; its
     module laws are the corner laws, or read 0 = 0; a corner that breaks one
-    raises ``ValidationFailed`` with its report.
+    raises ``ValidationFailed`` with its report, unless it passed over (A, B).
     """
-    validate_corner(corner, a, b).raise_if_failed()
-    return _triangular(a, b, corner, name)
-
-
-def _triangular(a: Algebra, b: Algebra, corner: CornerModule, name=None) -> SemidirectAlgebra:
-    """The triangular algebra of a corner that the caller has validated."""
+    if corner._valid_over != (a, b):
+        validate_corner(corner, a, b).raise_if_failed()
     base = direct_sum_algebra(a, b, name=f"dp({a.name},{b.name})")
     n, nb, md = a.dim, b.dim, corner.dim
     left = block_tensor((n + nb, md), [((0, 0, 0), corner.left)])

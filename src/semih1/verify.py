@@ -691,12 +691,22 @@ _FACTS = {
 # ---------------------------------------------------------------------------
 # the checks; each returns (lhs_dim, rhs_dim, verdict, details)
 
-def _quotient(p, numerator, denominator, labels, reason, base=0):
-    """Rules 4.1-4.4 and cte: h1(A x| U) against base + dim(numerator) - dim(denominator)."""
+def _quotient(p, numerator, denominator, labels, reason, base=0, keep=()):
+    """Rules 4.1-4.4 and cte: h1(A x| U) against base + dim(numerator) - dim(denominator).
+
+    On 4.1-4.4 ι(num) on the ``keep`` blocks must lie in Z1, else its first map outside is
+    the witness; ι(num) + N1 = Z1 then holds iff the dimensions agree, as N1 ⊆ Z1 (``h1``),
+    den ⊆ num and den = ι⁻¹(N1) give ι(num) ∩ N1 = ι(den).
+    """
     lhs = h1_total(p)
     details = dict(zip(labels, (numerator.dim, denominator.dim)))
     if not numerator.contains_subspace(denominator):
         return lhs, None, "MISMATCH", dict(details, reason=reason)
+    z1, placed = space(p, "z1_total"), _placed(p, numerator.rows, keep) if keep else ()
+    stray = next((row for row in placed if z1.reduce(row)), None)
+    if stray is not None:
+        return lhs, None, "MISMATCH", dict(details, reason="numerator not inside Z1", witness=[
+            str(x) for x in _vector(stray, z1.ambient)])
     rhs = base + numerator.dim - denominator.dim
     return lhs, rhs, _verdict(lhs == rhs), details
 
@@ -798,7 +808,7 @@ def _quotient_on(*keep):
     fills = [{"delta1": "z1_a", "delta2": "z1_au", "tau2": "hom_cap_z1u"}[b] for b in keep]
     return lambda p: _quotient(p, product_subspace(*(space(p, f) for f in fills)),
                                _image_over_kernel(p, keep), ("numerator_dim", "denominator_dim"),
-                               "denominator not inside numerator")
+                               "denominator not inside numerator", 0, keep)
 
 
 # rule id -> (construction it needs or None, gates, check)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import semih1.algebra
 import semih1.products
 
 from semih1.algebra import (
@@ -12,7 +13,9 @@ from semih1.algebra import (
     ModuleAlgebra,
     annihilator_in_algebra,
     regular_action,
+    scaled_action,
     validate_algebra,
+    validate_module,
 )
 from semih1.catalog import (
     direct_sum_algebra,
@@ -289,14 +292,84 @@ def test_fixture_nonzero_tau1_matrix_base():
     assert is_derivation_via_3_1(d, p)
 
 
-def test_sampled_triangular_draws_skip_corner_validation(monkeypatch):
-    # the sampler's corners act through two characters, so they are bimodules
-    # by construction and are assembled without validation
-    calls = []
-    monkeypatch.setattr(semih1.products, "validate_corner", lambda *args: calls.append(args))
+def test_sampled_triangular_draws_validate_each_corner_once(monkeypatch):
+    # the sampler's corners act through two characters: each is checked once, and passes
+    checked = []
+    check = semih1.products.validate_corner
+    monkeypatch.setattr(semih1.products, "validate_corner",
+                        lambda m, *over: checked.append((m, check(m, *over))) or checked[-1][1])
     kinds = [random_product(random.Random(seed), 3)[0].kind for seed in range(200)]
     assert kinds.count("triangular") > 10
-    assert calls == []
+    assert len(checked) == kinds.count("triangular")
+    assert len({id(m) for m, _ in checked}) == len(checked)
+    assert all(report.ok for _, report in checked)
+
+
+def _scans(monkeypatch):
+    """The subjects of every law scan from here on: each validation is one scan."""
+    subjects, scan = [], semih1.algebra._associativity
+    monkeypatch.setattr(semih1.algebra, "_associativity",
+                        lambda subject, *rest: subjects.append(subject) or scan(subject, *rest))
+    return subjects
+
+
+def _regular_module(a):
+    return ModuleAlgebra(Algebra(a.name + "'", a.dim, dense(a.mult, a.dim)), regular_action(a))
+
+
+def test_semidirect_validates_a_module_once(monkeypatch):
+    scans, d = _scans(monkeypatch), dual_numbers()
+    u = _regular_module(d)
+    first, second = semidirect(d, u), semidirect(d, u)
+    assert scans == ["module D' over D"]
+    assert algebras_equal(first.total, second.total)
+    # a pass over one algebra says nothing about another with the same table
+    semidirect(dual_numbers(), u)
+    assert len(scans) == 2
+
+
+def test_a_failing_module_raises_on_every_call(monkeypatch):
+    scans, d = _scans(monkeypatch), dual_numbers()
+    # D acting on the left alone: (x.a)y = 0 but x(a.y) = xay
+    right = [[[0, 0] for _ in range(2)] for _ in range(2)]
+    bad = ModuleAlgebra(Algebra("D'", 2, dense(d.mult, 2)),
+                        BimoduleAction(2, 2, dense(d.mult, 2), right))
+    reports = []
+    for _ in range(3):
+        with pytest.raises(ValidationFailed) as err:
+            semidirect(d, bad)
+        reports.append(err.value.report.failures)
+    assert len(scans) == 3 and reports[0] and reports.count(reports[0]) == 3
+    assert bad._valid_over is None and bad.action._valid_over is None
+
+
+@pytest.mark.parametrize("make", [
+    _regular_module,
+    # a scaled action on a U with a product of its own: t(1) = 1, t(e) = 0 on D
+    lambda a: ModuleAlgebra(dual_numbers(), scaled_action(a, *[Character(a, [1, 0])] * 2, 2)),
+], ids=["regular", "scaled"])
+def test_module_extension_reads_the_pass_of_any_module_on_its_action(make, monkeypatch):
+    d = dual_numbers()
+    u = make(d)
+    expected = module_extension(dual_numbers(), u.action).total  # over a copy of D: checked
+    assert validate_module(u, d).ok
+    scans = _scans(monkeypatch)
+    p = module_extension(d, u.action)
+    assert scans == [] and algebras_equal(p.total, expected)
+    module_extension(dual_numbers(), u.action)
+    assert len(scans) == 1
+
+
+def test_a_corner_pass_holds_only_for_its_pair(monkeypatch):
+    scans = _scans(monkeypatch)
+    a, b = field_q("A"), field_q("B")
+    corner = CornerModule(1, 1, 1, [[[1]]], [[[1]]])
+    triangular(a, b, corner)
+    triangular(a, b, corner)
+    assert len(scans) == 1
+    for pair in ((a, field_q("B")), (field_q("A"), b), (b, a)):
+        triangular(*pair, corner)
+    assert len(scans) == 4
 
 
 def test_sampled_twin_algebras_keep_the_base_regular_action():
